@@ -38,6 +38,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU32;
 
 use lip_core::pearl::{
     AccumulatorPearl, ConstPearl, CounterPearl, DelayPearl, IdentityPearl, JoinPearl, Pearl,
@@ -72,14 +73,16 @@ pub enum ParseErrorKind {
     UnknownPearl(String),
     /// An unrecognised `op=` value on a join pearl.
     UnknownJoinOp(String),
-    /// A `key=value` argument whose value is not a number.
+    /// A `key=value` argument whose value is not a number, or is below
+    /// the minimum its key allows (e.g. `fanout=0`).
     BadNumber {
         /// The argument key.
         key: String,
         /// The offending value.
         value: String,
     },
-    /// A `voids=`/`stops=` pattern that is not `every:P:PHASE`.
+    /// A `voids=`/`stops=` pattern that is not `every:P:PHASE` with
+    /// `P >= 1`.
     BadPattern(String),
     /// A connect endpoint that is not `node:index`.
     BadPort(String),
@@ -364,8 +367,9 @@ fn parse_pattern(args: &[Tok<'_>], key: &str) -> Result<Pattern, ParseNetlistErr
             let bad_pattern = || err(span, ParseErrorKind::BadPattern(v.to_owned()));
             let parts: Vec<&str> = v.split(':').collect();
             if parts.len() == 3 && parts[0] == "every" {
-                let period = parts[1].parse().map_err(|_| bad_pattern())?;
-                let phase = parts[2].parse().map_err(|_| bad_pattern())?;
+                // A zero period has no cycles to assert in.
+                let period: NonZeroU32 = parts[1].parse().map_err(|_| bad_pattern())?;
+                let (period, phase) = (period.get(), parts[2].parse().map_err(|_| bad_pattern())?);
                 Ok(Pattern::EveryNth { period, phase })
             } else {
                 Err(bad_pattern())
@@ -379,10 +383,12 @@ fn parse_pearl(name_span: Span, args: &[Tok<'_>]) -> Result<Box<dyn Pearl>, Pars
         .first()
         .ok_or_else(|| err(name_span, ParseErrorKind::MissingPearl))?;
     let kv = kv(&args[1..]);
-    let get_num = |key: &str, default: usize| -> Result<usize, ParseNetlistError> {
+    // Port counts and pipeline depths must be at least `min`: the pearl
+    // constructors assert it, and text must never reach those asserts.
+    let get_num = |key: &str, default: usize, min: usize| -> Result<usize, ParseNetlistError> {
         match kv.get(key) {
             None => Ok(default),
-            Some(&(v, span)) => v.parse().map_err(|_| {
+            Some(&(v, span)) => v.parse().ok().filter(|&n| n >= min).ok_or_else(|| {
                 err(
                     span,
                     ParseErrorKind::BadNumber {
@@ -395,11 +401,11 @@ fn parse_pearl(name_span: Span, args: &[Tok<'_>]) -> Result<Box<dyn Pearl>, Pars
     };
     Ok(match kind.text {
         "identity" => {
-            let fanout = get_num("fanout", 1)?;
+            let fanout = get_num("fanout", 1, 1)?;
             Box::new(IdentityPearl::with_fanout(fanout))
         }
         "join" => {
-            let arity = get_num("arity", 2)?;
+            let arity = get_num("arity", 2, 1)?;
             match kv.get("op") {
                 None => Box::new(JoinPearl::first(arity)),
                 Some(&(op, span)) => match op {
@@ -412,11 +418,14 @@ fn parse_pearl(name_span: Span, args: &[Tok<'_>]) -> Result<Box<dyn Pearl>, Pars
                 },
             }
         }
-        "router" => Box::new(RouterPearl::new(get_num("in", 1)?, get_num("out", 1)?)),
+        "router" => Box::new(RouterPearl::new(
+            get_num("in", 1, 0)?,
+            get_num("out", 1, 1)?,
+        )),
         "accumulator" => Box::new(AccumulatorPearl::new()),
         "counter" => Box::new(CounterPearl::new()),
-        "delay" => Box::new(DelayPearl::new(get_num("k", 1)?)),
-        "const" => Box::new(ConstPearl::new(get_num("value", 0)? as u64)),
+        "delay" => Box::new(DelayPearl::new(get_num("k", 1, 1)?)),
+        "const" => Box::new(ConstPearl::new(get_num("value", 0, 0)? as u64)),
         other => {
             return Err(err(
                 kind.span,
@@ -613,6 +622,32 @@ mod tests {
                 .kind,
             ParseErrorKind::BadPattern(_)
         ));
+    }
+
+    #[test]
+    fn rejects_hostile_counts_and_periods() {
+        // Each of these used to parse and then panic: the zero counts in
+        // the pearl constructors' asserts, the zero periods later in the
+        // lint rules and the simulators.
+        for (text, col) in [
+            ("shell j join arity=0\n", 14),
+            ("shell r router out=0\n", 16),
+            ("shell a identity fanout=0\n", 18),
+            ("shell d delay k=0\n", 15),
+        ] {
+            let e = parse_netlist(text).unwrap_err();
+            assert!(
+                matches!(e.kind, ParseErrorKind::BadNumber { .. }),
+                "{text}: {e}"
+            );
+            assert_eq!(e.span, Span::new(1, col), "{text}");
+        }
+        for text in ["sink s stops=every:0:0\n", "source s voids=every:0:0\n"] {
+            let e = parse_netlist(text).unwrap_err();
+            assert_eq!(e.kind, ParseErrorKind::BadPattern("every:0:0".into()));
+            assert_eq!(e.span.line, 1, "{text}");
+        }
+        assert!(parse_netlist("shell r router in=0 out=1\nshell c const value=0\n").is_ok());
     }
 
     #[test]

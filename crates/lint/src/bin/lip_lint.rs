@@ -212,6 +212,20 @@ mod tests {
     fn parse_errors_exit_2() {
         let file = temp_file("broken.lid", "relay r fifo:1\n");
         assert_eq!(run(&[&file]), 2);
+        for (i, text) in [
+            "shell j join arity=0\n",
+            "shell r router out=0\n",
+            "shell a identity fanout=0\n",
+            "shell d delay k=0\n",
+            "source in\nsink out stops=every:0:0\nconnect in:0 -> out:0\n",
+            "source in voids=every:0:0\nsink out\nconnect in:0 -> out:0\n",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let file = temp_file(&format!("hostile{i}.lid"), text);
+            assert_eq!(run(&[&file]), 2, "{text}");
+        }
         assert_eq!(run(&["missing-file.lid"]), 2);
     }
 }

@@ -22,9 +22,9 @@
 use std::collections::VecDeque;
 
 use lip_graph::Netlist;
+use lip_sim::lasso::StateArena;
 use lip_sim::SkeletonSystem;
 
-use crate::arena::StateArena;
 use crate::schedule::{Counterexample, EnvChoice, Schedule};
 use crate::{McConfig, McError, Verdict};
 

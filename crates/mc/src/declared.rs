@@ -3,10 +3,12 @@
 //! Under the environment the netlist *declares* (periodic source void
 //! patterns and sink stop patterns), the skeleton is a deterministic
 //! finite-state machine: control state × environment phase. Stepping it
-//! while interning every visited state into a [`StateArena`] must
-//! eventually revisit one — and because ids are handed out in visit
-//! order, the first revisited id *is* the stem length and the visit
-//! count minus that id *is* the period. The reachable state space is
+//! through the shared [`Lasso`] detector must eventually revisit a
+//! state — and because ids are handed out in visit order, the first
+//! revisited id *is* the stem length and the visit count minus that id
+//! *is* the period. Each visit's lasso row holds the cumulative sink
+//! counts and shell fires, so one period's deltas fall out of the
+//! revisit with no further simulation. The reachable state space is
 //! exactly the visited set, so everything the checker reports is a
 //! proof, not a sample:
 //!
@@ -24,9 +26,9 @@
 
 use lip_core::Pattern;
 use lip_graph::{Netlist, NodeId, NodeKind};
+use lip_sim::lasso::Lasso;
 use lip_sim::{measure::Ratio, SkeletonSystem};
 
-use crate::arena::StateArena;
 use crate::schedule::{Counterexample, EnvChoice, Schedule};
 use crate::{McConfig, McError};
 
@@ -52,7 +54,8 @@ pub struct DeclaredProof {
     pub relay_bounds: Vec<(NodeId, u32, u32)>,
     /// The recorded environment schedule covering stem + one period.
     pub schedule: Schedule,
-    /// Peak [`StateArena`] footprint in bytes.
+    /// Peak [`StateArena`](lip_sim::lasso::StateArena) footprint in
+    /// bytes.
     pub peak_arena_bytes: usize,
 }
 
@@ -130,43 +133,36 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
         })
         .collect();
 
-    let mut arena: Option<StateArena> = None;
-    // Cumulative counters at each visited state, indexed by visit id.
-    let mut sink_hist: Vec<Vec<u64>> = Vec::new();
-    let mut fire_hist: Vec<Vec<u64>> = Vec::new();
+    // One lasso row per visit: cumulative sink counts, then shell fires.
+    let mut lasso = Lasso::new(0, sinks.len() + shells.len());
+    let (mut key, mut row) = (Vec::new(), Vec::new());
     let mut relay_max: Vec<u32> = vec![0; relays.len()];
     let mut choices: Vec<EnvChoice> = Vec::new();
 
-    let mut t: u64 = 0;
-    let (stem, period) = loop {
+    let (lasso_shape, deltas) = loop {
         sys.settle();
-        let state = sys.control_state().expect("periodic environment");
-        let arena = arena.get_or_insert_with(|| StateArena::new(state.len()));
-        let (id, fresh) = arena.intern(&state);
-        if !fresh {
-            break (u64::from(id), t - u64::from(id));
+        key.clear();
+        sys.push_control_state(&mut key)
+            .expect("periodic environment");
+        row.clear();
+        row.extend(sinks.iter().map(|&s| sys.sink_counts(s).unwrap().0));
+        row.extend(shells.iter().map(|&s| sys.shell_fires(s).unwrap()));
+        if let Some((p, first)) = lasso.observe(&key, &row) {
+            // Counters now (at the revisit of state `stem`) minus when
+            // `stem` was first visited = exact deltas across one period.
+            let deltas: Vec<u64> = row.iter().zip(first).map(|(n, f)| n - f).collect();
+            break (p, deltas);
         }
-        if arena.len() > cfg.max_states {
+        if lasso.arena().len() > cfg.max_states {
             return Err(McError::StateCap {
-                visited: arena.len(),
+                visited: lasso.arena().len(),
                 cap: cfg.max_states,
             });
         }
-        sink_hist.push(
-            sinks
-                .iter()
-                .map(|&s| sys.sink_counts(s).unwrap().0)
-                .collect(),
-        );
-        fire_hist.push(
-            shells
-                .iter()
-                .map(|&s| sys.shell_fires(s).unwrap())
-                .collect(),
-        );
         for (k, &r) in relays.iter().enumerate() {
             relay_max[k] = relay_max[k].max(sys.relay_level(r).unwrap().0);
         }
+        let t = sys.cycle();
         let sink_stop: Vec<bool> = stop_pats.iter().map(|p| p.at(t)).collect();
         sys.step();
         // Post-step offers are the offers for cycle t+1 — recording the
@@ -175,31 +171,19 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
             source_valid: sys.source_offers().to_vec(),
             sink_stop,
         });
-        t += 1;
     };
-    let arena = arena.expect("at least one state visited");
-
-    // Counters now (at the revisit of state `stem`) minus counters when
-    // `stem` was first visited = exact deltas across one period.
-    let sink_now: Vec<u64> = sinks
-        .iter()
-        .map(|&s| sys.sink_counts(s).unwrap().0)
-        .collect();
-    let fire_now: Vec<u64> = shells
-        .iter()
-        .map(|&s| sys.shell_fires(s).unwrap())
-        .collect();
-    let base = stem as usize;
+    let (stem, period) = (lasso_shape.transient, lasso_shape.period);
+    let (sink_deltas, fire_deltas) = deltas.split_at(sinks.len());
     let throughput = sinks
         .iter()
-        .enumerate()
-        .map(|(j, &id)| (id, Ratio::new(sink_now[j] - sink_hist[base][j], period)))
+        .zip(sink_deltas)
+        .map(|(&id, &d)| (id, Ratio::new(d, period)))
         .collect();
     let dead_shells = shells
         .iter()
-        .enumerate()
-        .filter(|&(s, _)| fire_now[s] == fire_hist[base][s])
-        .map(|(_, &id)| id)
+        .zip(fire_deltas)
+        .filter(|&(_, &d)| d == 0)
+        .map(|(&id, _)| id)
         .collect();
     let relay_bounds = relays
         .iter()
@@ -218,7 +202,7 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
         .all(|c| c.source_valid.len() == sources.len()));
 
     Ok(DeclaredProof {
-        states: arena.len(),
+        states: lasso.arena().len(),
         stem,
         period,
         dead_shells,
@@ -226,6 +210,6 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
         throughput,
         relay_bounds,
         schedule: Schedule { choices },
-        peak_arena_bytes: arena.bytes(),
+        peak_arena_bytes: lasso.arena().bytes(),
     })
 }

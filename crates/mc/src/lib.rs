@@ -5,8 +5,9 @@
 //! Working over the same compiled [`SettleProgram`](lip_sim::SettleProgram)
 //! semantics as every engine in the workspace, it interns each reachable
 //! control state (relay occupancies, shell outputs, source/sink phase)
-//! into a hash-consed [`StateArena`] and proves properties of the whole
-//! reachable space:
+//! into the hash-consed [`StateArena`] of [`lip_sim::lasso`] — the same
+//! store and key encoding the simulator's periodicity detectors use —
+//! and proves properties of the whole reachable space:
 //!
 //! * [`check_declared`] — under the netlist's *declared* periodic
 //!   environment the system is a deterministic FSM; the search finds its
@@ -43,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
-pub mod arena;
 pub mod declared;
 pub mod schedule;
 
@@ -52,8 +52,8 @@ use std::fmt;
 use lip_graph::NetlistError;
 
 pub use adversarial::{check_adversarial, AdversarialProof};
-pub use arena::StateArena;
 pub use declared::{check_declared, DeclaredProof};
+pub use lip_sim::lasso::StateArena;
 pub use schedule::{confirm_stuck, replay, schedule_tracks, Counterexample, EnvChoice, Schedule};
 
 /// Search budget and options shared by both checkers.

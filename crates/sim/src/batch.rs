@@ -41,6 +41,7 @@ use lip_graph::{Netlist, NetlistError, NodeId};
 use lip_obs::{KernelCounters, NullProbe, Probe};
 
 use crate::lane::LaneWord;
+use crate::lasso::pack_bits;
 use crate::program::{lcm, CompSlot, SettleProgram};
 use crate::stream::CELL_ONES;
 
@@ -1016,46 +1017,53 @@ impl<W: LaneWord> BatchEngine<W> {
     /// — the explorer's state key.
     #[must_use]
     pub fn lane_component_state(&self, lane: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.prog.comp_slots.len());
+        self.push_lane_component_state(lane, &mut out);
+        out
+    }
+
+    /// Append [`lane_component_state`](Self::lane_component_state) to
+    /// `out` — the allocation-free form the per-lane lasso keys on.
+    pub(crate) fn push_lane_component_state(&self, lane: usize, out: &mut Vec<u64>) {
         let p = &*self.prog;
         let k = &p.kernel;
-        let bit = |base: u32, i: usize| u64::from(self.arena[base as usize + i].lane(lane));
-        let mut out = Vec::with_capacity(p.comp_slots.len());
+        let bit = |base: u32, i: usize| self.arena[base as usize + i].lane(lane);
         for slot in &p.comp_slots {
             match *slot {
-                CompSlot::Source(i) => out.push(bit(k.src_valid, i as usize)),
+                CompSlot::Source(i) => out.push(u64::from(bit(k.src_valid, i as usize))),
                 CompSlot::Sink(_) => {}
                 CompSlot::Shell(s) => {
                     let s = s as usize;
-                    let mut bits = 0u64;
-                    let mut j = 0;
-                    for kk in p.shell_out_range(s) {
-                        bits |= bit(k.shell_out, kk) << (j % 64);
-                        j += 1;
-                    }
+                    let outs = p.shell_out_range(s);
                     if p.shell_buffered[s] {
-                        for kk in p.shell_in_range(s) {
-                            bits |= bit(k.in_buf, kk) << (j % 64);
-                            j += 1;
-                        }
+                        let (n, ins) = (outs.len(), p.shell_in_range(s));
+                        let reg = |j: usize| {
+                            if j < n {
+                                bit(k.shell_out, outs.start + j)
+                            } else {
+                                bit(k.in_buf, ins.start + j - n)
+                            }
+                        };
+                        pack_bits(n + ins.len(), reg, out);
+                    } else {
+                        pack_bits(outs.len(), |j| bit(k.shell_out, outs.start + j), out);
                     }
-                    out.push(bits);
                 }
                 CompSlot::Full(i) => {
                     let i = i as usize;
-                    out.push(bit(k.full_main, i) + 2 * bit(k.full_aux, i));
+                    out.push(u64::from(bit(k.full_main, i)) + 2 * u64::from(bit(k.full_aux, i)));
                 }
-                CompSlot::Half(h) => out.push(bit(k.half_occ, h as usize)),
+                CompSlot::Half(h) => out.push(u64::from(bit(k.half_occ, h as usize))),
                 CompSlot::Fifo(i) => {
                     let i = i as usize;
                     let mut v = 0u64;
                     for (b, plane) in (k.fifo_off[i]..k.fifo_off[i + 1]).enumerate() {
-                        v |= bit(k.fifo, plane as usize) << b;
+                        v |= u64::from(bit(k.fifo, plane as usize)) << b;
                     }
                     out.push(v);
                 }
             }
         }
-        out
     }
 }
 

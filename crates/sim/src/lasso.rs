@@ -1,0 +1,395 @@
+//! The one lasso detector behind every recurrence search: the paper
+//! simulates until the transient dies out and the control state
+//! repeats. Both scalar `find_periodicity`s, each candidate lane of
+//! [`measure_batch_periodic_obs`](crate::measure::measure_batch_periodic_obs)
+//! and `lip-mc`'s proofs intern their keys into one [`StateArena`],
+//! whose ids in visit order make the first revisited id the stem
+//! length. A [`Lasso`] also stores one row of counters per visit, so a
+//! recurrence yields exact per-period deltas. Keys share one encoding:
+//! `pack_bits` gives a shell's registers ⌈bits/64⌉ words, so distinct
+//! states never alias.
+
+use std::collections::HashMap;
+
+use crate::program::stable_hash;
+
+/// A detected periodic regime: after `transient` cycles, the control
+/// state repeats every `period` cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Periodicity {
+    /// Cycles before the first state that recurs (the paper's "transient
+    /// duration").
+    pub transient: u64,
+    /// Length of the steady-state period.
+    pub period: u64,
+}
+
+/// Words per [`Pool`] chunk.
+const CHUNK_WORDS: usize = 1 << 12;
+
+/// Fixed-width `u64` records in chunks of at most `CHUNK_WORDS` words,
+/// so growth never moves stored records: re-copying one flat `Vec` per
+/// lane on every doubling slowed large periodic sweeps measurably.
+#[derive(Debug, Clone, Default)]
+struct Pool {
+    width: usize,
+    len: usize,
+    chunks: Vec<Vec<u64>>,
+}
+
+impl Pool {
+    fn per_chunk(&self) -> usize {
+        (CHUNK_WORDS / self.width.max(1)).max(1)
+    }
+
+    fn push(&mut self, record: &[u64]) {
+        let per = self.per_chunk();
+        if self.len.is_multiple_of(per) {
+            // The first chunk grows on demand, so a small pool stays one
+            // small allocation; later chunks are allocated whole.
+            let cap = if self.chunks.is_empty() {
+                0
+            } else {
+                per * self.width
+            };
+            self.chunks.push(Vec::with_capacity(cap));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        chunk.extend_from_slice(record);
+        self.len += 1;
+    }
+
+    fn get(&self, i: usize) -> &[u64] {
+        let per = self.per_chunk();
+        &self.chunks[i / per][(i % per) * self.width..][..self.width]
+    }
+}
+
+/// Interning arena over fixed-length `u64` state vectors.
+///
+/// Every distinct state is stored exactly once in a chunked word pool
+/// and from then on referred to by its dense `u32` id, handed out in
+/// insertion order. Lookup is a [`stable_hash`]-keyed
+/// `HashMap<u64, Vec<u32>>` of buckets with full-word comparison, so
+/// hash collisions cannot conflate states.
+#[derive(Debug, Clone)]
+pub struct StateArena {
+    /// All interned states, `state_len` words each, by id.
+    states: Pool,
+    /// `stable_hash` → candidate ids, compared word-for-word.
+    buckets: HashMap<u64, Vec<u32>>,
+}
+
+impl StateArena {
+    /// An empty arena for states of `state_len` words.
+    #[must_use]
+    pub fn new(state_len: usize) -> Self {
+        StateArena {
+            states: Pool {
+                width: state_len,
+                ..Pool::default()
+            },
+            buckets: HashMap::new(),
+        }
+    }
+
+    /// Intern `state`, returning `(id, fresh)`: the dense id and
+    /// whether this call inserted it (`false` = it was already known).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` has the wrong width or the arena is full
+    /// (`u32::MAX` states).
+    pub fn intern(&mut self, state: &[u64]) -> (u32, bool) {
+        assert_eq!(state.len(), self.states.width, "state width");
+        let next_id = u32::try_from(self.len()).expect("state arena overflow");
+        let bucket = self.buckets.entry(key_hash(state)).or_default();
+        for &id in bucket.iter() {
+            if self.states.get(id as usize) == state {
+                return (id, false);
+            }
+        }
+        self.states.push(state);
+        bucket.push(next_id);
+        (next_id, true)
+    }
+
+    /// The interned state for `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never handed out.
+    #[must_use]
+    pub fn get(&self, id: u32) -> &[u64] {
+        self.states.get(id as usize)
+    }
+
+    /// Number of distinct states interned.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.states.len
+    }
+
+    /// `true` when nothing has been interned.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap footprint of the arena in bytes (state words plus bucket
+    /// map), the number the bench reports as *peak arena size*.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        let bucket_words: usize = self.buckets.values().map(Vec::len).sum();
+        self.len() * self.states.width * 8 + self.buckets.len() * 16 + bucket_words * 4
+    }
+}
+
+/// Bucket hash of a state key. Tests can force every key into one
+/// bucket to exercise the full-word comparison.
+fn key_hash(state: &[u64]) -> u64 {
+    #[cfg(test)]
+    if tests::FORCE_COLLISIONS.get() {
+        return 42;
+    }
+    stable_hash(state)
+}
+
+/// Recurrence detector for a deterministic trajectory observed once per
+/// cycle from cycle `start` on.
+///
+/// The caller fills a key buffer with the control state and a row
+/// buffer with `row_len` cumulative counters, then calls
+/// [`observe`](Self::observe). Fresh keys are interned and their row is
+/// appended to the row pool; the first revisit closes the lasso.
+#[derive(Debug, Clone)]
+pub struct Lasso {
+    start: u64,
+    arena: StateArena,
+    /// Counter row of each visit, by visit id.
+    rows: Pool,
+}
+
+impl Lasso {
+    /// A detector whose first observation happens at cycle `start`,
+    /// storing `row_len` counters per visit.
+    #[must_use]
+    pub fn new(start: u64, row_len: usize) -> Self {
+        Lasso {
+            start,
+            arena: StateArena::new(0),
+            rows: Pool {
+                width: row_len,
+                ..Pool::default()
+            },
+        }
+    }
+
+    /// Observe this cycle's `key` and counter `row`. On the first
+    /// revisit of visit id `i` returns
+    /// `Periodicity { transient: start + i, period: visits − i }` and
+    /// the row stored at visit `i`; otherwise records the visit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `row_len` long or `key` changes width.
+    pub fn observe(&mut self, key: &[u64], row: &[u64]) -> Option<(Periodicity, &[u64])> {
+        assert_eq!(row.len(), self.rows.width, "row width");
+        if self.arena.is_empty() {
+            self.arena.states.width = key.len();
+        }
+        let visits = self.arena.len() as u64;
+        let (id, fresh) = self.arena.intern(key);
+        if fresh {
+            self.rows.push(row);
+            return None;
+        }
+        let p = Periodicity {
+            transient: self.start + u64::from(id),
+            period: visits - u64::from(id),
+        };
+        Some((p, self.rows.get(id as usize)))
+    }
+
+    /// The state store: its `len()` is the distinct states visited.
+    #[must_use]
+    pub fn arena(&self) -> &StateArena {
+        &self.arena
+    }
+}
+
+/// Append bits `bit(0..n)` to `out` packed little-endian into ⌈n/64⌉
+/// words (at least one): the shared encoding of a shell's output then
+/// buffer registers in every state key.
+#[inline]
+pub(crate) fn pack_bits(n: usize, bit: impl Fn(usize) -> bool, out: &mut Vec<u64>) {
+    if n > 64 {
+        return pack_wide(n, &bit, out);
+    }
+    // The one-word path every shipped and generated shell takes; a
+    // general word loop here measurably slowed per-lane key building.
+    let mut word = 0u64;
+    for j in 0..n {
+        word |= u64::from(bit(j)) << j;
+    }
+    out.push(word);
+}
+
+/// [`pack_bits`] for registers wider than one word.
+#[cold]
+fn pack_wide(n: usize, bit: &dyn Fn(usize) -> bool, out: &mut Vec<u64>) {
+    for lo in (0..n).step_by(64) {
+        let mut word = 0u64;
+        for j in lo..n.min(lo + 64) {
+            word |= u64::from(bit(j)) << (j - lo);
+        }
+        out.push(word);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+
+    thread_local! {
+        pub(super) static FORCE_COLLISIONS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    #[test]
+    fn intern_is_idempotent_and_ordered() {
+        let mut a = StateArena::new(3);
+        assert!(a.is_empty());
+        let (id0, fresh0) = a.intern(&[1, 2, 3]);
+        let (id1, fresh1) = a.intern(&[4, 5, 6]);
+        let (id2, fresh2) = a.intern(&[1, 2, 3]);
+        assert_eq!((id0, fresh0), (0, true));
+        assert_eq!((id1, fresh1), (1, true));
+        assert_eq!((id2, fresh2), (0, false));
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.get(1), &[4, 5, 6]);
+        assert!(a.bytes() >= 2 * 3 * 8);
+    }
+
+    #[test]
+    fn near_miss_states_stay_distinct() {
+        let mut a = StateArena::new(2);
+        for x in 0..64u64 {
+            let (id, fresh) = a.intern(&[x, x ^ 1]);
+            assert_eq!(id as u64, x);
+            assert!(fresh);
+        }
+        for x in 0..64u64 {
+            let (id, fresh) = a.intern(&[x, x ^ 1]);
+            assert_eq!(id as u64, x);
+            assert!(!fresh);
+        }
+        assert_eq!(a.len(), 64);
+    }
+
+    #[test]
+    fn wide_states_span_pool_chunks() {
+        // 1500-word states fit two to a chunk; ids must still map back
+        // to their own words across chunk boundaries.
+        let mut a = StateArena::new(1500);
+        let state = |x: u64| vec![x; 1500];
+        for x in 0..7 {
+            assert_eq!(a.intern(&state(x)), (x as u32, true));
+        }
+        for x in 0..7 {
+            assert_eq!(a.intern(&state(x)), (x as u32, false));
+            assert_eq!(a.get(x as u32), &state(x)[..]);
+        }
+        assert_eq!(a.bytes(), 7 * 1500 * 8 + 7 * 16 + 7 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "state width")]
+    fn wrong_width_is_rejected() {
+        let mut a = StateArena::new(2);
+        a.intern(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn lasso_survives_forced_hash_collision() {
+        // Regression: a detector that kept one state per hash let a
+        // colliding state *replace* the earlier one, so the earlier
+        // state's genuine recurrence was never recognised. Force every
+        // key into one bucket and feed distinct states.
+        FORCE_COLLISIONS.set(true);
+        let mut d = Lasso::new(0, 0);
+        let a = [1u64, 2, 3];
+        let b = [9u64, 9, 9]; // different state, same (forced) hash
+        assert_eq!(d.observe(&a, &[]), None);
+        assert_eq!(
+            d.observe(&b, &[]),
+            None,
+            "collision must record, not shadow"
+        );
+        assert_eq!(
+            d.arena().len(),
+            2,
+            "both states must survive under one hash"
+        );
+        assert_eq!(d.arena().buckets.len(), 1, "the hook forces one bucket");
+        let (p, _) = d
+            .observe(&a, &[])
+            .expect("recurrence of the shadowed state");
+        assert_eq!(
+            p,
+            Periodicity {
+                transient: 0,
+                period: 2
+            }
+        );
+        // And the collided state's own recurrence is found too.
+        let mut d = Lasso::new(1, 0);
+        assert_eq!(d.observe(&b, &[]), None);
+        for k in 0..3u64 {
+            assert_eq!(d.observe(&[k, k, k], &[]), None);
+        }
+        let (p, _) = d
+            .observe(&b, &[])
+            .expect("recurrence of the colliding state");
+        FORCE_COLLISIONS.set(false);
+        assert_eq!(
+            p,
+            Periodicity {
+                transient: 1,
+                period: 4
+            }
+        );
+    }
+
+    #[test]
+    fn lasso_returns_first_occurrence_row() {
+        let mut d = Lasso::new(3, 2);
+        assert_eq!(d.observe(&[1], &[100, 7]), None);
+        for k in 2..6 {
+            assert_eq!(d.observe(&[k], &[0, 0]), None);
+        }
+        let (p, row) = d.observe(&[1], &[999, 999]).expect("recurrence");
+        assert_eq!(
+            p,
+            Periodicity {
+                transient: 3,
+                period: 5
+            }
+        );
+        assert_eq!(row, [100, 7], "row must be the first-occurrence snapshot");
+    }
+
+    #[test]
+    fn pack_bits_widens_past_64_without_folding() {
+        let mut out = Vec::new();
+        pack_bits(0, |_| true, &mut out);
+        assert_eq!(out, [0], "empty register still takes one word");
+        out.clear();
+        pack_bits(64, |j| j == 0 || j == 63, &mut out);
+        assert_eq!(out, [1 | 1 << 63], "64 bits stay one word");
+        out.clear();
+        pack_bits(65, |j| j == 64, &mut out);
+        assert_eq!(out, [0, 1], "bit 64 must not fold onto bit 0");
+    }
+}

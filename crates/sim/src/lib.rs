@@ -9,9 +9,10 @@
 //! * [`SkeletonSystem`] — the paper's data-free valid/stop simulation,
 //!   control-equivalent to the full system but "absolutely negligible"
 //!   in cost, used for deadlock analysis;
-//! * [`measure`](mod@crate::measure) — periodicity detection (transient + period) via control
-//!   state hashing, exact rational steady-state throughput, and the
-//!   skeleton-based liveness check;
+//! * [`lasso`] — the one recurrence (transient + period) detector;
+//! * [`measure`](mod@crate::measure) — periodicity detection (transient + period) via the
+//!   lasso, exact rational steady-state throughput, and the liveness
+//!   check;
 //! * [`Evolution`] — cycle-by-cycle tables in the style of the paper's
 //!   Fig. 1 and Fig. 2.
 //!
@@ -42,6 +43,7 @@ pub mod batch;
 pub mod cache;
 pub mod evolution;
 pub mod lane;
+pub mod lasso;
 pub mod measure;
 pub mod patch;
 pub mod profiling;
@@ -60,9 +62,8 @@ pub use lane::{
 };
 pub use measure::{
     measure, measure_activity, measure_batch, measure_batch_periodic, measure_batch_periodic_obs,
-    measure_batch_periodic_wide, measure_batch_probed, measure_batch_probed_wide,
-    measure_batch_wide, BatchMeasurement, BatchPeriodicMeasurement, LivenessReport, Measurement,
-    PeriodDetector, Periodicity, Ratio, ShellActivity,
+    measure_batch_periodic_wide, measure_batch_wide, BatchMeasurement, BatchPeriodicMeasurement,
+    LivenessReport, Measurement, Periodicity, Ratio, ShellActivity,
 };
 pub use patch::{NetlistDelta, ProgramPatch};
 pub use profiling::{profile_netlist, ProfileOptions, ProfiledRun};

@@ -8,7 +8,6 @@
 //! period — so the closed-form fractions (`4/5`, `S/(S+R)`) can be
 //! asserted without floating-point tolerance.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use lip_graph::{Netlist, NetlistError, NodeId};
@@ -18,7 +17,8 @@ use lip_obs::{
 
 use crate::batch::{BatchEngine, LanePatterns};
 use crate::lane::LaneWord;
-use crate::program::SettleProgram;
+use crate::lasso::Lasso;
+use crate::program::{env_period, gcd, SettleProgram};
 use crate::system::System;
 
 /// An exact non-negative rational (e.g. a throughput of `4/5`).
@@ -72,112 +72,63 @@ impl std::fmt::Display for Ratio {
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
+pub use crate::lasso::Periodicity;
 
-/// A detected periodic regime: after `transient` cycles, the control
-/// state repeats every `period` cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Periodicity {
-    /// Cycles before the first state that recurs (the paper's "transient
-    /// duration").
-    pub transient: u64,
-    /// Length of the steady-state period.
-    pub period: u64,
-}
-
-/// Incremental recurrence detector over hashed control states, with a
-/// caller-chosen payload snapshotted at each state's first occurrence.
-///
-/// Each distinct hash keeps a *bucket* of every distinct state seen
-/// under it, so two different states colliding on a hash cannot shadow
-/// each other: the recurrence check compares full states, and a state
-/// whose hash collides is still recorded and still recognised when it
-/// genuinely recurs. (The previous single-slot map dropped the colliding
-/// state entirely, so its later recurrence was missed and detection
-/// could spuriously return `None` — see the forced-collision regression
-/// test.)
-///
-/// The payload is returned alongside the [`Periodicity`] on a hit: the
-/// batched measurement path stores per-sink token counts there, turning
-/// the first-occurrence/recurrence pair into an exact tokens-per-period
-/// reading with no extra simulation.
-#[derive(Debug, Clone)]
-pub struct PeriodDetector<T = ()> {
-    seen: HashMap<u64, Vec<(u64, Vec<u64>, T)>>,
-}
-
-impl<T> Default for PeriodDetector<T> {
-    fn default() -> Self {
-        PeriodDetector {
-            seen: HashMap::new(),
-        }
-    }
-}
-
-impl<T: Clone> PeriodDetector<T> {
-    /// An empty detector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct states recorded so far.
-    #[must_use]
-    pub fn states(&self) -> usize {
-        self.seen.values().map(Vec::len).sum()
-    }
-
-    /// Observe the control `state` (pre-hashed as `hash`) at `cycle`.
-    /// On the first recurrence, returns the periodicity — transient =
-    /// the state's first cycle, period = the gap — together with the
-    /// payload recorded at that first occurrence.
-    pub fn observe(
-        &mut self,
-        cycle: u64,
-        hash: u64,
-        state: &[u64],
-        payload: T,
-    ) -> Option<(Periodicity, T)> {
-        let bucket = self.seen.entry(hash).or_default();
-        for (first, prev, prev_payload) in bucket.iter() {
-            if prev == state {
-                return Some((
-                    Periodicity {
-                        transient: *first,
-                        period: cycle - first,
-                    },
-                    prev_payload.clone(),
-                ));
-            }
-        }
-        bucket.push((cycle, state.to_vec(), payload));
-        None
-    }
-}
-
-/// Detect the periodic regime of `sys` by hashing control states, within
-/// `max_cycles`. Returns `None` when the environment is aperiodic or no
-/// repeat shows up in time. The system is left somewhere inside the
-/// steady-state regime.
+/// Detect the periodic regime of `sys` by stepping it until its control
+/// state recurs, within `max_cycles`. Returns `None` when the
+/// environment is aperiodic or no repeat shows up in time. The system
+/// is left at the recurrence, inside the steady-state regime.
 pub fn find_periodicity(sys: &mut System, max_cycles: u64) -> Option<Periodicity> {
-    let mut detector = PeriodDetector::new();
+    lasso_fires(sys, max_cycles, &[]).map(|(p, _)| p)
+}
+
+/// Step `sys` through the [`Lasso`] until its control state recurs,
+/// each visit's row holding the cumulative fires of `shells`; returns
+/// the periodicity and each shell's fires over one period.
+fn lasso_fires(
+    sys: &mut System,
+    max_cycles: u64,
+    shells: &[NodeId],
+) -> Option<(Periodicity, Vec<u64>)> {
+    let mut lasso = Lasso::new(sys.cycle(), shells.len());
+    let (mut key, mut row) = (Vec::new(), Vec::with_capacity(shells.len()));
     for _ in 0..max_cycles {
         sys.settle();
-        let state = sys.control_state()?;
-        let hash = sys.control_hash()?;
-        if let Some((p, ())) = detector.observe(sys.cycle(), hash, &state, ()) {
-            return Some(p);
+        key.clear();
+        sys.push_control_state(&mut key)?;
+        row.clear();
+        row.extend(
+            shells
+                .iter()
+                .map(|&s| sys.shell_stats(s).expect("shell").fires),
+        );
+        if let Some((p, first)) = lasso.observe(&key, &row) {
+            return Some((p, row.iter().zip(first).map(|(n, f)| n - f).collect()));
         }
         sys.step();
     }
     None
+}
+
+/// Every shell's fires over one steady-state period of `netlist`'s
+/// full simulation — a view of the lasso row — or over a `fallback`
+/// window when no period shows up within `max_transient` cycles.
+/// Returns the periodicity, the fires and the window they span.
+fn steady_fires(
+    netlist: &Netlist,
+    max_transient: u64,
+    fallback: u64,
+) -> Result<(Option<Periodicity>, Vec<u64>, u64), NetlistError> {
+    let shells = netlist.shells();
+    let mut sys = System::new(netlist)?;
+    if let Some((p, fires)) = lasso_fires(&mut sys, max_transient, &shells) {
+        return Ok((Some(p), fires, p.period));
+    }
+    let fires = |sys: &System, s: NodeId| sys.shell_stats(s).expect("shell").fires;
+    let before: Vec<u64> = shells.iter().map(|&s| fires(&sys, s)).collect();
+    sys.run(fallback);
+    let window = shells.iter().zip(before).map(|(&s, b)| fires(&sys, s) - b);
+    Ok((None, window.collect(), fallback))
 }
 
 /// Exact steady-state throughput of one sink, measured over whole
@@ -289,7 +240,8 @@ pub struct ShellActivity {
     pub utilisation: Ratio,
 }
 
-/// Measure every shell's steady-state firing rate over whole periods.
+/// Measure every shell's steady-state firing rate: its firing delta
+/// across one lasso period.
 ///
 /// In a connected LID every shell settles to the *same* rate — the
 /// system throughput — because each firing consumes and produces exactly
@@ -300,24 +252,14 @@ pub struct ShellActivity {
 ///
 /// Propagates [`NetlistError`] from elaboration.
 pub fn measure_activity(netlist: &Netlist) -> Result<Vec<ShellActivity>, NetlistError> {
-    let mut sys = System::new(netlist)?;
-    let periodicity = find_periodicity(&mut sys, 10_000);
-    let window = periodicity.map_or(10_000, |p| p.period * 4);
-    let shells = netlist.shells();
-    let before: Vec<u64> = shells
+    let (_, fires, window) = steady_fires(netlist, 10_000, 10_000)?;
+    Ok(netlist
+        .shells()
         .iter()
-        .map(|s| sys.shell_stats(*s).expect("shell").fires)
-        .collect();
-    sys.run(window);
-    Ok(shells
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let fires = sys.shell_stats(*s).expect("shell").fires - before[i];
-            ShellActivity {
-                shell: *s,
-                utilisation: Ratio::new(fires, window),
-            }
+        .zip(fires)
+        .map(|(&shell, fires)| ShellActivity {
+            shell,
+            utilisation: Ratio::new(fires, window),
         })
         .collect())
 }
@@ -377,7 +319,7 @@ pub fn measure_batch(
     pats: &LanePatterns,
     cycles: u64,
 ) -> Result<BatchMeasurement, NetlistError> {
-    measure_batch_probed(netlist, pats, cycles, &mut lip_obs::NullProbe)
+    measure_batch_wide::<u64>(netlist, pats, cycles)
 }
 
 /// [`measure_batch`] at any supported lane width: `pats` must carry
@@ -397,48 +339,9 @@ pub fn measure_batch_wide<W: LaneWord>(
     pats: &LanePatterns,
     cycles: u64,
 ) -> Result<BatchMeasurement, NetlistError> {
-    measure_batch_probed_wide::<W, _>(netlist, pats, cycles, &mut lip_obs::NullProbe)
-}
-
-/// [`measure_batch`] with a [`lip_obs::Probe`] observing every lane.
-///
-/// Counters aggregated by a probe (e.g. [`lip_obs::MetricsRegistry`]
-/// built over the program's [`SettleProgram::topology`]) sum across all
-/// 64 lanes; pass `with_lanes(topology, 64)` so per-lane rates divide
-/// out correctly.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-pub fn measure_batch_probed<P: lip_obs::Probe>(
-    netlist: &Netlist,
-    pats: &LanePatterns,
-    cycles: u64,
-    probe: &mut P,
-) -> Result<BatchMeasurement, NetlistError> {
-    measure_batch_probed_wide::<u64, P>(netlist, pats, cycles, probe)
-}
-
-/// [`measure_batch_wide`] with a [`lip_obs::Probe`] observing every
-/// lane (mask hooks carry `W::WORDS`-word slices; size a
-/// [`lip_obs::MetricsRegistry`] with `with_lanes(topology, W::LANES)`).
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-///
-/// # Panics
-///
-/// Panics if `pats` was built for a width other than `W::LANES`.
-pub fn measure_batch_probed_wide<W: LaneWord, P: lip_obs::Probe>(
-    netlist: &Netlist,
-    pats: &LanePatterns,
-    cycles: u64,
-    probe: &mut P,
-) -> Result<BatchMeasurement, NetlistError> {
     let prog = Arc::new(SettleProgram::compile(netlist)?);
     let mut batch = BatchEngine::<W>::from_patterns(prog, pats);
-    batch.run_patterns_probed(pats, cycles, probe);
+    batch.run_patterns(pats, cycles);
     let sinks = netlist.sinks();
     let counts = sinks
         .iter()
@@ -518,10 +421,11 @@ impl BatchPeriodicMeasurement {
 
 /// Periodicity-aware replacement for [`measure_batch`]: sweep 64
 /// environment scenarios at once, but track each lane's control-state
-/// recurrence (via [`PeriodDetector`] over
-/// [`stable_hash`](crate::program::stable_hash) of the bit-sliced lane
-/// state) and *retire* a lane the moment it proves periodic — its exact
-/// throughput is already decided, so it needs no further bookkeeping.
+/// recurrence (one [`Lasso`] per candidate lane, keyed on the lane's
+/// environment phase plus its un-sliced component state in the key
+/// encoding every engine shares) and *retire* a lane the moment it
+/// proves periodic — its exact throughput is already decided, so it
+/// needs no further bookkeeping.
 /// Once the converged-lane mask is full the sweep returns early instead
 /// of burning the rest of `budget`; the paper's bounded-transient
 /// result makes that the common case, cutting most of the simulated
@@ -529,7 +433,7 @@ impl BatchPeriodicMeasurement {
 ///
 /// Converged lanes report the **same exact rational throughput the
 /// scalar path does** (tokens over one whole period, e.g. Fig. 1 is
-/// exactly `4/5`): the detector snapshots per-sink counts at each
+/// exactly `4/5`): each lasso row holds the per-sink counts at a
 /// state's first occurrence, so recurrence yields tokens-per-period
 /// with no window truncation error. Lanes with aperiodic (random)
 /// environments never converge; they run to the full budget and report
@@ -641,25 +545,18 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     // periods. Aperiodic lanes can never be declared periodic.
     let lane_env_period: Vec<Option<u64>> = (0..lanes)
         .map(|lane| {
-            let mut acc = Some(1u64);
-            let mut fold = |p: Option<u64>| {
-                acc = match (p, acc) {
-                    (Some(p), Some(a)) => Some(crate::program::lcm(p, a)),
-                    _ => None,
-                };
-            };
-            for i in 0..pats.source_count() {
-                fold(pats.source_pattern(i, lane).period());
-            }
-            for j in 0..pats.sink_count() {
-                fold(pats.sink_pattern(j, lane).period());
-            }
-            acc
+            env_period(
+                (0..pats.source_count())
+                    .map(|i| pats.source_pattern(i, lane))
+                    .chain((0..pats.sink_count()).map(|j| pats.sink_pattern(j, lane))),
+            )
         })
         .collect();
 
-    let mut detectors: Vec<PeriodDetector<Vec<(u64, u64)>>> =
-        (0..lanes).map(|_| PeriodDetector::new()).collect();
+    // One lasso per candidate lane; each row holds the lane's per-sink
+    // informative counts, so a recurrence yields tokens per period.
+    let mut lassos: Vec<Lasso> = (0..lanes).map(|_| Lasso::new(0, n_snk)).collect();
+    let (mut key, mut row) = (Vec::new(), Vec::with_capacity(n_snk));
     let mut periodicity: Vec<Option<Periodicity>> = vec![None; lanes];
     let mut throughput = vec![vec![Ratio::new(0, 1); lanes]; n_snk];
     let mut lane_done: Vec<bool> = lane_env_period.iter().map(Option::is_none).collect();
@@ -684,23 +581,24 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
                 continue;
             }
             let env_period = lane_env_period[lane].expect("candidate lanes are periodic");
-            let mut state = Vec::with_capacity(1 + prog.comp_slots.len());
-            state.push(t % env_period);
-            state.extend(batch.lane_component_state(lane));
-            let hash = crate::program::stable_hash(&state);
-            let counts: Vec<(u64, u64)> = sinks
-                .iter()
-                .map(|&s| batch.sink_counts_lane(s, lane).expect("sink"))
-                .collect();
-            if let Some((p, first_counts)) =
-                detectors[lane].observe(t, hash, &state, counts.clone())
-            {
+            key.clear();
+            key.push(t % env_period);
+            batch.push_lane_component_state(lane, &mut key);
+            row.clear();
+            row.extend(
+                sinks
+                    .iter()
+                    .map(|&s| batch.sink_counts_lane(s, lane).expect("sink").0),
+            );
+            if let Some((p, first)) = lassos[lane].observe(&key, &row) {
                 periodicity[lane] = Some(p);
+                for j in 0..n_snk {
+                    throughput[j][lane] = Ratio::new(row[j] - first[j], p.period);
+                }
                 lane_done[lane] = true;
                 retired += 1;
-                for j in 0..n_snk {
-                    throughput[j][lane] = Ratio::new(counts[j].0 - first_counts[j].0, p.period);
-                }
+                // The reading is final: free the lane's state store.
+                lassos[lane] = Lasso::new(0, 0);
             }
         }
         if let Some(t0) = detector_start {
@@ -819,8 +717,8 @@ impl LivenessReport {
     }
 }
 
-/// Check liveness of `netlist` by simulating past the transient and
-/// counting shell firings over one full period.
+/// Check liveness of `netlist`: a view of the lasso — a shell is dead
+/// iff its firing count does not move across one period.
 ///
 /// # Errors
 ///
@@ -832,20 +730,13 @@ pub fn check_liveness(
     max_transient: u64,
     fallback: u64,
 ) -> Result<LivenessReport, NetlistError> {
-    let mut sys = System::new(netlist)?;
-    let periodicity = find_periodicity(&mut sys, max_transient);
-    let window = periodicity.map_or(fallback, |p| p.period);
-    let shells = netlist.shells();
-    let before: Vec<u64> = shells
+    let (periodicity, fires, _) = steady_fires(netlist, max_transient, fallback)?;
+    let dead_shells = netlist
+        .shells()
         .iter()
-        .map(|s| sys.shell_stats(*s).expect("shell").fires)
-        .collect();
-    sys.run(window);
-    let dead_shells = shells
-        .iter()
-        .enumerate()
-        .filter(|(i, s)| sys.shell_stats(**s).expect("shell").fires == before[*i])
-        .map(|(_, s)| *s)
+        .zip(fires)
+        .filter(|&(_, fires)| fires == 0)
+        .map(|(&s, _)| s)
         .collect();
     Ok(LivenessReport {
         dead_shells,
@@ -1034,63 +925,6 @@ mod tests {
         let rep = check_liveness(&n, 100, 100).unwrap();
         assert!(!rep.is_live());
         assert_eq!(rep.dead_shells, vec![a]);
-    }
-
-    #[test]
-    fn period_detector_survives_forced_hash_collision() {
-        // Regression: the previous detector kept one state per hash, so
-        // a colliding state *replaced* the earlier one and the earlier
-        // state's genuine recurrence was never recognised. Force the
-        // collision by feeding distinct states under one hash value.
-        let mut d: PeriodDetector = PeriodDetector::new();
-        let a = [1u64, 2, 3];
-        let b = [9u64, 9, 9]; // different state, same (forced) hash
-        assert_eq!(d.observe(0, 42, &a, ()), None);
-        assert_eq!(
-            d.observe(1, 42, &b, ()),
-            None,
-            "collision must record, not shadow"
-        );
-        assert_eq!(d.states(), 2, "both states must survive under one hash");
-        let (p, ()) = d
-            .observe(2, 42, &a, ())
-            .expect("recurrence of the shadowed state");
-        assert_eq!(
-            p,
-            Periodicity {
-                transient: 0,
-                period: 2
-            }
-        );
-        // And the collided state's own recurrence is found too.
-        let (p, ()) = d
-            .observe(5, 42, &b, ())
-            .expect("recurrence of the colliding state");
-        assert_eq!(
-            p,
-            Periodicity {
-                transient: 1,
-                period: 4
-            }
-        );
-    }
-
-    #[test]
-    fn period_detector_payload_returns_first_occurrence_snapshot() {
-        let mut d: PeriodDetector<u64> = PeriodDetector::new();
-        assert_eq!(d.observe(3, 7, &[1], 100), None);
-        let (p, payload) = d.observe(8, 7, &[1], 999).expect("recurrence");
-        assert_eq!(
-            p,
-            Periodicity {
-                transient: 3,
-                period: 5
-            }
-        );
-        assert_eq!(
-            payload, 100,
-            "payload must be the first-occurrence snapshot"
-        );
     }
 
     #[test]

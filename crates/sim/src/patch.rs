@@ -40,7 +40,7 @@
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{ChannelId, Netlist, NodeId};
 
-use crate::program::{kahn, lcm, CompSlot, SettleProgram};
+use crate::program::{env_period, kahn, CompSlot, SettleProgram};
 
 /// One structural edit, expressed against *both* representations: apply
 /// it to the [`Netlist`] with [`apply_to`](Self::apply_to) and to the
@@ -501,14 +501,7 @@ impl SettleProgram {
         let _span = lip_obs::flight::global_span("compile", "patch_pattern");
         lip_obs::flight::global_add("compile.patch", 1);
         *target = pattern.clone();
-        let mut env_period: Option<u64> = Some(1);
-        for p in self.src_pattern.iter().chain(self.snk_pattern.iter()) {
-            env_period = match (p.period(), env_period) {
-                (Some(p), Some(a)) => Some(lcm(p, a)),
-                _ => None,
-            };
-        }
-        self.env_period = env_period;
+        self.env_period = env_period(self.src_pattern.iter().chain(&self.snk_pattern));
         self.rehash_sections([15]);
         self.debug_verify("patch_endpoint_pattern");
         ProgramPatch::Pattern { node }

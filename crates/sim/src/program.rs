@@ -157,14 +157,6 @@ impl SettleProgram {
         lip_obs::flight::global_add("compile.full", 1);
         netlist.validate()?;
 
-        let mut env_period: Option<u64> = Some(1);
-        let fold = |p: Option<u64>, acc: &mut Option<u64>| {
-            *acc = match (p, *acc) {
-                (Some(p), Some(a)) => Some(lcm(p, a)),
-                _ => None,
-            };
-        };
-
         let mut comp_slots = Vec::with_capacity(netlist.node_count());
         let mut src_out_ch = Vec::new();
         let mut src_pattern = Vec::new();
@@ -189,13 +181,11 @@ impl SettleProgram {
         for (id, node) in netlist.nodes() {
             comp_slots.push(match node.kind() {
                 NodeKind::Source { void_pattern } => {
-                    fold(void_pattern.period(), &mut env_period);
                     src_out_ch.push(out_ch(id, 0));
                     src_pattern.push(void_pattern.clone());
                     CompSlot::Source(src_out_ch.len() as u32 - 1)
                 }
                 NodeKind::Sink { stop_pattern } => {
-                    fold(stop_pattern.period(), &mut env_period);
                     snk_in_ch.push(in_ch(id, 0));
                     snk_pattern.push(stop_pattern.clone());
                     CompSlot::Sink(snk_in_ch.len() as u32 - 1)
@@ -298,7 +288,7 @@ impl SettleProgram {
             n_channels: n_ch,
             variant: netlist.variant(),
             discards: netlist.variant().discards_stop_on_void(),
-            env_period,
+            env_period: env_period(src_pattern.iter().chain(&snk_pattern)),
             comp_slots,
             src_out_ch,
             src_pattern,
@@ -803,13 +793,7 @@ impl SettleProgram {
         }
 
         // Environment period is a pure fold over the patterns.
-        let mut env_period: Option<u64> = Some(1);
-        for p in self.src_pattern.iter().chain(self.snk_pattern.iter()) {
-            env_period = match (p.period(), env_period) {
-                (Some(p), Some(a)) => Some(lcm(p, a)),
-                _ => None,
-            };
-        }
+        let env_period = env_period(self.src_pattern.iter().chain(&self.snk_pattern));
         if env_period != self.env_period {
             return err(format!(
                 "env_period {:?} but patterns fold to {env_period:?}",
@@ -929,18 +913,28 @@ impl SettleProgram {
 /// Least common multiple with the conventions the environment-period
 /// fold needs (`lcm(0, x)` behaves like `max`, never returns 0).
 pub(crate) fn lcm(a: u64, b: u64) -> u64 {
-    fn gcd(mut a: u64, mut b: u64) -> u64 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
     if a == 0 || b == 0 {
         return a.max(b).max(1);
     }
     (a / gcd(a, b)).saturating_mul(b)
+}
+
+/// Greatest common divisor (`gcd(0, x) = x`).
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
+}
+
+/// The environment period a control-state key folds the cycle into:
+/// the lcm of every pattern period, `None` when any is aperiodic.
+pub(crate) fn env_period<'a>(patterns: impl IntoIterator<Item = &'a Pattern>) -> Option<u64> {
+    patterns
+        .into_iter()
+        .try_fold(1, |acc, p| Some(lcm(acc, p.period()?)))
 }
 
 /// Injective word encoding of a [`Pattern`] for

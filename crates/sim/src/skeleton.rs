@@ -25,8 +25,8 @@ use std::sync::Arc;
 use lip_graph::{Netlist, NetlistError, NodeId};
 use lip_obs::{NullProbe, Probe};
 
-use crate::measure::Periodicity;
-use crate::program::{stable_hash, CompSlot, SettleProgram};
+use crate::lasso::{pack_bits, Lasso, Periodicity};
+use crate::program::{CompSlot, SettleProgram};
 
 /// The valid/stop-only view of a latency-insensitive system.
 ///
@@ -514,8 +514,16 @@ impl SkeletonSystem {
     /// external.
     #[must_use]
     pub fn component_state(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.prog.comp_slots.len());
+        self.push_components(2, &mut out);
+        out
+    }
+
+    /// Append every component's state to `out` in node order: shell
+    /// registers via [`pack_bits`], a full relay as `main + aux_weight ×
+    /// aux`.
+    fn push_components(&self, aux_weight: u64, out: &mut Vec<u64>) {
         let p = &*self.prog;
-        let mut out = Vec::with_capacity(p.comp_slots.len());
         for slot in &p.comp_slots {
             match *slot {
                 CompSlot::Source(i) => out.push(u64::from(self.src_valid[i as usize])),
@@ -523,22 +531,22 @@ impl SkeletonSystem {
                 CompSlot::Shell(s) => {
                     let s = s as usize;
                     let outs = &self.shell_out[p.shell_out_range(s)];
-                    let bufs = if p.shell_buffered[s] {
-                        &self.in_buf[p.shell_in_range(s)]
-                    } else {
-                        &[][..]
-                    };
-                    out.push(pack_bits(outs, bufs));
+                    let bufs = &self.in_buf[p.shell_in_range(s)];
+                    let n_bufs = if p.shell_buffered[s] { bufs.len() } else { 0 };
+                    let n = outs.len();
+                    let reg = |j: usize| if j < n { outs[j] } else { bufs[j - n] };
+                    pack_bits(n + n_bufs, reg, out);
                 }
                 CompSlot::Full(i) => {
                     let i = i as usize;
-                    out.push(u64::from(self.full_main[i]) + 2 * u64::from(self.full_aux[i]));
+                    out.push(
+                        u64::from(self.full_main[i]) + aux_weight * u64::from(self.full_aux[i]),
+                    );
                 }
                 CompSlot::Half(h) => out.push(u64::from(self.half_occ[h as usize])),
                 CompSlot::Fifo(i) => out.push(u64::from(self.fifo_occ[i as usize])),
             }
         }
-        out
     }
 
     /// Fire condition of every shell from the last settle, in shell-row
@@ -622,52 +630,31 @@ impl SkeletonSystem {
     /// [`System::control_state`]: crate::System::control_state
     #[must_use]
     pub fn control_state(&self) -> Option<Vec<u64>> {
-        let p = &*self.prog;
-        let period = p.env_period?;
-        let mut out = vec![self.cycle % period];
-        for slot in &p.comp_slots {
-            match *slot {
-                CompSlot::Source(i) => out.push(u64::from(self.src_valid[i as usize])),
-                CompSlot::Sink(_) => {}
-                CompSlot::Shell(s) => {
-                    let s = s as usize;
-                    let outs = &self.shell_out[p.shell_out_range(s)];
-                    let bufs = if p.shell_buffered[s] {
-                        &self.in_buf[p.shell_in_range(s)]
-                    } else {
-                        &[][..]
-                    };
-                    out.push(pack_bits(outs, bufs));
-                }
-                CompSlot::Full(i) => {
-                    let i = i as usize;
-                    out.push(u64::from(self.full_main[i]) + u64::from(self.full_aux[i]));
-                }
-                CompSlot::Half(h) => out.push(u64::from(self.half_occ[h as usize])),
-                CompSlot::Fifo(i) => out.push(u64::from(self.fifo_occ[i as usize])),
-            }
-        }
+        let mut out = Vec::with_capacity(1 + self.prog.comp_slots.len());
+        self.push_control_state(&mut out)?;
         Some(out)
     }
 
-    /// Stable hash of the control state (see
-    /// [`stable_hash`](crate::program::stable_hash)).
-    #[must_use]
-    pub fn control_hash(&self) -> Option<u64> {
-        Some(stable_hash(&self.control_state()?))
+    /// Append [`control_state`](Self::control_state) to `out` — the
+    /// allocation-free form the lasso detector keys on. Returns `None`
+    /// (leaving `out` untouched) for aperiodic environments.
+    pub fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
+        out.push(self.cycle % self.prog.env_period?);
+        self.push_components(1, out);
+        Some(())
     }
 
     /// Detect the periodic regime (see
-    /// [`find_periodicity`](crate::measure::find_periodicity)); hash
-    /// collisions are disambiguated by full-state comparison via
-    /// [`PeriodDetector`](crate::measure::PeriodDetector).
+    /// [`find_periodicity`](crate::measure::find_periodicity)) with the
+    /// shared [`Lasso`] detector.
     pub fn find_periodicity(&mut self, max_cycles: u64) -> Option<Periodicity> {
-        let mut detector = crate::measure::PeriodDetector::new();
+        let mut lasso = Lasso::new(self.cycle, 0);
+        let mut key = Vec::new();
         for _ in 0..max_cycles {
             self.settle();
-            let state = self.control_state()?;
-            let hash = self.control_hash()?;
-            if let Some((p, ())) = detector.observe(self.cycle, hash, &state, ()) {
+            key.clear();
+            self.push_control_state(&mut key)?;
+            if let Some((p, _)) = lasso.observe(&key, &[]) {
                 return Some(p);
             }
             self.step();
@@ -700,16 +687,6 @@ fn shell_fire(
         blocked |= stop[p.shell_out_ch[k] as usize] && (shell_out[k] || !p.discards);
     }
     all_valid && !blocked
-}
-
-fn pack_bits(a: &[bool], b: &[bool]) -> u64 {
-    let mut bits = 0u64;
-    for (j, v) in a.iter().chain(b).enumerate() {
-        if *v {
-            bits |= 1 << (j % 64);
-        }
-    }
-    bits
 }
 
 #[cfg(test)]

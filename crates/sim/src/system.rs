@@ -22,6 +22,9 @@ use std::collections::VecDeque;
 use lip_core::{BufferedShell, RelayStation, Shell, Sink, Source, Token};
 use lip_graph::{ChannelId, Netlist, NetlistError, NodeId, NodeKind};
 
+use crate::lasso::pack_bits;
+use crate::program::env_period;
+
 /// One elaborated component.
 #[derive(Debug, Clone)]
 enum Comp {
@@ -86,21 +89,12 @@ impl System {
     pub fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
         netlist.validate()?;
         let mut comps = Vec::with_capacity(netlist.node_count());
-        let mut env_period: Option<u64> = Some(1);
-        let fold_period = |p: Option<u64>, acc: &mut Option<u64>| {
-            *acc = match (p, *acc) {
-                (Some(p), Some(a)) => Some(lcm(p, a)),
-                _ => None,
-            };
-        };
         for (_, node) in netlist.nodes() {
             comps.push(match node.kind() {
                 NodeKind::Source { void_pattern } => {
-                    fold_period(void_pattern.period(), &mut env_period);
                     Comp::Source(Source::with_void_pattern(void_pattern.clone()))
                 }
                 NodeKind::Sink { stop_pattern } => {
-                    fold_period(stop_pattern.period(), &mut env_period);
                     Comp::Sink(Sink::with_stop_pattern(stop_pattern.clone()))
                 }
                 NodeKind::Shell {
@@ -180,7 +174,11 @@ impl System {
             fwd: vec![Token::VOID; n_ch],
             stop: vec![false; n_ch],
             cycle: 0,
-            env_period,
+            env_period: env_period(netlist.nodes().filter_map(|(_, node)| match node.kind() {
+                NodeKind::Source { void_pattern } => Some(void_pattern),
+                NodeKind::Sink { stop_pattern } => Some(stop_pattern),
+                _ => None,
+            })),
         })
     }
 
@@ -359,39 +357,37 @@ impl System {
     /// Returns `None` when an environment pattern is aperiodic.
     #[must_use]
     pub fn control_state(&self) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        self.push_control_state(&mut out)?;
+        Some(out)
+    }
+
+    /// Append [`control_state`](Self::control_state) to `out` — the
+    /// allocation-free form the lasso detector keys on. Returns `None`
+    /// (leaving `out` untouched) when an environment pattern is aperiodic.
+    pub(crate) fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
         let period = self.env_period?;
-        let mut out = vec![self.cycle % period];
+        out.push(self.cycle % period);
         for comp in &self.comps {
             match comp {
                 Comp::Source(s) => out.push(u64::from(s.output().is_valid())),
                 Comp::Sink(_) => {}
                 Comp::Shell(sh) => {
-                    let mut bits = 0u64;
-                    for (j, t) in sh.outputs().iter().enumerate() {
-                        if t.is_valid() {
-                            bits |= 1 << (j % 64);
-                        }
-                    }
-                    out.push(bits);
+                    let outs = sh.outputs();
+                    pack_bits(outs.len(), |j| outs[j].is_valid(), out);
                 }
                 Comp::Buffered(sh) => {
-                    let mut bits = 0u64;
-                    for (j, t) in sh.outputs().iter().enumerate() {
-                        if t.is_valid() {
-                            bits |= 1 << (j % 64);
-                        }
-                    }
-                    for i in 0..sh.num_inputs() {
-                        if sh.buffer(i).is_valid() {
-                            bits |= 1 << ((sh.num_outputs() + i) % 64);
-                        }
-                    }
-                    out.push(bits);
+                    let outs = sh.outputs();
+                    let reg = |j: usize| match j.checked_sub(outs.len()) {
+                        None => outs[j].is_valid(),
+                        Some(b) => sh.buffer(b).is_valid(),
+                    };
+                    pack_bits(outs.len() + sh.num_inputs(), reg, out);
                 }
                 Comp::Relay(r) => out.push(r.occupancy() as u64),
             }
         }
-        Some(out)
+        Some(())
     }
 
     /// Stable hash of [`control_state`](Self::control_state), or `None`
@@ -429,22 +425,6 @@ impl System {
     }
 }
 
-/// Least common multiple, saturating.
-fn lcm(a: u64, b: u64) -> u64 {
-    fn gcd(mut a: u64, mut b: u64) -> u64 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-    if a == 0 || b == 0 {
-        return a.max(b).max(1);
-    }
-    (a / gcd(a, b)).saturating_mul(b)
-}
-
 /// Kahn topological sort over channel indices with `deps(ch)` returning
 /// the channels `ch`'s value depends on. Returns `None` on a cycle.
 fn kahn_order(n: usize, deps: impl Fn(usize) -> Vec<usize>) -> Option<Vec<usize>> {
@@ -473,6 +453,7 @@ fn kahn_order(n: usize, deps: impl Fn(usize) -> Vec<usize>) -> Option<Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::lcm;
     use lip_core::{Pattern, RelayKind};
     use lip_graph::generate;
 

@@ -1017,16 +1017,9 @@ impl<W: LaneWord> BatchEngine<W> {
     /// — the explorer's state key.
     #[must_use]
     pub fn lane_component_state(&self, lane: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.prog.comp_slots.len());
-        self.push_lane_component_state(lane, &mut out);
-        out
-    }
-
-    /// Append [`lane_component_state`](Self::lane_component_state) to
-    /// `out` — the allocation-free form the per-lane lasso keys on.
-    pub(crate) fn push_lane_component_state(&self, lane: usize, out: &mut Vec<u64>) {
         let p = &*self.prog;
         let k = &p.kernel;
+        let mut out = Vec::with_capacity(p.comp_slots.len());
         let bit = |base: u32, i: usize| self.arena[base as usize + i].lane(lane);
         for slot in &p.comp_slots {
             match *slot {
@@ -1044,9 +1037,9 @@ impl<W: LaneWord> BatchEngine<W> {
                                 bit(k.in_buf, ins.start + j - n)
                             }
                         };
-                        pack_bits(n + ins.len(), reg, out);
+                        pack_bits(n + ins.len(), reg, &mut out);
                     } else {
-                        pack_bits(outs.len(), |j| bit(k.shell_out, outs.start + j), out);
+                        pack_bits(outs.len(), |j| bit(k.shell_out, outs.start + j), &mut out);
                     }
                 }
                 CompSlot::Full(i) => {
@@ -1064,6 +1057,30 @@ impl<W: LaneWord> BatchEngine<W> {
                 }
             }
         }
+        out
+    }
+
+    /// The registered state planes as two arena runs, `src_valid..fire`
+    /// and `full_main..snk_stop`: exactly the bits
+    /// [`lane_component_state`](Self::lane_component_state) encodes.
+    /// The `in_buf` cells of unbuffered shells stay zero, and `fire` is
+    /// recomputed by every settle, so it is left out.
+    pub(crate) fn state_planes(&self) -> [&[W]; 2] {
+        let k = &self.prog.kernel;
+        let a = &self.arena;
+        [
+            &a[k.src_valid as usize..k.fire as usize],
+            &a[k.full_main as usize..k.snk_stop as usize],
+        ]
+    }
+
+    /// Per sink, the lanes in which it took an informative token in the
+    /// last step: the increments of its token counter.
+    pub(crate) fn sink_tokens(&self) -> impl Iterator<Item = W> + '_ {
+        let k = &self.prog.kernel;
+        self.prog.snk_in_ch.iter().enumerate().map(move |(j, &ch)| {
+            self.arena[k.fwd as usize + ch as usize].andnot(self.arena[k.snk_stop as usize + j])
+        })
     }
 }
 

@@ -1,16 +1,21 @@
 //! The one lasso detector behind every recurrence search: the paper
 //! simulates until the transient dies out and the control state
-//! repeats. Both scalar `find_periodicity`s, each candidate lane of
-//! [`measure_batch_periodic_obs`](crate::measure::measure_batch_periodic_obs)
-//! and `lip-mc`'s proofs intern their keys into one [`StateArena`],
-//! whose ids in visit order make the first revisited id the stem
-//! length. A [`Lasso`] also stores one row of counters per visit, so a
-//! recurrence yields exact per-period deltas. Keys share one encoding:
-//! `pack_bits` gives a shell's registers ⌈bits/64⌉ words, so distinct
-//! states never alias.
+//! repeats. Both scalar `find_periodicity`s and `lip-mc`'s proofs
+//! intern their keys into one [`StateArena`], whose ids in visit order
+//! make the first revisited id the stem length. A [`Lasso`] also stores
+//! one row of counters per visit, so a recurrence yields exact
+//! per-period deltas. Keys share one encoding: `pack_bits` gives a
+//! shell's registers ⌈bits/64⌉ words, so distinct states never alias.
+//!
+//! The batch engine's lanes go through `PlaneLasso`, which finds the
+//! same (stem, period) pair a [`Lasso`] would for every lane at once,
+//! on the engine's bit-planes.
 
 use std::collections::HashMap;
 
+use lip_obs::for_each_lane_word;
+
+use crate::lane::LaneWord;
 use crate::program::stable_hash;
 
 /// A detected periodic regime: after `transient` cycles, the control
@@ -24,25 +29,34 @@ pub struct Periodicity {
     pub period: u64,
 }
 
-/// Words per [`Pool`] chunk.
+/// Elements per [`Pool`] chunk.
 const CHUNK_WORDS: usize = 1 << 12;
 
-/// Fixed-width `u64` records in chunks of at most `CHUNK_WORDS` words,
-/// so growth never moves stored records: re-copying one flat `Vec` per
+/// Fixed-width records in chunks of at most `CHUNK_WORDS` elements, so
+/// growth never moves stored records: re-copying one flat `Vec` per
 /// lane on every doubling slowed large periodic sweeps measurably.
-#[derive(Debug, Clone, Default)]
-struct Pool {
+#[derive(Debug, Clone)]
+struct Pool<T> {
     width: usize,
     len: usize,
-    chunks: Vec<Vec<u64>>,
+    chunks: Vec<Vec<T>>,
 }
 
-impl Pool {
+impl<T: Copy> Pool<T> {
+    fn new(width: usize) -> Self {
+        Pool {
+            width,
+            len: 0,
+            chunks: Vec::new(),
+        }
+    }
+
     fn per_chunk(&self) -> usize {
         (CHUNK_WORDS / self.width.max(1)).max(1)
     }
 
-    fn push(&mut self, record: &[u64]) {
+    /// Append one record, the concatenation of `parts`.
+    fn push(&mut self, parts: &[&[T]]) {
         let per = self.per_chunk();
         if self.len.is_multiple_of(per) {
             // The first chunk grows on demand, so a small pool stays one
@@ -55,11 +69,13 @@ impl Pool {
             self.chunks.push(Vec::with_capacity(cap));
         }
         let chunk = self.chunks.last_mut().expect("a chunk with room");
-        chunk.extend_from_slice(record);
+        for part in parts {
+            chunk.extend_from_slice(part);
+        }
         self.len += 1;
     }
 
-    fn get(&self, i: usize) -> &[u64] {
+    fn get(&self, i: usize) -> &[T] {
         let per = self.per_chunk();
         &self.chunks[i / per][(i % per) * self.width..][..self.width]
     }
@@ -75,7 +91,7 @@ impl Pool {
 #[derive(Debug, Clone)]
 pub struct StateArena {
     /// All interned states, `state_len` words each, by id.
-    states: Pool,
+    states: Pool<u64>,
     /// `stable_hash` → candidate ids, compared word-for-word.
     buckets: HashMap<u64, Vec<u32>>,
 }
@@ -85,10 +101,7 @@ impl StateArena {
     #[must_use]
     pub fn new(state_len: usize) -> Self {
         StateArena {
-            states: Pool {
-                width: state_len,
-                ..Pool::default()
-            },
+            states: Pool::new(state_len),
             buckets: HashMap::new(),
         }
     }
@@ -109,7 +122,7 @@ impl StateArena {
                 return (id, false);
             }
         }
-        self.states.push(state);
+        self.states.push(&[state]);
         bucket.push(next_id);
         (next_id, true)
     }
@@ -167,7 +180,7 @@ pub struct Lasso {
     start: u64,
     arena: StateArena,
     /// Counter row of each visit, by visit id.
-    rows: Pool,
+    rows: Pool<u64>,
 }
 
 impl Lasso {
@@ -178,10 +191,7 @@ impl Lasso {
         Lasso {
             start,
             arena: StateArena::new(0),
-            rows: Pool {
-                width: row_len,
-                ..Pool::default()
-            },
+            rows: Pool::new(row_len),
         }
     }
 
@@ -201,7 +211,7 @@ impl Lasso {
         let visits = self.arena.len() as u64;
         let (id, fresh) = self.arena.intern(key);
         if fresh {
-            self.rows.push(row);
+            self.rows.push(&[row]);
             return None;
         }
         let p = Periodicity {
@@ -215,6 +225,182 @@ impl Lasso {
     #[must_use]
     pub fn arena(&self) -> &StateArena {
         &self.arena
+    }
+}
+
+/// Word-wide recurrence detector for every lane of a batch engine: it
+/// reads the engine's state planes (one bit per lane per state cell)
+/// instead of un-slicing each lane into a key.
+///
+/// A lane's verdict is the one a [`Lasso`] keyed on
+/// `(t % env period, lane state)` gives. Brent's checkpoints sit at
+/// cycles 0, 1, 2, 4, 8, …; each cycle's planes are XORed against the
+/// checkpoint's and OR-reduced to one per-lane mismatch word, O(state
+/// words) per cycle. A matching candidate lane whose environment phase
+/// also agrees has period `λ = t − c` exactly: its first match comes in
+/// the window `(c, 2c]` of the first checkpoint `c ≥ max(μ, λ)`, at
+/// `c + λ`. The stem `μ ≤ c` is then the least cycle whose lane bits
+/// equal those `λ` cycles later, found by binary search over the kept
+/// history (the predicate is monotone in `μ`).
+///
+/// Brent sees a recurrence later than the lasso, after up to about
+/// 2·max(μ, λ) + λ cycles instead of μ + λ; [`replay`](Self::replay)
+/// settles the lanes a cycle budget cut off in between.
+///
+/// Each cycle may also carry a row of counter increments (one plane per
+/// counter), so a verdict yields exact per-period counts, like a
+/// [`Lasso`] row.
+#[derive(Debug, Clone)]
+pub(crate) struct PlaneLasso<W> {
+    /// Per lane: the environment period, `None` for lanes that are
+    /// never candidates (aperiodic environments).
+    env_period: Vec<Option<u64>>,
+    /// Candidate lanes without a verdict.
+    pending: W,
+    /// Cycle `t`'s state planes, record `t`.
+    states: Pool<W>,
+    /// Step `t`'s counter increments, `row_len` words from `t * row_len`.
+    rows: Vec<W>,
+    row_len: usize,
+    /// The current Brent checkpoint.
+    checkpoint: usize,
+}
+
+impl<W: LaneWord> PlaneLasso<W> {
+    /// A detector over lanes with these environment periods, storing
+    /// `row_len` counter-increment planes per step.
+    pub(crate) fn new(env_period: Vec<Option<u64>>, row_len: usize) -> Self {
+        assert_eq!(env_period.len(), W::LANES, "one period per lane");
+        PlaneLasso {
+            pending: W::from_fn(|lane| env_period[lane].is_some()),
+            env_period,
+            states: Pool::new(0),
+            rows: Vec::new(),
+            row_len,
+            checkpoint: 0,
+        }
+    }
+
+    /// `true` while some candidate lane has no verdict. Once it is
+    /// `false`, [`observe`](Self::observe) and [`count`](Self::count)
+    /// do nothing.
+    pub(crate) fn pending(&self) -> bool {
+        self.pending.any()
+    }
+
+    /// Observe the next cycle's state planes (the concatenation of
+    /// `planes`, the same width every cycle) and push every lane whose
+    /// recurrence closes at this cycle, with its periodicity, to
+    /// `found`.
+    pub(crate) fn observe(&mut self, planes: [&[W]; 2], found: &mut Vec<(usize, Periodicity)>) {
+        if !self.pending() {
+            return;
+        }
+        let t = self.states.len;
+        if t == 0 {
+            self.states.width = planes.iter().map(|p| p.len()).sum();
+        }
+        self.states.push(&planes);
+        if t > self.checkpoint {
+            self.close(self.checkpoint, t, found);
+        }
+        if t.is_power_of_two() {
+            self.checkpoint = t;
+        }
+    }
+
+    /// Record the counter increments of the step after the last
+    /// observed cycle (`row_len` planes).
+    pub(crate) fn count(&mut self, row: impl IntoIterator<Item = W>) {
+        if self.pending() {
+            self.rows.extend(row);
+            debug_assert_eq!(self.rows.len(), self.states.len * self.row_len, "row width");
+        }
+    }
+
+    /// Counter `j`'s increments in `lane` over one period of `p`, the
+    /// steps `p.transient .. p.transient + p.period`.
+    pub(crate) fn period_count(&self, lane: usize, j: usize, p: Periodicity) -> u64 {
+        let steps = p.transient as usize..(p.transient + p.period) as usize;
+        let n = self.row_len;
+        steps
+            .map(|t| u64::from(self.rows[t * n + j].lane(lane)))
+            .sum()
+    }
+
+    /// Settle the lanes still pending after the last observation `L`,
+    /// which Brent's checkpoints may not have reached yet. A lane's
+    /// lasso closes within the observations iff its state at `L` occurs
+    /// at some earlier cycle, and the nearest such cycle is exactly one
+    /// period back (cycle states are distinct within a period, and stem
+    /// states never recur), so one backward sweep from `L` settles
+    /// every such lane.
+    pub(crate) fn replay(&mut self, found: &mut Vec<(usize, Periodicity)>) {
+        let Some(last) = self.states.len.checked_sub(1) else {
+            return;
+        };
+        for back in (0..last).rev() {
+            if !self.pending() {
+                break;
+            }
+            self.close(back, last, found);
+        }
+    }
+
+    /// Settle every pending lane whose state at `a` recurs at `b > a`
+    /// with its environment phase. Callers pass only pairs where no
+    /// shorter recurrence can end at `b` (Brent's first match in a
+    /// checkpoint window, or the nearest match back from the last
+    /// cycle), so `b − a` is the lane's period and its stem is at most
+    /// `a`.
+    fn close(&mut self, a: usize, b: usize, found: &mut Vec<(usize, Periodicity)>) {
+        let mismatch = self
+            .states
+            .get(a)
+            .iter()
+            .zip(self.states.get(b))
+            .fold(W::ZERO, |m, (x, y)| m.or(x.xor(*y)));
+        let period = b - a;
+        let mut same = [0u64; 16];
+        let same = &mut same[..W::WORDS];
+        self.pending.andnot(mismatch).write_words(same);
+        for_each_lane_word(same, |lane| {
+            let lane = usize::from(lane);
+            let env = self.env_period[lane].expect("pending lanes are candidates");
+            if (period as u64).is_multiple_of(env) {
+                let transient = self.stem(lane, period, a);
+                found.push((
+                    lane,
+                    Periodicity {
+                        transient,
+                        period: period as u64,
+                    },
+                ));
+                self.pending = self.pending.andnot(W::ZERO.with_lane(lane));
+            }
+        });
+    }
+
+    /// The least `μ ≤ hi` at which `lane`'s state equals its state
+    /// `period` cycles later; the caller knows `hi` qualifies.
+    fn stem(&self, lane: usize, period: usize, hi: usize) -> u64 {
+        let same = |t: usize| {
+            self.states
+                .get(t)
+                .iter()
+                .zip(self.states.get(t + period))
+                .all(|(a, b)| a.lane(lane) == b.lane(lane))
+        };
+        let (mut lo, mut hi) = (0, hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if same(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo as u64
     }
 }
 
@@ -391,5 +577,57 @@ mod tests {
         out.clear();
         pack_bits(65, |j| j == 64, &mut out);
         assert_eq!(out, [0, 1], "bit 64 must not fold onto bit 0");
+    }
+
+    #[test]
+    fn plane_lasso_matches_lasso_at_every_budget() {
+        // Lane `l` walks a lasso of stem `l / 8` and period `l % 8 + 1`
+        // over 4-bit values, under an environment of period 1 or 2 — so
+        // the phase can stretch the period — and counts a token on even
+        // values. Every budget's verdict (Brent plus replay) and tokens
+        // per period must be the per-lane `Lasso`'s on the same cycles.
+        let value = |lane: usize, t: usize| {
+            let (stem, period) = (lane / 8, lane % 8 + 1);
+            if t < stem {
+                t
+            } else {
+                stem + (t - stem) % period
+            }
+        };
+        let env = |lane: usize| 1 + u64::from(lane.is_multiple_of(3));
+        let planes = |t: usize| -> Vec<u64> {
+            (0..4)
+                .map(|b| u64::from_fn(|lane| (value(lane, t) >> b) & 1 == 1))
+                .collect()
+        };
+        let tokens = |t: usize| u64::from_fn(|lane| value(lane, t) % 2 == 0);
+        for budget in 0..48 {
+            let mut plane = PlaneLasso::<u64>::new((0..64).map(|l| Some(env(l))).collect(), 1);
+            let mut found = Vec::new();
+            for t in 0..budget {
+                plane.observe([&planes(t), &[]], &mut found);
+                plane.count([tokens(t)]);
+            }
+            plane.replay(&mut found);
+            found.sort_unstable_by_key(|&(lane, _)| lane);
+            let mut want = Vec::new();
+            for lane in 0..64 {
+                let mut lasso = Lasso::new(0, 1);
+                let mut count = 0;
+                for t in 0..budget {
+                    let key = [t as u64 % env(lane), value(lane, t) as u64];
+                    if let Some((p, first)) = lasso.observe(&key, &[count]) {
+                        want.push((lane, p, count - first[0]));
+                        break;
+                    }
+                    count += u64::from(tokens(t).lane(lane));
+                }
+            }
+            let got: Vec<_> = found
+                .iter()
+                .map(|&(lane, p)| (lane, p, plane.period_count(lane, 0, p)))
+                .collect();
+            assert_eq!(got, want, "budget {budget}");
+        }
     }
 }

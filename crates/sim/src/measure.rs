@@ -17,7 +17,7 @@ use lip_obs::{
 
 use crate::batch::{BatchEngine, LanePatterns};
 use crate::lane::LaneWord;
-use crate::lasso::Lasso;
+use crate::lasso::{Lasso, PlaneLasso};
 use crate::program::{env_period, gcd, SettleProgram};
 use crate::system::System;
 
@@ -374,7 +374,10 @@ pub struct BatchPeriodicMeasurement {
     /// Per lane: the detected periodic regime, `None` when the lane's
     /// environment is aperiodic or no recurrence fit the budget.
     pub periodicity: Vec<Option<Periodicity>>,
-    /// Cycles actually simulated (`<= budget` — the early exit).
+    /// Cycles actually simulated (`<= budget` — the early exit). The
+    /// word-wide detector sees a lane's recurrence after up to about
+    /// 2·max(μ, λ) + λ cycles (Brent's overshoot), so this can exceed
+    /// the largest μ + λ among the lanes; it never affects a reading.
     pub cycles: u64,
     /// The full cycle budget a fixed-window sweep would have spent.
     pub budget: u64,
@@ -421,11 +424,12 @@ impl BatchPeriodicMeasurement {
 
 /// Periodicity-aware replacement for [`measure_batch`]: sweep 64
 /// environment scenarios at once, but track each lane's control-state
-/// recurrence (one [`Lasso`] per candidate lane, keyed on the lane's
-/// environment phase plus its un-sliced component state in the key
-/// encoding every engine shares) and *retire* a lane the moment it
-/// proves periodic — its exact throughput is already decided, so it
-/// needs no further bookkeeping.
+/// recurrence — its environment phase plus its component state — and
+/// *retire* a lane the moment it proves periodic: its exact throughput
+/// is already decided, so it needs no further bookkeeping.
+/// Recurrence is detected word-wide on the engine's bit-planes, for
+/// every lane at once, with Brent-style power-of-two checkpoints: each
+/// cycle costs O(state words), not O(lanes × state).
 /// Once the converged-lane mask is full the sweep returns early instead
 /// of burning the rest of `budget`; the paper's bounded-transient
 /// result makes that the common case, cutting most of the simulated
@@ -433,11 +437,17 @@ impl BatchPeriodicMeasurement {
 ///
 /// Converged lanes report the **same exact rational throughput the
 /// scalar path does** (tokens over one whole period, e.g. Fig. 1 is
-/// exactly `4/5`): each lasso row holds the per-sink counts at a
-/// state's first occurrence, so recurrence yields tokens-per-period
-/// with no window truncation error. Lanes with aperiodic (random)
-/// environments never converge; they run to the full budget and report
-/// the whole-window estimate, exactly like [`measure_batch`].
+/// exactly `4/5`), with the same (stem, period) pair a per-lane
+/// [`Lasso`] finds: a lane counts as converged iff that lasso closes
+/// within the observations `0..budget`. Brent's checkpoints see a
+/// recurrence later than the lasso (after up to about
+/// 2·max(μ, λ) + λ cycles instead of μ + λ), so
+/// [`cycles`](BatchPeriodicMeasurement::cycles) can exceed the largest
+/// μ + λ; lanes the budget cuts off in between are settled by one
+/// backward sweep over the kept planes. Lanes with aperiodic (random)
+/// environments never converge;
+/// they run to the full budget and report the whole-window estimate,
+/// exactly like [`measure_batch`].
 ///
 /// # Errors
 ///
@@ -553,18 +563,15 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
         })
         .collect();
 
-    // One lasso per candidate lane; each row holds the lane's per-sink
-    // informative counts, so a recurrence yields tokens per period.
-    let mut lassos: Vec<Lasso> = (0..lanes).map(|_| Lasso::new(0, n_snk)).collect();
-    let (mut key, mut row) = (Vec::new(), Vec::with_capacity(n_snk));
-    let mut periodicity: Vec<Option<Periodicity>> = vec![None; lanes];
-    let mut throughput = vec![vec![Ratio::new(0, 1); lanes]; n_snk];
-    let mut lane_done: Vec<bool> = lane_env_period.iter().map(Option::is_none).collect();
     // Aperiodic lanes can never converge; they only count against the
     // early exit, which therefore fires iff every *candidate* lane is
     // done AND no aperiodic lane exists.
-    let aperiodic = lane_done.iter().filter(|&&d| d).count();
-    let mut retired = 0usize;
+    let aperiodic = lane_env_period.iter().filter(|p| p.is_none()).count();
+    // One word-wide lasso over every candidate lane; each step's row
+    // holds the sinks' informative-token planes, so a recurrence yields
+    // tokens per period.
+    let mut lasso = PlaneLasso::<W>::new(lane_env_period, n_snk);
+    let mut found = Vec::new();
     let mut executed = 0u64;
 
     for t in 0..budget {
@@ -574,37 +581,12 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
         let sampled = R::ENABLED && rec.active() && t % OBS_SAMPLE_EVERY == 0;
         let detector_start = sampled.then(std::time::Instant::now);
         // Observe the registered lane states *before* stepping, exactly
-        // where the scalar detector samples; converged lanes are
-        // retired from this bookkeeping entirely.
-        for lane in 0..lanes {
-            if lane_done[lane] {
-                continue;
-            }
-            let env_period = lane_env_period[lane].expect("candidate lanes are periodic");
-            key.clear();
-            key.push(t % env_period);
-            batch.push_lane_component_state(lane, &mut key);
-            row.clear();
-            row.extend(
-                sinks
-                    .iter()
-                    .map(|&s| batch.sink_counts_lane(s, lane).expect("sink").0),
-            );
-            if let Some((p, first)) = lassos[lane].observe(&key, &row) {
-                periodicity[lane] = Some(p);
-                for j in 0..n_snk {
-                    throughput[j][lane] = Ratio::new(row[j] - first[j], p.period);
-                }
-                lane_done[lane] = true;
-                retired += 1;
-                // The reading is final: free the lane's state store.
-                lassos[lane] = Lasso::new(0, 0);
-            }
-        }
+        // where the scalar detector samples; converged lanes drop out.
+        lasso.observe(batch.state_planes(), &mut found);
         if let Some(t0) = detector_start {
             rec.add("measure.sampled_detector_ns", elapsed_ns(t0));
         }
-        if aperiodic == 0 && retired == lanes {
+        if aperiodic == 0 && !lasso.pending() {
             // Every lane has an exact reading: the remaining budget is
             // pure waste — exit early.
             executed = t;
@@ -619,9 +601,22 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
             rec.add("measure.sampled_step_ns", elapsed_ns(t0));
             rec.add("measure.sampled_cycles", 1);
         }
+        lasso.count(batch.sink_tokens());
         executed = t + 1;
         if S::ENABLED && executed.is_multiple_of(OBS_PROGRESS_EVERY) {
-            progress.publish(&obs_snapshot(label, lanes, retired, executed, started));
+            progress.publish(&obs_snapshot(label, lanes, found.len(), executed, started));
+        }
+    }
+    // Lanes the budget cut off before Brent's checkpoints caught their
+    // recurrence still get the lasso's verdict on the cycles observed.
+    lasso.replay(&mut found);
+
+    let mut periodicity: Vec<Option<Periodicity>> = vec![None; lanes];
+    let mut throughput = vec![vec![Ratio::new(0, 1); lanes]; n_snk];
+    for &(lane, p) in &found {
+        periodicity[lane] = Some(p);
+        for (j, row) in throughput.iter_mut().enumerate() {
+            row[lane] = Ratio::new(lasso.period_count(lane, j, p), p.period);
         }
     }
 
@@ -645,7 +640,7 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     }
 
     if S::ENABLED {
-        progress.publish(&obs_snapshot(label, lanes, retired, executed, started));
+        progress.publish(&obs_snapshot(label, lanes, found.len(), executed, started));
     }
 
     Ok((

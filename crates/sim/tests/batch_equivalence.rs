@@ -9,15 +9,16 @@
 //! `LIP_LANE_WORDS` (see [`lane_words_under_test`]) so CI can matrix
 //! over widths.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use lip_core::{Pattern, ProtocolVariant, RelayKind};
 use lip_graph::{generate, Netlist};
 use lip_obs::{Event, MetricsRegistry, NullProbe, Probe};
 use lip_sim::{
-    dispatch_lane_width, lane_words_under_test, measure_batch, measure_batch_periodic_wide,
-    BatchEngine, BatchSkeleton, LanePatterns, LaneWidthVisitor, LaneWord, SettleProgram,
-    SkeletonSystem, LANES,
+    dispatch_lane_width, lane_words_under_test, measure_batch, measure_batch_periodic,
+    measure_batch_periodic_wide, BatchEngine, BatchSkeleton, LanePatterns, LaneWidthVisitor,
+    LaneWord, Periodicity, SettleProgram, SkeletonSystem, LANES,
 };
 use proptest::prelude::*;
 
@@ -530,8 +531,170 @@ fn wide_periodic_measurement_matches_scalar_exact_rationals() {
     });
 }
 
+/// Scenarios [`mixed_patterns`] deals out; the last one is aperiodic.
+const SCENARIOS: u64 = 24;
+
+/// The scenario of `lane`: a hash of its index, so neighbouring lanes,
+/// and lanes `64` apart, run different environments.
+fn scenario(lane: usize, seed: u64) -> u32 {
+    (schedule_words(seed ^ lane as u64, 1)[0] % SCENARIOS) as u32
+}
+
+/// Per-lane environments mixing env periods 1–60 and phases in one
+/// sweep, plus an aperiodic scenario: lane `l` runs [`scenario`]`(l)`.
+fn mixed_patterns(prog: &SettleProgram, lanes: usize, seed: u64) -> LanePatterns {
+    let mut pats = LanePatterns::broadcast_wide(prog, lanes);
+    for lane in 0..lanes {
+        let s = scenario(lane, seed);
+        for j in 0..prog.sink_count() {
+            let period = 1 + (s + j as u32) % 5;
+            let p = if u64::from(s) == SCENARIOS - 1 {
+                Pattern::Random {
+                    num: 1,
+                    denom: 3,
+                    seed,
+                }
+            } else {
+                Pattern::EveryNth {
+                    period,
+                    phase: s % period,
+                }
+            };
+            pats.set_sink(j, lane, p);
+        }
+        if s.is_multiple_of(3) {
+            for i in 0..prog.source_count() {
+                let period = 2 + s % 4;
+                pats.set_source(
+                    i,
+                    lane,
+                    Pattern::EveryNth {
+                        period,
+                        phase: s % period,
+                    },
+                );
+            }
+        }
+    }
+    pats
+}
+
+/// Every lane of a `W`-wide periodic sweep under [`mixed_patterns`]
+/// against the scalar lasso on its rebuilt netlist: with room to
+/// converge, each lane's `Periodicity` and every sink's exact `Ratio`
+/// equal `measure`'s; at a `short` budget, each lane's verdict is
+/// `find_periodicity`'s on the same cycles.
+fn assert_periodic_lanes_match_scalar<W: LaneWord>(netlist: &Netlist, seed: u64, short: u64) {
+    let prog = SettleProgram::compile(netlist).unwrap();
+    let pats = mixed_patterns(&prog, W::LANES, seed);
+    let long = measure_batch_periodic_wide::<W>(netlist, &pats, 4096).unwrap();
+    let cut = measure_batch_periodic_wide::<W>(netlist, &pats, short).unwrap();
+    let mut oracle = HashMap::new();
+    for lane in 0..W::LANES {
+        let (full, at_cut) = oracle.entry(scenario(lane, seed)).or_insert_with(|| {
+            let reference = rebuild_for_lane(netlist, &pats, lane);
+            let at_cut = SkeletonSystem::new(&reference)
+                .unwrap()
+                .find_periodicity(short);
+            (lip_sim::measure(&reference).unwrap(), at_cut)
+        });
+        let at = format!("lane {lane} of {}", W::LANES);
+        assert_eq!(long.periodicity[lane], full.periodicity, "{at} periodicity");
+        assert_eq!(
+            long.lane_converged(lane),
+            full.periodicity.is_some(),
+            "{at}"
+        );
+        assert_eq!(
+            cut.periodicity[lane], *at_cut,
+            "{at} periodicity at {short}"
+        );
+        assert_eq!(
+            cut.lane_converged(lane),
+            at_cut.is_some(),
+            "{at} at {short}"
+        );
+        if full.periodicity.is_none() {
+            continue;
+        }
+        for (j, sink) in full.sinks.iter().enumerate() {
+            assert_eq!(long.throughput[j][lane], sink.throughput, "{at} sink {j}");
+            if at_cut.is_some() {
+                assert_eq!(cut.throughput[j][lane], sink.throughput, "{at} sink {j}");
+            }
+        }
+    }
+}
+
+#[test]
+fn budget_edge_matches_the_lasso_verdict() {
+    // fig1's lasso closes at t = 7 (stem 2, period 5), but Brent's
+    // checkpoints first see the recurrence at t = 13, so budgets 8..=13
+    // are settled by the replay. A one-shell chain recurs at once
+    // (stem 0, period 1), which Brent sees at t = 1 too.
+    let cases = [
+        (generate::fig1().netlist, 6..=16, (2, 5), 13),
+        (
+            generate::chain(1, 0, RelayKind::Full).netlist,
+            0..=4,
+            (0, 1),
+            1,
+        ),
+    ];
+    for (netlist, budgets, (transient, period), brent) in cases {
+        let lasso = |budget| {
+            SkeletonSystem::new(&netlist)
+                .unwrap()
+                .find_periodicity(budget)
+        };
+        assert_eq!(lasso(64), Some(Periodicity { transient, period }));
+        let scalar = lip_sim::measure(&netlist).unwrap().system_throughput();
+        let pats = LanePatterns::broadcast(&SettleProgram::compile(&netlist).unwrap());
+        for budget in budgets {
+            let m = measure_batch_periodic(&netlist, &pats, budget).unwrap();
+            let verdict = lasso(budget);
+            assert_eq!(m.cycles, budget.min(brent), "budget {budget} cycles");
+            for lane in 0..LANES {
+                assert_eq!(m.periodicity[lane], verdict, "budget {budget} lane {lane}");
+                assert_eq!(m.lane_converged(lane), verdict.is_some(), "budget {budget}");
+                if verdict.is_some() {
+                    assert_eq!(m.system_throughput(lane), scalar, "budget {budget}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random netlists under mixed per-lane environments, at every
+    /// width: the word-wide lasso reports exactly the scalar lasso's
+    /// stems, periods and ratios, also when a short budget cuts it off.
+    #[test]
+    fn periodic_lanes_match_scalar_lasso_at_every_width(
+        family_seed in 0u64..200,
+        seed in any::<u64>(),
+        short in 1u64..40,
+    ) {
+        struct Check<'a> {
+            netlist: &'a Netlist,
+            seed: u64,
+            short: u64,
+        }
+        impl LaneWidthVisitor for Check<'_> {
+            type Out = ();
+            fn visit<W: LaneWord>(&mut self) {
+                assert_periodic_lanes_match_scalar::<W>(self.netlist, self.seed, self.short);
+            }
+        }
+        let (_, netlist) = generate::random_family(family_seed);
+        if netlist.validate().is_ok() {
+            for lanes in lane_words_under_test() {
+                dispatch_lane_width(lanes, &mut Check { netlist: &netlist, seed, short });
+            }
+        }
+    }
 
     /// Random netlist family x random schedule seed: every sampled lane
     /// bit-identical to its scalar replica, in whichever variant the

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lip_bench::{banner, emit_report, mark, report_dir, table, Report};
+use lip_bench::{banner, emit_report, mark, report_dir, table, write_bench, Json, Report};
 use lip_core::Pattern;
 use lip_graph::{generate, Netlist, NodeId};
 use lip_obs::{ProgressSink, ProgressSnapshot, PromFileProgress};
@@ -283,63 +283,52 @@ fn main() {
             .fold(f64::INFINITY, f64::min)
     };
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str("  \"experiment\": \"exp_batch_sweep\",\n");
-    json.push_str(&format!("  \"lanes\": {LANES},\n"));
-    json.push_str(&format!("  \"cycles\": {CYCLES},\n"));
-    json.push_str(&format!("  \"claimed_speedup\": {CLAIMED_SPEEDUP},\n"));
-    json.push_str(&format!("  \"wide_speedup\": {WIDE_SPEEDUP},\n"));
-    json.push_str("  \"lane_widths\": [\n");
-    for (i, lanes) in LANE_WIDTHS.iter().enumerate() {
-        let comma = if i + 1 < LANE_WIDTHS.len() { "," } else { "" };
-        let claimed = if *lanes == LANES {
+    let lane_widths = LANE_WIDTHS.iter().map(|&lanes| {
+        let claimed = if lanes == LANES {
             CLAIMED_SPEEDUP
-        } else if *lanes == widest {
+        } else if lanes == widest {
             WIDE_SPEEDUP
         } else {
             0.0
         };
-        json.push_str(&format!(
-            "    {{\"lanes\": {lanes}, \"words\": {}, \"min_speedup\": {:.2}, \
-             \"claimed_speedup\": {claimed}, \"ok\": {}}}{comma}\n",
-            lanes / 64,
-            min_at(*lanes),
-            min_at(*lanes) >= claimed
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"topologies\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let widths: Vec<String> = r
-            .widths
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"lanes\": {}, \"batch_lane_cycles_per_sec\": {:.1}, \"speedup\": {:.2}}}",
-                    w.lanes, w.rate, w.speedup
-                )
-            })
-            .collect();
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shells\": {}, \"scalar_lane_cycles_per_sec\": {:.1}, \
-             \"batch_lane_cycles_per_sec\": {:.1}, \"speedup\": {:.2}, \"widths\": [{}]}}{comma}\n",
-            r.name,
-            r.shells,
-            r.scalar_rate,
-            r.widths[0].rate,
-            r.widths[0].speedup,
-            widths.join(", ")
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_skeleton.json", json).expect("write BENCH_skeleton.json");
-    println!("wrote BENCH_skeleton.json");
+        Json::obj([
+            ("lanes", lanes.into()),
+            ("words", (lanes / 64).into()),
+            ("min_speedup", Json::fixed(min_at(lanes), 2)),
+            ("claimed_speedup", claimed.into()),
+            ("ok", (min_at(lanes) >= claimed).into()),
+        ])
+    });
+    let rate = |w: &WidthRow| Json::fixed(w.rate, 1);
+    let speedup = |w: &WidthRow| Json::fixed(w.speedup, 2);
+    let topologies = rows.iter().map(|r| {
+        let widths = r.widths.iter().map(|w| {
+            Json::obj([
+                ("lanes", w.lanes.into()),
+                ("batch_lane_cycles_per_sec", rate(w)),
+                ("speedup", speedup(w)),
+            ])
+        });
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("shells", r.shells.into()),
+            ("scalar_lane_cycles_per_sec", Json::fixed(r.scalar_rate, 1)),
+            ("batch_lane_cycles_per_sec", rate(&r.widths[0])),
+            ("speedup", speedup(&r.widths[0])),
+            ("widths", widths.collect()),
+        ])
+    });
+    let doc = Json::obj([
+        ("schema_version", lip_obs::SCHEMA_VERSION.into()),
+        ("experiment", "exp_batch_sweep".into()),
+        ("lanes", LANES.into()),
+        ("cycles", CYCLES.into()),
+        ("claimed_speedup", CLAIMED_SPEEDUP.into()),
+        ("wide_speedup", WIDE_SPEEDUP.into()),
+        ("lane_widths", lane_widths.collect()),
+        ("topologies", topologies.collect()),
+    ]);
+    write_bench("BENCH_skeleton.json", &doc);
 
     let ok = min_at(LANES) >= CLAIMED_SPEEDUP && min_at(widest) >= WIDE_SPEEDUP;
     let mut report = Report::new("exp_batch_sweep");

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use lip_analysis::size_each_relay;
-use lip_bench::{banner, emit_report, mark, table, Report};
+use lip_bench::{banner, emit_report, mark, table, write_bench, Json, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist, NodeId, NodeKind};
 use lip_sim::{NetlistDelta, Ratio, SettleProgram, ThroughputCache};
@@ -330,44 +330,36 @@ fn main() {
 
     let ok = min_speedup >= CLAIMED_SPEEDUP && equivalent && sizing.speedup > 1.0 && sizing.agree;
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str("  \"experiment\": \"exp_incremental\",\n");
-    json.push_str(&format!("  \"claimed_speedup\": {CLAIMED_SPEEDUP},\n"));
-    json.push_str(&format!("  \"min_patch_speedup\": {min_speedup:.2},\n"));
-    json.push_str(&format!("  \"equivalent\": {equivalent},\n"));
-    json.push_str(&format!("  \"edits_checked\": {edits_checked},\n"));
-    json.push_str("  \"topologies\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"full_us_per_edit\": {:.3}, \"patch_us_per_edit\": {:.4}, \
-             \"speedup\": {:.2}, \"ok\": {}}}{comma}\n",
-            r.name,
-            r.full_us,
-            r.patch_us,
-            r.speedup,
-            r.speedup >= CLAIMED_SPEEDUP
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sizing\": {{\"baseline_sec\": {:.6}, \"patched_sec\": {:.6}, \
-         \"speedup\": {:.3}, \"agree\": {}, \"ok\": {}}},\n",
-        sizing.baseline_sec,
-        sizing.patched_sec,
-        sizing.speedup,
-        sizing.agree,
-        sizing.speedup > 1.0 && sizing.agree
-    ));
-    json.push_str(&format!("  \"ok\": {ok}\n"));
-    json.push_str("}\n");
-    std::fs::write("BENCH_incremental.json", json).expect("write BENCH_incremental.json");
-    println!("wrote BENCH_incremental.json");
+    let topologies = rows.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("full_us_per_edit", Json::fixed(r.full_us, 3)),
+            ("patch_us_per_edit", Json::fixed(r.patch_us, 4)),
+            ("speedup", Json::fixed(r.speedup, 2)),
+            ("ok", (r.speedup >= CLAIMED_SPEEDUP).into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("schema_version", lip_obs::SCHEMA_VERSION.into()),
+        ("experiment", "exp_incremental".into()),
+        ("claimed_speedup", CLAIMED_SPEEDUP.into()),
+        ("min_patch_speedup", Json::fixed(min_speedup, 2)),
+        ("equivalent", equivalent.into()),
+        ("edits_checked", edits_checked.into()),
+        ("topologies", topologies.collect()),
+        (
+            "sizing",
+            Json::obj([
+                ("baseline_sec", Json::fixed(sizing.baseline_sec, 6)),
+                ("patched_sec", Json::fixed(sizing.patched_sec, 6)),
+                ("speedup", Json::fixed(sizing.speedup, 3)),
+                ("agree", sizing.agree.into()),
+                ("ok", (sizing.speedup > 1.0 && sizing.agree).into()),
+            ]),
+        ),
+        ("ok", ok.into()),
+    ]);
+    write_bench("BENCH_incremental.json", &doc);
 
     let mut report = Report::new("exp_incremental");
     report

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use lip_bench::{banner, emit_report, mark, table, Report};
+use lip_bench::{banner, emit_report, mark, table, write_bench, Json, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist};
 use lip_mc::{check_adversarial, check_declared, confirm_stuck, McConfig, McError, Verdict};
@@ -359,50 +359,23 @@ fn main() {
 
     // BENCH_check.json — jq-gated in CI (agreement matrix must be all
     // true; gate_skipped surfaces state-budget truncation).
-    let gate_skipped = if tally.skipped_cap > 0 {
-        "\"state_space_cap\"".to_owned()
-    } else {
-        "null".to_owned()
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str(&format!("  \"systems_proved\": {},\n", tally.checked));
-    json.push_str(&format!("  \"random_seeds\": {seeds},\n"));
-    json.push_str(&format!(
-        "  \"skipped_aperiodic\": {},\n",
-        tally.skipped_aperiodic
-    ));
-    json.push_str(&format!(
-        "  \"skipped_state_cap\": {},\n",
-        tally.skipped_cap
-    ));
-    json.push_str(&format!("  \"gate_skipped\": {gate_skipped},\n"));
-    json.push_str(&format!(
-        "  \"states_total\": {},\n",
-        tally.states_total + adv_states
-    ));
-    json.push_str(&format!("  \"states_per_sec\": {states_per_sec:.1},\n"));
-    json.push_str(&format!(
-        "  \"peak_arena_bytes\": {},\n",
-        tally.peak_arena_bytes
-    ));
-    json.push_str(&format!("  \"deadlocks_proved\": {},\n", tally.cex_total));
-    json.push_str("  \"agreement\": {\n");
-    for (i, (key, ok)) in agreement.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{key}\": {ok}{}\n",
-            if i + 1 < agreement.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"ok\": {all_agree}\n"));
-    json.push_str("}\n");
-    std::fs::write("BENCH_check.json", json).expect("write BENCH_check.json");
-    println!("wrote BENCH_check.json");
+    let gate_skipped = (tally.skipped_cap > 0).then_some("state_space_cap");
+    let agreement = agreement.iter().map(|&(key, ok)| (key, Json::from(ok)));
+    let doc = Json::obj([
+        ("schema_version", lip_obs::SCHEMA_VERSION.into()),
+        ("systems_proved", tally.checked.into()),
+        ("random_seeds", seeds.into()),
+        ("skipped_aperiodic", tally.skipped_aperiodic.into()),
+        ("skipped_state_cap", tally.skipped_cap.into()),
+        ("gate_skipped", gate_skipped.into()),
+        ("states_total", (tally.states_total + adv_states).into()),
+        ("states_per_sec", Json::fixed(states_per_sec, 1)),
+        ("peak_arena_bytes", tally.peak_arena_bytes.into()),
+        ("deadlocks_proved", tally.cex_total.into()),
+        ("agreement", Json::obj(agreement)),
+        ("ok", all_agree.into()),
+    ]);
+    write_bench("BENCH_check.json", &doc);
 
     let mut report = Report::new("exp_model_check");
     report

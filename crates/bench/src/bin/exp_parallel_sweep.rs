@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use lip_bench::{banner, emit_report, mark, report_dir, table, Report};
+use lip_bench::{banner, emit_report, mark, report_dir, table, write_bench, Json, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist};
 use lip_obs::{ProgressSink, ProgressSnapshot, PromFileProgress};
@@ -255,39 +255,32 @@ fn main() {
     // ------------------------------------------------------------------
     // Persist + gate.
     // ------------------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        lip_obs::SCHEMA_VERSION
-    ));
-    json.push_str("  \"experiment\": \"exp_parallel_sweep\",\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str(&format!("  \"corpus_size\": {},\n", items.len()));
-    json.push_str(&format!("  \"wall_time_serial_sec\": {t_serial:.6},\n"));
-    json.push_str(&format!("  \"wall_time_parallel_sec\": {t_parallel:.6},\n"));
-    json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
-    json.push_str(&format!("  \"speedup_gated\": {speedup_gated},\n"));
-    json.push_str(&format!(
-        "  \"gate_skipped\": {},\n",
-        gate_skipped.map_or("null".to_string(), |r| format!("\"{r}\""))
-    ));
-    json.push_str(&format!("  \"early_exit_budget\": {total_budget},\n"));
-    json.push_str(&format!("  \"cycles_saved\": {total_saved},\n"));
-    json.push_str(&format!("  \"saved_fraction\": {saved_fraction:.4},\n"));
-    json.push_str("  \"topologies\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"throughput\": \"{}\", \"cycles_executed\": {}, \
-             \"cycles_saved\": {}, \"exact\": {}}}{comma}\n",
-            r.name, r.throughput, r.executed, r.saved, r.exact
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_parallel.json", json).expect("write BENCH_parallel.json");
-    println!("wrote BENCH_parallel.json");
+    let topologies = rows.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.as_str().into()),
+            ("throughput", r.throughput.to_string().into()),
+            ("cycles_executed", r.executed.into()),
+            ("cycles_saved", r.saved.into()),
+            ("exact", r.exact.into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("schema_version", lip_obs::SCHEMA_VERSION.into()),
+        ("experiment", "exp_parallel_sweep".into()),
+        ("threads", threads.into()),
+        ("cores", cores.into()),
+        ("corpus_size", items.len().into()),
+        ("wall_time_serial_sec", Json::fixed(t_serial, 6)),
+        ("wall_time_parallel_sec", Json::fixed(t_parallel, 6)),
+        ("speedup", Json::fixed(speedup, 3)),
+        ("speedup_gated", speedup_gated.into()),
+        ("gate_skipped", gate_skipped.into()),
+        ("early_exit_budget", total_budget.into()),
+        ("cycles_saved", total_saved.into()),
+        ("saved_fraction", Json::fixed(saved_fraction, 4)),
+        ("topologies", topologies.collect()),
+    ]);
+    write_bench("BENCH_parallel.json", &doc);
 
     let ok = all_exact
         && fig1_exact

@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-pub use lip_obs::Report;
+pub use lip_obs::{Json, Report};
 
 /// Render a fixed-width text table: a header row, a rule, then rows.
 /// Column widths adapt to content.
@@ -82,6 +82,14 @@ pub fn emit_report(report: &Report) {
             std::process::exit(1);
         }
     }
+}
+
+/// Write a `BENCH_*.json` artefact to `path` in the working directory
+/// (pretty layout) and print the path. Panics on I/O failure — an
+/// experiment whose artefact cannot be written has failed.
+pub fn write_bench(path: &str, doc: &Json) {
+    std::fs::write(path, doc.to_pretty() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! rewrites the snapshots after an intentional change.
 
 use crate::diff::{classify, diff_docs, DiffEntry, Domain};
-use crate::json::Json;
+use lip_obs::json::Json;
 
 /// Extract the exact-domain subset of a document: every leaf the
 /// differ would hard-compare, with timing and derived-float leaves
@@ -45,14 +45,11 @@ pub fn extract_exact(doc: &Json) -> Json {
 /// Wrap an extraction as a committed baseline document.
 #[must_use]
 pub fn baseline_doc(source: &str, doc: &Json) -> Json {
-    Json::Obj(vec![
-        (
-            "schema_version".into(),
-            Json::Int(i64::from(lip_obs::schema::DELTA)),
-        ),
-        ("kind".into(), Json::Str("baseline".into())),
-        ("source".into(), Json::Str(source.to_owned())),
-        ("extracted".into(), extract_exact(doc)),
+    Json::obj([
+        ("schema_version", lip_obs::schema::DELTA.into()),
+        ("kind", "baseline".into()),
+        ("source", source.into()),
+        ("extracted", extract_exact(doc)),
     ])
 }
 
@@ -67,7 +64,7 @@ pub fn check_one(source: &str, baseline: &Json, current: &Json) -> Vec<DiffEntry
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use lip_obs::json::parse;
 
     const DOC: &str = r#"{
         "schema_version": 2,

@@ -26,9 +26,9 @@
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
 use crate::sentinel::{direction_of, Sentinel, Verdict};
 use crate::store::{Run, RunStore};
+use lip_obs::json::Json;
 
 /// Which comparison regime a leaf belongs to (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,66 +179,45 @@ impl RunDiff {
     /// [`lip_obs::schema::DELTA`]).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| {
-                let mut obj = vec![
-                    ("artifact".into(), Json::Str(e.artifact.clone())),
-                    ("path".into(), Json::Str(e.path.clone())),
-                    ("domain".into(), Json::Str(e.domain.label().into())),
-                    ("before".into(), e.before.clone().unwrap_or(Json::Null)),
-                    ("after".into(), e.after.clone().unwrap_or(Json::Null)),
-                ];
-                if let Some(v) = &e.verdict {
-                    obj.push(("verdict".into(), verdict_json(v)));
-                }
-                Json::Obj(obj)
-            })
-            .collect();
-        let attributions = self
-            .attributions()
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("artifact".into(), Json::Str(s.artifact.clone())),
-                    ("channel".into(), Json::Str(s.name.clone())),
-                    ("blame_before".into(), Json::Int(s.before)),
-                    ("blame_after".into(), Json::Int(s.after)),
-                ])
-            })
-            .collect();
-        let missing = self
-            .missing
-            .iter()
-            .map(|(name, side)| {
-                Json::Obj(vec![
-                    ("artifact".into(), Json::Str(name.clone())),
-                    ("only_in".into(), Json::Str((*side).into())),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            (
-                "schema_version".into(),
-                Json::Int(i64::from(lip_obs::schema::DELTA)),
-            ),
-            ("kind".into(), Json::Str("run_diff".into())),
-            ("run_a".into(), Json::Str(self.run_a.clone())),
-            ("run_b".into(), Json::Str(self.run_b.clone())),
-            ("clean".into(), Json::Bool(self.clean())),
-            ("exact_diffs".into(), Json::Int(self.exact_diffs() as i64)),
-            (
-                "timing_checked".into(),
-                Json::Int(self.timing_checked as i64),
-            ),
-            (
-                "timing_regressions".into(),
-                Json::Int(self.timing_regressions() as i64),
-            ),
-            ("missing".into(), Json::Arr(missing)),
-            ("attribution".into(), Json::Arr(attributions)),
-            ("entries".into(), Json::Arr(entries)),
+        let entries = self.entries.iter().map(|e| {
+            let mut obj = vec![
+                ("artifact", e.artifact.as_str().into()),
+                ("path", e.path.as_str().into()),
+                ("domain", e.domain.label().into()),
+                ("before", e.before.clone().into()),
+                ("after", e.after.clone().into()),
+            ];
+            if let Some(v) = &e.verdict {
+                obj.push(("verdict", verdict_json(v)));
+            }
+            Json::obj(obj)
+        });
+        let attributions = self.attributions().into_iter().map(|s| {
+            Json::obj([
+                ("artifact", s.artifact.as_str().into()),
+                ("channel", s.name.as_str().into()),
+                ("blame_before", s.before.into()),
+                ("blame_after", s.after.into()),
+            ])
+        });
+        let missing = self.missing.iter().map(|(name, side)| {
+            Json::obj([
+                ("artifact", name.as_str().into()),
+                ("only_in", (*side).into()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", lip_obs::schema::DELTA.into()),
+            ("kind", "run_diff".into()),
+            ("run_a", self.run_a.as_str().into()),
+            ("run_b", self.run_b.as_str().into()),
+            ("clean", self.clean().into()),
+            ("exact_diffs", self.exact_diffs().into()),
+            ("timing_checked", self.timing_checked.into()),
+            ("timing_regressions", self.timing_regressions().into()),
+            ("missing", missing.collect()),
+            ("attribution", attributions.collect()),
+            ("entries", entries.collect()),
         ])
     }
 
@@ -322,12 +301,11 @@ fn verdict_json(v: &Verdict) -> Json {
         Verdict::Regressed { band } => ("regressed", Some(band)),
         Verdict::NoHistory { .. } => ("no_history", None),
     };
-    let mut obj = vec![("verdict".into(), Json::Str(label.into()))];
-    if let Some((lo, hi)) = band {
-        obj.push(("band_lo".into(), Json::Float(*lo)));
-        obj.push(("band_hi".into(), Json::Float(*hi)));
+    let mut obj = vec![("verdict", label.into())];
+    if let Some(&(lo, hi)) = band {
+        obj.extend([("band_lo", lo.into()), ("band_hi", hi.into())]);
     }
-    Json::Obj(obj)
+    Json::obj(obj)
 }
 
 /// Compare two loaded runs. `store` supplies the history the sentinel
@@ -739,6 +717,20 @@ mod tests {
     }
 
     #[test]
+    fn integral_float_leaves_stay_info() {
+        let printed = lip_obs::json::parse(&Json::Float(2.0).to_compact()).unwrap();
+        assert_eq!(printed, Json::Float(2.0));
+        assert_eq!(classify("ratio", &printed), Domain::Info);
+        let mut r = lip_obs::Report::new("floats");
+        r.push_f64("ratio", 1.0).push_ratio("full_rate", 1, 1);
+        let doc = lip_obs::json::parse(&r.to_json()).unwrap();
+        assert_eq!(classify("ratio", doc.get("ratio").unwrap()), Domain::Info);
+        let full = doc.get("full_rate").unwrap();
+        assert_eq!(classify("value", full.get("value").unwrap()), Domain::Info);
+        assert_eq!(classify("num", full.get("num").unwrap()), Domain::Exact);
+    }
+
+    #[test]
     fn identical_runs_diff_clean() {
         let root = tmp_root("clean");
         let store = RunStore::open(&root);
@@ -869,9 +861,10 @@ mod tests {
 
     #[test]
     fn lookup_resolves_walk_paths() {
-        let doc =
-            crate::json::parse(r#"{"kernel": {"by_opcode": [{"name": "or", "ops_retired": 7}]}}"#)
-                .unwrap();
+        let doc = lip_obs::json::parse(
+            r#"{"kernel": {"by_opcode": [{"name": "or", "ops_retired": 7}]}}"#,
+        )
+        .unwrap();
         assert_eq!(
             lookup(&doc, "kernel.by_opcode[or].ops_retired")
                 .unwrap()

@@ -26,7 +26,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::{parse, Json};
+use lip_obs::json::{parse, Json};
 
 /// 64-bit FNV-1a, the workspace's standard cheap content digest.
 #[must_use]
@@ -80,31 +80,26 @@ impl Manifest {
         let schemas = self
             .schemas
             .iter()
-            .map(|(k, v)| (k.clone(), Json::Int(*v)))
-            .collect();
-        let artifacts = self
-            .artifacts
-            .iter()
-            .map(|a| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(a.name.clone())),
-                    ("bytes".into(), Json::Int(a.bytes as i64)),
-                    ("hash".into(), Json::Str(a.hash.clone())),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Int(self.schema_version)),
-            ("kind".into(), Json::Str("run_manifest".into())),
-            ("run_id".into(), Json::Str(self.run_id.clone())),
-            ("label".into(), Json::Str(self.label.clone())),
-            ("created_ns".into(), Json::Int(self.created_ns)),
-            ("git_sha".into(), Json::Str(self.git_sha.clone())),
-            ("lane_words".into(), Json::Str(self.lane_words.clone())),
-            ("lip_jobs".into(), Json::Str(self.lip_jobs.clone())),
-            ("host".into(), Json::Str(self.host.clone())),
-            ("schemas".into(), Json::Obj(schemas)),
-            ("artifacts".into(), Json::Arr(artifacts)),
+            .map(|(k, v)| (k.as_str(), Json::Int(*v)));
+        let artifacts = self.artifacts.iter().map(|a| {
+            Json::obj([
+                ("name", a.name.as_str().into()),
+                ("bytes", a.bytes.into()),
+                ("hash", a.hash.as_str().into()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", self.schema_version.into()),
+            ("kind", "run_manifest".into()),
+            ("run_id", self.run_id.as_str().into()),
+            ("label", self.label.as_str().into()),
+            ("created_ns", self.created_ns.into()),
+            ("git_sha", self.git_sha.as_str().into()),
+            ("lane_words", self.lane_words.as_str().into()),
+            ("lip_jobs", self.lip_jobs.as_str().into()),
+            ("host", self.host.as_str().into()),
+            ("schemas", Json::obj(schemas)),
+            ("artifacts", artifacts.collect()),
         ])
     }
 

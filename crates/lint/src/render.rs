@@ -1,10 +1,11 @@
 //! Diagnostic renderers: a human-readable text form and a versioned
-//! JSON document (hand-rolled, mirroring `lip_obs`'s report encoder —
-//! the workspace takes no serialisation dependency).
+//! JSON document, streamed straight into one buffer with strings
+//! escaped by [`lip_obs::json::write_str`].
 
 use std::fmt::Write as _;
 
 use lip_graph::Span;
+use lip_obs::json::write_str;
 
 use crate::diag::{Diagnostic, Severity};
 
@@ -91,15 +92,15 @@ pub fn render_json(files: &[(String, Vec<Diagnostic>)]) -> String {
         if fi > 0 {
             out.push(',');
         }
-        out.push_str("\n    {\n");
-        let _ = writeln!(out, "      \"file\": {},", json_str(file));
-        out.push_str("      \"diagnostics\": [");
+        out.push_str("\n    {\n      \"file\": ");
+        write_str(&mut out, file);
+        out.push_str(",\n      \"diagnostics\": [");
         for (di, d) in diags.iter().enumerate() {
             if di > 0 {
                 out.push(',');
             }
             out.push('\n');
-            out.push_str(&diag_json(d, "        "));
+            diag_json(&mut out, d, "        ");
         }
         if diags.is_empty() {
             out.push_str("],\n");
@@ -122,94 +123,74 @@ pub fn render_json(files: &[(String, Vec<Diagnostic>)]) -> String {
     out
 }
 
-fn diag_json(d: &Diagnostic, indent: &str) -> String {
-    let mut out = String::new();
+/// One diagnostic object, each member on its own line under `indent`.
+fn diag_json(out: &mut String, d: &Diagnostic, indent: &str) {
+    let mut sep = "";
+    let mut member = |out: &mut String, key: &str| {
+        let _ = write!(out, "{sep}{indent}  \"{key}\": ");
+        sep = ",\n";
+    };
     let _ = writeln!(out, "{indent}{{");
-    let _ = writeln!(out, "{indent}  \"rule\": {},", json_str(d.rule.code()));
-    let _ = writeln!(
-        out,
-        "{indent}  \"severity\": {},",
-        json_str(&d.severity.to_string())
-    );
-    let _ = writeln!(out, "{indent}  \"message\": {},", json_str(&d.message));
-    let _ = writeln!(out, "{indent}  \"span\": {},", span_json(d.primary));
-    let nodes: Vec<String> = d
-        .nodes
-        .iter()
-        .map(|n| {
-            format!(
-                "{{ \"name\": {}, \"span\": {} }}",
-                json_str(&n.name),
-                span_json(n.span)
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "{indent}  \"nodes\": [{}],", nodes.join(", "));
-    let channels: Vec<String> = d
-        .channels
-        .iter()
-        .map(|c| {
-            format!(
-                "{{ \"endpoints\": {}, \"span\": {} }}",
-                json_str(&c.endpoints),
-                span_json(c.span)
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "{indent}  \"channels\": [{}],", channels.join(", "));
-    let related: Vec<String> = d.related.iter().map(|r| json_str(r.code())).collect();
-    let _ = writeln!(out, "{indent}  \"related\": [{}],", related.join(", "));
+    member(out, "rule");
+    write_str(out, d.rule.code());
+    member(out, "severity");
+    write_str(out, &d.severity.to_string());
+    member(out, "message");
+    write_str(out, &d.message);
+    member(out, "span");
+    span_json(out, d.primary);
+    member(out, "nodes");
+    list(out, &d.nodes, |out, n| {
+        out.push_str("{ \"name\": ");
+        write_str(out, &n.name);
+        out.push_str(", \"span\": ");
+        span_json(out, n.span);
+        out.push_str(" }");
+    });
+    member(out, "channels");
+    list(out, &d.channels, |out, c| {
+        out.push_str("{ \"endpoints\": ");
+        write_str(out, &c.endpoints);
+        out.push_str(", \"span\": ");
+        span_json(out, c.span);
+        out.push_str(" }");
+    });
+    member(out, "related");
+    list(out, &d.related, |out, r| write_str(out, r.code()));
+    member(out, "predicted_throughput");
     match d.predicted_throughput {
         Some(t) => {
-            let _ = writeln!(
-                out,
-                "{indent}  \"predicted_throughput\": {{ \"num\": {}, \"den\": {} }},",
-                t.num(),
-                t.den()
-            );
+            let _ = write!(out, "{{ \"num\": {}, \"den\": {} }}", t.num(), t.den());
         }
-        None => {
-            let _ = writeln!(out, "{indent}  \"predicted_throughput\": null,");
-        }
+        None => out.push_str("null"),
     }
+    member(out, "fix");
     match &d.fix_label {
-        Some(fix) => {
-            let _ = writeln!(out, "{indent}  \"fix\": {}", json_str(fix));
-        }
-        None => {
-            let _ = writeln!(out, "{indent}  \"fix\": null");
-        }
+        Some(fix) => write_str(out, fix),
+        None => out.push_str("null"),
     }
-    let _ = write!(out, "{indent}}}");
-    out
+    let _ = write!(out, "\n{indent}}}");
 }
 
-fn span_json(span: Option<Span>) -> String {
+/// `[a, b, …]` on one line.
+fn list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, v);
+    }
+    out.push(']');
+}
+
+fn span_json(out: &mut String, span: Option<Span>) {
     match span {
-        Some(s) => format!("{{ \"line\": {}, \"col\": {} }}", s.line, s.col),
-        None => "null".to_owned(),
-    }
-}
-
-/// Minimal JSON string escaping (mirrors the `lip_obs` encoder).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+        Some(s) => {
+            let _ = write!(out, "{{ \"line\": {}, \"col\": {} }}", s.line, s.col);
         }
+        None => out.push_str("null"),
     }
-    out.push('"');
-    out
 }
 
 /// `true` when a diagnostic of `severity` should fail the build on its
@@ -256,7 +237,20 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let mut d = lint(&generate::fig1().netlist, &SourceMap::new()).remove(0);
+        d.message = "a\"b\\c\nd".to_owned();
+        let json = render_json(&[("x".to_owned(), vec![d])]);
+        assert!(json.contains("\"message\": \"a\\\"b\\\\c\\nd\","), "{json}");
+        let doc = lip_obs::json::parse(&json).unwrap();
+        let files = doc.get("files").and_then(lip_obs::Json::as_arr).unwrap();
+        let diags = files[0]
+            .get("diagnostics")
+            .and_then(lip_obs::Json::as_arr)
+            .unwrap();
+        assert_eq!(
+            diags[0].get("message").and_then(lip_obs::Json::as_str),
+            Some("a\"b\\c\nd")
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ use lip_mc::{
     check_adversarial, check_declared, confirm_stuck, schedule_tracks, McConfig, McError, Schedule,
     Verdict,
 };
-use lip_obs::schedule_chrome_trace;
+use lip_obs::{schedule_chrome_trace, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -137,28 +137,13 @@ fn usage(err: &str) -> i32 {
     2
 }
 
-/// Minimal JSON string escaper (netlist names are identifiers, but be
-/// exact anyway).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Everything proved about one file, for both renderers.
 struct FileOutcome {
     file: String,
     /// Human lines already formatted.
     lines: Vec<String>,
-    /// JSON fields already formatted (joined with commas).
-    fields: Vec<String>,
+    /// JSON members after `"file"`, in proof order.
+    fields: Vec<(&'static str, Json)>,
     /// Proved deadlock (fails the run).
     deadlock: bool,
     /// Non-verdict: truncated or aperiodic skip (fails under --deny).
@@ -187,20 +172,7 @@ fn run(args: &[&str]) -> i32 {
         }
     }
     if opts.json {
-        let mut doc = format!(
-            "{{\n  \"schema_version\": {},\n  \"files\": [\n",
-            lip_obs::schema::MC
-        );
-        for (i, out) in outcomes.iter().enumerate() {
-            let comma = if i + 1 < outcomes.len() { "," } else { "" };
-            doc.push_str(&format!(
-                "    {{\"file\": \"{}\", {}}}{comma}\n",
-                escape(&out.file),
-                out.fields.join(", ")
-            ));
-        }
-        doc.push_str("  ]\n}\n");
-        print!("{doc}");
+        print!("{}", json_doc(&outcomes));
     } else {
         for out in &outcomes {
             for line in &out.lines {
@@ -209,6 +181,20 @@ fn run(args: &[&str]) -> i32 {
         }
     }
     i32::from(failed || (opts.deny_all && denied))
+}
+
+/// The `--json` document: one object per file, its proof members in
+/// order.
+fn json_doc(outcomes: &[FileOutcome]) -> String {
+    let files = outcomes.iter().map(|out| {
+        let file = ("file", out.file.as_str().into());
+        Json::obj(std::iter::once(file).chain(out.fields.iter().cloned()))
+    });
+    let doc = Json::obj([
+        ("schema_version", lip_obs::schema::MC.into()),
+        ("files", files.collect()),
+    ]);
+    doc.to_pretty() + "\n"
 }
 
 fn check_file(file: &str, opts: &Options) -> Result<FileOutcome, String> {
@@ -231,10 +217,11 @@ fn check_file(file: &str, opts: &Options) -> Result<FileOutcome, String> {
     let declared = check_declared(&netlist, &opts.config);
     match &declared {
         Ok(proof) => {
-            out.fields.push(format!(
-                "\"states\": {}, \"stem\": {}, \"period\": {}",
-                proof.states, proof.stem, proof.period
-            ));
+            out.fields.extend([
+                ("states", proof.states.into()),
+                ("stem", proof.stem.into()),
+                ("period", proof.period.into()),
+            ]);
             out.lines.push(format!(
                 "explored {} states (stem {}, period {})",
                 proof.states, proof.stem, proof.period
@@ -242,14 +229,13 @@ fn check_file(file: &str, opts: &Options) -> Result<FileOutcome, String> {
         }
         Err(McError::Aperiodic) => {
             out.unknown = true;
-            out.fields.push("\"skipped\": \"aperiodic\"".to_owned());
+            out.fields.push(("skipped", "aperiodic".into()));
             out.lines
                 .push("skipped: aperiodic endpoint pattern (declared mode)".to_owned());
         }
         Err(McError::StateCap { visited, cap }) => {
             out.unknown = true;
-            out.fields
-                .push("\"skipped\": \"state_space_cap\"".to_owned());
+            out.fields.push(("skipped", "state_space_cap".into()));
             out.lines.push(format!(
                 "skipped: state space exceeds budget ({visited} states, cap {cap})"
             ));
@@ -262,20 +248,14 @@ fn check_file(file: &str, opts: &Options) -> Result<FileOutcome, String> {
             Prop::Deadlock => prove_deadlock(&netlist, opts, &declared, &mut out)?,
             Prop::Throughput => {
                 if let Ok(proof) = &declared {
-                    let sinks: Vec<String> = proof
-                        .throughput
-                        .iter()
-                        .map(|&(id, r)| {
-                            format!(
-                                "{{\"sink\": \"{}\", \"num\": {}, \"den\": {}}}",
-                                escape(netlist.node(id).name()),
-                                r.num(),
-                                r.den()
-                            )
-                        })
-                        .collect();
-                    out.fields
-                        .push(format!("\"throughput\": [{}]", sinks.join(", ")));
+                    let sinks = proof.throughput.iter().map(|&(id, r)| {
+                        Json::obj([
+                            ("sink", netlist.node(id).name().into()),
+                            ("num", r.num().into()),
+                            ("den", r.den().into()),
+                        ])
+                    });
+                    out.fields.push(("throughput", sinks.collect()));
                     match proof.system_throughput() {
                         Some(r) => out.lines.push(format!(
                             "proved throughput {}/{} ({:.3})",
@@ -289,18 +269,14 @@ fn check_file(file: &str, opts: &Options) -> Result<FileOutcome, String> {
             }
             Prop::Bounds => {
                 if let Ok(proof) = &declared {
-                    let relays: Vec<String> = proof
-                        .relay_bounds
-                        .iter()
-                        .map(|&(id, occ, cap)| {
-                            format!(
-                                "{{\"relay\": \"{}\", \"max_occupancy\": {occ}, \"capacity\": {cap}}}",
-                                escape(netlist.node(id).name())
-                            )
-                        })
-                        .collect();
-                    out.fields
-                        .push(format!("\"relay_bounds\": [{}]", relays.join(", ")));
+                    let relays = proof.relay_bounds.iter().map(|&(id, occ, cap)| {
+                        Json::obj([
+                            ("relay", netlist.node(id).name().into()),
+                            ("max_occupancy", occ.into()),
+                            ("capacity", cap.into()),
+                        ])
+                    });
+                    out.fields.push(("relay_bounds", relays.collect()));
                     for &(id, occ, cap) in &proof.relay_bounds {
                         out.lines.push(format!(
                             "relay {}: max occupancy {occ} of {cap}",
@@ -339,15 +315,15 @@ fn prove_deadlock(
         Env::Adversarial => {
             let proof =
                 check_adversarial(netlist, &opts.config).map_err(|e| format!("error[mc]: {e}"))?;
-            out.fields.push(format!(
-                "\"adversarial_states\": {}, \"complete\": {}",
-                proof.states, proof.complete
-            ));
+            out.fields.extend([
+                ("adversarial_states", proof.states.into()),
+                ("complete", proof.complete.into()),
+            ]);
             let sched = proof.counterexample.as_ref().map(|c| c.schedule.clone());
             (proof.verdict, proof.counterexample, sched)
         }
     };
-    out.fields.push(format!("\"verdict\": \"{verdict}\""));
+    out.fields.push(("verdict", verdict.to_string().into()));
     match verdict {
         Verdict::DeadlockFree => out.lines.push("proved deadlock-free".to_owned()),
         Verdict::Unknown => {
@@ -441,6 +417,26 @@ mod tests {
             run(&["--env", "adversarial", "--prove", "deadlock", &file]),
             0
         );
+    }
+
+    #[test]
+    fn json_document_parses_back() {
+        let file = temp_file("json.lid", LIVE_CHAIN);
+        let opts = parse_args(&["--json", &file]).unwrap();
+        let out = check_file(&file, &opts).unwrap();
+        let doc = lip_obs::json::parse(&json_doc(&[out])).unwrap();
+        assert_eq!(
+            doc.get("schema_version"),
+            Some(&Json::from(lip_obs::schema::MC))
+        );
+        let f = &doc.get("files").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(f.get("file"), Some(&Json::from(file.as_str())));
+        assert_eq!(f.get("verdict"), Some(&Json::from("deadlock-free")));
+        let sink = &f.get("throughput").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(sink.get("sink"), Some(&Json::from("out")));
+        assert_eq!(sink.get("num"), Some(&Json::Int(1)));
+        assert_eq!(sink.get("den"), Some(&Json::Int(1)));
+        assert!(f.get("relay_bounds").and_then(Json::as_arr).is_some());
     }
 
     #[test]

@@ -45,6 +45,14 @@
 //!   long-running measurement loops, exposed as a Prometheus-style
 //!   text file by [`PromFileProgress`] for the `lip-top` dashboard.
 //!
+//! * [`json`] — the workspace's one JSON module: the [`Json`] value,
+//!   its [`parse`](json::parse)r, the string escaper and float policy,
+//!   and the compact and pretty layouts. Every artefact writer and
+//!   reader in the workspace goes through it, so an integral float
+//!   reads back as a float (`2.0`) and hostile input (nesting deeper
+//!   than [`json::MAX_DEPTH`], lone surrogates) yields an error or
+//!   U+FFFD, never a panic.
+//!
 //! Layering: this crate depends only on `lip-kernel` (for the VCD
 //! trace). The engines in `lip-sim` depend on it; analytic targets from
 //! `lip-analysis` are passed in as plain `(num, den)` ratios by the
@@ -54,6 +62,7 @@
 
 pub mod event;
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod probe;
 pub mod profile;
@@ -68,6 +77,7 @@ pub use flight::{
     rec_span, FlightDump, FlightRecorder, FlightSpan, NullRecorder, RecSpan, Recorder, SpanRecord,
     SpanToken,
 };
+pub use json::Json;
 pub use metrics::{MetricsRegistry, Topology};
 pub use probe::{
     for_each_lane, for_each_lane_word, mask_count, mask_lane, EventStreamProbe, NullProbe, Probe,

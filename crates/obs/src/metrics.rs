@@ -16,6 +16,7 @@
 //! per 64 lanes regardless of width.
 
 use crate::event::Event;
+use crate::json::Json;
 use crate::probe::{for_each_lane_word, mask_count, Probe};
 
 /// The shape of the observed system: how many channels, shells and
@@ -206,27 +207,24 @@ impl MetricsRegistry {
     /// The counters as one JSON object (used inside `Report`s).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let list = |v: &[u64]| {
-            let items: Vec<String> = v.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(","))
-        };
-        let hists: Vec<String> = self.occupancy.iter().map(|h| list(h)).collect();
-        format!(
-            "{{\"cycles\":{},\"lanes\":{},\"stalls\":{},\"stall_discards\":{},\"voids\":{},\
-             \"void_ins\":{},\"consumed\":{},\"fires\":{},\"relay_fills\":{},\
-             \"relay_drains\":{},\"relay_occupancy\":[{}]}}",
-            self.cycles,
-            self.lanes,
-            list(&self.stalls),
-            list(&self.stall_discards),
-            list(&self.voids),
-            list(&self.void_ins),
-            list(&self.consumed),
-            list(&self.fires),
-            list(&self.relay_fills),
-            list(&self.relay_drains),
-            hists.join(",")
-        )
+        let list = |v: &[u64]| v.iter().copied().collect::<Json>();
+        Json::obj([
+            ("cycles", self.cycles.into()),
+            ("lanes", self.lanes.into()),
+            ("stalls", list(&self.stalls)),
+            ("stall_discards", list(&self.stall_discards)),
+            ("voids", list(&self.voids)),
+            ("void_ins", list(&self.void_ins)),
+            ("consumed", list(&self.consumed)),
+            ("fires", list(&self.fires)),
+            ("relay_fills", list(&self.relay_fills)),
+            ("relay_drains", list(&self.relay_drains)),
+            (
+                "relay_occupancy",
+                self.occupancy.iter().map(|h| list(h)).collect(),
+            ),
+        ])
+        .to_compact()
     }
 
     /// Fold another registry's counters into this one — the reduction

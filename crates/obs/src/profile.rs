@@ -48,11 +48,10 @@
 //! to restrict the window to the steady state.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
+use crate::json::Json;
 use crate::probe::{mask_lane, Probe};
-use crate::telemetry::escape;
 
 /// Version of the [`BlameReport`] JSON layout. Re-exported from the
 /// central [`crate::schema`] registry; bump it there.
@@ -338,15 +337,13 @@ impl Histogram {
 
     /// `{"samples":…,"p50":…,"p95":…,"max":…}` (nulls when empty).
     #[must_use]
-    pub fn summary_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |v| v.to_string());
-        format!(
-            "{{\"samples\":{},\"p50\":{},\"p95\":{},\"max\":{}}}",
-            self.total,
-            opt(self.percentile(50)),
-            opt(self.percentile(95)),
-            opt(self.max())
-        )
+    pub fn summary_json(&self) -> Json {
+        Json::obj([
+            ("samples", self.total.into()),
+            ("p50", self.percentile(50).into()),
+            ("p95", self.percentile(95).into()),
+            ("max", self.max().into()),
+        ])
     }
 }
 
@@ -485,102 +482,92 @@ impl BlameReport {
         &self.graph
     }
 
-    /// Serialise as a versioned JSON document.
+    /// Serialise as a versioned JSON document (compact, one line).
     #[must_use]
     pub fn to_json(&self) -> String {
         let g = &self.graph;
-        let ent = |e: Entity| {
-            format!(
-                "{{\"entity\":\"{}\",\"name\":\"{}\",\"node\":{}}}",
-                e.label(),
-                escape(g.name(e)),
-                g.node(e)
-            )
-        };
-        let list = |v: &[u64]| {
-            let items: Vec<String> = v.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(","))
+        let ent = |e: Entity, name: &str, node: u32| {
+            vec![
+                ("entity", Json::Str(e.label())),
+                ("name", name.into()),
+                ("node", node.into()),
+            ]
         };
         let total = self.total_blame();
-        let entries: Vec<String> = self
-            .entries
+        let entries = self.entries.iter().map(|e| {
+            #[allow(clippy::cast_precision_loss)]
+            let share = if total == 0 {
+                0.0
+            } else {
+                e.blamed as f64 / total as f64
+            };
+            let mut row = ent(e.entity, &e.name, e.node);
+            row.extend([("blamed", e.blamed.into()), ("share", share.into())]);
+            Json::obj(row)
+        });
+        let cycle = self
+            .top_cycle
             .iter()
-            .map(|e| {
-                #[allow(clippy::cast_precision_loss)]
-                let share = if total == 0 {
-                    0.0
-                } else {
-                    e.blamed as f64 / total as f64
-                };
-                format!(
-                    "{{\"entity\":\"{}\",\"name\":\"{}\",\"node\":{},\"blamed\":{},\"share\":{share}}}",
-                    e.entity.label(),
-                    escape(&e.name),
-                    e.node,
-                    e.blamed
-                )
-            })
-            .collect();
-        let cycle: Vec<String> = self.top_cycle.iter().map(|&e| ent(e)).collect();
-        let edges: Vec<String> = self
-            .edges
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"from\":\"{}\",\"to\":\"{}\",\"void\":{},\"stop\":{}}}",
-                    e.from.label(),
-                    e.to.label(),
-                    e.void_weight,
-                    e.stop_weight
-                )
-            })
-            .collect();
-        let latency: Vec<String> = self
-            .latency
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"source\":\"{}\",\"sink\":\"{}\",\"latency\":{}}}",
-                    escape(g.name(Entity::Source(p.source))),
-                    escape(g.name(Entity::Sink(p.sink))),
-                    p.histogram.summary_json()
-                )
-            })
-            .collect();
-        let relays: Vec<String> = (0..g.relay_count())
-            .map(|r| {
-                format!(
-                    "{{\"entity\":\"relay:{r}\",\"name\":\"{}\",\"capacity\":{},\"residency\":{},\"occupancy\":{}}}",
-                    escape(g.name(Entity::Relay(r as u32))),
-                    g.relay_capacity[r],
-                    self.relay_residency[r].summary_json(),
-                    list(&self.relay_occupancy[r])
-                )
-            })
-            .collect();
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {BLAME_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"kind\": \"blame_report\",");
-        let _ = writeln!(out, "  \"cycles\": {},", self.cycles);
-        let _ = writeln!(out, "  \"lane\": {},", self.lane);
-        let _ = writeln!(out, "  \"lost_cycles\": {},", self.lost_cycles);
-        let _ = writeln!(out, "  \"consumed\": {},", self.consumed);
-        let _ = writeln!(
-            out,
-            "  \"classification\": {{\"upstream_void\":{},\"downstream_stop\":{},\"both\":{}}},",
-            self.upstream_void, self.downstream_stop, self.both
-        );
-        let _ = writeln!(out, "  \"channel_stalls\": {},", list(&self.channel_stalls));
-        let _ = writeln!(out, "  \"channel_voids\": {},", list(&self.channel_voids));
-        let _ = writeln!(out, "  \"blame\": [{}],", entries.join(","));
-        let _ = writeln!(out, "  \"top_cycle\": [{}],", cycle.join(","));
-        let _ = writeln!(out, "  \"edges\": [{}],", edges.join(","));
-        let _ = writeln!(out, "  \"latency\": [{}],", latency.join(","));
-        let _ = writeln!(out, "  \"relays\": [{}],", relays.join(","));
-        let _ = writeln!(out, "  \"tokens_emitted\": {}", self.tokens_emitted);
-        out.push_str("}\n");
-        out
+            .map(|&e| Json::obj(ent(e, g.name(e), g.node(e))));
+        let edges = self.edges.iter().map(|e| {
+            Json::obj([
+                ("from", Json::Str(e.from.label())),
+                ("to", Json::Str(e.to.label())),
+                ("void", e.void_weight.into()),
+                ("stop", e.stop_weight.into()),
+            ])
+        });
+        let latency = self.latency.iter().map(|p| {
+            Json::obj([
+                ("source", g.name(Entity::Source(p.source)).into()),
+                ("sink", g.name(Entity::Sink(p.sink)).into()),
+                ("latency", p.histogram.summary_json()),
+            ])
+        });
+        let relays = (0..g.relay_count()).map(|r| {
+            let e = Entity::Relay(r as u32);
+            Json::obj([
+                ("entity", Json::Str(e.label())),
+                ("name", g.name(e).into()),
+                ("capacity", g.relay_capacity[r].into()),
+                ("residency", self.relay_residency[r].summary_json()),
+                (
+                    "occupancy",
+                    self.relay_occupancy[r].iter().copied().collect(),
+                ),
+            ])
+        });
+        let doc = Json::obj([
+            ("schema_version", BLAME_SCHEMA_VERSION.into()),
+            ("kind", "blame_report".into()),
+            ("cycles", self.cycles.into()),
+            ("lane", u32::from(self.lane).into()),
+            ("lost_cycles", self.lost_cycles.into()),
+            ("consumed", self.consumed.into()),
+            (
+                "classification",
+                Json::obj([
+                    ("upstream_void", self.upstream_void.into()),
+                    ("downstream_stop", self.downstream_stop.into()),
+                    ("both", self.both.into()),
+                ]),
+            ),
+            (
+                "channel_stalls",
+                self.channel_stalls.iter().copied().collect(),
+            ),
+            (
+                "channel_voids",
+                self.channel_voids.iter().copied().collect(),
+            ),
+            ("blame", entries.collect()),
+            ("top_cycle", cycle.collect()),
+            ("edges", edges.collect()),
+            ("latency", latency.collect()),
+            ("relays", relays.collect()),
+            ("tokens_emitted", self.tokens_emitted.into()),
+        ]);
+        doc.to_compact() + "\n"
     }
 }
 
@@ -1161,7 +1148,7 @@ mod tests {
         assert_eq!(h.percentile(0), None);
         assert_eq!(h.percentile(100), None);
         assert_eq!(
-            h.summary_json(),
+            h.summary_json().to_compact(),
             "{\"samples\":0,\"p50\":null,\"p95\":null,\"max\":null}"
         );
     }
@@ -1338,9 +1325,12 @@ mod tests {
         p.stall(0, 1, 0);
         p.end_cycle(0);
         let j = p.report().to_json();
-        assert!(j.contains("\"schema_version\": 1"));
-        assert!(j.contains("\"kind\": \"blame_report\""));
-        assert!(j.contains("\"blamed\":1"));
-        assert!(j.contains("\"channel_stalls\": [0,1]"));
+        let doc = crate::json::parse(&j).unwrap();
+        assert_eq!(doc.get("schema_version"), Some(&Json::Int(1)));
+        assert_eq!(doc.get("kind"), Some(&Json::from("blame_report")));
+        let top = &doc.get("blame").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(top.get("blamed"), Some(&Json::Int(1)));
+        assert_eq!(top.get("share"), Some(&Json::Float(1.0)));
+        assert!(j.contains("\"channel_stalls\":[0,1]"));
     }
 }

@@ -19,10 +19,8 @@
 //! workspace-wide [`SCHEMA_VERSION`](crate::SCHEMA_VERSION), so the
 //! `run_experiments.sh` / CI `check_report` gates apply unchanged.
 
-use std::fmt::Write as _;
-
 use crate::flight::{FlightDump, SpanRecord};
-use crate::telemetry::escape;
+use crate::json::Json;
 
 /// Per-opcode execution counters for one stream-kernel opcode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,51 +181,32 @@ impl KernelCounters {
         }
     }
 
-    fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"lanes\": {}, \"settles\": {}, \"expected_ops\": {}, \"ops_total\": {}, \
-             \"lane_words_total\": {}, \"occupancy\": {:.6}, \"reconciled\": {}",
-            self.lanes,
-            self.settles,
-            self.expected_ops,
-            self.total_ops(),
-            self.total_lane_words(),
-            self.occupancy(),
-            self.reconciles()
-        );
-        s.push_str(", \"by_opcode\": [");
-        for (i, r) in self.by_op.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"name\": \"{}\", \"ops_retired\": {}, \"lane_words\": {}, \
-                 \"active_lanes\": {}, \"occ_ops\": {}, \"occupancy\": {:.6}}}",
-                escape(r.name),
-                r.ops_retired,
-                r.lane_words,
-                r.active_lanes,
-                r.occ_ops,
-                r.occupancy(self.lanes)
-            );
-        }
-        s.push_str("], \"by_stratum\": [");
-        for (i, &(label, n)) in self.by_stratum.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"name\": \"{}\", \"ops_retired\": {}}}",
-                escape(label),
-                n
-            );
-        }
-        s.push_str("]}");
-        s
+    fn to_json(&self) -> Json {
+        let by_op = self.by_op.iter().map(|r| {
+            Json::obj([
+                ("name", r.name.into()),
+                ("ops_retired", r.ops_retired.into()),
+                ("lane_words", r.lane_words.into()),
+                ("active_lanes", r.active_lanes.into()),
+                ("occ_ops", r.occ_ops.into()),
+                ("occupancy", Json::fixed(r.occupancy(self.lanes), 6)),
+            ])
+        });
+        let by_stratum = self
+            .by_stratum
+            .iter()
+            .map(|&(label, n)| Json::obj([("name", label.into()), ("ops_retired", n.into())]));
+        Json::obj([
+            ("lanes", self.lanes.into()),
+            ("settles", self.settles.into()),
+            ("expected_ops", self.expected_ops.into()),
+            ("ops_total", self.total_ops().into()),
+            ("lane_words_total", self.total_lane_words().into()),
+            ("occupancy", Json::fixed(self.occupancy(), 6)),
+            ("reconciled", self.reconciles().into()),
+            ("by_opcode", by_op.collect()),
+            ("by_stratum", by_stratum.collect()),
+        ])
     }
 }
 
@@ -364,55 +343,37 @@ impl RuntimeReport {
     /// shared `check_report` gate applies.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema_version\": {},\n  \"experiment\": \"{}\",\n  \"wall_ns\": {},\n  \
-             \"threads\": {},\n  \"dropped_spans\": {}",
-            crate::SCHEMA_VERSION,
-            escape(&self.experiment),
-            self.dump.wall_ns,
-            self.dump.threads,
-            self.dump.dropped
-        );
-        if let Some(c) = self.span_coverage {
-            let _ = write!(s, ",\n  \"span_coverage\": {c:.4}");
-        }
-        if let Some(o) = self.overhead_disabled_pct {
-            let _ = write!(s, ",\n  \"overhead_pct\": {o:.3}");
-        }
-        if let Some(o) = self.overhead_enabled_pct {
-            let _ = write!(s, ",\n  \"overhead_enabled_pct\": {o:.3}");
-        }
-        s.push_str(",\n  \"spans\": [");
-        for (i, r) in rollup_spans(&self.dump.spans).iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"cat\": \"{}\", \"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \
-                 \"max_ns\": {}}}",
-                escape(r.cat),
-                escape(&r.name),
-                r.count,
-                r.total_ns,
-                r.max_ns
-            );
-        }
-        s.push_str("\n  ],\n  \"counters\": {");
-        for (i, (k, v)) in self.dump.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    \"{}\": {v}", escape(k));
-        }
-        s.push_str("\n  }");
+        let mut doc = vec![
+            ("schema_version", crate::SCHEMA_VERSION.into()),
+            ("experiment", self.experiment.as_str().into()),
+            ("wall_ns", self.dump.wall_ns.into()),
+            ("threads", self.dump.threads.into()),
+            ("dropped_spans", self.dump.dropped.into()),
+        ];
+        let fixed = |key, v: Option<f64>, places| v.map(|v| (key, Json::fixed(v, places)));
+        doc.extend(fixed("span_coverage", self.span_coverage, 4));
+        doc.extend(fixed("overhead_pct", self.overhead_disabled_pct, 3));
+        doc.extend(fixed("overhead_enabled_pct", self.overhead_enabled_pct, 3));
+        let spans = rollup_spans(&self.dump.spans).into_iter().map(|r| {
+            Json::obj([
+                ("cat", r.cat.into()),
+                ("name", r.name.into()),
+                ("count", r.count.into()),
+                ("total_ns", r.total_ns.into()),
+                ("max_ns", r.max_ns.into()),
+            ])
+        });
+        doc.push(("spans", spans.collect()));
+        let counters = self
+            .dump
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), (*v).into()));
+        doc.push(("counters", Json::obj(counters)));
         if let Some(k) = &self.kernel {
-            let _ = write!(s, ",\n  \"kernel\": {}", k.to_json());
+            doc.push(("kernel", k.to_json()));
         }
-        s.push_str("\n}\n");
-        s
+        Json::obj(doc).to_pretty() + "\n"
     }
 }
 
@@ -521,14 +482,25 @@ mod tests {
         report.set_kernel(sample_counters());
         report.set_overhead(0.8, 12.0);
         report.set_span_coverage(0.97);
-        let json = report.to_json();
-        assert!(json.contains(&format!("\"schema_version\": {}", crate::SCHEMA_VERSION)));
-        assert!(json.contains("\"overhead_pct\": 0.800"));
-        assert!(json.contains("\"span_coverage\": 0.9700"));
-        assert!(json.contains("\"by_opcode\""));
-        assert!(json.contains("\"reconciled\": true"));
-        assert!(json.contains("\"cache.hits\": 3"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = crate::json::parse(&report.to_json()).unwrap();
+        let int = |v: u32| Some(Json::from(v));
+        assert_eq!(
+            doc.get("schema_version").cloned(),
+            int(crate::SCHEMA_VERSION)
+        );
+        assert_eq!(doc.get("overhead_pct"), Some(&Json::Float(0.8)));
+        assert_eq!(doc.get("overhead_enabled_pct"), Some(&Json::Float(12.0)));
+        assert_eq!(doc.get("span_coverage"), Some(&Json::Float(0.97)));
+        let kernel = doc.get("kernel").unwrap();
+        assert_eq!(
+            kernel
+                .get("by_opcode")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(2)
+        );
+        assert_eq!(kernel.get("reconciled"), Some(&Json::Bool(true)));
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(counters.get("cache.hits").cloned(), int(3));
     }
 }

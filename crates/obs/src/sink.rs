@@ -401,13 +401,17 @@ mod tests {
         // blame reports, Chrome-trace track names) through one shared
         // escaper; quotes, backslashes, control characters and
         // non-ASCII must all survive as valid JSON string content.
-        let escape = crate::telemetry::escape;
-        assert_eq!(escape(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape(r"a\b"), r"a\\b");
-        assert_eq!(escape("a\nb\tc"), r"a\nb\tc");
-        assert_eq!(escape("\u{1}"), r"\u0001");
+        let escape = |s: &str| {
+            let mut out = String::new();
+            crate::json::write_str(&mut out, s);
+            out
+        };
+        assert_eq!(escape(r#"a"b"#), r#""a\"b""#);
+        assert_eq!(escape(r"a\b"), r#""a\\b""#);
+        assert_eq!(escape("a\nb\tc"), r#""a\nb\tc""#);
+        assert_eq!(escape("\u{1}"), r#""\u0001""#);
         // Non-ASCII passes through unescaped (JSON is UTF-8).
-        assert_eq!(escape("fifo·π→Ω"), "fifo·π→Ω");
+        assert_eq!(escape("fifo·π→Ω"), "\"fifo·π→Ω\"");
         // End to end: a report field with a hostile name round-trips
         // into a syntactically balanced JSON document.
         let mut report = crate::Report::new("escape_test");

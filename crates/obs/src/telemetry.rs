@@ -16,6 +16,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::json::{write_f64, write_str};
+
 /// Version of the `Report` JSON layout (and of the `schema_version`
 /// field in `BENCH_skeleton.json`). Re-exported from the central
 /// [`crate::schema`] registry; bump it there.
@@ -193,34 +195,15 @@ impl TransientDetector {
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal (shared with the
-/// profiler's and trace exporter's hand-rolled serialisers).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A versioned telemetry document: `schema_version`, the experiment
 /// name, and an ordered set of fields.
 ///
-/// Serialisation is hand-rolled (the workspace is offline — no serde):
-/// fields keep insertion order, values are raw JSON fragments produced
-/// by the typed `push_*` helpers or [`Report::push_raw`] for nested
-/// objects such as
+/// Fields keep insertion order; values are JSON fragments written by
+/// the typed `push_*` helpers through [`crate::json`], or by
+/// [`Report::push_raw`] for nested objects such as
 /// [`MetricsRegistry::to_json`](crate::metrics::MetricsRegistry::to_json).
+/// The document streams straight from those fragments, with no
+/// intermediate [`Json`](crate::json::Json) tree.
 #[derive(Debug, Clone)]
 pub struct Report {
     experiment: String,
@@ -254,20 +237,19 @@ impl Report {
         self.push_raw(key, value.to_string())
     }
 
-    /// Append a float field (serialised via `Display`, `null` when not
-    /// finite).
+    /// Append a float field (see [`write_f64`]: an integral value keeps
+    /// its `.0`, a non-finite one is `null`).
     pub fn push_f64(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
-        let json = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_owned()
-        };
+        let mut json = String::new();
+        write_f64(&mut json, value);
         self.push_raw(key, json)
     }
 
     /// Append a string field (escaped).
     pub fn push_str(&mut self, key: impl Into<String>, value: &str) -> &mut Self {
-        self.push_raw(key, format!("\"{}\"", escape(value)))
+        let mut json = String::new();
+        write_str(&mut json, value);
+        self.push_raw(key, json)
     }
 
     /// Append a boolean field.
@@ -277,16 +259,11 @@ impl Report {
 
     /// Append an exact ratio as `{"num":…,"den":…,"value":…}`.
     pub fn push_ratio(&mut self, key: impl Into<String>, num: u64, den: u64) -> &mut Self {
+        let mut json = format!("{{\"num\":{num},\"den\":{den},\"value\":");
         #[allow(clippy::cast_precision_loss)]
-        let value = if den == 0 {
-            "null".to_owned()
-        } else {
-            format!("{}", num as f64 / den as f64)
-        };
-        self.push_raw(
-            key,
-            format!("{{\"num\":{num},\"den\":{den},\"value\":{value}}}"),
-        )
+        write_f64(&mut json, num as f64 / den as f64);
+        json.push('}');
+        self.push_raw(key, json)
     }
 
     /// Fold another report's fields into this one, each key prefixed
@@ -309,9 +286,13 @@ impl Report {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = write!(out, "  \"experiment\": \"{}\"", escape(&self.experiment));
+        out.push_str("  \"experiment\": ");
+        write_str(&mut out, &self.experiment);
         for (key, json) in &self.fields {
-            let _ = write!(out, ",\n  \"{}\": {}", escape(key), json);
+            out.push_str(",\n  ");
+            write_str(&mut out, key);
+            out.push_str(": ");
+            out.push_str(json);
         }
         out.push_str("\n}\n");
         out
@@ -364,11 +345,11 @@ impl ProgressSnapshot {
     /// `# EOF`; callers concatenate snapshots into one document).
     #[must_use]
     pub fn prometheus_text(&self) -> String {
-        let labels = format!(
-            "{{experiment=\"{}\",topology=\"{}\"}}",
-            escape(&self.experiment),
-            escape(&self.topology)
-        );
+        let mut labels = String::from("{experiment=");
+        write_str(&mut labels, &self.experiment);
+        labels.push_str(",topology=");
+        write_str(&mut labels, &self.topology);
+        labels.push('}');
         let mut out = String::new();
         let _ = writeln!(out, "lip_lanes{labels} {}", self.lanes);
         let _ = writeln!(out, "lip_lanes_converged{labels} {}", self.lanes_converged);
@@ -584,6 +565,25 @@ mod tests {
         let cy = j.find("\"cycles\"").unwrap();
         let ok = j.find("\"ok\"").unwrap();
         assert!(cy < ok, "insertion order preserved");
+    }
+
+    #[test]
+    fn float_fields_read_back_as_floats() {
+        use crate::json::{parse, Json};
+        let mut r = Report::new("floats");
+        r.push_f64("ratio", 1.0)
+            .push_f64("nan", f64::NAN)
+            .push_ratio("full_rate", 1, 1)
+            .push_ratio("empty", 0, 0);
+        let j = r.to_json();
+        assert!(j.contains("\"ratio\": 1.0"), "{j}");
+        let doc = parse(&j).unwrap();
+        assert_eq!(doc.get("ratio"), Some(&Json::Float(1.0)));
+        assert_eq!(doc.get("nan"), Some(&Json::Null));
+        let full = doc.get("full_rate").unwrap();
+        assert_eq!(full.get("num"), Some(&Json::Int(1)));
+        assert_eq!(full.get("value"), Some(&Json::Float(1.0)));
+        assert_eq!(doc.get("empty").unwrap().get("value"), Some(&Json::Null));
     }
 
     #[test]

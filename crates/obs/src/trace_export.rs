@@ -17,16 +17,53 @@
 //!   length.
 //!
 //! Timestamps are protocol cycles written as microseconds (1 cycle =
-//! 1 µs), so viewer zoom levels stay sane. All strings pass through the
-//! shared JSON escaper, and the document is plain hand-rolled JSON like
-//! every other artefact in the crate (no serde in the offline
-//! workspace).
-
-use std::fmt::Write as _;
+//! 1 µs), so viewer zoom levels stay sane. Events are [`Json`] values,
+//! and all three exporters share one envelope writer: one event per
+//! line inside `{"displayTimeUnit":"ms","traceEvents":[…]}`.
 
 use crate::flight::FlightDump;
+use crate::json::Json;
 use crate::profile::{CausalProfiler, Entity};
-use crate::telemetry::escape;
+
+/// The shared Chrome-trace document: `events` one per line, compact.
+fn trace_document(events: &[Json]) -> String {
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str(&ev.to_compact());
+    }
+    if !events.is_empty() {
+        out.push('\n');
+    }
+    out.push_str("]}\n");
+    out
+}
+
+/// A `"M"` metadata event naming the process (`tid` 0) or thread `tid`.
+fn track_name(what: &str, tid: u64, name: String) -> Json {
+    Json::obj([
+        ("name", what.into()),
+        ("ph", "M".into()),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+        ("args", Json::obj([("name", name.into())])),
+    ])
+}
+
+/// A complete (`"X"`) slice.
+fn slice(name: &str, cat: &str, ts: Json, dur: Json, tid: u64) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", "X".into()),
+        ("ts", ts),
+        ("dur", dur),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+    ])
+}
 
 /// Render `profiler`'s retained spans as a Chrome-trace JSON document.
 ///
@@ -36,33 +73,20 @@ use crate::telemetry::escape;
 #[must_use]
 pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
     let g = profiler.graph();
-    let mut events: Vec<String> = Vec::new();
-
     // Track metadata: one process, one named thread per entity.
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"lip\"}}"
-            .to_owned(),
-    );
+    let mut events = vec![track_name("process_name", 0, "lip".to_owned())];
     for id in 0..g.entity_count() {
         let e = g.entity(id);
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{id},\
-             \"args\":{{\"name\":\"{} {}\"}}}}",
-            e.label(),
-            escape(g.name(e))
-        ));
+        let name = format!("{} {}", e.label(), g.name(e));
+        events.push(track_name("thread_name", id as u64, name));
     }
 
     // Shell stall slices (closed runs, then runs still open at the end
     // of the window).
     let mut stall_slice = |shell: u32, start: u64, end: u64| {
-        let tid = g.dense(Entity::Shell(shell));
-        events.push(format!(
-            "{{\"name\":\"stall\",\"cat\":\"stall\",\"ph\":\"X\",\
-             \"ts\":{start},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-            end.saturating_sub(start).max(1)
-        ));
+        let tid = g.dense(Entity::Shell(shell)) as u64;
+        let dur = end.saturating_sub(start).max(1);
+        events.push(slice("stall", "stall", start.into(), dur.into(), tid));
     };
     for span in profiler.stall_spans() {
         stall_slice(span.shell, span.start, span.end);
@@ -75,12 +99,14 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
 
     // Relay residency slices.
     for hop in profiler.hop_spans() {
-        let tid = g.dense(Entity::Relay(hop.relay));
-        events.push(format!(
-            "{{\"name\":\"resident\",\"cat\":\"relay\",\"ph\":\"X\",\
-             \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-            hop.enter,
-            hop.exit.saturating_sub(hop.enter).max(1)
+        let tid = g.dense(Entity::Relay(hop.relay)) as u64;
+        let dur = hop.exit.saturating_sub(hop.enter).max(1);
+        events.push(slice(
+            "resident",
+            "relay",
+            hop.enter.into(),
+            dur.into(),
+            tid,
         ));
     }
 
@@ -96,43 +122,37 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
             }
             let name = format!(
                 "token {}\u{2192}{}",
-                escape(g.name(Entity::Source(i as u32))),
-                escape(g.name(Entity::Sink(j as u32)))
+                g.name(Entity::Source(i as u32)),
+                g.name(Entity::Sink(j as u32))
             );
-            let tid = g.dense(Entity::Sink(j as u32));
+            let tid = g.dense(Entity::Sink(j as u32)) as u64;
             let emits = &profiler.emissions()[i];
             let consumes = &profiler.consumptions()[j];
-            for (k, (em, co)) in emits.iter().zip(consumes).enumerate() {
+            for (k, (&em, &co)) in emits.iter().zip(consumes).enumerate() {
                 if co < em {
                     continue; // initial in-flight token, not ours
                 }
                 let id = (pair << 32) | k as u64;
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"token\",\"ph\":\"b\",\
-                     \"ts\":{em},\"pid\":1,\"tid\":{tid},\"id\":{id},\
-                     \"args\":{{\"seq\":{k}}}}}"
-                ));
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"token\",\"ph\":\"e\",\
-                     \"ts\":{co},\"pid\":1,\"tid\":{tid},\"id\":{id}}}"
-                ));
+                let async_event = |ph: &str, ts: u64| {
+                    vec![
+                        ("name", name.as_str().into()),
+                        ("cat", "token".into()),
+                        ("ph", ph.into()),
+                        ("ts", ts.into()),
+                        ("pid", 1u64.into()),
+                        ("tid", tid.into()),
+                        ("id", id.into()),
+                    ]
+                };
+                let mut begin = async_event("b", em);
+                begin.push(("args", Json::obj([("seq", k.into())])));
+                events.push(Json::obj(begin));
+                events.push(Json::obj(async_event("e", co)));
             }
             pair += 1;
         }
     }
-
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(ev);
-        if i + 1 != events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "]}}");
-    out.push('\n');
-    out
+    trace_document(&events)
 }
 
 /// Render a drained flight-recorder dump (see
@@ -147,53 +167,32 @@ pub fn chrome_trace_json(profiler: &CausalProfiler, end_cycle: u64) -> String {
 /// fractional microseconds, the format's native unit.
 #[must_use]
 pub fn runtime_chrome_trace(dump: &FlightDump) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"lip-runtime\"}}"
-            .to_owned(),
-    );
+    let mut events = vec![track_name("process_name", 0, "lip-runtime".to_owned())];
     for tid in 0..dump.threads {
         let name = if tid == 0 { "driver" } else { "worker" };
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{name} {tid}\"}}}}"
+        events.push(track_name(
+            "thread_name",
+            tid.into(),
+            format!("{name} {tid}"),
         ));
     }
     #[allow(clippy::cast_precision_loss)]
-    let us = |ns: u64| ns as f64 / 1000.0;
+    let us = |ns: u64| Json::Float(ns as f64 / 1000.0);
     for span in &dump.spans {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{}}}",
-            escape(&span.name),
-            escape(span.cat),
-            us(span.start_ns),
-            us(span.dur_ns.max(1)),
-            span.tid
-        ));
+        let (ts, dur) = (us(span.start_ns), us(span.dur_ns.max(1)));
+        events.push(slice(&span.name, span.cat, ts, dur, span.tid.into()));
     }
-    for (name, value) in &dump.counters {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":0,\
-             \"args\":{{\"value\":{value}}}}}",
-            escape(name),
-            us(dump.wall_ns)
-        ));
+    for (name, &value) in &dump.counters {
+        events.push(Json::obj([
+            ("name", name.as_str().into()),
+            ("ph", "C".into()),
+            ("ts", us(dump.wall_ns)),
+            ("pid", 1u64.into()),
+            ("tid", 0u64.into()),
+            ("args", Json::obj([("value", value.into())])),
+        ]));
     }
-
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(ev);
-        if i + 1 != events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "]}}");
-    out.push('\n');
-    out
+    trace_document(&events)
 }
 
 /// One interval on a [`ScheduleTrack`], in protocol cycles.
@@ -228,48 +227,26 @@ pub struct ScheduleTrack {
 /// Same Trace Event Format and conventions as [`chrome_trace_json`]:
 /// one process named `process`, one named thread per track (`tid` =
 /// track index), a complete (`"X"`) slice per [`ScheduleSlice`], and
-/// cycles written as microseconds. Strings pass through the shared
-/// escaper; the document is hand-rolled JSON (no serde offline).
+/// cycles written as microseconds.
 #[must_use]
 pub fn schedule_chrome_trace(process: &str, tracks: &[ScheduleTrack]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(process)
-    ));
+    let mut events = vec![track_name("process_name", 0, process.to_owned())];
     for (tid, track) in tracks.iter().enumerate() {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(&track.name)
-        ));
+        events.push(track_name("thread_name", tid as u64, track.name.clone()));
     }
     for (tid, track) in tracks.iter().enumerate() {
         for s in &track.slices {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\
-                 \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}}}",
-                escape(&s.name),
-                escape(&s.cat),
-                s.start,
-                s.end.saturating_sub(s.start).max(1)
+            let dur = s.end.saturating_sub(s.start).max(1);
+            events.push(slice(
+                &s.name,
+                &s.cat,
+                s.start.into(),
+                dur.into(),
+                tid as u64,
             ));
         }
     }
-
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(ev);
-        if i + 1 != events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "]}}");
-    out.push('\n');
-    out
+    trace_document(&events)
 }
 
 #[cfg(test)]

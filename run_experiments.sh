@@ -81,7 +81,7 @@ check_report() {
       return 1
     }
   else
-    grep -q "\"schema_version\": $expected" "$file" || {
+    grep -Eq "\"schema_version\": ?$expected[,}]" "$file" || {
       echo "!! $file: schema_version $expected not found" >&2
       return 1
     }

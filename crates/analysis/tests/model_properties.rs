@@ -3,6 +3,7 @@
 //! topology families — far beyond the few configurations the paper
 //! tabulates.
 
+use lip_analysis::model::MarkedGraph;
 use lip_analysis::{equalize, predict_throughput, transient_bound};
 use lip_core::RelayKind;
 use lip_graph::generate;
@@ -101,5 +102,18 @@ proptest! {
         let t1 = predict_throughput(&generate::fork_join(base, 1, 1).netlist).unwrap();
         let t2 = predict_throughput(&generate::fork_join(base + extra, 1, 1).netlist).unwrap();
         prop_assert!(t2.to_f64() <= t1.to_f64() + 1e-12);
+    }
+
+    /// The binding cycle's ratio is the minimum cycle ratio (1 when
+    /// there is no binding cycle), so lint takes both from one pass.
+    #[test]
+    fn binding_cycle_ratio_is_the_minimum_cycle_ratio(seed in 0u64..400) {
+        let (_, netlist) = generate::random_family(seed);
+        if netlist.validate().is_err() {
+            return Ok(());
+        }
+        let graph = MarkedGraph::new(&netlist);
+        let binding = graph.binding_cycle().map_or(Ratio::new(1, 1), |(_, r)| r);
+        prop_assert_eq!(binding, graph.min_cycle_ratio(), "seed {}", seed);
     }
 }

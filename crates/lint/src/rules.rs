@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use lip_analysis::model::{pattern_accept_rate, pattern_data_rate, MarkedGraph};
+use lip_analysis::model::{pattern_accept_rate, pattern_data_rate, MarkedGraph, ModelEdge};
 use lip_core::RelayKind;
 use lip_graph::{topology, ChannelId, Netlist, NodeId, NodeKind, SourceMap};
 use lip_mc::{check_declared, DeclaredProof, McConfig};
@@ -45,8 +45,10 @@ pub fn lint(netlist: &Netlist, map: &SourceMap) -> Vec<Diagnostic> {
     // diagnosis.
     let illegal = diags.iter().any(|d| d.rule == RuleId::Lip002);
     if !illegal && netlist.validate().is_ok() {
-        lip004(netlist, map, &mut diags);
-        lip005(netlist, map, &mut diags);
+        // One minimum-cycle-ratio pass serves both marked-graph rules.
+        let bottleneck = MarkedGraph::new(netlist).binding_cycle();
+        lip004(netlist, map, bottleneck.as_ref(), &mut diags);
+        lip005(netlist, map, bottleneck.as_ref(), &mut diags);
         // The model-checked rules share one exhaustive state-space
         // pass. They go silent (never wrong) when the declared
         // environment is aperiodic or the space exceeds the budget.
@@ -335,10 +337,19 @@ fn reachable_shells(netlist: &Netlist, from: NodeId, forward: bool) -> Vec<NodeI
     shells
 }
 
+/// The marked-graph bottleneck ([`MarkedGraph::binding_cycle`]): the
+/// binding cycle and its ratio, the minimum cycle ratio.
+type Bottleneck = (Vec<ModelEdge>, Ratio);
+
 /// LIP004 — reconvergent relay imbalance on a feed-forward design:
 /// converging paths into a join differ by `i` relay stations, costing
 /// `(m − i)/m` of the throughput until equalized.
-fn lip004(netlist: &Netlist, map: &SourceMap, out: &mut Vec<Diagnostic>) {
+fn lip004(
+    netlist: &Netlist,
+    map: &SourceMap,
+    bottleneck: Option<&Bottleneck>,
+    out: &mut Vec<Diagnostic>,
+) {
     if !topology::is_acyclic(netlist) {
         return; // feedback loops adapt by resizing, not equalization
     }
@@ -346,10 +357,9 @@ fn lip004(netlist: &Netlist, map: &SourceMap, out: &mut Vec<Diagnostic>) {
     // a place but no forward latency), so only report joins whose
     // reconvergence demonstrably costs throughput: in a feed-forward
     // design, a minimum cycle ratio below 1 comes from nothing else.
-    let predicted = MarkedGraph::new(netlist).min_cycle_ratio();
-    if predicted == Ratio::new(1, 1) {
+    let Some(&(_, predicted)) = bottleneck else {
         return;
-    }
+    };
     let imbalanced: Vec<(NodeId, usize)> = topology::join_nodes(netlist)
         .into_iter()
         .filter_map(|j| {
@@ -387,13 +397,17 @@ fn lip004(netlist: &Netlist, map: &SourceMap, out: &mut Vec<Diagnostic>) {
 /// minimum-cycle-ratio pass over the marked-graph model names the
 /// binding cycle whenever the structural steady state is below 1
 /// token/cycle.
-fn lip005(netlist: &Netlist, map: &SourceMap, out: &mut Vec<Diagnostic>) {
-    let graph = MarkedGraph::new(netlist);
-    let Some((cycle, ratio)) = graph.binding_cycle() else {
+fn lip005(
+    netlist: &Netlist,
+    map: &SourceMap,
+    bottleneck: Option<&Bottleneck>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let Some(&(ref cycle, ratio)) = bottleneck else {
         return;
     };
     let mut ids: Vec<NodeId> = Vec::new();
-    for edge in &cycle {
+    for edge in cycle {
         if !ids.contains(&edge.from) {
             ids.push(edge.from);
         }

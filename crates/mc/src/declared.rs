@@ -122,6 +122,9 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
         return Err(McError::Aperiodic);
     }
     let sources = netlist.sources();
+    // Counters and relay levels are read as flat rows: sink and shell
+    // rows follow `netlist.sinks()`/`shells()` order, relay rows map
+    // back to node order through `relay_rows`.
     let sinks = netlist.sinks();
     let shells = netlist.shells();
     let relays = netlist.relays();
@@ -139,14 +142,14 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
     let mut relay_max: Vec<u32> = vec![0; relays.len()];
     let mut choices: Vec<EnvChoice> = Vec::new();
 
+    // Key, row and relay levels read registers only; `step` settles.
     let (lasso_shape, deltas) = loop {
-        sys.settle();
         key.clear();
         sys.push_control_state(&mut key)
             .expect("periodic environment");
         row.clear();
-        row.extend(sinks.iter().map(|&s| sys.sink_counts(s).unwrap().0));
-        row.extend(shells.iter().map(|&s| sys.shell_fires(s).unwrap()));
+        row.extend_from_slice(sys.sink_valid_counts());
+        row.extend_from_slice(sys.shell_fire_counts());
         if let Some((p, first)) = lasso.observe(&key, &row) {
             // Counters now (at the revisit of state `stem`) minus when
             // `stem` was first visited = exact deltas across one period.
@@ -159,8 +162,8 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
                 cap: cfg.max_states,
             });
         }
-        for (k, &r) in relays.iter().enumerate() {
-            relay_max[k] = relay_max[k].max(sys.relay_level(r).unwrap().0);
+        for (max, (occ, _)) in relay_max.iter_mut().zip(sys.relay_levels()) {
+            *max = (*max).max(occ);
         }
         let t = sys.cycle();
         let sink_stop: Vec<bool> = stop_pats.iter().map(|p| p.at(t)).collect();
@@ -185,13 +188,11 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
         .filter(|&(_, &d)| d == 0)
         .map(|(&id, _)| id)
         .collect();
+    let caps: Vec<u32> = sys.relay_levels().map(|(_, cap)| cap).collect();
     let relay_bounds = relays
         .iter()
-        .zip(&relay_max)
-        .map(|(&id, &occ)| {
-            let cap = sys.relay_level(id).unwrap().1;
-            (id, occ, cap)
-        })
+        .zip(sys.relay_rows())
+        .map(|(&id, row)| (id, relay_max[row], caps[row]))
         .collect();
 
     // The first `stem + period` sources offers were recorded; fix the

@@ -4,8 +4,11 @@
 //! intern their keys into one [`StateArena`], whose ids in visit order
 //! make the first revisited id the stem length. A [`Lasso`] also stores
 //! one row of counters per visit, so a recurrence yields exact
-//! per-period deltas. Keys share one encoding: `pack_bits` gives a
-//! shell's registers ⌈bits/64⌉ words, so distinct states never alias.
+//! per-period deltas. Both scalar engines build their control-state key
+//! with one `KeyWriter`: the environment phase as a whole word, then
+//! every component's registered state bit-packed in node order, so a
+//! key is a few words per hundred components rather than one word per
+//! component.
 //!
 //! The batch engine's lanes go through `PlaneLasso`, which finds the
 //! same (stem, period) pair a [`Lasso`] would for every lane at once,
@@ -404,9 +407,84 @@ impl<W: LaneWord> PlaneLasso<W> {
     }
 }
 
+/// The one control-state key encoding of both scalar engines
+/// ([`System`](crate::System) and
+/// [`SkeletonSystem`](crate::SkeletonSystem)). After the environment
+/// phase word, each component's registered state is appended in node
+/// order at a fixed width, packed little-endian across `u64` words:
+///
+/// * source offer, shell output register, shell input buffer: 1 bit
+///   each ([`bit`](Self::bit));
+/// * relay station: the bits its capacity needs, ⌈log₂(cap + 1)⌉
+///   ([`relay`](Self::relay)) — full 2 (occupancy 0–2), half 1, FIFO at
+///   most 8 (capacities are `u8`);
+/// * sink: nothing.
+///
+/// Widths depend on the netlist only, so every key of one system has
+/// the same length and equal keys mean equal states.
+#[derive(Debug)]
+pub(crate) struct KeyWriter<'a> {
+    out: &'a mut Vec<u64>,
+    /// The word being filled; its low `used` bits are written.
+    word: u64,
+    used: u32,
+}
+
+impl<'a> KeyWriter<'a> {
+    /// Start a key: push the environment `phase` word to `out`, then
+    /// pack fields after it.
+    pub(crate) fn new(out: &'a mut Vec<u64>, phase: u64) -> Self {
+        out.push(phase);
+        KeyWriter {
+            out,
+            word: 0,
+            used: 0,
+        }
+    }
+
+    /// Append one register bit.
+    #[inline]
+    pub(crate) fn bit(&mut self, b: bool) {
+        self.push(u64::from(b), 1);
+    }
+
+    /// Append a relay station's occupancy at the width its capacity
+    /// needs.
+    #[inline]
+    pub(crate) fn relay(&mut self, occupancy: u32, capacity: u32) {
+        debug_assert!(occupancy <= capacity, "occupancy {occupancy} > {capacity}");
+        self.push(u64::from(occupancy), u32::BITS - capacity.leading_zeros());
+    }
+
+    /// Append the low `width` (< 64) bits of `value`.
+    #[inline]
+    fn push(&mut self, value: u64, width: u32) {
+        debug_assert!(width < 64 && value >> width == 0, "field overflow");
+        self.word |= value << self.used;
+        self.used += width;
+        if self.used >= 64 {
+            self.out.push(self.word);
+            self.used -= 64;
+            // The high bits of `value` that the flushed word cut off.
+            self.word = if self.used == 0 {
+                0
+            } else {
+                value >> (width - self.used)
+            };
+        }
+    }
+
+    /// Flush the last, partly filled word.
+    pub(crate) fn finish(self) {
+        if self.used > 0 {
+            self.out.push(self.word);
+        }
+    }
+}
+
 /// Append bits `bit(0..n)` to `out` packed little-endian into ⌈n/64⌉
-/// words (at least one): the shared encoding of a shell's output then
-/// buffer registers in every state key.
+/// words (at least one): a shell's output then buffer registers in the
+/// word-per-component layout of `component_state`.
 #[inline]
 pub(crate) fn pack_bits(n: usize, bit: impl Fn(usize) -> bool, out: &mut Vec<u64>) {
     if n > 64 {
@@ -577,6 +655,66 @@ mod tests {
         out.clear();
         pack_bits(65, |j| j == 64, &mut out);
         assert_eq!(out, [0, 1], "bit 64 must not fold onto bit 0");
+    }
+
+    /// The words a [`KeyWriter`] produces after phase `7` from `fill`.
+    fn key(fill: impl FnOnce(&mut KeyWriter)) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut w = KeyWriter::new(&mut out, 7);
+        fill(&mut w);
+        w.finish();
+        out
+    }
+
+    #[test]
+    fn key_fields_straddle_word_boundaries() {
+        // After 63 bits a full relay's 2-bit field straddles words:
+        // occupancy 1 (0b01) sets the last bit of word 0, occupancy 2
+        // (0b10) the first bit of word 1.
+        let lo = key(|w| {
+            (0..63).for_each(|_| w.bit(false));
+            w.relay(1, 2);
+        });
+        assert_eq!(lo, [7, 1 << 63, 0], "low bit ends word 0");
+        let hi = key(|w| {
+            (0..63).for_each(|_| w.bit(false));
+            w.relay(2, 2);
+        });
+        assert_eq!(hi, [7, 0, 1], "high bit starts word 1");
+        // An exactly full word flushes with nothing left over.
+        assert_eq!(key(|w| (0..64).for_each(|_| w.bit(true))), [7, u64::MAX]);
+        assert_eq!(key(|_| {}), [7], "no fields: phase only");
+    }
+
+    #[test]
+    fn key_packs_a_65_bit_shell_without_folding() {
+        let reg = |set: usize| key(|w| (0..65).for_each(|j| w.bit(j == set)));
+        assert_eq!(reg(0), [7, 1, 0]);
+        assert_eq!(reg(64), [7, 0, 1], "bit 64 must not fold onto bit 0");
+        assert_eq!(reg(63), [7, 1 << 63, 0]);
+    }
+
+    #[test]
+    fn key_relay_widths_follow_capacity() {
+        // Half 1 bit, full 2, FIFO ⌈log₂(cap + 1)⌉ — 8 at capacity 255:
+        // 64 bits of each kind fill whole words exactly.
+        let words =
+            |cap: u32, per_word: usize| key(|w| (0..per_word).for_each(|_| w.relay(cap, cap)));
+        assert_eq!(words(1, 64), [7, u64::MAX], "half");
+        assert_eq!(
+            words(2, 32),
+            [7, 0xAAAA_AAAA_AAAA_AAAA],
+            "full at occupancy 2"
+        );
+        assert_eq!(words(4, 22).len(), 3, "FIFO(4) takes 3 bits: 66 > 64");
+        assert_eq!(words(255, 8), [7, u64::MAX], "FIFO(255) takes 8 bits");
+        // A FIFO at occupancy 255 straddling a word boundary.
+        let fifo = key(|w| {
+            (0..60).for_each(|_| w.bit(false));
+            w.relay(255, 255);
+            w.relay(0, 255);
+        });
+        assert_eq!(fifo, [7, 0xF << 60, 0xF]);
     }
 
     #[test]

@@ -93,7 +93,6 @@ fn lasso_fires(
     let mut lasso = Lasso::new(sys.cycle(), shells.len());
     let (mut key, mut row) = (Vec::new(), Vec::with_capacity(shells.len()));
     for _ in 0..max_cycles {
-        sys.settle();
         key.clear();
         sys.push_control_state(&mut key)?;
         row.clear();

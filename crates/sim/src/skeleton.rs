@@ -25,7 +25,7 @@ use std::sync::Arc;
 use lip_graph::{Netlist, NetlistError, NodeId};
 use lip_obs::{NullProbe, Probe};
 
-use crate::lasso::{pack_bits, Lasso, Periodicity};
+use crate::lasso::{pack_bits, KeyWriter, Lasso, Periodicity};
 use crate::program::{CompSlot, SettleProgram};
 
 /// The valid/stop-only view of a latency-insensitive system.
@@ -512,17 +512,22 @@ impl SkeletonSystem {
     /// Component control state only — no environment phase — the state
     /// the whole-system explorer keys on when the environment is
     /// external.
+    ///
+    /// One word per component, unlike the bit-packed
+    /// [`control_state`](Self::control_state): this layout is the
+    /// adversarial checker's state store and the
+    /// counterexample `stuck_state` format.
     #[must_use]
     pub fn component_state(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.prog.comp_slots.len());
-        self.push_components(2, &mut out);
+        self.push_components(&mut out);
         out
     }
 
-    /// Append every component's state to `out` in node order: shell
-    /// registers via [`pack_bits`], a full relay as `main + aux_weight ×
-    /// aux`.
-    fn push_components(&self, aux_weight: u64, out: &mut Vec<u64>) {
+    /// Append every component's state to `out` in node order, one word
+    /// each: shell registers via [`pack_bits`], a full relay as
+    /// `main + 2 × aux`.
+    fn push_components(&self, out: &mut Vec<u64>) {
         let p = &*self.prog;
         for slot in &p.comp_slots {
             match *slot {
@@ -539,9 +544,7 @@ impl SkeletonSystem {
                 }
                 CompSlot::Full(i) => {
                     let i = i as usize;
-                    out.push(
-                        u64::from(self.full_main[i]) + aux_weight * u64::from(self.full_aux[i]),
-                    );
+                    out.push(u64::from(self.full_main[i]) + 2 * u64::from(self.full_aux[i]));
                 }
                 CompSlot::Half(h) => out.push(u64::from(self.half_occ[h as usize])),
                 CompSlot::Fifo(i) => out.push(u64::from(self.fifo_occ[i as usize])),
@@ -594,6 +597,58 @@ impl SkeletonSystem {
         }
     }
 
+    /// Every relay's `(occupancy, capacity)` (as in
+    /// [`relay_level`](Self::relay_level)) in relay-row order: full
+    /// relays, then half, then FIFO, each kind in node order — the rows
+    /// the probe hooks number. [`relay_rows`](Self::relay_rows) maps
+    /// relays in node order to these rows.
+    pub fn relay_levels(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let full = (self.full_main.iter().zip(&self.full_aux))
+            .map(|(&m, &a)| (u32::from(m) + u32::from(a), 2));
+        let half = self.half_occ.iter().map(|&h| (u32::from(h), 1));
+        let fifo = self
+            .fifo_occ
+            .iter()
+            .copied()
+            .zip(self.prog.fifo_cap.iter().copied());
+        full.chain(half).chain(fifo)
+    }
+
+    /// Each relay's row in [`relay_levels`](Self::relay_levels), in node
+    /// order (the order of [`Netlist::relays`]).
+    ///
+    /// [`Netlist::relays`]: lip_graph::Netlist::relays
+    pub fn relay_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let p = &*self.prog;
+        p.comp_slots
+            .iter()
+            .filter_map(|slot| match *slot {
+                CompSlot::Full(i) => Some(p.full_relay_row(i as usize)),
+                CompSlot::Half(h) => Some(p.half_relay_row(h as usize)),
+                CompSlot::Fifo(i) => Some(p.fifo_relay_row(i as usize)),
+                _ => None,
+            })
+            .map(|row| row as usize)
+    }
+
+    /// Informative tokens consumed by each sink, in sink-row order (the
+    /// order of [`Netlist::sinks`]).
+    ///
+    /// [`Netlist::sinks`]: lip_graph::Netlist::sinks
+    #[must_use]
+    pub fn sink_valid_counts(&self) -> &[u64] {
+        &self.snk_valid
+    }
+
+    /// Firings of each shell so far, in shell-row order (the order of
+    /// [`Netlist::shells`]).
+    ///
+    /// [`Netlist::shells`]: lip_graph::Netlist::shells
+    #[must_use]
+    pub fn shell_fire_counts(&self) -> &[u64] {
+        &self.fires
+    }
+
     /// Total shell firings so far, summed over all shells.
     #[must_use]
     pub fn total_fires(&self) -> u64 {
@@ -630,17 +685,53 @@ impl SkeletonSystem {
     /// [`System::control_state`]: crate::System::control_state
     #[must_use]
     pub fn control_state(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::with_capacity(1 + self.prog.comp_slots.len());
+        let mut out = Vec::new();
         self.push_control_state(&mut out)?;
         Some(out)
     }
 
     /// Append [`control_state`](Self::control_state) to `out` — the
-    /// allocation-free form the lasso detector keys on. Returns `None`
-    /// (leaving `out` untouched) for aperiodic environments.
+    /// allocation-free form the lasso detector keys on: the environment
+    /// phase word, then every component's registered state bit-packed
+    /// in node order (1 bit per source offer and shell register,
+    /// ⌈log₂(capacity + 1)⌉ bits per relay, none per sink) by the
+    /// `KeyWriter` shared with [`System`](crate::System). It reads
+    /// registers only, so it needs no [`settle`](Self::settle) first.
+    /// Returns `None` (leaving `out` untouched) for aperiodic
+    /// environments.
     pub fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
-        out.push(self.cycle % self.prog.env_period?);
-        self.push_components(1, out);
+        let p = &*self.prog;
+        let mut key = KeyWriter::new(out, self.cycle % p.env_period?);
+        for slot in &p.comp_slots {
+            match *slot {
+                CompSlot::Source(i) => key.bit(self.src_valid[i as usize]),
+                CompSlot::Sink(_) => {}
+                CompSlot::Shell(s) => {
+                    let s = s as usize;
+                    for &v in &self.shell_out[p.shell_out_range(s)] {
+                        key.bit(v);
+                    }
+                    if p.shell_buffered[s] {
+                        for &b in &self.in_buf[p.shell_in_range(s)] {
+                            key.bit(b);
+                        }
+                    }
+                }
+                CompSlot::Full(i) => {
+                    let i = i as usize;
+                    key.relay(
+                        u32::from(self.full_main[i]) + u32::from(self.full_aux[i]),
+                        2,
+                    );
+                }
+                CompSlot::Half(h) => key.relay(u32::from(self.half_occ[h as usize]), 1),
+                CompSlot::Fifo(i) => {
+                    let i = i as usize;
+                    key.relay(self.fifo_occ[i], p.fifo_cap[i]);
+                }
+            }
+        }
+        key.finish();
         Some(())
     }
 
@@ -651,7 +742,6 @@ impl SkeletonSystem {
         let mut lasso = Lasso::new(self.cycle, 0);
         let mut key = Vec::new();
         for _ in 0..max_cycles {
-            self.settle();
             key.clear();
             self.push_control_state(&mut key)?;
             if let Some((p, _)) = lasso.observe(&key, &[]) {

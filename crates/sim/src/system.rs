@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use lip_core::{BufferedShell, RelayStation, Shell, Sink, Source, Token};
 use lip_graph::{ChannelId, Netlist, NetlistError, NodeId, NodeKind};
 
-use crate::lasso::pack_bits;
+use crate::lasso::KeyWriter;
 use crate::program::env_period;
 
 /// One elaborated component.
@@ -363,30 +363,35 @@ impl System {
     }
 
     /// Append [`control_state`](Self::control_state) to `out` — the
-    /// allocation-free form the lasso detector keys on. Returns `None`
-    /// (leaving `out` untouched) when an environment pattern is aperiodic.
+    /// allocation-free form the lasso detector keys on, in the
+    /// [`KeyWriter`] layout shared with
+    /// [`SkeletonSystem`](crate::SkeletonSystem). It reads registers
+    /// only, so it needs no [`settle`](Self::settle) first. Returns
+    /// `None` (leaving `out` untouched) when an environment pattern is
+    /// aperiodic.
     pub(crate) fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
-        let period = self.env_period?;
-        out.push(self.cycle % period);
+        let mut key = KeyWriter::new(out, self.cycle % self.env_period?);
         for comp in &self.comps {
             match comp {
-                Comp::Source(s) => out.push(u64::from(s.output().is_valid())),
+                Comp::Source(s) => key.bit(s.output().is_valid()),
                 Comp::Sink(_) => {}
                 Comp::Shell(sh) => {
-                    let outs = sh.outputs();
-                    pack_bits(outs.len(), |j| outs[j].is_valid(), out);
+                    for t in sh.outputs() {
+                        key.bit(t.is_valid());
+                    }
                 }
                 Comp::Buffered(sh) => {
-                    let outs = sh.outputs();
-                    let reg = |j: usize| match j.checked_sub(outs.len()) {
-                        None => outs[j].is_valid(),
-                        Some(b) => sh.buffer(b).is_valid(),
-                    };
-                    pack_bits(outs.len() + sh.num_inputs(), reg, out);
+                    for t in sh.outputs() {
+                        key.bit(t.is_valid());
+                    }
+                    for b in 0..sh.num_inputs() {
+                        key.bit(sh.buffer(b).is_valid());
+                    }
                 }
-                Comp::Relay(r) => out.push(r.occupancy() as u64),
+                Comp::Relay(r) => key.relay(r.occupancy() as u32, r.capacity() as u32),
             }
         }
+        key.finish();
         Some(())
     }
 

@@ -58,8 +58,8 @@ impl Prober {
     }
 
     /// Throughput with `relay` set to kind `kind`, via the memo table.
-    /// The edit is a program patch; only a cache miss materialises a
-    /// netlist (by cloning the already-edited working copy).
+    /// The edit is a program patch, and a cache miss measures the
+    /// patched program itself: no netlist is materialised.
     fn throughput_with(
         &mut self,
         relay: NodeId,
@@ -69,9 +69,7 @@ impl Prober {
         let delta = NetlistDelta::SetRelayKind { node: relay, kind };
         delta.apply_to(&mut self.netlist);
         self.program.recompile_delta(&delta);
-        let netlist = &self.netlist;
-        let m =
-            cache.measure_program_with(&self.program, Default::default(), || netlist.clone())?;
+        let m = cache.measure_program_with(&self.program, Default::default(), Netlist::new)?;
         Ok(m.system_throughput()
             .expect("netlist has at least one sink"))
     }

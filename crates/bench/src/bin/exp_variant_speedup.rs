@@ -14,7 +14,6 @@ use lip_sim::measure::{measure_with, MeasureOptions};
 fn throughput(netlist: &Netlist) -> Option<f64> {
     let opts = MeasureOptions {
         max_transient: 5_000,
-        measure_periods: 4,
         fallback_cycles: 20_000,
     };
     measure_with(netlist, opts)

@@ -989,12 +989,16 @@ impl<W: LaneWord> BatchEngine<W> {
     #[must_use]
     pub fn sink_counts_lane(&self, node: NodeId, lane: usize) -> Option<(u64, u64)> {
         match self.prog.comp_slots[node.index()] {
-            CompSlot::Sink(j) => Some((
-                self.snk_valid[j as usize].get(lane),
-                self.snk_voids[j as usize].get(lane),
-            )),
+            CompSlot::Sink(j) => Some(self.sink_row_counts_lane(j as usize, lane)),
             _ => None,
         }
+    }
+
+    /// `(valid, voids)` consumed so far in `lane` by sink row `j` (the
+    /// order of [`Netlist::sinks`](lip_graph::Netlist::sinks)).
+    #[must_use]
+    pub(crate) fn sink_row_counts_lane(&self, j: usize, lane: usize) -> (u64, u64) {
+        (self.snk_valid[j].get(lane), self.snk_voids[j].get(lane))
     }
 
     /// Firings so far of the shell at `node` in `lane`.

@@ -18,8 +18,9 @@
 //! orders of magnitude cheaper than simulating to steady state — and
 //! with the incremental patch path (see [`crate::patch`]) a search can
 //! skip even that: [`measure_program_with`](ThroughputCache::measure_program_with)
-//! keys on an already-patched program, so a hit costs one hash lookup
-//! and a miss only then materialises the netlist to simulate.
+//! keys on an already-patched program: a hit costs one hash lookup, and
+//! a miss runs the skeleton's steady-state pass (see [`mod@crate::measure`])
+//! on that program, never materialising a netlist.
 //!
 //! Service-style sweeps run unbounded numbers of candidates through one
 //! cache, so it can be bounded:
@@ -28,16 +29,17 @@
 //! only cost a re-measurement, never change a result).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use lip_graph::{Netlist, NetlistError};
 
-use crate::measure::{measure_with, MeasureOptions, Measurement};
+use crate::measure::{measure_program, MeasureOptions, Measurement};
 use crate::program::SettleProgram;
 
-/// Key: structural fingerprint + the three measurement knobs (different
+/// Key: structural fingerprint + the two measurement knobs (different
 /// budgets can legitimately produce different fallback estimates for
 /// aperiodic systems, so they must not alias).
-type Key = (u64, u64, u64, u64);
+type Key = (u64, u64, u64);
 
 /// A memo table of [`Measurement`]s keyed by compiled-netlist structure.
 ///
@@ -103,12 +105,13 @@ impl ThroughputCache {
         self.measure_with(netlist, MeasureOptions::default())
     }
 
-    /// Memoized [`measure_with`]: on a structural hit the stored
-    /// [`Measurement`] is cloned back without any simulation.
+    /// Memoized [`measure_with`](crate::measure::measure_with): on a
+    /// structural hit the stored [`Measurement`] is cloned back without
+    /// any simulation.
     ///
     /// # Errors
     ///
-    /// Propagates [`NetlistError`] from elaboration (a failing netlist
+    /// Propagates [`NetlistError`] from compilation (a failing netlist
     /// is never cached).
     pub fn measure_with(
         &mut self,
@@ -116,37 +119,32 @@ impl ThroughputCache {
         opts: MeasureOptions,
     ) -> Result<Measurement, NetlistError> {
         let program = SettleProgram::compile(netlist)?;
-        let key = Self::key(&program, opts);
-        if let Some(m) = self.lookup(key) {
-            return Ok(m);
-        }
-        let m = Self::measure_miss(netlist, opts)?;
-        self.insert(key, m.clone());
-        Ok(m)
+        self.measure_program_with(&program, opts, Netlist::new)
     }
 
     /// Memoized measurement keyed on an **already compiled** program —
     /// the incremental edit loop's entry point (see [`crate::patch`]).
-    /// A hit costs one hash lookup: no netlist clone, no compile, no
-    /// simulation. Only a miss calls `netlist` to materialise the
-    /// matching [`Netlist`] (which **must** be the one `program` was
-    /// compiled / patched from — the fingerprint is trusted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] if the materialised netlist fails
-    /// elaboration (nothing is cached in that case).
+    /// A hit costs one hash lookup: no compile, no simulation. A miss
+    /// clones `program` into an `Arc` and runs the skeleton's
+    /// steady-state pass on it, so the patched program is what gets
+    /// measured. `_netlist` is never called and the `Result` is never
+    /// an error; both stay so existing callers keep compiling.
     pub fn measure_program_with(
         &mut self,
         program: &SettleProgram,
         opts: MeasureOptions,
-        netlist: impl FnOnce() -> Netlist,
+        _netlist: impl FnOnce() -> Netlist,
     ) -> Result<Measurement, NetlistError> {
         let key = Self::key(program, opts);
         if let Some(m) = self.lookup(key) {
             return Ok(m);
         }
-        let m = Self::measure_miss(&netlist(), opts)?;
+        let m = {
+            // The miss is the expensive path — span it so sweeps can
+            // attribute wall-clock to cold measurements.
+            let _miss_span = lip_obs::flight::global_span("cache", "measure_miss");
+            measure_program(&Arc::new(program.clone()), opts)
+        };
         self.insert(key, m.clone());
         Ok(m)
     }
@@ -155,7 +153,6 @@ impl ThroughputCache {
         (
             program.stable_structural_hash(),
             opts.max_transient,
-            opts.measure_periods,
             opts.fallback_cycles,
         )
     }
@@ -171,13 +168,6 @@ impl ThroughputCache {
         self.hits += 1;
         lip_obs::flight::global_add("cache.hits", 1);
         Some(m.clone())
-    }
-
-    fn measure_miss(netlist: &Netlist, opts: MeasureOptions) -> Result<Measurement, NetlistError> {
-        // The miss is the expensive path — span it so sweeps can
-        // attribute wall-clock to cold measurements.
-        let _miss_span = lip_obs::flight::global_span("cache", "measure_miss");
-        measure_with(netlist, opts)
     }
 
     fn insert(&mut self, key: Key, m: Measurement) {
@@ -281,7 +271,7 @@ mod tests {
         let fig1 = generate::fig1();
         let _ = cache.measure(&fig1.netlist).expect("measure");
         let opts = MeasureOptions {
-            measure_periods: 8,
+            max_transient: 5_000,
             ..MeasureOptions::default()
         };
         let _ = cache.measure_with(&fig1.netlist, opts).expect("measure");
@@ -303,7 +293,9 @@ mod tests {
         let program = SettleProgram::compile(&fig1.netlist).expect("compile");
         let opts = MeasureOptions::default();
         let cold = cache
-            .measure_program_with(&program, opts, || fig1.netlist.clone())
+            .measure_program_with(&program, opts, || {
+                panic!("a miss must measure the program, not a netlist")
+            })
             .expect("measure");
         let warm = cache
             .measure_program_with(&program, opts, || {

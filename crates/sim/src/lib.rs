@@ -5,14 +5,15 @@
 //! reproduction:
 //!
 //! * [`System`] — full cycle-accurate simulation of tokens, stops, pearls
-//!   and clock gating;
+//!   and clock gating, for the data-level checks (order, no skips,
+//!   equivalence, [`Evolution`]) and as the tests' differential oracle;
 //! * [`SkeletonSystem`] — the paper's data-free valid/stop simulation,
 //!   control-equivalent to the full system but "absolutely negligible"
-//!   in cost, used for deadlock analysis;
+//!   in cost: the engine every measurement runs on;
 //! * [`lasso`] — the one recurrence (transient + period) detector;
-//! * [`measure`](mod@crate::measure) — periodicity detection (transient + period) via the
-//!   lasso, exact rational steady-state throughput, and the liveness
-//!   check;
+//! * [`measure`](mod@crate::measure) — exact rational steady-state
+//!   throughput, shell activity and the liveness check, all views of
+//!   one skeleton lasso pass over the compiled [`SettleProgram`];
 //! * [`Evolution`] — cycle-by-cycle tables in the style of the paper's
 //!   Fig. 1 and Fig. 2.
 //!

@@ -3,10 +3,14 @@
 //! The paper's quantitative claims are about *steady state*: "after a
 //! number of clock cycles that are dependent on the system each part of
 //! it behaves in a periodic fashion". These helpers detect that periodic
-//! regime by hashing the system's control state every cycle, then measure
-//! throughput exactly — as a rational number of informative tokens per
-//! period — so the closed-form fractions (`4/5`, `S/(S+R)`) can be
-//! asserted without floating-point tolerance.
+//! regime by keying the control state every cycle into a lasso, then
+//! measure throughput exactly — as a rational number of informative
+//! tokens per period — so the closed-form fractions (`4/5`, `S/(S+R)`)
+//! can be asserted without floating-point tolerance.
+//! [`measure_with`], [`measure_activity`] and [`check_liveness`] are
+//! views of one [`SkeletonSystem`] pass over the compiled
+//! [`SettleProgram`]; [`System`] serves only [`find_periodicity`], the
+//! tests' oracle.
 
 use std::sync::Arc;
 
@@ -19,6 +23,7 @@ use crate::batch::{BatchEngine, LanePatterns};
 use crate::lane::LaneWord;
 use crate::lasso::{Lasso, PlaneLasso};
 use crate::program::{env_period, gcd, SettleProgram};
+use crate::skeleton::SkeletonSystem;
 use crate::system::System;
 
 /// An exact non-negative rational (e.g. a throughput of `4/5`).
@@ -79,55 +84,67 @@ pub use crate::lasso::Periodicity;
 /// environment is aperiodic or no repeat shows up in time. The system
 /// is left at the recurrence, inside the steady-state regime.
 pub fn find_periodicity(sys: &mut System, max_cycles: u64) -> Option<Periodicity> {
-    lasso_fires(sys, max_cycles, &[]).map(|(p, _)| p)
-}
-
-/// Step `sys` through the [`Lasso`] until its control state recurs,
-/// each visit's row holding the cumulative fires of `shells`; returns
-/// the periodicity and each shell's fires over one period.
-fn lasso_fires(
-    sys: &mut System,
-    max_cycles: u64,
-    shells: &[NodeId],
-) -> Option<(Periodicity, Vec<u64>)> {
-    let mut lasso = Lasso::new(sys.cycle(), shells.len());
-    let (mut key, mut row) = (Vec::new(), Vec::with_capacity(shells.len()));
+    let mut lasso = Lasso::new(sys.cycle(), 0);
+    let mut key = Vec::new();
     for _ in 0..max_cycles {
         key.clear();
         sys.push_control_state(&mut key)?;
-        row.clear();
-        row.extend(
-            shells
-                .iter()
-                .map(|&s| sys.shell_stats(s).expect("shell").fires),
-        );
-        if let Some((p, first)) = lasso.observe(&key, &row) {
-            return Some((p, row.iter().zip(first).map(|(n, f)| n - f).collect()));
+        if let Some((p, _)) = lasso.observe(&key, &[]) {
+            return Some(p);
         }
         sys.step();
     }
     None
 }
 
-/// Every shell's fires over one steady-state period of `netlist`'s
-/// full simulation — a view of the lasso row — or over a `fallback`
-/// window when no period shows up within `max_transient` cycles.
-/// Returns the periodicity, the fires and the window they span.
-fn steady_fires(
-    netlist: &Netlist,
-    max_transient: u64,
-    fallback: u64,
-) -> Result<(Option<Periodicity>, Vec<u64>, u64), NetlistError> {
-    let shells = netlist.shells();
-    let mut sys = System::new(netlist)?;
-    if let Some((p, fires)) = lasso_fires(&mut sys, max_transient, &shells) {
-        return Ok((Some(p), fires, p.period));
+/// The one scalar steady-state pass: a [`SkeletonSystem`] over `prog`
+/// steps through the [`Lasso`], each visit's row holding the cumulative
+/// sink tokens then shell fires, so a recurrence yields per-period
+/// counts; with none in `max_transient` cycles a `fallback_cycles`
+/// window is counted. Returns the periodicity, every sink's then every
+/// shell's rate (row order), and the cycles simulated.
+fn steady_state(
+    prog: &Arc<SettleProgram>,
+    opts: MeasureOptions,
+) -> (Option<Periodicity>, Vec<Ratio>, u64) {
+    let rates = |now: &[u64], then: &[u64], window: u64| -> Vec<Ratio> {
+        let counts = now.iter().zip(then);
+        counts.map(|(n, t)| Ratio::new(n - t, window)).collect()
+    };
+    let mut sk = SkeletonSystem::from_program(Arc::clone(prog));
+    let mut lasso = Lasso::new(0, prog.sink_count() + prog.shell_count());
+    let (mut key, mut row) = (Vec::new(), Vec::new());
+    for _ in 0..opts.max_transient {
+        key.clear();
+        if sk.push_control_state(&mut key).is_none() {
+            break;
+        }
+        row.clear();
+        row.extend_from_slice(sk.sink_valid_counts());
+        row.extend_from_slice(sk.shell_fire_counts());
+        if let Some((p, first)) = lasso.observe(&key, &row) {
+            return (Some(p), rates(&row, first, p.period), sk.cycle());
+        }
+        sk.step();
     }
-    let fires = |sys: &System, s: NodeId| sys.shell_stats(s).expect("shell").fires;
-    let before: Vec<u64> = shells.iter().map(|&s| fires(&sys, s)).collect();
-    sys.run(fallback);
-    let window = shells.iter().zip(before).map(|(&s, b)| fires(&sys, s) - b);
-    Ok((None, window.collect(), fallback))
+    let counters = |sk: &SkeletonSystem| [sk.sink_valid_counts(), sk.shell_fire_counts()].concat();
+    let before = counters(&sk);
+    sk.run(opts.fallback_cycles);
+    let window = opts.fallback_cycles.max(1);
+    (None, rates(&counters(&sk), &before, window), sk.cycle())
+}
+
+/// Every shell's firing rate (node order) from the steady-state pass.
+fn shell_rates(
+    netlist: &Netlist,
+    opts: MeasureOptions,
+) -> Result<(Option<Periodicity>, Vec<ShellActivity>), NetlistError> {
+    let prog = Arc::new(SettleProgram::compile(netlist)?);
+    let (periodicity, rates, _) = steady_state(&prog, opts);
+    let rates = rates.into_iter().skip(prog.sink_count());
+    let shells = netlist.shells().into_iter().zip(rates);
+    let shells = shells.map(|(shell, utilisation)| ShellActivity { shell, utilisation });
+    Ok((periodicity, shells.collect()))
 }
 
 /// Exact steady-state throughput of one sink, measured over whole
@@ -147,7 +164,8 @@ pub struct Measurement {
     pub periodicity: Option<Periodicity>,
     /// Per-sink exact (periodic) or estimated (aperiodic) throughput.
     pub sinks: Vec<SinkThroughput>,
-    /// Total cycles simulated.
+    /// Skeleton cycles simulated: `transient + period` when the lasso
+    /// closed, else the search cycles plus the fallback window.
     pub cycles: u64,
 }
 
@@ -168,9 +186,7 @@ impl Measurement {
 pub struct MeasureOptions {
     /// Cycle budget for periodicity detection.
     pub max_transient: u64,
-    /// Periods (or cycles, for aperiodic systems) to average over.
-    pub measure_periods: u64,
-    /// Fallback cycle count when no periodicity is found.
+    /// Cycles to average over when no periodicity is found.
     pub fallback_cycles: u64,
 }
 
@@ -178,18 +194,17 @@ impl Default for MeasureOptions {
     fn default() -> Self {
         MeasureOptions {
             max_transient: 10_000,
-            measure_periods: 4,
             fallback_cycles: 10_000,
         }
     }
 }
 
-/// Simulate `netlist` to steady state and measure every sink's exact
-/// throughput.
+/// Simulate `netlist`'s skeleton to steady state and measure every
+/// sink's exact throughput.
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] from elaboration.
+/// Propagates [`NetlistError`] from compilation.
 pub fn measure(netlist: &Netlist) -> Result<Measurement, NetlistError> {
     measure_with(netlist, MeasureOptions::default())
 }
@@ -198,33 +213,24 @@ pub fn measure(netlist: &Netlist) -> Result<Measurement, NetlistError> {
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] from elaboration.
+/// Propagates [`NetlistError`] from compilation.
 pub fn measure_with(netlist: &Netlist, opts: MeasureOptions) -> Result<Measurement, NetlistError> {
-    let mut sys = System::new(netlist)?;
-    let periodicity = find_periodicity(&mut sys, opts.max_transient);
-    let sinks = netlist.sinks();
-    let window = match periodicity {
-        Some(p) => p.period * opts.measure_periods,
-        None => opts.fallback_cycles,
-    };
-    let before: Vec<u64> = sinks
-        .iter()
-        .map(|s| sys.sink(*s).expect("sink").received().len() as u64)
-        .collect();
-    sys.run(window);
-    let mut out = Vec::with_capacity(sinks.len());
-    for (i, s) in sinks.iter().enumerate() {
-        let after = sys.sink(*s).expect("sink").received().len() as u64;
-        out.push(SinkThroughput {
-            sink: *s,
-            throughput: Ratio::new(after - before[i], window),
-        });
-    }
-    Ok(Measurement {
+    Ok(measure_program(
+        &Arc::new(SettleProgram::compile(netlist)?),
+        opts,
+    ))
+}
+
+/// [`measure_with`] on an already compiled (or patched) program.
+pub(crate) fn measure_program(prog: &Arc<SettleProgram>, opts: MeasureOptions) -> Measurement {
+    let (periodicity, rates, cycles) = steady_state(prog, opts);
+    let sinks = prog.snk_node.iter().zip(rates);
+    let sinks = sinks.map(|(&sink, throughput)| SinkThroughput { sink, throughput });
+    Measurement {
         periodicity,
-        sinks: out,
-        cycles: sys.cycle(),
-    })
+        sinks: sinks.collect(),
+        cycles,
+    }
 }
 
 /// Steady-state activity of one shell: the fraction of cycles its pearl
@@ -240,7 +246,8 @@ pub struct ShellActivity {
 }
 
 /// Measure every shell's steady-state firing rate: its firing delta
-/// across one lasso period.
+/// across one lasso period of the skeleton (default
+/// [`MeasureOptions`]).
 ///
 /// In a connected LID every shell settles to the *same* rate — the
 /// system throughput — because each firing consumes and produces exactly
@@ -249,18 +256,9 @@ pub struct ShellActivity {
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] from elaboration.
+/// Propagates [`NetlistError`] from compilation.
 pub fn measure_activity(netlist: &Netlist) -> Result<Vec<ShellActivity>, NetlistError> {
-    let (_, fires, window) = steady_fires(netlist, 10_000, 10_000)?;
-    Ok(netlist
-        .shells()
-        .iter()
-        .zip(fires)
-        .map(|(&shell, fires)| ShellActivity {
-            shell,
-            utilisation: Ratio::new(fires, window),
-        })
-        .collect())
+    Ok(shell_rates(netlist, MeasureOptions::default())?.1)
 }
 
 /// Result of a batched throughput sweep ([`measure_batch`] /
@@ -339,14 +337,13 @@ pub fn measure_batch_wide<W: LaneWord>(
     cycles: u64,
 ) -> Result<BatchMeasurement, NetlistError> {
     let prog = Arc::new(SettleProgram::compile(netlist)?);
+    let sinks = prog.snk_node.clone();
     let mut batch = BatchEngine::<W>::from_patterns(prog, pats);
     batch.run_patterns(pats, cycles);
-    let sinks = netlist.sinks();
-    let counts = sinks
-        .iter()
-        .map(|&s| {
+    let counts = (0..sinks.len())
+        .map(|j| {
             (0..W::LANES)
-                .map(|lane| batch.sink_counts_lane(s, lane).expect("sink"))
+                .map(|lane| batch.sink_row_counts_lane(j, lane))
                 .collect()
         })
         .collect();
@@ -547,7 +544,7 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
         None
     };
     let started = (R::ENABLED || S::ENABLED).then(std::time::Instant::now);
-    let sinks = netlist.sinks();
+    let sinks = prog.snk_node.clone();
     let n_snk = sinks.len();
 
     // Per-lane environment period: the lcm of that lane's pattern
@@ -612,8 +609,10 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
 
     let mut periodicity: Vec<Option<Periodicity>> = vec![None; lanes];
     let mut throughput = vec![vec![Ratio::new(0, 1); lanes]; n_snk];
+    let mut converged = vec![0u64; W::WORDS];
     for &(lane, p) in &found {
         periodicity[lane] = Some(p);
+        converged[lane / 64] |= 1 << (lane % 64);
         for (j, row) in throughput.iter_mut().enumerate() {
             row[lane] = Ratio::new(lasso.period_count(lane, j, p), p.period);
         }
@@ -621,20 +620,13 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
 
     // Unconverged lanes fall back to the whole-window estimate.
     let window = executed.max(1);
-    for (j, &s) in sinks.iter().enumerate() {
-        for (lane, slot) in throughput[j].iter_mut().enumerate() {
+    for (j, row) in throughput.iter_mut().enumerate() {
+        for (lane, slot) in row.iter_mut().enumerate() {
             if periodicity[lane].is_some() {
                 continue;
             }
-            let (valid, _) = batch.sink_counts_lane(s, lane).expect("sink");
+            let (valid, _) = batch.sink_row_counts_lane(j, lane);
             *slot = Ratio::new(valid, window);
-        }
-    }
-
-    let mut converged = vec![0u64; W::WORDS];
-    for (lane, p) in periodicity.iter().enumerate() {
-        if p.is_some() {
-            converged[lane / 64] |= 1 << (lane % 64);
         }
     }
 
@@ -711,12 +703,12 @@ impl LivenessReport {
     }
 }
 
-/// Check liveness of `netlist`: a view of the lasso — a shell is dead
-/// iff its firing count does not move across one period.
+/// Check liveness of `netlist`: a view of the skeleton's lasso — a
+/// shell is dead iff its firing count does not move across one period.
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] from elaboration. Returns an empty
+/// Propagates [`NetlistError`] from compilation. Returns an empty
 /// periodicity (and judges over `fallback` cycles) for aperiodic
 /// environments.
 pub fn check_liveness(
@@ -724,16 +716,14 @@ pub fn check_liveness(
     max_transient: u64,
     fallback: u64,
 ) -> Result<LivenessReport, NetlistError> {
-    let (periodicity, fires, _) = steady_fires(netlist, max_transient, fallback)?;
-    let dead_shells = netlist
-        .shells()
-        .iter()
-        .zip(fires)
-        .filter(|&(_, fires)| fires == 0)
-        .map(|(&s, _)| s)
-        .collect();
+    let opts = MeasureOptions {
+        max_transient,
+        fallback_cycles: fallback,
+    };
+    let (periodicity, shells) = shell_rates(netlist, opts)?;
+    let dead = shells.iter().filter(|a| a.utilisation.num() == 0);
     Ok(LivenessReport {
-        dead_shells,
+        dead_shells: dead.map(|a| a.shell).collect(),
         periodicity,
     })
 }
@@ -826,7 +816,6 @@ mod tests {
             &n,
             MeasureOptions {
                 max_transient: 50,
-                measure_periods: 1,
                 fallback_cycles: 2000,
             },
         )

@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use lip_core::{Pattern, ProtocolVariant, RelayKind};
-use lip_graph::{Netlist, NetlistError, NodeKind};
+use lip_graph::{Netlist, NetlistError, NodeId, NodeKind};
 
 /// Which compiled table a netlist node landed in, and its row there.
 ///
@@ -81,6 +81,8 @@ pub struct SettleProgram {
     pub(crate) src_pattern: Vec<Pattern>,
 
     // Sinks.
+    /// Sink row → its netlist node.
+    pub(crate) snk_node: Vec<NodeId>,
     /// Sink row → its single input channel.
     pub(crate) snk_in_ch: Vec<u32>,
     /// Sink row → its stop pattern.
@@ -160,6 +162,7 @@ impl SettleProgram {
         let mut comp_slots = Vec::with_capacity(netlist.node_count());
         let mut src_out_ch = Vec::new();
         let mut src_pattern = Vec::new();
+        let mut snk_node = Vec::new();
         let mut snk_in_ch = Vec::new();
         let mut snk_pattern = Vec::new();
         let mut full_in_ch = Vec::new();
@@ -186,6 +189,7 @@ impl SettleProgram {
                     CompSlot::Source(src_out_ch.len() as u32 - 1)
                 }
                 NodeKind::Sink { stop_pattern } => {
+                    snk_node.push(id);
                     snk_in_ch.push(in_ch(id, 0));
                     snk_pattern.push(stop_pattern.clone());
                     CompSlot::Sink(snk_in_ch.len() as u32 - 1)
@@ -292,6 +296,7 @@ impl SettleProgram {
             comp_slots,
             src_out_ch,
             src_pattern,
+            snk_node,
             snk_in_ch,
             snk_pattern,
             full_in_ch,
@@ -708,6 +713,7 @@ impl SettleProgram {
         let lens = [
             ("src_out_ch", rows[0] as usize, self.src_out_ch.len()),
             ("src_pattern", rows[0] as usize, self.src_pattern.len()),
+            ("snk_node", rows[1] as usize, self.snk_node.len()),
             ("snk_in_ch", rows[1] as usize, self.snk_in_ch.len()),
             ("snk_pattern", rows[1] as usize, self.snk_pattern.len()),
             (

@@ -26,14 +26,36 @@ fn measure_options_control_the_window() {
     let ring = generate::ring(2, 1, RelayKind::Full);
     let opts = MeasureOptions {
         max_transient: 100,
-        measure_periods: 7,
         fallback_cycles: 1,
     };
     let m = measure_with(&ring.netlist, opts).unwrap();
     let p = m.periodicity.unwrap();
-    // cycles = transient-search cycles + 7 periods.
-    assert!(m.cycles >= p.transient + 7 * p.period);
+    // The lasso closes one period past the stem, and that one period
+    // gives the exact rate: nothing runs after it.
+    assert_eq!(m.cycles, p.transient + p.period);
     assert_eq!(m.system_throughput().unwrap().to_string(), "2/3");
+    // Without a recurrence in budget, the search cycles plus the
+    // fallback window are all that run.
+    let cut = MeasureOptions {
+        max_transient: 1,
+        fallback_cycles: 30,
+    };
+    let m = measure_with(&ring.netlist, cut).unwrap();
+    assert_eq!((m.periodicity, m.cycles), (None, 31));
+}
+
+#[test]
+fn zero_budgets_measure_an_empty_window() {
+    // No search and no fallback window: nothing is simulated, every
+    // rate reads 0 instead of dividing by a zero-cycle window.
+    let ring = generate::ring(2, 1, RelayKind::Full);
+    let none = MeasureOptions {
+        max_transient: 0,
+        fallback_cycles: 0,
+    };
+    let m = measure_with(&ring.netlist, none).unwrap();
+    assert_eq!((m.periodicity, m.cycles), (None, 0));
+    assert_eq!(m.system_throughput().unwrap().num(), 0);
 }
 
 #[test]
@@ -84,7 +106,6 @@ fn aperiodic_ring_still_measures_by_fallback() {
     );
     let opts = MeasureOptions {
         max_transient: 50,
-        measure_periods: 1,
         fallback_cycles: 3000,
     };
     let m = measure_with(&ring.netlist, opts).unwrap();

@@ -163,10 +163,13 @@ proptest! {
         let fresh = Arc::new(SettleProgram::compile(&netlist).unwrap());
 
         // Measurement equivalence: the program-keyed cache path on the
-        // patched program vs a direct measurement of the netlist.
+        // patched program vs a direct measurement of the netlist. The
+        // miss measures the patched program itself, never a netlist.
         let mut cache = ThroughputCache::new();
         let via_patched = cache
-            .measure_program_with(&prog, Default::default(), || netlist.clone())
+            .measure_program_with(&prog, Default::default(), || {
+                panic!("a miss must measure the patched program")
+            })
             .unwrap();
         let direct = measure(&netlist).unwrap();
         prop_assert_eq!(via_patched.periodicity, direct.periodicity);

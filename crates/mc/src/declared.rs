@@ -7,19 +7,23 @@
 //! state — and because ids are handed out in visit order, the first
 //! revisited id *is* the stem length and the visit count minus that id
 //! *is* the period. Each visit's lasso row holds the cumulative sink
-//! counts and shell fires, so one period's deltas fall out of the
-//! revisit with no further simulation. The reachable state space is
-//! exactly the visited set, so everything the checker reports is a
-//! proof, not a sample:
+//! counts only, so one period's token deltas fall out of the revisit
+//! with no further simulation; the skeleton's step, whose cost follows
+//! the registers that change, banks shell firings and relay peaks as
+//! it goes. The reachable state space is exactly the visited set, so
+//! everything the checker reports is a proof, not a sample:
 //!
 //! * **liveness / deadlock** — a shell that never fires inside the
-//!   lasso window never fires again, ever; if *no* shell fires there the
-//!   system is deadlocked (the paper's pathological case);
+//!   lasso window never fires again, ever: the simulation ends with the
+//!   period, so a shell is dead iff its last fire precedes the stem. If
+//!   *no* shell fires there the system is deadlocked (the paper's
+//!   pathological case);
 //! * **throughput** — the sink consumption delta across one period over
 //!   the period length is the exact sustained rate, as a [`Ratio`];
 //! * **occupancy bounds** — the maximum relay fill seen across the
-//!   visited set is the maximum *reachable* fill, a certificate that
-//!   any larger capacity is unreachable headroom.
+//!   visited set (the skeleton's relay peaks) is the maximum
+//!   *reachable* fill, a certificate that any larger capacity is
+//!   unreachable headroom.
 //!
 //! The whole trajectory is recorded as a replayable [`Schedule`], so a
 //! deadlock verdict ships with a cycle-by-cycle counterexample.
@@ -121,37 +125,29 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
     if sys.program().env_period().is_none() {
         return Err(McError::Aperiodic);
     }
-    let sources = netlist.sources();
-    // Counters and relay levels are read as flat rows: sink and shell
-    // rows follow `netlist.sinks()`/`shells()` order, relay rows map
-    // back to node order through `relay_rows`.
+    // Sink and shell rows follow `netlist.sinks()`/`shells()` order,
+    // relay rows map back to node order through `relay_rows`.
     let sinks = netlist.sinks();
     let shells = netlist.shells();
     let relays = netlist.relays();
-    let stop_pats: Vec<Pattern> = sinks
-        .iter()
-        .map(|&id| match netlist.node(id).kind() {
-            NodeKind::Sink { stop_pattern } => stop_pattern.clone(),
-            _ => unreachable!("sink row"),
-        })
-        .collect();
+    let n_src = netlist.sources().len();
 
-    // One lasso row per visit: cumulative sink counts, then shell fires.
-    let mut lasso = Lasso::new(0, sinks.len() + shells.len());
-    let (mut key, mut row) = (Vec::new(), Vec::new());
-    let mut relay_max: Vec<u32> = vec![0; relays.len()];
-    let mut choices: Vec<EnvChoice> = Vec::new();
+    // One lasso row per visit: the cumulative sink counts. Shell
+    // liveness comes from each shell's last fire, relay bounds from
+    // the peaks the skeleton raises on fills.
+    let mut lasso = Lasso::new(0, sinks.len());
+    let mut key = Vec::new();
+    // Source offers after each step, `n_src` per cycle.
+    let mut offers: Vec<bool> = Vec::new();
 
-    // Key, row and relay levels read registers only; `step` settles.
+    // The key and row read registers only; `step` settles.
     let (lasso_shape, deltas) = loop {
         key.clear();
         sys.push_control_state(&mut key)
             .expect("periodic environment");
-        row.clear();
-        row.extend_from_slice(sys.sink_valid_counts());
-        row.extend_from_slice(sys.shell_fire_counts());
-        if let Some((p, first)) = lasso.observe(&key, &row) {
-            // Counters now (at the revisit of state `stem`) minus when
+        let row = sys.sink_valid_counts();
+        if let Some((p, first)) = lasso.observe(&key, row) {
+            // Counts now (at the revisit of state `stem`) minus when
             // `stem` was first visited = exact deltas across one period.
             let deltas: Vec<u64> = row.iter().zip(first).map(|(n, f)| n - f).collect();
             break (p, deltas);
@@ -162,45 +158,51 @@ pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof
                 cap: cfg.max_states,
             });
         }
-        for (max, (occ, _)) in relay_max.iter_mut().zip(sys.relay_levels()) {
-            *max = (*max).max(occ);
-        }
-        let t = sys.cycle();
-        let sink_stop: Vec<bool> = stop_pats.iter().map(|p| p.at(t)).collect();
         sys.step();
-        // Post-step offers are the offers for cycle t+1 — recording the
-        // held value makes `step_with` replay exact (see `schedule`).
-        choices.push(EnvChoice {
-            source_valid: sys.source_offers().to_vec(),
-            sink_stop,
-        });
+        offers.extend_from_slice(sys.source_offers());
     };
     let (stem, period) = (lasso_shape.transient, lasso_shape.period);
-    let (sink_deltas, fire_deltas) = deltas.split_at(sinks.len());
     let throughput = sinks
         .iter()
-        .zip(sink_deltas)
+        .zip(&deltas)
         .map(|(&id, &d)| (id, Ratio::new(d, period)))
         .collect();
+    // Dead iff it never fired inside the period `stem..stem + period`,
+    // the last cycles simulated.
     let dead_shells = shells
         .iter()
-        .zip(fire_deltas)
-        .filter(|&(_, &d)| d == 0)
+        .zip(sys.shell_last_fires())
+        .filter(|&(_, last)| last.is_none_or(|c| c < stem))
         .map(|(&id, _)| id)
         .collect();
     let caps: Vec<u32> = sys.relay_levels().map(|(_, cap)| cap).collect();
+    let peaks = sys.relay_peaks();
     let relay_bounds = relays
         .iter()
         .zip(sys.relay_rows())
-        .map(|(&id, row)| (id, relay_max[row], caps[row]))
+        .map(|(&id, row)| (id, peaks[row], caps[row]))
         .collect();
 
-    // The first `stem + period` sources offers were recorded; fix the
-    // arity of the empty-source corner case for replays.
-    debug_assert_eq!(choices.len() as u64, stem + period);
-    debug_assert!(choices
+    // Post-step offers are the offers for cycle t+1 — recording the
+    // held value makes `step_with` replay exact (see `schedule`); sink
+    // stops are the declared patterns at t.
+    let stop_pats: Vec<&Pattern> = sinks
         .iter()
-        .all(|c| c.source_valid.len() == sources.len()));
+        .map(|&id| match netlist.node(id).kind() {
+            NodeKind::Sink { stop_pattern } => stop_pattern,
+            _ => unreachable!("sink row"),
+        })
+        .collect();
+    debug_assert_eq!(offers.len() as u64, (stem + period) * n_src as u64);
+    let choices = (0..stem + period)
+        .map(|t| {
+            let at = t as usize * n_src;
+            EnvChoice {
+                source_valid: offers[at..at + n_src].to_vec(),
+                sink_stop: stop_pats.iter().map(|p| p.at(t)).collect(),
+            }
+        })
+        .collect();
 
     Ok(DeclaredProof {
         states: lasso.arena().len(),

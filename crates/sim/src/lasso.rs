@@ -453,7 +453,10 @@ impl<'a> KeyWriter<'a> {
     #[inline]
     pub(crate) fn relay(&mut self, occupancy: u32, capacity: u32) {
         debug_assert!(occupancy <= capacity, "occupancy {occupancy} > {capacity}");
-        self.push(u64::from(occupancy), u32::BITS - capacity.leading_zeros());
+        self.push(
+            u64::from(occupancy),
+            crate::program::relay_key_width(capacity),
+        );
     }
 
     /// Append the low `width` (< 64) bits of `value`.

@@ -121,13 +121,16 @@ fn steady_state(
         }
         row.clear();
         row.extend_from_slice(sk.sink_valid_counts());
-        row.extend_from_slice(sk.shell_fire_counts());
+        row.extend(sk.shell_fire_counts());
         if let Some((p, first)) = lasso.observe(&key, &row) {
             return (Some(p), rates(&row, first, p.period), sk.cycle());
         }
         sk.step();
     }
-    let counters = |sk: &SkeletonSystem| [sk.sink_valid_counts(), sk.shell_fire_counts()].concat();
+    let counters = |sk: &SkeletonSystem| -> Vec<u64> {
+        let sinks = sk.sink_valid_counts().iter().copied();
+        sinks.chain(sk.shell_fire_counts()).collect()
+    };
     let before = counters(&sk);
     sk.run(opts.fallback_cycles);
     let window = opts.fallback_cycles.max(1);

@@ -40,7 +40,7 @@
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{ChannelId, Netlist, NodeId};
 
-use crate::program::{env_period, kahn, CompSlot, SettleProgram};
+use crate::program::{env_period, kahn, relay_key_width, CompSlot, ReaderIndex, SettleProgram};
 
 /// One structural edit, expressed against *both* representations: apply
 /// it to the [`Netlist`] with [`apply_to`](Self::apply_to) and to the
@@ -193,6 +193,10 @@ impl SettleProgram {
         let mut kernel = std::mem::take(&mut self.kernel);
         kernel.patch_fifo_capacity(self, row, old_cap);
         self.kernel = kernel;
+        // A wider or narrower key field shifts every later offset.
+        if relay_key_width(old_cap) != relay_key_width(new_cap) {
+            self.readers = ReaderIndex::build(self);
+        }
         // One entry of section 9 (fifo_cap) changed; xor its old mix
         // out and the new one in rather than rehashing the section.
         self.section_hashes[8] ^=
@@ -577,11 +581,13 @@ impl SettleProgram {
             .collect();
     }
 
-    /// Rebuild the op tape in place, reusing its allocations.
+    /// Rebuild the op tape in place, reusing its allocations, and
+    /// re-derive the reader index (rows and channels have moved).
     fn rebuild_kernel(&mut self) {
         let mut kernel = std::mem::take(&mut self.kernel);
         kernel.rebuild(self);
         self.kernel = kernel;
+        self.readers = ReaderIndex::build(self);
     }
 
     /// Run the IR verifier ([`SettleProgram::verify`]) after a patch in

@@ -135,6 +135,12 @@ pub struct SettleProgram {
     /// an execution schedule, not netlist structure.
     pub(crate) kernel: crate::stream::StreamKernel,
 
+    /// Who reads each channel and where each register sits in the
+    /// control-state key: the index the scalar
+    /// [`SkeletonSystem`](crate::SkeletonSystem) steps by. Derived
+    /// like the op tape and likewise outside the structural hash.
+    pub(crate) readers: ReaderIndex,
+
     /// Cached per-section hashes of the structural fingerprint
     /// (`section_hashes[t - 1]` holds section tag `t`). A full compile
     /// computes all of them; the patch path rehashes only the sections
@@ -315,9 +321,11 @@ impl SettleProgram {
             bwd_shell_order,
             buffered_shells,
             kernel: crate::stream::StreamKernel::default(),
+            readers: ReaderIndex::default(),
             section_hashes: [0; N_SECTIONS],
         };
         prog.kernel = crate::stream::StreamKernel::compile(&prog);
+        prog.readers = ReaderIndex::build(&prog);
         prog.rehash_sections(1..=N_SECTIONS as u64);
         Ok(prog)
     }
@@ -604,6 +612,123 @@ impl SettleProgram {
     }
 }
 
+/// The scalar skeleton's view of a [`SettleProgram`]: for each channel
+/// the one op that reads its valid bit (its consumer) and the one that
+/// reads its stop bit (its producer), each settle-stratum row's
+/// position in its stratum, and each register's bit offset in the
+/// packed control-state key. A change to a channel wakes exactly its
+/// reader; a change to a register rewrites exactly its key field.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ReaderIndex {
+    /// Channel → the op reading its valid bit.
+    pub(crate) fwd_reader: Vec<CompSlot>,
+    /// Channel → the op reading its stop bit.
+    pub(crate) stop_reader: Vec<CompSlot>,
+    /// Half-relay row → position in `fwd_half_order`.
+    pub(crate) half_pos: Vec<u32>,
+    /// Shell row → position in `bwd_shell_order` (unbuffered) or
+    /// `buffered_shells` (buffered).
+    pub(crate) shell_pos: Vec<u32>,
+    /// Source row → key bit offset (after the phase word).
+    pub(crate) src_key: Vec<u32>,
+    /// Shell row → key bit offset of its first output register; its
+    /// other outputs, then (buffered) its input buffers, follow.
+    pub(crate) shell_key: Vec<u32>,
+    /// Relay row (full, half, FIFO numbering) → key bit offset.
+    pub(crate) relay_key: Vec<u32>,
+    /// Packed key width in bits, phase word excluded.
+    pub(crate) key_bits: u32,
+}
+
+impl ReaderIndex {
+    /// Derive the index from `p`'s tables: O(channels + nodes).
+    pub(crate) fn build(p: &SettleProgram) -> Self {
+        let mut fwd_reader = vec![CompSlot::Sink(0); p.n_channels];
+        let mut stop_reader = vec![CompSlot::Source(0); p.n_channels];
+        let mut wire = |ins: &[u32], outs: &[u32], slot: fn(u32) -> CompSlot| {
+            for (row, &ch) in ins.iter().enumerate() {
+                fwd_reader[ch as usize] = slot(row as u32);
+            }
+            for (row, &ch) in outs.iter().enumerate() {
+                stop_reader[ch as usize] = slot(row as u32);
+            }
+        };
+        wire(&[], &p.src_out_ch, CompSlot::Source);
+        wire(&p.snk_in_ch, &[], CompSlot::Sink);
+        wire(&p.full_in_ch, &p.full_out_ch, CompSlot::Full);
+        wire(&p.half_in_ch, &p.half_out_ch, CompSlot::Half);
+        wire(&p.fifo_in_ch, &p.fifo_out_ch, CompSlot::Fifo);
+        for s in 0..p.shell_buffered.len() {
+            for k in p.shell_in_range(s) {
+                fwd_reader[p.shell_in_ch[k] as usize] = CompSlot::Shell(s as u32);
+            }
+            for k in p.shell_out_range(s) {
+                stop_reader[p.shell_out_ch[k] as usize] = CompSlot::Shell(s as u32);
+            }
+        }
+
+        let mut half_pos = vec![0u32; p.half_in_ch.len()];
+        for (pos, &h) in p.fwd_half_order.iter().enumerate() {
+            half_pos[h as usize] = pos as u32;
+        }
+        let mut shell_pos = vec![0u32; p.shell_buffered.len()];
+        for order in [&p.bwd_shell_order, &p.buffered_shells] {
+            for (pos, &s) in order.iter().enumerate() {
+                shell_pos[s as usize] = pos as u32;
+            }
+        }
+
+        // Key fields in node order, at the widths `KeyWriter` packs.
+        let mut src_key = vec![0u32; p.src_out_ch.len()];
+        let mut shell_key = vec![0u32; p.shell_buffered.len()];
+        let mut relay_key = vec![0u32; p.relay_count()];
+        let mut bit = 0u32;
+        for slot in &p.comp_slots {
+            let (field, width) = match *slot {
+                CompSlot::Source(i) => (&mut src_key[i as usize], 1),
+                CompSlot::Sink(_) => continue,
+                CompSlot::Shell(s) => {
+                    let s = s as usize;
+                    let bufs = if p.shell_buffered[s] {
+                        p.shell_in_range(s).len()
+                    } else {
+                        0
+                    };
+                    (
+                        &mut shell_key[s],
+                        (p.shell_out_range(s).len() + bufs) as u32,
+                    )
+                }
+                CompSlot::Full(i) => (&mut relay_key[p.full_relay_row(i as usize) as usize], 2),
+                CompSlot::Half(h) => (&mut relay_key[p.half_relay_row(h as usize) as usize], 1),
+                CompSlot::Fifo(i) => (
+                    &mut relay_key[p.fifo_relay_row(i as usize) as usize],
+                    relay_key_width(p.fifo_cap[i as usize]),
+                ),
+            };
+            *field = bit;
+            bit += width;
+        }
+        ReaderIndex {
+            fwd_reader,
+            stop_reader,
+            half_pos,
+            shell_pos,
+            src_key,
+            shell_key,
+            relay_key,
+            key_bits: bit,
+        }
+    }
+}
+
+/// Key bits of a relay of capacity `cap`: ⌈log₂(cap + 1)⌉, the width
+/// `KeyWriter::relay` packs.
+#[inline]
+pub(crate) fn relay_key_width(cap: u32) -> u32 {
+    u32::BITS - cap.leading_zeros()
+}
+
 /// Why a compiled [`SettleProgram`] failed [`SettleProgram::verify`].
 ///
 /// Each variant names the invariant class that broke; the payload
@@ -682,7 +807,13 @@ impl SettleProgram {
         self.verify_tables()?;
         self.verify_strata()?;
         self.verify_section_hashes()?;
-        self.kernel.verify(self).map_err(VerifyError::Kernel)
+        self.kernel.verify(self).map_err(VerifyError::Kernel)?;
+        if self.readers != ReaderIndex::build(self) {
+            return Err(VerifyError::Stratum(
+                "reader index differs from a fresh derivation".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Table lengths, `comp_slots` row order, channel bounds, CSR

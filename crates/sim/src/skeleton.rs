@@ -12,11 +12,31 @@
 //! throughput questions only depend on control state, so this is the
 //! cheap tool to answer them, exactly as the paper prescribes.
 //!
-//! The per-cycle loop executes a compiled
-//! [`SettleProgram`](crate::program::SettleProgram): state lives in flat
-//! per-kind vectors and each settle phase is a homogeneous loop over
-//! integer index arrays, with no per-component enum dispatch. The same
-//! program drives the 64-lane [`BatchSkeleton`](crate::BatchSkeleton).
+//! The step is event-driven, like the simulator the paper validated its
+//! blocks on (§6): its cost follows the registers that change, not the
+//! size of the netlist. The settled valid, stop and fire bits persist
+//! from one cycle to the next, and a change to one wakes only the op
+//! that reads it, found through the program's per-channel reader index:
+//!
+//! * **settle** applies the registered outputs of the registers the last
+//!   clock changed (sources and sinks every cycle: their environment
+//!   patterns may flip), then re-evaluates, stratum by stratum, only
+//!   the half relays and shells one of whose inputs changed. Each
+//!   stratum keeps one dirty bitmap over its positions in the compiled
+//!   [`SettleProgram`] order, scanned in order, so a change that wakes
+//!   a later op of the same stratum is seen in the same pass; a dense
+//!   bitmap (a tree, where most state moves every cycle) simply is the
+//!   full tape;
+//! * **clock** visits only the registers whose inputs changed or that
+//!   changed on the last clock (any other register provably keeps its
+//!   value), and rewrites each changed register's field of the packed
+//!   control-state key in place. The key is bit-identical to the
+//!   `KeyWriter` encoding of the same state.
+//!
+//! Shell fire counts bank on fire-bit transitions and relay peaks rise
+//! on fills, so neither costs a pass over every component per cycle.
+//! With a [`Probe`] attached every op is woken every cycle, since
+//! observers expect every per-component event.
 //!
 //! [`System`]: crate::System
 
@@ -26,7 +46,7 @@ use lip_graph::{Netlist, NetlistError, NodeId};
 use lip_obs::{NullProbe, Probe};
 
 use crate::lasso::{pack_bits, KeyWriter, Lasso, Periodicity};
-use crate::program::{CompSlot, SettleProgram};
+use crate::program::{relay_key_width, CompSlot, SettleProgram};
 
 /// The valid/stop-only view of a latency-insensitive system.
 ///
@@ -49,9 +69,9 @@ use crate::program::{CompSlot, SettleProgram};
 #[derive(Debug, Clone)]
 pub struct SkeletonSystem {
     prog: Arc<SettleProgram>,
-    /// Settled valid bit per channel.
+    /// Settled valid bit per channel (kept across cycles).
     fwd: Vec<bool>,
-    /// Settled stop bit per channel.
+    /// Settled stop bit per channel (kept across cycles).
     stop: Vec<bool>,
     /// Current validity offered by each source.
     src_valid: Vec<bool>,
@@ -60,10 +80,8 @@ pub struct SkeletonSystem {
     /// Input-buffer occupancy, flat by `shell_in_off` (unbuffered shells
     /// never set theirs).
     in_buf: Vec<bool>,
-    /// Per shell: fire condition of the last settle.
-    fire: Vec<bool>,
-    /// Per shell: firings so far.
-    fires: Vec<u64>,
+    /// Per shell: fire condition of the last settle and firing history.
+    fires: FireLog,
     /// Full relay main/aux register validity.
     full_main: Vec<bool>,
     full_aux: Vec<bool>,
@@ -71,14 +89,250 @@ pub struct SkeletonSystem {
     half_occ: Vec<bool>,
     /// FIFO relay occupancy.
     fifo_occ: Vec<u32>,
+    /// Per relay row: the highest occupancy held.
+    relay_peak: Vec<u32>,
     /// Per sink: informative / void tokens consumed.
     snk_valid: Vec<u64>,
     snk_voids: Vec<u64>,
     cycle: u64,
-    /// When set, overrides environment behaviour for the next cycle:
-    /// `(next source validities, current sink stops)`, each in node-id
-    /// order. Used by `step_with` for externally driven exploration.
-    env_override: Option<(Vec<bool>, Vec<bool>)>,
+    /// The packed control-state key after the phase word, rewritten in
+    /// place as registers change.
+    key: Vec<u64>,
+    /// Which ops the next settle and clock must visit.
+    dirty: Dirty,
+}
+
+/// Per shell: the fire bit of the last settle, and firing runs banked
+/// when they end, so counting costs nothing on cycles a shell keeps
+/// firing (or keeps idling).
+#[derive(Debug, Clone)]
+struct FireLog {
+    /// Fire condition of the last settle.
+    now: Vec<bool>,
+    /// Firings of runs that have ended.
+    banked: Vec<u64>,
+    /// First cycle of the current run (meaningful while `now` holds).
+    since: Vec<u64>,
+    /// The cycle after the last firing of an ended run; 0 if none.
+    until: Vec<u64>,
+}
+
+impl FireLog {
+    fn new(shells: usize) -> Self {
+        FireLog {
+            now: vec![false; shells],
+            banked: vec![0; shells],
+            since: vec![0; shells],
+            until: vec![0; shells],
+        }
+    }
+
+    /// Record shell `s`'s fire condition settled at `cycle`.
+    #[inline]
+    fn set(&mut self, s: usize, fire: bool, cycle: u64) {
+        if self.now[s] == fire {
+            return;
+        }
+        self.now[s] = fire;
+        if fire {
+            self.since[s] = cycle;
+        } else if self.since[s] < cycle {
+            self.banked[s] += cycle - self.since[s];
+            self.until[s] = cycle;
+        }
+    }
+
+    /// Firings of shell `s` over the clocked cycles `0..cycle`.
+    fn count(&self, s: usize, cycle: u64) -> u64 {
+        self.banked[s]
+            + if self.now[s] {
+                cycle - self.since[s]
+            } else {
+                0
+            }
+    }
+
+    /// The last clocked cycle (before `cycle`) at which shell `s` fired.
+    fn last(&self, s: usize, cycle: u64) -> Option<u64> {
+        if self.now[s] && self.since[s] < cycle {
+            Some(cycle - 1)
+        } else {
+            self.until[s].checked_sub(1)
+        }
+    }
+}
+
+/// The ops the next settle and clock must visit, as bitmaps.
+///
+/// The clock sets (`shell`, `full`, `half`, `fifo`, by table row) hold
+/// the registers the last clock changed plus those whose inputs have
+/// changed since; the settle applies the registered outputs of the
+/// former. The strata (`half_fwd`, `bwd`, `buffered`) are indexed by
+/// position in the program's settle orders, so an in-order scan
+/// re-evaluates woken ops after every op that feeds them.
+///
+/// When most registers change every cycle (a tree filling up), waking
+/// readers one change at a time costs more than visiting every op, so
+/// a step after a clock that changed more than `1/DENSE_SHARE` of the
+/// registers marks every op dirty up front and wakes no readers: the
+/// same tape, run in full.
+#[derive(Debug, Clone)]
+struct Dirty {
+    shell: Vec<u64>,
+    full: Vec<u64>,
+    half: Vec<u64>,
+    fifo: Vec<u64>,
+    half_fwd: Vec<u64>,
+    bwd: Vec<u64>,
+    buffered: Vec<u64>,
+    /// The next step visits every op (see above).
+    dense: bool,
+}
+
+/// A step runs the full tape after a clock that changed more than one
+/// register in `DENSE_SHARE`.
+const DENSE_SHARE: usize = 3;
+
+/// Make `bits` a bitmap of `n` set bits, in place. (A same-length
+/// `Vec::resize` costs far more than the fill on the small bitmaps of
+/// a small design, so it only runs when the length changes.)
+#[inline]
+fn fill_ones(bits: &mut Vec<u64>, n: usize) {
+    let words = n.div_ceil(64);
+    if bits.len() != words {
+        bits.resize(words, 0);
+    }
+    for w in bits.iter_mut() {
+        *w = u64::MAX;
+    }
+    if !n.is_multiple_of(64) {
+        bits[words - 1] = (1 << (n % 64)) - 1;
+    }
+}
+
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Call `f(i)` for each set bit `i` of `bits` in increasing order,
+/// clearing it first. `f` may set bits above `i`, and the scan visits
+/// them too: the in-order drain of a settle stratum.
+#[inline]
+fn drain(bits: &mut Vec<u64>, mut f: impl FnMut(&mut Vec<u64>, usize)) {
+    for w in 0..bits.len() {
+        while bits[w] != 0 {
+            let b = bits[w].trailing_zeros() as usize;
+            bits[w] &= bits[w] - 1;
+            f(bits, w * 64 + b);
+        }
+    }
+}
+
+impl Dirty {
+    /// Every op dirty: the next step re-evaluates the whole tape.
+    fn all(p: &SettleProgram) -> Self {
+        let mut d = Dirty {
+            shell: Vec::new(),
+            full: Vec::new(),
+            half: Vec::new(),
+            fifo: Vec::new(),
+            half_fwd: Vec::new(),
+            bwd: Vec::new(),
+            buffered: Vec::new(),
+            dense: false,
+        };
+        d.wake_all(p);
+        d
+    }
+
+    /// Mark every op dirty in place.
+    fn wake_all(&mut self, p: &SettleProgram) {
+        fill_ones(&mut self.shell, p.shell_buffered.len());
+        fill_ones(&mut self.full, p.full_in_ch.len());
+        fill_ones(&mut self.half, p.half_in_ch.len());
+        fill_ones(&mut self.fifo, p.fifo_in_ch.len());
+        fill_ones(&mut self.half_fwd, p.fwd_half_order.len());
+        fill_ones(&mut self.bwd, p.bwd_shell_order.len());
+        fill_ones(&mut self.buffered, p.buffered_shells.len());
+    }
+
+    /// Shell `s` must re-settle its fire condition and be clocked.
+    #[inline]
+    fn wake_shell(&mut self, p: &SettleProgram, s: usize) {
+        set_bit(&mut self.shell, s);
+        let pos = p.readers.shell_pos[s] as usize;
+        if p.shell_buffered[s] {
+            set_bit(&mut self.buffered, pos);
+        } else {
+            set_bit(&mut self.bwd, pos);
+        }
+    }
+
+    /// Wake the reader of a channel whose valid bit changed.
+    #[inline]
+    fn fwd_changed(&mut self, p: &SettleProgram, ch: usize) {
+        match p.readers.fwd_reader[ch] {
+            CompSlot::Shell(s) => self.wake_shell(p, s as usize),
+            CompSlot::Full(i) => set_bit(&mut self.full, i as usize),
+            CompSlot::Half(h) => {
+                set_bit(&mut self.half, h as usize);
+                set_bit(&mut self.half_fwd, p.readers.half_pos[h as usize] as usize);
+            }
+            CompSlot::Fifo(i) => set_bit(&mut self.fifo, i as usize),
+            // Sinks are clocked every cycle.
+            CompSlot::Sink(_) | CompSlot::Source(_) => {}
+        }
+    }
+
+    /// Wake the reader of a channel whose stop bit changed.
+    #[inline]
+    fn stop_changed(&mut self, p: &SettleProgram, ch: usize) {
+        match p.readers.stop_reader[ch] {
+            CompSlot::Shell(s) => self.wake_shell(p, s as usize),
+            CompSlot::Full(i) => set_bit(&mut self.full, i as usize),
+            CompSlot::Half(h) => set_bit(&mut self.half, h as usize),
+            CompSlot::Fifo(i) => set_bit(&mut self.fifo, i as usize),
+            // Sources are clocked every cycle.
+            CompSlot::Source(_) | CompSlot::Sink(_) => {}
+        }
+    }
+}
+
+/// Drive channel `ch`'s valid bit to `v`, waking its reader on a change.
+#[inline]
+fn set_fwd(p: &SettleProgram, fwd: &mut [bool], dirty: &mut Dirty, ch: u32, v: bool) {
+    let ch = ch as usize;
+    if dirty.dense {
+        fwd[ch] = v;
+    } else if fwd[ch] != v {
+        fwd[ch] = v;
+        dirty.fwd_changed(p, ch);
+    }
+}
+
+/// Drive channel `ch`'s stop bit to `v`, waking its reader on a change.
+#[inline]
+fn set_stop(p: &SettleProgram, stop: &mut [bool], dirty: &mut Dirty, ch: u32, v: bool) {
+    let ch = ch as usize;
+    if dirty.dense {
+        stop[ch] = v;
+    } else if stop[ch] != v {
+        stop[ch] = v;
+        dirty.stop_changed(p, ch);
+    }
+}
+
+/// Write the low `width` bits of `value` at bit `off` of a packed key.
+#[inline]
+fn put_bits(key: &mut [u64], off: u32, width: u32, value: u64) {
+    let (w, b) = ((off / 64) as usize, off % 64);
+    let mask = (1u64 << width) - 1;
+    key[w] = key[w] & !(mask << b) | value << b;
+    if b + width > 64 {
+        let spill = 64 - b;
+        key[w + 1] = key[w + 1] & !(mask >> spill) | value >> spill;
+    }
 }
 
 impl SkeletonSystem {
@@ -98,24 +352,27 @@ impl SkeletonSystem {
     #[must_use]
     pub fn from_program(prog: Arc<SettleProgram>) -> Self {
         let src_valid: Vec<bool> = prog.src_pattern.iter().map(|p| !p.at(0)).collect();
-        SkeletonSystem {
+        let mut sk = SkeletonSystem {
             fwd: vec![false; prog.n_channels],
             stop: vec![false; prog.n_channels],
             src_valid,
             shell_out: vec![true; prog.shell_out_ch.len()],
             in_buf: vec![false; prog.shell_in_ch.len()],
-            fire: vec![false; prog.shell_buffered.len()],
-            fires: vec![0; prog.shell_buffered.len()],
+            fires: FireLog::new(prog.shell_buffered.len()),
             full_main: vec![false; prog.full_in_ch.len()],
             full_aux: vec![false; prog.full_in_ch.len()],
             half_occ: vec![false; prog.half_in_ch.len()],
             fifo_occ: vec![0; prog.fifo_in_ch.len()],
+            relay_peak: vec![0; prog.relay_count()],
             snk_valid: vec![0; prog.snk_in_ch.len()],
             snk_voids: vec![0; prog.snk_in_ch.len()],
             cycle: 0,
-            env_override: None,
+            key: Vec::new(),
+            dirty: Dirty::all(&prog),
             prog,
-        }
+        };
+        sk.key = sk.written_key();
+        sk
     }
 
     /// The compiled settle program this skeleton executes.
@@ -127,12 +384,13 @@ impl SkeletonSystem {
     /// Adopt a patched settle program (see [`crate::patch`]) without
     /// rebuilding the skeleton: state slices the patch left alone are
     /// kept. Channels, source offers, shell registers, buffers and all
-    /// counters carry over; relay occupancies map by node identity
-    /// (rows may have moved between kind tables), FIFO occupancies are
-    /// clamped into a shrunk capacity; kind-changed or newly inserted
-    /// relays restart empty, as do sources whose environment pattern
-    /// changed. Adopting at reset is indistinguishable from
-    /// [`from_program`](Self::from_program) on the new program.
+    /// counters carry over; relay occupancies and peaks map by node
+    /// identity (rows may have moved between kind tables), FIFO
+    /// occupancies and peaks are clamped into a shrunk capacity;
+    /// kind-changed or newly inserted relays restart empty, as do
+    /// sources whose environment pattern changed. The next step
+    /// re-evaluates every op. Adopting at reset is indistinguishable
+    /// from [`from_program`](Self::from_program) on the new program.
     ///
     /// # Panics
     ///
@@ -162,26 +420,39 @@ impl SkeletonSystem {
         let mut full_aux = vec![false; p2.full_in_ch.len()];
         let mut half_occ = vec![false; p2.half_in_ch.len()];
         let mut fifo_occ = vec![0u32; p2.fifo_in_ch.len()];
+        let mut relay_peak = vec![0u32; p2.relay_count()];
         for (node, &s1) in p1.comp_slots.iter().enumerate() {
-            match (s1, p2.comp_slots[node]) {
+            let rows = match (s1, p2.comp_slots[node]) {
                 (CompSlot::Full(r1), CompSlot::Full(r2)) => {
-                    full_main[r2 as usize] = self.full_main[r1 as usize];
-                    full_aux[r2 as usize] = self.full_aux[r1 as usize];
+                    let (r1, r2) = (r1 as usize, r2 as usize);
+                    full_main[r2] = self.full_main[r1];
+                    full_aux[r2] = self.full_aux[r1];
+                    (p1.full_relay_row(r1), p2.full_relay_row(r2), 2)
                 }
                 (CompSlot::Half(r1), CompSlot::Half(r2)) => {
-                    half_occ[r2 as usize] = self.half_occ[r1 as usize];
+                    let (r1, r2) = (r1 as usize, r2 as usize);
+                    half_occ[r2] = self.half_occ[r1];
+                    (p1.half_relay_row(r1), p2.half_relay_row(r2), 1)
                 }
                 (CompSlot::Fifo(r1), CompSlot::Fifo(r2)) => {
-                    fifo_occ[r2 as usize] =
-                        self.fifo_occ[r1 as usize].min(p2.fifo_cap[r2 as usize]);
+                    let (r1, r2) = (r1 as usize, r2 as usize);
+                    fifo_occ[r2] = self.fifo_occ[r1].min(p2.fifo_cap[r2]);
+                    (
+                        p1.fifo_relay_row(r1),
+                        p2.fifo_relay_row(r2),
+                        p2.fifo_cap[r2],
+                    )
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            let (row1, row2, cap) = rows;
+            relay_peak[row2 as usize] = self.relay_peak[row1 as usize].min(cap);
         }
         self.full_main = full_main;
         self.full_aux = full_aux;
         self.half_occ = half_occ;
         self.fifo_occ = fifo_occ;
+        self.relay_peak = relay_peak;
         // A patched environment pattern restarts that source's offer
         // from the pattern at the current cycle.
         for (i, p) in p2.src_pattern.iter().enumerate() {
@@ -189,6 +460,8 @@ impl SkeletonSystem {
                 self.src_valid[i] = !p.at(self.cycle);
             }
         }
+        self.dirty.wake_all(&self.prog);
+        self.key = self.written_key();
     }
 
     /// Settle this cycle's valid and stop bits.
@@ -204,6 +477,19 @@ impl SkeletonSystem {
     /// [`Probe::ENABLED`], so `settle_probed::<NullProbe>` compiles to
     /// the unobserved loop.
     pub fn settle_probed<P: Probe>(&mut self, probe: &mut P) {
+        self.settle_env(None, probe);
+    }
+
+    /// Settle under the declared environment, or with this cycle's sink
+    /// stops given (`step_with`).
+    fn settle_env<P: Probe>(&mut self, sink_stop: Option<&[bool]>, probe: &mut P) {
+        if P::ENABLED {
+            // Observers expect every op's events every cycle.
+            self.dirty.dense = true;
+        }
+        if self.dirty.dense {
+            self.dirty.wake_all(&self.prog);
+        }
         let Self {
             prog,
             fwd,
@@ -211,93 +497,157 @@ impl SkeletonSystem {
             src_valid,
             shell_out,
             in_buf,
-            fire,
+            fires,
             full_main,
             full_aux,
             half_occ,
             fifo_occ,
             cycle,
-            env_override,
+            dirty,
             ..
         } = self;
         let p: &SettleProgram = prog;
+        let cycle = *cycle;
 
-        // Forward pass 1: registered producers, any order.
+        // Registered outputs: sources and sinks every cycle (their
+        // patterns move), other registers only if the last clock
+        // changed them.
         for (i, &ch) in p.src_out_ch.iter().enumerate() {
-            fwd[ch as usize] = src_valid[i];
+            set_fwd(p, fwd, dirty, ch, src_valid[i]);
         }
-        for (k, &ch) in p.shell_out_ch.iter().enumerate() {
-            fwd[ch as usize] = shell_out[k];
-        }
-        for (i, &ch) in p.full_out_ch.iter().enumerate() {
-            fwd[ch as usize] = full_main[i];
-        }
-        for (i, &ch) in p.fifo_out_ch.iter().enumerate() {
-            fwd[ch as usize] = fifo_occ[i] > 0;
-        }
-        // Forward pass 2: half-relay chains, upstream first.
-        for &h in &p.fwd_half_order {
-            let h = h as usize;
-            fwd[p.half_out_ch[h] as usize] = half_occ[h] || fwd[p.half_in_ch[h] as usize];
-        }
-
-        // Backward pass 1: registered stops, any order.
         for (i, &ch) in p.snk_in_ch.iter().enumerate() {
-            stop[ch as usize] = match env_override {
-                Some((_, stops)) => stops[i],
-                None => p.snk_pattern[i].at(*cycle),
+            let v = match sink_stop {
+                Some(stops) => stops[i],
+                None => p.snk_pattern[i].at(cycle),
             };
+            set_stop(p, stop, dirty, ch, v);
         }
-        for (i, &ch) in p.full_in_ch.iter().enumerate() {
-            stop[ch as usize] = full_aux[i];
-        }
-        for (h, &ch) in p.half_in_ch.iter().enumerate() {
-            stop[ch as usize] = half_occ[h];
-        }
-        for (i, &ch) in p.fifo_in_ch.iter().enumerate() {
-            stop[ch as usize] = fifo_occ[i] == p.fifo_cap[i];
-        }
-        for &s in &p.buffered_shells {
-            for k in p.shell_in_range(s as usize) {
-                stop[p.shell_in_ch[k] as usize] = in_buf[k];
+        for w in 0..dirty.shell.len() {
+            let mut word = dirty.shell[w];
+            while word != 0 {
+                let s = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                for k in p.shell_out_range(s) {
+                    set_fwd(p, fwd, dirty, p.shell_out_ch[k], shell_out[k]);
+                }
+                if p.shell_buffered[s] {
+                    for k in p.shell_in_range(s) {
+                        set_stop(p, stop, dirty, p.shell_in_ch[k], in_buf[k]);
+                    }
+                }
+                // Its own registers feed its fire condition.
+                dirty.wake_shell(p, s);
             }
         }
-        // Backward pass 2: unbuffered shells, downstream first. Each
-        // shell's fire is final here (its output stops are settled), so
-        // it is recorded for the clock phase.
-        for &s in &p.bwd_shell_order {
-            let s = s as usize;
+        for w in 0..dirty.full.len() {
+            let mut word = dirty.full[w];
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                set_fwd(p, fwd, dirty, p.full_out_ch[i], full_main[i]);
+                set_stop(p, stop, dirty, p.full_in_ch[i], full_aux[i]);
+            }
+        }
+        for w in 0..dirty.half.len() {
+            let mut word = dirty.half[w];
+            while word != 0 {
+                let h = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                set_stop(p, stop, dirty, p.half_in_ch[h], half_occ[h]);
+                set_bit(&mut dirty.half_fwd, p.readers.half_pos[h] as usize);
+            }
+        }
+        for w in 0..dirty.fifo.len() {
+            let mut word = dirty.fifo[w];
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                set_fwd(p, fwd, dirty, p.fifo_out_ch[i], fifo_occ[i] > 0);
+                set_stop(
+                    p,
+                    stop,
+                    dirty,
+                    p.fifo_in_ch[i],
+                    fifo_occ[i] == p.fifo_cap[i],
+                );
+            }
+        }
+
+        // Forward stratum: half-relay chains, upstream first.
+        let mut half_fwd = std::mem::take(&mut dirty.half_fwd);
+        drain(&mut half_fwd, |later, pos| {
+            let h = p.fwd_half_order[pos] as usize;
+            let v = half_occ[h] || fwd[p.half_in_ch[h] as usize];
+            let ch = p.half_out_ch[h] as usize;
+            if fwd[ch] != v {
+                fwd[ch] = v;
+                // A chained half relay sits later in this stratum.
+                match p.readers.fwd_reader[ch] {
+                    _ if dirty.dense => {}
+                    CompSlot::Half(g) => {
+                        set_bit(&mut dirty.half, g as usize);
+                        set_bit(later, p.readers.half_pos[g as usize] as usize);
+                    }
+                    _ => dirty.fwd_changed(p, ch),
+                }
+            }
+        });
+        dirty.half_fwd = half_fwd;
+
+        // Backward stratum: unbuffered shells, downstream first. Each
+        // shell's fire is final here (its output stops are settled);
+        // a changed input stop wakes its producer, which is a later
+        // shell of this stratum, a buffered shell or a register.
+        let mut bwd = std::mem::take(&mut dirty.bwd);
+        drain(&mut bwd, |later, pos| {
+            let s = p.bwd_shell_order[pos] as usize;
             let f = shell_fire(p, fwd, stop, shell_out, in_buf, s);
-            fire[s] = f;
+            fires.set(s, f, cycle);
             for k in p.shell_in_range(s) {
                 let ch = p.shell_in_ch[k] as usize;
-                stop[ch] = if f {
+                let v = if f {
                     false
                 } else if p.discards {
                     if P::ENABLED && !fwd[ch] {
                         // The baseline variant would assert this stop;
                         // the refinement discards it against the void.
-                        probe.void_discard(*cycle, ch as u32, 0);
+                        probe.void_discard(cycle, ch as u32, 0);
                     }
                     fwd[ch]
                 } else {
                     true
                 };
+                if stop[ch] != v {
+                    stop[ch] = v;
+                    match p.readers.stop_reader[ch] {
+                        _ if dirty.dense => {}
+                        CompSlot::Shell(t) if !p.shell_buffered[t as usize] => {
+                            set_bit(&mut dirty.shell, t as usize);
+                            set_bit(later, p.readers.shell_pos[t as usize] as usize);
+                        }
+                        _ => dirty.stop_changed(p, ch),
+                    }
+                }
             }
-        }
-        // Pass 3: buffered shells fire once every stop has settled (their
-        // own input stops are registered, so nothing downstream waits).
-        for &s in &p.buffered_shells {
-            let s = s as usize;
-            fire[s] = shell_fire(p, fwd, stop, shell_out, in_buf, s);
-        }
+        });
+        dirty.bwd = bwd;
+
+        // Buffered shells fire once every stop has settled (their own
+        // input stops are registered, so nothing waits on them).
+        let mut buffered = std::mem::take(&mut dirty.buffered);
+        drain(&mut buffered, |_, pos| {
+            let s = p.buffered_shells[pos] as usize;
+            fires.set(s, shell_fire(p, fwd, stop, shell_out, in_buf, s), cycle);
+        });
+        dirty.buffered = buffered;
+
         if P::ENABLED {
             for ch in 0..p.n_channels {
                 if stop[ch] {
-                    probe.stall(*cycle, ch as u32, 0);
+                    probe.stall(cycle, ch as u32, 0);
                 }
                 if !fwd[ch] {
-                    probe.channel_void(*cycle, ch as u32, 0);
+                    probe.channel_void(cycle, ch as u32, 0);
                 }
             }
         }
@@ -317,7 +667,13 @@ impl SkeletonSystem {
     /// (rows numbered full, then half, then FIFO), and finally
     /// [`end_cycle`](Probe::end_cycle).
     pub fn step_probed<P: Probe>(&mut self, probe: &mut P) {
-        self.settle_probed(probe);
+        self.step_env(None, probe);
+    }
+
+    /// Settle and clock one cycle, the environment declared or given as
+    /// `(next source offers, this cycle's sink stops)`.
+    fn step_env<P: Probe>(&mut self, env: Option<(&[bool], &[bool])>, probe: &mut P) {
+        self.settle_env(env.map(|(_, stops)| stops), probe);
         let Self {
             prog,
             fwd,
@@ -325,141 +681,188 @@ impl SkeletonSystem {
             src_valid,
             shell_out,
             in_buf,
-            fire,
             fires,
             full_main,
             full_aux,
             half_occ,
             fifo_occ,
+            relay_peak,
             snk_valid,
             snk_voids,
             cycle,
-            env_override,
+            key,
+            dirty,
         } = self;
         let p: &SettleProgram = prog;
+        let t = *cycle;
+        let r = &p.readers;
 
         for i in 0..src_valid.len() {
             let stopped = stop[p.src_out_ch[i] as usize];
             if !(src_valid[i] && stopped) {
-                src_valid[i] = match env_override {
+                let v = match env {
                     Some((valids, _)) => valids[i],
-                    None => !p.src_pattern[i].at(*cycle + 1),
+                    None => !p.src_pattern[i].at(t + 1),
                 };
+                if src_valid[i] != v {
+                    src_valid[i] = v;
+                    put_bits(key, r.src_key[i], 1, u64::from(v));
+                }
             }
         }
         for i in 0..snk_valid.len() {
-            let stopped = match env_override {
-                Some((_, stops)) => stops[i],
-                None => p.snk_pattern[i].at(*cycle),
-            };
-            if !stopped {
-                if fwd[p.snk_in_ch[i] as usize] {
+            let ch = p.snk_in_ch[i];
+            if !stop[ch as usize] {
+                if fwd[ch as usize] {
                     snk_valid[i] += 1;
                     if P::ENABLED {
-                        probe.consume(*cycle, p.snk_in_ch[i], 0);
+                        probe.consume(t, ch, 0);
                     }
                 } else {
                     snk_voids[i] += 1;
                     if P::ENABLED {
-                        probe.void_in(*cycle, p.snk_in_ch[i], 0);
+                        probe.void_in(t, ch, 0);
                     }
                 }
             }
         }
-        for s in 0..p.shell_buffered.len() {
-            if fire[s] {
-                if P::ENABLED {
-                    probe.fire(*cycle, s as u32, 0);
+        // Each drain below re-marks the registers it changed: the next
+        // settle applies their outputs and the next clock revisits them.
+        let mut changed_regs = 0usize;
+        for w in 0..dirty.shell.len() {
+            let mut word = std::mem::take(&mut dirty.shell[w]);
+            while word != 0 {
+                let b = word.trailing_zeros();
+                word &= word - 1;
+                let s = w * 64 + b as usize;
+                // Firing loads every output register and empties the
+                // buffers; otherwise a stopped output holds and a
+                // buffer catches its valid input.
+                let f = fires.now[s];
+                if P::ENABLED && f {
+                    probe.fire(t, s as u32, 0);
                 }
+                let mut changed = false;
+                let mut off = r.shell_key[s];
                 for k in p.shell_out_range(s) {
-                    shell_out[k] = true;
+                    let v = f | (shell_out[k] & stop[p.shell_out_ch[k] as usize]);
+                    changed |= v != shell_out[k];
+                    shell_out[k] = v;
+                    put_bits(key, off, 1, u64::from(v));
+                    off += 1;
                 }
                 if p.shell_buffered[s] {
                     for k in p.shell_in_range(s) {
-                        in_buf[k] = false;
+                        let v = !f & (in_buf[k] | fwd[p.shell_in_ch[k] as usize]);
+                        changed |= v != in_buf[k];
+                        in_buf[k] = v;
+                        put_bits(key, off, 1, u64::from(v));
+                        off += 1;
                     }
                 }
-                fires[s] += 1;
-            } else {
-                if p.shell_buffered[s] {
-                    for k in p.shell_in_range(s) {
-                        in_buf[k] = in_buf[k] || fwd[p.shell_in_ch[k] as usize];
-                    }
-                }
-                for k in p.shell_out_range(s) {
-                    if shell_out[k] && !stop[p.shell_out_ch[k] as usize] {
-                        shell_out[k] = false;
-                    }
-                }
+                changed_regs += usize::from(changed);
+                dirty.shell[w] |= u64::from(changed) << b;
             }
         }
-        for i in 0..full_main.len() {
-            let input = fwd[p.full_in_ch[i] as usize];
-            let stopped = stop[p.full_out_ch[i] as usize];
-            let released = full_main[i] && !stopped;
-            if P::ENABLED {
-                // A token enters whenever the input is offered and aux is
-                // free (aux occupied ⇒ the registered stop held it
-                // upstream); a token leaves whenever main releases.
-                if input && !full_aux[i] {
-                    probe.relay_fill(*cycle, p.full_relay_row(i), 0);
-                }
-                if released {
-                    probe.relay_drain(*cycle, p.full_relay_row(i), 0);
-                }
-            }
-            if full_aux[i] {
-                if released {
-                    // aux shifts into main; value-wise main stays
-                    // informative.
-                    full_aux[i] = false;
-                }
-            } else if full_main[i] {
-                if released {
-                    full_main[i] = input;
-                } else if input {
-                    full_aux[i] = true;
-                }
-            } else {
-                full_main[i] = input;
-            }
-        }
-        for h in 0..half_occ.len() {
-            let input = fwd[p.half_in_ch[h] as usize];
-            let stopped = stop[p.half_out_ch[h] as usize];
-            if half_occ[h] {
-                if !stopped {
-                    half_occ[h] = false;
-                    if P::ENABLED {
-                        probe.relay_drain(*cycle, p.half_relay_row(h), 0);
-                    }
-                }
-            } else if stopped && input {
-                half_occ[h] = true;
+        for w in 0..dirty.full.len() {
+            let mut word = std::mem::take(&mut dirty.full[w]);
+            while word != 0 {
+                let b = word.trailing_zeros();
+                word &= word - 1;
+                let i = w * 64 + b as usize;
+                let input = fwd[p.full_in_ch[i] as usize];
+                let stopped = stop[p.full_out_ch[i] as usize];
+                let (main, aux) = (full_main[i], full_aux[i]);
+                let released = main & !stopped;
                 if P::ENABLED {
-                    probe.relay_fill(*cycle, p.half_relay_row(h), 0);
+                    // A token enters whenever the input is offered and
+                    // aux is free (aux occupied ⇒ the registered stop
+                    // held it upstream); a token leaves whenever main
+                    // releases.
+                    if input && !aux {
+                        probe.relay_fill(t, p.full_relay_row(i), 0);
+                    }
+                    if released {
+                        probe.relay_drain(t, p.full_relay_row(i), 0);
+                    }
                 }
+                // A released main takes the input (or, with aux
+                // occupied, aux shifts in); a held main parks the input
+                // in aux.
+                full_main[i] = aux | (main & !released) | input;
+                full_aux[i] = !released & (aux | (main & input));
+                let changed = (full_main[i], full_aux[i]) != (main, aux);
+                let occ = u32::from(full_main[i]) + u32::from(full_aux[i]);
+                let row = p.full_relay_row(i) as usize;
+                relay_peak[row] = relay_peak[row].max(occ);
+                put_bits(key, r.relay_key[row], 2, u64::from(occ));
+                changed_regs += usize::from(changed);
+                dirty.full[w] |= u64::from(changed) << b;
             }
         }
-        for i in 0..fifo_occ.len() {
-            let input = fwd[p.fifo_in_ch[i] as usize];
-            let stopped = stop[p.fifo_out_ch[i] as usize];
-            let was_full = fifo_occ[i] == p.fifo_cap[i];
-            if !stopped && fifo_occ[i] > 0 {
-                fifo_occ[i] -= 1;
+        for w in 0..dirty.half.len() {
+            let mut word = std::mem::take(&mut dirty.half[w]);
+            while word != 0 {
+                let b = word.trailing_zeros();
+                word &= word - 1;
+                let h = w * 64 + b as usize;
+                let input = fwd[p.half_in_ch[h] as usize];
+                let stopped = stop[p.half_out_ch[h] as usize];
+                let (row, occ) = (p.half_relay_row(h), half_occ[h]);
                 if P::ENABLED {
-                    probe.relay_drain(*cycle, p.fifo_relay_row(i), 0);
+                    if occ && !stopped {
+                        probe.relay_drain(t, row, 0);
+                    }
+                    if !occ && stopped && input {
+                        probe.relay_fill(t, row, 0);
+                    }
                 }
-            }
-            if !was_full && input {
-                fifo_occ[i] += 1;
-                if P::ENABLED {
-                    probe.relay_fill(*cycle, p.fifo_relay_row(i), 0);
-                }
+                // A stopped output keeps the token or catches the input.
+                half_occ[h] = stopped & (occ | input);
+                let changed = half_occ[h] != occ;
+                relay_peak[row as usize] |= u32::from(half_occ[h]);
+                put_bits(key, r.relay_key[row as usize], 1, u64::from(half_occ[h]));
+                changed_regs += usize::from(changed);
+                dirty.half[w] |= u64::from(changed) << b;
             }
         }
+        for w in 0..dirty.fifo.len() {
+            let mut word = std::mem::take(&mut dirty.fifo[w]);
+            while word != 0 {
+                let b = word.trailing_zeros();
+                word &= word - 1;
+                let i = w * 64 + b as usize;
+                let input = fwd[p.fifo_in_ch[i] as usize];
+                let stopped = stop[p.fifo_out_ch[i] as usize];
+                let row = p.fifo_relay_row(i);
+                let (cap, occ) = (p.fifo_cap[i], fifo_occ[i]);
+                let drain = !stopped & (occ > 0);
+                let fill = (occ != cap) & input;
+                if P::ENABLED {
+                    if drain {
+                        probe.relay_drain(t, row, 0);
+                    }
+                    if fill {
+                        probe.relay_fill(t, row, 0);
+                    }
+                }
+                fifo_occ[i] = occ - u32::from(drain) + u32::from(fill);
+                let changed = fifo_occ[i] != occ;
+                let row = row as usize;
+                relay_peak[row] = relay_peak[row].max(fifo_occ[i]);
+                put_bits(
+                    key,
+                    r.relay_key[row],
+                    relay_key_width(cap),
+                    u64::from(fifo_occ[i]),
+                );
+                changed_regs += usize::from(changed);
+                dirty.fifo[w] |= u64::from(changed) << b;
+            }
+        }
+        dirty.dense = changed_regs * DENSE_SHARE > p.shell_count() + p.relay_count();
         if P::ENABLED {
-            probe.end_cycle(*cycle);
+            probe.end_cycle(t);
         }
         *cycle += 1;
     }
@@ -504,9 +907,7 @@ impl SkeletonSystem {
             self.prog.sink_count(),
             "sink override arity"
         );
-        self.env_override = Some((source_valid.to_vec(), sink_stop.to_vec()));
-        self.step();
-        self.env_override = None;
+        self.step_env(Some((source_valid, sink_stop)), &mut NullProbe);
     }
 
     /// Component control state only — no environment phase — the state
@@ -559,7 +960,7 @@ impl SkeletonSystem {
     /// the model checker's liveness analysis keys on.
     #[must_use]
     pub fn shell_fired(&self) -> &[bool] {
-        &self.fire
+        &self.fires.now
     }
 
     /// Validity currently offered by each source, in source-row order.
@@ -614,6 +1015,14 @@ impl SkeletonSystem {
         full.chain(half).chain(fifo)
     }
 
+    /// The highest occupancy each relay has held since reset, in
+    /// relay-row order (as [`relay_levels`](Self::relay_levels)):
+    /// raised on fills, so it costs nothing on cycles a relay holds.
+    #[must_use]
+    pub fn relay_peaks(&self) -> &[u32] {
+        &self.relay_peak
+    }
+
     /// Each relay's row in [`relay_levels`](Self::relay_levels), in node
     /// order (the order of [`Netlist::relays`]).
     ///
@@ -644,15 +1053,21 @@ impl SkeletonSystem {
     /// [`Netlist::shells`]).
     ///
     /// [`Netlist::shells`]: lip_graph::Netlist::shells
-    #[must_use]
-    pub fn shell_fire_counts(&self) -> &[u64] {
-        &self.fires
+    pub fn shell_fire_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.fires.now.len()).map(|s| self.fires.count(s, self.cycle))
+    }
+
+    /// The last cycle at which each shell fired, `None` if it never
+    /// has, in shell-row order: a shell that has not fired since cycle
+    /// `t` has a last fire before `t`.
+    pub fn shell_last_fires(&self) -> impl Iterator<Item = Option<u64>> + '_ {
+        (0..self.fires.now.len()).map(|s| self.fires.last(s, self.cycle))
     }
 
     /// Total shell firings so far, summed over all shells.
     #[must_use]
     pub fn total_fires(&self) -> u64 {
-        self.fires.iter().sum()
+        self.shell_fire_counts().sum()
     }
 
     /// Cycles executed so far.
@@ -674,7 +1089,7 @@ impl SkeletonSystem {
     #[must_use]
     pub fn shell_fires(&self, node: NodeId) -> Option<u64> {
         match self.prog.comp_slots[node.index()] {
-            CompSlot::Shell(s) => Some(self.fires[s as usize]),
+            CompSlot::Shell(s) => Some(self.fires.count(s as usize, self.cycle)),
             _ => None,
         }
     }
@@ -694,14 +1109,28 @@ impl SkeletonSystem {
     /// allocation-free form the lasso detector keys on: the environment
     /// phase word, then every component's registered state bit-packed
     /// in node order (1 bit per source offer and shell register,
-    /// ⌈log₂(capacity + 1)⌉ bits per relay, none per sink) by the
-    /// `KeyWriter` shared with [`System`](crate::System). It reads
-    /// registers only, so it needs no [`settle`](Self::settle) first.
-    /// Returns `None` (leaving `out` untouched) for aperiodic
+    /// ⌈log₂(capacity + 1)⌉ bits per relay, none per sink), the
+    /// `KeyWriter` encoding shared with [`System`](crate::System). The
+    /// packed words are kept up to date by the clock, so this copies
+    /// them. Returns `None` (leaving `out` untouched) for aperiodic
     /// environments.
     pub fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
+        out.push(self.cycle % self.prog.env_period?);
+        out.extend_from_slice(&self.key);
+        debug_assert_eq!(
+            &out[out.len() - self.key.len()..],
+            &self.written_key()[..],
+            "in-place key drifted from its KeyWriter encoding"
+        );
+        Some(())
+    }
+
+    /// The packed key words (phase word excluded) written from scratch
+    /// by [`KeyWriter`] over the registers.
+    fn written_key(&self) -> Vec<u64> {
         let p = &*self.prog;
-        let mut key = KeyWriter::new(out, self.cycle % p.env_period?);
+        let mut out = Vec::with_capacity(p.readers.key_bits.div_ceil(64) as usize + 1);
+        let mut key = KeyWriter::new(&mut out, 0);
         for slot in &p.comp_slots {
             match *slot {
                 CompSlot::Source(i) => key.bit(self.src_valid[i as usize]),
@@ -732,7 +1161,8 @@ impl SkeletonSystem {
             }
         }
         key.finish();
-        Some(())
+        out.remove(0);
+        out
     }
 
     /// Detect the periodic regime (see
@@ -783,7 +1213,7 @@ fn shell_fire(
 mod tests {
     use super::*;
     use crate::System;
-    use lip_core::RelayKind;
+    use lip_core::{Pattern, RelayKind};
     use lip_graph::generate;
 
     /// The skeleton must follow the full simulation's control behaviour
@@ -852,5 +1282,256 @@ mod tests {
         assert!(sk.shell_fires(f.join).unwrap() > 50);
         assert_eq!(sk.shell_fires(f.sink), None);
         assert_eq!(sk.cycle(), 100);
+    }
+
+    #[test]
+    fn put_bits_straddles_words() {
+        let mut key = [u64::MAX, u64::MAX];
+        put_bits(&mut key, 62, 4, 0b0110);
+        assert_eq!(key, [u64::MAX >> 2 | 0b10 << 62, u64::MAX << 2 | 0b01]);
+        put_bits(&mut key, 0, 1, 0);
+        assert_eq!(key[0] & 1, 0);
+    }
+
+    #[test]
+    fn fire_log_banks_runs_and_last_fires() {
+        let mut log = FireLog::new(1);
+        assert_eq!((log.count(0, 0), log.last(0, 0)), (0, None));
+        log.set(0, true, 2); // fires at 2, 3, 4
+        assert_eq!((log.count(0, 4), log.last(0, 4)), (2, Some(3)));
+        log.set(0, false, 5);
+        assert_eq!((log.count(0, 9), log.last(0, 9)), (3, Some(4)));
+        // A run settled but not yet clocked has not fired.
+        log.set(0, true, 9);
+        assert_eq!((log.count(0, 9), log.last(0, 9)), (3, Some(4)));
+        log.set(0, false, 9);
+        assert_eq!((log.count(0, 9), log.last(0, 9)), (3, Some(4)));
+    }
+
+    #[test]
+    fn repeated_settles_are_idempotent() {
+        let f = generate::fig1();
+        let mut once = SkeletonSystem::new(&f.netlist).unwrap();
+        let mut twice = once.clone();
+        for _ in 0..40 {
+            twice.settle();
+            twice.settle();
+            once.step();
+            twice.step();
+            assert_eq!(once.control_state(), twice.control_state());
+            assert_eq!(once.shell_fired(), twice.shell_fired());
+            assert!(once.shell_fire_counts().eq(twice.shell_fire_counts()));
+        }
+    }
+
+    /// Differential check of the step against the data-carrying
+    /// [`System`], cycle for cycle: the in-place key equals its
+    /// `KeyWriter` rebuild and the System's key, and sink counts, shell
+    /// fires and relay levels agree.
+    fn assert_same(what: &str, t: u64, netlist: &Netlist, full: &System, sk: &SkeletonSystem) {
+        assert_eq!(sk.key, sk.written_key(), "{what}: key drifted at cycle {t}");
+        assert_eq!(
+            full.control_state(),
+            sk.control_state(),
+            "{what}: key, cycle {t}"
+        );
+        for id in netlist.sinks() {
+            let k = full.sink(id).unwrap();
+            let counts = (k.received().len() as u64, k.voids_seen());
+            assert_eq!(
+                Some(counts),
+                sk.sink_counts(id),
+                "{what}: sink {id}, cycle {t}"
+            );
+        }
+        for id in netlist.shells() {
+            let fires = full.shell_stats(id).unwrap().fires;
+            assert_eq!(
+                Some(fires),
+                sk.shell_fires(id),
+                "{what}: shell {id}, cycle {t}"
+            );
+        }
+        for id in netlist.relays() {
+            let occ = full.relay(id).unwrap().occupancy() as u32;
+            let level = sk.relay_level(id).unwrap().0;
+            assert_eq!(occ, level, "{what}: relay {id}, cycle {t}");
+        }
+    }
+
+    fn assert_lockstep(what: &str, netlist: &Netlist, cycles: u64) {
+        let mut full = System::new(netlist).unwrap();
+        let mut sk = SkeletonSystem::new(netlist).unwrap();
+        for t in 0..cycles {
+            assert_same(what, t, netlist, &full, &sk);
+            full.step();
+            sk.step();
+        }
+        assert_same(what, cycles, netlist, &full, &sk);
+        // Peaks are the running maxima of the levels checked above.
+        let mut peaks = vec![0; sk.relay_peaks().len()];
+        let mut replay = SkeletonSystem::new(netlist).unwrap();
+        for _ in 0..=cycles {
+            for (peak, (occ, _)) in peaks.iter_mut().zip(replay.relay_levels()) {
+                *peak = (*peak).max(occ);
+            }
+            replay.step();
+        }
+        assert_eq!(sk.relay_peaks(), &peaks[..], "{what}: relay peaks");
+    }
+
+    /// Periodic stop and void patterns on every endpoint, so the
+    /// environment moves the state from both ends.
+    fn periodic_endpoints(netlist: &mut Netlist, seed: u64) {
+        for (j, id) in netlist.sinks().into_iter().enumerate() {
+            let period = 2 + (seed as u32 + j as u32) % 5;
+            let p = if seed.is_multiple_of(3) {
+                Pattern::Cyclic(
+                    (0..period + 3)
+                        .map(|t| (t * 7 + j as u32).is_multiple_of(3))
+                        .collect(),
+                )
+            } else {
+                Pattern::EveryNth {
+                    period,
+                    phase: j as u32 % period,
+                }
+            };
+            assert!(netlist.set_sink_pattern(id, p));
+        }
+        for (i, id) in netlist.sources().into_iter().enumerate() {
+            let period = 2 + (seed as u32 + i as u32) % 3;
+            let p = Pattern::EveryNth {
+                period,
+                phase: 1 % period,
+            };
+            assert!(netlist.set_source_pattern(id, p));
+        }
+    }
+
+    #[test]
+    fn differential_random_family_with_periodic_endpoints() {
+        let mut checked = 0;
+        for seed in 0..48u64 {
+            let (_, mut netlist) = generate::random_family(seed);
+            if netlist.validate().is_err() {
+                continue;
+            }
+            assert_lockstep(&format!("random {seed}"), &netlist, 40);
+            periodic_endpoints(&mut netlist, seed);
+            assert_lockstep(&format!("random {seed}, periodic"), &netlist, 60);
+            checked += 1;
+        }
+        assert!(checked >= 30, "only {checked} random instances checked");
+    }
+
+    #[test]
+    fn differential_half_chains_buffered_shells_and_wide_fifos() {
+        for (shells, relays) in [(1, 3), (3, 2), (4, 1)] {
+            let mut chain = generate::chain(shells, relays, RelayKind::Half).netlist;
+            assert_lockstep("half chain", &chain, 40);
+            periodic_endpoints(&mut chain, 1);
+            assert_lockstep("half chain, periodic", &chain, 60);
+        }
+        for (shells, relays) in [(2, 1), (3, 2)] {
+            let mut ring = generate::buffered_ring(shells, relays).netlist;
+            assert_lockstep("buffered ring", &ring, 40);
+            periodic_endpoints(&mut ring, 2);
+            assert_lockstep("buffered ring, periodic", &ring, 60);
+        }
+        // A FIFO of capacity 255 filled to the brim, then drained.
+        let mut chain = generate::chain(1, 1, RelayKind::Fifo(255)).netlist;
+        let sink = chain.sinks()[0];
+        let stops = Pattern::Cyclic((0..600).map(|t| t < 300).collect());
+        assert!(chain.set_sink_pattern(sink, stops));
+        assert_lockstep("fifo(255)", &chain, 620);
+    }
+
+    #[test]
+    fn differential_step_with() {
+        // Driving `step_with` with the choices the declared patterns
+        // make must reproduce the System running those patterns.
+        for seed in 0..24u64 {
+            let (_, mut netlist) = generate::random_family(seed);
+            if netlist.validate().is_err() {
+                continue;
+            }
+            periodic_endpoints(&mut netlist, seed);
+            let pattern = |id: NodeId| match netlist.node(id).kind() {
+                lip_graph::NodeKind::Source { void_pattern } => void_pattern.clone(),
+                lip_graph::NodeKind::Sink { stop_pattern } => stop_pattern.clone(),
+                _ => unreachable!("endpoint"),
+            };
+            let voids: Vec<Pattern> = netlist.sources().into_iter().map(pattern).collect();
+            let stops: Vec<Pattern> = netlist.sinks().into_iter().map(pattern).collect();
+            let mut full = System::new(&netlist).unwrap();
+            let mut sk = SkeletonSystem::new(&netlist).unwrap();
+            for t in 0..50 {
+                assert_same(&format!("step_with {seed}"), t, &netlist, &full, &sk);
+                let offers: Vec<bool> = voids.iter().map(|p| !p.at(t + 1)).collect();
+                let stop: Vec<bool> = stops.iter().map(|p| p.at(t)).collect();
+                full.step();
+                sk.step_with(&offers, &stop);
+            }
+        }
+    }
+
+    #[test]
+    fn differential_adopt_mid_run() {
+        use crate::{BatchEngine, LanePatterns, NetlistDelta};
+        // Adopting a patched program mid-run must continue exactly as
+        // the batch engine adopting it at the same cycle.
+        for seed in 0..24u64 {
+            let (_, mut netlist) = generate::random_family(seed);
+            if netlist.validate().is_err() {
+                continue;
+            }
+            periodic_endpoints(&mut netlist, seed);
+            let prog = Arc::new(SettleProgram::compile(&netlist).unwrap());
+            let mut sk = SkeletonSystem::from_program(Arc::clone(&prog));
+            let mut batch = BatchEngine::<u64>::from_program(Arc::clone(&prog));
+            let mut patched = (*prog).clone();
+            let channels: Vec<_> = netlist.channels().map(|(id, _)| id).collect();
+            let channel = channels[seed as usize % channels.len()];
+            let kind = [RelayKind::Full, RelayKind::Fifo(3), RelayKind::Half][seed as usize % 3];
+            let delta = NetlistDelta::InsertRelay { channel, kind };
+            let mut edited = netlist.clone();
+            delta.apply_to(&mut edited);
+            if edited.validate().is_err() {
+                continue;
+            }
+            patched.recompile_delta(&delta);
+            let patched = Arc::new(patched);
+            let what = format!("adopt {seed}");
+            for t in 0..60u64 {
+                if t == 17 {
+                    sk.adopt(Arc::clone(&patched));
+                    batch.adopt(Arc::clone(&patched));
+                }
+                assert_eq!(sk.key, sk.written_key(), "{what}: key drifted at cycle {t}");
+                assert_eq!(
+                    sk.component_state(),
+                    batch.lane_component_state(0),
+                    "{what}: {t}"
+                );
+                for id in edited.sinks() {
+                    assert_eq!(
+                        sk.sink_counts(id),
+                        batch.sink_counts_lane(id, 0),
+                        "{what}: {t}"
+                    );
+                }
+                for id in edited.shells() {
+                    assert_eq!(
+                        sk.shell_fires(id),
+                        batch.shell_fires_lane(id, 0),
+                        "{what}: {t}"
+                    );
+                }
+                sk.step();
+                let pats = LanePatterns::broadcast(batch.program());
+                batch.run_patterns(&pats, 1);
+            }
+        }
     }
 }

@@ -48,7 +48,10 @@ use lip_sim::{
 };
 
 const BUDGET: u64 = 8192;
-const REPS: usize = 7;
+const REPS: usize = 9;
+/// Corpus passes per timed leg: one pass takes well under a
+/// millisecond, too short to hold a 3% gate against host noise.
+const PASSES: usize = 16;
 /// Gate: runtime-disabled instrumentation must cost `< 3%` wall clock.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 3.0;
 /// Gate: the fully-enabled recorder (spans + counted kernels with
@@ -91,18 +94,19 @@ fn corpus() -> Vec<(String, Netlist)> {
     ]
 }
 
-/// One timed pass over the corpus with all hooks compiled away.
+/// One timed leg ([`PASSES`] passes over the corpus) with all hooks
+/// compiled away.
 fn leg_baseline(items: &[(String, Netlist, LanePatterns)]) {
-    for (_, netlist, pats) in items {
+    for (_, netlist, pats) in items.iter().cycle().take(PASSES * items.len()) {
         std::hint::black_box(
             measure_batch_periodic(netlist, pats, BUDGET).expect("corpus measures"),
         );
     }
 }
 
-/// One timed pass with the recorder present but runtime-disabled.
+/// One timed leg with the recorder present but runtime-disabled.
 fn leg_disabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) {
-    for (name, netlist, pats) in items {
+    for (name, netlist, pats) in items.iter().cycle().take(PASSES * items.len()) {
         let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
             netlist,
             pats,
@@ -117,11 +121,11 @@ fn leg_disabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder)
     }
 }
 
-/// One timed pass with the recorder fully enabled: spans recorded and
+/// One timed leg with the recorder fully enabled: spans recorded and
 /// kernel executions counted — the apples-to-apples cost of *running*
 /// the instrumentation over the exact work the other legs time.
 fn leg_enabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) {
-    for (name, netlist, pats) in items {
+    for (name, netlist, pats) in items.iter().cycle().take(PASSES * items.len()) {
         let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
             netlist,
             pats,
@@ -136,14 +140,20 @@ fn leg_enabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) 
     }
 }
 
-fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut t = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        t = t.min(t0.elapsed().as_secs_f64());
+/// Best time of each leg over [`REPS`] rounds. Every round runs each
+/// leg once, starting one leg later than the round before, so a shift
+/// in host speed lands on every leg rather than on one.
+fn interleaved_best(legs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; legs.len()];
+    for round in 0..REPS {
+        for k in 0..legs.len() {
+            let leg = (round + k) % legs.len();
+            let t0 = Instant::now();
+            legs[leg]();
+            best[leg] = best[leg].min(t0.elapsed().as_secs_f64());
+        }
     }
-    t
+    best
 }
 
 struct TopoRow {
@@ -177,9 +187,23 @@ fn main() {
     // Legs 1 + 2: the overhead gate.
     // ------------------------------------------------------------------
     leg_baseline(&items); // warm-up: fault code + allocator before timing
-    let t_base = min_time(REPS, || leg_baseline(&items));
     let off = FlightRecorder::disabled();
-    let t_off = min_time(REPS, || leg_disabled(&items, &off));
+    // Leg 3a, timed in the same rounds: the *fair* enabled-overhead
+    // measurement — identical corpus work, recorder on. (The
+    // self-profiled sweep below does strictly more work — searches,
+    // lint fixes, fan-out — so its wall time is not an overhead
+    // number.)
+    let on = FlightRecorder::new();
+    let mut base = || leg_baseline(&items);
+    let mut disabled = || leg_disabled(&items, &off);
+    let mut enabled = || leg_enabled(&items, &on);
+    let times = if overhead_only {
+        interleaved_best(&mut [&mut base, &mut disabled])
+    } else {
+        interleaved_best(&mut [&mut base, &mut disabled, &mut enabled])
+    };
+    drop(on.drain());
+    let (t_base, t_off) = (times[0], times[1]);
     let overhead_disabled_pct = ((t_off / t_base) - 1.0).max(0.0) * 100.0;
     println!(
         "overhead: baseline {:.2} ms, disabled recorder {:.2} ms -> {:.2}% (gate < {MAX_DISABLED_OVERHEAD_PCT}%) {}",
@@ -207,14 +231,7 @@ fn main() {
         return;
     }
 
-    // Leg 3a: the *fair* enabled-overhead measurement — identical
-    // corpus work, identical min-of-REPS timing, recorder on. (The
-    // self-profiled sweep below does strictly more work — searches,
-    // lint fixes, fan-out — so its wall time is not an overhead
-    // number.)
-    let on = FlightRecorder::new();
-    let t_on_corpus = min_time(REPS, || leg_enabled(&items, &on));
-    drop(on.drain());
+    let t_on_corpus = times[2];
     let overhead_enabled_pct = ((t_on_corpus / t_base) - 1.0).max(0.0) * 100.0;
     println!(
         "overhead: enabled recorder {:.2} ms -> {:.2}% (gate < {MAX_ENABLED_OVERHEAD_PCT}%) {}",

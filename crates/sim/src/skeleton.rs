@@ -176,7 +176,7 @@ impl FireLog {
 /// a step after a clock that changed more than `1/DENSE_SHARE` of the
 /// registers marks every op dirty up front and wakes no readers: the
 /// same tape, run in full.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Dirty {
     shell: Vec<u64>,
     full: Vec<u64>,
@@ -215,33 +215,23 @@ fn set_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
 }
 
-/// Call `f(i)` for each set bit `i` of `bits` in increasing order,
-/// clearing it first. `f` may set bits above `i`, and the scan visits
-/// them too: the in-order drain of a settle stratum.
+/// Clear and return the lowest set bit of word `w` of `bits`. Draining
+/// a stratum word by word with this visits bits set during the drain
+/// too, as long as they lie above the current one.
 #[inline]
-fn drain(bits: &mut Vec<u64>, mut f: impl FnMut(&mut Vec<u64>, usize)) {
-    for w in 0..bits.len() {
-        while bits[w] != 0 {
-            let b = bits[w].trailing_zeros() as usize;
-            bits[w] &= bits[w] - 1;
-            f(bits, w * 64 + b);
-        }
+fn pop_bit(bits: &mut [u64], w: usize) -> Option<usize> {
+    let word = bits[w];
+    if word == 0 {
+        return None;
     }
+    bits[w] = word & (word - 1);
+    Some(w * 64 + word.trailing_zeros() as usize)
 }
 
 impl Dirty {
     /// Every op dirty: the next step re-evaluates the whole tape.
     fn all(p: &SettleProgram) -> Self {
-        let mut d = Dirty {
-            shell: Vec::new(),
-            full: Vec::new(),
-            half: Vec::new(),
-            fifo: Vec::new(),
-            half_fwd: Vec::new(),
-            bwd: Vec::new(),
-            buffered: Vec::new(),
-            dense: false,
-        };
+        let mut d = Dirty::default();
         d.wake_all(p);
         d
     }
@@ -535,8 +525,11 @@ impl SkeletonSystem {
                         set_stop(p, stop, dirty, p.shell_in_ch[k], in_buf[k]);
                     }
                 }
-                // Its own registers feed its fire condition.
-                dirty.wake_shell(p, s);
+                // Its own registers feed its fire condition (already
+                // dirty on a dense step).
+                if !dirty.dense {
+                    dirty.wake_shell(p, s);
+                }
             }
         }
         for w in 0..dirty.full.len() {
@@ -573,73 +566,55 @@ impl SkeletonSystem {
             }
         }
 
-        // Forward stratum: half-relay chains, upstream first.
-        let mut half_fwd = std::mem::take(&mut dirty.half_fwd);
-        drain(&mut half_fwd, |later, pos| {
-            let h = p.fwd_half_order[pos] as usize;
-            let v = half_occ[h] || fwd[p.half_in_ch[h] as usize];
-            let ch = p.half_out_ch[h] as usize;
-            if fwd[ch] != v {
-                fwd[ch] = v;
-                // A chained half relay sits later in this stratum.
-                match p.readers.fwd_reader[ch] {
-                    _ if dirty.dense => {}
-                    CompSlot::Half(g) => {
-                        set_bit(&mut dirty.half, g as usize);
-                        set_bit(later, p.readers.half_pos[g as usize] as usize);
-                    }
-                    _ => dirty.fwd_changed(p, ch),
-                }
+        // Forward stratum: half-relay chains, upstream first. A change
+        // that wakes a chained half relay sets a later bit of this same
+        // bitmap, which the scan then reaches.
+        for w in 0..dirty.half_fwd.len() {
+            while let Some(pos) = pop_bit(&mut dirty.half_fwd, w) {
+                let h = p.fwd_half_order[pos] as usize;
+                let v = half_occ[h] || fwd[p.half_in_ch[h] as usize];
+                set_fwd(p, fwd, dirty, p.half_out_ch[h], v);
             }
-        });
-        dirty.half_fwd = half_fwd;
+        }
 
         // Backward stratum: unbuffered shells, downstream first. Each
         // shell's fire is final here (its output stops are settled);
         // a changed input stop wakes its producer, which is a later
         // shell of this stratum, a buffered shell or a register.
-        let mut bwd = std::mem::take(&mut dirty.bwd);
-        drain(&mut bwd, |later, pos| {
-            let s = p.bwd_shell_order[pos] as usize;
-            let f = shell_fire(p, fwd, stop, shell_out, in_buf, s);
-            fires.set(s, f, cycle);
-            for k in p.shell_in_range(s) {
-                let ch = p.shell_in_ch[k] as usize;
-                let v = if f {
-                    false
-                } else if p.discards {
-                    if P::ENABLED && !fwd[ch] {
-                        // The baseline variant would assert this stop;
-                        // the refinement discards it against the void.
-                        probe.void_discard(cycle, ch as u32, 0);
-                    }
-                    fwd[ch]
-                } else {
-                    true
-                };
-                if stop[ch] != v {
-                    stop[ch] = v;
-                    match p.readers.stop_reader[ch] {
-                        _ if dirty.dense => {}
-                        CompSlot::Shell(t) if !p.shell_buffered[t as usize] => {
-                            set_bit(&mut dirty.shell, t as usize);
-                            set_bit(later, p.readers.shell_pos[t as usize] as usize);
+        for w in 0..dirty.bwd.len() {
+            while let Some(pos) = pop_bit(&mut dirty.bwd, w) {
+                let s = p.bwd_shell_order[pos] as usize;
+                let f = shell_fire(p, fwd, stop, shell_out, in_buf, s);
+                fires.set(s, f, cycle);
+                for k in p.shell_in_range(s) {
+                    let ch = p.shell_in_ch[k];
+                    let v = if f {
+                        false
+                    } else if p.discards {
+                        let valid = fwd[ch as usize];
+                        if P::ENABLED && !valid {
+                            // The baseline variant would assert this
+                            // stop; the refinement discards it against
+                            // the void.
+                            probe.void_discard(cycle, ch, 0);
                         }
-                        _ => dirty.stop_changed(p, ch),
-                    }
+                        valid
+                    } else {
+                        true
+                    };
+                    set_stop(p, stop, dirty, ch, v);
                 }
             }
-        });
-        dirty.bwd = bwd;
+        }
 
         // Buffered shells fire once every stop has settled (their own
         // input stops are registered, so nothing waits on them).
-        let mut buffered = std::mem::take(&mut dirty.buffered);
-        drain(&mut buffered, |_, pos| {
-            let s = p.buffered_shells[pos] as usize;
-            fires.set(s, shell_fire(p, fwd, stop, shell_out, in_buf, s), cycle);
-        });
-        dirty.buffered = buffered;
+        for w in 0..dirty.buffered.len() {
+            while let Some(pos) = pop_bit(&mut dirty.buffered, w) {
+                let s = p.buffered_shells[pos] as usize;
+                fires.set(s, shell_fire(p, fwd, stop, shell_out, in_buf, s), cycle);
+            }
+        }
 
         if P::ENABLED {
             for ch in 0..p.n_channels {

@@ -24,19 +24,23 @@
 //!   the half relays and shells one of whose inputs changed. Each
 //!   stratum keeps one dirty bitmap over its positions in the compiled
 //!   [`SettleProgram`] order, scanned in order, so a change that wakes
-//!   a later op of the same stratum is seen in the same pass; a dense
-//!   bitmap (a tree, where most state moves every cycle) simply is the
-//!   full tape;
+//!   a later op of the same stratum is seen in the same pass;
 //! * **clock** visits only the registers whose inputs changed or that
 //!   changed on the last clock (any other register provably keeps its
 //!   value), and rewrites each changed register's field of the packed
 //!   control-state key in place. The key is bit-identical to the
 //!   `KeyWriter` encoding of the same state.
 //!
+//! When a clock changed more than a fifth of the registers (a tree
+//! filling up, a small ring under a periodic stop), waking readers one
+//! change at a time costs more than running every op, so the next step
+//! runs the whole tape: straight per-kind loops that wake no readers,
+//! the key rewritten in one `KeyWriter` pass. Its clock still records
+//! which registers changed, so the step after can go either way. With
+//! a [`Probe`] attached every step runs the tape, since observers
+//! expect every per-component event.
 //! Shell fire counts bank on fire-bit transitions and relay peaks rise
 //! on fills, so neither costs a pass over every component per cycle.
-//! With a [`Probe`] attached every op is woken every cycle, since
-//! observers expect every per-component event.
 //!
 //! [`System`]: crate::System
 
@@ -95,8 +99,8 @@ pub struct SkeletonSystem {
     snk_valid: Vec<u64>,
     snk_voids: Vec<u64>,
     cycle: u64,
-    /// The packed control-state key after the phase word, rewritten in
-    /// place as registers change.
+    /// The packed control-state key (its phase word left stale),
+    /// rewritten in place as registers change.
     key: Vec<u64>,
     /// Which ops the next settle and clock must visit.
     dirty: Dirty,
@@ -172,11 +176,12 @@ impl FireLog {
 /// re-evaluates woken ops after every op that feeds them.
 ///
 /// When most registers change every cycle (a tree filling up), waking
-/// readers one change at a time costs more than visiting every op, so
+/// readers one change at a time costs more than running every op, so
 /// a step after a clock that changed more than `1/DENSE_SHARE` of the
-/// registers marks every op dirty up front and wakes no readers: the
-/// same tape, run in full.
-#[derive(Debug, Clone, Default)]
+/// registers runs the whole tape instead: straight per-kind loops that
+/// wake no readers. Its clock still leaves exactly the changed
+/// registers in the clock sets, so the next step can go either way.
+#[derive(Debug, Clone)]
 struct Dirty {
     shell: Vec<u64>,
     full: Vec<u64>,
@@ -185,34 +190,44 @@ struct Dirty {
     half_fwd: Vec<u64>,
     bwd: Vec<u64>,
     buffered: Vec<u64>,
-    /// The next step visits every op (see above).
+    /// The next step runs the whole tape (see above).
     dense: bool,
 }
 
 /// A step runs the full tape after a clock that changed more than one
 /// register in `DENSE_SHARE`.
-const DENSE_SHARE: usize = 3;
+const DENSE_SHARE: usize = 5;
 
-/// Make `bits` a bitmap of `n` set bits, in place. (A same-length
-/// `Vec::resize` costs far more than the fill on the small bitmaps of
-/// a small design, so it only runs when the length changes.)
-#[inline]
-fn fill_ones(bits: &mut Vec<u64>, n: usize) {
-    let words = n.div_ceil(64);
-    if bits.len() != words {
-        bits.resize(words, 0);
-    }
-    for w in bits.iter_mut() {
-        *w = u64::MAX;
-    }
+/// A bitmap of `n` set bits.
+fn ones(n: usize) -> Vec<u64> {
+    let mut bits = vec![u64::MAX; n.div_ceil(64)];
     if !n.is_multiple_of(64) {
-        bits[words - 1] = (1 << (n % 64)) - 1;
+        bits[n / 64] = (1 << (n % 64)) - 1;
     }
+    bits
 }
 
 #[inline]
 fn set_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Visit the set bits of clock set `bits`, each word taken first so
+/// that re-marking a changed row does not revisit it; `f` clocks one
+/// row and reports whether its register changed, and exactly those
+/// rows are left set. Adds the changed count to `changed`.
+#[inline]
+fn clock_set(bits: &mut [u64], changed: &mut usize, mut f: impl FnMut(usize) -> bool) {
+    for (w, slot) in bits.iter_mut().enumerate() {
+        let mut word = std::mem::take(slot);
+        while word != 0 {
+            let b = word.trailing_zeros();
+            word &= word - 1;
+            let c = f(w * 64 + b as usize);
+            *slot |= u64::from(c) << b;
+            *changed += usize::from(c);
+        }
+    }
 }
 
 /// Clear and return the lowest set bit of word `w` of `bits`. Draining
@@ -229,22 +244,18 @@ fn pop_bit(bits: &mut [u64], w: usize) -> Option<usize> {
 }
 
 impl Dirty {
-    /// Every op dirty: the next step re-evaluates the whole tape.
+    /// Every op dirty: the next step re-evaluates every op.
     fn all(p: &SettleProgram) -> Self {
-        let mut d = Dirty::default();
-        d.wake_all(p);
-        d
-    }
-
-    /// Mark every op dirty in place.
-    fn wake_all(&mut self, p: &SettleProgram) {
-        fill_ones(&mut self.shell, p.shell_buffered.len());
-        fill_ones(&mut self.full, p.full_in_ch.len());
-        fill_ones(&mut self.half, p.half_in_ch.len());
-        fill_ones(&mut self.fifo, p.fifo_in_ch.len());
-        fill_ones(&mut self.half_fwd, p.fwd_half_order.len());
-        fill_ones(&mut self.bwd, p.bwd_shell_order.len());
-        fill_ones(&mut self.buffered, p.buffered_shells.len());
+        Dirty {
+            shell: ones(p.shell_buffered.len()),
+            full: ones(p.full_in_ch.len()),
+            half: ones(p.half_in_ch.len()),
+            fifo: ones(p.fifo_in_ch.len()),
+            half_fwd: ones(p.fwd_half_order.len()),
+            bwd: ones(p.bwd_shell_order.len()),
+            buffered: ones(p.buffered_shells.len()),
+            dense: false,
+        }
     }
 
     /// Shell `s` must re-settle its fire condition and be clocked.
@@ -293,9 +304,7 @@ impl Dirty {
 #[inline]
 fn set_fwd(p: &SettleProgram, fwd: &mut [bool], dirty: &mut Dirty, ch: u32, v: bool) {
     let ch = ch as usize;
-    if dirty.dense {
-        fwd[ch] = v;
-    } else if fwd[ch] != v {
+    if fwd[ch] != v {
         fwd[ch] = v;
         dirty.fwd_changed(p, ch);
     }
@@ -305,18 +314,17 @@ fn set_fwd(p: &SettleProgram, fwd: &mut [bool], dirty: &mut Dirty, ch: u32, v: b
 #[inline]
 fn set_stop(p: &SettleProgram, stop: &mut [bool], dirty: &mut Dirty, ch: u32, v: bool) {
     let ch = ch as usize;
-    if dirty.dense {
-        stop[ch] = v;
-    } else if stop[ch] != v {
+    if stop[ch] != v {
         stop[ch] = v;
         dirty.stop_changed(p, ch);
     }
 }
 
-/// Write the low `width` bits of `value` at bit `off` of a packed key.
+/// Write the low `width` bits of `value` at bit `off` of the packed
+/// fields of a key (after its phase word).
 #[inline]
 fn put_bits(key: &mut [u64], off: u32, width: u32, value: u64) {
-    let (w, b) = ((off / 64) as usize, off % 64);
+    let (w, b) = (1 + (off / 64) as usize, off % 64);
     let mask = (1u64 << width) - 1;
     key[w] = key[w] & !(mask << b) | value << b;
     if b + width > 64 {
@@ -361,7 +369,7 @@ impl SkeletonSystem {
             dirty: Dirty::all(&prog),
             prog,
         };
-        sk.key = sk.written_key();
+        sk.rewrite_key();
         sk
     }
 
@@ -450,8 +458,8 @@ impl SkeletonSystem {
                 self.src_valid[i] = !p.at(self.cycle);
             }
         }
-        self.dirty.wake_all(&self.prog);
-        self.key = self.written_key();
+        self.dirty = Dirty::all(&self.prog);
+        self.rewrite_key();
     }
 
     /// Settle this cycle's valid and stop bits.
@@ -478,8 +486,116 @@ impl SkeletonSystem {
             self.dirty.dense = true;
         }
         if self.dirty.dense {
-            self.dirty.wake_all(&self.prog);
+            self.settle_tape(sink_stop, probe);
+        } else {
+            self.settle_dirty(sink_stop);
         }
+    }
+
+    /// The whole settle tape: every op, stratum by stratum.
+    fn settle_tape<P: Probe>(&mut self, sink_stop: Option<&[bool]>, probe: &mut P) {
+        let Self {
+            prog,
+            fwd,
+            stop,
+            src_valid,
+            shell_out,
+            in_buf,
+            fires,
+            full_main,
+            full_aux,
+            half_occ,
+            fifo_occ,
+            cycle,
+            ..
+        } = self;
+        let p: &SettleProgram = prog;
+        let cycle = *cycle;
+
+        // Forward pass 1: registered producers, any order.
+        for (i, &ch) in p.src_out_ch.iter().enumerate() {
+            fwd[ch as usize] = src_valid[i];
+        }
+        for (k, &ch) in p.shell_out_ch.iter().enumerate() {
+            fwd[ch as usize] = shell_out[k];
+        }
+        for (i, &ch) in p.full_out_ch.iter().enumerate() {
+            fwd[ch as usize] = full_main[i];
+        }
+        for (i, &ch) in p.fifo_out_ch.iter().enumerate() {
+            fwd[ch as usize] = fifo_occ[i] > 0;
+        }
+        // Forward pass 2: half-relay chains, upstream first.
+        for &h in &p.fwd_half_order {
+            let h = h as usize;
+            fwd[p.half_out_ch[h] as usize] = half_occ[h] || fwd[p.half_in_ch[h] as usize];
+        }
+
+        // Backward pass 1: registered stops, any order.
+        for (i, &ch) in p.snk_in_ch.iter().enumerate() {
+            stop[ch as usize] = match sink_stop {
+                Some(stops) => stops[i],
+                None => p.snk_pattern[i].at(cycle),
+            };
+        }
+        for (i, &ch) in p.full_in_ch.iter().enumerate() {
+            stop[ch as usize] = full_aux[i];
+        }
+        for (h, &ch) in p.half_in_ch.iter().enumerate() {
+            stop[ch as usize] = half_occ[h];
+        }
+        for (i, &ch) in p.fifo_in_ch.iter().enumerate() {
+            stop[ch as usize] = fifo_occ[i] == p.fifo_cap[i];
+        }
+        for &s in &p.buffered_shells {
+            for k in p.shell_in_range(s as usize) {
+                stop[p.shell_in_ch[k] as usize] = in_buf[k];
+            }
+        }
+        // Backward pass 2: unbuffered shells, downstream first. Each
+        // shell's fire is final here (its output stops are settled).
+        for &s in &p.bwd_shell_order {
+            let s = s as usize;
+            let f = shell_fire(p, fwd, stop, shell_out, in_buf, s);
+            fires.set(s, f, cycle);
+            for k in p.shell_in_range(s) {
+                let ch = p.shell_in_ch[k] as usize;
+                stop[ch] = if f {
+                    false
+                } else if p.discards {
+                    if P::ENABLED && !fwd[ch] {
+                        // The baseline variant would assert this stop;
+                        // the refinement discards it against the void.
+                        probe.void_discard(cycle, ch as u32, 0);
+                    }
+                    fwd[ch]
+                } else {
+                    true
+                };
+            }
+        }
+        // Pass 3: buffered shells fire once every stop has settled
+        // (their own input stops are registered).
+        for &s in &p.buffered_shells {
+            let s = s as usize;
+            fires.set(s, shell_fire(p, fwd, stop, shell_out, in_buf, s), cycle);
+        }
+        if P::ENABLED {
+            for ch in 0..p.n_channels {
+                if stop[ch] {
+                    probe.stall(cycle, ch as u32, 0);
+                }
+                if !fwd[ch] {
+                    probe.channel_void(cycle, ch as u32, 0);
+                }
+            }
+        }
+    }
+
+    /// Settle only what changed: the registered outputs of the
+    /// registers the last clock changed (and of every endpoint), then
+    /// each stratum's woken ops in order.
+    fn settle_dirty(&mut self, sink_stop: Option<&[bool]>) {
         let Self {
             prog,
             fwd,
@@ -525,11 +641,8 @@ impl SkeletonSystem {
                         set_stop(p, stop, dirty, p.shell_in_ch[k], in_buf[k]);
                     }
                 }
-                // Its own registers feed its fire condition (already
-                // dirty on a dense step).
-                if !dirty.dense {
-                    dirty.wake_shell(p, s);
-                }
+                // Its own registers feed its fire condition.
+                dirty.wake_shell(p, s);
             }
         }
         for w in 0..dirty.full.len() {
@@ -547,6 +660,7 @@ impl SkeletonSystem {
                 let h = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 set_stop(p, stop, dirty, p.half_in_ch[h], half_occ[h]);
+                // Its occupancy feeds its forward bypass.
                 set_bit(&mut dirty.half_fwd, p.readers.half_pos[h] as usize);
             }
         }
@@ -555,14 +669,9 @@ impl SkeletonSystem {
             while word != 0 {
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                set_fwd(p, fwd, dirty, p.fifo_out_ch[i], fifo_occ[i] > 0);
-                set_stop(
-                    p,
-                    stop,
-                    dirty,
-                    p.fifo_in_ch[i],
-                    fifo_occ[i] == p.fifo_cap[i],
-                );
+                let (occ, cap) = (fifo_occ[i], p.fifo_cap[i]);
+                set_fwd(p, fwd, dirty, p.fifo_out_ch[i], occ > 0);
+                set_stop(p, stop, dirty, p.fifo_in_ch[i], occ == cap);
             }
         }
 
@@ -577,10 +686,9 @@ impl SkeletonSystem {
             }
         }
 
-        // Backward stratum: unbuffered shells, downstream first. Each
-        // shell's fire is final here (its output stops are settled);
-        // a changed input stop wakes its producer, which is a later
-        // shell of this stratum, a buffered shell or a register.
+        // Backward stratum: unbuffered shells, downstream first. A
+        // changed input stop wakes its producer, which is a later shell
+        // of this stratum, a buffered shell or a register.
         for w in 0..dirty.bwd.len() {
             while let Some(pos) = pop_bit(&mut dirty.bwd, w) {
                 let s = p.bwd_shell_order[pos] as usize;
@@ -588,42 +696,19 @@ impl SkeletonSystem {
                 fires.set(s, f, cycle);
                 for k in p.shell_in_range(s) {
                     let ch = p.shell_in_ch[k];
-                    let v = if f {
-                        false
-                    } else if p.discards {
-                        let valid = fwd[ch as usize];
-                        if P::ENABLED && !valid {
-                            // The baseline variant would assert this
-                            // stop; the refinement discards it against
-                            // the void.
-                            probe.void_discard(cycle, ch, 0);
-                        }
-                        valid
-                    } else {
-                        true
-                    };
+                    // Stopped unless firing; the refined variant
+                    // discards the stop against a void.
+                    let v = !f && (!p.discards || fwd[ch as usize]);
                     set_stop(p, stop, dirty, ch, v);
                 }
             }
         }
 
-        // Buffered shells fire once every stop has settled (their own
-        // input stops are registered, so nothing waits on them).
+        // Buffered shells fire once every stop has settled.
         for w in 0..dirty.buffered.len() {
             while let Some(pos) = pop_bit(&mut dirty.buffered, w) {
                 let s = p.buffered_shells[pos] as usize;
                 fires.set(s, shell_fire(p, fwd, stop, shell_out, in_buf, s), cycle);
-            }
-        }
-
-        if P::ENABLED {
-            for ch in 0..p.n_channels {
-                if stop[ch] {
-                    probe.stall(cycle, ch as u32, 0);
-                }
-                if !fwd[ch] {
-                    probe.channel_void(cycle, ch as u32, 0);
-                }
             }
         }
     }
@@ -649,11 +734,60 @@ impl SkeletonSystem {
     /// `(next source offers, this cycle's sink stops)`.
     fn step_env<P: Probe>(&mut self, env: Option<(&[bool], &[bool])>, probe: &mut P) {
         self.settle_env(env.map(|(_, stops)| stops), probe);
+        let p: &SettleProgram = &self.prog;
+        let t = self.cycle;
+        for i in 0..self.src_valid.len() {
+            let stopped = self.stop[p.src_out_ch[i] as usize];
+            if !(self.src_valid[i] && stopped) {
+                let v = match env {
+                    Some((valids, _)) => valids[i],
+                    None => !p.src_pattern[i].at(t + 1),
+                };
+                if self.src_valid[i] != v {
+                    self.src_valid[i] = v;
+                    put_bits(&mut self.key, p.readers.src_key[i], 1, u64::from(v));
+                }
+            }
+        }
+        for i in 0..self.snk_valid.len() {
+            let ch = p.snk_in_ch[i];
+            if !self.stop[ch as usize] {
+                if self.fwd[ch as usize] {
+                    self.snk_valid[i] += 1;
+                    if P::ENABLED {
+                        probe.consume(t, ch, 0);
+                    }
+                } else {
+                    self.snk_voids[i] += 1;
+                    if P::ENABLED {
+                        probe.void_in(t, ch, 0);
+                    }
+                }
+            }
+        }
+        let changed = if self.dirty.dense {
+            let changed = self.clock_tape(probe);
+            self.rewrite_key();
+            changed
+        } else {
+            self.clock_dirty()
+        };
+        let p: &SettleProgram = &self.prog;
+        self.dirty.dense = changed * DENSE_SHARE > p.shell_count() + p.relay_count();
+        if P::ENABLED {
+            probe.end_cycle(t);
+        }
+        self.cycle += 1;
+    }
+
+    /// Clock every shell and relay; returns how many registers changed
+    /// and leaves exactly those in the clock sets. The caller rewrites
+    /// the key.
+    fn clock_tape<P: Probe>(&mut self, probe: &mut P) -> usize {
         let Self {
             prog,
             fwd,
             stop,
-            src_valid,
             shell_out,
             in_buf,
             fires,
@@ -662,184 +796,175 @@ impl SkeletonSystem {
             half_occ,
             fifo_occ,
             relay_peak,
-            snk_valid,
-            snk_voids,
             cycle,
-            key,
             dirty,
+            ..
         } = self;
         let p: &SettleProgram = prog;
         let t = *cycle;
-        let r = &p.readers;
+        let mut changed = 0;
+        let mut mark = |bits: &mut [u64], i: usize, c: bool| {
+            bits[i / 64] |= u64::from(c) << (i % 64);
+            changed += usize::from(c);
+        };
+        for bits in [
+            &mut dirty.shell,
+            &mut dirty.full,
+            &mut dirty.half,
+            &mut dirty.fifo,
+        ] {
+            // A plain loop: `slice::fill` costs far more on these short
+            // bitmaps.
+            for w in bits.iter_mut() {
+                *w = 0;
+            }
+        }
+        for s in 0..p.shell_buffered.len() {
+            let f = fires.now[s];
+            if P::ENABLED && f {
+                probe.fire(t, s as u32, 0);
+            }
+            let c = clock_shell(p, fwd, stop, shell_out, in_buf, f, s);
+            mark(&mut dirty.shell, s, c);
+        }
+        for i in 0..full_main.len() {
+            let input = fwd[p.full_in_ch[i] as usize];
+            let stopped = stop[p.full_out_ch[i] as usize];
+            if P::ENABLED {
+                // A token enters whenever the input is offered and aux
+                // is free (aux occupied ⇒ the registered stop held it
+                // upstream); a token leaves whenever main releases.
+                if input && !full_aux[i] {
+                    probe.relay_fill(t, p.full_relay_row(i), 0);
+                }
+                if full_main[i] && !stopped {
+                    probe.relay_drain(t, p.full_relay_row(i), 0);
+                }
+            }
+            let c = clock_full(&mut full_main[i], &mut full_aux[i], input, stopped);
+            let row = p.full_relay_row(i) as usize;
+            let occ = u32::from(full_main[i]) + u32::from(full_aux[i]);
+            relay_peak[row] = relay_peak[row].max(occ);
+            mark(&mut dirty.full, i, c);
+        }
+        for h in 0..half_occ.len() {
+            let input = fwd[p.half_in_ch[h] as usize];
+            let stopped = stop[p.half_out_ch[h] as usize];
+            let (row, occ) = (p.half_relay_row(h), half_occ[h]);
+            if P::ENABLED {
+                if occ && !stopped {
+                    probe.relay_drain(t, row, 0);
+                }
+                if !occ && stopped && input {
+                    probe.relay_fill(t, row, 0);
+                }
+            }
+            half_occ[h] = clock_half(occ, input, stopped);
+            relay_peak[row as usize] |= u32::from(half_occ[h]);
+            mark(&mut dirty.half, h, half_occ[h] != occ);
+        }
+        for i in 0..fifo_occ.len() {
+            let input = fwd[p.fifo_in_ch[i] as usize];
+            let stopped = stop[p.fifo_out_ch[i] as usize];
+            let (row, occ) = (p.fifo_relay_row(i), fifo_occ[i]);
+            let (drain, fill) = fifo_moves(occ, p.fifo_cap[i], input, stopped);
+            if P::ENABLED {
+                if drain {
+                    probe.relay_drain(t, row, 0);
+                }
+                if fill {
+                    probe.relay_fill(t, row, 0);
+                }
+            }
+            fifo_occ[i] = occ - u32::from(drain) + u32::from(fill);
+            relay_peak[row as usize] = relay_peak[row as usize].max(fifo_occ[i]);
+            mark(&mut dirty.fifo, i, fifo_occ[i] != occ);
+        }
+        changed
+    }
 
-        for i in 0..src_valid.len() {
-            let stopped = stop[p.src_out_ch[i] as usize];
-            if !(src_valid[i] && stopped) {
-                let v = match env {
-                    Some((valids, _)) => valids[i],
-                    None => !p.src_pattern[i].at(t + 1),
-                };
-                if src_valid[i] != v {
-                    src_valid[i] = v;
-                    put_bits(key, r.src_key[i], 1, u64::from(v));
-                }
-            }
-        }
-        for i in 0..snk_valid.len() {
-            let ch = p.snk_in_ch[i];
-            if !stop[ch as usize] {
-                if fwd[ch as usize] {
-                    snk_valid[i] += 1;
-                    if P::ENABLED {
-                        probe.consume(t, ch, 0);
-                    }
-                } else {
-                    snk_voids[i] += 1;
-                    if P::ENABLED {
-                        probe.void_in(t, ch, 0);
-                    }
-                }
-            }
-        }
-        // Each drain below re-marks the registers it changed: the next
-        // settle applies their outputs and the next clock revisits them.
-        let mut changed_regs = 0usize;
-        for w in 0..dirty.shell.len() {
-            let mut word = std::mem::take(&mut dirty.shell[w]);
-            while word != 0 {
-                let b = word.trailing_zeros();
-                word &= word - 1;
-                let s = w * 64 + b as usize;
-                // Firing loads every output register and empties the
-                // buffers; otherwise a stopped output holds and a
-                // buffer catches its valid input.
-                let f = fires.now[s];
-                if P::ENABLED && f {
-                    probe.fire(t, s as u32, 0);
-                }
-                let mut changed = false;
+    /// Clock the registers in the clock sets, rewriting the key field
+    /// of each that changes and leaving exactly those in the sets (the
+    /// next settle applies their outputs, the next clock revisits
+    /// them). Returns how many changed.
+    fn clock_dirty(&mut self) -> usize {
+        let Self {
+            prog,
+            fwd,
+            stop,
+            shell_out,
+            in_buf,
+            fires,
+            full_main,
+            full_aux,
+            half_occ,
+            fifo_occ,
+            relay_peak,
+            key,
+            dirty,
+            ..
+        } = self;
+        let p: &SettleProgram = prog;
+        let r = &p.readers;
+        let mut changed = 0;
+        clock_set(&mut dirty.shell, &mut changed, |s| {
+            let c = clock_shell(p, fwd, stop, shell_out, in_buf, fires.now[s], s);
+            if c {
                 let mut off = r.shell_key[s];
                 for k in p.shell_out_range(s) {
-                    let v = f | (shell_out[k] & stop[p.shell_out_ch[k] as usize]);
-                    changed |= v != shell_out[k];
-                    shell_out[k] = v;
-                    put_bits(key, off, 1, u64::from(v));
+                    put_bits(key, off, 1, u64::from(shell_out[k]));
                     off += 1;
                 }
                 if p.shell_buffered[s] {
                     for k in p.shell_in_range(s) {
-                        let v = !f & (in_buf[k] | fwd[p.shell_in_ch[k] as usize]);
-                        changed |= v != in_buf[k];
-                        in_buf[k] = v;
-                        put_bits(key, off, 1, u64::from(v));
+                        put_bits(key, off, 1, u64::from(in_buf[k]));
                         off += 1;
                     }
                 }
-                changed_regs += usize::from(changed);
-                dirty.shell[w] |= u64::from(changed) << b;
             }
-        }
-        for w in 0..dirty.full.len() {
-            let mut word = std::mem::take(&mut dirty.full[w]);
-            while word != 0 {
-                let b = word.trailing_zeros();
-                word &= word - 1;
-                let i = w * 64 + b as usize;
-                let input = fwd[p.full_in_ch[i] as usize];
-                let stopped = stop[p.full_out_ch[i] as usize];
-                let (main, aux) = (full_main[i], full_aux[i]);
-                let released = main & !stopped;
-                if P::ENABLED {
-                    // A token enters whenever the input is offered and
-                    // aux is free (aux occupied ⇒ the registered stop
-                    // held it upstream); a token leaves whenever main
-                    // releases.
-                    if input && !aux {
-                        probe.relay_fill(t, p.full_relay_row(i), 0);
-                    }
-                    if released {
-                        probe.relay_drain(t, p.full_relay_row(i), 0);
-                    }
-                }
-                // A released main takes the input (or, with aux
-                // occupied, aux shifts in); a held main parks the input
-                // in aux.
-                full_main[i] = aux | (main & !released) | input;
-                full_aux[i] = !released & (aux | (main & input));
-                let changed = (full_main[i], full_aux[i]) != (main, aux);
-                let occ = u32::from(full_main[i]) + u32::from(full_aux[i]);
+            c
+        });
+        clock_set(&mut dirty.full, &mut changed, |i| {
+            let input = fwd[p.full_in_ch[i] as usize];
+            let stopped = stop[p.full_out_ch[i] as usize];
+            let c = clock_full(&mut full_main[i], &mut full_aux[i], input, stopped);
+            if c {
                 let row = p.full_relay_row(i) as usize;
+                let occ = u32::from(full_main[i]) + u32::from(full_aux[i]);
                 relay_peak[row] = relay_peak[row].max(occ);
                 put_bits(key, r.relay_key[row], 2, u64::from(occ));
-                changed_regs += usize::from(changed);
-                dirty.full[w] |= u64::from(changed) << b;
             }
-        }
-        for w in 0..dirty.half.len() {
-            let mut word = std::mem::take(&mut dirty.half[w]);
-            while word != 0 {
-                let b = word.trailing_zeros();
-                word &= word - 1;
-                let h = w * 64 + b as usize;
-                let input = fwd[p.half_in_ch[h] as usize];
-                let stopped = stop[p.half_out_ch[h] as usize];
-                let (row, occ) = (p.half_relay_row(h), half_occ[h]);
-                if P::ENABLED {
-                    if occ && !stopped {
-                        probe.relay_drain(t, row, 0);
-                    }
-                    if !occ && stopped && input {
-                        probe.relay_fill(t, row, 0);
-                    }
-                }
-                // A stopped output keeps the token or catches the input.
-                half_occ[h] = stopped & (occ | input);
-                let changed = half_occ[h] != occ;
-                relay_peak[row as usize] |= u32::from(half_occ[h]);
-                put_bits(key, r.relay_key[row as usize], 1, u64::from(half_occ[h]));
-                changed_regs += usize::from(changed);
-                dirty.half[w] |= u64::from(changed) << b;
+            c
+        });
+        clock_set(&mut dirty.half, &mut changed, |h| {
+            let input = fwd[p.half_in_ch[h] as usize];
+            let stopped = stop[p.half_out_ch[h] as usize];
+            let occ = half_occ[h];
+            half_occ[h] = clock_half(occ, input, stopped);
+            let c = half_occ[h] != occ;
+            if c {
+                let row = p.half_relay_row(h) as usize;
+                relay_peak[row] |= u32::from(half_occ[h]);
+                put_bits(key, r.relay_key[row], 1, u64::from(half_occ[h]));
             }
-        }
-        for w in 0..dirty.fifo.len() {
-            let mut word = std::mem::take(&mut dirty.fifo[w]);
-            while word != 0 {
-                let b = word.trailing_zeros();
-                word &= word - 1;
-                let i = w * 64 + b as usize;
-                let input = fwd[p.fifo_in_ch[i] as usize];
-                let stopped = stop[p.fifo_out_ch[i] as usize];
-                let row = p.fifo_relay_row(i);
-                let (cap, occ) = (p.fifo_cap[i], fifo_occ[i]);
-                let drain = !stopped & (occ > 0);
-                let fill = (occ != cap) & input;
-                if P::ENABLED {
-                    if drain {
-                        probe.relay_drain(t, row, 0);
-                    }
-                    if fill {
-                        probe.relay_fill(t, row, 0);
-                    }
-                }
-                fifo_occ[i] = occ - u32::from(drain) + u32::from(fill);
-                let changed = fifo_occ[i] != occ;
-                let row = row as usize;
+            c
+        });
+        clock_set(&mut dirty.fifo, &mut changed, |i| {
+            let input = fwd[p.fifo_in_ch[i] as usize];
+            let stopped = stop[p.fifo_out_ch[i] as usize];
+            let (cap, occ) = (p.fifo_cap[i], fifo_occ[i]);
+            let (drain, fill) = fifo_moves(occ, cap, input, stopped);
+            fifo_occ[i] = occ - u32::from(drain) + u32::from(fill);
+            let c = fifo_occ[i] != occ;
+            if c {
+                let row = p.fifo_relay_row(i) as usize;
                 relay_peak[row] = relay_peak[row].max(fifo_occ[i]);
-                put_bits(
-                    key,
-                    r.relay_key[row],
-                    relay_key_width(cap),
-                    u64::from(fifo_occ[i]),
-                );
-                changed_regs += usize::from(changed);
-                dirty.fifo[w] |= u64::from(changed) << b;
+                let width = relay_key_width(cap);
+                put_bits(key, r.relay_key[row], width, u64::from(fifo_occ[i]));
             }
-        }
-        dirty.dense = changed_regs * DENSE_SHARE > p.shell_count() + p.relay_count();
-        if P::ENABLED {
-            probe.end_cycle(t);
-        }
-        *cycle += 1;
+            c
+        });
+        changed
     }
 
     /// Run `n` cycles.
@@ -1091,21 +1216,36 @@ impl SkeletonSystem {
     /// environments.
     pub fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
         out.push(self.cycle % self.prog.env_period?);
-        out.extend_from_slice(&self.key);
+        out.extend_from_slice(&self.key[1..]);
         debug_assert_eq!(
-            &out[out.len() - self.key.len()..],
-            &self.written_key()[..],
+            &out[out.len() + 1 - self.key.len()..],
+            &self.written_key()[1..],
             "in-place key drifted from its KeyWriter encoding"
         );
         Some(())
     }
 
-    /// The packed key words (phase word excluded) written from scratch
-    /// by [`KeyWriter`] over the registers.
+    /// Rewrite the whole packed key from the registers, in place.
+    fn rewrite_key(&mut self) {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        self.write_key(&mut key);
+        self.key = key;
+    }
+
+    /// The packed key written from scratch over the registers, with a
+    /// zero phase word.
     fn written_key(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.key.len());
+        self.write_key(&mut out);
+        out
+    }
+
+    /// Append the packed key, with a zero phase word, to `out`: one
+    /// [`KeyWriter`] pass over the registers in node order.
+    fn write_key(&self, out: &mut Vec<u64>) {
         let p = &*self.prog;
-        let mut out = Vec::with_capacity(p.readers.key_bits.div_ceil(64) as usize + 1);
-        let mut key = KeyWriter::new(&mut out, 0);
+        let mut key = KeyWriter::new(out, 0);
         for slot in &p.comp_slots {
             match *slot {
                 CompSlot::Source(i) => key.bit(self.src_valid[i as usize]),
@@ -1136,8 +1276,6 @@ impl SkeletonSystem {
             }
         }
         key.finish();
-        out.remove(0);
-        out
     }
 
     /// Detect the periodic regime (see
@@ -1156,6 +1294,63 @@ impl SkeletonSystem {
         }
         None
     }
+}
+
+/// Clock shell `s`'s registers given its settled fire condition `f`:
+/// firing loads every output register and empties the buffers;
+/// otherwise a stopped output holds and a buffer catches its valid
+/// input. Returns whether any register changed.
+#[inline]
+fn clock_shell(
+    p: &SettleProgram,
+    fwd: &[bool],
+    stop: &[bool],
+    shell_out: &mut [bool],
+    in_buf: &mut [bool],
+    f: bool,
+    s: usize,
+) -> bool {
+    let mut changed = false;
+    for k in p.shell_out_range(s) {
+        let v = f | (shell_out[k] & stop[p.shell_out_ch[k] as usize]);
+        changed |= v != shell_out[k];
+        shell_out[k] = v;
+    }
+    if p.shell_buffered[s] {
+        for k in p.shell_in_range(s) {
+            let v = !f & (in_buf[k] | fwd[p.shell_in_ch[k] as usize]);
+            changed |= v != in_buf[k];
+            in_buf[k] = v;
+        }
+    }
+    changed
+}
+
+/// Clock a full relay's main/aux registers: a released main takes the
+/// input (or, with aux occupied, aux shifts in; value-wise main stays
+/// informative); a held main parks the input in aux. Returns whether
+/// either changed.
+#[inline]
+fn clock_full(main: &mut bool, aux: &mut bool, input: bool, stopped: bool) -> bool {
+    let (m, a) = (*main, *aux);
+    let released = m & !stopped;
+    *main = a | (m & !released) | input;
+    *aux = !released & (a | (m & input));
+    (*main, *aux) != (m, a)
+}
+
+/// A half relay's next occupancy: a stopped output keeps its token or
+/// catches the input; an unstopped one passes everything through.
+#[inline]
+fn clock_half(occ: bool, input: bool, stopped: bool) -> bool {
+    stopped & (occ | input)
+}
+
+/// A FIFO's `(drain, fill)` this cycle: a token leaves unless the
+/// output is stopped, one enters when offered unless the FIFO was full.
+#[inline]
+fn fifo_moves(occ: u32, cap: u32, input: bool, stopped: bool) -> (bool, bool) {
+    (!stopped & (occ > 0), (occ != cap) & input)
 }
 
 /// Fire condition of shell `s` against settled `fwd`/`stop` bits: every
@@ -1261,11 +1456,12 @@ mod tests {
 
     #[test]
     fn put_bits_straddles_words() {
-        let mut key = [u64::MAX, u64::MAX];
+        // Field bits start after the phase word.
+        let mut key = [7, u64::MAX, u64::MAX];
         put_bits(&mut key, 62, 4, 0b0110);
-        assert_eq!(key, [u64::MAX >> 2 | 0b10 << 62, u64::MAX << 2 | 0b01]);
+        assert_eq!(key, [7, u64::MAX >> 2 | 0b10 << 62, u64::MAX << 2 | 0b01]);
         put_bits(&mut key, 0, 1, 0);
-        assert_eq!(key[0] & 1, 0);
+        assert_eq!(key[1] & 1, 0);
     }
 
     #[test]
@@ -1304,7 +1500,11 @@ mod tests {
     /// `KeyWriter` rebuild and the System's key, and sink counts, shell
     /// fires and relay levels agree.
     fn assert_same(what: &str, t: u64, netlist: &Netlist, full: &System, sk: &SkeletonSystem) {
-        assert_eq!(sk.key, sk.written_key(), "{what}: key drifted at cycle {t}");
+        assert_eq!(
+            sk.key[1..],
+            sk.written_key()[1..],
+            "{what}: key drifted at cycle {t}"
+        );
         assert_eq!(
             full.control_state(),
             sk.control_state(),
@@ -1483,7 +1683,11 @@ mod tests {
                     sk.adopt(Arc::clone(&patched));
                     batch.adopt(Arc::clone(&patched));
                 }
-                assert_eq!(sk.key, sk.written_key(), "{what}: key drifted at cycle {t}");
+                assert_eq!(
+                    sk.key[1..],
+                    sk.written_key()[1..],
+                    "{what}: key drifted at cycle {t}"
+                );
                 assert_eq!(
                     sk.component_state(),
                     batch.lane_component_state(0),

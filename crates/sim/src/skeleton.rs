@@ -31,7 +31,7 @@
 //!   control-state key in place. The key is bit-identical to the
 //!   `KeyWriter` encoding of the same state.
 //!
-//! When a clock changed more than a fifth of the registers (a tree
+//! When a clock changed more than a quarter of the registers (a tree
 //! filling up, a small ring under a periodic stop), waking readers one
 //! change at a time costs more than running every op, so the next step
 //! runs the whole tape: straight per-kind loops that wake no readers,
@@ -196,7 +196,7 @@ struct Dirty {
 
 /// A step runs the full tape after a clock that changed more than one
 /// register in `DENSE_SHARE`.
-const DENSE_SHARE: usize = 5;
+const DENSE_SHARE: usize = 4;
 
 /// A bitmap of `n` set bits.
 fn ones(n: usize) -> Vec<u64> {
@@ -227,6 +227,45 @@ fn clock_set(bits: &mut [u64], changed: &mut usize, mut f: impl FnMut(usize) -> 
             *slot |= u64::from(c) << b;
             *changed += usize::from(c);
         }
+    }
+}
+
+/// Rewrites a clock set with exactly the rows that changed, fed every
+/// row in order: each word is built in a register and stored once.
+struct Marks<'a> {
+    bits: &'a mut [u64],
+    word: u64,
+    rows: usize,
+    changed: usize,
+}
+
+impl<'a> Marks<'a> {
+    fn new(bits: &'a mut [u64]) -> Self {
+        Marks {
+            bits,
+            word: 0,
+            rows: 0,
+            changed: 0,
+        }
+    }
+
+    /// The next row changed iff `c`.
+    #[inline]
+    fn push(&mut self, c: bool) {
+        self.word |= u64::from(c) << (self.rows % 64);
+        self.changed += usize::from(c);
+        self.rows += 1;
+        if self.rows.is_multiple_of(64) {
+            self.bits[self.rows / 64 - 1] = std::mem::take(&mut self.word);
+        }
+    }
+
+    /// Store the last partial word; returns how many rows changed.
+    fn finish(self) -> usize {
+        if !self.rows.is_multiple_of(64) {
+            self.bits[self.rows / 64] = self.word;
+        }
+        self.changed
     }
 }
 
@@ -803,30 +842,17 @@ impl SkeletonSystem {
         let p: &SettleProgram = prog;
         let t = *cycle;
         let mut changed = 0;
-        let mut mark = |bits: &mut [u64], i: usize, c: bool| {
-            bits[i / 64] |= u64::from(c) << (i % 64);
-            changed += usize::from(c);
-        };
-        for bits in [
-            &mut dirty.shell,
-            &mut dirty.full,
-            &mut dirty.half,
-            &mut dirty.fifo,
-        ] {
-            // A plain loop: `slice::fill` costs far more on these short
-            // bitmaps.
-            for w in bits.iter_mut() {
-                *w = 0;
-            }
-        }
+        let mut marks = Marks::new(&mut dirty.shell);
         for s in 0..p.shell_buffered.len() {
             let f = fires.now[s];
             if P::ENABLED && f {
                 probe.fire(t, s as u32, 0);
             }
             let c = clock_shell(p, fwd, stop, shell_out, in_buf, f, s);
-            mark(&mut dirty.shell, s, c);
+            marks.push(c);
         }
+        changed += marks.finish();
+        let mut marks = Marks::new(&mut dirty.full);
         for i in 0..full_main.len() {
             let input = fwd[p.full_in_ch[i] as usize];
             let stopped = stop[p.full_out_ch[i] as usize];
@@ -845,8 +871,10 @@ impl SkeletonSystem {
             let row = p.full_relay_row(i) as usize;
             let occ = u32::from(full_main[i]) + u32::from(full_aux[i]);
             relay_peak[row] = relay_peak[row].max(occ);
-            mark(&mut dirty.full, i, c);
+            marks.push(c);
         }
+        changed += marks.finish();
+        let mut marks = Marks::new(&mut dirty.half);
         for h in 0..half_occ.len() {
             let input = fwd[p.half_in_ch[h] as usize];
             let stopped = stop[p.half_out_ch[h] as usize];
@@ -861,8 +889,10 @@ impl SkeletonSystem {
             }
             half_occ[h] = clock_half(occ, input, stopped);
             relay_peak[row as usize] |= u32::from(half_occ[h]);
-            mark(&mut dirty.half, h, half_occ[h] != occ);
+            marks.push(half_occ[h] != occ);
         }
+        changed += marks.finish();
+        let mut marks = Marks::new(&mut dirty.fifo);
         for i in 0..fifo_occ.len() {
             let input = fwd[p.fifo_in_ch[i] as usize];
             let stopped = stop[p.fifo_out_ch[i] as usize];
@@ -878,9 +908,9 @@ impl SkeletonSystem {
             }
             fifo_occ[i] = occ - u32::from(drain) + u32::from(fill);
             relay_peak[row as usize] = relay_peak[row as usize].max(fifo_occ[i]);
-            mark(&mut dirty.fifo, i, fifo_occ[i] != occ);
+            marks.push(fifo_occ[i] != occ);
         }
-        changed
+        changed + marks.finish()
     }
 
     /// Clock the registers in the clock sets, rewriting the key field

@@ -48,10 +48,10 @@ use lip_sim::{
 };
 
 const BUDGET: u64 = 8192;
-const REPS: usize = 9;
+const REPS: usize = 25;
 /// Corpus passes per timed leg: one pass takes well under a
 /// millisecond, too short to hold a 3% gate against host noise.
-const PASSES: usize = 16;
+const PASSES: usize = 8;
 /// Gate: runtime-disabled instrumentation must cost `< 3%` wall clock.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 3.0;
 /// Gate: the fully-enabled recorder (spans + counted kernels with

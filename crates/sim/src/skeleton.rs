@@ -36,10 +36,9 @@
 //! change at a time costs more than running every op, so the next step
 //! runs the whole tape: straight per-kind loops that wake no readers,
 //! leaving the key to one `KeyWriter` pass when it is next read or
-//! edited. Its clock still records
-//! which registers changed, so the step after can go either way. With
-//! a [`Probe`] attached every step runs the tape, since observers
-//! expect every per-component event.
+//! edited. Its clock still records which registers changed, so the
+//! step after can go either way. With a [`Probe`] attached every step
+//! runs the tape, since observers expect every per-component event.
 //! Shell fire counts bank on fire-bit transitions and relay peaks rise
 //! on fills, so neither costs a pass over every component per cycle.
 //!

@@ -636,8 +636,6 @@ pub(crate) struct ReaderIndex {
     pub(crate) shell_key: Vec<u32>,
     /// Relay row (full, half, FIFO numbering) → key bit offset.
     pub(crate) relay_key: Vec<u32>,
-    /// Packed key width in bits, phase word excluded.
-    pub(crate) key_bits: u32,
 }
 
 impl ReaderIndex {
@@ -717,7 +715,6 @@ impl ReaderIndex {
             src_key,
             shell_key,
             relay_key,
-            key_bits: bit,
         }
     }
 }

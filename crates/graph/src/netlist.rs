@@ -187,6 +187,40 @@ pub struct Channel {
     pub consumer: Port,
 }
 
+/// Every node's port slots in one flat array, so a netlist allocates
+/// nothing per node: node `i`'s ports are `slots[first[i]..first[i + 1]]`.
+#[derive(Debug, Clone)]
+struct PortTable {
+    first: Vec<u32>,
+    slots: Vec<Option<ChannelId>>,
+}
+
+impl Default for PortTable {
+    fn default() -> Self {
+        PortTable {
+            first: vec![0],
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl PortTable {
+    /// Add the next node's `count` unconnected ports.
+    fn push(&mut self, count: usize) {
+        self.slots.resize(self.slots.len() + count, None);
+        self.first
+            .push(u32::try_from(self.slots.len()).expect("too many ports"));
+    }
+
+    fn of(&self, node: NodeId) -> &[Option<ChannelId>] {
+        &self.slots[self.first[node.index()] as usize..self.first[node.index() + 1] as usize]
+    }
+
+    fn of_mut(&mut self, node: NodeId) -> &mut [Option<ChannelId>] {
+        &mut self.slots[self.first[node.index()] as usize..self.first[node.index() + 1] as usize]
+    }
+}
+
 /// A latency-insensitive netlist.
 ///
 /// # Example
@@ -214,9 +248,9 @@ pub struct Netlist {
     nodes: Vec<Node>,
     channels: Vec<Channel>,
     /// Per node: channel driven by each output port.
-    out_ports: Vec<Vec<Option<ChannelId>>>,
+    out_ports: PortTable,
     /// Per node: channel feeding each input port.
-    in_ports: Vec<Vec<Option<ChannelId>>>,
+    in_ports: PortTable,
     variant: ProtocolVariant,
 }
 
@@ -250,8 +284,8 @@ impl Netlist {
 
     fn add_node(&mut self, name: String, kind: NodeKind) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
-        self.out_ports.push(vec![None; kind.num_outputs()]);
-        self.in_ports.push(vec![None; kind.num_inputs()]);
+        self.out_ports.push(kind.num_outputs());
+        self.in_ports.push(kind.num_inputs());
         self.nodes.push(Node { name, kind });
         id
     }
@@ -403,9 +437,9 @@ impl Netlist {
             });
         }
         let busy = if output {
-            self.out_ports[node.index()][port].is_some()
+            self.out_ports.of(node)[port].is_some()
         } else {
-            self.in_ports[node.index()][port].is_some()
+            self.in_ports.of(node)[port].is_some()
         };
         if busy {
             return Err(NetlistError::PortAlreadyConnected { node, port, output });
@@ -440,8 +474,8 @@ impl Netlist {
                 index: to_port,
             },
         });
-        self.out_ports[from.index()][from_port] = Some(id);
-        self.in_ports[to.index()][to_port] = Some(id);
+        self.out_ports.of_mut(from)[from_port] = Some(id);
+        self.in_ports.of_mut(to)[to_port] = Some(id);
         Ok(id)
     }
 
@@ -499,14 +533,14 @@ impl Netlist {
         // Rewire: producer -> rs (reusing the existing channel record),
         // rs -> consumer (new channel).
         self.channels[channel.index()].consumer = Port { node: rs, index: 0 };
-        self.in_ports[rs.index()][0] = Some(channel);
+        self.in_ports.of_mut(rs)[0] = Some(channel);
         let new_id = ChannelId(u32::try_from(self.channels.len()).expect("too many channels"));
         self.channels.push(Channel {
             producer: Port { node: rs, index: 0 },
             consumer: ch.consumer,
         });
-        self.out_ports[rs.index()][0] = Some(new_id);
-        self.in_ports[ch.consumer.node.index()][ch.consumer.index] = Some(new_id);
+        self.out_ports.of_mut(rs)[0] = Some(new_id);
+        self.in_ports.of_mut(ch.consumer.node)[ch.consumer.index] = Some(new_id);
         rs
     }
 
@@ -574,33 +608,45 @@ impl Netlist {
     /// Channel driven by output port `port` of `node`, if connected.
     #[must_use]
     pub fn out_channel(&self, node: NodeId, port: usize) -> Option<ChannelId> {
-        self.out_ports[node.index()].get(port).copied().flatten()
+        self.out_ports.of(node).get(port).copied().flatten()
     }
 
     /// Channel feeding input port `port` of `node`, if connected.
     #[must_use]
     pub fn in_channel(&self, node: NodeId, port: usize) -> Option<ChannelId> {
-        self.in_ports[node.index()].get(port).copied().flatten()
+        self.in_ports.of(node).get(port).copied().flatten()
     }
 
     /// Successor nodes of `node` (one per connected output port).
     #[must_use]
     pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        self.out_ports[node.index()]
-            .iter()
-            .flatten()
-            .map(|ch| self.channels[ch.index()].consumer.node)
-            .collect()
+        self.successors_iter(node).collect()
     }
 
     /// Predecessor nodes of `node` (one per connected input port).
     #[must_use]
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        self.in_ports[node.index()]
+        self.predecessors_iter(node).collect()
+    }
+
+    /// [`Netlist::successors`], borrowed from the netlist instead of
+    /// collected: graph walks take one step without allocating.
+    pub fn successors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.out_ports
+            .of(node)
+            .iter()
+            .flatten()
+            .map(|ch| self.channels[ch.index()].consumer.node)
+    }
+
+    /// [`Netlist::predecessors`], borrowed from the netlist instead of
+    /// collected.
+    pub fn predecessors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.in_ports
+            .of(node)
             .iter()
             .flatten()
             .map(|ch| self.channels[ch.index()].producer.node)
-            .collect()
     }
 
     /// All node ids of a kind selected by `pred`.
@@ -721,14 +767,12 @@ impl Netlist {
             if mark[start] != Mark::White || cut(&self.nodes[start].kind) {
                 continue;
             }
-            let mut work: Vec<(NodeId, usize)> = vec![(start_id, 0)];
+            let mut work = vec![(start_id, self.successors_iter(start_id))];
             mark[start] = Mark::Grey;
             stack.push(start_id);
-            while let Some(&(node, next)) = work.last() {
-                let succs = self.successors(node);
-                if next < succs.len() {
-                    work.last_mut().expect("non-empty").1 += 1;
-                    let s = succs[next];
+            while let Some((node, succs)) = work.last_mut() {
+                let node = *node;
+                if let Some(s) = succs.next() {
                     if cut(&self.nodes[s.index()].kind) {
                         continue;
                     }
@@ -736,7 +780,7 @@ impl Netlist {
                         Mark::White => {
                             mark[s.index()] = Mark::Grey;
                             stack.push(s);
-                            work.push((s, 0));
+                            work.push((s, self.successors_iter(s)));
                         }
                         Mark::Grey => {
                             // Found a cycle: slice the path stack.
@@ -796,7 +840,7 @@ impl Netlist {
                     None => {
                         // A relay station: follow its single output.
                         let next =
-                            self.out_ports[cursor.node.index()][0].expect("relay output connected");
+                            self.out_ports.of(cursor.node)[0].expect("relay output connected");
                         cursor = self.channels[next.index()].consumer;
                     }
                 }

@@ -77,26 +77,30 @@ pub fn sccs(netlist: &Netlist) -> Vec<Vec<NodeId>> {
     let mut next_index = 0usize;
     let mut out: Vec<Vec<NodeId>> = Vec::new();
 
-    // Iterative Tarjan: frame = (node, successor cursor).
+    // Iterative Tarjan: frame = (node, its remaining successors).
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
         }
-        let mut work: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&(v, cursor)) = work.last() {
-            if cursor == 0 {
+        let mut work = Vec::new();
+        let mut enter = Some(start);
+        loop {
+            if let Some(v) = enter.take() {
                 index[v] = next_index;
                 low[v] = next_index;
                 next_index += 1;
                 stack.push(v);
                 on_stack[v] = true;
+                work.push((v, netlist.successors_iter(node_id(v))));
             }
-            let succs = netlist.successors(node_id(v));
-            if cursor < succs.len() {
-                work.last_mut().expect("non-empty").1 += 1;
-                let w = succs[cursor].index();
+            let Some((v, succs)) = work.last_mut() else {
+                break;
+            };
+            let v = *v;
+            if let Some(w) = succs.next() {
+                let w = w.index();
                 if index[w] == usize::MAX {
-                    work.push((w, 0));
+                    enter = Some(w);
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
@@ -128,13 +132,30 @@ fn node_id(i: usize) -> NodeId {
     NodeId(u32::try_from(i).expect("node index"))
 }
 
-/// `true` if the netlist has no directed cycle.
+/// `true` if the netlist has no directed cycle (Kahn's algorithm: every
+/// node is eventually left with no unvisited predecessor).
 #[must_use]
 pub fn is_acyclic(netlist: &Netlist) -> bool {
-    sccs(netlist).iter().all(|c| c.len() == 1)
-        && netlist
-            .nodes()
-            .all(|(id, _)| !netlist.successors(id).contains(&id))
+    let mut pending: Vec<usize> = netlist
+        .nodes()
+        .map(|(id, _)| netlist.predecessors_iter(id).count())
+        .collect();
+    let mut ready: Vec<NodeId> = netlist
+        .nodes()
+        .filter(|(id, _)| pending[id.index()] == 0)
+        .map(|(id, _)| id)
+        .collect();
+    let mut left = netlist.node_count();
+    while let Some(v) = ready.pop() {
+        left -= 1;
+        for w in netlist.successors_iter(v) {
+            pending[w.index()] -= 1;
+            if pending[w.index()] == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    left == 0
 }
 
 /// Enumerate up to `limit` simple directed cycles (each as a node list in
@@ -154,21 +175,19 @@ pub fn simple_cycles(netlist: &Netlist, limit: usize) -> Vec<Vec<NodeId>> {
         let mut path: Vec<NodeId> = vec![root_id];
         let mut on_path = vec![false; n];
         on_path[root] = true;
-        let mut work: Vec<(NodeId, usize)> = vec![(root_id, 0)];
-        while let Some(&(v, cursor)) = work.last() {
+        let mut work = vec![(root_id, netlist.successors_iter(root_id))];
+        while let Some((v, succs)) = work.last_mut() {
             if cycles.len() >= limit {
                 break;
             }
-            let succs = netlist.successors(v);
-            if cursor < succs.len() {
-                work.last_mut().expect("non-empty").1 += 1;
-                let w = succs[cursor];
+            let v = *v;
+            if let Some(w) = succs.next() {
                 if w == root_id {
                     cycles.push(path.clone());
                 } else if w.index() > root && !on_path[w.index()] {
                     on_path[w.index()] = true;
                     path.push(w);
-                    work.push((w, 0));
+                    work.push((w, netlist.successors_iter(w)));
                 }
             } else {
                 work.pop();
@@ -248,15 +267,13 @@ pub fn simple_paths(netlist: &Netlist, from: NodeId, to: NodeId, limit: usize) -
     let mut path = vec![from];
     let mut on_path = vec![false; n];
     on_path[from.index()] = true;
-    let mut work: Vec<(NodeId, usize)> = vec![(from, 0)];
-    while let Some(&(v, cursor)) = work.last() {
+    let mut work = vec![(from, netlist.successors_iter(from))];
+    while let Some((v, succs)) = work.last_mut() {
         if out.len() >= limit {
             break;
         }
-        let succs = netlist.successors(v);
-        if cursor < succs.len() {
-            work.last_mut().expect("non-empty").1 += 1;
-            let w = succs[cursor];
+        let v = *v;
+        if let Some(w) = succs.next() {
             if w == to {
                 let mut p = path.clone();
                 p.push(to);
@@ -264,7 +281,7 @@ pub fn simple_paths(netlist: &Netlist, from: NodeId, to: NodeId, limit: usize) -
             } else if !on_path[w.index()] {
                 on_path[w.index()] = true;
                 path.push(w);
-                work.push((w, 0));
+                work.push((w, netlist.successors_iter(w)));
             }
         } else {
             work.pop();
@@ -323,8 +340,7 @@ pub fn longest_latency(netlist: &Netlist) -> Option<u64> {
             return d;
         }
         let best = netlist
-            .successors(v)
-            .into_iter()
+            .successors_iter(v)
             .map(|w| go(netlist, w, memo))
             .max()
             .unwrap_or(0);

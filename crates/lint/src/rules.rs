@@ -197,8 +197,7 @@ fn lip002(netlist: &Netlist, map: &SourceMap, out: &mut Vec<Diagnostic>) {
             state[id.index()] = 1;
             path.push(id);
             cur = netlist
-                .successors(id)
-                .into_iter()
+                .successors_iter(id)
                 .find(|&s| netlist.node(s).kind().is_relay());
         }
         if let Some(hit) = cur {
@@ -318,12 +317,7 @@ fn reachable_shells(netlist: &Netlist, from: NodeId, forward: bool) -> Vec<NodeI
     let mut queue = VecDeque::from([from]);
     let mut shells = Vec::new();
     while let Some(id) = queue.pop_front() {
-        let next = if forward {
-            netlist.successors(id)
-        } else {
-            netlist.predecessors(id)
-        };
-        for n in next {
+        let mut visit = |n: NodeId| {
             if !seen[n.index()] {
                 seen[n.index()] = true;
                 if netlist.node(n).kind().is_shell() {
@@ -331,6 +325,11 @@ fn reachable_shells(netlist: &Netlist, from: NodeId, forward: bool) -> Vec<NodeI
                 }
                 queue.push_back(n);
             }
+        };
+        if forward {
+            netlist.successors_iter(id).for_each(&mut visit);
+        } else {
+            netlist.predecessors_iter(id).for_each(&mut visit);
         }
     }
     shells.sort_unstable();
@@ -350,9 +349,6 @@ fn lip004(
     bottleneck: Option<&Bottleneck>,
     out: &mut Vec<Diagnostic>,
 ) {
-    if !topology::is_acyclic(netlist) {
-        return; // feedback loops adapt by resizing, not equalization
-    }
     // Relay-count imbalance alone can be harmless (a half station adds
     // a place but no forward latency), so only report joins whose
     // reconvergence demonstrably costs throughput: in a feed-forward
@@ -360,6 +356,9 @@ fn lip004(
     let Some(&(_, predicted)) = bottleneck else {
         return;
     };
+    if !topology::is_acyclic(netlist) {
+        return; // feedback loops adapt by resizing, not equalization
+    }
     let imbalanced: Vec<(NodeId, usize)> = topology::join_nodes(netlist)
         .into_iter()
         .filter_map(|j| {

@@ -20,6 +20,42 @@
 //! yields `(m − i)/m`. It also covers half relay stations, mixed loops
 //! and compositions exactly — the test-suite checks it against simulated
 //! throughput over the whole topology corpus.
+//!
+//! ## Solving it
+//!
+//! [`MarkedGraph::binding_cycle`] finds the minimum exactly by Howard's
+//! policy iteration (Cochet-Terrasson et al. 1998; Dasdan, TODAES 2004).
+//! Lint, [`predict_throughput`](crate::predict_throughput) and
+//! [`closed_form`](crate::closed_form) all go through it.
+//!
+//! * [`MarkedGraph::new`] builds the adjacency once, in compressed form.
+//!   Every edge has a reverse edge, so the solver first peels off the
+//!   nodes on no cycle longer than two (it keeps the 2-core of the
+//!   channel graph). A peeled two-edge cycle is never below 1 for a
+//!   legal element; a channel whose own two-edge cycle is below 1 (a
+//!   FIFO of fewer than two places) is kept. Trees and chains peel away
+//!   entirely.
+//! * Every remaining node starts on its lowest-`tokens/delay` out-edge,
+//!   zero-delay edges last. The policy graph is functional: each node
+//!   drains into one policy cycle, whose ratio λ is the node's value.
+//! * Value determination gives each node a potential scaled by λ's
+//!   denominator, so the weights `den·tokens − num·delay` stay exact
+//!   integers (`i128`). A zero-delay policy cycle (a combinational loop)
+//!   gets λ = ∞ and never binds.
+//! * λ-improvement moves nodes onto edges into basins of lower λ. When
+//!   none can move, potential improvement runs a work queue: a node
+//!   switches to the same-λ edge that lowers its potential most, and a
+//!   node whose potential drops requeues its same-λ in-neighbours. A
+//!   budget of drops ends the phase when a switch closes a faster cycle;
+//!   the next evaluation picks that cycle up.
+//! * At the fixed point the lowest policy-cycle ratio is the minimum
+//!   cycle ratio. The reported cycle is the lowest-ratio policy cycle
+//!   holding the lowest node, rotated to start at that node.
+//!
+//! The Bellman-Ford search this replaced survives as the test oracle in
+//! `tests/model_properties.rs`.
+
+use std::collections::VecDeque;
 
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{Netlist, NodeId, NodeKind};
@@ -38,11 +74,73 @@ pub struct ModelEdge {
     pub delay: u64,
 }
 
-/// The constraint graph extracted from a netlist.
+/// The constraint graph extracted from a netlist, in compressed
+/// adjacency form: the out-edges of node `u` are
+/// `arcs[first[u]..first[u + 1]]`.
 #[derive(Debug, Clone)]
 pub struct MarkedGraph {
-    node_count: usize,
-    edges: Vec<ModelEdge>,
+    ids: Vec<NodeId>,
+    first: Vec<u32>,
+    arcs: Vec<Arc>,
+    /// Both ends of every channel whose own two-edge cycle is below 1
+    /// (only a FIFO of fewer than two places makes one).
+    pinned: Vec<u32>,
+}
+
+/// One out-edge in the adjacency: target index, tokens and delay (a
+/// FIFO holds at most 255 places, so both fit 16 bits).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Arc {
+    to: u32,
+    tokens: u16,
+    delay: u16,
+}
+
+impl Arc {
+    /// The edge's own `tokens/delay`; a zero-delay edge ranks last.
+    fn ratio(self) -> Lambda {
+        Lambda::of(self.tokens.into(), self.delay.into())
+    }
+}
+
+/// A storage element as the model sees it: forward tokens and latency,
+/// free spaces and back-pressure latency, and whether it is a buffered
+/// shell, which fuses a one-place skid buffer (a half station) into
+/// each input: one extra space and one extra cycle backward.
+#[derive(Debug, Clone, Copy)]
+struct Element {
+    tokens: u8,
+    delay: u8,
+    spaces: u8,
+    back_delay: u8,
+    buffered: bool,
+}
+
+impl Element {
+    /// `None` for sources and sinks, which neither run out of tokens nor
+    /// of spaces.
+    fn of(kind: &NodeKind) -> Option<Element> {
+        let (tokens, delay, spaces, back_delay) = match kind {
+            NodeKind::Source { .. } | NodeKind::Sink { .. } => return None,
+            NodeKind::Shell { .. } => (1, 1, 0, 0),
+            NodeKind::Relay {
+                kind: RelayKind::Full,
+            } => (0, 1, 2, 1),
+            NodeKind::Relay {
+                kind: RelayKind::Half,
+            } => (0, 0, 1, 1),
+            NodeKind::Relay {
+                kind: RelayKind::Fifo(k),
+            } => (0, 1, *k, 1),
+        };
+        Some(Element {
+            tokens,
+            delay,
+            spaces,
+            back_delay,
+            buffered: kind.is_buffered_shell(),
+        })
+    }
 }
 
 impl MarkedGraph {
@@ -54,161 +152,474 @@ impl MarkedGraph {
     /// [`predict_throughput`](crate::predict_throughput).
     #[must_use]
     pub fn new(netlist: &Netlist) -> Self {
-        let mut edges = Vec::new();
-        for (_, ch) in netlist.channels() {
-            let u = ch.producer.node;
-            let v = ch.consumer.node;
-            // Storage parameters of the producer's output element.
-            let (fwd_delay, tokens, capacity, bwd_delay) = match netlist.node(u).kind() {
-                NodeKind::Shell { .. } => (1u64, 1u64, 1u64, 0u64),
-                NodeKind::Relay {
-                    kind: RelayKind::Full,
-                } => (1, 0, 2, 1),
-                NodeKind::Relay {
-                    kind: RelayKind::Half,
-                } => (0, 0, 1, 1),
-                NodeKind::Relay {
-                    kind: RelayKind::Fifo(k),
-                } => (1, 0, u64::from(*k), 1),
-                NodeKind::Source { .. } => continue,
-                NodeKind::Sink { .. } => unreachable!("sinks have no outputs"),
-            };
-            edges.push(ModelEdge {
-                from: u,
-                to: v,
-                tokens,
-                delay: fwd_delay,
-            });
-            // Sinks apply no sustained back-pressure in free flow.
-            if !matches!(netlist.node(v).kind(), NodeKind::Sink { .. }) {
-                // A buffered-shell consumer fuses a one-place skid
-                // buffer (a half station) into its input: one extra
-                // space and one extra cycle on the backward path.
-                let buffered = netlist.node(v).kind().is_buffered_shell();
-                edges.push(ModelEdge {
-                    from: v,
-                    to: u,
-                    tokens: capacity - tokens + u64::from(buffered),
-                    delay: bwd_delay + u64::from(buffered),
-                });
+        let (ids, elems): (Vec<NodeId>, Vec<Option<Element>>) = netlist
+            .nodes()
+            .map(|(id, node)| (id, Element::of(node.kind())))
+            .unzip();
+        // Each channel `u → v` between storage elements yields a forward
+        // edge `u → v` and a backward edge `v → u`. Sinks apply no
+        // sustained back-pressure in free flow, so a channel into a sink
+        // lies on no cycle and yields no edge at all.
+        let pairs = || {
+            netlist.channels().filter_map(|(_, ch)| {
+                let (u, v) = (ch.producer.node.index(), ch.consumer.node.index());
+                let (producer, consumer) = (elems[u]?, elems[v]?);
+                let skid = u16::from(consumer.buffered);
+                let forward = Arc {
+                    to: v as u32,
+                    tokens: producer.tokens.into(),
+                    delay: producer.delay.into(),
+                };
+                let backward = Arc {
+                    to: u as u32,
+                    tokens: u16::from(producer.spaces) + skid,
+                    delay: u16::from(producer.back_delay) + skid,
+                };
+                Some((u, v, forward, backward))
+            })
+        };
+        // Counting sort by origin: `first[u]` counts up to the end of
+        // `u`'s run, then counts back down to its start while filling.
+        let mut first = vec![0u32; ids.len() + 1];
+        for (u, v, _, _) in pairs() {
+            first[u] += 1;
+            first[v] += 1;
+        }
+        let mut end = 0;
+        for f in &mut first {
+            end += *f;
+            *f = end;
+        }
+        let mut arcs = vec![Arc::default(); end as usize];
+        let mut pinned = Vec::new();
+        for (u, v, forward, backward) in pairs() {
+            first[u] -= 1;
+            arcs[first[u] as usize] = forward;
+            first[v] -= 1;
+            arcs[first[v] as usize] = backward;
+            if forward.tokens + backward.tokens < forward.delay + backward.delay {
+                pinned.extend([u as u32, v as u32]);
             }
         }
         MarkedGraph {
-            node_count: netlist.node_count(),
-            edges,
+            ids,
+            first,
+            arcs,
+            pinned,
         }
     }
 
-    /// The constraint edges.
-    #[must_use]
-    pub fn edges(&self) -> &[ModelEdge] {
-        &self.edges
+    /// The constraint edges, grouped by origin node in [`NodeId`] order.
+    /// Every edge `u → v` has a reverse edge `v → u`.
+    pub fn edges(&self) -> impl Iterator<Item = ModelEdge> + '_ {
+        (0..self.ids.len()).flat_map(move |u| self.out(u).iter().map(move |a| self.edge(u, *a)))
     }
 
     /// Minimum cycle ratio `tokens/delay` over all directed cycles,
     /// capped at 1 (a LID never exceeds one token per cycle). Returns
     /// `Ratio::new(1, 1)` when no constraining cycle exists (pure
-    /// feed-forward systems).
-    ///
-    /// Exact: iteratively extracts a cycle with ratio below the current
-    /// bound (Bellman-Ford negative-cycle detection under integer
-    /// cross-multiplied weights) and tightens the bound to that cycle's
-    /// exact ratio, until no better cycle exists.
+    /// feed-forward systems). The ratio of
+    /// [`MarkedGraph::binding_cycle`].
     #[must_use]
     pub fn min_cycle_ratio(&self) -> Ratio {
-        let mut best = Ratio::new(1, 1);
-        // A zero-delay, zero-token cycle would be a combinational loop;
-        // the netlist validator excludes it, but guard anyway.
-        while let Some(cycle) = self.cycle_below(best) {
-            let tokens: u64 = cycle.iter().map(|e| e.tokens).sum();
-            let delay: u64 = cycle.iter().map(|e| e.delay).sum();
-            debug_assert!(delay > 0, "combinational loop in model");
-            if delay == 0 {
-                break;
-            }
-            let r = Ratio::new(tokens, delay);
-            debug_assert!(
-                r.num() * best.den() < best.num() * r.den(),
-                "cycle extraction must improve the bound"
-            );
-            best = r;
-        }
-        best
+        self.binding_cycle().map_or(Ratio::new(1, 1), |(_, r)| r)
     }
 
     /// The cycle achieving the minimum ratio, as edges in traversal
-    /// order, together with that ratio — the design's *bottleneck*.
-    /// Returns `None` when nothing constrains the design below `T = 1`
-    /// (trees, balanced fork-joins, sufficiently tokenised loops).
+    /// order from its lowest [`NodeId`], together with that ratio — the
+    /// design's *bottleneck*. Returns `None` when nothing constrains the
+    /// design below `T = 1` (trees, balanced fork-joins, sufficiently
+    /// tokenised loops). Of several minimal cycles in the final policy,
+    /// the one with the lowest node is reported.
     ///
     /// Designers use this to know *which* loop to attack: insert spare
     /// stations on its backward (space) segment, or remove latency from
     /// its forward segment.
+    ///
+    /// Exact: Howard's policy iteration over integer potentials (see the
+    /// [module docs](self)).
     #[must_use]
     pub fn binding_cycle(&self) -> Option<(Vec<ModelEdge>, Ratio)> {
-        let best = self.min_cycle_ratio();
-        if best == Ratio::new(1, 1) {
-            return None; // nothing constrains below full rate
-        }
-        // Find a cycle achieving `best` exactly: none is strictly below
-        // it, so probe with the next larger rational step (denominator
-        // scaled by the total delay, which dominates every cycle).
-        let total_delay: u64 = self.edges.iter().map(|e| e.delay).sum::<u64>().max(1);
-        let probe = Ratio::new(best.num() * total_delay + 1, best.den() * total_delay);
-        let cycle = self.cycle_below(probe)?;
-        let tokens: u64 = cycle.iter().map(|e| e.tokens).sum();
-        let delay: u64 = cycle.iter().map(|e| e.delay).sum();
-        Some((cycle, Ratio::new(tokens, delay)))
-    }
-
-    /// Find a cycle with ratio strictly below `bound`, if any.
-    ///
-    /// Uses weights `w(e) = bound.den * tokens(e) − bound.num * delay(e)`
-    /// (a cycle is negative iff its ratio < bound) and Bellman-Ford from
-    /// a virtual source; on detection, walks predecessors to extract the
-    /// cycle.
-    fn cycle_below(&self, bound: Ratio) -> Option<Vec<ModelEdge>> {
-        let n = self.node_count;
-        let w = |e: &ModelEdge| -> i128 {
-            i128::from(bound.den()) * i128::from(e.tokens)
-                - i128::from(bound.num()) * i128::from(e.delay)
-        };
-        // Bellman-Ford with all distances 0 (virtual source to all).
-        let mut dist = vec![0i128; n];
-        let mut pred: Vec<Option<usize>> = vec![None; n]; // predecessor edge index
-        let mut updated_node = None;
-        for round in 0..=n {
-            updated_node = None;
-            for (ei, e) in self.edges.iter().enumerate() {
-                let cand = dist[e.from.index()] + w(e);
-                if cand < dist[e.to.index()] {
-                    dist[e.to.index()] = cand;
-                    pred[e.to.index()] = Some(ei);
-                    updated_node = Some(e.to.index());
-                }
-            }
-            updated_node?;
-            let _ = round;
-        }
-        // A relaxation happened in round n: walk back n steps to land on
-        // the cycle, then collect it.
-        let mut v = updated_node.expect("relaxation recorded");
-        for _ in 0..n {
-            let ei = pred[v].expect("on a negative path");
-            v = self.edges[ei].from.index();
-        }
-        let start = v;
+        let mut howard = Howard::new(self);
+        howard.solve();
+        let (ratio, start) = howard.binding()?;
         let mut cycle = Vec::new();
+        let mut v = start;
         loop {
-            let ei = pred[v].expect("on the cycle");
-            cycle.push(self.edges[ei]);
-            v = self.edges[ei].from.index();
+            let a = howard.state[v].next;
+            cycle.push(self.edge(v, a));
+            v = a.to as usize;
             if v == start {
                 break;
             }
         }
-        cycle.reverse();
-        Some(cycle)
+        Some((cycle, Ratio::new(ratio.num, ratio.den)))
+    }
+
+    fn out(&self, u: usize) -> &[Arc] {
+        &self.arcs[self.first[u] as usize..self.first[u + 1] as usize]
+    }
+
+    fn edge(&self, u: usize, a: Arc) -> ModelEdge {
+        ModelEdge {
+            from: self.ids[u],
+            to: self.ids[a.to as usize],
+            tokens: u64::from(a.tokens),
+            delay: u64::from(a.delay),
+        }
+    }
+}
+
+/// A cycle ratio `num/den` in lowest terms. `den == 0` stands for +∞,
+/// the ratio of a zero-delay cycle: a combinational loop never binds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lambda {
+    num: u64,
+    den: u64,
+}
+
+impl Lambda {
+    const ONE: Lambda = Lambda { num: 1, den: 1 };
+
+    fn of(tokens: u64, delay: u64) -> Lambda {
+        if delay == 0 {
+            return Lambda { num: 1, den: 0 };
+        }
+        let (mut a, mut b) = (tokens, delay);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        Lambda {
+            num: tokens / a,
+            den: delay / a,
+        }
+    }
+
+    fn lt(self, other: Lambda) -> bool {
+        u128::from(self.num) * u128::from(other.den) < u128::from(other.num) * u128::from(self.den)
+    }
+
+    /// The edge weight `den·tokens − num·delay`: a cycle of ratio λ sums
+    /// to 0, a lower one to less.
+    fn weight(self, a: Arc) -> i128 {
+        i128::from(self.den) * i128::from(a.tokens) - i128::from(self.num) * i128::from(a.delay)
+    }
+}
+
+const NONE: u32 = u32::MAX;
+
+/// One node's share of the policy iteration, kept together so a visit
+/// touches one cache line.
+#[derive(Debug, Clone, Copy)]
+struct State {
+    /// The out-edge the policy follows; `to == NONE` for a node without
+    /// out-edges, which lies on no cycle.
+    next: Arc,
+    /// The policy cycle the node drains into (index into `cycles`).
+    cycle: u32,
+    /// Evaluation stamp: `epoch - 1` on the current walk, `epoch` done.
+    stamp: u32,
+    /// Potential, scaled by the denominator of the node's λ:
+    /// `pot[u] = pot[v] + weight(u → v)` along the policy, 0 at one node
+    /// of each policy cycle.
+    pot: i128,
+}
+
+/// How the potential-improvement phase ended.
+enum Improve {
+    /// No policy edge could be improved: the policy is optimal.
+    Optimal,
+    /// The potentials settled after some switches: still optimal, but
+    /// the policy cycles may have moved.
+    Settled,
+    /// The drop budget ran out, most likely because a switch closed a
+    /// cycle below λ: evaluate the policy again.
+    Budget,
+}
+
+/// Howard's policy iteration over one [`MarkedGraph`]. Every node that
+/// lies on a cycle follows one out-edge (its *policy*); the policy graph
+/// is functional, so each node drains into one policy cycle, whose
+/// ratio is the node's λ.
+struct Howard<'g> {
+    g: &'g MarkedGraph,
+    state: Vec<State>,
+    /// Each policy cycle's ratio and one node on it.
+    cycles: Vec<(Lambda, usize)>,
+    epoch: u32,
+    path: Vec<usize>,
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+}
+
+impl<'g> Howard<'g> {
+    /// Prune the graph to its cycles longer than two, then start every
+    /// remaining node on its lowest-ratio out-edge.
+    ///
+    /// Every edge has a reverse edge, so the graph is an undirected
+    /// multigraph of channels; a simple cycle through three or more
+    /// nodes, or through two channels between the same pair, lies in
+    /// its 2-core. Peeling off nodes with at most one channel left
+    /// therefore drops only single-channel two-edge cycles, which are
+    /// never below 1 unless the channel is pinned.
+    fn new(g: &'g MarkedGraph) -> Self {
+        const GONE: u32 = u32::MAX;
+        let mut degree: Vec<u32> = g.first.windows(2).map(|w| w[1] - w[0]).collect();
+        for &u in &g.pinned {
+            degree[u as usize] += 2;
+        }
+        // Sweep down the node order, cascading into nodes already
+        // passed; each node is peeled at most once. Designs numbered
+        // producers first (the generators, most `.lid` files) peel
+        // leaves-first, mostly without cascading.
+        let mut core = degree.iter().filter(|&&d| d > 0).count();
+        let mut peel = Vec::new();
+        for u in (0..degree.len()).rev() {
+            if degree[u] > 1 || g.first[u] == g.first[u + 1] {
+                continue;
+            }
+            peel.push(u);
+            while let Some(x) = peel.pop() {
+                core -= 1;
+                degree[x] = GONE;
+                for a in g.out(x) {
+                    let d = &mut degree[a.to as usize];
+                    if *d != GONE {
+                        *d -= 1;
+                        if *d == 1 && a.to as usize > u {
+                            peel.push(a.to as usize);
+                        }
+                    }
+                }
+            }
+        }
+        // With nothing left, no node gets a state and nothing binds.
+        let in_core = |v: u32| degree[v as usize] != GONE;
+        let nodes = if core == 0 { 0 } else { g.ids.len() };
+        let state = (0..nodes)
+            .map(|u| {
+                let mut next = Arc {
+                    to: NONE,
+                    ..Arc::default()
+                };
+                if in_core(u as u32) {
+                    for &a in g.out(u) {
+                        if in_core(a.to) && (next.to == NONE || a.ratio().lt(next.ratio())) {
+                            next = a;
+                        }
+                    }
+                }
+                State {
+                    next,
+                    cycle: 0,
+                    stamp: 0,
+                    pot: 0,
+                }
+            })
+            .collect();
+        Howard {
+            g,
+            state,
+            cycles: Vec::new(),
+            epoch: 0,
+            path: Vec::new(),
+            queue: VecDeque::new(),
+            queued: Vec::new(),
+        }
+    }
+
+    fn solve(&mut self) {
+        loop {
+            self.evaluate();
+            if self.improve_ratios() {
+                continue;
+            }
+            match self.improve_potentials() {
+                Improve::Optimal => return,
+                Improve::Settled => {
+                    self.evaluate();
+                    return;
+                }
+                Improve::Budget => {}
+            }
+        }
+    }
+
+    fn lam(&self, u: usize) -> Lambda {
+        self.cycles[self.state[u].cycle as usize].0
+    }
+
+    /// Value determination: find every policy cycle, its ratio, and the
+    /// potentials of the nodes draining into it.
+    fn evaluate(&mut self) {
+        self.epoch += 2;
+        let (on_path, done) = (self.epoch - 1, self.epoch);
+        let st = &mut self.state;
+        self.cycles.clear();
+        for s in 0..st.len() {
+            if st[s].next.to == NONE || st[s].stamp == done {
+                continue;
+            }
+            let mut u = s;
+            while st[u].stamp != done && st[u].stamp != on_path {
+                st[u].stamp = on_path;
+                self.path.push(u);
+                u = st[u].next.to as usize;
+            }
+            if st[u].stamp == on_path {
+                // A new cycle closes at `u`.
+                let (mut tokens, mut delay) = (0u64, 0u64);
+                let mut v = u;
+                loop {
+                    let a = st[v].next;
+                    tokens += u64::from(a.tokens);
+                    delay += u64::from(a.delay);
+                    v = a.to as usize;
+                    if v == u {
+                        break;
+                    }
+                }
+                st[u].cycle = self.cycles.len() as u32;
+                st[u].pot = 0;
+                st[u].stamp = done;
+                self.cycles.push((Lambda::of(tokens, delay), u));
+            }
+            while let Some(x) = self.path.pop() {
+                if st[x].stamp == done {
+                    continue;
+                }
+                let a = st[x].next;
+                let y = st[a.to as usize];
+                st[x].cycle = y.cycle;
+                st[x].pot = y.pot + self.cycles[y.cycle as usize].0.weight(a);
+                st[x].stamp = done;
+            }
+        }
+    }
+
+    /// λ-improvement: move every node with an out-edge into a basin of
+    /// lower λ onto the lowest such basin. Returns whether any node
+    /// moved; if none did, queues the nodes a same-λ edge would lower.
+    fn improve_ratios(&mut self) -> bool {
+        let mut moved = false;
+        for u in 0..self.state.len() {
+            let su = self.state[u];
+            if su.next.to == NONE {
+                continue;
+            }
+            let lu = self.lam(u);
+            let mut best = lu;
+            let mut best_arc = None;
+            let mut lowers = false;
+            for &a in self.g.out(u) {
+                let sv = &self.state[a.to as usize];
+                if sv.next.to == NONE {
+                    continue;
+                }
+                let lv = if sv.cycle == su.cycle {
+                    lu
+                } else {
+                    self.cycles[sv.cycle as usize].0
+                };
+                if lv == lu {
+                    lowers |= !moved && sv.pot + lu.weight(a) < su.pot;
+                } else if lv.lt(best) {
+                    best = lv;
+                    best_arc = Some(a);
+                }
+            }
+            if let Some(a) = best_arc {
+                self.state[u].next = a;
+                moved = true;
+            } else if lowers && !moved {
+                self.queue.push_back(u);
+            }
+        }
+        if moved {
+            self.queue.clear();
+        }
+        moved
+    }
+
+    /// Potential improvement: move queued nodes onto the same-λ edge
+    /// that lowers their potential most, and requeue the same-λ
+    /// in-neighbours of every node whose potential drops (every edge has
+    /// a reverse edge, so in-neighbours are out-neighbours). A switch
+    /// that closes a cycle below λ makes the potentials drop forever, so
+    /// the phase stops after a budget of drops.
+    fn improve_potentials(&mut self) -> Improve {
+        if self.queue.is_empty() {
+            return Improve::Optimal;
+        }
+        self.queued.clear();
+        self.queued.resize(self.state.len(), false);
+        for &u in &self.queue {
+            self.queued[u] = true;
+        }
+        let budget = 2 * (self.state.len() + self.g.arcs.len());
+        let mut drops = 0;
+        while let Some(u) = self.queue.pop_front() {
+            self.queued[u] = false;
+            let su = self.state[u];
+            let lu = self.lam(u);
+            let same = |h: &Self, v: usize| {
+                let sv = &h.state[v];
+                sv.next.to != NONE && (sv.cycle == su.cycle || h.cycles[sv.cycle as usize].0 == lu)
+            };
+            let mut best = su.pot;
+            let mut best_arc = su.next;
+            for &a in self.g.out(u) {
+                let v = a.to as usize;
+                if !same(self, v) {
+                    continue;
+                }
+                let cand = self.state[v].pot + lu.weight(a);
+                // Ties keep the current edge.
+                if cand < best || (cand == best && a == su.next) {
+                    best = cand;
+                    best_arc = a;
+                }
+            }
+            if best >= su.pot {
+                continue;
+            }
+            self.state[u].pot = best;
+            self.state[u].next = best_arc;
+            drops += 1;
+            if drops > budget {
+                self.queue.clear();
+                return Improve::Budget;
+            }
+            for &a in self.g.out(u) {
+                let w = a.to as usize;
+                if !self.queued[w] && same(self, w) {
+                    self.queued[w] = true;
+                    self.queue.push_back(w);
+                }
+            }
+        }
+        Improve::Settled
+    }
+
+    /// The policy cycle of lowest ratio below 1 — ties go to the cycle
+    /// with the lowest node — as its ratio and its lowest node.
+    fn binding(&self) -> Option<(Lambda, usize)> {
+        let mut best: Option<(Lambda, usize)> = None;
+        for &(lam, at) in &self.cycles {
+            if !lam.lt(Lambda::ONE) || best.is_some_and(|(b, _)| b.lt(lam)) {
+                continue;
+            }
+            let mut low = at;
+            let mut v = self.state[at].next.to as usize;
+            while v != at {
+                low = low.min(v);
+                v = self.state[v].next.to as usize;
+            }
+            if best.is_none_or(|(b, l)| lam.lt(b) || low < l) {
+                best = Some((lam, low));
+            }
+        }
+        best
     }
 }
 

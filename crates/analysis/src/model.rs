@@ -372,7 +372,6 @@ impl<'g> Howard<'g> {
         // passed; each node is peeled at most once. Designs numbered
         // producers first (the generators, most `.lid` files) peel
         // leaves-first, mostly without cascading.
-        let mut core = degree.iter().filter(|&&d| d > 0).count();
         let mut peel = Vec::new();
         for u in (0..degree.len()).rev() {
             if degree[u] > 1 || g.first[u] == g.first[u + 1] {
@@ -380,7 +379,6 @@ impl<'g> Howard<'g> {
             }
             peel.push(u);
             while let Some(x) = peel.pop() {
-                core -= 1;
                 degree[x] = GONE;
                 for a in g.out(x) {
                     let d = &mut degree[a.to as usize];
@@ -395,7 +393,8 @@ impl<'g> Howard<'g> {
         }
         // With nothing left, no node gets a state and nothing binds.
         let in_core = |v: u32| degree[v as usize] != GONE;
-        let nodes = if core == 0 { 0 } else { g.ids.len() };
+        let empty = degree.iter().all(|&d| d == GONE || d == 0);
+        let nodes = if empty { 0 } else { g.ids.len() };
         let state = (0..nodes)
             .map(|u| {
                 let mut next = Arc {

@@ -158,16 +158,27 @@ fn err(span: Span, kind: ParseErrorKind) -> ParseNetlistError {
     ParseNetlistError { span, kind }
 }
 
-/// A parsed textual netlist: the graph, the name → node map, and the
-/// source map locating every node and channel in the input text.
+/// A parsed textual netlist: the graph and the source map locating
+/// every node and channel in the input text.
 #[derive(Debug)]
 pub struct ParsedNetlist {
     /// The parsed (not yet validated) netlist.
     pub netlist: Netlist,
-    /// Declared name → node id.
-    pub names: HashMap<String, NodeId>,
     /// Where each node/channel was declared.
     pub source_map: SourceMap,
+}
+
+impl ParsedNetlist {
+    /// Declared name → node id. Every parsed node carries its declared
+    /// name, so the map is rebuilt from the netlist on request rather
+    /// than kept (and freed) with every parse.
+    #[must_use]
+    pub fn names(&self) -> HashMap<String, NodeId> {
+        self.netlist
+            .nodes()
+            .map(|(id, node)| (node.name().to_owned(), id))
+            .collect()
+    }
 }
 
 /// A whitespace-delimited token with its position.
@@ -213,7 +224,8 @@ fn tokenize(line_no: u32, raw: &str) -> Vec<Tok<'_>> {
 /// their own diagnostics.
 pub fn parse_netlist(text: &str) -> Result<(Netlist, HashMap<String, NodeId>), ParseNetlistError> {
     let parsed = parse_netlist_spanned(text)?;
-    Ok((parsed.netlist, parsed.names))
+    let names = parsed.names();
+    Ok((parsed.netlist, names))
 }
 
 /// Parse the textual format, keeping the [`SourceMap`] that locates
@@ -224,15 +236,13 @@ pub fn parse_netlist(text: &str) -> Result<(Netlist, HashMap<String, NodeId>), P
 /// Returns [`ParseNetlistError`] with the offending span on any syntax
 /// or connectivity problem. The returned netlist is *not* validated.
 pub fn parse_netlist_spanned(text: &str) -> Result<ParsedNetlist, ParseNetlistError> {
-    let mut n = Netlist::new();
-    let mut names: HashMap<String, NodeId> = HashMap::new();
-    let mut source_map = SourceMap::new();
-    let declare = |names: &mut HashMap<String, NodeId>,
-                   source_map: &mut SourceMap,
-                   tok: Tok<'_>,
-                   id: NodeId|
-     -> Result<(), ParseNetlistError> {
-        if names.insert(tok.text.to_owned(), id).is_some() {
+    fn declare<'a>(
+        names: &mut HashMap<&'a str, NodeId>,
+        source_map: &mut SourceMap,
+        tok: Tok<'a>,
+        id: NodeId,
+    ) -> Result<(), ParseNetlistError> {
+        if names.insert(tok.text, id).is_some() {
             return Err(err(
                 tok.span,
                 ParseErrorKind::DuplicateName(tok.text.to_owned()),
@@ -240,7 +250,12 @@ pub fn parse_netlist_spanned(text: &str) -> Result<ParsedNetlist, ParseNetlistEr
         }
         source_map.record_node(id, tok.span);
         Ok(())
-    };
+    }
+
+    let mut n = Netlist::new();
+    // Names borrow from `text`; the netlist keeps its own copy.
+    let mut names: HashMap<&str, NodeId> = HashMap::new();
+    let mut source_map = SourceMap::new();
 
     for (li, raw) in text.lines().enumerate() {
         let line_no = u32::try_from(li).map_or(u32::MAX, |l| l + 1);
@@ -317,7 +332,6 @@ pub fn parse_netlist_spanned(text: &str) -> Result<ParsedNetlist, ParseNetlistEr
     }
     Ok(ParsedNetlist {
         netlist: n,
-        names,
         source_map,
     })
 }
@@ -683,7 +697,7 @@ mod tests {
     #[test]
     fn source_map_locates_nodes_and_channels() {
         let parsed = parse_netlist_spanned(FIG1_TEXT).unwrap();
-        let a = parsed.names["A"];
+        let a = parsed.names()["A"];
         // `shell   A …` is on line 4; the name token starts at col 17.
         assert_eq!(parsed.source_map.node(a), Some(Span::new(4, 17)));
         // Every node and channel has a span.

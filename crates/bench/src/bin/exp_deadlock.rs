@@ -11,7 +11,7 @@ use lip_analysis::{cure_deadlocks, half_relays_in_loops};
 use lip_bench::{banner, emit_report, mark, table, Report};
 use lip_core::{Pattern, RelayKind};
 use lip_graph::generate;
-use lip_verify::explore_system;
+use lip_mc::{check_adversarial, McConfig};
 use lip_verify::liveness::{exhaustive_pattern_search, theorem_sweep, LivenessClass};
 
 fn main() {
@@ -168,7 +168,10 @@ fn main() {
             generate::composed_coupled(1, 1, 1, 2, 1).netlist,
         ),
     ] {
-        let search = explore_system(&netlist, 500_000).expect("elaborates");
+        let cfg = McConfig {
+            max_states: 500_000,
+        };
+        let search = check_adversarial(&netlist, &cfg).expect("elaborates");
         deadlock_free += u64::from(search.deadlock_free());
         rows.push(vec![
             name.to_owned(),

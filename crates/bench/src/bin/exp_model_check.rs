@@ -5,7 +5,8 @@
 //! the simulated liveness oracle on pristine and sabotaged
 //! environments; every deadlock counterexample replays on the real
 //! `SkeletonSystem` into the proved stuck state; and the adversarial
-//! BFS agrees state-for-state with `lip-verify`'s explorer.
+//! BFS proves four small systems deadlock-free over exactly their
+//! pinned reachable-state counts.
 //!
 //! Writes `BENCH_check.json` (schema under `EXPERIMENTS.md` EXP-M1):
 //! the agreement matrix, state-space telemetry (states/sec, peak arena
@@ -20,7 +21,6 @@ use lip_graph::{generate, Netlist};
 use lip_mc::{check_adversarial, check_declared, confirm_stuck, McConfig, McError, Verdict};
 use lip_sim::measure::check_liveness;
 use lip_sim::{measure_batch_periodic, LanePatterns, Ratio, SettleProgram};
-use lip_verify::explore_system;
 
 /// Lane-0 steady state from the batched periodic simulator.
 fn batch_measured(netlist: &Netlist) -> Option<Ratio> {
@@ -124,7 +124,7 @@ fn check_entry(name: &str, netlist: &Netlist, tally: &mut Tally) -> Option<Vec<S
             tally.skipped_cap += 1;
             return None;
         }
-        Err(McError::Netlist(_)) => return None,
+        Err(McError::Netlist(_) | McError::EnvironmentFanOut { .. }) => return None,
     };
     tally.mc_seconds += t0.elapsed().as_secs_f64();
     tally.checked += 1;
@@ -257,49 +257,55 @@ fn main() {
         tally.skipped_cap
     );
 
-    // 3. Adversarial BFS vs lip-verify's explorer on small systems.
+    // 3. Adversarial BFS on small systems: proved deadlock-free over
+    // exactly their pinned reachable-state counts, which
+    // `crates/mc/tests/adversarial_oracle.rs` checks against an
+    // independent breadth-first search.
     let mut adv_agree = 0u64;
     let mut adv_total = 0u64;
     let mut adv_states = 0u64;
     let mut adv_rows = Vec::new();
     let adv_t0 = Instant::now();
-    for (name, netlist) in [
-        ("fig1", generate::fig1().netlist),
+    for (name, netlist, pinned) in [
+        ("fig1", generate::fig1().netlist, 56),
         (
             "ring(2,1,full)",
             generate::ring(2, 1, RelayKind::Full).netlist,
+            4,
         ),
-        ("buffered_ring(2,0)", generate::buffered_ring(2, 0).netlist),
+        (
+            "buffered_ring(2,0)",
+            generate::buffered_ring(2, 0).netlist,
+            2,
+        ),
         (
             "chain(2,1,full)",
             generate::chain(2, 1, RelayKind::Full).netlist,
+            120,
         ),
     ] {
         let cfg = McConfig {
             max_states: 200_000,
         };
         let proof = check_adversarial(&netlist, &cfg).expect("elaborates");
-        let search = explore_system(&netlist, 200_000).expect("elaborates");
         adv_total += 1;
         adv_states += proof.states as u64;
         tally.peak_arena_bytes = tally.peak_arena_bytes.max(proof.peak_arena_bytes);
-        let verdict_agrees = (proof.verdict == Verdict::DeadlockFree) == search.deadlock_free();
-        let states_agree = !(proof.complete && search.complete && search.deadlock_free())
-            || proof.states == search.states;
-        adv_agree += u64::from(verdict_agrees && states_agree);
+        let agrees = proof.verdict == Verdict::DeadlockFree && proof.states == pinned;
+        adv_agree += u64::from(agrees);
         adv_rows.push(vec![
             name.to_owned(),
             proof.states.to_string(),
-            search.states.to_string(),
+            pinned.to_string(),
             proof.verdict.to_string(),
-            mark(verdict_agrees && states_agree).into(),
+            mark(agrees).into(),
         ]);
     }
     let adv_seconds = adv_t0.elapsed().as_secs_f64();
     println!(
         "{}",
         table(
-            &["system", "mc states", "explorer states", "verdict", "agree"],
+            &["system", "mc states", "pinned states", "verdict", "agree"],
             &adv_rows
         )
     );

@@ -71,8 +71,9 @@ pub fn report_dir() -> PathBuf {
 
 /// Write `report` into [`report_dir`] (creating it) and print the
 /// path, so `run_experiments.sh` and CI can pick the JSON up. Exits the
-/// binary with a message on I/O failure — an experiment whose artefact
-/// cannot be written has failed.
+/// binary with status 1 on I/O failure — an experiment whose artefact
+/// cannot be written has failed — and, after writing, when the report
+/// says `"ok": false`: the experiment's claim did not hold.
 pub fn emit_report(report: &Report) {
     let dir = report_dir();
     match report.write_to(&dir) {
@@ -82,6 +83,20 @@ pub fn emit_report(report: &Report) {
             std::process::exit(1);
         }
     }
+    if report_failed(report) {
+        eprintln!(
+            "error: {}: claim failed (\"ok\": false)",
+            report.experiment()
+        );
+        std::process::exit(1);
+    }
+}
+
+/// `true` when `report`'s `ok` field is `false`: the experiment's claim
+/// did not hold. A report without an `ok` field makes no claim.
+fn report_failed(report: &Report) -> bool {
+    lip_obs::json::parse(&report.to_json())
+        .is_ok_and(|doc| doc.get("ok") == Some(&Json::Bool(false)))
 }
 
 /// Write a `BENCH_*.json` artefact to `path` in the working directory
@@ -106,6 +121,20 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("long_header"));
         assert!(lines[1].starts_with("---"));
+    }
+
+    #[test]
+    fn failed_claims_are_detected() {
+        let mut report = Report::new("t");
+        assert!(!report_failed(&report), "no ok field, no claim");
+        report.push_bool("ok", true);
+        assert!(!report_failed(&report));
+        let mut failed = Report::new("t");
+        failed.push_bool("ok", false);
+        assert!(report_failed(&failed));
+        let mut nested = Report::new("outer");
+        nested.absorb(&failed);
+        assert!(!report_failed(&nested), "absorbed `t.ok` is not `ok`");
     }
 
     #[test]

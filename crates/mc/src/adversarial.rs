@@ -28,8 +28,12 @@ use lip_sim::SkeletonSystem;
 use crate::schedule::{Counterexample, EnvChoice, Schedule};
 use crate::{McConfig, McError, Verdict};
 
+/// Most combined sources and sinks [`check_adversarial`] accepts: the
+/// per-cycle choice masks are `u32` shifts.
+const MAX_ENDPOINTS: usize = 31;
+
 /// Exhaustive (or budget-truncated) adversarial search result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdversarialProof {
     /// Distinct component states reached.
     pub states: usize,
@@ -58,20 +62,22 @@ impl AdversarialProof {
 ///
 /// # Errors
 ///
-/// Propagates [`McError::Netlist`] from elaboration. A state space
-/// larger than `cfg.max_states` is *not* an error: the search returns
-/// with `complete = false` and [`Verdict::Unknown`].
-///
-/// # Panics
-///
-/// Panics if the design has more than 31 combined sources and sinks
-/// (the per-cycle choice fan-out `2^(sources+sinks)` is enumerated
-/// exhaustively).
+/// Propagates [`McError::Netlist`] from elaboration, and returns
+/// [`McError::EnvironmentFanOut`] when the design has more than 31
+/// combined sources and sinks (the per-cycle choice
+/// fan-out `2^(sources+sinks)` is enumerated exhaustively). A state
+/// space larger than `cfg.max_states` is *not* an error: the search
+/// returns with `complete = false` and [`Verdict::Unknown`].
 pub fn check_adversarial(netlist: &Netlist, cfg: &McConfig) -> Result<AdversarialProof, McError> {
-    let initial = SkeletonSystem::new(netlist)?;
     let n_src = netlist.sources().len();
     let n_snk = netlist.sinks().len();
-    assert!(n_src + n_snk < 32, "environment choice fan-out too large");
+    if n_src + n_snk > MAX_ENDPOINTS {
+        return Err(McError::EnvironmentFanOut {
+            endpoints: n_src + n_snk,
+            max: MAX_ENDPOINTS,
+        });
+    }
+    let initial = SkeletonSystem::new(netlist)?;
     let has_shells = !netlist.shells().is_empty();
 
     let mut arena = StateArena::new(initial.component_state().len());

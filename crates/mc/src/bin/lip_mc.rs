@@ -313,8 +313,8 @@ fn prove_deadlock(
             Err(_) => (Verdict::Unknown, None, None),
         },
         Env::Adversarial => {
-            let proof =
-                check_adversarial(netlist, &opts.config).map_err(|e| format!("error[mc]: {e}"))?;
+            let proof = check_adversarial(netlist, &opts.config)
+                .map_err(|e| format!("{}: error[mc]: {e}", out.file))?;
             out.fields.extend([
                 ("adversarial_states", proof.states.into()),
                 ("complete", proof.complete.into()),
@@ -334,8 +334,9 @@ fn prove_deadlock(
         Verdict::Deadlock => {
             out.deadlock = true;
             if let Some(cex) = &cex {
-                confirm_stuck(netlist, cex)
-                    .map_err(|e| format!("error[mc]: counterexample failed replay: {e}"))?;
+                confirm_stuck(netlist, cex).map_err(|e| {
+                    format!("{}: error[mc]: counterexample failed replay: {e}", out.file)
+                })?;
                 out.lines.push(format!(
                     "DEADLOCK proved: wedged after {} cycles (counterexample replayed)",
                     cex.schedule.len()
@@ -352,7 +353,7 @@ fn prove_deadlock(
             .map_or(trace_schedule, |c| Some(c.schedule.clone()));
         if let Some(schedule) = schedule {
             let tracks = schedule_tracks(netlist, &schedule)
-                .map_err(|e| format!("error[mc]: trace replay: {e}"))?;
+                .map_err(|e| format!("{}: error[mc]: trace replay: {e}", out.file))?;
             let json = schedule_chrome_trace("lip-mc", &tracks);
             std::fs::write(path, json).map_err(|e| format!("error: cannot write `{path}`: {e}"))?;
             eprintln!("trace: wrote {path}");
@@ -455,6 +456,24 @@ mod tests {
         let mut denied = vec!["--deny", "all"];
         denied.extend_from_slice(&args);
         assert_eq!(run(&denied), 1);
+    }
+
+    #[test]
+    fn oversized_adversarial_fan_out_exits_2() {
+        // 16 sources wired straight to 16 sinks: 2^32 environment
+        // choices per state, past what the adversarial search enumerates.
+        let mut text = String::new();
+        for i in 0..16 {
+            text.push_str(&format!(
+                "source i{i}\nsink o{i}\nconnect i{i}:0 -> o{i}:0\n"
+            ));
+        }
+        let file = temp_file("fan_out.lid", &text);
+        assert_eq!(run(&[&file]), 0, "the declared proof still applies");
+        assert_eq!(
+            run(&["--env", "adversarial", "--prove", "deadlock", &file]),
+            2
+        );
     }
 
     #[test]

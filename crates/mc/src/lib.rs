@@ -16,7 +16,10 @@
 //!   with no simulation budget to tune;
 //! * [`check_adversarial`] — breadth-first search over *every*
 //!   environment choice per cycle proves **deadlock freedom against any
-//!   environment**, or returns a minimal replayable [`Counterexample`];
+//!   environment**, or returns a minimal replayable [`Counterexample`].
+//!   It is the workspace's one exhaustive adversarial search;
+//!   `lip-verify`'s randomized hunt samples the same space and reports
+//!   its hits in the same [`Counterexample`] form;
 //! * [`confirm_stuck`] / [`replay`] — every deadlock verdict is
 //!   validated by replaying its schedule on the real
 //!   [`SkeletonSystem`](lip_sim::SkeletonSystem) and watching it wedge;
@@ -109,6 +112,15 @@ pub enum McError {
         /// The configured cap.
         cap: usize,
     },
+    /// The adversarial checker enumerates `2^(sources+sinks)`
+    /// environment choices per state; the design has more endpoints
+    /// than that enumeration supports.
+    EnvironmentFanOut {
+        /// Sources plus sinks in the design.
+        endpoints: usize,
+        /// The most endpoints the adversarial checker accepts.
+        max: usize,
+    },
 }
 
 impl fmt::Display for McError {
@@ -121,6 +133,11 @@ impl fmt::Display for McError {
             McError::StateCap { visited, cap } => {
                 write!(f, "state space exceeds cap ({visited} states, cap {cap})")
             }
+            McError::EnvironmentFanOut { endpoints, max } => write!(
+                f,
+                "adversarial environment fan-out too large: {endpoints} sources and sinks \
+                 (2^{endpoints} choices per state, at most {max} endpoints supported)"
+            ),
         }
     }
 }

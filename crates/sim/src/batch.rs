@@ -1018,7 +1018,8 @@ impl<W: LaneWord> BatchEngine<W> {
 
     /// Lane `lane`'s component control state, in exactly the format of
     /// [`SkeletonSystem::component_state`](crate::SkeletonSystem::component_state)
-    /// — the explorer's state key.
+    /// — the adversarial checker's state key and the counterexample
+    /// `stuck_state` format.
     #[must_use]
     pub fn lane_component_state(&self, lane: usize) -> Vec<u64> {
         let p = &*self.prog;

@@ -1029,8 +1029,9 @@ impl SkeletonSystem {
     /// [`Netlist::sources`](lip_graph::Netlist::sources) /
     /// [`Netlist::sinks`](lip_graph::Netlist::sinks) order.
     ///
-    /// This is the hook the whole-system explorer uses to universally
-    /// quantify over environments instead of fixing a pattern.
+    /// This is the hook the adversarial checker (`lip-mc`) uses to
+    /// universally quantify over environments instead of fixing a
+    /// pattern.
     ///
     /// # Panics
     ///
@@ -1050,7 +1051,7 @@ impl SkeletonSystem {
     }
 
     /// Component control state only — no environment phase — the state
-    /// the whole-system explorer keys on when the environment is
+    /// the adversarial checker keys on when the environment is
     /// external.
     ///
     /// One word per component, unlike the bit-packed

@@ -12,7 +12,11 @@
 //!   loses data;
 //! * [`liveness`] — the paper's three topology-level
 //!   deadlock statements, checked by its own skeleton-simulation recipe
-//!   over a generated corpus.
+//!   over a generated corpus;
+//! * [`system_explore`] — the randomized whole-system deadlock hunt,
+//!   a sampling pre-pass whose hits are `lip-mc` counterexamples. The
+//!   exhaustive proof against every environment is
+//!   [`lip_mc::check_adversarial`].
 //!
 //! # Example
 //!
@@ -45,8 +49,4 @@ pub use env::UpstreamEnv;
 pub use equivalence::{check_latency_insensitivity, EquivalenceReport};
 pub use explore::{explore, explore_random, TraceStep, Verdict, Violation};
 pub use props::{verify_all, PropertyResult, RELAY_PROPERTIES, SHELL_PROPERTIES};
-pub use system_explore::{
-    explore_system, random_explore_system, random_explore_system_sharded,
-    random_explore_system_sharded_wide, random_explore_system_wide, RandomSystemSearch,
-    SystemSearch,
-};
+pub use system_explore::{random_explore_system, RandomSearchOptions, RandomSystemSearch};

@@ -1,183 +1,86 @@
-//! Whole-system liveness exploration: the strongest form of the paper's
-//! deadlock analysis.
+//! Randomized whole-system deadlock hunt: the cheap pre-pass before the
+//! exhaustive adversarial proof.
 //!
-//! The pattern sweep in [`liveness`](crate::liveness) decides every
-//! *periodic* environment; this module universally quantifies over
-//! **all** environment behaviours. The system's skeleton control state
-//! is finite; breadth-first exploration over every per-cycle environment
-//! choice (each source offers or withholds, each sink stops or accepts)
-//! enumerates every reachable control state. A state is *wedged* when no
-//! shell can ever fire again even under the fully permissive
-//! continuation (all sources offering, no sink stopping) — the paper's
-//! deadlock. If no reachable state is wedged, the system is deadlock
-//! free against every environment, adversarial or not.
+//! [`lip_mc::check_adversarial`] universally quantifies over **all**
+//! environment behaviours by enumerating every per-cycle choice (each
+//! source offers or withholds, each sink stops or accepts); its cost
+//! grows as `2^(sources+sinks)` per state. This module *samples* that
+//! space instead: many random stall schedules run in lock-step on the
+//! bit-parallel [`BatchEngine`], and lanes are probed in bulk for wedged
+//! states — states from which the fully permissive continuation (all
+//! sources offering, no sink stopping) fires no shell within the
+//! transient bound. A hit is reported as a [`Counterexample`] and
+//! confirmed by [`confirm_stuck`] on the scalar skeleton, the same check
+//! every `lip-mc` adversarial counterexample passes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use lip_graph::{Netlist, NetlistError};
-use lip_sim::{
-    dispatch_lane_width, BatchEngine, LaneWidthVisitor, LaneWord, SettleProgram, SkeletonSystem,
-    LANES,
-};
+use lip_mc::{confirm_stuck, Counterexample, EnvChoice, Schedule};
+use lip_sim::{dispatch_lane_width, BatchEngine, LaneWidthVisitor, LaneWord, SettleProgram};
 
 use lip_analysis::transient_bound;
 
-/// One environment choice: `(source validities, sink stops)`.
-type EnvChoice = (Vec<bool>, Vec<bool>);
-
-/// Result of [`explore_system`].
+/// What [`random_explore_system`] runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemSearch {
-    /// Distinct control states reached.
-    pub states: usize,
-    /// Environment transitions taken.
-    pub transitions: usize,
-    /// `true` when the whole reachable space was enumerated within the
-    /// budget (otherwise the verdict only covers the explored part).
-    pub complete: bool,
-    /// The environment-choice trace into a wedged state, if one exists:
-    /// each step is `(source_valids, sink_stops)`.
-    pub wedged: Option<Vec<EnvChoice>>,
-}
-
-impl SystemSearch {
-    /// `true` when no reachable control state is wedged.
-    #[must_use]
-    pub fn deadlock_free(&self) -> bool {
-        self.wedged.is_none()
-    }
-}
-
-/// Exhaustively explore the control-state space of `netlist` under all
-/// environment behaviours, up to `max_states` distinct states.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-pub fn explore_system(netlist: &Netlist, max_states: usize) -> Result<SystemSearch, NetlistError> {
-    let initial = SkeletonSystem::new(netlist)?;
-    let n_src = netlist.sources().len();
-    let n_snk = netlist.sinks().len();
-    let has_shells = !netlist.shells().is_empty();
-    // Permissive-run length that decides "can anything ever fire again":
-    // the transient bound of the closed system.
-    let horizon = transient_bound(netlist) + 4;
-
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    let mut parents: HashMap<Vec<u64>, (Vec<u64>, EnvChoice)> = HashMap::new();
-    let mut queue: VecDeque<SkeletonSystem> = VecDeque::new();
-    visited.insert(initial.component_state());
-    queue.push_back(initial);
-    let mut transitions = 0usize;
-    let mut complete = true;
-
-    while let Some(state) = queue.pop_front() {
-        // Wedged check: permissive continuation must fire some shell.
-        if has_shells && is_wedged(&state, n_src, n_snk, horizon) {
-            let mut trace = Vec::new();
-            let mut key = state.component_state();
-            while let Some((parent, step)) = parents.get(&key) {
-                trace.push(step.clone());
-                key = parent.clone();
-            }
-            trace.reverse();
-            return Ok(SystemSearch {
-                states: visited.len(),
-                transitions,
-                complete,
-                wedged: Some(trace),
-            });
-        }
-        if visited.len() >= max_states {
-            complete = false;
-            continue; // drain the queue without expanding further
-        }
-        for src_mask in 0..(1u32 << n_src) {
-            let valids: Vec<bool> = (0..n_src).map(|i| src_mask & (1 << i) != 0).collect();
-            for snk_mask in 0..(1u32 << n_snk) {
-                let stops: Vec<bool> = (0..n_snk).map(|j| snk_mask & (1 << j) != 0).collect();
-                let mut next = state.clone();
-                next.step_with(&valids, &stops);
-                transitions += 1;
-                let key = next.component_state();
-                if visited.insert(key.clone()) {
-                    parents.insert(
-                        key,
-                        (state.component_state(), (valids.clone(), stops.clone())),
-                    );
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    Ok(SystemSearch {
-        states: visited.len(),
-        transitions,
-        complete,
-        wedged: None,
-    })
+pub struct RandomSearchOptions {
+    /// Cycles each schedule runs.
+    pub cycles: u64,
+    /// Seed of the schedule stream; shard `k` draws from
+    /// `seed ^ k·0x9E3779B97F4A7C15`, so shard 0 uses `seed` itself.
+    pub seed: u64,
+    /// Schedules per engine pass: one of [`lip_sim::LANE_WIDTHS`]
+    /// ([`lip_sim::LANES`] for the classic 64-lane hunt).
+    pub lanes: usize,
+    /// Independent engine passes fanned out over
+    /// [`lip_par::par_map_indexed`] (`0` runs one).
+    pub shards: usize,
 }
 
 /// Result of [`random_explore_system`]: a randomized (incomplete but
 /// fast) hunt for wedged states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RandomSystemSearch {
-    /// Cycles each schedule ran.
+    /// Cycles each schedule ran (up to the hit, when one was found).
     pub cycles: u64,
-    /// Independent random stall schedules tried: the lane count of the
-    /// engine width that ran the hunt ([`LANES`] for
-    /// [`random_explore_system`]), summed over shards when sharded.
+    /// Independent random stall schedules tried: `lanes × shards`.
     pub schedules: usize,
-    /// A scalar-confirmed environment trace into a wedged state, if any
-    /// lane found one.
-    pub wedged: Option<Vec<EnvChoice>>,
+    /// A confirmed environment schedule into a wedged state, if any lane
+    /// found one. Its `continuation` is `None`: the permissive
+    /// environment fires nothing from the stuck state.
+    pub wedged: Option<Counterexample>,
 }
 
 impl RandomSystemSearch {
     /// `true` when no sampled schedule reached a wedged state. Unlike
-    /// [`SystemSearch::deadlock_free`] this is *not* a proof — it is the
-    /// cheap pre-pass to run before the exhaustive search.
+    /// [`lip_mc::AdversarialProof::deadlock_free`] this is *not* a proof
+    /// — it is the cheap pre-pass to run before the exhaustive search.
     #[must_use]
     pub fn deadlock_free(&self) -> bool {
         self.wedged.is_none()
     }
 }
 
-/// Randomized whole-system deadlock hunt: drive 64 independent random
-/// stall schedules in lock-step on the bit-parallel
-/// [`BatchEngine`]`<u64>` (each cycle, every lane draws fresh
-/// source-offer and sink-stop choices), and periodically probe all 64
-/// lanes at once for wedged states using the batched permissive
-/// continuation. A hit is replayed and confirmed on the scalar
-/// [`SkeletonSystem`] before it is reported, so a returned trace is
+/// Randomized whole-system deadlock hunt: each of `opts.shards` shards
+/// drives `opts.lanes` independent random stall schedules in lock-step
+/// on one [`BatchEngine`] (each cycle, every lane draws fresh
+/// source-offer and sink-stop choices) and periodically probes all its
+/// lanes at once for wedged states. A hit is replayed and confirmed on
+/// the scalar skeleton before it is reported, so a returned schedule is
 /// always genuine.
 ///
-/// This samples schedules instead of enumerating them — linear cost per
-/// cycle versus the exponential branching of [`explore_system`] — which
-/// makes it the right first pass on systems whose exhaustive state space
-/// is out of budget. [`random_explore_system_wide`] runs the same hunt
-/// at wider lane words (up to 1024 schedules per engine pass).
+/// Sampling costs linear time per cycle instead of the exponential
+/// per-state branching of [`lip_mc::check_adversarial`], which makes it
+/// the right first pass on systems whose exhaustive state space is out
+/// of budget.
 ///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-pub fn random_explore_system(
-    netlist: &Netlist,
-    cycles: u64,
-    seed: u64,
-) -> Result<RandomSystemSearch, NetlistError> {
-    random_explore_generic::<u64>(netlist, cycles, seed)
-}
-
-/// [`random_explore_system`] at an arbitrary supported lane width:
-/// one [`BatchEngine`] pass carries `lanes` independent random stall
-/// schedules (walker count = lane count), so a 1024-lane word samples
-/// 16× the schedules of the classic 64-lane hunt for one engine sweep.
-///
-/// At `lanes == 64` this is *exactly* [`random_explore_system`]: the
-/// per-cycle random draw consumes one `splitmix64` word per lane word,
-/// so the 64-lane schedule stream is byte-identical.
+/// The result is a pure function of `(netlist, opts)`: each shard's
+/// schedule stream derives from its index alone, and the merge (first
+/// wedged shard by index wins; `schedules` sums) is byte-identical for
+/// every worker count, including serial. With `shards == 1` the hunt is
+/// exactly the single-pass one with `seed`; at 64 lanes the per-cycle
+/// draw consumes one `splitmix64` word per source and sink, the
+/// historical 64-lane stream.
 ///
 /// # Errors
 ///
@@ -185,50 +88,61 @@ pub fn random_explore_system(
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`lip_sim::LANE_WIDTHS`].
-pub fn random_explore_system_wide(
+/// Panics if `opts.lanes` is not one of [`lip_sim::LANE_WIDTHS`].
+pub fn random_explore_system(
     netlist: &Netlist,
-    cycles: u64,
-    seed: u64,
-    lanes: usize,
+    opts: &RandomSearchOptions,
 ) -> Result<RandomSystemSearch, NetlistError> {
     struct Hunt<'a> {
         netlist: &'a Netlist,
-        cycles: u64,
-        seed: u64,
+        prog: Arc<SettleProgram>,
+        opts: &'a RandomSearchOptions,
     }
     impl LaneWidthVisitor for Hunt<'_> {
-        type Out = Result<RandomSystemSearch, NetlistError>;
+        type Out = Vec<RandomSystemSearch>;
         fn visit<W: LaneWord>(&mut self) -> Self::Out {
-            random_explore_generic::<W>(self.netlist, self.cycles, self.seed)
+            let shard_ids: Vec<u64> = (0..self.opts.shards.max(1) as u64).collect();
+            lip_par::par_map_indexed(&shard_ids, |_, &k| {
+                let seed = self.opts.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                hunt_shard::<W>(self.netlist, &self.prog, self.opts.cycles, seed)
+            })
         }
     }
-    dispatch_lane_width(
-        lanes,
+    let prog = Arc::new(SettleProgram::compile(netlist)?);
+    let results = dispatch_lane_width(
+        opts.lanes,
         &mut Hunt {
             netlist,
-            cycles,
-            seed,
+            prog,
+            opts,
         },
-    )
+    );
+    let schedules = results.iter().map(|r| r.schedules).sum();
+    Ok(match results.into_iter().find(|r| r.wedged.is_some()) {
+        Some(hit) => RandomSystemSearch { schedules, ..hit },
+        None => RandomSystemSearch {
+            cycles: opts.cycles,
+            schedules,
+            wedged: None,
+        },
+    })
 }
 
-/// Width-generic body of the randomized hunt: `W::LANES` schedules per
-/// pass, wedge probes batched over the whole word, scalar confirmation
-/// per hit.
-fn random_explore_generic<W: LaneWord>(
+/// One shard: `W::LANES` schedules per pass, wedge probes batched over
+/// the whole word, [`confirm_stuck`] per hit.
+fn hunt_shard<W: LaneWord>(
     netlist: &Netlist,
+    prog: &Arc<SettleProgram>,
     cycles: u64,
     seed: u64,
-) -> Result<RandomSystemSearch, NetlistError> {
-    let prog = Arc::new(SettleProgram::compile(netlist)?);
+) -> RandomSystemSearch {
     let n_src = prog.source_count();
     let n_snk = prog.sink_count();
     let has_shells = prog.shell_count() > 0;
     let horizon = transient_bound(netlist) + 4;
     let probe_every = horizon.max(8);
 
-    let mut batch = BatchEngine::<W>::from_program(Arc::clone(&prog));
+    let mut batch = BatchEngine::<W>::from_program(Arc::clone(prog));
     let mut rng = seed;
     let mut schedule: Vec<(Vec<W>, Vec<W>)> = Vec::with_capacity(cycles as usize);
     for t in 0..cycles {
@@ -238,25 +152,24 @@ fn random_explore_generic<W: LaneWord>(
         schedule.push((srcs, snks));
         if has_shells && ((t + 1) % probe_every == 0 || t + 1 == cycles) {
             let wedged_lanes = batch_wedged_mask(&batch, n_src, n_snk, horizon);
-            if wedged_lanes.any() {
-                for lane in (0..W::LANES).filter(|&l| wedged_lanes.lane(l)) {
-                    if let Some(trace) = confirm_lane(&prog, &schedule, lane, n_src, n_snk, horizon)
-                    {
-                        return Ok(RandomSystemSearch {
-                            cycles: t + 1,
-                            schedules: W::LANES,
-                            wedged: Some(trace),
-                        });
-                    }
-                }
+            let hit = (0..W::LANES)
+                .filter(|&l| wedged_lanes.lane(l))
+                .map(|lane| lane_counterexample(&batch, &schedule, lane))
+                .find(|cex| confirm_stuck(netlist, cex).is_ok());
+            if let Some(cex) = hit {
+                return RandomSystemSearch {
+                    cycles: t + 1,
+                    schedules: W::LANES,
+                    wedged: Some(cex),
+                };
             }
         }
     }
-    Ok(RandomSystemSearch {
+    RandomSystemSearch {
         cycles,
         schedules: W::LANES,
         wedged: None,
-    })
+    }
 }
 
 /// One fresh random lane word: `W::WORDS` `splitmix64` draws, little
@@ -270,74 +183,8 @@ fn rand_word<W: LaneWord>(rng: &mut u64) -> W {
     W::from_fn(|l| (words[l / 64] >> (l % 64)) & 1 == 1)
 }
 
-/// [`random_explore_system`] fanned out over `shards` independent
-/// 64-lane batches via [`lip_par::par_map_indexed`] — `shards * 64`
-/// sampled schedules for the wall-clock price of the slowest shard.
-///
-/// Shard `k` runs exactly `random_explore_system(netlist, cycles,
-/// derive(seed, k))`, so its behaviour is a pure function of its index:
-/// the merged result (first wedged shard by index wins; `schedules`
-/// sums) is byte-identical for every worker count, including serial.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-pub fn random_explore_system_sharded(
-    netlist: &Netlist,
-    cycles: u64,
-    seed: u64,
-    shards: usize,
-) -> Result<RandomSystemSearch, NetlistError> {
-    random_explore_system_sharded_wide(netlist, cycles, seed, shards, LANES)
-}
-
-/// [`random_explore_system_sharded`] at an arbitrary supported lane
-/// width: `shards * lanes` sampled schedules, with each shard one
-/// `lanes`-wide engine pass. Shard `k` runs exactly
-/// [`random_explore_system_wide`]`(netlist, cycles, derive(seed, k),
-/// lanes)`, preserving the worker-count-independent merge.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`lip_sim::LANE_WIDTHS`].
-pub fn random_explore_system_sharded_wide(
-    netlist: &Netlist,
-    cycles: u64,
-    seed: u64,
-    shards: usize,
-    lanes: usize,
-) -> Result<RandomSystemSearch, NetlistError> {
-    // Elaborate once up front so a bad netlist fails before fan-out.
-    SettleProgram::compile(netlist)?;
-    let shard_ids: Vec<usize> = (0..shards.max(1)).collect();
-    let results = lip_par::par_map_indexed(&shard_ids, |_, &k| {
-        let shard_seed = seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        random_explore_system_wide(netlist, cycles, shard_seed, lanes)
-            .expect("netlist compiled above; elaboration is deterministic")
-    });
-    let schedules: usize = results.iter().map(|r| r.schedules).sum();
-    let first_wedged = results.iter().find(|r| r.wedged.is_some());
-    Ok(match first_wedged {
-        Some(hit) => RandomSystemSearch {
-            cycles: hit.cycles,
-            schedules,
-            wedged: hit.wedged.clone(),
-        },
-        None => RandomSystemSearch {
-            cycles,
-            schedules,
-            wedged: None,
-        },
-    })
-}
-
-/// Lanes that fail to fire any shell within `horizon` permissive cycles
-/// — the batched form of [`is_wedged`], all `W::LANES` lanes probed at
-/// once.
+/// Lanes that fail to fire any shell within `horizon` permissive cycles,
+/// all `W::LANES` lanes probed at once.
 fn batch_wedged_mask<W: LaneWord>(
     batch: &BatchEngine<W>,
     n_src: usize,
@@ -354,26 +201,26 @@ fn batch_wedged_mask<W: LaneWord>(
     probe.fired_mask().not()
 }
 
-/// Replay `lane`'s bits of the recorded schedule on a scalar skeleton
-/// and re-check the wedge verdict; returns the per-cycle environment
-/// trace when confirmed.
-fn confirm_lane<W: LaneWord>(
-    prog: &Arc<SettleProgram>,
+/// `lane`'s bits of the recorded schedule as a counterexample whose
+/// stuck state is the lane's state on the batch engine; [`confirm_stuck`]
+/// then checks that the scalar replay lands there and stays wedged.
+fn lane_counterexample<W: LaneWord>(
+    batch: &BatchEngine<W>,
     schedule: &[(Vec<W>, Vec<W>)],
     lane: usize,
-    n_src: usize,
-    n_snk: usize,
-    horizon: u64,
-) -> Option<Vec<EnvChoice>> {
-    let mut scalar = SkeletonSystem::from_program(Arc::clone(prog));
-    let mut trace = Vec::with_capacity(schedule.len());
-    for (srcs, snks) in schedule {
-        let valids: Vec<bool> = (0..n_src).map(|i| srcs[i].lane(lane)).collect();
-        let stops: Vec<bool> = (0..n_snk).map(|j| snks[j].lane(lane)).collect();
-        scalar.step_with(&valids, &stops);
-        trace.push((valids, stops));
+) -> Counterexample {
+    let choices = schedule
+        .iter()
+        .map(|(srcs, snks)| EnvChoice {
+            source_valid: srcs.iter().map(|w| w.lane(lane)).collect(),
+            sink_stop: snks.iter().map(|w| w.lane(lane)).collect(),
+        })
+        .collect();
+    Counterexample {
+        schedule: Schedule { choices },
+        stuck_state: batch.lane_component_state(lane),
+        continuation: None,
     }
-    is_wedged(&scalar, n_src, n_snk, horizon).then_some(trace)
 }
 
 /// The splitmix64 step: cheap, well-mixed, and dependency-free.
@@ -385,123 +232,42 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Under the fully permissive environment, does the system fail to fire
-/// any shell within `horizon` cycles? By control-state finiteness and
-/// the monotone permissive continuation, that decides "never fires
-/// again".
-fn is_wedged(state: &SkeletonSystem, n_src: usize, n_snk: usize, horizon: u64) -> bool {
-    let mut probe = state.clone();
-    let before = probe.total_fires();
-    let valids = vec![true; n_src];
-    let stops = vec![false; n_snk];
-    for _ in 0..horizon {
-        probe.step_with(&valids, &stops);
-        if probe.total_fires() > before {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lip_core::RelayKind;
+    use lip_core::{Pattern, RelayKind};
     use lip_graph::generate;
+    use lip_mc::{check_adversarial, McConfig};
+    use lip_sim::LANES;
 
-    #[test]
-    fn full_ring_with_entry_is_deadlock_free_universally() {
-        // The strongest form of the paper's second statement: against
-        // EVERY environment behaviour, not just periodic ones.
-        let r = generate::ring_with_entry(
-            2,
-            1,
-            RelayKind::Full,
-            lip_core::Pattern::Never,
-            lip_core::Pattern::Never,
-        );
-        let search = explore_system(&r.netlist, 100_000).unwrap();
-        assert!(search.complete, "state space unexpectedly large");
-        assert!(search.deadlock_free(), "wedged: {:?}", search.wedged);
-        // The reachable control space is tiny (the protocol confines
-        // it), but it must be more than the initial state alone.
-        assert!(search.states >= 5, "{} states", search.states);
-    }
-
-    #[test]
-    fn half_ring_with_entry_is_decided() {
-        // Half stations in a loop: the paper says "potential" deadlock.
-        // The universal search decides this instance definitively.
-        let r = generate::ring_with_entry(
-            2,
-            2,
-            RelayKind::Half,
-            lip_core::Pattern::Never,
-            lip_core::Pattern::Never,
-        );
-        let search = explore_system(&r.netlist, 200_000).unwrap();
-        assert!(search.complete);
-        // Record the verdict either way; consistency with the paper
-        // ("potential") is automatic. For this FSM the loop is safe:
-        assert!(search.deadlock_free(), "wedged: {:?}", search.wedged);
-    }
-
-    #[test]
-    fn feedforward_systems_are_deadlock_free_universally() {
-        let f = generate::fig1();
-        let search = explore_system(&f.netlist, 100_000).unwrap();
-        assert!(search.complete);
-        assert!(search.deadlock_free());
-    }
-
-    #[test]
-    fn fully_blocked_sinkless_flow_is_not_reported() {
-        // Sanity: a plain wire (no shells) has nothing to wedge.
-        let mut n = lip_graph::Netlist::new();
-        let src = n.add_source("in");
-        let out = n.add_sink("out");
-        n.connect(src, 0, out, 0).unwrap();
-        let search = explore_system(&n, 10_000).unwrap();
-        assert!(search.deadlock_free());
-    }
-
-    #[test]
-    fn buffered_ring_is_deadlock_free_universally() {
-        let r = generate::buffered_ring(2, 0);
-        let search = explore_system(&r.netlist, 100_000).unwrap();
-        assert!(search.complete);
-        assert!(search.deadlock_free());
+    fn opts(cycles: u64, seed: u64, lanes: usize, shards: usize) -> RandomSearchOptions {
+        RandomSearchOptions {
+            cycles,
+            seed,
+            lanes,
+            shards,
+        }
     }
 
     #[test]
     fn random_prepass_agrees_with_exhaustive_on_safe_systems() {
-        // The randomized 64-schedule pre-pass samples the same space the
-        // exhaustive search enumerates; on systems proven safe it must
-        // never report a wedge (a report would be scalar-confirmed, so a
-        // failure here is a genuine engine bug, not sampling noise).
+        // The randomized pre-pass samples the same space the exhaustive
+        // search enumerates; on systems proven safe it must never report
+        // a wedge (a report is scalar-confirmed, so a failure here is a
+        // genuine engine bug, not sampling noise).
         for netlist in [
             generate::fig1().netlist,
-            generate::ring_with_entry(
-                2,
-                1,
-                RelayKind::Full,
-                lip_core::Pattern::Never,
-                lip_core::Pattern::Never,
-            )
-            .netlist,
-            generate::ring_with_entry(
-                2,
-                2,
-                RelayKind::Half,
-                lip_core::Pattern::Never,
-                lip_core::Pattern::Never,
-            )
-            .netlist,
+            generate::ring_with_entry(2, 1, RelayKind::Full, Pattern::Never, Pattern::Never)
+                .netlist,
+            generate::ring_with_entry(2, 2, RelayKind::Half, Pattern::Never, Pattern::Never)
+                .netlist,
         ] {
-            let exhaustive = explore_system(&netlist, 200_000).unwrap();
-            assert!(exhaustive.deadlock_free());
+            let cfg = McConfig {
+                max_states: 200_000,
+            };
+            assert!(check_adversarial(&netlist, &cfg).unwrap().deadlock_free());
             for seed in 0..3 {
-                let random = random_explore_system(&netlist, 500, seed).unwrap();
+                let random = random_explore_system(&netlist, &opts(500, seed, LANES, 1)).unwrap();
                 assert!(random.deadlock_free(), "seed {seed}: {:?}", random.wedged);
                 assert_eq!(random.schedules, LANES);
                 assert_eq!(random.cycles, 500);
@@ -512,29 +278,26 @@ mod tests {
     #[test]
     fn sharded_prepass_covers_more_schedules_deterministically() {
         let f = generate::fig1();
-        let sharded = random_explore_system_sharded(&f.netlist, 200, 3, 4).unwrap();
+        let sharded = random_explore_system(&f.netlist, &opts(200, 3, LANES, 4)).unwrap();
         assert!(sharded.deadlock_free());
         assert_eq!(sharded.schedules, 4 * LANES);
         assert_eq!(sharded.cycles, 200);
         // Shard 0 is exactly the unsharded run with the same seed, and
         // the merged verdict is independent of worker count.
-        let single = random_explore_system(&f.netlist, 200, 3).unwrap();
+        let single = random_explore_system(&f.netlist, &opts(200, 3, LANES, 1)).unwrap();
         assert_eq!(single.wedged, sharded.wedged);
-        let again = random_explore_system_sharded(&f.netlist, 200, 3, 4).unwrap();
+        let again = random_explore_system(&f.netlist, &opts(200, 3, LANES, 4)).unwrap();
         assert_eq!(sharded, again);
+        // No shards still runs one.
+        let none = random_explore_system(&f.netlist, &opts(200, 3, LANES, 0)).unwrap();
+        assert_eq!(none, single);
     }
 
     #[test]
-    fn wide_prepass_is_scalar_hunt_at_64_and_scales_schedules() {
+    fn wider_words_scale_schedules() {
         let f = generate::fig1();
-        // At 64 lanes the wide entry point is byte-identical to the
-        // classic hunt: same splitmix64 stream, same verdict.
-        let narrow = random_explore_system(&f.netlist, 300, 11).unwrap();
-        let wide64 = random_explore_system_wide(&f.netlist, 300, 11, 64).unwrap();
-        assert_eq!(narrow, wide64);
-        // Wider words carry proportionally more walkers per pass.
         for lanes in [128, 256] {
-            let wide = random_explore_system_wide(&f.netlist, 300, 11, lanes).unwrap();
+            let wide = random_explore_system(&f.netlist, &opts(300, 11, lanes, 1)).unwrap();
             assert!(wide.deadlock_free(), "{lanes} lanes: {:?}", wide.wedged);
             assert_eq!(wide.schedules, lanes);
             assert_eq!(wide.cycles, 300);
@@ -543,22 +306,41 @@ mod tests {
 
     #[test]
     fn sharded_wide_prepass_multiplies_walkers_deterministically() {
-        let r = generate::ring_with_entry(
-            2,
-            1,
-            RelayKind::Full,
-            lip_core::Pattern::Never,
-            lip_core::Pattern::Never,
-        );
-        let sharded = random_explore_system_sharded_wide(&r.netlist, 160, 9, 2, 256).unwrap();
+        let r = generate::ring_with_entry(2, 1, RelayKind::Full, Pattern::Never, Pattern::Never);
+        let sharded = random_explore_system(&r.netlist, &opts(160, 9, 256, 2)).unwrap();
         assert!(sharded.deadlock_free(), "{:?}", sharded.wedged);
         assert_eq!(sharded.schedules, 2 * 256);
-        let again = random_explore_system_sharded_wide(&r.netlist, 160, 9, 2, 256).unwrap();
+        let again = random_explore_system(&r.netlist, &opts(160, 9, 256, 2)).unwrap();
         assert_eq!(sharded, again);
-        // The classic sharded API is the wide one pinned at 64 lanes.
-        let classic = random_explore_system_sharded(&r.netlist, 160, 9, 2).unwrap();
-        let pinned = random_explore_system_sharded_wide(&r.netlist, 160, 9, 2, 64).unwrap();
-        assert_eq!(classic, pinned);
+    }
+
+    #[test]
+    fn lane_schedules_replay_into_the_lane_state() {
+        // A hit is confirmed by replaying its lane's schedule on the
+        // scalar skeleton, which must land in the lane's batch state.
+        let netlist =
+            generate::ring_with_entry(2, 2, RelayKind::Half, Pattern::Never, Pattern::Never)
+                .netlist;
+        let prog = Arc::new(SettleProgram::compile(&netlist).unwrap());
+        let mut batch = BatchEngine::<u64>::from_program(Arc::clone(&prog));
+        let mut rng = 5;
+        let mut schedule = Vec::new();
+        for _ in 0..40 {
+            let srcs: Vec<u64> = (0..prog.source_count())
+                .map(|_| splitmix64(&mut rng))
+                .collect();
+            let snks: Vec<u64> = (0..prog.sink_count())
+                .map(|_| splitmix64(&mut rng))
+                .collect();
+            batch.step_with_masks(&srcs, &snks);
+            schedule.push((srcs, snks));
+        }
+        for lane in [0, 17, 63] {
+            let cex = lane_counterexample(&batch, &schedule, lane);
+            assert_eq!(cex.schedule.len(), 40);
+            let scalar = lip_mc::replay(&netlist, &cex.schedule).unwrap();
+            assert_eq!(scalar.component_state(), cex.stuck_state, "lane {lane}");
+        }
     }
 
     #[test]
@@ -567,7 +349,7 @@ mod tests {
         let src = n.add_source("in");
         let out = n.add_sink("out");
         n.connect(src, 0, out, 0).unwrap();
-        let search = random_explore_system(&n, 200, 7).unwrap();
+        let search = random_explore_system(&n, &opts(200, 7, LANES, 1)).unwrap();
         assert!(search.deadlock_free());
     }
 }

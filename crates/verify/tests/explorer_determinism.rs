@@ -2,7 +2,7 @@
 //! identical verdicts, state counts and counterexamples.
 
 use lip_core::ProtocolVariant;
-use lip_verify::{explore, explore_system, verify_all, Dut, ShellSpec};
+use lip_verify::{explore, verify_all, Dut, ShellSpec};
 
 #[test]
 fn block_exploration_is_deterministic() {
@@ -20,14 +20,6 @@ fn block_exploration_is_deterministic() {
         assert_eq!(a.violation, b.violation);
         assert_eq!(a.counterexample, b.counterexample);
     }
-}
-
-#[test]
-fn system_exploration_is_deterministic() {
-    let f = lip_graph::generate::fig1();
-    let a = explore_system(&f.netlist, 50_000).unwrap();
-    let b = explore_system(&f.netlist, 50_000).unwrap();
-    assert_eq!(a, b);
 }
 
 #[test]

@@ -10,7 +10,7 @@ use lip_core::RelayKind;
 use lip_graph::{generate, Netlist};
 use lip_obs::{MetricsRegistry, Report};
 use lip_sim::{BatchSkeleton, SettleProgram, LANES};
-use lip_verify::{explore_random, random_explore_system_sharded, Dut};
+use lip_verify::{explore_random, random_explore_system, Dut, RandomSearchOptions};
 
 /// Deterministic schedule words from a splitmix64 stream (same scheme as
 /// the sim-side equivalence tests).
@@ -79,25 +79,31 @@ fn merged_metrics_and_report_json_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn explore_random_verdict_is_identical_across_worker_counts() {
-    // `explore_random` and `random_explore_system_sharded` read the
+    // `explore_random` and a sharded `random_explore_system` read the
     // ambient LIP_JOBS count, so this test owns the env var; other tests
     // in this binary pin worker counts explicitly and never read it.
     let duts = [Dut::full_relay(), Dut::fifo_relay(2)];
     let ring = generate::ring(2, 1, RelayKind::Full).netlist;
+    let hunt = RandomSearchOptions {
+        cycles: 160,
+        seed: 7,
+        lanes: LANES,
+        shards: 4,
+    };
 
     std::env::set_var("LIP_JOBS", "1");
     let verdicts_1: Vec<_> = duts
         .iter()
         .map(|d| explore_random(d.clone(), 5, 7))
         .collect();
-    let search_1 = random_explore_system_sharded(&ring, 160, 7, 4).unwrap();
+    let search_1 = random_explore_system(&ring, &hunt).unwrap();
 
     std::env::set_var("LIP_JOBS", "8");
     let verdicts_8: Vec<_> = duts
         .iter()
         .map(|d| explore_random(d.clone(), 5, 7))
         .collect();
-    let search_8 = random_explore_system_sharded(&ring, 160, 7, 4).unwrap();
+    let search_8 = random_explore_system(&ring, &hunt).unwrap();
     std::env::remove_var("LIP_JOBS");
 
     assert_eq!(verdicts_1, verdicts_8, "explore_random verdict diverged");

@@ -85,18 +85,21 @@ pub fn emit_report(report: &Report) {
     }
     if report_failed(report) {
         eprintln!(
-            "error: {}: claim failed (\"ok\": false)",
+            "error: {}: claim failed (\"ok\": false) or report is not valid JSON",
             report.experiment()
         );
         std::process::exit(1);
     }
 }
 
-/// `true` when `report`'s `ok` field is `false`: the experiment's claim
-/// did not hold. A report without an `ok` field makes no claim.
+/// `true` when `report`'s `ok` field is `false` (the experiment's claim
+/// did not hold) or the report does not parse (its claim cannot be
+/// read). A report without an `ok` field makes no claim.
 fn report_failed(report: &Report) -> bool {
-    lip_obs::json::parse(&report.to_json())
-        .is_ok_and(|doc| doc.get("ok") == Some(&Json::Bool(false)))
+    !matches!(
+        lip_obs::json::parse(&report.to_json()),
+        Ok(doc) if doc.get("ok") != Some(&Json::Bool(false))
+    )
 }
 
 /// Write a `BENCH_*.json` artefact to `path` in the working directory
@@ -135,6 +138,9 @@ mod tests {
         let mut nested = Report::new("outer");
         nested.absorb(&failed);
         assert!(!report_failed(&nested), "absorbed `t.ok` is not `ok`");
+        let mut malformed = Report::new("t");
+        malformed.push_bool("ok", true).push_raw("broken", "{");
+        assert!(report_failed(&malformed), "an unparsable report fails");
     }
 
     #[test]

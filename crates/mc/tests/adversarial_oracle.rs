@@ -89,9 +89,10 @@ mod oracle {
 
 const CAP: usize = 200_000;
 
-/// Run both searches and assert agreement; returns the shared state
-/// count when both proved deadlock freedom over the complete space.
-fn agree(name: &str, netlist: &Netlist) -> Option<usize> {
+/// Run both searches and assert agreement; returns the shared
+/// `(states, transitions)` when both proved deadlock freedom over the
+/// complete space.
+fn agree(name: &str, netlist: &Netlist) -> Option<(usize, u64)> {
     let proof = check_adversarial(netlist, &McConfig { max_states: CAP })
         .unwrap_or_else(|e| panic!("{name}: adversarial check failed: {e}"));
     let search = oracle::explore(netlist, CAP);
@@ -114,7 +115,7 @@ fn agree(name: &str, netlist: &Netlist) -> Option<usize> {
         proof.transitions, search.transitions,
         "{name}: transition count disagreement"
     );
-    Some(proof.states)
+    Some((proof.states, proof.transitions))
 }
 
 fn ring_with_entry(shells: usize, relays: usize, kind: RelayKind) -> Netlist {
@@ -123,66 +124,65 @@ fn ring_with_entry(shells: usize, relays: usize, kind: RelayKind) -> Netlist {
 
 #[test]
 fn named_small_systems_agree_exactly() {
-    // `Some(n)`: the reachable count `exp_model_check` pins.
-    let corpus: Vec<(&str, Netlist, Option<usize>)> = vec![
-        ("fig1", generate::fig1().netlist, Some(56)),
+    // Every system pins its reachable states and transitions: oracle
+    // agreement alone would pass a skeleton regression that shrinks
+    // both searches' space alike. fig1, chain(2,1,full), ring(2,1,full)
+    // and buffered_ring(2,0) are the counts `exp_model_check` pins.
+    let corpus: Vec<(&str, Netlist, (usize, u64))> = vec![
+        ("fig1", generate::fig1().netlist, (56, 224)),
         (
             "chain(2,1,full)",
             generate::chain(2, 1, RelayKind::Full).netlist,
-            Some(120),
+            (120, 480),
         ),
         (
             "chain(1,1,half)",
             generate::chain(1, 1, RelayKind::Half).netlist,
-            None,
+            (12, 48),
         ),
         (
             "ring(2,1,full)",
             generate::ring(2, 1, RelayKind::Full).netlist,
-            Some(4),
+            (4, 8),
         ),
         (
             "buffered_ring(2,0)",
             generate::buffered_ring(2, 0).netlist,
-            Some(2),
+            (2, 4),
         ),
-        ("tree(1,2,1)", generate::tree(1, 2, 1).netlist, None),
-        // The universal-exploration table of `exp_deadlock`.
+        ("tree(1,2,1)", generate::tree(1, 2, 1).netlist, (152, 1216)),
+        // The universal-exploration table of `exp_deadlock` (with fig1
+        // above): its printed states and transitions.
         (
             "full ring S=2 R=1 (with entry)",
             ring_with_entry(2, 1, RelayKind::Full),
-            None,
+            (8, 32),
         ),
         (
             "half ring S=2 R=2 (with entry)",
             ring_with_entry(2, 2, RelayKind::Half),
-            None,
+            (6, 24),
         ),
         (
             "half ring S=3 R=3 (with entry)",
             ring_with_entry(3, 3, RelayKind::Half),
-            None,
+            (6, 24),
         ),
         (
             "buffered ring S=3 R=0",
             generate::buffered_ring(3, 0).netlist,
-            None,
+            (4, 8),
         ),
         (
             "coupled composition",
             generate::composed_coupled(1, 1, 1, 2, 1).netlist,
-            None,
+            (354, 1416),
         ),
     ];
     for (name, netlist, pinned) in &corpus {
-        let states = agree(name, netlist)
+        let counts = agree(name, netlist)
             .unwrap_or_else(|| panic!("{name}: expected a complete deadlock-free proof"));
-        // The protocol confines the reachable space, but it is more
-        // than the initial state alone.
-        assert!(states > 1, "{name}: {states} states");
-        if let Some(pinned) = pinned {
-            assert_eq!(states, *pinned, "{name}: pinned reachable space");
-        }
+        assert_eq!(counts, *pinned, "{name}: pinned (states, transitions)");
     }
 }
 

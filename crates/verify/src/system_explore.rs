@@ -117,15 +117,22 @@ pub fn random_explore_system(
             opts,
         },
     );
+    Ok(merge_shards(results, opts.cycles))
+}
+
+/// Merge per-shard results, given in shard order: the first shard with a
+/// confirmed hit wins and keeps its `cycles`; `schedules` sums over every
+/// shard.
+fn merge_shards(results: Vec<RandomSystemSearch>, cycles: u64) -> RandomSystemSearch {
     let schedules = results.iter().map(|r| r.schedules).sum();
-    Ok(match results.into_iter().find(|r| r.wedged.is_some()) {
+    match results.into_iter().find(|r| r.wedged.is_some()) {
         Some(hit) => RandomSystemSearch { schedules, ..hit },
         None => RandomSystemSearch {
-            cycles: opts.cycles,
+            cycles,
             schedules,
             wedged: None,
         },
-    })
+    }
 }
 
 /// One shard: `W::LANES` schedules per pass, wedge probes batched over
@@ -340,7 +347,38 @@ mod tests {
             assert_eq!(cex.schedule.len(), 40);
             let scalar = lip_mc::replay(&netlist, &cex.schedule).unwrap();
             assert_eq!(scalar.component_state(), cex.stuck_state, "lane {lane}");
+            // So the hunt's filter rejects these live lanes for firing,
+            // never for landing in another state.
+            let err = confirm_stuck(&netlist, &cex).unwrap_err();
+            assert!(err.contains("shell firings"), "lane {lane}: {err}");
         }
+    }
+
+    #[test]
+    fn first_wedged_shard_wins_the_merge() {
+        let shard = |cycles, stuck: Option<u64>| RandomSystemSearch {
+            cycles,
+            schedules: LANES,
+            wedged: stuck.map(|s| Counterexample {
+                schedule: Schedule::default(),
+                stuck_state: vec![s],
+                continuation: None,
+            }),
+        };
+        // Shard 1 of 3 hits at cycle 40; shard 2's earlier hit comes
+        // later in shard order and loses.
+        let merged = merge_shards(
+            vec![shard(100, None), shard(40, Some(1)), shard(10, Some(2))],
+            100,
+        );
+        assert_eq!(merged.schedules, 3 * LANES);
+        assert_eq!(merged.cycles, 40, "the hit keeps its own cycle count");
+        assert_eq!(merged.wedged.unwrap().stuck_state, vec![1]);
+        // No hit: the full budget ran in every shard.
+        let clean = merge_shards(vec![shard(100, None), shard(100, None)], 100);
+        assert_eq!(clean.schedules, 2 * LANES);
+        assert_eq!(clean.cycles, 100);
+        assert!(clean.deadlock_free());
     }
 
     #[test]

@@ -624,16 +624,18 @@ impl<'g> Howard<'g> {
 
 /// Steady-state valid-token rate of a periodic [`Pattern`] used as a
 /// *void* pattern (fraction of cycles that carry data), or `None` for
-/// aperiodic patterns.
+/// aperiodic or malformed patterns.
 #[must_use]
 pub fn pattern_data_rate(void_pattern: &Pattern) -> Option<Ratio> {
-    let period = void_pattern.period()?;
+    // A malformed pattern (period 0) has no rate either.
+    let period = void_pattern.period().filter(|&p| p > 0)?;
     let voids = (0..period).filter(|&c| void_pattern.at(c)).count() as u64;
     Some(Ratio::new(period - voids, period))
 }
 
 /// Steady-state acceptance rate of a periodic stop [`Pattern`] (fraction
-/// of cycles the consumer accepts), or `None` for aperiodic patterns.
+/// of cycles the consumer accepts), or `None` for aperiodic or malformed
+/// patterns.
 #[must_use]
 pub fn pattern_accept_rate(stop_pattern: &Pattern) -> Option<Ratio> {
     pattern_data_rate(stop_pattern)

@@ -62,6 +62,19 @@ impl Pattern {
         }
     }
 
+    /// What makes the pattern malformed (`period == 0`, `denom == 0` or
+    /// an empty cyclic vector), or `None` when [`at`](Self::at) is
+    /// defined on every cycle.
+    #[must_use]
+    pub fn malformation(&self) -> Option<&'static str> {
+        match self {
+            Pattern::EveryNth { period: 0, .. } => Some("period 0"),
+            Pattern::Random { denom: 0, .. } => Some("denominator 0"),
+            Pattern::Cyclic(bits) if bits.is_empty() => Some("empty cycle"),
+            _ => None,
+        }
+    }
+
     /// Whether the pattern asserts at `cycle`.
     ///
     /// # Panics

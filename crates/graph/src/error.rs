@@ -51,6 +51,15 @@ pub enum NetlistError {
         /// Nodes on the offending cycle.
         cycle: Vec<NodeId>,
     },
+    /// A source's void pattern or a sink's stop pattern is malformed
+    /// (see [`Pattern::malformation`](lip_core::Pattern::malformation)),
+    /// so it is undefined on some cycle.
+    MalformedPattern {
+        /// The source or sink.
+        node: NodeId,
+        /// What is wrong with its pattern.
+        defect: &'static str,
+    },
     /// The netlist has no nodes of a kind an operation requires (for
     /// example measuring throughput with no sink).
     Empty {
@@ -103,6 +112,9 @@ impl fmt::Display for NetlistError {
                 "cycle without any shell or full relay station (combinational data loop): {}",
                 fmt_cycle(cycle)
             ),
+            NetlistError::MalformedPattern { node, defect } => {
+                write!(f, "endpoint pattern of node {node} is malformed ({defect})")
+            }
             NetlistError::Empty { what } => write!(f, "netlist has no {what}"),
         }
     }
@@ -136,5 +148,13 @@ mod tests {
         assert_eq!(e.to_string(), "input port 1 of node n3 is not connected");
         let e = NetlistError::Empty { what: "sink" };
         assert_eq!(e.to_string(), "netlist has no sink");
+        let e = NetlistError::MalformedPattern {
+            node: NodeId(2),
+            defect: "period 0",
+        };
+        assert_eq!(
+            e.to_string(),
+            "endpoint pattern of node n2 is malformed (period 0)"
+        );
     }
 }

@@ -695,11 +695,15 @@ impl Netlist {
             .collect()
     }
 
-    /// Validate connectivity and the combinational-loop rules.
+    /// Validate connectivity, endpoint patterns and the
+    /// combinational-loop rules.
     ///
     /// # Errors
     ///
     /// * [`NetlistError::UnconnectedPort`] — some port is dangling.
+    /// * [`NetlistError::MalformedPattern`] — a source or sink pattern
+    ///   is undefined on some cycle (period 0, denominator 0 or an
+    ///   empty cycle).
     /// * [`NetlistError::StopLoop`] — a cycle contains no relay station,
     ///   so its backward stop path never meets a register (the
     ///   minimum-memory theorem).
@@ -725,6 +729,14 @@ impl Netlist {
                         output: false,
                     });
                 }
+            }
+            let pattern = match &node.kind {
+                NodeKind::Source { void_pattern } => Some(void_pattern),
+                NodeKind::Sink { stop_pattern } => Some(stop_pattern),
+                _ => None,
+            };
+            if let Some(defect) = pattern.and_then(Pattern::malformation) {
+                return Err(NetlistError::MalformedPattern { node: id, defect });
             }
         }
         // Combinational loop rules: in the subgraph where "stop-cutting"

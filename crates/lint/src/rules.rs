@@ -15,18 +15,20 @@
 //! | LIP008 | environment-limited throughput proved below 1                | — |
 //!
 //! LIP006–LIP008 are backed by one exhaustive [`lip_mc::check_declared`]
-//! pass over the declared environment; they stay silent when that
-//! environment is aperiodic or the reachable space exceeds the default
-//! budget, and never contradict the structural rules — related findings
+//! pass over the declared environment, run on the program lint compiles
+//! as its validity guard; they stay silent when that environment is
+//! aperiodic or the reachable space exceeds the default budget, and
+//! never contradict the structural rules — related findings
 //! are cross-referenced through [`Diagnostic::related`].
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use lip_analysis::model::{pattern_accept_rate, pattern_data_rate, MarkedGraph, ModelEdge};
 use lip_core::RelayKind;
 use lip_graph::{topology, ChannelId, Netlist, NodeId, NodeKind, SourceMap};
-use lip_mc::{check_declared, DeclaredProof, McConfig};
-use lip_sim::Ratio;
+use lip_mc::{check_declared_compiled, DeclaredProof, McConfig};
+use lip_sim::{Ratio, SettleProgram};
 
 use crate::diag::{DiagChannel, DiagNode, Diagnostic, RuleId};
 use crate::fix::FixIt;
@@ -44,7 +46,14 @@ pub fn lint(netlist: &Netlist, map: &SourceMap) -> Vec<Diagnostic> {
     // the model is meaningless and LIP001/LIP002 already carry the
     // diagnosis.
     let illegal = diags.iter().any(|d| d.rule == RuleId::Lip002);
-    if !illegal && netlist.validate().is_ok() {
+    // Compiling validates, so the program is the guard and the proof's
+    // input at once.
+    let program = if illegal {
+        None
+    } else {
+        SettleProgram::compile(netlist).ok()
+    };
+    if let Some(program) = program {
         // One minimum-cycle-ratio pass serves both marked-graph rules.
         let bottleneck = MarkedGraph::new(netlist).binding_cycle();
         lip004(netlist, map, bottleneck.as_ref(), &mut diags);
@@ -52,7 +61,8 @@ pub fn lint(netlist: &Netlist, map: &SourceMap) -> Vec<Diagnostic> {
         // The model-checked rules share one exhaustive state-space
         // pass. They go silent (never wrong) when the declared
         // environment is aperiodic or the space exceeds the budget.
-        if let Ok(proof) = check_declared(netlist, &McConfig::default()) {
+        let cfg = McConfig::default();
+        if let Ok(proof) = check_declared_compiled(netlist, Arc::new(program), &cfg) {
             lip006(netlist, map, &proof, &mut diags);
             lip007(netlist, map, &proof, &mut diags);
             lip008(&proof, &mut diags);

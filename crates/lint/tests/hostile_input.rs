@@ -86,3 +86,77 @@ fn unmutated_designs_pass_every_stage() {
         SettleProgram::compile(&parsed.netlist).expect("compile");
     }
 }
+
+/// A programmatically built netlist can carry an endpoint pattern that
+/// is undefined on some cycle. Validation names the endpoint, every
+/// entry point that elaborates returns that error, and `lint` returns
+/// its diagnostics; nothing panics.
+#[test]
+fn malformed_endpoint_patterns_are_typed_errors() {
+    use lip_core::{Pattern, RelayKind};
+    use lip_graph::{generate, NetlistError, SourceMap};
+    use lip_lint::RuleId;
+    use lip_mc::McError;
+    use lip_sim::measure::{check_liveness, measure, measure_activity};
+    use lip_sim::{SkeletonSystem, System};
+
+    let malformed = [
+        Pattern::EveryNth {
+            period: 0,
+            phase: 0,
+        },
+        Pattern::Cyclic(Vec::new()),
+        Pattern::Random {
+            num: 1,
+            denom: 0,
+            seed: 7,
+        },
+    ];
+    // Shells wired back-to-back: LIP001 fires on structure alone.
+    let pristine = generate::chain(3, 0, RelayKind::Full).netlist;
+    let structural: Vec<RuleId> = lint(&pristine, &SourceMap::new())
+        .iter()
+        .map(|d| d.rule)
+        .filter(|&r| r < RuleId::Lip004)
+        .collect();
+    assert!(!structural.is_empty());
+    for pattern in malformed {
+        for on_source in [true, false] {
+            let mut netlist = pristine.clone();
+            let node = if on_source {
+                let node = netlist.sources()[0];
+                assert!(netlist.set_source_pattern(node, pattern.clone()));
+                node
+            } else {
+                let node = netlist.sinks()[0];
+                assert!(netlist.set_sink_pattern(node, pattern.clone()));
+                node
+            };
+            let what = format!("{pattern:?} on {node}");
+            let want = NetlistError::MalformedPattern {
+                node,
+                defect: pattern.malformation().expect("malformed"),
+            };
+            assert_eq!(netlist.validate(), Err(want.clone()), "{what}: validate");
+            let compiled = SettleProgram::compile(&netlist).map(|_| ());
+            assert_eq!(compiled, Err(want.clone()), "{what}: compile");
+            let skeleton = SkeletonSystem::new(&netlist).map(|_| ());
+            assert_eq!(skeleton, Err(want.clone()), "{what}: skeleton");
+            assert_eq!(System::new(&netlist).err(), Some(want.clone()), "{what}");
+            let proof = check_declared(&netlist, &McConfig::default()).map(|_| ());
+            assert_eq!(proof, Err(McError::Netlist(want.clone())), "{what}: mc");
+            assert_eq!(measure(&netlist).err(), Some(want.clone()), "{what}");
+            let activity = measure_activity(&netlist).map(|_| ());
+            assert_eq!(activity, Err(want.clone()), "{what}: activity");
+            let liveness = check_liveness(&netlist, 100, 100).map(|_| ());
+            assert_eq!(liveness, Err(want), "{what}: liveness");
+            // The structural rules still report; the model-based ones
+            // stay silent on a netlist that does not elaborate.
+            let rules: Vec<RuleId> = lint(&netlist, &SourceMap::new())
+                .iter()
+                .map(|d| d.rule)
+                .collect();
+            assert_eq!(rules, structural, "{what}: lint");
+        }
+    }
+}

@@ -28,10 +28,12 @@
 //! The whole trajectory is recorded as a replayable [`Schedule`], so a
 //! deadlock verdict ships with a cycle-by-cycle counterexample.
 
+use std::sync::Arc;
+
 use lip_core::Pattern;
 use lip_graph::{Netlist, NodeId, NodeKind};
 use lip_sim::lasso::Lasso;
-use lip_sim::{measure::Ratio, SkeletonSystem};
+use lip_sim::{measure::Ratio, SettleProgram, SkeletonSystem};
 
 use crate::schedule::{Counterexample, EnvChoice, Schedule};
 use crate::{McConfig, McError};
@@ -121,7 +123,24 @@ impl DeclaredProof {
 /// checker), [`McError::StateCap`] when the reachable space exceeds
 /// `cfg.max_states`, and [`McError::Netlist`] from elaboration.
 pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof, McError> {
-    let mut sys = SkeletonSystem::new(netlist)?;
+    let program = Arc::new(SettleProgram::compile(netlist)?);
+    check_declared_compiled(netlist, program, cfg)
+}
+
+/// [`check_declared`] on a program already compiled from `netlist` (or
+/// patched to match it), for callers that compiled it anyway: the proof
+/// neither validates nor compiles again. `netlist` supplies only node
+/// ids and the declared sink patterns of the recorded schedule.
+///
+/// # Errors
+///
+/// As [`check_declared`], less elaboration errors.
+pub fn check_declared_compiled(
+    netlist: &Netlist,
+    program: Arc<SettleProgram>,
+    cfg: &McConfig,
+) -> Result<DeclaredProof, McError> {
+    let mut sys = SkeletonSystem::from_program(program);
     if sys.program().env_period().is_none() {
         return Err(McError::Aperiodic);
     }

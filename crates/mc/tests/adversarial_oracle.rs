@@ -4,11 +4,8 @@
 //! interns packed states in a [`lip_mc::StateArena`] and decides wedges
 //! exactly by backward closure over the reachable graph.
 //!
-//! On every system where both complete and prove deadlock freedom they
-//! must agree on the exact number of reachable states and transitions;
-//! on every system they must agree on the verdict. (The oracle returns
-//! at its first wedged state, so its counts are then partial and only
-//! the verdict is comparable.)
+//! On every system where both complete they must agree on the verdict
+//! and on the exact number of reachable states and transitions.
 
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{generate, Netlist};
@@ -30,8 +27,8 @@ mod oracle {
     }
 
     /// Breadth-first search over every per-cycle environment choice,
-    /// up to `max_states` distinct control states; stops at the first
-    /// wedged state.
+    /// up to `max_states` distinct control states, noting whether any
+    /// visited state is wedged.
     pub fn explore(netlist: &Netlist, max_states: usize) -> Search {
         let initial = SkeletonSystem::new(netlist).unwrap();
         let (n_src, n_snk) = (netlist.sources().len(), netlist.sinks().len());
@@ -39,16 +36,9 @@ mod oracle {
         let horizon = transient_bound(netlist) + 4;
         let mut visited = HashSet::from([initial.component_state()]);
         let mut queue = VecDeque::from([initial]);
-        let (mut transitions, mut complete) = (0, true);
+        let (mut transitions, mut complete, mut wedged) = (0, true, false);
         while let Some(state) = queue.pop_front() {
-            if has_shells && is_wedged(&state, n_src, n_snk, horizon) {
-                return Search {
-                    states: visited.len(),
-                    transitions,
-                    complete,
-                    wedged: true,
-                };
-            }
+            wedged |= has_shells && is_wedged(&state, n_src, n_snk, horizon);
             if visited.len() >= max_states {
                 complete = false;
                 continue; // drain the queue without expanding further
@@ -70,7 +60,7 @@ mod oracle {
             states: visited.len(),
             transitions,
             complete,
-            wedged: false,
+            wedged,
         }
     }
 
@@ -89,10 +79,10 @@ mod oracle {
 
 const CAP: usize = 200_000;
 
-/// Run both searches and assert agreement; returns the shared
-/// `(states, transitions)` when both proved deadlock freedom over the
-/// complete space.
-fn agree(name: &str, netlist: &Netlist) -> Option<(usize, u64)> {
+/// Run both searches and assert agreement; returns the verdict and the
+/// shared `(states, transitions)` when both enumerated the complete
+/// space.
+fn agree(name: &str, netlist: &Netlist) -> Option<(Verdict, usize, u64)> {
     let proof = check_adversarial(netlist, &McConfig { max_states: CAP })
         .unwrap_or_else(|e| panic!("{name}: adversarial check failed: {e}"));
     let search = oracle::explore(netlist, CAP);
@@ -104,9 +94,6 @@ fn agree(name: &str, netlist: &Netlist) -> Option<(usize, u64)> {
         !search.wedged,
         "{name}: verdict disagreement"
     );
-    if proof.verdict != Verdict::DeadlockFree {
-        return None;
-    }
     assert_eq!(
         proof.states, search.states,
         "{name}: reachable-state count disagreement"
@@ -115,7 +102,7 @@ fn agree(name: &str, netlist: &Netlist) -> Option<(usize, u64)> {
         proof.transitions, search.transitions,
         "{name}: transition count disagreement"
     );
-    Some((proof.states, proof.transitions))
+    Some((proof.verdict, proof.states, proof.transitions))
 }
 
 fn ring_with_entry(shells: usize, relays: usize, kind: RelayKind) -> Netlist {
@@ -179,10 +166,11 @@ fn named_small_systems_agree_exactly() {
             (354, 1416),
         ),
     ];
-    for (name, netlist, pinned) in &corpus {
-        let counts = agree(name, netlist)
-            .unwrap_or_else(|| panic!("{name}: expected a complete deadlock-free proof"));
-        assert_eq!(counts, *pinned, "{name}: pinned (states, transitions)");
+    for (name, netlist, (states, transitions)) in corpus {
+        let counts =
+            agree(name, &netlist).unwrap_or_else(|| panic!("{name}: expected a complete search"));
+        let want = (Verdict::DeadlockFree, states, transitions);
+        assert_eq!(counts, want, "{name}: pinned (states, transitions)");
     }
 }
 
@@ -207,7 +195,9 @@ fn random_corpus_agrees() {
             continue;
         }
         // Both searches are capped; agree() skips truncated runs.
-        if agree(&format!("seed {seed} {family:?}"), &netlist).is_some() {
+        if agree(&format!("seed {seed} {family:?}"), &netlist)
+            .is_some_and(|(v, ..)| v == Verdict::DeadlockFree)
+        {
             compared += 1;
         }
     }
@@ -224,4 +214,56 @@ fn system_exploration_is_deterministic() {
     let a = check_adversarial(&fig1, &cfg).unwrap();
     let b = check_adversarial(&fig1, &cfg).unwrap();
     assert_eq!(a, b);
+}
+
+#[test]
+fn carloni_rings_deadlock_and_every_search_confirms_it() {
+    use lip_core::ProtocolVariant;
+    use lip_mc::confirm_stuck;
+    use lip_verify::{random_explore_system, RandomSearchOptions};
+
+    // Under the original discipline a stop back-propagates even against
+    // a void, and these tiny rings wedge; the refinement keeps them live.
+    let rings: [(&str, Netlist, (usize, u64), usize); 2] = [
+        (
+            "ring(2,1,full)",
+            generate::ring(2, 1, RelayKind::Full).netlist,
+            (5, 10),
+            4,
+        ),
+        (
+            "ring(2,1,full) with entry",
+            ring_with_entry(2, 1, RelayKind::Full),
+            (12, 48),
+            8,
+        ),
+    ];
+    for (name, refined, (states, transitions), refined_states) in rings {
+        let mut carloni = refined.clone();
+        carloni.set_variant(ProtocolVariant::Carloni);
+        let counts = agree(name, &carloni).unwrap_or_else(|| panic!("{name}: incomplete"));
+        assert_eq!(counts, (Verdict::Deadlock, states, transitions), "{name}");
+
+        let proof = check_adversarial(&carloni, &McConfig::default()).unwrap();
+        let cex = proof
+            .counterexample
+            .expect("a deadlock ships a counterexample");
+        confirm_stuck(&carloni, &cex).unwrap_or_else(|e| panic!("{name}: {e}"));
+
+        let opts = RandomSearchOptions {
+            cycles: 64,
+            seed: 1,
+            lanes: 64,
+            shards: 1,
+        };
+        let hunt = random_explore_system(&carloni, &opts).unwrap();
+        let hit = hunt
+            .wedged
+            .unwrap_or_else(|| panic!("{name}: the hunt found no wedge"));
+        confirm_stuck(&carloni, &hit).unwrap_or_else(|e| panic!("{name}: hunt hit: {e}"));
+
+        let live = check_adversarial(&refined, &McConfig::default()).unwrap();
+        assert_eq!(live.verdict, Verdict::DeadlockFree, "{name}: refined");
+        assert_eq!(live.states, refined_states, "{name}: refined states");
+    }
 }

@@ -2,24 +2,25 @@
 //! simulates until the transient dies out and the control state
 //! repeats. Both scalar `find_periodicity`s and `lip-mc`'s proofs
 //! intern their keys into one [`StateArena`], whose ids in visit order
-//! make the first revisited id the stem length. A [`Lasso`] also stores
-//! one row of counters per visit, so a recurrence yields exact
+//! make the first revisited id the stem length. The arena finds a key
+//! through an open-addressed table of ids with each id's hash stored
+//! beside it, so interning a state costs one hash, a short probe and
+//! the state's words, with no allocation per state. A [`Lasso`] also
+//! stores one row of counters per visit, so a recurrence yields exact
 //! per-period deltas. Both scalar engines build their control-state key
-//! with one `KeyWriter`: the environment phase as a whole word, then
-//! every component's registered state bit-packed in node order, so a
-//! key is a few words per hundred components rather than one word per
-//! component.
+//! with one `KeyWriter` encoding: the environment phase as a whole
+//! word, then every component's registered state bit-packed in node
+//! order, so a key is a few words per hundred components rather than
+//! one word per component. The skeleton keeps its key current field by
+//! field as registers change and only writes it whole at reset.
 //!
 //! The batch engine's lanes go through `PlaneLasso`, which finds the
 //! same (stem, period) pair a [`Lasso`] would for every lane at once,
 //! on the engine's bit-planes.
 
-use std::collections::HashMap;
-
 use lip_obs::for_each_lane_word;
 
 use crate::lane::LaneWord;
-use crate::program::stable_hash;
 
 /// A detected periodic regime: after `transient` cycles, the control
 /// state repeats every `period` cycles.
@@ -88,16 +89,25 @@ impl<T: Copy> Pool<T> {
 ///
 /// Every distinct state is stored exactly once in a chunked word pool
 /// and from then on referred to by its dense `u32` id, handed out in
-/// insertion order. Lookup is a [`stable_hash`]-keyed
-/// `HashMap<u64, Vec<u32>>` of buckets with full-word comparison, so
-/// hash collisions cannot conflate states.
+/// insertion order. Lookup is an open-addressed table of ids, probed
+/// linearly from the state's 64-bit word hash; each id's hash is stored
+/// beside it, so a probe compares words only on equal hashes and growth
+/// re-places ids without rehashing states. Full-word comparison keeps
+/// hash collisions from conflating states. Interning allocates nothing
+/// but pool chunks and the table's doublings.
 #[derive(Debug, Clone)]
 pub struct StateArena {
     /// All interned states, `state_len` words each, by id.
     states: Pool<u64>,
-    /// `stable_hash` → candidate ids, compared word-for-word.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Hash of each state, by id.
+    hashes: Vec<u64>,
+    /// Open-addressed slots holding `id + 1` (0 = empty); a power of
+    /// two long and at most half full.
+    slots: Vec<u32>,
 }
+
+/// Slots of a fresh arena's table.
+const MIN_SLOTS: usize = 16;
 
 impl StateArena {
     /// An empty arena for states of `state_len` words.
@@ -105,7 +115,8 @@ impl StateArena {
     pub fn new(state_len: usize) -> Self {
         StateArena {
             states: Pool::new(state_len),
-            buckets: HashMap::new(),
+            hashes: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -115,19 +126,42 @@ impl StateArena {
     /// # Panics
     ///
     /// Panics if `state` has the wrong width or the arena is full
-    /// (`u32::MAX` states).
+    /// (`u32::MAX - 1` states).
     pub fn intern(&mut self, state: &[u64]) -> (u32, bool) {
         assert_eq!(state.len(), self.states.width, "state width");
-        let next_id = u32::try_from(self.len()).expect("state arena overflow");
-        let bucket = self.buckets.entry(key_hash(state)).or_default();
-        for &id in bucket.iter() {
-            if self.states.get(id as usize) == state {
+        let next_id = u32::try_from(self.len() + 1).expect("state arena overflow") - 1;
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = key_hash(state);
+        let mask = self.slots.len() - 1;
+        let mut at = slot_of(hash, mask);
+        while let Some(id) = self.slots[at].checked_sub(1) {
+            if self.hashes[id as usize] == hash && self.states.get(id as usize) == state {
                 return (id, false);
             }
+            at = (at + 1) & mask;
         }
+        self.slots[at] = next_id + 1;
+        self.hashes.push(hash);
         self.states.push(&[state]);
-        bucket.push(next_id);
         (next_id, true)
+    }
+
+    /// Double the table (or make the first one) and re-place every id
+    /// by its stored hash.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        let mask = len - 1;
+        for (id, &hash) in (1..).zip(&self.hashes) {
+            let mut at = slot_of(hash, mask);
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = id;
+        }
     }
 
     /// The interned state for `id`.
@@ -152,23 +186,41 @@ impl StateArena {
         self.len() == 0
     }
 
-    /// Heap footprint of the arena in bytes (state words plus bucket
-    /// map), the number the bench reports as *peak arena size*.
+    /// Footprint of the arena in bytes, the number the bench reports as
+    /// *peak arena size*: 8 per state word and 20 per state (a 16-byte
+    /// map entry and a 4-byte id). That is the cost model of the
+    /// hash-to-bucket map this table replaced, kept as the reported unit
+    /// so pinned figures stay comparable.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        let bucket_words: usize = self.buckets.values().map(Vec::len).sum();
-        self.len() * self.states.width * 8 + self.buckets.len() * 16 + bucket_words * 4
+        self.len() * (self.states.width * 8 + 20)
     }
 }
 
-/// Bucket hash of a state key. Tests can force every key into one
-/// bucket to exercise the full-word comparison.
+/// The table slot a probe for `hash` starts at: Fibonacci hashing, so
+/// every bit of the hash reaches the index bits.
+#[inline]
+fn slot_of(hash: u64, mask: usize) -> usize {
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - mask.count_ones())) as usize
+}
+
+/// Hash of a state key: per word one xor, one multiply and one
+/// xor-shift, where the byte-wise
+/// [`stable_hash`](crate::program::stable_hash) takes eight dependent
+/// multiplies per word (a tenth of a long chain's proof). Each step is a
+/// bijection of the running hash, so keys of one length that differ in
+/// a single word never collide, and the shift carries high bits down so
+/// that sparse multi-word differences do not cancel. Tests can force
+/// every key to one hash to exercise the full-word comparison.
 fn key_hash(state: &[u64]) -> u64 {
     #[cfg(test)]
     if tests::FORCE_COLLISIONS.get() {
         return 42;
     }
-    stable_hash(state)
+    state.iter().fold(state.len() as u64, |h, &w| {
+        let h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ h >> 32
+    })
 }
 
 /// Recurrence detector for a deterministic trajectory observed once per
@@ -599,7 +651,10 @@ mod tests {
             2,
             "both states must survive under one hash"
         );
-        assert_eq!(d.arena().buckets.len(), 1, "the hook forces one bucket");
+        assert!(
+            d.arena().hashes.iter().all(|&h| h == 42),
+            "the hook forces one hash"
+        );
         let (p, _) = d
             .observe(&a, &[])
             .expect("recurrence of the shadowed state");

@@ -28,24 +28,30 @@
 //! * **clock** visits only the registers whose inputs changed or that
 //!   changed on the last clock (any other register provably keeps its
 //!   value), and rewrites each changed register's field of the packed
-//!   control-state key in place. The key is bit-identical to the
-//!   `KeyWriter` encoding of the same state.
+//!   control-state key in place.
 //!
-//! When a clock changed more than a quarter of the registers (a tree
-//! filling up, a small ring under a periodic stop), waking readers one
-//! change at a time costs more than running every op, so the next step
-//! runs the whole tape: straight per-kind loops that wake no readers,
-//! leaving the key to one `KeyWriter` pass when it is next read or
-//! edited. Its clock still records which registers changed, so the
-//! step after can go either way. With a [`Probe`] attached every step
-//! runs the tape, since observers expect every per-component event.
-//! Shell fire counts bank on fire-bit transitions and relay peaks rise
-//! on fills, so neither costs a pass over every component per cycle.
+//! When a clock changed enough registers (a tree filling up, a small
+//! FIFO ring under a periodic stop), waking readers one change at a time
+//! costs more than running every op, so the next step runs the whole
+//! tape: straight per-kind loops that wake no readers. The choice is a
+//! cost rule fitted to measured per-step costs (`tape_pays`: a change
+//! costs about two tape registers, so the tape pays from roughly half
+//! the registers changing). The tape's clock writes every register's
+//! key field and relay peak without branching on whether it changed, so
+//! in both clocks the key stays bit-identical to the `KeyWriter`
+//! encoding of the registers (checked on every read in debug builds)
+//! and is never rebuilt between steps. It still records which registers
+//! changed, so the step after can go either way; the choice changes no
+//! result. With a [`Probe`] attached every step runs the tape, since
+//! observers expect every per-component event. Shell fire counts bank
+//! on fire-bit transitions and relay peaks rise on fills, so neither
+//! costs a pass over every component per cycle.
 //!
 //! [`System`]: crate::System
 
 use std::sync::Arc;
 
+use lip_core::Pattern;
 use lip_graph::{Netlist, NetlistError, NodeId};
 use lip_obs::{NullProbe, Probe};
 
@@ -99,13 +105,10 @@ pub struct SkeletonSystem {
     snk_valid: Vec<u64>,
     snk_voids: Vec<u64>,
     cycle: u64,
-    /// The packed control-state key (its phase word left stale),
-    /// rewritten in place as registers change while `key_fresh`.
+    /// The packed control-state key (its phase word left stale): both
+    /// clocks rewrite each changed register's field in place, so it
+    /// always matches the registers.
     key: Vec<u64>,
-    /// `key` matches the registers. A full-tape step leaves it stale
-    /// (its caller may never read it); the next sparse clock or
-    /// [`push_control_state`](Self::push_control_state) writes it whole.
-    key_fresh: bool,
     /// Which ops the next settle and clock must visit.
     dirty: Dirty,
 }
@@ -181,10 +184,10 @@ impl FireLog {
 ///
 /// When most registers change every cycle (a tree filling up), waking
 /// readers one change at a time costs more than running every op, so
-/// a step after a clock that changed more than `1/DENSE_SHARE` of the
-/// registers runs the whole tape instead: straight per-kind loops that
-/// wake no readers. Its clock still leaves exactly the changed
-/// registers in the clock sets, so the next step can go either way.
+/// a step after a clock whose changes make [`tape_pays`] runs the whole
+/// tape instead: straight per-kind loops that wake no readers. Its
+/// clock still leaves exactly the changed registers in the clock sets,
+/// so the next step can go either way.
 #[derive(Debug, Clone)]
 struct Dirty {
     shell: Vec<u64>,
@@ -198,9 +201,30 @@ struct Dirty {
     dense: bool,
 }
 
-/// A step runs the full tape after a clock that changed more than one
-/// register in `DENSE_SHARE`.
-const DENSE_SHARE: usize = 4;
+/// A sparse step's cost per register the last clock changed, in units
+/// of a tape step's cost per register (see [`tape_pays`]).
+const SPARSE_PER_CHANGE: usize = 2;
+
+/// A sparse step's fixed cost above a tape step's, in the same units.
+const SPARSE_FIXED: usize = 8;
+
+/// Whether the step after a clock that changed `changed` of `regs`
+/// registers costs less on the whole tape than woken one change at a
+/// time. Both costs are linear. Timed per step over whole declared
+/// lassos (release, x86-64, cycles per loop iteration): a tape step
+/// costs ~290 + 22 per register on `edit_loop`'s edited designs, 20 per
+/// register on `chain(512,4)` and 30 on the binary trees; a sparse step
+/// ~530 + 38 per change on the edited designs and 43–47 per change on
+/// the chains and trees. So a change costs about two tape registers and
+/// the sparse step's fixed part about eight (fitted 11): the tape pays
+/// from ~40–50% of the registers changing, not a quarter. The rule
+/// keeps the cost of those lassos within 1.5% of choosing each step's
+/// cheaper path after the fact; on `chain(512,4)` (20% change per step)
+/// it no longer sends a third of the steps to the tape.
+#[inline]
+fn tape_pays(changed: usize, regs: usize) -> bool {
+    SPARSE_PER_CHANGE * changed + SPARSE_FIXED > regs
+}
 
 /// A bitmap of `n` set bits.
 fn ones(n: usize) -> Vec<u64> {
@@ -376,6 +400,25 @@ fn put_bits(key: &mut [u64], off: u32, width: u32, value: u64) {
     }
 }
 
+/// `pattern.at(cycle)` with the constant patterns answered in place:
+/// `Pattern::at` is not inlined across crates, and a generated tree's
+/// sixteen thousand sinks all stop `Never`, every cycle.
+#[inline]
+fn pattern_at(pattern: &Pattern, cycle: u64) -> bool {
+    match pattern {
+        Pattern::Never => false,
+        Pattern::Always => true,
+        _ => pattern.at(cycle),
+    }
+}
+
+/// Write bit `v` at bit `off` of the packed fields of a key.
+#[inline]
+fn put_bit(key: &mut [u64], off: u32, v: bool) {
+    let (w, b) = (1 + (off / 64) as usize, off % 64);
+    key[w] = key[w] & !(1 << b) | u64::from(v) << b;
+}
+
 impl SkeletonSystem {
     /// Validate `netlist` and elaborate its skeleton.
     ///
@@ -409,7 +452,6 @@ impl SkeletonSystem {
             snk_voids: vec![0; prog.snk_in_ch.len()],
             cycle: 0,
             key: Vec::new(),
-            key_fresh: false,
             dirty: Dirty::all(&prog),
             prog,
         };
@@ -529,6 +571,10 @@ impl SkeletonSystem {
             // Observers expect every op's events every cycle.
             self.dirty.dense = true;
         }
+        #[cfg(test)]
+        if let Some(tape) = tests::FORCE_TAPE.get() {
+            self.dirty.dense = tape;
+        }
         if self.dirty.dense {
             self.settle_tape(sink_stop, probe);
         } else {
@@ -579,7 +625,7 @@ impl SkeletonSystem {
         for (i, &ch) in p.snk_in_ch.iter().enumerate() {
             stop[ch as usize] = match sink_stop {
                 Some(stops) => stops[i],
-                None => p.snk_pattern[i].at(cycle),
+                None => pattern_at(&p.snk_pattern[i], cycle),
             };
         }
         for (i, &ch) in p.full_in_ch.iter().enumerate() {
@@ -668,7 +714,7 @@ impl SkeletonSystem {
         for (i, &ch) in p.snk_in_ch.iter().enumerate() {
             let v = match sink_stop {
                 Some(stops) => stops[i],
-                None => p.snk_pattern[i].at(cycle),
+                None => pattern_at(&p.snk_pattern[i], cycle),
             };
             set_stop(p, stop, dirty, ch, v);
         }
@@ -785,52 +831,43 @@ impl SkeletonSystem {
             if !(self.src_valid[i] && stopped) {
                 let v = match env {
                     Some((valids, _)) => valids[i],
-                    None => !p.src_pattern[i].at(t + 1),
+                    None => !pattern_at(&p.src_pattern[i], t + 1),
                 };
-                if self.src_valid[i] != v {
-                    self.src_valid[i] = v;
-                    if self.key_fresh {
-                        put_bits(&mut self.key, p.readers.src_key[i], 1, u64::from(v));
-                    }
-                }
+                self.src_valid[i] = v;
+                put_bit(&mut self.key, p.readers.src_key[i], v);
             }
         }
-        for i in 0..self.snk_valid.len() {
-            let ch = p.snk_in_ch[i];
-            if !self.stop[ch as usize] {
-                if self.fwd[ch as usize] {
-                    self.snk_valid[i] += 1;
-                    if P::ENABLED {
-                        probe.consume(t, ch, 0);
-                    }
+        // Count without branching: a sink takes a token or a void on
+        // cycles it does not stop, unpredictably on a periodic stop.
+        for (i, &ch) in p.snk_in_ch.iter().enumerate() {
+            let (taken, valid) = (!self.stop[ch as usize], self.fwd[ch as usize]);
+            if P::ENABLED && taken {
+                if valid {
+                    probe.consume(t, ch, 0);
                 } else {
-                    self.snk_voids[i] += 1;
-                    if P::ENABLED {
-                        probe.void_in(t, ch, 0);
-                    }
+                    probe.void_in(t, ch, 0);
                 }
             }
+            self.snk_valid[i] += u64::from(taken & valid);
+            self.snk_voids[i] += u64::from(taken & !valid);
         }
         let changed = if self.dirty.dense {
-            self.key_fresh = false;
             self.clock_tape(probe)
         } else {
-            if !self.key_fresh {
-                self.rewrite_key();
-            }
             self.clock_dirty()
         };
         let p: &SettleProgram = &self.prog;
-        self.dirty.dense = changed * DENSE_SHARE > p.shell_count() + p.relay_count();
+        self.dirty.dense = tape_pays(changed, p.shell_count() + p.relay_count());
         if P::ENABLED {
             probe.end_cycle(t);
         }
         self.cycle += 1;
     }
 
-    /// Clock every shell and relay; returns how many registers changed
-    /// and leaves exactly those in the clock sets. The caller rewrites
-    /// the key.
+    /// Clock every shell and relay, rewriting each register's key field
+    /// and raising each relay's peak without a branch on whether it
+    /// changed (on the tape most rows change, unpredictably); returns
+    /// how many changed and leaves exactly those in the clock sets.
     fn clock_tape<P: Probe>(&mut self, probe: &mut P) -> usize {
         let Self {
             prog,
@@ -845,11 +882,17 @@ impl SkeletonSystem {
             fifo_occ,
             relay_peak,
             cycle,
+            key,
             dirty,
             ..
         } = self;
         let p: &SettleProgram = prog;
         let t = *cycle;
+        let (n_full, n_half) = (full_main.len(), half_occ.len());
+        let (full_key, rest) = p.readers.relay_key.split_at(n_full);
+        let (half_key, fifo_key) = rest.split_at(n_half);
+        let (full_peak, rest) = relay_peak.split_at_mut(n_full);
+        let (half_peak, fifo_peak) = rest.split_at_mut(n_half);
         let mut changed = 0;
         let mut marks = Marks::new(&mut dirty.shell);
         for s in 0..p.shell_buffered.len() {
@@ -857,12 +900,11 @@ impl SkeletonSystem {
             if P::ENABLED && f {
                 probe.fire(t, s as u32, 0);
             }
-            let c = clock_shell(p, fwd, stop, shell_out, in_buf, f, s);
-            marks.push(c);
+            marks.push(clock_shell(p, fwd, stop, shell_out, in_buf, key, f, s));
         }
         changed += marks.finish();
         let mut marks = Marks::new(&mut dirty.full);
-        for i in 0..full_main.len() {
+        for i in 0..n_full {
             let input = fwd[p.full_in_ch[i] as usize];
             let stopped = stop[p.full_out_ch[i] as usize];
             if P::ENABLED {
@@ -877,18 +919,19 @@ impl SkeletonSystem {
                 }
             }
             let c = clock_full(&mut full_main[i], &mut full_aux[i], input, stopped);
-            let row = p.full_relay_row(i) as usize;
             let occ = u32::from(full_main[i]) + u32::from(full_aux[i]);
-            relay_peak[row] = relay_peak[row].max(occ);
+            full_peak[i] = full_peak[i].max(occ);
+            put_bits(key, full_key[i], 2, u64::from(occ));
             marks.push(c);
         }
         changed += marks.finish();
         let mut marks = Marks::new(&mut dirty.half);
-        for h in 0..half_occ.len() {
+        for h in 0..n_half {
             let input = fwd[p.half_in_ch[h] as usize];
             let stopped = stop[p.half_out_ch[h] as usize];
-            let (row, occ) = (p.half_relay_row(h), half_occ[h]);
+            let occ = half_occ[h];
             if P::ENABLED {
+                let row = p.half_relay_row(h);
                 if occ && !stopped {
                     probe.relay_drain(t, row, 0);
                 }
@@ -896,18 +939,21 @@ impl SkeletonSystem {
                     probe.relay_fill(t, row, 0);
                 }
             }
-            half_occ[h] = clock_half(occ, input, stopped);
-            relay_peak[row as usize] |= u32::from(half_occ[h]);
-            marks.push(half_occ[h] != occ);
+            let next = clock_half(occ, input, stopped);
+            half_occ[h] = next;
+            half_peak[h] |= u32::from(next);
+            put_bit(key, half_key[h], next);
+            marks.push(next != occ);
         }
         changed += marks.finish();
         let mut marks = Marks::new(&mut dirty.fifo);
         for i in 0..fifo_occ.len() {
             let input = fwd[p.fifo_in_ch[i] as usize];
             let stopped = stop[p.fifo_out_ch[i] as usize];
-            let (row, occ) = (p.fifo_relay_row(i), fifo_occ[i]);
-            let (drain, fill) = fifo_moves(occ, p.fifo_cap[i], input, stopped);
+            let (cap, occ) = (p.fifo_cap[i], fifo_occ[i]);
+            let (drain, fill) = fifo_moves(occ, cap, input, stopped);
             if P::ENABLED {
+                let row = p.fifo_relay_row(i);
                 if drain {
                     probe.relay_drain(t, row, 0);
                 }
@@ -915,9 +961,11 @@ impl SkeletonSystem {
                     probe.relay_fill(t, row, 0);
                 }
             }
-            fifo_occ[i] = occ - u32::from(drain) + u32::from(fill);
-            relay_peak[row as usize] = relay_peak[row as usize].max(fifo_occ[i]);
-            marks.push(fifo_occ[i] != occ);
+            let next = occ - u32::from(drain) + u32::from(fill);
+            fifo_occ[i] = next;
+            fifo_peak[i] = fifo_peak[i].max(next);
+            put_bits(key, fifo_key[i], relay_key_width(cap), u64::from(next));
+            marks.push(next != occ);
         }
         changed + marks.finish()
     }
@@ -947,21 +995,7 @@ impl SkeletonSystem {
         let r = &p.readers;
         let mut changed = 0;
         clock_set(&mut dirty.shell, &mut changed, |s| {
-            let c = clock_shell(p, fwd, stop, shell_out, in_buf, fires.now[s], s);
-            if c {
-                let mut off = r.shell_key[s];
-                for k in p.shell_out_range(s) {
-                    put_bits(key, off, 1, u64::from(shell_out[k]));
-                    off += 1;
-                }
-                if p.shell_buffered[s] {
-                    for k in p.shell_in_range(s) {
-                        put_bits(key, off, 1, u64::from(in_buf[k]));
-                        off += 1;
-                    }
-                }
-            }
-            c
+            clock_shell(p, fwd, stop, shell_out, in_buf, key, fires.now[s], s)
         });
         clock_set(&mut dirty.full, &mut changed, |i| {
             let input = fwd[p.full_in_ch[i] as usize];
@@ -984,7 +1018,7 @@ impl SkeletonSystem {
             if c {
                 let row = p.half_relay_row(h) as usize;
                 relay_peak[row] |= u32::from(half_occ[h]);
-                put_bits(key, r.relay_key[row], 1, u64::from(half_occ[h]));
+                put_bit(key, r.relay_key[row], half_occ[h]);
             }
             c
         });
@@ -1256,12 +1290,6 @@ impl SkeletonSystem {
     /// environments.
     pub fn push_control_state(&self, out: &mut Vec<u64>) -> Option<()> {
         let phase = self.cycle % self.prog.env_period?;
-        if !self.key_fresh {
-            let start = out.len();
-            self.write_key(out);
-            out[start] = phase;
-            return Some(());
-        }
         out.push(phase);
         out.extend_from_slice(&self.key[1..]);
         debug_assert_eq!(
@@ -1272,13 +1300,13 @@ impl SkeletonSystem {
         Some(())
     }
 
-    /// Rewrite the whole packed key from the registers, in place.
+    /// Rewrite the whole packed key from the registers, in place: at
+    /// reset and when a patched program moves the key's fields.
     fn rewrite_key(&mut self) {
         let mut key = std::mem::take(&mut self.key);
         key.clear();
         self.write_key(&mut key);
         self.key = key;
-        self.key_fresh = true;
     }
 
     /// The packed key written from scratch over the registers, with a
@@ -1347,28 +1375,36 @@ impl SkeletonSystem {
 /// Clock shell `s`'s registers given its settled fire condition `f`:
 /// firing loads every output register and empties the buffers;
 /// otherwise a stopped output holds and a buffer catches its valid
-/// input. Returns whether any register changed.
+/// input. Writes every register's key bit (its outputs, then any
+/// buffers) and returns whether any register changed.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn clock_shell(
     p: &SettleProgram,
     fwd: &[bool],
     stop: &[bool],
     shell_out: &mut [bool],
     in_buf: &mut [bool],
+    key: &mut [u64],
     f: bool,
     s: usize,
 ) -> bool {
+    let mut off = p.readers.shell_key[s];
     let mut changed = false;
     for k in p.shell_out_range(s) {
         let v = f | (shell_out[k] & stop[p.shell_out_ch[k] as usize]);
         changed |= v != shell_out[k];
         shell_out[k] = v;
+        put_bit(key, off, v);
+        off += 1;
     }
     if p.shell_buffered[s] {
         for k in p.shell_in_range(s) {
             let v = !f & (in_buf[k] | fwd[p.shell_in_ch[k] as usize]);
             changed |= v != in_buf[k];
             in_buf[k] = v;
+            put_bit(key, off, v);
+            off += 1;
         }
     }
     changed
@@ -1429,10 +1465,18 @@ fn shell_fire(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::System;
     use lip_core::{Pattern, RelayKind};
     use lip_graph::generate;
+
+    thread_local! {
+        /// Forces every step of this thread onto the whole tape
+        /// (`Some(true)`) or the sparse path (`Some(false)`).
+        pub(super) static FORCE_TAPE: Cell<Option<bool>> = const { Cell::new(None) };
+    }
 
     /// The skeleton must follow the full simulation's control behaviour
     /// cycle for cycle.
@@ -1548,14 +1592,11 @@ mod tests {
     /// `KeyWriter` rebuild and the System's key, and sink counts, shell
     /// fires and relay levels agree.
     fn assert_same(what: &str, t: u64, netlist: &Netlist, full: &System, sk: &SkeletonSystem) {
-        if sk.key_fresh {
-            let key = &sk.key[1..];
-            assert_eq!(
-                key,
-                &sk.written_key()[1..],
-                "{what}: key drifted at cycle {t}"
-            );
-        }
+        assert_eq!(
+            &sk.key[1..],
+            &sk.written_key()[1..],
+            "{what}: key drifted at cycle {t}"
+        );
         assert_eq!(
             full.control_state(),
             sk.control_state(),
@@ -1734,10 +1775,8 @@ mod tests {
                     sk.adopt(Arc::clone(&patched));
                     batch.adopt(Arc::clone(&patched));
                 }
-                if sk.key_fresh {
-                    let key = &sk.key[1..];
-                    assert_eq!(key, &sk.written_key()[1..], "{what}: key drifted at {t}");
-                }
+                let key = &sk.key[1..];
+                assert_eq!(key, &sk.written_key()[1..], "{what}: key drifted at {t}");
                 assert_eq!(
                     sk.component_state(),
                     batch.lane_component_state(0),
@@ -1761,6 +1800,72 @@ mod tests {
                 let pats = LanePatterns::broadcast(batch.program());
                 batch.run_patterns(&pats, 1);
             }
+        }
+    }
+
+    /// Everything a step's mode could disturb, as one comparable value.
+    fn observed(sk: &SkeletonSystem) -> impl PartialEq + std::fmt::Debug {
+        (
+            sk.control_state(),
+            sk.sink_valid_counts().to_vec(),
+            sk.snk_voids.clone(),
+            sk.shell_fire_counts().collect::<Vec<_>>(),
+            sk.shell_last_fires().collect::<Vec<_>>(),
+            sk.shell_fired().to_vec(),
+            sk.relay_peaks().to_vec(),
+        )
+    }
+
+    /// Run `netlist` under the cost rule, tape-only and sparse-only in
+    /// lockstep: every cycle must observe the same.
+    fn assert_modes_agree(what: &str, netlist: &Netlist, cycles: u64) {
+        let rule = SkeletonSystem::new(netlist).unwrap();
+        let mut runs = [
+            (None, rule.clone()),
+            (Some(true), rule.clone()),
+            (Some(false), rule),
+        ];
+        for t in 0..cycles {
+            for (mode, sk) in &mut runs {
+                FORCE_TAPE.set(*mode);
+                sk.step();
+            }
+            FORCE_TAPE.set(None);
+            let want = observed(&runs[0].1);
+            for (mode, sk) in &runs[1..] {
+                assert_eq!(observed(sk), want, "{what}: tape {mode:?}, cycle {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn tape_and_sparse_steps_agree() {
+        let mut checked = 0;
+        for seed in 0..40u64 {
+            let (_, mut netlist) = generate::random_family(seed);
+            if netlist.validate().is_err() {
+                continue;
+            }
+            periodic_endpoints(&mut netlist, seed);
+            assert_modes_agree(&format!("random {seed}, periodic"), &netlist, 80);
+            checked += 1;
+        }
+        assert!(checked >= 25, "only {checked} random instances checked");
+        for cap in [1u8, 3, 5] {
+            let mut chain = generate::chain(4, 3, RelayKind::Fifo(cap)).netlist;
+            periodic_endpoints(&mut chain, u64::from(cap));
+            assert_modes_agree(&format!("fifo({cap}) chain"), &chain, 80);
+            let mut ring = generate::ring(3, 4, RelayKind::Fifo(cap)).netlist;
+            periodic_endpoints(&mut ring, 2);
+            assert_modes_agree(&format!("fifo({cap}) ring"), &ring, 80);
+        }
+        for kind in [RelayKind::Full, RelayKind::Half] {
+            assert_modes_agree("ring", &generate::ring(3, 2, kind).netlist, 60);
+        }
+        for depth in 2..6 {
+            let mut tree = generate::tree(depth, 2, 1).netlist;
+            periodic_endpoints(&mut tree, depth as u64);
+            assert_modes_agree(&format!("tree({depth}, 2, 1)"), &tree, 60);
         }
     }
 }

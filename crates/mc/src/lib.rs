@@ -17,9 +17,7 @@
 //! * [`check_adversarial`] — breadth-first search over *every*
 //!   environment choice per cycle proves **deadlock freedom against any
 //!   environment**, or returns a minimal replayable [`Counterexample`].
-//!   It is the workspace's one exhaustive adversarial search;
-//!   `lip-verify`'s randomized hunt samples the same space and reports
-//!   its hits in the same [`Counterexample`] form;
+//!   It is the workspace's one adversarial deadlock search;
 //! * [`confirm_stuck`] / [`replay`] — every deadlock verdict is
 //!   validated by replaying its schedule on the real
 //!   [`SkeletonSystem`](lip_sim::SkeletonSystem) and watching it wedge;

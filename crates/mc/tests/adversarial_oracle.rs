@@ -220,7 +220,6 @@ fn system_exploration_is_deterministic() {
 fn carloni_rings_deadlock_and_every_search_confirms_it() {
     use lip_core::ProtocolVariant;
     use lip_mc::confirm_stuck;
-    use lip_verify::{random_explore_system, RandomSearchOptions};
 
     // Under the original discipline a stop back-propagates even against
     // a void, and these tiny rings wedge; the refinement keeps them live.
@@ -249,18 +248,6 @@ fn carloni_rings_deadlock_and_every_search_confirms_it() {
             .counterexample
             .expect("a deadlock ships a counterexample");
         confirm_stuck(&carloni, &cex).unwrap_or_else(|e| panic!("{name}: {e}"));
-
-        let opts = RandomSearchOptions {
-            cycles: 64,
-            seed: 1,
-            lanes: 64,
-            shards: 1,
-        };
-        let hunt = random_explore_system(&carloni, &opts).unwrap();
-        let hit = hunt
-            .wedged
-            .unwrap_or_else(|| panic!("{name}: the hunt found no wedge"));
-        confirm_stuck(&carloni, &hit).unwrap_or_else(|e| panic!("{name}: hunt hit: {e}"));
 
         let live = check_adversarial(&refined, &McConfig::default()).unwrap();
         assert_eq!(live.verdict, Verdict::DeadlockFree, "{name}: refined");

@@ -6,9 +6,9 @@
 //! An [`Event`] stamps a kind with the cycle it happened in, the entity
 //! it happened to (a channel, shell or relay row — see the kind's
 //! documentation) and, for the batch engine, the lane it happened in.
-//! Events flow into an [`EventSink`](crate::sink::EventSink) — ring
-//! buffer, JSONL, or the kernel's VCD `Trace` — so waveforms and
-//! skeleton telemetry share one pipeline.
+//! Events flow through any [`Probe`](crate::probe::Probe) — the JSONL
+//! and VCD [`sink`](crate::sink)s among them — so waveforms and skeleton
+//! telemetry share one pipeline.
 
 use std::fmt;
 

@@ -19,14 +19,12 @@
 //! * [`Event`] / [`EventKind`] — the eight-kind structured event
 //!   vocabulary (`fire`, `stall`, `void_in`, `void_discard`,
 //!   `relay_fill`, `relay_drain`, `channel_void`, `consume`),
-//!   streamed through [`EventSink`]s: an
-//!   in-memory [`RingBufferSink`], a newline-delimited-JSON
-//!   [`JsonlSink`], or a [`TraceSink`] rendering onto the kernel's VCD
+//!   recorded by two probes: the newline-delimited-JSON [`JsonlSink`]
+//!   and the [`TraceSink`] rendering onto the kernel's VCD
 //!   [`Trace`](lip_kernel::Trace).
 //! * [`MetricsRegistry`] — per-channel / per-shell / per-relay counters
 //!   and occupancy histograms over a declared [`Topology`].
-//! * [`RollingThroughput`], [`TransientDetector`], [`Report`] — derived
-//!   telemetry and the versioned JSON document ([`SCHEMA_VERSION`])
+//! * [`Report`] — the versioned JSON document ([`SCHEMA_VERSION`])
 //!   every `exp_*` bench bin emits.
 //! * [`CausalProfiler`] / [`BlameReport`] — causal stall profiling:
 //!   classifies every stalled shell-cycle, charges lost cycles to their
@@ -79,10 +77,7 @@ pub use flight::{
 };
 pub use json::Json;
 pub use metrics::{MetricsRegistry, Topology};
-pub use probe::{
-    for_each_lane, for_each_lane_word, mask_count, mask_lane, EventStreamProbe, NullProbe, Probe,
-    Tee,
-};
+pub use probe::{for_each_lane, for_each_lane_word, mask_count, mask_lane, NullProbe, Probe, Tee};
 pub use profile::{
     BlameEdge, BlameEntry, BlameReport, CausalProfiler, ChannelGraph, Entity, Histogram,
     PairLatency, StallCause, BLAME_SCHEMA_VERSION,
@@ -90,10 +85,10 @@ pub use profile::{
 pub use runtime_report::{
     rollup_spans, span_coverage, KernelCounters, KernelOpRow, RuntimeReport, SpanRollup,
 };
-pub use sink::{EventSink, JsonlSink, RingBufferSink, TraceSink};
+pub use sink::{JsonlSink, TraceSink};
 pub use telemetry::{
     MemoryProgress, NullProgress, ProgressSink, ProgressSnapshot, PromFileProgress, Report,
-    RollingThroughput, TransientDetector, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 pub use trace_export::{
     chrome_trace_json, runtime_chrome_trace, schedule_chrome_trace, ScheduleSlice, ScheduleTrack,

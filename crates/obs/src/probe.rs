@@ -17,18 +17,18 @@
 //! count override them with popcounts, so counting any width costs
 //! O(words) word ops.
 //!
-//! Two probe families ship in this crate:
+//! Probes shipped in this crate:
 //!
 //! * [`MetricsRegistry`](crate::metrics::MetricsRegistry) — counters and
 //!   occupancy histograms, overriding the `*_mask` hooks with popcounts
 //!   so lane-word counting costs O(words);
-//! * [`EventStreamProbe`] — forwards every event to an
-//!   [`EventSink`] (ring buffer, JSONL, VCD).
+//! * [`JsonlSink`](crate::sink::JsonlSink) and
+//!   [`TraceSink`](crate::sink::TraceSink) — record every event as JSON
+//!   lines or as a VCD waveform.
 //!
 //! Compose them with [`Tee`].
 
 use crate::event::{Event, EventKind};
-use crate::sink::EventSink;
 
 /// Call `f(lane)` for every set bit of the single word `mask` (bit `l`
 /// = lane `l`).
@@ -351,48 +351,6 @@ impl<A: Probe, B: Probe> Probe for Tee<A, B> {
     tee_scalar!(void_discard_mask, cycle: u64, ch: u32, masks: &[u64]);
     tee_scalar!(relay_fill_mask, cycle: u64, relay: u32, masks: &[u64]);
     tee_scalar!(relay_drain_mask, cycle: u64, relay: u32, masks: &[u64]);
-}
-
-/// Forward every event to an [`EventSink`], propagating cycle
-/// boundaries.
-#[derive(Debug)]
-pub struct EventStreamProbe<S: EventSink> {
-    sink: S,
-}
-
-impl<S: EventSink> EventStreamProbe<S> {
-    /// Stream into `sink`.
-    pub fn new(sink: S) -> Self {
-        EventStreamProbe { sink }
-    }
-
-    /// The sink, for reading results back.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
-    /// Flush and return the sink.
-    pub fn into_sink(mut self) -> S {
-        self.sink.flush();
-        self.sink
-    }
-}
-
-impl<S: EventSink> Probe for EventStreamProbe<S> {
-    #[inline]
-    fn event(&mut self, ev: Event) {
-        self.sink.accept(&ev);
-    }
-
-    #[inline]
-    fn end_cycle(&mut self, cycle: u64) {
-        self.sink.end_cycle(cycle);
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,5 @@
-//! Event sinks: where the cycle-event stream goes.
+//! Event sinks: [`Probe`]s that record the cycle-event stream.
 //!
-//! [`EventSink`] is the one API behind which waveforms and skeleton
-//! telemetry unify. Three implementations ship here:
-//!
-//! * [`RingBufferSink`] — bounded in-memory buffer for tests and
-//!   interactive inspection (oldest events drop first);
 //! * [`JsonlSink`] — one JSON object per event, newline-delimited, for
 //!   offline tooling;
 //! * [`TraceSink`] — renders events onto a wires-only
@@ -12,96 +7,19 @@
 //!   [`Trace`], so skeleton-engine activity can be viewed in the same
 //!   VCD viewer as RTL waveforms.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use lip_kernel::{Circuit, CircuitBuilder, SignalId, Trace};
 
 use crate::event::{Event, EventKind};
 use crate::metrics::Topology;
-
-/// Receives the event stream produced by an
-/// [`EventStreamProbe`](crate::probe::EventStreamProbe).
-pub trait EventSink {
-    /// Receive one event. Events of a cycle arrive before that cycle's
-    /// [`EventSink::end_cycle`], in engine order (not sorted).
-    fn accept(&mut self, ev: &Event);
-
-    /// The engine finished clocking `cycle`.
-    fn end_cycle(&mut self, _cycle: u64) {}
-
-    /// Flush buffered output (meaningful for I/O-backed sinks).
-    fn flush(&mut self) {}
-}
-
-/// A bounded in-memory event buffer; the oldest events drop first.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// Buffer at most `capacity` events (must be non-zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be non-zero");
-        RingBufferSink {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Events currently buffered, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if no events are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted because the buffer was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Remove and return all buffered events, oldest first.
-    pub fn drain(&mut self) -> Vec<Event> {
-        self.buf.drain(..).collect()
-    }
-}
-
-impl EventSink for RingBufferSink {
-    fn accept(&mut self, ev: &Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*ev);
-    }
-}
+use crate::probe::Probe;
 
 /// Writes one JSON object per event, newline-delimited (JSONL).
 ///
 /// I/O errors are latched rather than panicking mid-simulation: the
-/// first error stops further writes and is retrievable via
-/// [`JsonlSink::take_error`].
+/// first error stops further writes and is returned by
+/// [`JsonlSink::finish`].
 ///
 /// Dropping the sink flushes the writer (best effort, errors ignored):
 /// a sink that goes out of scope mid-experiment — early return, panic
@@ -134,11 +52,6 @@ impl<W: Write> JsonlSink<W> {
         self.written
     }
 
-    /// The first I/O error hit, if any (clears it).
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-
     /// Flush and return the underlying writer.
     ///
     /// # Errors
@@ -162,8 +75,8 @@ impl<W: Write> Drop for JsonlSink<W> {
     }
 }
 
-impl<W: Write> EventSink for JsonlSink<W> {
-    fn accept(&mut self, ev: &Event) {
+impl<W: Write> Probe for JsonlSink<W> {
+    fn event(&mut self, ev: Event) {
         if self.error.is_some() {
             return;
         }
@@ -171,15 +84,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
         match writeln!(writer, "{}", ev.to_json()) {
             Ok(()) => self.written += 1,
             Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.error.is_none() {
-            let writer = self.writer.as_mut().expect("writer present until finish");
-            if let Err(e) = writer.flush() {
-                self.error = Some(e);
-            }
         }
     }
 }
@@ -284,8 +188,8 @@ impl TraceSink {
     }
 }
 
-impl EventSink for TraceSink {
-    fn accept(&mut self, ev: &Event) {
+impl Probe for TraceSink {
+    fn event(&mut self, ev: Event) {
         if ev.lane != 0 {
             return;
         }
@@ -326,43 +230,6 @@ mod tests {
         Event::new(cycle, kind, entity, 0)
     }
 
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let mut s = RingBufferSink::new(2);
-        s.accept(&ev(0, EventKind::Fire, 0));
-        s.accept(&ev(1, EventKind::Fire, 0));
-        s.accept(&ev(2, EventKind::Fire, 0));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.dropped(), 1);
-        let drained = s.drain();
-        assert_eq!(drained[0].cycle, 1);
-        assert_eq!(drained[1].cycle, 2);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn ring_buffer_wraparound_over_many_laps() {
-        let mut s = RingBufferSink::new(3);
-        for c in 0..10 {
-            s.accept(&ev(c, EventKind::Stall, 0));
-        }
-        // Capacity holds, eviction count is exact, and the survivors
-        // are the newest three in oldest-first order.
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 7);
-        let cycles: Vec<u64> = s.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![7, 8, 9]);
-        // Draining empties the buffer but keeps the eviction history;
-        // the sink then refills from scratch without further drops.
-        let drained = s.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(s.is_empty());
-        assert_eq!(s.dropped(), 7);
-        s.accept(&ev(10, EventKind::Fire, 1));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.dropped(), 7);
-    }
-
     /// A writer that fails after accepting a fixed number of bytes.
     struct FailAfter {
         remaining: usize,
@@ -388,9 +255,9 @@ mod tests {
         let mut s = JsonlSink::new(FailAfter {
             remaining: first.len() + 1, // exactly one record + newline
         });
-        s.accept(&ev(0, EventKind::Fire, 0));
-        s.accept(&ev(1, EventKind::Fire, 0)); // hits the error
-        s.accept(&ev(2, EventKind::Fire, 0)); // silently skipped
+        s.event(ev(0, EventKind::Fire, 0));
+        s.event(ev(1, EventKind::Fire, 0)); // hits the error
+        s.event(ev(2, EventKind::Fire, 0)); // silently skipped
         assert_eq!(s.written(), 1);
         assert!(s.finish().is_err());
     }
@@ -447,8 +314,8 @@ mod tests {
                 buffered: Vec::new(),
                 flushed: std::rc::Rc::clone(&flushed),
             });
-            s.accept(&ev(0, EventKind::Fire, 0));
-            s.accept(&ev(1, EventKind::Stall, 1));
+            s.event(ev(0, EventKind::Fire, 0));
+            s.event(ev(1, EventKind::Stall, 1));
             // No explicit flush/finish: the sink is simply dropped, as
             // happens on early return or panic unwind.
         }
@@ -464,7 +331,7 @@ mod tests {
             buffered: Vec::new(),
             flushed: std::rc::Rc::clone(&flushed),
         });
-        s.accept(&ev(0, EventKind::Fire, 0));
+        s.event(ev(0, EventKind::Fire, 0));
         let writer = s.finish().unwrap();
         drop(writer);
         assert_eq!(flushed.borrow().iter().filter(|&&b| b == b'\n').count(), 1);
@@ -473,9 +340,8 @@ mod tests {
     #[test]
     fn jsonl_sink_writes_one_record_per_line() {
         let mut s = JsonlSink::new(Vec::new());
-        s.accept(&ev(3, EventKind::VoidIn, 1));
-        s.accept(&ev(4, EventKind::Stall, 2));
-        s.flush();
+        s.event(ev(3, EventKind::VoidIn, 1));
+        s.event(ev(4, EventKind::Stall, 2));
         assert_eq!(s.written(), 2);
         let out = String::from_utf8(s.finish().unwrap()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
@@ -495,13 +361,13 @@ mod tests {
         };
         let mut s = TraceSink::new(&topo);
         // Cycle 0: a fire and a relay fill.
-        s.accept(&ev(0, EventKind::Fire, 0));
-        s.accept(&ev(0, EventKind::RelayFill, 0));
+        s.event(ev(0, EventKind::Fire, 0));
+        s.event(ev(0, EventKind::RelayFill, 0));
         s.end_cycle(0);
         // Cycle 1: quiet (pulse must fall, occupancy must hold).
         s.end_cycle(1);
         // Cycle 2: drain.
-        s.accept(&ev(2, EventKind::RelayDrain, 0));
+        s.event(ev(2, EventKind::RelayDrain, 0));
         s.end_cycle(2);
         let fire = s.fire[0];
         let occ = s.occ[0];
@@ -523,8 +389,8 @@ mod tests {
             relay_capacities: vec![],
         };
         let mut s = TraceSink::new(&topo);
-        s.accept(&ev(0, EventKind::ChannelVoid, 1));
-        s.accept(&ev(0, EventKind::Consume, 0));
+        s.event(ev(0, EventKind::ChannelVoid, 1));
+        s.event(ev(0, EventKind::Consume, 0));
         s.end_cycle(0);
         s.end_cycle(1);
         assert_eq!(s.trace().value_at(s.void[1], 0), Some(1));
@@ -544,7 +410,7 @@ mod tests {
             relay_capacities: vec![],
         };
         let mut s = TraceSink::new(&topo);
-        s.accept(&Event::new(0, EventKind::Fire, 0, 3));
+        s.event(Event::new(0, EventKind::Fire, 0, 3));
         s.end_cycle(0);
         assert_eq!(s.trace().value_at(s.fire[0], 0), Some(0));
     }

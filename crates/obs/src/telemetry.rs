@@ -1,16 +1,11 @@
-//! Derived telemetry: rolling throughput, transient detection, and the
-//! versioned `Report` JSON every `exp_*` bin emits.
+//! Derived telemetry: the versioned `Report` JSON every `exp_*` bin
+//! emits, and live sweep progress.
 //!
-//! The paper's claims are *steady-state* claims — `T = (m − i)/m` holds
-//! only after the initial transient has washed out (bounded by the
-//! longest source→sink relay path). [`TransientDetector`] finds the
-//! exact cycle the measured stream locks onto the analytic rate, and
-//! [`RollingThroughput`] watches the rate evolve. [`Report`] packages
-//! counters and telemetry as a small versioned JSON document
-//! (`schema_version` = [`SCHEMA_VERSION`]) written next to the raw
-//! bench numbers, so downstream tooling can evolve the format safely.
+//! [`Report`] packages counters and telemetry as a small versioned JSON
+//! document (`schema_version` = [`SCHEMA_VERSION`]) written next to the
+//! raw bench numbers, so downstream tooling can evolve the format
+//! safely.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -22,178 +17,6 @@ use crate::json::{write_f64, write_str};
 /// field in `BENCH_skeleton.json`). Re-exported from the central
 /// [`crate::schema`] registry; bump it there.
 pub const SCHEMA_VERSION: u32 = crate::schema::REPORT;
-
-/// Rolling per-channel throughput: informative tokens consumed over the
-/// last `window` cycles.
-#[derive(Debug, Clone)]
-pub struct RollingThroughput {
-    window: usize,
-    buf: VecDeque<u64>,
-    sum: u64,
-}
-
-impl RollingThroughput {
-    /// Average over the last `window` cycles (must be non-zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "rolling window must be non-zero");
-        RollingThroughput {
-            window,
-            buf: VecDeque::with_capacity(window),
-            sum: 0,
-        }
-    }
-
-    /// Record the tokens consumed in one cycle (0 or 1 for scalar
-    /// engines, up to the lane count for the batch engine).
-    pub fn push(&mut self, consumed: u64) {
-        if self.buf.len() == self.window {
-            self.sum -= self.buf.pop_front().expect("window non-empty");
-        }
-        self.buf.push_back(consumed);
-        self.sum += consumed;
-    }
-
-    /// `(tokens, cycles)` over the current window contents.
-    #[must_use]
-    pub fn rate(&self) -> (u64, u64) {
-        (self.sum, self.buf.len() as u64)
-    }
-
-    /// The window average as a float; `None` before the first push.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        match self.buf.len() {
-            0 => None,
-            n => Some(self.sum as f64 / n as f64),
-        }
-    }
-
-    /// `true` once the window is fully populated.
-    #[must_use]
-    pub fn warm(&self) -> bool {
-        self.buf.len() == self.window
-    }
-}
-
-/// Finds the first cycle from which the observed stream sustains the
-/// analytic steady-state throughput `num / den`.
-///
-/// Feed it one boolean per cycle — "did the sink consume an informative
-/// token this cycle" — via [`TransientDetector::push`]. A window of
-/// `den` consecutive cycles is *good* when it contains exactly `num`
-/// informative tokens; once the stream is periodic at the analytic rate,
-/// every window is good. The transient length is one past the start of
-/// the last bad window (0 when no window was ever bad).
-#[derive(Debug, Clone)]
-pub struct TransientDetector {
-    num: u64,
-    den: u64,
-    history: Vec<bool>,
-}
-
-impl TransientDetector {
-    /// Detect settling onto throughput `num / den` (`den` non-zero,
-    /// `num <= den`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `den` is zero or `num > den`.
-    #[must_use]
-    pub fn new(num: u64, den: u64) -> Self {
-        assert!(den > 0, "throughput denominator must be non-zero");
-        assert!(num <= den, "throughput cannot exceed 1");
-        TransientDetector {
-            num,
-            den,
-            history: Vec::new(),
-        }
-    }
-
-    /// The analytic target as `(num, den)`.
-    #[must_use]
-    pub fn target(&self) -> (u64, u64) {
-        (self.num, self.den)
-    }
-
-    /// Record one cycle: did the sink consume an informative token?
-    pub fn push(&mut self, informative: bool) {
-        self.history.push(informative);
-    }
-
-    /// Cycles observed so far.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.history.len() as u64
-    }
-
-    /// The transient length: the first cycle from which every
-    /// `den`-cycle window carries exactly `num` informative tokens.
-    ///
-    /// `None` until a full window has been observed, or when the stream
-    /// has not (yet) reached the analytic rate — i.e. the most recent
-    /// window is still bad.
-    #[must_use]
-    pub fn transient(&self) -> Option<u64> {
-        let den = usize::try_from(self.den).expect("window fits usize");
-        if self.history.len() < den {
-            return None;
-        }
-        let mut sum: u64 = self.history[..den].iter().map(|&b| u64::from(b)).sum();
-        let mut last_bad: Option<usize> = None;
-        let windows = self.history.len() - den;
-        for start in 0..=windows {
-            if sum != self.num {
-                last_bad = Some(start);
-            }
-            if start < windows {
-                sum -= u64::from(self.history[start]);
-                sum += u64::from(self.history[start + den]);
-            }
-        }
-        match last_bad {
-            // The stream never deviated.
-            None => Some(0),
-            // Still bad at the end: not settled yet.
-            Some(b) if b == windows => None,
-            Some(b) => Some(b as u64 + 1),
-        }
-    }
-
-    /// Informative tokens observed over the whole run, as `(num, den)`.
-    /// Includes the transient, so this undershoots the steady-state rate
-    /// — see [`steady_measured`](Self::steady_measured).
-    #[must_use]
-    pub fn measured(&self) -> (u64, u64) {
-        (
-            self.history.iter().map(|&b| u64::from(b)).sum(),
-            self.history.len() as u64,
-        )
-    }
-
-    /// Informative tokens over the steady-state suffix — the largest
-    /// whole number of `den`-cycle windows after the transient — as
-    /// `(num, den)`. `None` while [`transient`](Self::transient) is.
-    #[must_use]
-    pub fn steady_measured(&self) -> Option<(u64, u64)> {
-        let settle = usize::try_from(self.transient()?).expect("transient fits usize");
-        let den = usize::try_from(self.den).expect("window fits usize");
-        // After the transient every den-window carries num tokens, so
-        // the largest whole-window suffix starting at or after `settle`
-        // is steady.
-        let whole = (self.history.len() - settle) / den * den;
-        let start = self.history.len() - whole;
-        Some((
-            self.history[start..].iter().map(|&b| u64::from(b)).sum(),
-            whole as u64,
-        ))
-    }
-}
 
 /// A versioned telemetry document: `schema_version`, the experiment
 /// name, and an ordered set of fields.
@@ -494,61 +317,6 @@ impl ProgressSink for PromFileProgress {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rolling_throughput_window_slides() {
-        let mut r = RollingThroughput::new(4);
-        assert_eq!(r.value(), None);
-        for consumed in [1, 1, 1, 0] {
-            r.push(consumed);
-        }
-        assert!(r.warm());
-        assert_eq!(r.rate(), (3, 4));
-        r.push(1); // evicts the first 1: window is now 1,1,0,1
-        assert_eq!(r.rate(), (3, 4));
-        assert_eq!(r.value(), Some(0.75));
-    }
-
-    #[test]
-    fn transient_detector_finds_fig1_settling() {
-        // Fig. 1 at the sink: informative for the first 4 cycles, then a
-        // void every 5th — steady pattern 1,1,1,1,0 from the start after
-        // a 2-cycle all-void pipeline-fill transient.
-        let mut d = TransientDetector::new(4, 5);
-        let mut pattern = vec![false, false];
-        for _ in 0..6 {
-            pattern.extend([true, true, true, true, false]);
-        }
-        for &b in &pattern {
-            d.push(b);
-        }
-        // Only the window containing both leading voids (start 0) sums
-        // to 3; from cycle 1 on, every 5-cycle window carries exactly 4
-        // informative tokens.
-        assert_eq!(d.transient(), Some(1));
-        assert_eq!(d.target(), (4, 5));
-    }
-
-    #[test]
-    fn transient_is_zero_for_immediately_steady_stream() {
-        let mut d = TransientDetector::new(1, 2);
-        for i in 0..10 {
-            d.push(i % 2 == 0);
-        }
-        assert_eq!(d.transient(), Some(0));
-    }
-
-    #[test]
-    fn transient_is_none_before_or_without_settling() {
-        let mut d = TransientDetector::new(1, 4);
-        d.push(true);
-        assert_eq!(d.transient(), None); // not a full window yet
-        for _ in 0..8 {
-            d.push(true); // rate 1 ≠ 1/4: never settles
-        }
-        assert_eq!(d.transient(), None);
-        assert_eq!(d.measured(), (9, 9));
-    }
 
     #[test]
     fn report_serialises_versioned_fields_in_order() {

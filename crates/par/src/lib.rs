@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn par_map_preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
-        for workers in [1, 2, 8] {
+        for workers in [1, 2, 8, 16] {
             let out = par_map_jobs(workers, &items, |&x| x * x);
             let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
             assert_eq!(out, expected, "workers = {workers}");

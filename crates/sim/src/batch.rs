@@ -19,8 +19,7 @@
 //! netlist and protocol variant are shared, as is the compiled
 //! [`SettleProgram`] the engine executes. That is exactly the shape of
 //! the paper's experiments: sweep many stall probabilities / schedules
-//! over one topology and measure sustained throughput, or universally
-//! quantify over environments when hunting deadlocks.
+//! over one topology and measure sustained throughput.
 //!
 //! The settle phase runs on the program's streaming kernel (see
 //! `crate::stream`): the engine's entire bit-state lives in one flat
@@ -124,15 +123,6 @@ impl PatternRow {
     fn set(&mut self, lane: usize, p: Pattern) {
         self.lanes[lane] = p;
         self.uniform = false;
-    }
-
-    /// Word with lane `l` set iff lane `l`'s pattern is high at `cycle`.
-    fn word<W: LaneWord>(&self, cycle: u64) -> W {
-        if self.uniform {
-            W::splat(self.lanes[0].at(cycle))
-        } else {
-            W::from_fn(|l| self.lanes[l].at(cycle))
-        }
     }
 }
 
@@ -805,42 +795,6 @@ impl<W: LaneWord> BatchEngine<W> {
         *cycle += 1;
     }
 
-    /// Settle and clock one cycle with each lane's environment drawn
-    /// from `pats` — lane `l` is bit-identical to a scalar
-    /// [`SkeletonSystem::step`](crate::SkeletonSystem::step) under lane
-    /// `l`'s patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pats` arity or width does not match.
-    pub fn step_patterns(&mut self, pats: &LanePatterns) {
-        self.step_patterns_probed(pats, &mut NullProbe);
-    }
-
-    /// [`step_patterns`](Self::step_patterns) with observation (see
-    /// [`step_with_masks_probed`](Self::step_with_masks_probed)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pats` arity or width does not match.
-    pub fn step_patterns_probed<P: Probe>(&mut self, pats: &LanePatterns, probe: &mut P) {
-        assert_eq!(
-            pats.width(),
-            W::LANES,
-            "pattern width must match the engine's lane count"
-        );
-        let cycle = self.cycle;
-        let mut src = std::mem::take(&mut self.src_scratch);
-        let mut snk = std::mem::take(&mut self.snk_scratch);
-        src.clear();
-        snk.clear();
-        snk.extend(pats.snk.iter().map(|row| row.word::<W>(cycle)));
-        src.extend(pats.src.iter().map(|row| row.word::<W>(cycle + 1).not()));
-        self.step_with_masks_probed(&src, &snk, probe);
-        self.src_scratch = src;
-        self.snk_scratch = snk;
-    }
-
     /// One cycle under a precompiled environment (see
     /// [`CompiledPatterns`]): the hot-loop form `run_patterns` and the
     /// measurement drivers use — word tables instead of per-lane
@@ -956,19 +910,6 @@ impl<W: LaneWord> BatchEngine<W> {
         for _ in 0..n {
             self.step_compiled_probed(&compiled, probe);
         }
-    }
-
-    /// Settled valid word of channel `ch` (one bit per lane). Reflects
-    /// the last settle; call after a step.
-    #[must_use]
-    pub fn channel_valid(&self, ch: usize) -> W {
-        self.arena[self.prog.kernel.fwd as usize + ch]
-    }
-
-    /// Settled stop word of channel `ch` (one bit per lane).
-    #[must_use]
-    pub fn channel_stop(&self, ch: usize) -> W {
-        self.arena[self.prog.kernel.stop as usize + ch]
     }
 
     /// Lanes in which at least one shell fired since the last
@@ -1132,10 +1073,8 @@ mod tests {
         let mut batch = BatchSkeleton::new(&f.netlist).unwrap();
         let pats = LanePatterns::broadcast(batch.program());
         let mut scalar = SkeletonSystem::new(&f.netlist).unwrap();
-        for _ in 0..200 {
-            batch.step_patterns(&pats);
-            scalar.step();
-        }
+        batch.run_patterns(&pats, 200);
+        scalar.run(200);
         let scalar_state = scalar.component_state();
         for lane in [0, 1, 31, 63] {
             assert_eq!(
@@ -1158,10 +1097,8 @@ mod tests {
         let mut batch = BatchEngine::<Lanes1024>::new(&f.netlist).unwrap();
         let pats = LanePatterns::broadcast_wide(batch.program(), 1024);
         let mut scalar = SkeletonSystem::new(&f.netlist).unwrap();
-        for _ in 0..200 {
-            batch.step_patterns(&pats);
-            scalar.step();
-        }
+        batch.run_patterns(&pats, 200);
+        scalar.run(200);
         let scalar_state = scalar.component_state();
         for lane in [0, 63, 64, 511, 1023] {
             assert_eq!(
@@ -1183,10 +1120,8 @@ mod tests {
         let mut batch = BatchSkeleton::new(&r.netlist).unwrap();
         let pats = LanePatterns::broadcast(batch.program());
         let mut scalar = SkeletonSystem::new(&r.netlist).unwrap();
-        for _ in 0..100 {
-            batch.step_patterns(&pats);
-            scalar.step();
-        }
+        batch.run_patterns(&pats, 100);
+        scalar.run(100);
         let scalar_state = scalar.component_state();
         for lane in [0, 42, 63] {
             assert_eq!(
@@ -1269,6 +1204,7 @@ mod tests {
 
     #[test]
     fn compiled_patterns_match_direct_evaluation() {
+        use crate::lane::Lanes128;
         use lip_core::Pattern;
         let f = generate::fig1();
         let prog = Arc::new(SettleProgram::compile(&f.netlist).unwrap());
@@ -1300,11 +1236,20 @@ mod tests {
                 seed: 7,
             },
         );
-        let mut direct = BatchEngine::<crate::lane::Lanes128>::from_patterns(prog.clone(), &pats);
-        let mut compiled = BatchEngine::<crate::lane::Lanes128>::from_patterns(prog, &pats);
+        let mut direct = BatchEngine::<Lanes128>::from_patterns(prog.clone(), &pats);
+        let mut compiled = BatchEngine::<Lanes128>::from_patterns(prog, &pats);
         let cp = CompiledPatterns::compile(&pats);
-        for _ in 0..300 {
-            direct.step_patterns(&pats);
+        // Per-lane pattern evaluation, the reference the word tables
+        // must reproduce.
+        let word = |row: &PatternRow, c: u64| Lanes128::from_fn(|l| row.lanes[l].at(c));
+        for cycle in 0..300 {
+            let snk: Vec<_> = pats.snk.iter().map(|row| word(row, cycle)).collect();
+            let src: Vec<_> = pats
+                .src
+                .iter()
+                .map(|row| word(row, cycle + 1).not())
+                .collect();
+            direct.step_with_masks_probed(&src, &snk, &mut NullProbe);
             compiled.step_compiled_probed(&cp, &mut NullProbe);
         }
         for lane in [0, 3, 64, 100, 127] {

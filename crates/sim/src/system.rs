@@ -395,15 +395,6 @@ impl System {
         Some(())
     }
 
-    /// Stable hash of [`control_state`](Self::control_state), or `None`
-    /// for aperiodic environments. Uses
-    /// [`stable_hash`](crate::program::stable_hash) so hashes are
-    /// reproducible across runs, processes and toolchain releases.
-    #[must_use]
-    pub fn control_hash(&self) -> Option<u64> {
-        Some(crate::program::stable_hash(&self.control_state()?))
-    }
-
     /// Total informative tokens delivered to all sinks.
     #[must_use]
     pub fn total_received(&self) -> u64 {
@@ -535,15 +526,15 @@ mod tests {
     fn control_state_detects_periodicity() {
         let ring = generate::ring(2, 1, RelayKind::Full);
         let mut sys = System::new(&ring.netlist).unwrap();
-        let mut hashes = Vec::new();
+        let mut states = Vec::new();
         for _ in 0..60 {
             sys.settle();
-            hashes.push(sys.control_hash().unwrap());
+            states.push(sys.control_state().unwrap());
             sys.step();
         }
-        // After some transient the hash sequence must repeat with the
+        // After some transient the state sequence must repeat with the
         // loop period 3 (S + R = 3).
-        let tail = &hashes[30..];
+        let tail = &states[30..];
         for w in 0..tail.len() - 3 {
             assert_eq!(tail[w], tail[w + 3], "not periodic at {w}");
         }
@@ -564,7 +555,6 @@ mod tests {
         n.connect(src, 0, sink, 0).unwrap();
         let sys = System::new(&n).unwrap();
         assert!(sys.control_state().is_none());
-        assert!(sys.control_hash().is_none());
     }
 
     #[test]

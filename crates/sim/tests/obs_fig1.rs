@@ -6,12 +6,9 @@ use std::sync::Arc;
 
 use lip_graph::{generate, topology};
 use lip_kernel::{CycleEngine, Engine};
-use lip_obs::{
-    EventKind, EventStreamProbe, JsonlSink, MetricsRegistry, RingBufferSink, Tee, TraceSink,
-    TransientDetector,
-};
+use lip_obs::{json, JsonlSink, MetricsRegistry, Tee, TraceSink};
 use lip_sim::rtl::{elaborate_rtl, replay_trace_events};
-use lip_sim::{SettleProgram, SkeletonSystem};
+use lip_sim::{measure, SettleProgram, SkeletonSystem};
 
 const CYCLES: u64 = 100;
 
@@ -43,38 +40,26 @@ fn fig1_sink_counters_show_one_void_per_period() {
 #[test]
 fn fig1_transient_settles_within_relay_path_bound() {
     let fig1 = generate::fig1();
+    let p = measure(&fig1.netlist)
+        .unwrap()
+        .periodicity
+        .expect("fig1 is periodic");
+    let bound = topology::longest_latency(&fig1.netlist).expect("fig1 is acyclic");
+    assert!(
+        p.transient <= bound,
+        "transient {} > bound {bound}",
+        p.transient
+    );
+
+    // Counters attached after the stem see whole periods at exactly 4/5.
     let mut sys = SkeletonSystem::new(&fig1.netlist).unwrap();
     let prog = sys.program().clone();
-    let sink_ch = prog.sink_input_channel(0);
-
-    struct Det {
-        det: TransientDetector,
-        informative: bool,
-        sink_ch: u32,
-    }
-    impl lip_obs::Probe for Det {
-        fn event(&mut self, _ev: lip_obs::Event) {}
-        fn consume(&mut self, _cycle: u64, ch: u32, _lane: u16) {
-            if ch == self.sink_ch {
-                self.informative = true;
-            }
-        }
-        fn end_cycle(&mut self, _cycle: u64) {
-            self.det.push(self.informative);
-            self.informative = false;
-        }
-    }
-    let mut probe = Det {
-        det: TransientDetector::new(4, 5),
-        informative: false,
-        sink_ch,
-    };
-    sys.run_probed(CYCLES, &mut probe);
-
-    let settle = probe.det.transient().expect("fig1 settles");
-    let bound = topology::longest_latency(&fig1.netlist).expect("fig1 is acyclic");
-    assert!(settle <= bound, "transient {settle} > bound {bound}");
-    let (num, den) = probe.det.steady_measured().expect("settled");
+    sys.run(p.transient);
+    let mut steady = MetricsRegistry::new(prog.topology());
+    sys.run_probed(19 * p.period, &mut steady);
+    let (num, den) = steady
+        .sink_throughput(prog.sink_input_channel(0) as usize)
+        .unwrap();
     assert_eq!(num * 5, den * 4, "steady state is exactly 4/5");
 }
 
@@ -101,56 +86,43 @@ fn event_stream_agrees_with_counters() {
     let fig1 = generate::fig1();
     let mut sys = SkeletonSystem::new(&fig1.netlist).unwrap();
     let topo = sys.program().topology();
-    let mut probe = Tee(
-        MetricsRegistry::new(topo),
-        EventStreamProbe::new(RingBufferSink::new(100_000)),
-    );
+    let mut probe = Tee(MetricsRegistry::new(topo), JsonlSink::new(Vec::new()));
     sys.run_probed(CYCLES, &mut probe);
-    let Tee(metrics, stream) = probe;
-    let ring = stream.into_sink();
-    assert_eq!(ring.dropped(), 0, "buffer sized for the whole run");
+    let Tee(metrics, sink) = probe;
+    let written = sink.written();
+    let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+    assert_eq!(text.lines().count() as u64, written);
 
-    let count = |kind: EventKind| ring.events().filter(|e| e.kind == kind).count() as u64;
-    assert_eq!(count(EventKind::Fire), metrics.total_fires());
+    let kinds: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let record = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(record.get("cycle").is_some(), "{line}");
+            record
+                .get("kind")
+                .and_then(|k| k.as_str())
+                .unwrap()
+                .to_owned()
+        })
+        .collect();
+    let count = |kind: &str| kinds.iter().filter(|k| *k == kind).count() as u64;
+    assert_eq!(count("fire"), metrics.total_fires());
     let void_ins: u64 = (0..metrics.topology().channels as usize)
         .map(|ch| metrics.void_ins(ch))
         .sum();
-    assert_eq!(count(EventKind::VoidIn), void_ins);
+    assert_eq!(count("void_in"), void_ins);
     let fills: u64 = (0..metrics.topology().relays())
         .map(|r| metrics.relay_traffic(r).0)
         .sum();
-    assert_eq!(count(EventKind::RelayFill), fills);
-}
-
-#[test]
-fn jsonl_sink_writes_one_object_per_event() {
-    let fig1 = generate::fig1();
-    let mut sys = SkeletonSystem::new(&fig1.netlist).unwrap();
-    let mut probe = EventStreamProbe::new(JsonlSink::new(Vec::new()));
-    sys.run_probed(20, &mut probe);
-    let mut sink = probe.into_sink();
-    assert!(sink.take_error().is_none());
-    let written = sink.written();
-    let buf = sink.finish().unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len() as u64, written);
-    assert!(!lines.is_empty());
-    for line in lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"kind\":"), "{line}");
-        assert!(line.contains("\"cycle\":"), "{line}");
-    }
+    assert_eq!(count("relay_fill"), fills);
 }
 
 #[test]
 fn trace_sink_captures_protocol_waveform() {
     let fig1 = generate::fig1();
     let mut sys = SkeletonSystem::new(&fig1.netlist).unwrap();
-    let topo = sys.program().topology();
-    let mut probe = EventStreamProbe::new(TraceSink::new(&topo));
-    sys.run_probed(30, &mut probe);
-    let sink = probe.into_sink();
+    let mut sink = TraceSink::new(&sys.program().topology());
+    sys.run_probed(30, &mut sink);
     assert_eq!(sink.trace().len(), 30, "one capture per cycle");
     let vcd = sink.to_vcd();
     assert!(vcd.contains("ch0_void_in"));

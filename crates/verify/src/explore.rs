@@ -308,124 +308,6 @@ pub fn explore(dut: Dut, depth: u64) -> Verdict {
     }
 }
 
-/// What one random walker brings home: its violation (if any) with the
-/// trace that produced it, the composed states it visited, and its
-/// transition count. Merged deterministically in walker-index order.
-struct WalkerOutcome {
-    violation: Option<(Violation, Vec<TraceStep>)>,
-    visited: HashSet<Vec<u64>>,
-    transitions: usize,
-}
-
-/// Run walker `index`'s complete random stall schedule. The walker's
-/// entire choice stream derives from `(seed, index)` — never from
-/// scheduling — so the outcome is a pure function of its arguments and
-/// the fan-out below stays deterministic for every worker count.
-fn run_walker(dut: &Dut, depth: u64, seed: u64, index: usize) -> WalkerOutcome {
-    let n_in = dut.num_inputs();
-    let n_out = dut.num_outputs();
-    let mut rng = seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mask = crate::system_explore::splitmix64(&mut rng);
-    let envs: Vec<UpstreamEnv> = (0..n_in)
-        .map(|i| UpstreamEnv::new(mask & (1 << i) != 0))
-        .collect();
-    let mut state = Composed {
-        dut: dut.clone(),
-        envs,
-        observer: Observer::new(dut),
-    };
-    let mut trace: Vec<TraceStep> = Vec::new();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    let mut transitions = 0usize;
-    loop {
-        let choice = crate::system_explore::splitmix64(&mut rng);
-        let stops: Vec<bool> = (0..n_out).map(|j| choice & (1 << j) != 0).collect();
-        let choices: Vec<bool> = (0..n_in)
-            .map(|i| choice & (1 << (n_out + i)) != 0)
-            .collect();
-        let inputs: Vec<Token> = state.envs.iter().map(UpstreamEnv::offered).collect();
-        let outputs = state.dut.outputs(&inputs);
-        transitions += 1;
-        trace.push(TraceStep {
-            input_valid: choices.clone(),
-            output_stop: stops.clone(),
-            outputs: outputs.clone(),
-        });
-        if let Err(violation) = state.observer.observe(&outputs, &stops) {
-            return WalkerOutcome {
-                violation: Some((violation, trace)),
-                visited,
-                transitions,
-            };
-        }
-        let dut_stops: Vec<bool> = (0..n_in)
-            .map(|i| state.dut.stop_upstream(i, &inputs, &stops))
-            .collect();
-        state.dut.clock(&inputs, &stops);
-        for (i, env) in state.envs.iter_mut().enumerate() {
-            env.clock(dut_stops[i], choices[i]);
-        }
-        visited.insert(state.encode());
-        if state.envs.iter().any(|e| e.emitted() > depth) {
-            return WalkerOutcome {
-                violation: None,
-                visited,
-                transitions,
-            };
-        }
-    }
-}
-
-/// Randomized pre-pass over `dut`: [`lip_sim::LANES`] (64) independent
-/// random stall schedules, each drawing fresh input-validity and
-/// output-stop choices every round and running the same safety observer
-/// as [`explore`]. Each schedule ends once its environments have emitted
-/// `depth` tokens.
-///
-/// Walkers are embarrassingly parallel, so they fan out over
-/// [`lip_par::par_map_indexed`] under the ambient `LIP_JOBS` worker
-/// count. Every walker's random stream derives from `(seed, walker
-/// index)` and outcomes merge in walker-index order (first violating
-/// walker wins, visited sets union, transitions sum), so the verdict is
-/// byte-identical no matter how many threads ran it.
-///
-/// Token-level devices carry data words, so unlike the skeleton this
-/// cannot be bit-packed — the batching here is over schedules, trading
-/// exhaustiveness for linear cost. A `holds == false` verdict carries a
-/// genuine counterexample trace; `holds == true` only means the 64
-/// sampled schedules found nothing, so run [`explore`] for the proof.
-#[must_use]
-pub fn explore_random(dut: Dut, depth: u64, seed: u64) -> Verdict {
-    let walker_ids: Vec<usize> = (0..lip_sim::LANES).collect();
-    let outcomes = lip_par::par_map_indexed(&walker_ids, |_, &w| run_walker(&dut, depth, seed, w));
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    let mut transitions = 0usize;
-    let mut first_violation: Option<(Violation, Vec<TraceStep>)> = None;
-    for outcome in outcomes {
-        transitions += outcome.transitions;
-        visited.extend(outcome.visited);
-        if first_violation.is_none() {
-            first_violation = outcome.violation;
-        }
-    }
-    match first_violation {
-        Some((violation, counterexample)) => Verdict {
-            holds: false,
-            states: visited.len(),
-            transitions,
-            violation: Some(violation),
-            counterexample,
-        },
-        None => Verdict {
-            holds: true,
-            states: visited.len(),
-            transitions,
-            violation: None,
-            counterexample: Vec::new(),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,19 +368,6 @@ mod tests {
             "{:?}",
             v.violation
         );
-    }
-
-    #[test]
-    fn random_prepass_passes_safe_devices_and_catches_mutants() {
-        // Safe devices survive all 64 sampled schedules.
-        let v = explore_random(Dut::full_relay(), 6, 11);
-        assert!(v.holds, "violation: {:?}", v.violation);
-        assert!(v.transitions > 0 && v.states > 0);
-        // The leaky relay drops a held token under stop — random stalls
-        // hit that quickly; the returned trace must be non-empty.
-        let v = explore_random(Dut::leaky_relay(), 8, 11);
-        assert!(!v.holds, "mutant survived the random pre-pass");
-        assert!(!v.counterexample.is_empty());
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //!   loses data;
 //! * [`liveness`] — the paper's three topology-level
 //!   deadlock statements, checked by its own skeleton-simulation recipe
-//!   over a generated corpus;
-//! * [`system_explore`] — the randomized whole-system deadlock hunt,
-//!   a sampling pre-pass whose hits are `lip-mc` counterexamples. The
-//!   exhaustive proof against every environment is
-//!   [`lip_mc::check_adversarial`].
+//!   over a generated corpus.
+//!
+//! Whole-system deadlock freedom against every environment is proved
+//! exhaustively by `lip_mc::check_adversarial`.
 //!
 //! # Example
 //!
@@ -42,11 +41,9 @@ pub mod equivalence;
 mod explore;
 pub mod liveness;
 pub mod props;
-pub mod system_explore;
 
 pub use dut::{Dut, ShellSpec};
 pub use env::UpstreamEnv;
 pub use equivalence::{check_latency_insensitivity, EquivalenceReport};
-pub use explore::{explore, explore_random, TraceStep, Verdict, Violation};
+pub use explore::{explore, TraceStep, Verdict, Violation};
 pub use props::{verify_all, PropertyResult, RELAY_PROPERTIES, SHELL_PROPERTIES};
-pub use system_explore::{random_explore_system, RandomSearchOptions, RandomSystemSearch};

@@ -14,7 +14,7 @@ use std::fs;
 
 use lip::graph::generate;
 use lip::kernel::{CycleEngine, Engine};
-use lip::obs::{EventStreamProbe, JsonlSink};
+use lip::obs::JsonlSink;
 use lip::sim::rtl::{elaborate_rtl, replay_trace_events};
 use lip::sim::{profile_netlist, ProfileOptions};
 
@@ -57,16 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same waveform as a structured event stream: replay the trace
     // through the observability layer and dump one JSON object per
     // stall/void event.
-    let mut probe = EventStreamProbe::new(JsonlSink::new(Vec::new()));
-    replay_trace_events(
-        engine.trace().expect("tracing enabled"),
-        &probes,
-        &mut probe,
-    );
-    let mut sink = probe.into_sink();
-    if let Some(e) = sink.take_error() {
-        return Err(e.into());
-    }
+    let mut sink = JsonlSink::new(Vec::new());
+    replay_trace_events(engine.trace().expect("tracing enabled"), &probes, &mut sink);
     let events = sink.written();
     let jsonl = sink.finish()?;
     let events_path = "target/fig1_events.jsonl";

@@ -4,6 +4,10 @@
 //! * [`model`] — the marked-graph minimum-cycle-ratio model: exact
 //!   steady-state throughput of any legal netlist, generalising every
 //!   closed form in the paper;
+//! * [`forest`](mod@crate::forest) — the declared-environment facts
+//!   `lip_mc::check_declared` would prove (liveness, throughput, relay
+//!   occupancy bounds, lasso shape), in closed form on forests whose
+//!   sinks never stop;
 //! * [`formulas`] — the paper's closed forms: trees
 //!   (`T = 1`), reconvergent feed-forward (`T = (m − i)/m`), feedback
 //!   loops (`T = S/(S+R)`), plus [`predict_throughput`] combining the
@@ -37,6 +41,7 @@
 
 pub mod cure;
 pub mod equalize;
+pub mod forest;
 pub mod formulas;
 pub mod model;
 pub mod pipeline;
@@ -45,6 +50,7 @@ pub mod transient;
 
 pub use cure::{cure_deadlocks, enforce_min_memory, half_relays_in_loops, CureReport};
 pub use equalize::{equalize, EqualizeReport};
+pub use forest::{forest_facts, ForestFacts};
 pub use formulas::{
     closed_form, loop_throughput, predict_throughput, reconvergent_throughput, tree_throughput,
     ClosedForm,

@@ -629,7 +629,12 @@ impl<'g> Howard<'g> {
 pub fn pattern_data_rate(void_pattern: &Pattern) -> Option<Ratio> {
     // A malformed pattern (period 0) has no rate either.
     let period = void_pattern.period().filter(|&p| p > 0)?;
-    let voids = (0..period).filter(|&c| void_pattern.at(c)).count() as u64;
+    let voids = match *void_pattern {
+        // One asserted cycle per period, or none when the phase is out
+        // of range; counting cycle by cycle would cost the period.
+        Pattern::EveryNth { period, phase } => u64::from(phase < period),
+        _ => (0..period).filter(|&c| void_pattern.at(c)).count() as u64,
+    };
     Some(Ratio::new(period - voids, period))
 }
 
@@ -784,6 +789,21 @@ mod tests {
                 phase: 0
             }),
             Some(Ratio::new(4, 5))
+        );
+        let long = u32::MAX;
+        assert_eq!(
+            pattern_data_rate(&Pattern::EveryNth {
+                period: long,
+                phase: 7
+            }),
+            Some(Ratio::new(u64::from(long) - 1, u64::from(long)))
+        );
+        assert_eq!(
+            pattern_data_rate(&Pattern::EveryNth {
+                period: 3,
+                phase: 3
+            }),
+            Some(Ratio::new(1, 1))
         );
         assert_eq!(
             pattern_data_rate(&Pattern::Random {

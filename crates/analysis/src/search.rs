@@ -68,7 +68,9 @@ impl Prober {
     ) -> Result<Ratio, NetlistError> {
         let delta = NetlistDelta::SetRelayKind { node: relay, kind };
         delta.apply_to(&mut self.netlist);
-        self.program.recompile_delta(&delta);
+        self.program
+            .recompile_delta(&delta)
+            .expect("sizing edits relay stations");
         let m = cache.measure_program_with(&self.program, Default::default(), Netlist::new)?;
         Ok(m.system_throughput()
             .expect("netlist has at least one sink"))
@@ -168,7 +170,10 @@ pub fn size_each_relay(
                 kind: original,
             };
             delta.apply_to(&mut prober.netlist);
-            prober.program.recompile_delta(&delta);
+            prober
+                .program
+                .recompile_delta(&delta)
+                .expect("sizing edits relay stations");
             Ok(choice)
         })
         .collect()

@@ -93,7 +93,9 @@ fn bench_compile_vs_patch(c: &mut Criterion) {
                             RelayKind::Fifo(3)
                         };
                         let delta = NetlistDelta::SetRelayKind { node: fifo, kind };
-                        std::hint::black_box(prog.recompile_delta(&delta));
+                        std::hint::black_box(
+                            prog.recompile_delta(&delta).expect("a relay kind edit"),
+                        );
                     }
                 });
             },

@@ -187,7 +187,8 @@ fn equivalence_ok() -> (bool, u64) {
         });
         for delta in &deltas {
             delta.apply_to(&mut netlist);
-            prog.recompile_delta(delta);
+            prog.recompile_delta(delta)
+                .expect("corpus deltas edit nodes of the right kind");
             let fresh = SettleProgram::compile(&netlist).expect("edited corpus compiles");
             if prog != fresh || prog.stable_structural_hash() != fresh.stable_structural_hash() {
                 eprintln!("{name}: patched program diverged from fresh compile on {delta:?}");

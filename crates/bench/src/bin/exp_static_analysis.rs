@@ -3,12 +3,17 @@
 //! simulator's measured steady state *exactly* (Ratio equality, no
 //! tolerance), LIP003's deadlock verdict matches the liveness oracle on
 //! pristine and sabotaged environments, and applying the machine fix-its
-//! restores full throughput on the paper's Fig. 1.
+//! restores full throughput on the paper's Fig. 1. On forests whose
+//! sinks never stop, lint decides LIP006–LIP008 from closed-form
+//! declared facts; those must equal the exhaustive `check_declared`
+//! proof in liveness, throughput, lasso shape and relay bounds.
 
+use lip_analysis::{forest_facts, ForestFacts};
 use lip_bench::{banner, emit_report, mark, table, Report};
-use lip_core::RelayKind;
-use lip_graph::{generate, Netlist, SourceMap};
+use lip_core::{Pattern, RelayKind};
+use lip_graph::{generate, topology, Netlist, SourceMap};
 use lip_lint::{apply_fixits, lint, RuleId};
+use lip_mc::{check_declared, McConfig};
 use lip_sim::measure::check_liveness;
 use lip_sim::{measure_batch_periodic, LanePatterns, Ratio, SettleProgram};
 
@@ -52,6 +57,46 @@ fn kill_first_source(netlist: &Netlist) -> Option<Netlist> {
     line.push_str(" voids=every:1:0");
     let (mutated, _) = lip_graph::parse_netlist(&lines.join("\n")).ok()?;
     Some(mutated)
+}
+
+/// No join, no loop: at most one input channel per node and acyclic.
+fn is_forest(netlist: &Netlist) -> bool {
+    netlist
+        .nodes()
+        .all(|(_, node)| node.kind().num_inputs() <= 1)
+        && topology::is_acyclic(netlist)
+}
+
+/// One forest-facts table row, and whether the closed form equals the
+/// exhaustive proof on `netlist` (liveness, per-sink throughput, stem,
+/// period and relay bounds).
+fn forest_row(name: &str, netlist: &Netlist) -> (Vec<String>, bool) {
+    let facts = forest_facts(netlist);
+    let proof = check_declared(netlist, &McConfig::default()).ok();
+    let agree = match (&facts, &proof) {
+        (Some(f), Some(p)) => {
+            f.is_live() == p.is_live()
+                && f.dead_shells == p.dead_shells
+                && f.throughput == p.throughput
+                && (f.stem, f.period) == (p.stem, p.period)
+                && f.relay_bounds == p.relay_bounds
+        }
+        _ => false,
+    };
+    let show = |v: Option<String>| v.unwrap_or_else(|| "-".into());
+    let row = vec![
+        name.to_owned(),
+        show(facts.as_ref().map(|f| format!("{}+{}", f.stem, f.period))),
+        show(proof.as_ref().map(|p| format!("{}+{}", p.stem, p.period))),
+        show(
+            facts
+                .as_ref()
+                .and_then(ForestFacts::system_throughput)
+                .map(|r| r.to_string()),
+        ),
+        mark(agree).into(),
+    ];
+    (row, agree)
 }
 
 fn main() {
@@ -223,6 +268,60 @@ fn main() {
         mark(fix_ok)
     );
 
+    // 5. Forest facts: the closed form behind LIP006–LIP008 on live
+    //    forests equals the exhaustive declared proof.
+    let mut forests: Vec<(String, Netlist)> =
+        [RelayKind::Full, RelayKind::Half, RelayKind::Fifo(3)]
+            .into_iter()
+            .map(|kind| {
+                (
+                    format!("chain(32,4,{kind})"),
+                    generate::chain(32, 4, kind).netlist,
+                )
+            })
+            .collect();
+    forests.push(("tree(8,2,1)".into(), generate::tree(8, 2, 1).netlist));
+    for seed in 0..60u64 {
+        let (_, mut netlist) = generate::random_family(seed);
+        if netlist.validate().is_err() || !is_forest(&netlist) {
+            continue;
+        }
+        let pattern = Pattern::EveryNth {
+            period: 2 + (seed % 3) as u32,
+            phase: (seed % 2) as u32,
+        };
+        for id in netlist.sources() {
+            netlist.set_source_pattern(id, pattern.clone());
+        }
+        forests.push((format!("random {seed}"), netlist));
+    }
+    let forest_total = forests.len() as u64;
+    let mut forest_agree = 0u64;
+    let mut forest_rows = Vec::new();
+    for (name, netlist) in &forests {
+        let (row, agree) = forest_row(name, netlist);
+        forest_agree += u64::from(agree);
+        forest_rows.push(row);
+    }
+    println!("\n== forest facts: closed form vs exhaustive proof ==");
+    println!(
+        "{}",
+        table(
+            &[
+                "system",
+                "formula stem+period",
+                "proof stem+period",
+                "T",
+                "equal"
+            ],
+            &forest_rows
+        )
+    );
+    println!(
+        "{forest_agree}/{forest_total} forests: closed form == proof {}",
+        mark(forest_agree == forest_total && forest_total >= 10)
+    );
+
     let mut report = Report::new("exp_static_analysis");
     report
         .push_int("named_systems", named_total)
@@ -234,13 +333,17 @@ fn main() {
         .push_ratio("fig1_before", before_measured.num(), before_measured.den())
         .push_ratio("fig1_after", after_measured.num(), after_measured.den())
         .push_bool("fixits_clean", after_clean)
+        .push_int("forest_systems", forest_total)
+        .push_int("forest_agree", forest_agree)
         .push_bool(
             "ok",
             named_exact == named_total
                 && random_exact == random_checked
                 && random_checked >= 30
                 && live_agree == live_total
-                && fix_ok,
+                && fix_ok
+                && forest_agree == forest_total
+                && forest_total >= 10,
         );
     emit_report(&report);
 }

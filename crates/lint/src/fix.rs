@@ -130,7 +130,9 @@ pub fn apply_fixits_compiled(
             Some(FixIt::InsertRelay { channel, kind }) => {
                 let delta = NetlistDelta::InsertRelay { channel, kind };
                 let inserted = delta.apply_to(netlist).expect("insertion returns its id");
-                program.recompile_delta(&delta);
+                program
+                    .recompile_delta(&delta)
+                    .expect("an insertion names no node");
                 report.inserted.push(inserted);
             }
             Some(FixIt::ResizeFifo { node, capacity }) => {
@@ -139,7 +141,9 @@ pub fn apply_fixits_compiled(
                     kind: RelayKind::Fifo(capacity),
                 };
                 delta.apply_to(netlist); // in-place rewrite, inserts nothing
-                program.recompile_delta(&delta);
+                program
+                    .recompile_delta(&delta)
+                    .expect("the netlist edit accepted a relay station");
                 report.resized.push(node);
             }
             Some(FixIt::Equalize) => want_equalize = true,

@@ -11,8 +11,11 @@
 //!   structured [`Diagnostic`]s with rule ids (`LIP001`–`LIP008`),
 //!   severities, node/channel spans (resolved through the
 //!   [`SourceMap`] of the textual format) and
-//!   machine-applicable [`FixIt`]s — `LIP006`–`LIP008` carry exhaustive
-//!   model-checking proofs from `lip_mc`;
+//!   machine-applicable [`FixIt`]s — `LIP006`–`LIP008` rest on the
+//!   declared-environment facts: on live forests whose sinks never
+//!   stop, the closed form `lip_analysis::forest_facts` (the paper's
+//!   tree and feed-forward theorems, no simulation), elsewhere an
+//!   exhaustive model-checking proof from `lip_mc`;
 //! * [`fix::apply_fixits`] rewrites the netlist per those fixes
 //!   (`--fix` in the CLI);
 //! * [`render`] provides the human renderer and the versioned JSON

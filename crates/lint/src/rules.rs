@@ -14,17 +14,27 @@
 //! | LIP007 | over-provisioned FIFO (proved occupancy bound < capacity)    | shrink fifo |
 //! | LIP008 | environment-limited throughput proved below 1                | — |
 //!
-//! LIP006–LIP008 are backed by one exhaustive [`lip_mc::check_declared`]
-//! pass over the declared environment, run on the program lint compiles
-//! as its validity guard; they stay silent when that environment is
-//! aperiodic or the reachable space exceeds the default budget, and
-//! never contradict the structural rules — related findings
-//! are cross-referenced through [`Diagnostic::related`].
+//! LIP006–LIP008 read the declared-environment facts: per-shell
+//! liveness, system throughput and relay occupancy bounds. Lint tries
+//! the closed form first: on a live forest whose sinks never stop,
+//! [`forest_facts`] derives them from the topology with
+//! [`Netlist::validate`] as the validity guard, and no proof runs.
+//! Everything else — a join or a loop, a sink that ever stops, or a
+//! shell that would be dead (LIP006 reports the proof's state count) —
+//! compiles the netlist (which validates) and runs one exhaustive
+//! [`lip_mc::check_declared_compiled`] pass on that program. The
+//! flight-recorder counters `lint.facts.formula` and
+//! `lint.facts.proof` record which path decided. The proof stays
+//! silent when the environment is aperiodic or the reachable space
+//! exceeds the default budget; the closed form has no budget. Neither
+//! contradicts the structural rules — related findings are
+//! cross-referenced through [`Diagnostic::related`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use lip_analysis::model::{pattern_accept_rate, pattern_data_rate, MarkedGraph, ModelEdge};
+use lip_analysis::{forest_facts, ForestFacts};
 use lip_core::RelayKind;
 use lip_graph::{topology, ChannelId, Netlist, NodeId, NodeKind, SourceMap};
 use lip_mc::{check_declared_compiled, DeclaredProof, McConfig};
@@ -37,6 +47,24 @@ use crate::fix::FixIt;
 /// rule code and then by primary span.
 #[must_use]
 pub fn lint(netlist: &Netlist, map: &SourceMap) -> Vec<Diagnostic> {
+    lint_decided(netlist, map).0
+}
+
+/// What decides LIP006–LIP008 on one lint run.
+enum Evidence {
+    /// The closed form [`forest_facts`] on a live forest.
+    Formula(ForestFacts),
+    /// The compiled program the exhaustive [`check_declared_compiled`]
+    /// proof runs on (which may still decline: aperiodic environment
+    /// or state budget).
+    Proof(Arc<SettleProgram>),
+}
+
+/// [`lint`], plus the flight-recorder counter naming which evidence
+/// decided the declared-environment rules, `lint.facts.formula` or
+/// `lint.facts.proof` (`None` when the netlist is illegal or invalid
+/// and they did not run). That counter is bumped by one.
+fn lint_decided(netlist: &Netlist, map: &SourceMap) -> (Vec<Diagnostic>, Option<&'static str>) {
     let mut diags = Vec::new();
     lip001(netlist, map, &mut diags);
     lip002(netlist, map, &mut diags);
@@ -46,31 +74,75 @@ pub fn lint(netlist: &Netlist, map: &SourceMap) -> Vec<Diagnostic> {
     // the model is meaningless and LIP001/LIP002 already carry the
     // diagnosis.
     let illegal = diags.iter().any(|d| d.rule == RuleId::Lip002);
-    // Compiling validates, so the program is the guard and the proof's
-    // input at once.
-    let program = if illegal {
+    let decided = if illegal {
         None
     } else {
-        SettleProgram::compile(netlist).ok()
+        declared_rules(netlist, map, &mut diags)
     };
-    if let Some(program) = program {
-        // One minimum-cycle-ratio pass serves both marked-graph rules.
-        let bottleneck = MarkedGraph::new(netlist).binding_cycle();
-        lip004(netlist, map, bottleneck.as_ref(), &mut diags);
-        lip005(netlist, map, bottleneck.as_ref(), &mut diags);
-        // The model-checked rules share one exhaustive state-space
-        // pass. They go silent (never wrong) when the declared
-        // environment is aperiodic or the space exceeds the budget.
-        let cfg = McConfig::default();
-        if let Ok(proof) = check_declared_compiled(netlist, Arc::new(program), &cfg) {
-            lip006(netlist, map, &proof, &mut diags);
-            lip007(netlist, map, &proof, &mut diags);
-            lip008(&proof, &mut diags);
-        }
-        cross_link(&mut diags);
-    }
     diags.sort_by_key(|d| (d.rule, d.primary));
-    diags
+    (diags, decided)
+}
+
+/// The rules that need a valid netlist: the marked-graph pair
+/// LIP004/LIP005 and the declared-environment trio LIP006–LIP008.
+///
+/// A live forest whose sinks never stop takes the closed form: the
+/// validity guard is [`Netlist::validate`] and no proof runs. Anything
+/// else — the formula declines, or some shell would be dead, whose
+/// LIP006 message reports the proof's state count — compiles (which
+/// validates) and runs the exhaustive proof on that program. The proof
+/// goes silent (never wrong) when the declared environment is
+/// aperiodic or the space exceeds the default budget.
+fn declared_rules(
+    netlist: &Netlist,
+    map: &SourceMap,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<&'static str> {
+    let facts = if formula_enabled() {
+        forest_facts(netlist).filter(ForestFacts::is_live)
+    } else {
+        None
+    };
+    let evidence = match facts {
+        Some(facts) => {
+            netlist.validate().ok()?;
+            Evidence::Formula(facts)
+        }
+        None => Evidence::Proof(Arc::new(SettleProgram::compile(netlist).ok()?)),
+    };
+    // One minimum-cycle-ratio pass serves both marked-graph rules.
+    let bottleneck = MarkedGraph::new(netlist).binding_cycle();
+    lip004(netlist, map, bottleneck.as_ref(), diags);
+    lip005(netlist, map, bottleneck.as_ref(), diags);
+    let counter = match evidence {
+        Evidence::Formula(facts) => {
+            lip007(netlist, map, &facts.relay_bounds, diags);
+            lip008(facts.system_throughput(), facts.is_live(), diags);
+            "lint.facts.formula"
+        }
+        Evidence::Proof(program) => {
+            let cfg = McConfig::default();
+            if let Ok(proof) = check_declared_compiled(netlist, program, &cfg) {
+                lip006(netlist, map, &proof, diags);
+                lip007(netlist, map, &proof.relay_bounds, diags);
+                lip008(proof.system_throughput(), proof.is_live(), diags);
+            }
+            "lint.facts.proof"
+        }
+    };
+    cross_link(diags);
+    lip_obs::flight::global_add(counter, 1);
+    Some(counter)
+}
+
+/// Whether lint may decide LIP006–LIP008 by [`forest_facts`]. Tests can
+/// switch the formula off to compare against the proof.
+fn formula_enabled() -> bool {
+    #[cfg(test)]
+    if tests::FORCE_PROOF.get() {
+        return false;
+    }
+    true
 }
 
 /// Cross-reference rule pairs where one finding refines the other:
@@ -490,13 +562,18 @@ fn lip006(netlist: &Netlist, map: &SourceMap, proof: &DeclaredProof, out: &mut V
     });
 }
 
-/// LIP007 — over-provisioned FIFO: the model checker proved a maximum
-/// reachable occupancy strictly below what the configured capacity
-/// admits. Shrinking to one place above the proved bound is
-/// behaviour-preserving — a FIFO asserts stop only when completely
-/// full, and the search proved that fill level unreachable.
-fn lip007(netlist: &Netlist, map: &SourceMap, proof: &DeclaredProof, out: &mut Vec<Diagnostic>) {
-    for &(id, occ, cap) in &proof.relay_bounds {
+/// LIP007 — over-provisioned FIFO: the declared facts (closed form or
+/// proof) bound the reachable occupancy strictly below what the
+/// configured capacity admits. Shrinking to one place above the proved
+/// bound is behaviour-preserving — a FIFO asserts stop only when
+/// completely full, and that fill level is proved unreachable.
+fn lip007(
+    netlist: &Netlist,
+    map: &SourceMap,
+    relay_bounds: &[(NodeId, u32, u32)],
+    out: &mut Vec<Diagnostic>,
+) {
+    for &(id, occ, cap) in relay_bounds {
         if !matches!(
             netlist.node(id).kind(),
             NodeKind::Relay {
@@ -535,17 +612,17 @@ fn lip007(netlist: &Netlist, map: &SourceMap, proof: &DeclaredProof, out: &mut V
     }
 }
 
-/// LIP008 — environment-limited throughput: the model checker proved a
+/// LIP008 — environment-limited throughput: the declared facts prove a
 /// sustained rate below 1 token/cycle that the structural bottleneck
 /// rule (LIP005) either misses entirely (minimum cycle ratio 1) or
 /// predicts differently. Either way the declared environment, not the
 /// topology, is the binding constraint. Suppressed when any shell is
 /// dead — LIP006 already carries that stronger verdict.
-fn lip008(proof: &DeclaredProof, out: &mut Vec<Diagnostic>) {
-    let Some(proved) = proof.system_throughput() else {
+fn lip008(throughput: Option<Ratio>, live: bool, out: &mut Vec<Diagnostic>) {
+    let Some(proved) = throughput else {
         return;
     };
-    if proved.num() >= proved.den() || !proof.is_live() {
+    if proved.num() >= proved.den() || !live {
         return;
     }
     let structural = out
@@ -583,10 +660,18 @@ fn lip008(proof: &DeclaredProof, out: &mut Vec<Diagnostic>) {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use lip_core::pearl::IdentityPearl;
     use lip_core::Pattern;
-    use lip_graph::generate;
+    use lip_graph::{generate, parse_netlist_spanned};
+
+    thread_local! {
+        /// Turns the closed-form facts off on this thread, so every
+        /// valid design takes the compile + proof path.
+        pub(super) static FORCE_PROOF: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.rule.code()).collect()
@@ -738,5 +823,128 @@ mod tests {
         assert!(lint(&tree.netlist, &SourceMap::new()).is_empty());
         let chain = generate::chain(3, 2, RelayKind::Full);
         assert!(lint(&chain.netlist, &SourceMap::new()).is_empty());
+    }
+
+    fn golden(name: &str) -> (Netlist, SourceMap) {
+        let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let parsed = parse_netlist_spanned(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+        (parsed.netlist, parsed.source_map)
+    }
+
+    const FORMULA: Option<&str> = Some("lint.facts.formula");
+    const PROOF: Option<&str> = Some("lint.facts.proof");
+
+    fn decided(netlist: &Netlist, map: &SourceMap) -> Option<&'static str> {
+        lint_decided(netlist, map).1
+    }
+
+    #[test]
+    fn live_forests_take_the_formula_and_the_rest_the_proof() {
+        let none = SourceMap::new();
+        let chain = generate::chain(64, 4, RelayKind::Full).netlist;
+        assert_eq!(decided(&chain, &none), FORMULA);
+        let tree = generate::tree(6, 2, 1).netlist;
+        assert_eq!(decided(&tree, &none), FORMULA);
+        let (fifo, map) = golden("lip007.lid");
+        assert_eq!(decided(&fifo, &map), FORMULA);
+
+        let ring = generate::ring(4, 4, RelayKind::Full).netlist;
+        assert_eq!(decided(&ring, &none), PROOF);
+        assert_eq!(decided(&generate::fig1().netlist, &none), PROOF);
+        // A sink that always stops: not the formula's precondition.
+        let (stopped, map) = golden("lip006.lid");
+        assert_eq!(decided(&stopped, &map), PROOF);
+        // A forest whose source never offers data: its shells are dead,
+        // and LIP006 reports the proof's state count.
+        let mut dead = generate::tree(3, 2, 1).netlist;
+        let source = dead.sources()[0];
+        assert!(dead.set_source_pattern(source, Pattern::Always));
+        assert_eq!(decided(&dead, &none), PROOF);
+        // A shell-free ring is illegal: neither path runs.
+        let (ring, map) = golden("lip002.lid");
+        assert_eq!(decided(&ring, &map), None);
+    }
+
+    /// Lint `netlist` with the formula on and off; both must report the
+    /// same diagnostics. Returns whether the formula decided.
+    fn assert_formula_invisible(what: &str, netlist: &Netlist, map: &SourceMap) -> bool {
+        let (with, facts) = lint_decided(netlist, map);
+        FORCE_PROOF.set(true);
+        let (without, fallback) = lint_decided(netlist, map);
+        FORCE_PROOF.set(false);
+        assert_ne!(fallback, FORMULA, "{what}: hook must hold");
+        assert_eq!(format!("{with:?}"), format!("{without:?}"), "{what}");
+        facts == FORMULA
+    }
+
+    #[test]
+    fn the_formula_changes_no_diagnostic() {
+        let patterns = [
+            Pattern::Never,
+            Pattern::EveryNth {
+                period: 2,
+                phase: 0,
+            },
+            Pattern::EveryNth {
+                period: 3,
+                phase: 1,
+            },
+            Pattern::Cyclic(vec![true, false, false, true, true]),
+            Pattern::Always,
+        ];
+        let mut corpus: Vec<(String, Netlist)> = Vec::new();
+        for kind in [
+            RelayKind::Full,
+            RelayKind::Half,
+            RelayKind::Fifo(2),
+            RelayKind::Fifo(3),
+            RelayKind::Fifo(6),
+        ] {
+            for shells in 1..=3 {
+                for relays in 0..=3 {
+                    let chain = generate::chain(shells, relays, kind).netlist;
+                    corpus.push((format!("chain({shells},{relays},{kind})"), chain));
+                }
+            }
+        }
+        for depth in 1..=4 {
+            for fanout in 1..=3 {
+                for relays in 0..=2 {
+                    let tree = generate::tree(depth, fanout, relays).netlist;
+                    corpus.push((format!("tree({depth},{fanout},{relays})"), tree));
+                }
+            }
+        }
+        for seed in 0..200 {
+            let (_, netlist) = generate::random_family(seed);
+            corpus.push((format!("random {seed}"), netlist));
+        }
+        let none = SourceMap::new();
+        let mut formula = 0;
+        for (name, netlist) in &corpus {
+            for pattern in &patterns {
+                let mut n = netlist.clone();
+                for id in n.sources() {
+                    assert!(n.set_source_pattern(id, pattern.clone()));
+                }
+                let what = format!("{name} voids={pattern:?}");
+                formula += usize::from(assert_formula_invisible(&what, &n, &none));
+            }
+        }
+        assert!(formula >= 500, "the formula decided only {formula} designs");
+
+        let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+        let mut goldens = 0;
+        for entry in std::fs::read_dir(&dir).expect("golden dir") {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(".lid") {
+                let (netlist, map) = golden(&name);
+                assert_formula_invisible(&name, &netlist, &map);
+                goldens += 1;
+            }
+        }
+        assert!(goldens >= 11, "only {goldens} goldens checked");
     }
 }

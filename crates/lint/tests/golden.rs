@@ -99,6 +99,18 @@ fn golden_lip008_environment_limited() {
 }
 
 #[test]
+fn golden_lip008_two_thirds_on_a_forest() {
+    // Decided by the closed-form forest facts, not the proof.
+    check("lip008_two_thirds", &[RuleId::Lip008]);
+}
+
+#[test]
+fn golden_lip003_dead_tree() {
+    // A dead forest takes the proof fallback.
+    check("lip003_dead_tree", &[RuleId::Lip003, RuleId::Lip006]);
+}
+
+#[test]
 fn golden_clean_pipeline() {
     check("clean", &[]);
 }

@@ -66,7 +66,7 @@ pub use measure::{
     measure_batch_periodic_wide, measure_batch_wide, BatchMeasurement, BatchPeriodicMeasurement,
     LivenessReport, Measurement, Periodicity, Ratio, ShellActivity,
 };
-pub use patch::{NetlistDelta, ProgramPatch};
+pub use patch::{NetlistDelta, PatchError, ProgramPatch};
 pub use profiling::{profile_netlist, ProfileOptions, ProfiledRun};
 pub use program::{SettleProgram, VerifyError};
 pub use skeleton::SkeletonSystem;

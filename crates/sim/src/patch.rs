@@ -37,8 +37,10 @@
 //! every patch counts `compile.patch`, each under a `compile` span —
 //! `BENCH_runtime.json` shows which path an edit loop ran on.
 
+use std::fmt;
+
 use lip_core::{Pattern, RelayKind};
-use lip_graph::{ChannelId, Netlist, NodeId};
+use lip_graph::{ChannelId, Netlist, NetlistError, NodeId};
 
 use crate::program::{env_period, kahn, relay_key_width, CompSlot, ReaderIndex, SettleProgram};
 
@@ -163,6 +165,40 @@ pub enum ProgramPatch {
         node: NodeId,
     },
 }
+
+/// Why [`SettleProgram::recompile_delta`] refused a delta; the
+/// program is left as it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PatchError {
+    /// The edited netlist would fail [`Netlist::validate`]: a source or
+    /// sink pattern that is undefined on some cycle
+    /// ([`NetlistError::MalformedPattern`]).
+    Invalid(NetlistError),
+    /// The delta names a node that is not of the kind it edits.
+    WrongKind {
+        /// The node the delta names.
+        node: NodeId,
+        /// The kind the delta edits: `"relay station"`, `"source"` or
+        /// `"sink"`.
+        expected: &'static str,
+    },
+}
+
+impl fmt::Display for PatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PatchError::Invalid(e) => write!(f, "delta rejected: {e}"),
+            PatchError::WrongKind { node, expected } => {
+                write!(
+                    f,
+                    "delta rejected: node {node} is not a {expected} in this program"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PatchError {}
 
 impl SettleProgram {
     /// Change the capacity of the FIFO relay station at `node` in
@@ -344,15 +380,36 @@ impl SettleProgram {
     /// sync via [`NetlistDelta::apply_to`]; afterwards the program
     /// equals `SettleProgram::compile` of that edited netlist.
     ///
+    /// # Errors
+    ///
+    /// [`PatchError::WrongKind`] when the delta's node is not a relay
+    /// station, source or sink as the delta requires, and
+    /// [`PatchError::Invalid`] when a pattern delta carries a malformed
+    /// pattern (the check [`Netlist::validate`] makes). The program is
+    /// unchanged on error.
+    ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the per-edit methods: the
-    /// target node has the wrong kind, or the edit would make the
-    /// netlist fail validation.
-    pub fn recompile_delta(&mut self, delta: &NetlistDelta) -> ProgramPatch {
+    /// Panics when the edit would make the netlist fail validation
+    /// otherwise: a combinational loop from a kind change or an
+    /// insertion (see [`patch_relay_kind`](Self::patch_relay_kind)).
+    pub fn recompile_delta(&mut self, delta: &NetlistDelta) -> Result<ProgramPatch, PatchError> {
         match delta {
-            NetlistDelta::SetRelayKind { node, kind } => self.patch_relay_kind(*node, *kind),
-            NetlistDelta::InsertRelay { channel, kind } => self.patch_insert_relay(*channel, *kind),
+            NetlistDelta::SetRelayKind { node, kind } => {
+                if matches!(
+                    self.comp_slots.get(node.index()),
+                    None | Some(CompSlot::Source(_) | CompSlot::Sink(_) | CompSlot::Shell(_))
+                ) {
+                    return Err(PatchError::WrongKind {
+                        node: *node,
+                        expected: "relay station",
+                    });
+                }
+                Ok(self.patch_relay_kind(*node, *kind))
+            }
+            NetlistDelta::InsertRelay { channel, kind } => {
+                Ok(self.patch_insert_relay(*channel, *kind))
+            }
             NetlistDelta::SetSourcePattern { node, pattern } => {
                 self.patch_endpoint_pattern(*node, pattern, true)
             }
@@ -489,18 +546,25 @@ impl SettleProgram {
         node: NodeId,
         pattern: &Pattern,
         source: bool,
-    ) -> ProgramPatch {
-        let slot = self.comp_slots[node.index()];
-        let target = match (slot, source) {
-            (CompSlot::Source(r), true) => &mut self.src_pattern[r as usize],
-            (CompSlot::Sink(r), false) => &mut self.snk_pattern[r as usize],
-            _ => panic!(
-                "node {node} is not a {} in this program",
-                if source { "source" } else { "sink" }
-            ),
+    ) -> Result<ProgramPatch, PatchError> {
+        let target = match (self.comp_slots.get(node.index()), source) {
+            (Some(&CompSlot::Source(r)), true) => &mut self.src_pattern[r as usize],
+            (Some(&CompSlot::Sink(r)), false) => &mut self.snk_pattern[r as usize],
+            _ => {
+                return Err(PatchError::WrongKind {
+                    node,
+                    expected: if source { "source" } else { "sink" },
+                })
+            }
         };
+        if let Some(defect) = pattern.malformation() {
+            return Err(PatchError::Invalid(NetlistError::MalformedPattern {
+                node,
+                defect,
+            }));
+        }
         if *target == *pattern {
-            return ProgramPatch::Noop;
+            return Ok(ProgramPatch::Noop);
         }
         let _span = lip_obs::flight::global_span("compile", "patch_pattern");
         lip_obs::flight::global_add("compile.patch", 1);
@@ -508,7 +572,7 @@ impl SettleProgram {
         self.env_period = env_period(self.src_pattern.iter().chain(&self.snk_pattern));
         self.rehash_sections([15]);
         self.debug_verify("patch_endpoint_pattern");
-        ProgramPatch::Pattern { node }
+        Ok(ProgramPatch::Pattern { node })
     }
 
     /// Shell row owning flat input-port slot `j` (CSR scan).
@@ -636,7 +700,7 @@ mod tests {
                 kind: RelayKind::Fifo(cap),
             };
             delta.apply_to(&mut netlist);
-            let patch = prog.recompile_delta(&delta);
+            let patch = prog.recompile_delta(&delta).unwrap();
             assert!(matches!(patch, ProgramPatch::FifoCapacity { .. }));
             assert_matches_fresh(&prog, &netlist);
         }
@@ -671,7 +735,7 @@ mod tests {
                 kind,
             };
             delta.apply_to(&mut netlist);
-            prog.recompile_delta(&delta);
+            prog.recompile_delta(&delta).unwrap();
             assert_matches_fresh(&prog, &netlist);
         }
     }
@@ -692,7 +756,7 @@ mod tests {
             };
             let delta = NetlistDelta::InsertRelay { channel, kind };
             let inserted = delta.apply_to(&mut netlist).expect("insertion returns id");
-            let patch = prog.recompile_delta(&delta);
+            let patch = prog.recompile_delta(&delta).unwrap();
             match patch {
                 ProgramPatch::Insert { node_index, .. } => {
                     assert_eq!(node_index as usize, inserted.index());
@@ -716,7 +780,7 @@ mod tests {
             },
         };
         delta.apply_to(&mut netlist);
-        prog.recompile_delta(&delta);
+        prog.recompile_delta(&delta).unwrap();
         assert_matches_fresh(&prog, &netlist);
         assert_eq!(prog.env_period(), Some(3));
     }
@@ -748,7 +812,7 @@ mod tests {
             kind: RelayKind::Full,
         };
         delta.apply_to(&mut netlist);
-        let patch = prog.recompile_delta(&delta);
+        let patch = prog.recompile_delta(&delta).unwrap();
         assert!(
             matches!(
                 patch,
@@ -760,5 +824,77 @@ mod tests {
             "shell-to-shell split must re-sort a stratum, got {patch:?}"
         );
         assert_matches_fresh(&prog, &netlist);
+    }
+
+    #[test]
+    fn malformed_and_misdirected_deltas_are_typed_errors() {
+        let fig1 = generate::fig1();
+        let mut prog = SettleProgram::compile(&fig1.netlist).unwrap();
+        let before = prog.clone();
+        let zero = Pattern::EveryNth {
+            period: 0,
+            phase: 0,
+        };
+        let shell = fig1.netlist.shells()[0];
+        let relay = fig1.netlist.relays()[0];
+        let cases = [
+            (
+                NetlistDelta::SetSinkPattern {
+                    node: fig1.sink,
+                    pattern: zero.clone(),
+                },
+                PatchError::Invalid(NetlistError::MalformedPattern {
+                    node: fig1.sink,
+                    defect: "period 0",
+                }),
+            ),
+            (
+                NetlistDelta::SetSourcePattern {
+                    node: fig1.source,
+                    pattern: Pattern::Cyclic(Vec::new()),
+                },
+                PatchError::Invalid(NetlistError::MalformedPattern {
+                    node: fig1.source,
+                    defect: "empty cycle",
+                }),
+            ),
+            (
+                NetlistDelta::SetSourcePattern {
+                    node: fig1.sink,
+                    pattern: Pattern::Never,
+                },
+                PatchError::WrongKind {
+                    node: fig1.sink,
+                    expected: "source",
+                },
+            ),
+            (
+                NetlistDelta::SetSinkPattern {
+                    node: relay,
+                    pattern: zero,
+                },
+                PatchError::WrongKind {
+                    node: relay,
+                    expected: "sink",
+                },
+            ),
+            (
+                NetlistDelta::SetRelayKind {
+                    node: shell,
+                    kind: RelayKind::Half,
+                },
+                PatchError::WrongKind {
+                    node: shell,
+                    expected: "relay station",
+                },
+            ),
+        ];
+        for (delta, expected) in cases {
+            assert_eq!(prog.recompile_delta(&delta), Err(expected), "{delta:?}");
+            assert_eq!(prog, before, "a refused delta must leave the program alone");
+        }
+        // The unpatched program still runs.
+        let mut sys = crate::SkeletonSystem::from_program(std::sync::Arc::new(prog));
+        sys.run(10);
     }
 }

@@ -1767,7 +1767,7 @@ mod tests {
             if edited.validate().is_err() {
                 continue;
             }
-            patched.recompile_delta(&delta);
+            patched.recompile_delta(&delta).unwrap();
             let patched = Arc::new(patched);
             let what = format!("adopt {seed}");
             for t in 0..60u64 {

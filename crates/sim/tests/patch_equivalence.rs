@@ -141,7 +141,7 @@ proptest! {
                 continue;
             }
             netlist = trial;
-            prog.recompile_delta(&delta);
+            prog.recompile_delta(&delta).unwrap();
             committed += 1;
             let fresh = SettleProgram::compile(&netlist).unwrap();
             prop_assert!(prog == fresh, "patched != fresh after {delta:?}");

@@ -22,8 +22,8 @@
 //!    inflation on otherwise identical artifacts trips the sentinel
 //!    (and nothing else).
 //!
-//! Writes `BENCH_delta.json` (jq-gated in CI) and the usual
-//! `exp_delta.json` report.
+//! Writes `BENCH_delta.json` and the usual `exp_delta.json` report;
+//! the bin's exit status is its gate.
 
 use std::time::Instant;
 
@@ -302,8 +302,13 @@ fn main() {
     println!("== injected timing spike ==");
     print!("{}", timing_diff.render_human());
 
+    // Fig. 1's 4/5 (asserted above) falls to 1/2 once the short branch
+    // holds one place.
+    let ratio_after_exact = reg_snap.measured == Ratio::new(1, 2);
+
     let runs_stored = store.list().expect("store lists").len() as u64;
     let ok = rerun_clean
+        && ratio_after_exact
         && regression_flagged
         && ratio_diffed
         && hash_diffed
@@ -324,6 +329,13 @@ fn main() {
                     mark(rerun_clean).into()
                 ],
                 vec!["regression flagged".into(), mark(regression_flagged).into()],
+                vec![
+                    format!(
+                        "throughput {} -> {} (4/5 -> 1/2)",
+                        base_snap.measured, reg_snap.measured
+                    ),
+                    mark(ratio_after_exact).into()
+                ],
                 vec![
                     "ratio moved as exact diff".into(),
                     mark(ratio_diffed).into()
@@ -350,7 +362,6 @@ fn main() {
         )
     );
 
-    // BENCH_delta.json — jq-gated in CI.
     let bench = Json::obj([
         ("schema_version", lip_obs::schema::DELTA.into()),
         ("experiment", "exp_delta".into()),

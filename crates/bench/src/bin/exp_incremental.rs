@@ -20,8 +20,8 @@
 //!    beat the pre-incremental baseline (clone + full compile per
 //!    bisection probe, reconstructed here) end to end (min-of-5).
 //!
-//! Artefact: `BENCH_incremental.json` (versioned, jq-gated in CI) plus
-//! the standard report in `target/reports/`.
+//! Artefact: `BENCH_incremental.json` (versioned) plus the standard
+//! report in `target/reports/`; the bin's exit status is its gate.
 
 use std::time::Instant;
 
@@ -346,7 +346,18 @@ fn main() {
             sizing.speedup
         );
     }
-    let ok = min_speedup >= CLAIMED_SPEEDUP && equivalent && sizing.speedup > 1.0 && sizing.agree;
+    if edits_checked == 0 || rows.len() < 3 {
+        eprintln!(
+            "{edits_checked} edits checked over {} topologies (gate > 0 over >= 3)",
+            rows.len()
+        );
+    }
+    let ok = min_speedup >= CLAIMED_SPEEDUP
+        && equivalent
+        && edits_checked > 0
+        && rows.len() >= 3
+        && sizing.speedup > 1.0
+        && sizing.agree;
 
     let topologies = rows.iter().map(|r| {
         Json::obj([

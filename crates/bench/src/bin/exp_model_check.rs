@@ -363,9 +363,24 @@ fn main() {
         tally.peak_arena_bytes
     );
 
-    // BENCH_check.json — jq-gated in CI (agreement matrix must be all
-    // true; gate_skipped surfaces state-budget truncation).
+    // The bin's exit status is its gate: the agreement matrix all true
+    // over at least 100 proved systems from at least 40 random seeds.
+    // gate_skipped records state-budget truncation in BENCH_check.json.
+    let corpus_ok = tally.checked >= 100 && seeds >= 40;
+    if !corpus_ok {
+        eprintln!(
+            "corpus too small: {} systems proved from {seeds} seeds (gate >= 100 from >= 40)",
+            tally.checked
+        );
+    }
+    let ok = all_agree && corpus_ok;
     let gate_skipped = (tally.skipped_cap > 0).then_some("state_space_cap");
+    if let Some(reason) = gate_skipped {
+        println!(
+            "{} corpus entries SKIPPED ({reason}), recorded in BENCH_check.json",
+            tally.skipped_cap
+        );
+    }
     let agreement = agreement.iter().map(|&(key, ok)| (key, Json::from(ok)));
     let doc = Json::obj([
         ("schema_version", lip_obs::SCHEMA_VERSION.into()),
@@ -379,7 +394,7 @@ fn main() {
         ("peak_arena_bytes", tally.peak_arena_bytes.into()),
         ("deadlocks_proved", tally.cex_total.into()),
         ("agreement", Json::obj(agreement)),
-        ("ok", all_agree.into()),
+        ("ok", ok.into()),
     ]);
     write_bench("BENCH_check.json", &doc);
 
@@ -391,6 +406,6 @@ fn main() {
         .push_int("counterexamples_replayed", tally.cex_replayed)
         .push_int("skipped_state_cap", tally.skipped_cap)
         .push_bool("agreement_all", all_agree)
-        .push_bool("ok", all_agree);
+        .push_bool("ok", ok);
     emit_report(&report);
 }

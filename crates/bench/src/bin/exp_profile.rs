@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use lip_bench::{banner, emit_report, mark, report_dir, table, Report};
+use lip_bench::{banner, emit_report, mark, report_dir, table, trace_phases, Report};
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist, SourceMap};
 use lip_lint::{lint, RuleId};
@@ -120,9 +120,30 @@ fn main() {
         && run.report.lost_cycles == run.window / 5
         && run.report.consumed == run.window * 4 / 5;
     let fig1_checks = cross_check(&fig1.netlist, &run);
-    let fig1_spans = run.trace_json.matches("\"ph\":\"b\"").count() as u64;
+    // BLAME_fig1.json: ranked blame, a top cycle, latency profiles, and
+    // the short branch's own entry charged one cycle in five.
+    let blame_ok = !run.report.top_cycle.is_empty()
+        && !run.report.latency.is_empty()
+        && run
+            .report
+            .entries
+            .iter()
+            .find(|e| e.name == short_name)
+            .is_some_and(|e| e.blamed * 5 == run.report.cycles);
+    // TRACE_fig1.json: named tracks, slices, and balanced token spans.
+    let phases = trace_phases(&run.trace_json);
+    let phase = |ph: &str| phases.get(ph).copied().unwrap_or(0);
+    let trace_ok = phase("M") > 0 && phase("X") > 0 && phase("b") > 0 && phase("b") == phase("e");
+    if !blame_ok {
+        eprintln!("BLAME_fig1.json: `{short_name}` is not charged one cycle in five");
+    }
+    if !trace_ok {
+        eprintln!("TRACE_fig1.json: missing M/X events or unbalanced b/e spans: {phases:?}");
+    }
     let fig1_ok = fig1_exact
-        && fig1_spans >= run.report.consumed
+        && blame_ok
+        && trace_ok
+        && phase("b") >= run.report.consumed
         && fig1_checks.counters_exact
         && fig1_checks.lint_agrees
         && fig1_checks.cycle_set_equal
@@ -150,7 +171,7 @@ fn main() {
         )
     );
 
-    // Persist the fig1 artefacts for CI schema validation.
+    // Persist the fig1 artefacts (checked above, before the write).
     let dir = report_dir();
     std::fs::create_dir_all(&dir).expect("create report dir");
     let blame_path = dir.join("BLAME_fig1.json");

@@ -35,7 +35,7 @@
 use std::time::Instant;
 
 use lip_analysis::minimal_equalizing_capacity;
-use lip_bench::{banner, emit_report, mark, report_dir, table, Report};
+use lip_bench::{banner, emit_report, mark, report_dir, table, trace_phases, Report};
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{generate, Netlist};
 use lip_obs::{
@@ -397,34 +397,30 @@ fn main() {
         MIN_SPAN_COVERAGE * 100.0,
         mark(coverage >= MIN_SPAN_COVERAGE),
     );
-    for key in [
+    let counter = |key: &str| dump.counters.get(key).copied();
+    let surfaced = [
         "cache.hits",
         "cache.misses",
         "analysis.capacity_probes",
         "par.items",
         "compile.full",
         "compile.patch",
-    ] {
-        assert!(
-            dump.counters.contains_key(key),
-            "enabled run must surface the {key} counter"
-        );
-    }
+    ]
+    .iter()
+    .all(|key| counter(key).is_some());
     // The edit loops must run on the patch path: bisection probes and
     // lint fix-its are patches, so full compiles stay a small constant
     // (corpus setup + one per search/file) while patches track probes.
-    assert!(
-        dump.counters["compile.patch"] >= dump.counters["analysis.capacity_probes"],
-        "every capacity probe must be an incremental patch, not a recompile"
-    );
+    let patched = counter("compile.patch") >= counter("analysis.capacity_probes");
+    let shown = |key| counter(key).unwrap_or(0);
     println!(
         "counters: cache {}h/{}m, {} capacity probes, {} par items, compiles {} full / {} patched",
-        dump.counters["cache.hits"],
-        dump.counters["cache.misses"],
-        dump.counters["analysis.capacity_probes"],
-        dump.counters["par.items"],
-        dump.counters["compile.full"],
-        dump.counters["compile.patch"],
+        shown("cache.hits"),
+        shown("cache.misses"),
+        shown("analysis.capacity_probes"),
+        shown("par.items"),
+        shown("compile.full"),
+        shown("compile.patch"),
     );
     println!();
 
@@ -439,14 +435,37 @@ fn main() {
     println!("wrote BENCH_runtime.json");
 
     let trace_path = report_dir().join("TRACE_runtime.json");
+    let trace = runtime_chrome_trace(runtime.dump());
     std::fs::create_dir_all(report_dir()).expect("create report dir");
-    std::fs::write(&trace_path, runtime_chrome_trace(runtime.dump()))
-        .expect("write TRACE_runtime.json");
+    std::fs::write(&trace_path, &trace).expect("write TRACE_runtime.json");
     println!("wrote {} (chrome://tracing)", trace_path.display());
-    println!(
-        "wrote {} (lip-top input)",
-        report_dir().join("progress.prom").display()
-    );
+    let prom_path = report_dir().join("progress.prom");
+    println!("wrote {} (lip-top input)", prom_path.display());
+
+    let phases = trace_phases(&trace);
+    let checks = [
+        ("all six counters surfaced", surfaced),
+        ("every capacity probe is a patch", patched),
+        (
+            "6 opcodes, 5 strata",
+            merged.by_op.len() == 6 && merged.by_stratum.len() == 5,
+        ),
+        ("spans recorded", !runtime.dump().spans.is_empty()),
+        (
+            "trace has M and X events",
+            phases.contains_key("M") && phases.contains_key("X"),
+        ),
+        (
+            "progress.prom has lip_lanes",
+            std::fs::read_to_string(&prom_path)
+                .is_ok_and(|text| text.lines().any(|l| l.starts_with("lip_lanes{"))),
+        ),
+    ];
+    for (what, held) in checks {
+        if !held {
+            eprintln!("artefact check failed: {what}");
+        }
+    }
 
     if overhead_disabled_pct >= MAX_DISABLED_OVERHEAD_PCT {
         eprintln!(
@@ -468,7 +487,8 @@ fn main() {
     let ok = overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT
         && overhead_enabled_pct < MAX_ENABLED_OVERHEAD_PCT
         && coverage >= MIN_SPAN_COVERAGE
-        && merged.reconciles();
+        && merged.reconciles()
+        && checks.iter().all(|&(_, held)| held);
     let mut report = Report::new("exp_runtime_obs");
     report
         .push_str("mode", "full")

@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -70,10 +71,11 @@ pub fn report_dir() -> PathBuf {
 }
 
 /// Write `report` into [`report_dir`] (creating it) and print the
-/// path, so `run_experiments.sh` and CI can pick the JSON up. Exits the
-/// binary with status 1 on I/O failure — an experiment whose artefact
-/// cannot be written has failed — and, after writing, when the report
-/// says `"ok": false`: the experiment's claim did not hold.
+/// path. Exits the binary with status 1 on I/O failure — an experiment
+/// whose artefact cannot be written has failed — and, after writing,
+/// when the report says `"ok": false`: the experiment's claim did not
+/// hold. The bin's exit status is its gate; no script re-reads the
+/// JSON to decide.
 pub fn emit_report(report: &Report) {
     let dir = report_dir();
     match report.write_to(&dir) {
@@ -110,6 +112,20 @@ pub fn write_bench(path: &str, doc: &Json) {
     println!("wrote {path}");
 }
 
+/// Event count per phase (`"ph"`: `M`, `X`, `b`, `e`, …) of a
+/// Chrome-trace document; empty when `trace` does not parse or has no
+/// `traceEvents` array.
+#[must_use]
+pub fn trace_phases(trace: &str) -> BTreeMap<String, u64> {
+    let mut phases = BTreeMap::new();
+    let doc = lip_obs::json::parse(trace).unwrap_or(Json::Null);
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap_or(&[]);
+    for ph in events.iter().filter_map(|e| e.get("ph")?.as_str()) {
+        *phases.entry(ph.to_owned()).or_insert(0) += 1;
+    }
+    phases
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +157,39 @@ mod tests {
         let mut malformed = Report::new("t");
         malformed.push_bool("ok", true).push_raw("broken", "{");
         assert!(report_failed(&malformed), "an unparsable report fails");
+    }
+
+    #[test]
+    fn trace_phases_count_events() {
+        let trace = r#"{"traceEvents":[{"ph":"M"},{"ph":"b"},{"ph":"e"},{"ph":"b"}]}"#;
+        let phases = trace_phases(trace);
+        assert_eq!(phases["b"], 2);
+        assert_eq!(phases["e"], 1);
+        assert_eq!(phases["M"], 1);
+        assert!(trace_phases("{").is_empty());
+        assert!(trace_phases("{}").is_empty());
+    }
+
+    /// The bin's exit status is its gate, and `emit_report` is what
+    /// turns `"ok": false` into a non-zero exit: every experiment bin
+    /// (all but the `lip_top` viewer) must call it, on a report named
+    /// after the bin.
+    #[test]
+    fn every_experiment_bin_emits_its_report() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut bins = 0;
+        for entry in std::fs::read_dir(&dir).expect("bin dir") {
+            let path = entry.expect("dir entry").path();
+            let bin = path.file_stem().expect("bin name").to_string_lossy();
+            if bin == "lip_top" {
+                continue;
+            }
+            let src = std::fs::read_to_string(&path).expect("bin source");
+            assert!(src.contains("emit_report(&"), "{bin}");
+            assert!(src.contains(&format!("Report::new(\"{bin}\")")), "{bin}");
+            bins += 1;
+        }
+        assert!(bins >= 23, "only {bins} experiment bins");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! lip_diff compare [--store DIR] [--json] <run_a> <run_b>
 //! lip_diff baseline check [--baselines DIR]
 //! lip_diff baseline accept [--baselines DIR] [FILE...]
-//! lip_diff schema [KEY]
 //! ```
 //!
 //! * `capture` — commit the given artifact files as one run
@@ -21,9 +20,6 @@
 //!   fail on any divergence (timing is never baselined).
 //! * `baseline accept` — rewrite the baselines from the current
 //!   artifacts: all of them, or just the files given.
-//! * `schema` — print `key=version` for every artifact schema (or one
-//!   version given its key), so shell gates read versions from the
-//!   binary instead of hardcoding them.
 //!
 //! Exit codes: 0 clean, 1 diff/regression/check failure, 2 usage or
 //! I/O error.
@@ -36,17 +32,17 @@ use lip_delta::{baseline_doc, check_one, diff_runs, parse, Json, RunBuilder, Run
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+    ExitCode::from(exit_code(&args))
+}
+
+/// The process exit code for `args`: 0 clean, 1 diff or check failure,
+/// 2 usage or I/O error.
+fn exit_code(args: &[String]) -> u8 {
+    match run(args) {
+        Ok(clean) => u8::from(!clean),
         Err(msg) => {
             eprintln!("lip_diff: {msg}");
-            ExitCode::from(2)
+            2
         }
     }
 }
@@ -61,7 +57,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         "list" => list(rest),
         "compare" => compare(rest),
         "baseline" => baseline(rest),
-        "schema" => schema(rest),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(true)
@@ -74,8 +69,7 @@ fn usage() -> String {
     "usage: lip_diff capture [--store DIR] [--label L] FILE...\n\
      \u{20}      lip_diff list [--store DIR]\n\
      \u{20}      lip_diff compare [--store DIR] [--json] <run_a> <run_b>\n\
-     \u{20}      lip_diff baseline check|accept [--baselines DIR] [FILE...]\n\
-     \u{20}      lip_diff schema [KEY]"
+     \u{20}      lip_diff baseline check|accept [--baselines DIR] [FILE...]"
         .to_owned()
 }
 
@@ -149,7 +143,7 @@ fn list(args: &[String]) -> Result<bool, String> {
             "{}  {:>4} artifact(s)  git {}  lanes {}  jobs {}  {}",
             m.run_id,
             m.artifacts.len(),
-            &m.git_sha[..m.git_sha.len().min(12)],
+            m.git_sha.get(..12).unwrap_or(&m.git_sha),
             m.lane_words,
             m.lip_jobs,
             m.label
@@ -293,21 +287,95 @@ fn baseline_accept(dir: &Path, files: &[&str]) -> Result<bool, String> {
     Ok(true)
 }
 
-fn schema(args: &[String]) -> Result<bool, String> {
-    match args {
-        [] => {
-            for &(k, v) in lip_obs::schema::ALL {
-                println!("{k}={v}");
-            }
-            Ok(true)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn code(args: &[&str]) -> u8 {
+        exit_code(&args.iter().map(|&a| a.to_owned()).collect::<Vec<_>>())
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lip_diff-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn usage_errors_and_missing_inputs_exit_2() {
+        for args in [
+            &[][..],
+            &["frobnicate"],
+            &["schema", "report"],
+            &["baseline"],
+            &["baseline", "bless"],
+            &["compare", "--bogus"],
+        ] {
+            assert_eq!(code(args), 2, "{args:?}");
         }
-        [key] => match lip_obs::schema::version(key) {
-            Some(v) => {
-                println!("{v}");
-                Ok(true)
-            }
-            None => Err(format!("unknown schema key '{key}'")),
-        },
-        _ => Err("schema takes at most one key".into()),
+        let dir = scratch("missing");
+        let store = dir.join("store");
+        let (store, missing) = (store.to_str().unwrap(), "no/such/BENCH_x.json");
+        assert_eq!(code(&["capture", "--store", store, missing]), 2);
+        assert_eq!(code(&["compare", "--store", store, "0123", "4567"]), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_or_garbled_baselines_exit_2() {
+        let dir = scratch("baseline");
+        let baselines = dir.join("baselines");
+        let check = || {
+            code(&[
+                "baseline",
+                "check",
+                "--baselines",
+                baselines.to_str().unwrap(),
+            ])
+        };
+        assert_eq!(check(), 2, "no baseline directory");
+        fs::create_dir_all(&baselines).unwrap();
+        assert_eq!(check(), 2, "no baselines in it");
+        let source = dir.join("BENCH_x.json");
+        let source = source.to_str().unwrap();
+        let good = baseline_doc(source, &parse("{\"ok\": true}").unwrap()).to_compact();
+        for garbled in ["", "{\"source\": ", "{\"source\": 7}", "[1, 2]", &good] {
+            // The last one is well formed, but its artifact is missing.
+            fs::write(baselines.join("BENCH_x.json"), garbled).unwrap();
+            assert_eq!(check(), 2, "baseline {garbled:?}");
+        }
+        fs::write(source, "{\"ok\": tru").unwrap();
+        assert_eq!(check(), 2, "garbled artifact");
+        fs::write(source, "{\"ok\": false}").unwrap();
+        assert_eq!(check(), 1, "a diverged artifact fails the check");
+        fs::write(source, "{\"ok\": true}").unwrap();
+        assert_eq!(check(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_manifests_exit_2_or_list() {
+        let dir = scratch("manifest");
+        let store = dir.join("store");
+        let artifact = dir.join("BENCH_x.json");
+        fs::write(&artifact, "{}").unwrap();
+        let (store_s, artifact_s) = (store.to_str().unwrap(), artifact.to_str().unwrap());
+        assert_eq!(code(&["capture", "--store", store_s, artifact_s]), 0);
+        let id = RunStore::open(&store).list().unwrap()[0].run_id.clone();
+        assert_eq!(code(&["compare", "--store", store_s, &id, &id]), 0);
+        assert_eq!(code(&["compare", "--store", store_s, &id, "ffff"]), 2);
+        let manifest = store.join(&id).join("manifest.json");
+        let text = fs::read_to_string(&manifest).unwrap();
+        // A multi-byte character straddling the 12-byte short SHA.
+        let sha = text.replace("\"git_sha\":\"", "\"git_sha\":\"01234567890\u{e9}");
+        assert_ne!(sha, text);
+        fs::write(&manifest, sha).unwrap();
+        assert_eq!(code(&["list", "--store", store_s]), 0);
+        fs::write(&manifest, &text[..text.len() / 2]).unwrap();
+        assert_eq!(code(&["list", "--store", store_s]), 2);
+        assert_eq!(code(&["compare", "--store", store_s, &id, &id]), 2);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

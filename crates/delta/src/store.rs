@@ -552,6 +552,37 @@ mod tests {
     }
 
     #[test]
+    fn hostile_manifests_are_errors_not_panics() {
+        let root = tmp_root("hostile");
+        let store = RunStore::open(&root);
+        let mut b = RunBuilder::new("h");
+        b.add_artifact("a.json", "1");
+        let id = b.commit(&store).unwrap();
+        let path = root.join(&id).join("manifest.json");
+        let good = fs::read_to_string(&path).unwrap();
+        // Emptied, mutated and truncated manifests: each is an error
+        // from both `list` and `load`, never a panic.
+        let mut hostile = vec![
+            String::new(),
+            "null".to_owned(),
+            "[]".to_owned(),
+            "{\"schemas\": {}, \"artifacts\": [{}]}".to_owned(),
+            good.replace("\"run_id\":", "\"run_idx\":"),
+            good.replace("\"created_ns\":", "\"created_ns\":\"x\",\"y\":"),
+            good.replace("\"name\":", "\"name\":7,\"n\":"),
+            good.replace('{', "["),
+            "[".repeat(100_000),
+        ];
+        hostile.extend((1..good.len() - 1).step_by(7).map(|n| good[..n].to_owned()));
+        for text in &hostile {
+            fs::write(&path, text).unwrap();
+            assert!(store.list().is_err(), "listed manifest {text:.80}");
+            assert!(store.load(&id).is_err(), "loaded manifest {text:.80}");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn empty_builder_refuses_commit() {
         let root = tmp_root("empty");
         let store = RunStore::open(&root);

@@ -157,6 +157,7 @@ fn lint_file(file: &str, opts: &Options) -> Result<Vec<Diagnostic>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lip_obs::Json;
 
     const BACK_TO_BACK: &str = "source in\n\
                                 shell a identity\n\
@@ -206,6 +207,40 @@ mod tests {
         assert!(fixed.contains("relay"), "{fixed}");
         // The fixed file now lints clean even under --deny all.
         assert_eq!(run(&["--deny", "all", &file]), 0);
+    }
+
+    /// The `--json` contract on the paper's Fig. 1: the stable schema,
+    /// one warning, the reconvergence pair with the exact 4/5
+    /// prediction, and the binding cycle node for node.
+    #[test]
+    fn json_contract_on_fig1() {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../designs/fig1.lid");
+        assert_eq!(run(&["--json", file]), 0);
+        let opts = parse_args(&["--json", file]).unwrap();
+        let per_file = [(file.to_owned(), lint_file(file, &opts).unwrap())];
+        let doc = lip_obs::json::parse(&render_json(&per_file)).unwrap();
+        assert_eq!(
+            doc.get("schema_version"),
+            Some(&Json::from(lip_obs::schema::LINT))
+        );
+        let files = doc.get("files").and_then(Json::as_arr).unwrap();
+        assert_eq!(files.len(), 1);
+        let counts = files[0].get("counts").unwrap();
+        assert_eq!(counts.get("warning"), Some(&Json::Int(1)));
+        let diags = files[0].get("diagnostics").and_then(Json::as_arr).unwrap();
+        let strs = |items: &[Json], key| -> Vec<String> {
+            items
+                .iter()
+                .filter_map(|d| Some(d.get(key)?.as_str()?.to_owned()))
+                .collect()
+        };
+        assert_eq!(strs(diags, "rule"), ["LIP004", "LIP005"]);
+        assert_eq!(
+            diags[0].get("predicted_throughput"),
+            Some(&Json::obj([("num", Json::Int(4)), ("den", Json::Int(5))]))
+        );
+        let nodes = diags[1].get("nodes").and_then(Json::as_arr).unwrap();
+        assert_eq!(strs(nodes, "name"), ["A", "r1", "B", "r2", "C", "r3"]);
     }
 
     #[test]

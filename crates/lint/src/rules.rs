@@ -117,7 +117,12 @@ fn declared_rules(
     let counter = match evidence {
         Evidence::Formula(facts) => {
             lip007(netlist, map, &facts.relay_bounds, diags);
-            lip008(facts.system_throughput(), facts.is_live(), diags);
+            lip008(
+                FORMULA_PROVES,
+                facts.system_throughput(),
+                facts.is_live(),
+                diags,
+            );
             "lint.facts.formula"
         }
         Evidence::Proof(program) => {
@@ -125,7 +130,12 @@ fn declared_rules(
             if let Ok(proof) = check_declared_compiled(netlist, program, &cfg) {
                 lip006(netlist, map, &proof, diags);
                 lip007(netlist, map, &proof.relay_bounds, diags);
-                lip008(proof.system_throughput(), proof.is_live(), diags);
+                lip008(
+                    CHECKER_PROVES,
+                    proof.system_throughput(),
+                    proof.is_live(),
+                    diags,
+                );
             }
             "lint.facts.proof"
         }
@@ -612,13 +622,19 @@ fn lip007(
     }
 }
 
+/// How LIP008 names the closed-form [`forest_facts`] as its evidence.
+const FORMULA_PROVES: &str = "closed-form forest facts prove";
+/// How LIP008 names the exhaustive proof as its evidence.
+const CHECKER_PROVES: &str = "model checker proved";
+
 /// LIP008 — environment-limited throughput: the declared facts prove a
 /// sustained rate below 1 token/cycle that the structural bottleneck
 /// rule (LIP005) either misses entirely (minimum cycle ratio 1) or
 /// predicts differently. Either way the declared environment, not the
 /// topology, is the binding constraint. Suppressed when any shell is
-/// dead — LIP006 already carries that stronger verdict.
-fn lip008(throughput: Option<Ratio>, live: bool, out: &mut Vec<Diagnostic>) {
+/// dead — LIP006 already carries that stronger verdict. `prover` names
+/// the path that decided: [`FORMULA_PROVES`] or [`CHECKER_PROVES`].
+fn lip008(prover: &str, throughput: Option<Ratio>, live: bool, out: &mut Vec<Diagnostic>) {
     let Some(proved) = throughput else {
         return;
     };
@@ -634,12 +650,12 @@ fn lip008(throughput: Option<Ratio>, live: bool, out: &mut Vec<Diagnostic>) {
     }
     let message = match structural {
         Some(s) => format!(
-            "model checker proved sustained throughput {proved}, but the \
+            "{prover} sustained throughput {proved}, but the \
              structural bottleneck analysis predicts {s}; the declared \
              environment is the binding constraint",
         ),
         None => format!(
-            "model checker proved sustained throughput {proved} although no \
+            "{prover} sustained throughput {proved} although no \
              structural bottleneck exists; the declared environment alone \
              limits the rate",
         ),
@@ -864,17 +880,51 @@ mod tests {
         // A shell-free ring is illegal: neither path runs.
         let (ring, map) = golden("lip002.lid");
         assert_eq!(decided(&ring, &map), None);
+
+        // LIP008 names the path that decided it.
+        let lip008 = |netlist: &Netlist, map: &SourceMap| {
+            let diags = lint(netlist, map);
+            diags
+                .iter()
+                .find(|d| d.rule == RuleId::Lip008)
+                .map(|d| d.message.clone())
+        };
+        let (limited, map) = golden("lip008.lid");
+        assert_eq!(decided(&limited, &map), FORMULA);
+        let by_formula = lip008(&limited, &map).unwrap();
+        assert!(by_formula.starts_with(FORMULA_PROVES), "{by_formula}");
+        FORCE_PROOF.set(true);
+        let by_proof = lip008(&limited, &map).unwrap();
+        FORCE_PROOF.set(false);
+        assert!(by_proof.starts_with(CHECKER_PROVES), "{by_proof}");
+        // A period far past the proof's state budget: only the closed
+        // form decides, and it must not credit the model checker.
+        let parsed = parse_netlist_spanned(
+            "source in voids=every:400000000:0\nshell a identity\nsink out\n\
+             connect in:0 -> a:0\nconnect a:0 -> out:0\n",
+        )
+        .unwrap();
+        let (slow, map) = (parsed.netlist, parsed.source_map);
+        assert_eq!(decided(&slow, &map), FORMULA);
+        let message = lip008(&slow, &map).unwrap();
+        assert!(message.starts_with(FORMULA_PROVES), "{message}");
+        assert!(message.contains("399999999/400000000"), "{message}");
+        FORCE_PROOF.set(true);
+        assert_eq!(lip008(&slow, &map), None, "the proof exceeds its budget");
+        FORCE_PROOF.set(false);
     }
 
     /// Lint `netlist` with the formula on and off; both must report the
-    /// same diagnostics. Returns whether the formula decided.
+    /// same diagnostics but for LIP008 naming its evidence. Returns
+    /// whether the formula decided.
     fn assert_formula_invisible(what: &str, netlist: &Netlist, map: &SourceMap) -> bool {
         let (with, facts) = lint_decided(netlist, map);
         FORCE_PROOF.set(true);
         let (without, fallback) = lint_decided(netlist, map);
         FORCE_PROOF.set(false);
         assert_ne!(fallback, FORMULA, "{what}: hook must hold");
-        assert_eq!(format!("{with:?}"), format!("{without:?}"), "{what}");
+        let with = format!("{with:?}").replace(FORMULA_PROVES, CHECKER_PROVES);
+        assert_eq!(with, format!("{without:?}"), "{what}");
         facts == FORMULA
     }
 

@@ -440,6 +440,48 @@ mod tests {
         assert!(f.get("relay_bounds").and_then(Json::as_arr).is_some());
     }
 
+    /// The `--json` contract on three shipped designs: the stable
+    /// schema and each design's exact proof (states, lasso shape,
+    /// verdict, per-sink throughput).
+    #[test]
+    fn json_contract_on_shipped_designs() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../designs");
+        let expected = [
+            ("fig1.lid", 7, 2, 5, "out", 4, 5),
+            ("soc.lid", 15, 8, 7, "dac", 6, 7),
+            ("buffered_loop.lid", 1, 0, 1, "out", 1, 1),
+        ];
+        let files: Vec<String> = expected.iter().map(|e| format!("{dir}/{}", e.0)).collect();
+        let mut args = vec!["--json"];
+        args.extend(files.iter().map(String::as_str));
+        assert_eq!(run(&args), 0);
+        let opts = parse_args(&args).unwrap();
+        let outcomes: Vec<FileOutcome> = files
+            .iter()
+            .map(|f| check_file(f, &opts).unwrap())
+            .collect();
+        let doc = lip_obs::json::parse(&json_doc(&outcomes)).unwrap();
+        assert_eq!(
+            doc.get("schema_version"),
+            Some(&Json::from(lip_obs::schema::MC))
+        );
+        let docs = doc.get("files").and_then(Json::as_arr).unwrap();
+        assert_eq!(docs.len(), expected.len());
+        for (f, &(name, states, stem, period, sink, num, den)) in docs.iter().zip(&expected) {
+            let int = |key| f.get(key).and_then(Json::as_int);
+            assert_eq!(int("states"), Some(states), "{name}");
+            assert_eq!(int("stem"), Some(stem), "{name}");
+            assert_eq!(int("period"), Some(period), "{name}");
+            assert_eq!(f.get("verdict"), Some(&Json::from("deadlock-free")));
+            let throughput = Json::obj([
+                ("sink", Json::from(sink)),
+                ("num", Json::Int(num)),
+                ("den", Json::Int(den)),
+            ]);
+            assert_eq!(f.get("throughput"), Some(&Json::Arr(vec![throughput])));
+        }
+    }
+
     #[test]
     fn budget_exhaustion_is_denied_only_with_deny_all() {
         let file = temp_file("budget.lid", LIVE_CHAIN);

@@ -16,8 +16,7 @@
 //!   counters (see [`flight`](crate::flight)).
 //!
 //! [`RuntimeReport`] rolls both into one JSON document carrying the
-//! workspace-wide [`SCHEMA_VERSION`](crate::SCHEMA_VERSION), so the
-//! `run_experiments.sh` / CI `check_report` gates apply unchanged.
+//! workspace-wide [`SCHEMA_VERSION`](crate::SCHEMA_VERSION).
 
 use crate::flight::{FlightDump, SpanRecord};
 use crate::json::Json;
@@ -338,9 +337,8 @@ impl RuntimeReport {
         self.kernel.as_ref()
     }
 
-    /// Serialize as the `BENCH_runtime.json` document. Carries the
-    /// workspace [`SCHEMA_VERSION`](crate::SCHEMA_VERSION) so the
-    /// shared `check_report` gate applies.
+    /// Serialize as the `BENCH_runtime.json` document, carrying the
+    /// workspace [`SCHEMA_VERSION`](crate::SCHEMA_VERSION).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut doc = vec![

@@ -4,12 +4,11 @@
 //! Each JSON document we emit (`BENCH_*.json` reports, `BLAME_*.json`
 //! profiles, lint findings, model-checker verdicts, run-store
 //! manifests, diff documents) carries a `schema_version` field so
-//! downstream tooling can evolve safely. Before this module the
-//! constants were scattered across crates and duplicated as literal
-//! numbers inside `run_experiments.sh` / CI jq strings — a bump in one
-//! place silently desynced the others. Emitters now read the constants
-//! here, and the shell gates read them back out of the `lip_diff
-//! schema` subcommand, so there is exactly one place to bump.
+//! downstream tooling can evolve safely. Emitters read the constants
+//! here, and every run-store manifest records [`ALL`], so there is
+//! exactly one place to bump. Whether an experiment's artefact holds
+//! is decided by the experiment bin itself: its exit status is its
+//! gate.
 
 /// `Report` JSON layout (`BENCH_*.json` bench reports).
 ///
@@ -33,9 +32,8 @@ pub const MANIFEST: u32 = 1;
 /// `lip_diff` comparison document and `BENCH_delta.json`.
 pub const DELTA: u32 = 1;
 
-/// Every `(key, version)` pair, in stable order. `lip_diff schema`
-/// prints this table so shell scripts can source the expected versions
-/// from the binary instead of hardcoding them.
+/// Every `(key, version)` pair, in stable order, as recorded in each
+/// run-store manifest.
 pub const ALL: &[(&str, u32)] = &[
     ("report", REPORT),
     ("blame", BLAME),
@@ -45,23 +43,9 @@ pub const ALL: &[(&str, u32)] = &[
     ("delta", DELTA),
 ];
 
-/// Look up a schema version by its key in [`ALL`].
-#[must_use]
-pub fn version(key: &str) -> Option<u32> {
-    ALL.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lookup_finds_every_key() {
-        for &(k, v) in ALL {
-            assert_eq!(version(k), Some(v), "key {k}");
-        }
-        assert_eq!(version("nope"), None);
-    }
 
     #[test]
     fn keys_are_unique() {

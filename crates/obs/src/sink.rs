@@ -25,7 +25,7 @@ use crate::probe::Probe;
 /// a sink that goes out of scope mid-experiment — early return, panic
 /// unwind, forgotten [`JsonlSink::finish`] — must not leave records
 /// stranded in a `BufWriter`, where a truncated-but-well-formed prefix
-/// would silently pass downstream `jq` schema checks. Call
+/// would silently pass downstream schema checks. Call
 /// [`JsonlSink::finish`] to *observe* flush errors.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {

@@ -148,6 +148,8 @@ struct Row {
     shells: usize,
     scalar_rate: f64,
     widths: Vec<WidthRow>,
+    /// Every width's counts equal the scalar runs', lane for lane.
+    identical: bool,
 }
 
 impl Row {
@@ -210,30 +212,25 @@ fn main() {
         let scalar_rate = (LANES as u64 * CYCLES) as f64 / t_scalar;
 
         let mut widths = Vec::new();
-        let mut counts64: Option<Vec<Vec<(u64, u64)>>> = None;
+        let mut identical = true;
         for (k, lanes) in LANE_WIDTHS.into_iter().enumerate() {
             let (m, _) = run_width(k);
             let t = t_width[k];
-            assert_eq!(m.lanes, lanes);
-            if lanes == LANES {
-                assert_eq!(
-                    m.counts, scalar,
-                    "{name}: 64-lane batch sink counts diverge from scalar runs"
-                );
-                counts64 = Some(m.counts.clone());
-            } else {
-                let base = counts64.as_ref().expect("64-lane sweep runs first");
-                for (j, per_lane) in m.counts.iter().enumerate() {
-                    for (l, &c) in per_lane.iter().enumerate() {
-                        assert_eq!(
-                            c,
-                            base[j][l % LANES],
-                            "{name}: width {lanes} lane {l} diverges from base lane {}",
-                            l % LANES
-                        );
-                    }
-                }
+            // Lane `l` of every width replicates base scenario `l % 64`,
+            // whose counts the scalar runs give.
+            let width_identical = m.lanes == lanes
+                && m.counts.len() == scalar.len()
+                && m.counts.iter().zip(&scalar).all(|(per_lane, base)| {
+                    per_lane.len() == lanes
+                        && per_lane
+                            .iter()
+                            .enumerate()
+                            .all(|(l, &c)| c == base[l % LANES])
+                });
+            if !width_identical {
+                eprintln!("{name}: width {lanes} sink counts diverge from the scalar runs");
             }
+            identical &= width_identical;
             let rate = (lanes as u64 * CYCLES) as f64 / t;
             progress.publish(&ProgressSnapshot {
                 experiment: "exp_batch_sweep".to_string(),
@@ -257,6 +254,7 @@ fn main() {
             shells: netlist.shells().len(),
             scalar_rate,
             widths,
+            identical,
         });
     }
     if let Some(e) = progress.take_error() {
@@ -287,7 +285,11 @@ fn main() {
         .collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&header_refs, &printable));
-    println!("(counts bit-identical lane-for-lane across all widths on every topology)");
+    let identical = rows.iter().all(|r| r.identical);
+    println!(
+        "counts bit-identical lane-for-lane across all widths on every topology: {}",
+        mark(identical)
+    );
 
     let min_at = |lanes: usize| {
         rows.iter()
@@ -362,6 +364,7 @@ fn main() {
     }
     let ok = widest == WIDEST_LANES
         && !rows.is_empty()
+        && identical
         && min_at(LANES) >= CLAIMED_SPEEDUP
         && min_at(widest) >= WIDE_SPEEDUP;
     let mut report = Report::new("exp_batch_sweep");
@@ -374,6 +377,7 @@ fn main() {
         .push_f64("min_speedup", min_at(LANES))
         .push_f64("widest_min_speedup", min_at(widest))
         .push_int("topologies", rows.len() as u64)
+        .push_bool("bit_identical", identical)
         .push_bool("ok", ok);
     emit_report(&report);
 }

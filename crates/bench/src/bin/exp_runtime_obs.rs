@@ -31,13 +31,19 @@
 //! `LIP_FLIGHT=0` runs only legs 1–2 (the overhead gate) — the mode CI
 //! uses to check the disabled path in isolation without rewriting the
 //! enabled-leg artefacts.
+//!
+//! A full run then records how the `lip_lint` path scales with design
+//! size: parse, validate and lint times and parse MB/s on binary trees
+//! of depth 8–16 and four-relay chains, 10³ to 1.3·10⁵ relay stations.
+//! Those timings are reported, not gated; the gate is that each parsed
+//! design writes back to its generator's text.
 
 use std::time::Instant;
 
 use lip_analysis::minimal_equalizing_capacity;
-use lip_bench::{banner, emit_report, mark, report_dir, table, trace_phases, Report};
+use lip_bench::{banner, emit_report, mark, report_dir, table, trace_phases, Json, Report};
 use lip_core::{Pattern, RelayKind};
-use lip_graph::{generate, Netlist};
+use lip_graph::{generate, parse_netlist_spanned, write_netlist, Netlist};
 use lip_obs::{
     flight, runtime_chrome_trace, span_coverage, FlightRecorder, KernelCounters, NullProgress,
     PromFileProgress, RuntimeReport,
@@ -49,9 +55,12 @@ use lip_sim::{
 
 const BUDGET: u64 = 8192;
 const REPS: usize = 25;
-/// Corpus passes per timed leg: one pass takes well under a
-/// millisecond, too short to hold a 3% gate against host noise.
-const PASSES: usize = 8;
+/// Shortest timed leg: one corpus pass takes well under a millisecond,
+/// too short to hold a 3% gate against host noise, so each leg repeats
+/// the corpus until it lasts this long.
+const MIN_LEG_SECS: f64 = 0.05;
+/// Timed rounds per design of the scaling section (best of).
+const SCALE_REPS: usize = 3;
 /// Gate: runtime-disabled instrumentation must cost `< 3%` wall clock.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 3.0;
 /// Gate: the fully-enabled recorder (spans + counted kernels with
@@ -94,19 +103,25 @@ fn corpus() -> Vec<(String, Netlist)> {
     ]
 }
 
-/// One timed leg ([`PASSES`] passes over the corpus) with all hooks
+/// One timed leg (`passes` passes over the corpus) with all hooks
 /// compiled away.
-fn leg_baseline(items: &[(String, Netlist, LanePatterns)]) {
-    for (_, netlist, pats) in items.iter().cycle().take(PASSES * items.len()) {
+fn leg_baseline(items: &[(String, Netlist, LanePatterns)], passes: usize) {
+    for (_, netlist, pats) in items.iter().cycle().take(passes * items.len()) {
         std::hint::black_box(
             measure_batch_periodic(netlist, pats, BUDGET).expect("corpus measures"),
         );
     }
 }
 
-/// One timed leg with the recorder present but runtime-disabled.
-fn leg_disabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) {
-    for (name, netlist, pats) in items.iter().cycle().take(PASSES * items.len()) {
+/// One timed leg with the recorder present but runtime-disabled;
+/// `false` if any measurement counted kernels.
+fn leg_disabled(
+    items: &[(String, Netlist, LanePatterns)],
+    rec: &FlightRecorder,
+    passes: usize,
+) -> bool {
+    let mut uncounted = true;
+    for (name, netlist, pats) in items.iter().cycle().take(passes * items.len()) {
         let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
             netlist,
             pats,
@@ -116,16 +131,23 @@ fn leg_disabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder)
             &mut NullProgress,
         )
         .expect("corpus measures");
-        assert!(kc.is_none(), "disabled recorder must not count kernels");
+        uncounted &= kc.is_none();
         std::hint::black_box(m);
     }
+    uncounted
 }
 
 /// One timed leg with the recorder fully enabled: spans recorded and
 /// kernel executions counted — the apples-to-apples cost of *running*
-/// the instrumentation over the exact work the other legs time.
-fn leg_enabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) {
-    for (name, netlist, pats) in items.iter().cycle().take(PASSES * items.len()) {
+/// the instrumentation over the exact work the other legs time; `false`
+/// if any measurement went uncounted.
+fn leg_enabled(
+    items: &[(String, Netlist, LanePatterns)],
+    rec: &FlightRecorder,
+    passes: usize,
+) -> bool {
+    let mut counted = true;
+    for (name, netlist, pats) in items.iter().cycle().take(passes * items.len()) {
         let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
             netlist,
             pats,
@@ -135,8 +157,25 @@ fn leg_enabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) 
             &mut NullProgress,
         )
         .expect("corpus measures");
-        assert!(kc.is_some(), "enabled recorder must count kernels");
+        counted &= kc.is_some();
         std::hint::black_box((m, kc));
+    }
+    counted
+}
+
+/// Corpus passes that make a baseline leg last [`MIN_LEG_SECS`]: whole
+/// legs are timed and rescaled until one does, since a lone pass runs
+/// colder than the passes of a leg.
+fn passes_per_leg(items: &[(String, Netlist, LanePatterns)]) -> usize {
+    let mut passes = 1;
+    loop {
+        let t0 = Instant::now();
+        leg_baseline(items, passes);
+        let secs = t0.elapsed().as_secs_f64();
+        if secs >= MIN_LEG_SECS {
+            return passes;
+        }
+        passes = ((passes as f64 * MIN_LEG_SECS / secs).ceil() as usize).max(passes + 1);
     }
 }
 
@@ -186,7 +225,8 @@ fn main() {
     // ------------------------------------------------------------------
     // Legs 1 + 2: the overhead gate.
     // ------------------------------------------------------------------
-    leg_baseline(&items); // warm-up: fault code + allocator before timing
+    leg_baseline(&items, 1); // warm-up: fault code + allocator before timing
+    let passes = passes_per_leg(&items);
     let off = FlightRecorder::disabled();
     // Leg 3a, timed in the same rounds: the *fair* enabled-overhead
     // measurement — identical corpus work, recorder on. (The
@@ -194,9 +234,10 @@ fn main() {
     // lint fixes, fan-out — so its wall time is not an overhead
     // number.)
     let on = FlightRecorder::new();
-    let mut base = || leg_baseline(&items);
-    let mut disabled = || leg_disabled(&items, &off);
-    let mut enabled = || leg_enabled(&items, &on);
+    let (mut uncounted, mut counted) = (true, true);
+    let mut base = || leg_baseline(&items, passes);
+    let mut disabled = || uncounted &= leg_disabled(&items, &off, passes);
+    let mut enabled = || counted &= leg_enabled(&items, &on, passes);
     let times = if overhead_only {
         interleaved_best(&mut [&mut base, &mut disabled])
     } else {
@@ -206,12 +247,15 @@ fn main() {
     let (t_base, t_off) = (times[0], times[1]);
     let overhead_disabled_pct = ((t_off / t_base) - 1.0).max(0.0) * 100.0;
     println!(
-        "overhead: baseline {:.2} ms, disabled recorder {:.2} ms -> {:.2}% (gate < {MAX_DISABLED_OVERHEAD_PCT}%) {}",
+        "overhead: {passes} corpus passes per leg; baseline {:.2} ms, disabled recorder {:.2} ms -> {:.2}% (gate < {MAX_DISABLED_OVERHEAD_PCT}%) {}",
         t_base * 1e3,
         t_off * 1e3,
         overhead_disabled_pct,
         mark(overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT),
     );
+    if !uncounted {
+        eprintln!("the disabled recorder counted kernels");
+    }
     println!();
 
     if overhead_only {
@@ -224,10 +268,14 @@ fn main() {
         let mut report = Report::new("exp_runtime_obs");
         report
             .push_str("mode", "disabled_only")
+            .push_int("passes_per_leg", passes as u64)
             .push_f64("wall_time_baseline_sec", t_base)
             .push_f64("wall_time_disabled_sec", t_off)
             .push_f64("overhead_pct", overhead_disabled_pct)
-            .push_bool("ok", overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT);
+            .push_bool(
+                "ok",
+                overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT && uncounted,
+            );
         emit_report(&report);
         return;
     }
@@ -251,7 +299,7 @@ fn main() {
     let mut rows: Vec<TopoRow> = Vec::new();
     let mut merged: Option<KernelCounters> = None;
     let t0 = Instant::now();
-    {
+    let (cache_ok, fix_ok, fanout_ok) = {
         let _root = rec.span("sweep", "exp_runtime_obs");
         for (name, netlist, pats) in &items {
             let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
@@ -263,26 +311,24 @@ fn main() {
                 &mut progress,
             )
             .expect("corpus measures");
-            let kc = kc.expect("enabled recorder must count kernels");
+            let Some(kc) = kc else {
+                counted = false;
+                continue;
+            };
             // The exact accounting check: every tape op of every settle
             // counted once, and settles match the cycles executed.
             let tape_len = SettleProgram::compile(netlist)
                 .expect("corpus compiles")
                 .kernel_op_count() as u64;
-            assert_eq!(kc.settles, m.cycles, "{name}: one counted settle per cycle");
-            assert_eq!(
-                kc.total_ops(),
-                tape_len * kc.settles,
-                "{name}: ops retired must equal tape length x settles"
-            );
-            assert!(kc.reconciles(), "{name}: kernel counters must reconcile");
             rows.push(TopoRow {
                 name: name.clone(),
                 cycles: m.cycles,
                 settles: kc.settles,
                 ops: kc.total_ops(),
                 occupancy: kc.occupancy(),
-                reconciled: kc.reconciles(),
+                reconciled: kc.reconciles()
+                    && kc.settles == m.cycles
+                    && kc.total_ops() == tape_len * kc.settles,
             });
             match merged.as_mut() {
                 Some(acc) => acc.merge(&kc),
@@ -292,22 +338,21 @@ fn main() {
 
         // Cache + analysis telemetry: a memoized capacity search run
         // twice — the second run is pure cache hits.
-        {
+        let cache_ok = {
             let f = generate::fig1();
             let mut cache = ThroughputCache::new();
             let first = minimal_equalizing_capacity(&f.netlist, f.short_relays[0], 6, &mut cache)
                 .expect("fig1 sizes");
             let second = minimal_equalizing_capacity(&f.netlist, f.short_relays[0], 6, &mut cache)
                 .expect("fig1 sizes");
-            assert_eq!(first, second);
-            assert!(cache.hits() > 0 && cache.misses() > 0);
-        }
+            first == second && cache.hits() > 0 && cache.misses() > 0
+        };
 
         // Lint-fix telemetry: the `lip-lint --fix` flow — one compile
         // per file, then every insertion fix-it applied as an
         // incremental patch (`compile.patch`), never a per-fix
         // recompile.
-        {
+        let fix_ok = {
             let src = "source in\n\
                        shell a identity\n\
                        shell b identity\n\
@@ -321,27 +366,23 @@ fn main() {
             let mut program = SettleProgram::compile(&netlist).expect("lint corpus compiles");
             let fix = lip_lint::apply_fixits_compiled(&mut netlist, &mut program, &diags)
                 .expect("fixes apply");
-            assert!(
-                fix.total_inserted() > 0,
-                "lint corpus must trigger insertion fix-its"
-            );
-            assert_eq!(
-                program,
-                SettleProgram::compile(&netlist).expect("fixed netlist compiles"),
-                "patched program must equal a fresh compile of the fixed netlist"
-            );
-        }
+            // The fixes insert relays, and the patched program equals a
+            // fresh compile of the fixed netlist.
+            fix.total_inserted() > 0
+                && SettleProgram::compile(&netlist).is_ok_and(|fresh| fresh == program)
+        };
 
         // Worker telemetry: a small fan-out so `par` spans land in the
         // dump (worker spans live on their own threads; the wrapper
         // span keeps the main thread's time accounted).
-        {
+        let fanout_ok = {
             let _fanout = rec.span("par", "fanout");
             let names: Vec<String> = items.iter().map(|(n, _, _)| n.clone()).collect();
             let lens = lip_par::par_map_jobs(2, &names, String::len);
-            assert_eq!(lens.len(), items.len());
-        }
-    }
+            lens.len() == items.len()
+        };
+        (cache_ok, fix_ok, fanout_ok)
+    };
     let t_on = t0.elapsed().as_secs_f64();
     flight::uninstall();
     let dump = rec.drain();
@@ -351,7 +392,10 @@ fn main() {
     }
 
     let coverage = span_coverage(&dump, "sweep");
-    let merged = merged.expect("corpus is non-empty");
+    let Some(merged) = merged else {
+        eprintln!("error: the enabled recorder counted no topology");
+        std::process::exit(1);
+    };
 
     let printable: Vec<Vec<String>> = rows
         .iter()
@@ -442,8 +486,27 @@ fn main() {
     let prom_path = report_dir().join("progress.prom");
     println!("wrote {} (lip-top input)", prom_path.display());
 
+    let scaling: Vec<ScaleRow> = scaling_corpus()
+        .into_iter()
+        .map(|(name, netlist)| scale_row(name, &netlist))
+        .collect();
+    print_scaling(&scaling);
+
     let phases = trace_phases(&trace);
     let checks = [
+        ("every measurement counted when enabled", counted),
+        ("no measurement counted when disabled", uncounted),
+        (
+            "every topology settles once per cycle and reconciles",
+            rows.len() == items.len() && rows.iter().all(|r| r.reconciled),
+        ),
+        ("capacity search repeats from the cache", cache_ok),
+        ("lint fixes patch the program exactly", fix_ok),
+        ("par fan-out maps every item", fanout_ok),
+        (
+            "each parsed design equals its generator's",
+            scaling.iter().all(|r| r.same),
+        ),
         ("all six counters surfaced", surfaced),
         ("every capacity probe is a patch", patched),
         (
@@ -504,6 +567,123 @@ fn main() {
         .push_f64("kernel_occupancy", merged.occupancy())
         .push_bool("kernel_reconciled", merged.reconciles())
         .push_int("topologies", rows.len() as u64)
+        .push_int("passes_per_leg", passes as u64)
+        .push_raw("parse_scaling", scaling_json(&scaling).to_compact())
         .push_bool("ok", ok);
     emit_report(&report);
+}
+
+/// The scaling section's designs: binary trees of depth 8–16 and
+/// four-relay chains, 10³ to 1.3·10⁵ relay stations.
+fn scaling_corpus() -> Vec<(String, Netlist)> {
+    let trees = (8..=16).map(|d| (format!("tree({d},2,1)"), generate::tree(d, 2, 1).netlist));
+    let chains = [256, 1024, 4096, 16384, 32768].map(|k| {
+        (
+            format!("chain({k},4)"),
+            generate::chain(k, 4, RelayKind::Full).netlist,
+        )
+    });
+    trees.chain(chains).collect()
+}
+
+/// One design of the scaling section: best-of-[`SCALE_REPS`] seconds
+/// per layer of the `lip_lint` path.
+struct ScaleRow {
+    name: String,
+    relays: usize,
+    bytes: usize,
+    parse_s: f64,
+    validate_s: f64,
+    lint_s: f64,
+    /// The parsed design writes back to its generator's text.
+    same: bool,
+}
+
+fn scale_row(name: String, generated: &Netlist) -> ScaleRow {
+    let text = write_netlist(generated);
+    let mut row = ScaleRow {
+        name,
+        relays: generated.census().relays(),
+        bytes: text.len(),
+        parse_s: f64::INFINITY,
+        validate_s: f64::INFINITY,
+        lint_s: f64::INFINITY,
+        same: false,
+    };
+    for rep in 0..SCALE_REPS {
+        let t0 = Instant::now();
+        let Ok(parsed) = parse_netlist_spanned(&text) else {
+            return row;
+        };
+        let t1 = Instant::now();
+        let valid = parsed.netlist.validate();
+        let t2 = Instant::now();
+        std::hint::black_box(lip_lint::lint(&parsed.netlist, &parsed.source_map));
+        let t3 = Instant::now();
+        if rep == 0 {
+            row.same = valid.is_ok() && write_netlist(&parsed.netlist) == text;
+        }
+        row.parse_s = row.parse_s.min((t1 - t0).as_secs_f64());
+        row.validate_s = row.validate_s.min((t2 - t1).as_secs_f64());
+        row.lint_s = row.lint_s.min((t3 - t2).as_secs_f64());
+    }
+    row
+}
+
+impl ScaleRow {
+    fn parse_mb_per_sec(&self) -> f64 {
+        self.bytes as f64 / self.parse_s / 1e6
+    }
+}
+
+fn print_scaling(rows: &[ScaleRow]) {
+    let printable: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.clone(),
+                r.relays.to_string(),
+                format!("{:.2}", r.bytes as f64 / 1e6),
+                format!("{:.2}", r.parse_s * 1e3),
+                format!("{:.1}", r.parse_mb_per_sec()),
+                format!("{:.2}", r.validate_s * 1e3),
+                format!("{:.2}", r.lint_s * 1e3),
+                mark(r.same).into(),
+            ]
+        })
+        .collect();
+    println!("lint path scaling (best of {SCALE_REPS}; timings reported, not gated):");
+    println!(
+        "{}",
+        table(
+            &[
+                "design",
+                "relays",
+                "MB",
+                "parse ms",
+                "parse MB/s",
+                "validate ms",
+                "lint ms",
+                "round trip"
+            ],
+            &printable,
+        )
+    );
+}
+
+fn scaling_json(rows: &[ScaleRow]) -> Json {
+    rows.iter()
+        .map(|r| {
+            Json::obj([
+                ("design", r.name.as_str().into()),
+                ("relays", r.relays.into()),
+                ("bytes", r.bytes.into()),
+                ("parse_ms", Json::fixed(r.parse_s * 1e3, 3)),
+                ("parse_mb_per_sec", Json::fixed(r.parse_mb_per_sec(), 1)),
+                ("validate_ms", Json::fixed(r.validate_s * 1e3, 3)),
+                ("lint_ms", Json::fixed(r.lint_s * 1e3, 3)),
+                ("round_trip", r.same.into()),
+            ])
+        })
+        .collect()
 }

@@ -205,6 +205,16 @@ impl Default for PortTable {
 }
 
 impl PortTable {
+    /// An empty table with room for `nodes` nodes holding `slots` ports.
+    fn with_capacity(nodes: usize, slots: usize) -> Self {
+        let mut first = Vec::with_capacity(nodes + 1);
+        first.push(0);
+        PortTable {
+            first,
+            slots: Vec::with_capacity(slots),
+        }
+    }
+
     /// Add the next node's `count` unconnected ports.
     fn push(&mut self, count: usize) {
         self.slots.resize(self.slots.len() + count, None);
@@ -261,6 +271,20 @@ impl Netlist {
         Self::default()
     }
 
+    /// An empty netlist with room for `nodes` nodes and `channels`
+    /// channels, and as many ports each way as channels: building a
+    /// connected netlist of that size grows no table.
+    #[must_use]
+    pub(crate) fn with_capacity(nodes: usize, channels: usize) -> Self {
+        Netlist {
+            nodes: Vec::with_capacity(nodes),
+            channels: Vec::with_capacity(channels),
+            out_ports: PortTable::with_capacity(nodes, channels),
+            in_ports: PortTable::with_capacity(nodes, channels),
+            variant: ProtocolVariant::default(),
+        }
+    }
+
     /// An empty netlist under an explicit protocol variant.
     #[must_use]
     pub fn with_variant(variant: ProtocolVariant) -> Self {
@@ -282,7 +306,7 @@ impl Netlist {
         self.variant = variant;
     }
 
-    fn add_node(&mut self, name: String, kind: NodeKind) -> NodeId {
+    pub(crate) fn add_node(&mut self, name: String, kind: NodeKind) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
         self.out_ports.push(kind.num_outputs());
         self.in_ports.push(kind.num_inputs());

@@ -53,6 +53,15 @@ impl SourceMap {
         Self::default()
     }
 
+    /// An empty map with room for `nodes` nodes and `channels` channels.
+    #[must_use]
+    pub(crate) fn with_capacity(nodes: usize, channels: usize) -> Self {
+        SourceMap {
+            nodes: Vec::with_capacity(nodes),
+            channels: Vec::with_capacity(channels),
+        }
+    }
+
     /// Span of the statement that declared `node`, if it was parsed
     /// from text.
     #[must_use]

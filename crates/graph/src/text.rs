@@ -35,6 +35,7 @@
 //! into the file. Parse errors carry the same [`Span`] machinery plus a
 //! structured [`ParseErrorKind`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -188,27 +189,69 @@ struct Tok<'a> {
     text: &'a str,
 }
 
-fn tokenize(line_no: u32, raw: &str) -> Vec<Tok<'_>> {
-    let code = raw.split('#').next().unwrap_or("");
-    let bytes = code.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_whitespace() {
-            i += 1;
-            continue;
+/// The input split into lines of tokens in one scan over its bytes: a
+/// line ends at `\n`, a `#` comments out the rest of it, and every other
+/// ASCII whitespace byte (`\r` included) separates tokens.
+struct Lexer<'a> {
+    text: &'a str,
+    /// Byte offset of the next line.
+    pos: usize,
+    /// 1-based number of the line last read.
+    line: u32,
+}
+
+impl<'a> Lexer<'a> {
+    /// Refill `toks` with the next line's tokens; `false` at the end of
+    /// the text.
+    fn next_line(&mut self, toks: &mut Vec<Tok<'a>>) -> bool {
+        let bytes = self.text.as_bytes();
+        if self.pos >= bytes.len() {
+            return false;
         }
-        let start = i;
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
+        toks.clear();
+        self.line = self.line.saturating_add(1);
+        let start = self.pos;
+        let mut i = start;
+        while i < bytes.len() && bytes[i] != b'\n' {
+            let b = bytes[i];
+            if b == b'#' {
+                i = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |end| i + end);
+                break;
+            }
+            if b.is_ascii_whitespace() {
+                i += 1;
+                continue;
+            }
+            let begin = i;
+            while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'#' {
+                i += 1;
+            }
+            let col = u32::try_from(begin - start + 1).unwrap_or(u32::MAX);
+            toks.push(Tok {
+                span: Span::new(self.line, col),
+                text: &self.text[begin..i],
+            });
         }
-        let col = u32::try_from(start).map_or(u32::MAX, |c| c + 1);
-        toks.push(Tok {
-            span: Span::new(line_no, col),
-            text: &code[start..i],
-        });
+        self.pos = i + 1;
+        true
     }
-    toks
+}
+
+/// Estimated node and `connect` statements in `text`, from two byte
+/// counts (lines, and occurrences of `connect`): the capacities the
+/// parser sizes its tables at. A name containing `connect` or a blank
+/// line costs a little slack, never a wrong parse; and no estimate
+/// exceeds what the text's length could hold of the shortest statements
+/// (`sink a` and `connect a:0 b:0`, each with its line end), so a file
+/// of blank lines reserves no more than one of real statements.
+fn statement_counts(text: &str) -> (usize, usize) {
+    let room = text.len() + 1;
+    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let connects = text.matches("connect").count().min(lines).min(room / 16);
+    ((lines - connects).min(room / 7), connects)
 }
 
 /// Parse the textual format into a [`Netlist`] plus a name → node map.
@@ -231,109 +274,201 @@ pub fn parse_netlist(text: &str) -> Result<(Netlist, HashMap<String, NodeId>), P
 /// Parse the textual format, keeping the [`SourceMap`] that locates
 /// every node and channel in the input.
 ///
+/// One scan over the text's bytes, with every table sized beforehand
+/// from an estimate of its statements, so on a typical file nothing
+/// grows or rehashes while parsing. The first error in text order is
+/// returned; a `connect` may only name nodes declared above it.
+///
 /// # Errors
 ///
 /// Returns [`ParseNetlistError`] with the offending span on any syntax
 /// or connectivity problem. The returned netlist is *not* validated.
 pub fn parse_netlist_spanned(text: &str) -> Result<ParsedNetlist, ParseNetlistError> {
-    fn declare<'a>(
-        names: &mut HashMap<&'a str, NodeId>,
-        source_map: &mut SourceMap,
-        tok: Tok<'a>,
-        id: NodeId,
-    ) -> Result<(), ParseNetlistError> {
-        if names.insert(tok.text, id).is_some() {
-            return Err(err(
-                tok.span,
-                ParseErrorKind::DuplicateName(tok.text.to_owned()),
-            ));
-        }
-        source_map.record_node(id, tok.span);
-        Ok(())
+    let (nodes, connects) = statement_counts(text);
+    let mut parser = Parser {
+        netlist: Netlist::with_capacity(nodes, connects),
+        names: HashMap::with_capacity(nodes),
+        source_map: SourceMap::with_capacity(nodes, connects),
+        budget: text.len(),
+    };
+    let mut lexer = Lexer {
+        text,
+        pos: 0,
+        line: 0,
+    };
+    let mut toks = Vec::new();
+    while lexer.next_line(&mut toks) {
+        parser.statement(&toks)?;
     }
+    Ok(ParsedNetlist {
+        netlist: parser.netlist,
+        source_map: parser.source_map,
+    })
+}
 
-    let mut n = Netlist::new();
-    // Names borrow from `text`; the netlist keeps its own copy.
-    let mut names: HashMap<&str, NodeId> = HashMap::new();
-    let mut source_map = SourceMap::new();
+/// What one parse builds as it goes.
+struct Parser<'a> {
+    netlist: Netlist,
+    /// Declared names, borrowed from the input; the netlist keeps its
+    /// own copy. std's keyed hasher on purpose: the keys come from the
+    /// file, and a fixed hash would let a crafted one flood the table.
+    names: HashMap<&'a str, NodeId>,
+    source_map: SourceMap,
+    /// What the text's counts may still add up to; see [`Parser::count`].
+    budget: usize,
+}
 
-    for (li, raw) in text.lines().enumerate() {
-        let line_no = u32::try_from(li).map_or(u32::MAX, |l| l + 1);
-        let toks = tokenize(line_no, raw);
-        let Some(&head) = toks.first() else { continue };
-        let name_tok = |statement: &'static str| -> Result<Tok<'_>, ParseNetlistError> {
+impl<'a> Parser<'a> {
+    /// Parse one line's tokens (none for a blank or comment line).
+    fn statement(&mut self, toks: &[Tok<'a>]) -> Result<(), ParseNetlistError> {
+        let Some(&head) = toks.first() else {
+            return Ok(());
+        };
+        let name = |statement: &'static str| {
             toks.get(1)
                 .copied()
                 .ok_or_else(|| err(head.span, ParseErrorKind::MissingName { statement }))
         };
-        match head.text {
+        let (name, kind) = match head.text {
             "source" => {
-                let name = name_tok("source")?;
-                let pattern = parse_pattern(&toks[2..], "voids")?;
-                let id = n.add_source_with_pattern(name.text, pattern);
-                declare(&mut names, &mut source_map, name, id)?;
+                let name = name("source")?;
+                let void_pattern = parse_pattern(&toks[2..], "voids")?;
+                (name, NodeKind::Source { void_pattern })
             }
             "sink" => {
-                let name = name_tok("sink")?;
-                let pattern = parse_pattern(&toks[2..], "stops")?;
-                let id = n.add_sink_with_pattern(name.text, pattern);
-                declare(&mut names, &mut source_map, name, id)?;
+                let name = name("sink")?;
+                let stop_pattern = parse_pattern(&toks[2..], "stops")?;
+                (name, NodeKind::Sink { stop_pattern })
             }
             "relay" => {
-                let name = name_tok("relay")?;
+                let name = name("relay")?;
                 let kind_tok = toks
                     .get(2)
                     .copied()
                     .ok_or_else(|| err(name.span, ParseErrorKind::MissingRelayKind))?;
                 let kind = parse_relay_kind(kind_tok)?;
-                let id = n.add_relay_named(name.text, kind);
-                declare(&mut names, &mut source_map, name, id)?;
+                (name, NodeKind::Relay { kind })
             }
             "shell" | "buffered-shell" => {
-                let name = name_tok("shell")?;
-                let pearl = parse_pearl(name.span, &toks[2..])?;
-                let id = if head.text == "shell" {
-                    n.add_shell_boxed(name.text, pearl)
-                } else {
-                    n.add_buffered_shell_boxed(name.text, pearl)
-                };
-                declare(&mut names, &mut source_map, name, id)?;
+                let name = name("shell")?;
+                let pearl = self.pearl(name.span, &toks[2..])?;
+                let buffered = head.text == "buffered-shell";
+                (name, NodeKind::Shell { pearl, buffered })
             }
-            "connect" => {
-                // connect a:0 -> b:1   (the arrow is optional)
-                let parts: Vec<Tok<'_>> = toks[1..]
-                    .iter()
-                    .copied()
-                    .filter(|t| t.text != "->")
-                    .collect();
-                if parts.len() != 2 {
-                    return Err(err(head.span, ParseErrorKind::MalformedConnect));
-                }
-                let (fa, fp) = parse_port(parts[0])?;
-                let (ta, tp) = parse_port(parts[1])?;
-                let from = *names.get(fa).ok_or_else(|| {
-                    err(parts[0].span, ParseErrorKind::UnknownNode(fa.to_owned()))
-                })?;
-                let to = *names.get(ta).ok_or_else(|| {
-                    err(parts[1].span, ParseErrorKind::UnknownNode(ta.to_owned()))
-                })?;
-                let channel = n
-                    .connect(from, fp, to, tp)
-                    .map_err(|e| err(head.span, ParseErrorKind::Connect(e)))?;
-                source_map.record_channel(channel, parts[0].span);
-            }
+            "connect" => return self.connect(head, &toks[1..]),
             other => {
                 return Err(err(
                     head.span,
                     ParseErrorKind::UnknownStatement(other.to_owned()),
                 ))
             }
+        };
+        self.declare(name, kind)
+    }
+
+    /// Add the node a statement declares, unless its name is taken.
+    fn declare(&mut self, name: Tok<'a>, kind: NodeKind) -> Result<(), ParseNetlistError> {
+        match self.names.entry(name.text) {
+            Entry::Occupied(_) => Err(err(
+                name.span,
+                ParseErrorKind::DuplicateName(name.text.to_owned()),
+            )),
+            Entry::Vacant(slot) => {
+                let id = self.netlist.add_node(name.text.to_owned(), kind);
+                slot.insert(id);
+                self.source_map.record_node(id, name.span);
+                Ok(())
+            }
         }
     }
-    Ok(ParsedNetlist {
-        netlist: n,
-        source_map,
-    })
+
+    /// `connect a:0 -> b:1`: every `->` is optional, and exactly two
+    /// endpoints must remain.
+    fn connect(&mut self, head: Tok<'a>, args: &[Tok<'a>]) -> Result<(), ParseNetlistError> {
+        let mut ends = args.iter().copied().filter(|t| t.text != "->");
+        let (Some(from), Some(to), None) = (ends.next(), ends.next(), ends.next()) else {
+            return Err(err(head.span, ParseErrorKind::MalformedConnect));
+        };
+        let (from_name, from_port) = parse_port(from)?;
+        let (to_name, to_port) = parse_port(to)?;
+        let from_node = self.node(from, from_name)?;
+        let to_node = self.node(to, to_name)?;
+        let channel = self
+            .netlist
+            .connect(from_node, from_port, to_node, to_port)
+            .map_err(|e| err(head.span, ParseErrorKind::Connect(e)))?;
+        self.source_map.record_channel(channel, from.span);
+        Ok(())
+    }
+
+    /// The node declared as `name`, which `tok` names.
+    fn node(&self, tok: Tok<'_>, name: &str) -> Result<NodeId, ParseNetlistError> {
+        self.names
+            .get(name)
+            .copied()
+            .ok_or_else(|| err(tok.span, ParseErrorKind::UnknownNode(name.to_owned())))
+    }
+
+    fn pearl(
+        &mut self,
+        name_span: Span,
+        args: &[Tok<'_>],
+    ) -> Result<Box<dyn Pearl>, ParseNetlistError> {
+        let (&kind, args) = args
+            .split_first()
+            .ok_or_else(|| err(name_span, ParseErrorKind::MissingPearl))?;
+        Ok(match kind.text {
+            "identity" => Box::new(IdentityPearl::with_fanout(
+                self.count(args, "fanout", 1, 1)?,
+            )),
+            "join" => {
+                let arity = self.count(args, "arity", 2, 1)?;
+                match arg(args, "op") {
+                    None | Some(("first", _)) => Box::new(JoinPearl::first(arity)),
+                    Some(("sum", _)) => Box::new(JoinPearl::sum(arity)),
+                    Some(("max", _)) => Box::new(JoinPearl::max(arity)),
+                    Some((other, span)) => {
+                        return Err(err(span, ParseErrorKind::UnknownJoinOp(other.to_owned())))
+                    }
+                }
+            }
+            "router" => {
+                let inputs = self.count(args, "in", 1, 0)?;
+                Box::new(RouterPearl::new(inputs, self.count(args, "out", 1, 1)?))
+            }
+            "accumulator" => Box::new(AccumulatorPearl::new()),
+            "counter" => Box::new(CounterPearl::new()),
+            "delay" => Box::new(DelayPearl::new(self.count(args, "k", 1, 1)?)),
+            "const" => Box::new(ConstPearl::new(
+                number(args, "value", 0, usize::MAX)?.unwrap_or(0) as u64,
+            )),
+            other => {
+                return Err(err(
+                    kind.span,
+                    ParseErrorKind::UnknownPearl(other.to_owned()),
+                ))
+            }
+        })
+    }
+
+    /// The port count or pipeline depth `key=N` (`default` when absent),
+    /// at least `min`: the pearl constructors assert the minimum, and
+    /// text must never reach those asserts. The counts a text states
+    /// size tables, so together they may not exceed its byte length:
+    /// every port of a design that validates takes part in a `connect`
+    /// statement, at least 15 bytes for two ports, and a short hostile
+    /// line cannot ask for gigabytes.
+    fn count(
+        &mut self,
+        args: &[Tok<'_>],
+        key: &str,
+        default: usize,
+        min: usize,
+    ) -> Result<usize, ParseNetlistError> {
+        let n = number(args, key, min, self.budget)?;
+        self.budget -= n.unwrap_or(0);
+        Ok(n.unwrap_or(default))
+    }
 }
 
 fn parse_relay_kind(tok: Tok<'_>) -> Result<RelayKind, ParseNetlistError> {
@@ -366,86 +501,55 @@ fn parse_port(tok: Tok<'_>) -> Result<(&str, usize), ParseNetlistError> {
     Ok((name, port))
 }
 
-/// `key=value` arguments with the span of each value's token.
-fn kv<'a>(args: &[Tok<'a>]) -> HashMap<&'a str, (&'a str, Span)> {
-    args.iter()
-        .filter_map(|t| t.text.split_once('=').map(|(k, v)| (k, (v, t.span))))
-        .collect()
+/// The value of the `key=value` argument and its token's span. A key
+/// given twice takes its last value.
+fn arg<'a>(args: &[Tok<'a>], key: &str) -> Option<(&'a str, Span)> {
+    args.iter().rev().find_map(|t| {
+        let value = t.text.strip_prefix(key)?.strip_prefix('=')?;
+        Some((value, t.span))
+    })
 }
 
-fn parse_pattern(args: &[Tok<'_>], key: &str) -> Result<Pattern, ParseNetlistError> {
-    match kv(args).get(key) {
-        None => Ok(Pattern::Never),
-        Some(&(v, span)) => {
-            // every:P:PH
-            let bad_pattern = || err(span, ParseErrorKind::BadPattern(v.to_owned()));
-            let parts: Vec<&str> = v.split(':').collect();
-            if parts.len() == 3 && parts[0] == "every" {
-                // A zero period has no cycles to assert in.
-                let period: NonZeroU32 = parts[1].parse().map_err(|_| bad_pattern())?;
-                let (period, phase) = (period.get(), parts[2].parse().map_err(|_| bad_pattern())?);
-                Ok(Pattern::EveryNth { period, phase })
-            } else {
-                Err(bad_pattern())
-            }
-        }
+/// The number `key=N` within `min..=max`, if given.
+fn number(
+    args: &[Tok<'_>],
+    key: &str,
+    min: usize,
+    max: usize,
+) -> Result<Option<usize>, ParseNetlistError> {
+    let Some((value, span)) = arg(args, key) else {
+        return Ok(None);
+    };
+    match value.parse() {
+        Ok(n) if (min..=max).contains(&n) => Ok(Some(n)),
+        _ => Err(err(
+            span,
+            ParseErrorKind::BadNumber {
+                key: key.to_owned(),
+                value: value.to_owned(),
+            },
+        )),
     }
 }
 
-fn parse_pearl(name_span: Span, args: &[Tok<'_>]) -> Result<Box<dyn Pearl>, ParseNetlistError> {
-    let kind = *args
-        .first()
-        .ok_or_else(|| err(name_span, ParseErrorKind::MissingPearl))?;
-    let kv = kv(&args[1..]);
-    // Port counts and pipeline depths must be at least `min`: the pearl
-    // constructors assert it, and text must never reach those asserts.
-    let get_num = |key: &str, default: usize, min: usize| -> Result<usize, ParseNetlistError> {
-        match kv.get(key) {
-            None => Ok(default),
-            Some(&(v, span)) => v.parse().ok().filter(|&n| n >= min).ok_or_else(|| {
-                err(
-                    span,
-                    ParseErrorKind::BadNumber {
-                        key: key.to_owned(),
-                        value: v.to_owned(),
-                    },
-                )
-            }),
-        }
+/// `every:P:PHASE` with `P >= 1` under `key=`, or `Never` without one.
+fn parse_pattern(args: &[Tok<'_>], key: &str) -> Result<Pattern, ParseNetlistError> {
+    let Some((value, span)) = arg(args, key) else {
+        return Ok(Pattern::Never);
     };
-    Ok(match kind.text {
-        "identity" => {
-            let fanout = get_num("fanout", 1, 1)?;
-            Box::new(IdentityPearl::with_fanout(fanout))
-        }
-        "join" => {
-            let arity = get_num("arity", 2, 1)?;
-            match kv.get("op") {
-                None => Box::new(JoinPearl::first(arity)),
-                Some(&(op, span)) => match op {
-                    "first" => Box::new(JoinPearl::first(arity)),
-                    "sum" => Box::new(JoinPearl::sum(arity)),
-                    "max" => Box::new(JoinPearl::max(arity)),
-                    other => {
-                        return Err(err(span, ParseErrorKind::UnknownJoinOp(other.to_owned())))
-                    }
-                },
-            }
-        }
-        "router" => Box::new(RouterPearl::new(
-            get_num("in", 1, 0)?,
-            get_num("out", 1, 1)?,
-        )),
-        "accumulator" => Box::new(AccumulatorPearl::new()),
-        "counter" => Box::new(CounterPearl::new()),
-        "delay" => Box::new(DelayPearl::new(get_num("k", 1, 1)?)),
-        "const" => Box::new(ConstPearl::new(get_num("value", 0, 0)? as u64)),
-        other => {
-            return Err(err(
-                kind.span,
-                ParseErrorKind::UnknownPearl(other.to_owned()),
-            ))
-        }
+    let bad = || err(span, ParseErrorKind::BadPattern(value.to_owned()));
+    let mut parts = value.split(':');
+    let (Some("every"), Some(period), Some(phase), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(bad());
+    };
+    // A zero period has no cycles to assert in.
+    let period: NonZeroU32 = period.parse().map_err(|_| bad())?;
+    let phase = phase.parse().map_err(|_| bad())?;
+    Ok(Pattern::EveryNth {
+        period: period.get(),
+        phase,
     })
 }
 
@@ -582,6 +686,19 @@ mod tests {
         connect r3:0  -> C:1
         connect C:0   -> out:0
     ";
+
+    #[test]
+    fn statement_estimates_cover_the_text_and_no_more() {
+        let (nodes, connects) = statement_counts(FIG1_TEXT);
+        assert!(
+            nodes >= 8 && connects == 8,
+            "{nodes} nodes, {connects} connects"
+        );
+        let blank = "\n".repeat(7_000);
+        assert!(statement_counts(&blank).0 <= 1_000);
+        let connects = "connect".repeat(1_000);
+        assert_eq!(statement_counts(&connects), (0, 1));
+    }
 
     #[test]
     fn parses_fig1_by_hand() {

@@ -252,6 +252,8 @@ mod tests {
             "shell r router out=0\n",
             "shell a identity fanout=0\n",
             "shell d delay k=0\n",
+            "shell r router out=1099511627776\n",
+            "shell d delay k=1099511627776\n",
             "source in\nsink out stops=every:0:0\nconnect in:0 -> out:0\n",
             "source in voids=every:0:0\nsink out\nconnect in:0 -> out:0\n",
         ]

@@ -522,6 +522,16 @@ mod tests {
     fn parse_errors_exit_2() {
         let file = temp_file("broken.lid", "relay r fifo:1\n");
         assert_eq!(run(&[&file]), 2);
+        for (i, text) in [
+            "shell r router out=1099511627776\n",
+            "shell d delay k=1099511627776\n",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let file = temp_file(&format!("hostile{i}.lid"), text);
+            assert_eq!(run(&[&file]), 2, "{text}");
+        }
         assert_eq!(run(&["missing-file.lid"]), 2);
     }
 

@@ -486,6 +486,12 @@ fn main() {
     let prom_path = report_dir().join("progress.prom");
     println!("wrote {} (lip-top input)", prom_path.display());
 
+    let provenance: Vec<ProvenanceRow> = items
+        .iter()
+        .map(|(name, netlist, pats)| provenance_row(name, netlist, pats))
+        .collect();
+    print_provenance(&provenance);
+
     let scaling: Vec<ScaleRow> = scaling_corpus()
         .into_iter()
         .map(|(name, netlist)| scale_row(name, &netlist))
@@ -503,6 +509,10 @@ fn main() {
         ("capacity search repeats from the cache", cache_ok),
         ("lint fixes patch the program exactly", fix_ok),
         ("par fan-out maps every item", fanout_ok),
+        (
+            "every converged lane has one verdict path",
+            provenance.iter().all(ProvenanceRow::sums),
+        ),
         (
             "each parsed design equals its generator's",
             scaling.iter().all(|r| r.same),
@@ -568,9 +578,108 @@ fn main() {
         .push_bool("kernel_reconciled", merged.reconciles())
         .push_int("topologies", rows.len() as u64)
         .push_int("passes_per_leg", passes as u64)
+        .push_raw("verdicts", provenance_json(&provenance).to_compact())
         .push_raw("parse_scaling", scaling_json(&scaling).to_compact())
         .push_bool("ok", ok);
     emit_report(&report);
+}
+
+/// How one corpus design's lanes got their verdicts, from the
+/// `measure.close.*` counters of a recorder private to its sweep.
+struct ProvenanceRow {
+    name: String,
+    cycles: u64,
+    /// The largest μ + λ among the converged lanes: the cycles a
+    /// per-lane lasso would need.
+    lasso_cycles: u64,
+    env_lag: u64,
+    checkpoint: u64,
+    replay: u64,
+    converged: u64,
+}
+
+impl ProvenanceRow {
+    /// Every converged lane counted on exactly one path.
+    fn sums(&self) -> bool {
+        self.env_lag + self.checkpoint + self.replay == self.converged
+    }
+}
+
+fn provenance_row(name: &str, netlist: &Netlist, pats: &LanePatterns) -> ProvenanceRow {
+    let rec = FlightRecorder::new();
+    let (m, _) = measure_batch_periodic_obs::<u64, _, _>(
+        netlist,
+        pats,
+        BUDGET,
+        name,
+        &rec,
+        &mut NullProgress,
+    )
+    .expect("corpus measures");
+    let counters = rec.drain().counters;
+    let count = |key: &str| counters.get(key).copied().unwrap_or(0);
+    let periods = m.periodicity.iter().flatten();
+    ProvenanceRow {
+        name: name.to_owned(),
+        cycles: m.cycles,
+        lasso_cycles: periods.map(|p| p.transient + p.period).max().unwrap_or(0),
+        env_lag: count("measure.close.env_lag"),
+        checkpoint: count("measure.close.checkpoint"),
+        replay: count("measure.close.replay"),
+        converged: (0..m.lanes).filter(|&l| m.lane_converged(l)).count() as u64,
+    }
+}
+
+fn print_provenance(rows: &[ProvenanceRow]) {
+    let printable: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.clone(),
+                r.cycles.to_string(),
+                r.lasso_cycles.to_string(),
+                r.env_lag.to_string(),
+                r.checkpoint.to_string(),
+                r.replay.to_string(),
+                r.converged.to_string(),
+                mark(r.sums()).into(),
+            ]
+        })
+        .collect();
+    println!("lane verdicts by path (measure.close.*):");
+    println!(
+        "{}",
+        table(
+            &[
+                "topology",
+                "cycles",
+                "max mu+lambda",
+                "env lag",
+                "checkpoint",
+                "replay",
+                "converged",
+                "sums"
+            ],
+            &printable,
+        )
+    );
+    println!();
+}
+
+fn provenance_json(rows: &[ProvenanceRow]) -> Json {
+    rows.iter()
+        .map(|r| {
+            Json::obj([
+                ("design", r.name.as_str().into()),
+                ("cycles", r.cycles.into()),
+                ("max_lasso_cycles", r.lasso_cycles.into()),
+                ("env_lag", r.env_lag.into()),
+                ("checkpoint", r.checkpoint.into()),
+                ("replay", r.replay.into()),
+                ("converged", r.converged.into()),
+            ])
+        })
+        .collect()
 }
 
 /// The scaling section's designs: binary trees of depth 8–16 and

@@ -24,6 +24,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use lip_obs::json::{parse, Json};
@@ -235,7 +236,9 @@ impl RunStore {
     /// # Errors
     ///
     /// I/O errors walking the store; a run directory with a malformed
-    /// manifest is an error, not silently skipped.
+    /// manifest is an error, not silently skipped. Staging directories
+    /// (a commit in flight, or one a crash left behind) are not runs
+    /// and are skipped unread.
     pub fn list(&self) -> io::Result<Vec<Manifest>> {
         let mut out = Vec::new();
         let entries = match fs::read_dir(&self.root) {
@@ -245,7 +248,7 @@ impl RunStore {
         };
         for entry in entries {
             let entry = entry?;
-            if !entry.file_type()?.is_dir() {
+            if !entry.file_type()?.is_dir() || is_staging(&entry.file_name().to_string_lossy()) {
                 continue;
             }
             let manifest_path = entry.path().join("manifest.json");
@@ -272,7 +275,7 @@ impl RunStore {
     /// prefix, plus underlying I/O errors.
     pub fn load(&self, id: &str) -> io::Result<Run> {
         let dir = self.root.join(id);
-        let dir = if dir.join("manifest.json").exists() {
+        let dir = if !is_staging(id) && dir.join("manifest.json").exists() {
             dir
         } else {
             // Prefix match.
@@ -395,10 +398,37 @@ impl RunBuilder {
         if dir.join("manifest.json").exists() {
             return Ok(run_id);
         }
-        // Stage under a temp name, then rename: a crashed capture never
-        // leaves a half-written run that `list` would trip over.
-        let staging = store.root.join(format!(".tmp-{run_id}"));
-        let _ = fs::remove_dir_all(&staging);
+        // Stage under a name no other commit uses, then rename: `list`
+        // and `load` skip staging names, so a crashed capture never
+        // leaves a half-written run they would trip over, and
+        // concurrent commits of one artifact set never write into (or
+        // delete) each other's staging directory.
+        let staging = store.root.join(format!(
+            "{STAGING_PREFIX}{run_id}-{}-{}",
+            std::process::id(),
+            STAGING_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let committed = self
+            .stage(&staging, &run_id)
+            .and_then(|()| fs::rename(&staging, &dir));
+        match committed {
+            Ok(()) => Ok(run_id),
+            // A concurrent capture of the same content won the rename;
+            // both sides wrote byte-identical runs.
+            Err(_) if dir.join("manifest.json").exists() => {
+                let _ = fs::remove_dir_all(&staging);
+                Ok(run_id)
+            }
+            Err(e) => {
+                let _ = fs::remove_dir_all(&staging);
+                Err(e)
+            }
+        }
+    }
+
+    /// Write the artifacts and the manifest of run `run_id` into the
+    /// fresh directory `staging`.
+    fn stage(&self, staging: &Path, run_id: &str) -> io::Result<()> {
         fs::create_dir_all(staging.join("artifacts"))?;
         let mut refs: Vec<ArtifactRef> = self
             .artifacts
@@ -415,7 +445,7 @@ impl RunBuilder {
         }
         let manifest = Manifest {
             schema_version: i64::from(lip_obs::schema::MANIFEST),
-            run_id: run_id.clone(),
+            run_id: run_id.to_owned(),
             label: self.label.clone(),
             created_ns: now_ns(),
             git_sha: git_sha(),
@@ -431,18 +461,20 @@ impl RunBuilder {
         fs::write(
             staging.join("manifest.json"),
             manifest.to_json().to_compact() + "\n",
-        )?;
-        match fs::rename(&staging, &dir) {
-            Ok(()) => {}
-            // A concurrent capture of the same content won the rename;
-            // both sides wrote byte-identical runs.
-            Err(_) if dir.join("manifest.json").exists() => {
-                let _ = fs::remove_dir_all(&staging);
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(run_id)
+        )
     }
+}
+
+/// Sequence number that, with the process id, names each commit's
+/// staging directory uniquely.
+static STAGING_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Name prefix of a commit's staging directory; no run id starts so.
+const STAGING_PREFIX: &str = ".tmp-";
+
+/// Whether a store entry named `name` is a staging directory.
+fn is_staging(name: &str) -> bool {
+    name.starts_with(STAGING_PREFIX)
 }
 
 fn now_ns() -> i64 {
@@ -579,6 +611,91 @@ mod tests {
             assert!(store.list().is_err(), "listed manifest {text:.80}");
             assert!(store.load(&id).is_err(), "loaded manifest {text:.80}");
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_commits_all_land() {
+        // 8 threads commit one artifact set and 8 commit distinct sets
+        // into one store, released together by a barrier: every call
+        // returns its id, every run loads with its own contents, and no
+        // staging directory is left. Several rounds, each into a fresh
+        // store, so the commits of one set overlap in some round.
+        let builder = |k: usize| {
+            let mut b = RunBuilder::new("c");
+            b.add_artifact("BENCH_x.json", &format!("{{\"k\": {k}}}\n"));
+            for f in 0..8 {
+                b.add_artifact(&format!("BLAME_{f}.json"), &"y".repeat(8192));
+            }
+            b
+        };
+        for round in 0..8 {
+            let root = tmp_root(&format!("concurrent{round}"));
+            let store = RunStore::open(&root);
+            let start = std::sync::Barrier::new(16);
+            let results: Vec<(usize, io::Result<String>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..16)
+                    .map(|t| {
+                        let (store, start) = (&store, &start);
+                        let k = if t < 8 { 0 } else { t };
+                        s.spawn(move || {
+                            let b = builder(k);
+                            start.wait();
+                            (k, b.commit(store))
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (k, id) in results {
+                let id = id.unwrap_or_else(|e| panic!("round {round}: commit of set {k}: {e}"));
+                assert_eq!(id, builder(k).run_id());
+                let run = store.load(&id).unwrap();
+                assert_eq!(
+                    run.artifact("BENCH_x.json").unwrap(),
+                    format!("{{\"k\": {k}}}\n")
+                );
+                assert_eq!(run.artifact("BLAME_7.json").unwrap().len(), 8192);
+            }
+            assert_eq!(store.list().unwrap().len(), 9);
+            let staged = fs::read_dir(&root)
+                .unwrap()
+                .filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+                .count();
+            assert_eq!(staged, 0, "round {round}: a staging directory was left");
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn list_and_load_skip_staging_directories() {
+        // What a crash leaves: one staging directory cut off while its
+        // manifest was written, and one cut off just before the rename.
+        let root = tmp_root("staging");
+        let store = RunStore::open(&root);
+        let mut b = RunBuilder::new("real");
+        b.add_artifact("BENCH_x.json", "{\"k\": 1}\n");
+        let id = b.commit(&store).unwrap();
+        let manifest = fs::read_to_string(root.join(&id).join("manifest.json")).unwrap();
+        for (name, text) in [
+            (format!(".tmp-{id}-1-0"), &manifest[..manifest.len() / 2]),
+            (format!(".tmp-{id}-1-1"), &manifest[..]),
+        ] {
+            fs::create_dir_all(root.join(&name).join("artifacts")).unwrap();
+            fs::write(root.join(&name).join("manifest.json"), text).unwrap();
+        }
+        let listed: Vec<String> = store
+            .list()
+            .unwrap()
+            .into_iter()
+            .map(|m| m.run_id)
+            .collect();
+        assert_eq!(listed, vec![id.clone()]);
+        assert_eq!(store.load(&id[..8]).unwrap().manifest.run_id, id);
+        assert_eq!(store.latest().unwrap().unwrap().run_id, id);
+        let err = store.load(&format!(".tmp-{id}-1-1")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
         let _ = fs::remove_dir_all(&root);
     }
 

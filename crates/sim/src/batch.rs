@@ -41,7 +41,7 @@ use lip_obs::{KernelCounters, NullProbe, Probe};
 
 use crate::lane::LaneWord;
 use crate::lasso::pack_bits;
-use crate::program::{lcm, CompSlot, SettleProgram};
+use crate::program::{env_period, lcm, CompSlot, SettleProgram};
 use crate::stream::CELL_ONES;
 
 /// Number of scenarios the default-width [`BatchSkeleton`] advances per
@@ -104,25 +104,33 @@ impl<W: LaneWord> LaneCounters<W> {
 }
 
 /// One row of per-lane environment patterns (for a single source or
-/// sink), with a fast path when every lane shares the same pattern.
+/// sink): one pattern while every lane shares it, one per lane once a
+/// lane is set on its own.
 #[derive(Debug, Clone)]
-struct PatternRow {
-    lanes: Vec<Pattern>,
-    /// All lanes identical — evaluate once, broadcast.
-    uniform: bool,
+enum PatternRow {
+    /// Every lane runs this pattern.
+    Uniform(Pattern),
+    /// Lane `l` runs pattern `l`.
+    Split(Vec<Pattern>),
 }
 
 impl PatternRow {
-    fn broadcast(p: &Pattern, width: usize) -> Self {
-        PatternRow {
-            lanes: vec![p.clone(); width],
-            uniform: true,
+    /// Give `lane` (of `width`) the pattern `p`, splitting a uniform row.
+    fn set(&mut self, lane: usize, p: Pattern, width: usize) {
+        if let PatternRow::Uniform(shared) = self {
+            assert!(lane < width, "lane {lane} out of range for {width} lanes");
+            *self = PatternRow::Split(vec![shared.clone(); width]);
+        }
+        if let PatternRow::Split(lanes) = self {
+            lanes[lane] = p;
         }
     }
 
-    fn set(&mut self, lane: usize, p: Pattern) {
-        self.lanes[lane] = p;
-        self.uniform = false;
+    fn get(&self, lane: usize) -> &Pattern {
+        match self {
+            PatternRow::Uniform(p) => p,
+            PatternRow::Split(lanes) => &lanes[lane],
+        }
     }
 }
 
@@ -156,17 +164,10 @@ impl LanePatterns {
     /// the patterns are used.
     #[must_use]
     pub fn broadcast_wide(prog: &SettleProgram, width: usize) -> Self {
+        let rows = |ps: &[Pattern]| ps.iter().cloned().map(PatternRow::Uniform).collect();
         LanePatterns {
-            src: prog
-                .src_pattern
-                .iter()
-                .map(|p| PatternRow::broadcast(p, width))
-                .collect(),
-            snk: prog
-                .snk_pattern
-                .iter()
-                .map(|p| PatternRow::broadcast(p, width))
-                .collect(),
+            src: rows(&prog.src_pattern),
+            snk: rows(&prog.snk_pattern),
             width,
         }
     }
@@ -197,7 +198,7 @@ impl LanePatterns {
     ///
     /// Panics if `source` or `lane` is out of range.
     pub fn set_source(&mut self, source: usize, lane: usize, p: Pattern) {
-        self.src[source].set(lane, p);
+        self.src[source].set(lane, p, self.width);
     }
 
     /// Give `lane`'s `sink`-th sink (in
@@ -208,19 +209,42 @@ impl LanePatterns {
     ///
     /// Panics if `sink` or `lane` is out of range.
     pub fn set_sink(&mut self, sink: usize, lane: usize, p: Pattern) {
-        self.snk[sink].set(lane, p);
+        self.snk[sink].set(lane, p, self.width);
     }
 
     /// The void pattern of `lane`'s `source`-th source.
     #[must_use]
     pub fn source_pattern(&self, source: usize, lane: usize) -> &Pattern {
-        &self.src[source].lanes[lane]
+        assert!(lane < self.width, "lane {lane} out of range");
+        self.src[source].get(lane)
     }
 
     /// The stop pattern of `lane`'s `sink`-th sink.
     #[must_use]
     pub fn sink_pattern(&self, sink: usize, lane: usize) -> &Pattern {
-        &self.snk[sink].lanes[lane]
+        assert!(lane < self.width, "lane {lane} out of range");
+        self.snk[sink].get(lane)
+    }
+
+    /// Per lane, its environment period: the lcm of its source and sink
+    /// pattern periods, `None` when any of them is aperiodic. A uniform
+    /// row is folded in once for every lane, so the cost follows the
+    /// rows set lane by lane, not rows × lanes.
+    pub(crate) fn lane_env_periods(&self) -> Vec<Option<u64>> {
+        let rows = || self.src.iter().chain(&self.snk);
+        let shared = env_period(rows().filter_map(|row| match row {
+            PatternRow::Uniform(p) => Some(p),
+            PatternRow::Split(_) => None,
+        }));
+        let mut periods = vec![shared; self.width];
+        for row in rows() {
+            if let PatternRow::Split(lanes) = row {
+                for (period, p) in periods.iter_mut().zip(lanes) {
+                    *period = period.and_then(|e| Some(lcm(e, p.period()?)));
+                }
+            }
+        }
+        periods
     }
 }
 
@@ -239,21 +263,22 @@ enum CompiledRow<W> {
 
 impl<W: LaneWord> CompiledRow<W> {
     fn compile(row: &PatternRow) -> Self {
-        if row.uniform {
-            return CompiledRow::Uniform(row.lanes[0].clone());
-        }
+        let lanes = match row {
+            PatternRow::Uniform(p) => return CompiledRow::Uniform(p.clone()),
+            PatternRow::Split(lanes) => lanes,
+        };
         let mut period = 1u64;
-        for p in &row.lanes {
+        for p in lanes {
             match p.period() {
                 Some(pp) => period = lcm(period, pp),
-                None => return CompiledRow::PerLane(row.lanes.clone()),
+                None => return CompiledRow::PerLane(lanes.clone()),
             }
             if period > MAX_TABLE_PERIOD {
-                return CompiledRow::PerLane(row.lanes.clone());
+                return CompiledRow::PerLane(lanes.clone());
             }
         }
         let words = (0..period)
-            .map(|c| W::from_fn(|l| row.lanes[l].at(c)))
+            .map(|c| W::from_fn(|l| lanes[l].at(c)))
             .collect();
         CompiledRow::Table(words)
     }
@@ -1241,7 +1266,7 @@ mod tests {
         let cp = CompiledPatterns::compile(&pats);
         // Per-lane pattern evaluation, the reference the word tables
         // must reproduce.
-        let word = |row: &PatternRow, c: u64| Lanes128::from_fn(|l| row.lanes[l].at(c));
+        let word = |row: &PatternRow, c: u64| Lanes128::from_fn(|l| row.get(l).at(c));
         for cycle in 0..300 {
             let snk: Vec<_> = pats.snk.iter().map(|row| word(row, cycle)).collect();
             let src: Vec<_> = pats
@@ -1264,5 +1289,60 @@ mod tests {
                 "lane {lane}"
             );
         }
+    }
+
+    #[test]
+    fn pattern_rows_split_on_first_set_and_read_back() {
+        use lip_core::Pattern;
+        let f = generate::fig1();
+        let prog = SettleProgram::compile(&f.netlist).unwrap();
+        let mut pats = LanePatterns::broadcast_wide(&prog, 128);
+        let declared = prog.snk_pattern[0].clone();
+        let nth = |period, phase| Pattern::EveryNth { period, phase };
+        // Uniform rows answer every lane with the declared pattern.
+        assert!(matches!(pats.snk[0], PatternRow::Uniform(_)));
+        assert_eq!(pats.sink_pattern(0, 127), &declared);
+        assert_eq!(pats.lane_env_periods(), vec![prog.env_period(); 128]);
+        // A set splits only its own row; the other lanes keep theirs.
+        pats.set_sink(0, 100, nth(3, 1));
+        pats.set_sink(0, 7, nth(4, 0));
+        assert!(matches!(pats.snk[0], PatternRow::Split(_)));
+        assert!(matches!(pats.src[0], PatternRow::Uniform(_)));
+        assert_eq!(pats.sink_pattern(0, 100), &nth(3, 1));
+        assert_eq!(pats.sink_pattern(0, 7), &nth(4, 0));
+        assert_eq!(pats.sink_pattern(0, 8), &declared);
+        pats.set_source(0, 7, nth(5, 2));
+        pats.set_source(
+            0,
+            64,
+            Pattern::Random {
+                num: 1,
+                denom: 2,
+                seed: 3,
+            },
+        );
+        assert_eq!(pats.source_pattern(0, 7), &nth(5, 2));
+        assert_eq!(pats.source_pattern(0, 6), &prog.src_pattern[0]);
+        // Environment periods per row equal the per-lane fold.
+        let per_lane: Vec<_> = (0..128)
+            .map(|lane| {
+                crate::program::env_period(
+                    (0..pats.source_count())
+                        .map(|i| pats.source_pattern(i, lane))
+                        .chain((0..pats.sink_count()).map(|j| pats.sink_pattern(j, lane))),
+                )
+            })
+            .collect();
+        assert_eq!(pats.lane_env_periods(), per_lane);
+        assert_eq!(per_lane[7], Some(20));
+        assert_eq!(per_lane[64], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn uniform_rows_reject_lanes_past_the_width() {
+        let f = generate::fig1();
+        let prog = SettleProgram::compile(&f.netlist).unwrap();
+        let _ = LanePatterns::broadcast(&prog).sink_pattern(0, 64);
     }
 }

@@ -283,33 +283,61 @@ impl Lasso {
     }
 }
 
+/// How a lane's word-wide verdict was reached: the provenance counted
+/// by the `measure.close.*` recorder counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Close {
+    /// The environment-lag check, at the lasso's own close point μ + λ.
+    EnvLag = 0,
+    /// A Brent checkpoint.
+    Checkpoint = 1,
+    /// The backward sweep after the budget ran out.
+    Replay = 2,
+}
+
+/// State words XOR-reduced between two early-exit checks of
+/// `PlaneLasso::mismatch`.
+const MISMATCH_CHUNK: usize = 16;
+
 /// Word-wide recurrence detector for every lane of a batch engine: it
 /// reads the engine's state planes (one bit per lane per state cell)
 /// instead of un-slicing each lane into a key.
 ///
 /// A lane's verdict is the one a [`Lasso`] keyed on
-/// `(t % env period, lane state)` gives. Brent's checkpoints sit at
-/// cycles 0, 1, 2, 4, 8, …; each cycle's planes are XORed against the
-/// checkpoint's and OR-reduced to one per-lane mismatch word, O(state
-/// words) per cycle. A matching candidate lane whose environment phase
-/// also agrees has period `λ = t − c` exactly: its first match comes in
-/// the window `(c, 2c]` of the first checkpoint `c ≥ max(μ, λ)`, at
-/// `c + λ`. The stem `μ ≤ c` is then the least cycle whose lane bits
-/// equal those `λ` cycles later, found by binary search over the kept
-/// history (the predicate is monotone in `μ`).
+/// `(t % env period, lane state)` gives. Its period λ is a multiple of
+/// its environment period `e`, and in the common case (the paper's §3:
+/// a tree runs at T = 1, and most lanes settle into their
+/// environment's own period) λ = e. So each cycle `t`, for every
+/// distinct `e` among the pending lanes, the planes of cycles `t` and
+/// `t − e` are XORed and OR-reduced to one mismatch word: a lane of
+/// that group matches iff `t − e ≥ μ` and λ divides `e`, so its first
+/// match is exactly the lasso's close point `t = μ + λ`, with stem
+/// `t − e` and no search.
 ///
-/// Brent sees a recurrence later than the lasso, after up to about
-/// 2·max(μ, λ) + λ cycles instead of μ + λ; [`replay`](Self::replay)
-/// settles the lanes a cycle budget cut off in between.
+/// Lanes whose period exceeds their environment's stay for Brent's
+/// checkpoints at cycles 0, 1, 2, 4, 8, …: each cycle's planes are
+/// compared with the checkpoint's the same way. A matching lane whose
+/// environment phase also agrees has period `λ = t − c` exactly: its
+/// first match comes in the window `(c, 2c]` of the first checkpoint
+/// `c ≥ max(μ, λ)`, at `c + λ`, up to about 2·max(μ, λ) + λ cycles
+/// instead of μ + λ. The stem `μ ≤ c` is then the least cycle whose
+/// lane bits equal those `λ` cycles later (a predicate monotone in
+/// `μ`). Every lane that closes on the same pair of cycles is
+/// binary-searched together: each probe costs one word-wide comparison
+/// of two kept cycles, and its mismatch word splits the group into the
+/// lanes whose stem lies at or below the probe and those above it.
+/// [`replay`](Self::replay) settles the lanes a cycle budget cut off
+/// before their checkpoint.
 ///
 /// Each cycle may also carry a row of counter increments (one plane per
 /// counter), so a verdict yields exact per-period counts, like a
 /// [`Lasso`] row.
 #[derive(Debug, Clone)]
 pub(crate) struct PlaneLasso<W> {
-    /// Per lane: the environment period, `None` for lanes that are
-    /// never candidates (aperiodic environments).
-    env_period: Vec<Option<u64>>,
+    /// Candidate lanes by environment period: each distinct period with
+    /// the lanes whose environment repeats with it, shortest first.
+    /// Lanes with aperiodic environments are never candidates.
+    groups: Vec<(u64, W)>,
     /// Candidate lanes without a verdict.
     pending: W,
     /// Cycle `t`'s state planes, record `t`.
@@ -319,20 +347,33 @@ pub(crate) struct PlaneLasso<W> {
     row_len: usize,
     /// The current Brent checkpoint.
     checkpoint: usize,
+    /// Lanes settled so far, by [`Close`] path.
+    closed: [u64; 3],
 }
 
 impl<W: LaneWord> PlaneLasso<W> {
-    /// A detector over lanes with these environment periods, storing
-    /// `row_len` counter-increment planes per step.
+    /// A detector over lanes with these environment periods (`None`:
+    /// aperiodic, never a candidate), storing `row_len`
+    /// counter-increment planes per step.
     pub(crate) fn new(env_period: Vec<Option<u64>>, row_len: usize) -> Self {
         assert_eq!(env_period.len(), W::LANES, "one period per lane");
+        let mut groups: Vec<(u64, W)> = Vec::new();
+        for (lane, e) in env_period.into_iter().enumerate() {
+            let Some(e) = e else { continue };
+            match groups.iter_mut().find(|(p, _)| *p == e) {
+                Some((_, lanes)) => *lanes = lanes.with_lane(lane),
+                None => groups.push((e, W::ZERO.with_lane(lane))),
+            }
+        }
+        groups.sort_unstable_by_key(|&(e, _)| e);
         PlaneLasso {
-            pending: W::from_fn(|lane| env_period[lane].is_some()),
-            env_period,
+            pending: groups.iter().fold(W::ZERO, |m, &(_, lanes)| m.or(lanes)),
+            groups,
             states: Pool::new(0),
             rows: Vec::new(),
             row_len,
             checkpoint: 0,
+            closed: [0; 3],
         }
     }
 
@@ -341,6 +382,11 @@ impl<W: LaneWord> PlaneLasso<W> {
     /// do nothing.
     pub(crate) fn pending(&self) -> bool {
         self.pending.any()
+    }
+
+    /// Lanes settled so far along the `by` path.
+    pub(crate) fn closed(&self, by: Close) -> u64 {
+        self.closed[by as usize]
     }
 
     /// Observe the next cycle's state planes (the concatenation of
@@ -356,8 +402,23 @@ impl<W: LaneWord> PlaneLasso<W> {
             self.states.width = planes.iter().map(|p| p.len()).sum();
         }
         self.states.push(&planes);
+        for g in 0..self.groups.len() {
+            let (e, lanes) = self.groups[g];
+            let Some(back) = usize::try_from(e).ok().and_then(|e| t.checked_sub(e)) else {
+                break;
+            };
+            let live = lanes.and(self.pending);
+            if live.any() {
+                let same = live.andnot(self.mismatch(back, t, live));
+                let p = Periodicity {
+                    transient: back as u64,
+                    period: e,
+                };
+                self.settle(same, p, Close::EnvLag, found);
+            }
+        }
         if t > self.checkpoint {
-            self.close(self.checkpoint, t, found);
+            self.close(self.checkpoint, t, Close::Checkpoint, found);
         }
         if t.is_power_of_two() {
             self.checkpoint = t;
@@ -398,7 +459,7 @@ impl<W: LaneWord> PlaneLasso<W> {
             if !self.pending() {
                 break;
             }
-            self.close(back, last, found);
+            self.close(back, last, Close::Replay, found);
         }
     }
 
@@ -408,37 +469,87 @@ impl<W: LaneWord> PlaneLasso<W> {
     /// checkpoint window, or the nearest match back from the last
     /// cycle), so `b − a` is the lane's period and its stem is at most
     /// `a`.
-    fn close(&mut self, a: usize, b: usize, found: &mut Vec<(usize, Periodicity)>) {
-        let mismatch = self
-            .states
-            .get(a)
-            .iter()
-            .zip(self.states.get(b))
-            .fold(W::ZERO, |m, (x, y)| m.or(x.xor(*y)));
+    fn close(&mut self, a: usize, b: usize, by: Close, found: &mut Vec<(usize, Periodicity)>) {
         let period = b - a;
-        let mut same = [0u64; 16];
-        let same = &mut same[..W::WORDS];
-        self.pending.andnot(mismatch).write_words(same);
-        for_each_lane_word(same, |lane| {
-            let lane = usize::from(lane);
-            let env = self.env_period[lane].expect("pending lanes are candidates");
-            if (period as u64).is_multiple_of(env) {
-                let transient = self.stem(lane, period, a);
-                found.push((
-                    lane,
-                    Periodicity {
-                        transient,
-                        period: period as u64,
-                    },
-                ));
-                self.pending = self.pending.andnot(W::ZERO.with_lane(lane));
+        let in_phase = self
+            .groups
+            .iter()
+            .filter(|&&(e, _)| (period as u64).is_multiple_of(e))
+            .fold(W::ZERO, |m, &(_, lanes)| m.or(lanes));
+        let live = self.pending.and(in_phase);
+        if !live.any() {
+            return;
+        }
+        let same = live.andnot(self.mismatch(a, b, live));
+        if !same.any() {
+            return;
+        }
+        // Binary-search the stems of the whole group at once; each entry
+        // is a subgroup whose stems all lie in `lo..=hi`.
+        let mut work = vec![(same, 0, a)];
+        while let Some((lanes, lo, hi)) = work.pop() {
+            if lo == hi {
+                let p = Periodicity {
+                    transient: lo as u64,
+                    period: period as u64,
+                };
+                self.settle(lanes, p, by, found);
+                continue;
             }
-        });
+            let mid = lo + (hi - lo) / 2;
+            let later = lanes.and(self.mismatch(mid, mid + period, lanes));
+            if later.any() {
+                work.push((later, mid + 1, hi));
+            }
+            let earlier = lanes.andnot(later);
+            if earlier.any() {
+                work.push((earlier, lo, mid));
+            }
+        }
     }
 
-    /// The least `μ ≤ hi` at which `lane`'s state equals its state
-    /// `period` cycles later; the caller knows `hi` qualifies.
-    fn stem(&self, lane: usize, period: usize, hi: usize) -> u64 {
+    /// Give every lane of `lanes` the verdict `p`, reached along `by`.
+    fn settle(
+        &mut self,
+        lanes: W,
+        p: Periodicity,
+        by: Close,
+        found: &mut Vec<(usize, Periodicity)>,
+    ) {
+        if !lanes.any() {
+            return;
+        }
+        self.pending = self.pending.andnot(lanes);
+        self.closed[by as usize] += u64::from(lanes.count_ones());
+        let mut words = [0u64; 16];
+        let words = &mut words[..W::WORDS];
+        lanes.write_words(words);
+        for_each_lane_word(words, |lane| found.push((usize::from(lane), p)));
+    }
+
+    /// A word whose bit is set for each lane of `live` whose state at
+    /// `a` differs from its state at `b` (other lanes' bits are
+    /// unspecified). It stops reading planes once every lane of `live`
+    /// differs, which during a transient is usually within the first
+    /// chunk.
+    fn mismatch(&self, a: usize, b: usize, live: W) -> W {
+        let (x, y) = (self.states.get(a), self.states.get(b));
+        let mut m = W::ZERO;
+        for (xs, ys) in x.chunks(MISMATCH_CHUNK).zip(y.chunks(MISMATCH_CHUNK)) {
+            m = xs.iter().zip(ys).fold(m, |m, (x, y)| m.or(x.xor(*y)));
+            if !live.andnot(m).any() {
+                break;
+            }
+        }
+        m
+    }
+
+    /// The per-lane stem search the grouped one replaced, kept as its
+    /// test oracle: the least `μ ≤ hi` at which `lane`'s state equals
+    /// its state `period` cycles later; the caller knows `hi`
+    /// qualifies.
+    #[cfg(test)]
+    pub(crate) fn stem(&self, lane: usize, period: usize, hi: usize) -> u64 {
         let same = |t: usize| {
             self.states
                 .get(t)
@@ -456,6 +567,12 @@ impl<W: LaneWord> PlaneLasso<W> {
             }
         }
         lo as u64
+    }
+
+    /// Cycles observed so far.
+    #[cfg(test)]
+    pub(crate) fn observed(&self) -> usize {
+        self.states.len
     }
 }
 
@@ -824,6 +941,258 @@ mod tests {
                 .map(|&(lane, p)| (lane, p, plane.period_count(lane, 0, p)))
                 .collect();
             assert_eq!(got, want, "budget {budget}");
+        }
+    }
+
+    /// Drives of the batch engine's measurement loop, recording each
+    /// verdict with the cycle it closed at.
+    mod corpus {
+        use std::sync::Arc;
+
+        use lip_core::{Pattern, RelayKind};
+        use lip_graph::{generate, Netlist};
+        use lip_obs::NullProbe;
+
+        use crate::batch::{BatchEngine, CompiledPatterns, LanePatterns};
+        use crate::lane::{LaneWord, Lanes1024};
+        use crate::lasso::{Close, Periodicity, PlaneLasso};
+        use crate::program::SettleProgram;
+
+        /// One closed lane: the cycle its verdict came at, its lane and
+        /// its verdict.
+        type Verdict = (usize, usize, Periodicity);
+
+        /// Run `pats` on `netlist` for at most `budget` cycles exactly as
+        /// `measure_batch_periodic` does, replay included.
+        fn drive<W: LaneWord>(
+            netlist: &Netlist,
+            pats: &LanePatterns,
+            budget: usize,
+        ) -> (PlaneLasso<W>, Vec<Verdict>) {
+            let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
+            let mut batch = BatchEngine::<W>::from_patterns(Arc::clone(&prog), pats);
+            let compiled = CompiledPatterns::<W>::compile(pats);
+            let mut lasso = PlaneLasso::<W>::new(pats.lane_env_periods(), prog.sink_count());
+            let (mut found, mut verdicts) = (Vec::new(), Vec::new());
+            for t in 0..budget {
+                lasso.observe(batch.state_planes(), &mut found);
+                verdicts.extend(found.drain(..).map(|(lane, p)| (t, lane, p)));
+                if !lasso.pending() {
+                    break;
+                }
+                batch.step_compiled_probed(&compiled, &mut NullProbe);
+                lasso.count(batch.sink_tokens());
+            }
+            lasso.replay(&mut found);
+            let last = lasso.observed().saturating_sub(1);
+            verdicts.extend(found.drain(..).map(|(lane, p)| (last, lane, p)));
+            (lasso, verdicts)
+        }
+
+        /// The cycle at which Brent's checkpoints alone first see a
+        /// recurrence of stem `mu` and period `lambda`: `c + λ` for the
+        /// first checkpoint `c ∈ {0, 1, 2, 4, …}` with `c ≥ μ` whose
+        /// window `(c, max(2c, 1)]` holds `c + λ`.
+        fn brent(mu: u64, lambda: u64) -> u64 {
+            let mut c = 0;
+            while c < mu || lambda > c.max(1) {
+                c = (2 * c).max(1);
+            }
+            c + lambda
+        }
+
+        fn corpus() -> Vec<Netlist> {
+            vec![
+                generate::fig1().netlist,
+                generate::tree(2, 2, 1).netlist,
+                generate::reconvergent(2, 3).netlist,
+                generate::ring(2, 1, RelayKind::Full).netlist,
+                generate::ring(2, 2, RelayKind::Half).netlist,
+                generate::ring(2, 2, RelayKind::Fifo(3)).netlist,
+                generate::fork_join(3, 1, 2).netlist,
+                generate::composed_coupled(1, 1, 1, 2, 1).netlist,
+            ]
+        }
+
+        /// Mixed stop periods 1–6 with every phase, a few periodic
+        /// sources and one aperiodic lane in 97; lanes 64 apart differ.
+        fn mixed(prog: &SettleProgram, lanes: usize) -> LanePatterns {
+            let mut pats = LanePatterns::broadcast_wide(prog, lanes);
+            for lane in 0..lanes {
+                let s = (lane as u32).wrapping_mul(2_654_435_761) >> 7;
+                for j in 0..prog.sink_count() {
+                    let period = 1 + (s + j as u32) % 6;
+                    pats.set_sink(
+                        j,
+                        lane,
+                        Pattern::EveryNth {
+                            period,
+                            phase: (s >> 4) % period,
+                        },
+                    );
+                }
+                if s.is_multiple_of(5) && prog.source_count() > 0 {
+                    pats.set_source(
+                        0,
+                        lane,
+                        Pattern::EveryNth {
+                            period: 3,
+                            phase: s % 3,
+                        },
+                    );
+                }
+                if lane % 97 == 50 {
+                    pats.set_sink(
+                        0,
+                        lane,
+                        Pattern::Random {
+                            num: 1,
+                            denom: 3,
+                            seed: 5,
+                        },
+                    );
+                }
+            }
+            pats
+        }
+
+        /// Every verdict is the per-lane oracle's, closes no earlier than
+        /// the lasso and no later than Brent; environment-locked lanes
+        /// close exactly at μ + λ. Returns how many (close cycle,
+        /// period) groups held more than one stem.
+        fn check<W: LaneWord>(netlist: &Netlist, budget: usize) -> usize {
+            let prog = SettleProgram::compile(netlist).unwrap();
+            let pats = mixed(&prog, W::LANES);
+            let env = pats.lane_env_periods();
+            let (lasso, verdicts) = drive::<W>(netlist, &pats, budget);
+            let hi = lasso.observed() - 1;
+            let mut groups = std::collections::BTreeMap::new();
+            for &(t, lane, p) in &verdicts {
+                let (mu, lambda) = (p.transient, p.period);
+                let oracle = lasso.stem(lane, lambda as usize, hi - lambda as usize);
+                assert_eq!(mu, oracle, "lane {lane} of {} stem", W::LANES);
+                let close = (mu + lambda) as usize;
+                assert!(
+                    t >= close,
+                    "lane {lane} closed at {t} before μ + λ = {close}"
+                );
+                assert!(t as u64 <= brent(mu, lambda), "lane {lane} after Brent");
+                let e = env[lane].expect("only periodic lanes close");
+                assert!(lambda.is_multiple_of(e), "lane {lane}: λ {lambda}, e {e}");
+                if lambda == e {
+                    assert_eq!(t, close, "lane {lane} is environment-locked");
+                }
+                groups.entry((t, lambda)).or_insert_with(Vec::new).push(mu);
+            }
+            let settled = [Close::EnvLag, Close::Checkpoint, Close::Replay]
+                .map(|by| lasso.closed(by))
+                .iter()
+                .sum::<u64>();
+            assert_eq!(
+                settled,
+                verdicts.len() as u64,
+                "provenance covers every verdict"
+            );
+            let aperiodic = env.iter().filter(|e| e.is_none()).count();
+            assert!(verdicts.len() <= W::LANES - aperiodic);
+            groups
+                .into_values()
+                .filter(|stems| stems.iter().any(|&mu| mu != stems[0]))
+                .count()
+        }
+
+        #[test]
+        fn grouped_stems_equal_the_per_lane_oracle() {
+            // Long budgets let every periodic lane close; short ones cut
+            // the sweep off so the replay settles lanes too.
+            for budget in [4096, 24, 9] {
+                let split: usize = corpus().iter().map(|n| check::<u64>(n, budget)).sum();
+                let wide: usize = corpus().iter().map(|n| check::<Lanes1024>(n, budget)).sum();
+                if budget == 4096 {
+                    assert!(split > 0, "no 64-lane group held two stems");
+                    assert!(wide > 0, "no 1024-lane group held two stems");
+                }
+            }
+        }
+
+        #[test]
+        fn chains_close_at_stem_plus_one() {
+            // A chain under its declared environment (period 1) runs at
+            // T = 1: every lane closes on the lag check at μ + 1.
+            for k in [1, 4, 16, 64] {
+                let netlist = generate::chain(k, 4, RelayKind::Full).netlist;
+                let prog = SettleProgram::compile(&netlist).unwrap();
+                let pats = LanePatterns::broadcast(&prog);
+                let m = crate::measure_batch_periodic(&netlist, &pats, 10_000).unwrap();
+                let p = m.periodicity[0].expect("chains are periodic");
+                assert_eq!(p.period, 1, "chain({k},4)");
+                assert_eq!(m.cycles, p.transient + 1, "chain({k},4)");
+                let (lasso, _) = drive::<u64>(&netlist, &pats, 10_000);
+                assert_eq!(lasso.closed(Close::EnvLag), 64, "chain({k},4)");
+            }
+        }
+
+        #[test]
+        fn fig1_lanes_locked_to_their_stop_period_close_at_mu_plus_lambda() {
+            // Lane l stops fig1's sink every p = l % 8 + 2 cycles. The
+            // lanes whose lasso period is p close on the lag check at
+            // μ + λ; the rest keep Brent's checkpoints.
+            let f = generate::fig1();
+            let prog = SettleProgram::compile(&f.netlist).unwrap();
+            let mut pats = LanePatterns::broadcast(&prog);
+            for lane in 0..64 {
+                let period = (lane % 8 + 2) as u32;
+                pats.set_sink(
+                    0,
+                    lane,
+                    Pattern::EveryNth {
+                        period,
+                        phase: lane as u32 % period,
+                    },
+                );
+            }
+            let (lasso, verdicts) = drive::<u64>(&f.netlist, &pats, 10_000);
+            assert_eq!(verdicts.len(), 64, "every lane converges");
+            for &(t, lane, p) in &verdicts {
+                let e = (lane % 8 + 2) as u64;
+                if p.period == e {
+                    assert_eq!(t as u64, p.transient + p.period, "lane {lane}");
+                } else {
+                    assert!(t as u64 > p.transient + p.period, "lane {lane} on Brent");
+                }
+            }
+            assert!(lasso.closed(Close::EnvLag) > 0, "some lane is locked");
+            assert!(lasso.closed(Close::Checkpoint) > 0, "some lane is not");
+            let m = crate::measure_batch_periodic(&f.netlist, &pats, 10_000).unwrap();
+            let last = verdicts.iter().map(|&(t, _, _)| t as u64).max();
+            assert_eq!(Some(m.cycles), last, "the sweep stops at the last close");
+        }
+
+        #[test]
+        fn cycles_never_exceed_brents_bound() {
+            for netlist in corpus() {
+                let prog = SettleProgram::compile(&netlist).unwrap();
+                let mut pats = mixed(&prog, 64);
+                // Drop the aperiodic lane so the early exit can fire.
+                pats.set_sink(0, 50, Pattern::Never);
+                let m = crate::measure_batch_periodic(&netlist, &pats, 4096).unwrap();
+                assert!(m.all_converged());
+                let verdicts = m.periodicity.iter().flatten();
+                let lasso = verdicts
+                    .clone()
+                    .map(|p| p.transient + p.period)
+                    .max()
+                    .unwrap();
+                let bound = verdicts
+                    .map(|p| brent(p.transient, p.period))
+                    .max()
+                    .unwrap();
+                assert!(
+                    (lasso..=bound).contains(&m.cycles),
+                    "{} not in {lasso}..={bound}",
+                    m.cycles
+                );
+            }
         }
     }
 }

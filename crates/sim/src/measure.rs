@@ -21,8 +21,8 @@ use lip_obs::{
 
 use crate::batch::{BatchEngine, LanePatterns};
 use crate::lane::LaneWord;
-use crate::lasso::{Lasso, PlaneLasso};
-use crate::program::{env_period, gcd, SettleProgram};
+use crate::lasso::{Close, Lasso, PlaneLasso};
+use crate::program::{gcd, SettleProgram};
 use crate::skeleton::SkeletonSystem;
 use crate::system::System;
 
@@ -34,7 +34,9 @@ pub struct Ratio {
 }
 
 impl Ratio {
-    /// `num/den`, reduced.
+    /// `num/den`, reduced. A whole number (`den == 1`) or zero is
+    /// already reduced, so it takes no gcd and no division: most of a
+    /// sweep's sinks × lanes throughput table is one of the two.
     ///
     /// # Panics
     ///
@@ -42,7 +44,13 @@ impl Ratio {
     #[must_use]
     pub fn new(num: u64, den: u64) -> Self {
         assert!(den != 0, "ratio denominator must be non-zero");
-        let g = gcd(num, den).max(1);
+        if den == 1 || num == 0 {
+            return Ratio {
+                num,
+                den: if num == 0 { 1 } else { den },
+            };
+        }
+        let g = gcd(num, den);
         Ratio {
             num: num / g,
             den: den / g,
@@ -373,10 +381,12 @@ pub struct BatchPeriodicMeasurement {
     /// Per lane: the detected periodic regime, `None` when the lane's
     /// environment is aperiodic or no recurrence fit the budget.
     pub periodicity: Vec<Option<Periodicity>>,
-    /// Cycles actually simulated (`<= budget` — the early exit). The
-    /// word-wide detector sees a lane's recurrence after up to about
-    /// 2·max(μ, λ) + λ cycles (Brent's overshoot), so this can exceed
-    /// the largest μ + λ among the lanes; it never affects a reading.
+    /// Cycles actually simulated (`<= budget` — the early exit). A lane
+    /// whose period λ equals its environment's closes at its own μ + λ
+    /// (the environment-lag check); any other lane waits for a Brent
+    /// checkpoint, up to about 2·max(μ, λ) + λ cycles, so this can
+    /// exceed the largest μ + λ among the lanes. It never affects a
+    /// reading.
     pub cycles: u64,
     /// The full cycle budget a fixed-window sweep would have spent.
     pub budget: u64,
@@ -427,8 +437,10 @@ impl BatchPeriodicMeasurement {
 /// *retire* a lane the moment it proves periodic: its exact throughput
 /// is already decided, so it needs no further bookkeeping.
 /// Recurrence is detected word-wide on the engine's bit-planes, for
-/// every lane at once, with Brent-style power-of-two checkpoints: each
-/// cycle costs O(state words), not O(lanes × state).
+/// every lane at once: each cycle compares the planes one environment
+/// period back, once per distinct period among the pending lanes, and
+/// those of a Brent-style power-of-two checkpoint, so a cycle costs
+/// O(state words × periods), not O(lanes × state).
 /// Once the converged-lane mask is full the sweep returns early instead
 /// of burning the rest of `budget`; the paper's bounded-transient
 /// result makes that the common case, cutting most of the simulated
@@ -438,13 +450,17 @@ impl BatchPeriodicMeasurement {
 /// scalar path does** (tokens over one whole period, e.g. Fig. 1 is
 /// exactly `4/5`), with the same (stem, period) pair a per-lane
 /// [`Lasso`] finds: a lane counts as converged iff that lasso closes
-/// within the observations `0..budget`. Brent's checkpoints see a
-/// recurrence later than the lasso (after up to about
-/// 2·max(μ, λ) + λ cycles instead of μ + λ), so
+/// within the observations `0..budget`. A lane locked to its
+/// environment (period λ equal to the environment period `e`, as the
+/// paper's trees and most stopped sinks are) matches the planes `e`
+/// cycles back first at exactly μ + λ, and its stem is read off the
+/// match. Other lanes close at a Brent checkpoint, which sees the
+/// recurrence later (after up to about 2·max(μ, λ) + λ cycles), so
 /// [`cycles`](BatchPeriodicMeasurement::cycles) can exceed the largest
-/// μ + λ; lanes the budget cuts off in between are settled by one
-/// backward sweep over the kept planes. Lanes with aperiodic (random)
-/// environments never converge;
+/// μ + λ; the lanes that close at one checkpoint binary-search their
+/// stems together, word-wide. Lanes the budget cuts off before their
+/// checkpoint are settled by one backward sweep over the kept planes.
+/// Lanes with aperiodic (random) environments never converge;
 /// they run to the full budget and report the whole-window estimate,
 /// exactly like [`measure_batch`].
 ///
@@ -505,7 +521,10 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// [`Recorder`] receives a `measure`-category span covering the whole
 /// call (child span `compile` for program compilation), sampled
 /// per-phase timing counters (`measure.sampled_detector_ns`,
-/// `measure.sampled_step_ns`, `measure.sampled_cycles`), and the
+/// `measure.sampled_step_ns`, `measure.sampled_cycles`), the lanes
+/// settled by each detector path (`measure.close.env_lag`,
+/// `measure.close.checkpoint`, `measure.close.replay`, which sum to
+/// the converged lanes), and the
 /// settle tape runs *counted* — the returned [`KernelCounters`] hold
 /// per-opcode/per-stratum retirement for every executed cycle
 /// (`None` under a disabled or [`NullRecorder`]). A [`ProgressSink`]
@@ -552,15 +571,7 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
 
     // Per-lane environment period: the lcm of that lane's pattern
     // periods. Aperiodic lanes can never be declared periodic.
-    let lane_env_period: Vec<Option<u64>> = (0..lanes)
-        .map(|lane| {
-            env_period(
-                (0..pats.source_count())
-                    .map(|i| pats.source_pattern(i, lane))
-                    .chain((0..pats.sink_count()).map(|j| pats.sink_pattern(j, lane))),
-            )
-        })
-        .collect();
+    let lane_env_period = pats.lane_env_periods();
 
     // Aperiodic lanes can never converge; they only count against the
     // early exit, which therefore fires iff every *candidate* lane is
@@ -609,29 +620,29 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     // Lanes the budget cut off before Brent's checkpoints caught their
     // recurrence still get the lasso's verdict on the cycles observed.
     lasso.replay(&mut found);
+    if R::ENABLED && rec.active() {
+        record_closes(rec, &lasso);
+    }
 
     let mut periodicity: Vec<Option<Periodicity>> = vec![None; lanes];
-    let mut throughput = vec![vec![Ratio::new(0, 1); lanes]; n_snk];
     let mut converged = vec![0u64; W::WORDS];
     for &(lane, p) in &found {
         periodicity[lane] = Some(p);
         converged[lane / 64] |= 1 << (lane % 64);
-        for (j, row) in throughput.iter_mut().enumerate() {
-            row[lane] = Ratio::new(lasso.period_count(lane, j, p), p.period);
-        }
     }
-
-    // Unconverged lanes fall back to the whole-window estimate.
+    // Sink by sink: a converged lane counts its tokens over one period
+    // (lanes sharing a verdict read the same token planes in turn), an
+    // unconverged one falls back to the whole-window estimate.
     let window = executed.max(1);
-    for (j, row) in throughput.iter_mut().enumerate() {
-        for (lane, slot) in row.iter_mut().enumerate() {
-            if periodicity[lane].is_some() {
-                continue;
-            }
-            let (valid, _) = batch.sink_row_counts_lane(j, lane);
-            *slot = Ratio::new(valid, window);
-        }
-    }
+    let throughput = (0..n_snk)
+        .map(|j| {
+            let lane_rate = |(lane, p): (usize, &Option<Periodicity>)| match *p {
+                Some(p) => Ratio::new(lasso.period_count(lane, j, p), p.period),
+                None => Ratio::new(batch.sink_row_counts_lane(j, lane).0, window),
+            };
+            periodicity.iter().enumerate().map(lane_rate).collect()
+        })
+        .collect();
 
     if S::ENABLED {
         progress.publish(&obs_snapshot(label, lanes, found.len(), executed, started));
@@ -649,6 +660,18 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
         },
         kc,
     ))
+}
+
+/// Add the lanes `lasso` settled by each path to `rec`'s
+/// `measure.close.*` counters. Kept out of line: three inlined
+/// `Recorder::add` calls grew the observed sweep's function and cost
+/// its enabled and disabled instantiations a few percent in
+/// `exp_runtime_obs`'s overhead legs.
+#[inline(never)]
+fn record_closes<W: LaneWord, R: Recorder>(rec: &R, lasso: &PlaneLasso<W>) {
+    rec.add("measure.close.env_lag", lasso.closed(Close::EnvLag));
+    rec.add("measure.close.checkpoint", lasso.closed(Close::Checkpoint));
+    rec.add("measure.close.replay", lasso.closed(Close::Replay));
 }
 
 /// Nanoseconds since `t0`, saturating (an observed run outliving
@@ -1086,6 +1109,30 @@ mod tests {
         // Lane 1's estimate is plausible (sink admits 3/4 of cycles).
         let est = m.system_throughput(1).unwrap().to_f64();
         assert!((0.55..0.95).contains(&est), "estimate {est}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Whole numbers and zero skip the gcd; every ratio still equals
+        /// the one the gcd reduction gives.
+        #[test]
+        fn ratio_fast_path_equals_the_gcd_path(
+            num in proptest::prop_oneof![
+                proptest::Just(0u64),
+                0u64..64,
+                proptest::prelude::any::<u64>(),
+            ],
+            den in proptest::prop_oneof![
+                proptest::Just(1u64),
+                1u64..64,
+                1u64..u64::MAX,
+            ],
+        ) {
+            let g = gcd(num, den);
+            let r = Ratio::new(num, den);
+            proptest::prop_assert_eq!((r.num(), r.den()), (num / g, den / g));
+        }
     }
 
     use lip_graph::Netlist;

@@ -142,7 +142,8 @@ pub fn forest_facts(netlist: &Netlist) -> Option<ForestFacts> {
     let mut period = 1u64;
     for (id, node) in netlist.nodes() {
         let kind = node.kind();
-        if kind.num_inputs() > 1 {
+        let inputs = netlist.num_inputs(id);
+        if inputs > 1 {
             return None;
         }
         let root = match kind {
@@ -158,7 +159,7 @@ pub fn forest_facts(netlist: &Netlist) -> Option<ForestFacts> {
                 period = period.checked_mul(p / gcd(period, p))?;
                 Root::Source(void_pattern)
             }
-            NodeKind::Shell { .. } if kind.num_inputs() == 0 => Root::Shell,
+            NodeKind::Shell { .. } if inputs == 0 => Root::Shell,
             _ => continue,
         };
         let ctx = Ctx {
@@ -186,7 +187,7 @@ pub fn forest_facts(netlist: &Netlist) -> Option<ForestFacts> {
         let kind = netlist.node(id).kind();
         let mut ctx = parent;
         let register = match kind {
-            NodeKind::Shell { .. } => (kind.num_inputs() == 1).then_some(true),
+            NodeKind::Shell { .. } => (netlist.num_inputs(id) == 1).then_some(true),
             NodeKind::Relay {
                 kind: RelayKind::Full | RelayKind::Fifo(_),
             } => Some(false),

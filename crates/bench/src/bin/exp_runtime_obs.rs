@@ -10,9 +10,11 @@
 //! 2. **Disabled recorder** ([`FlightRecorder::disabled`]): the hooks
 //!    are compiled in but gated off at runtime. The wall-clock delta
 //!    against leg 1 is the price of *shipping* the instrumentation, and
-//!    it is gated `< 3%`.
+//!    it is gated `< 3%`: the median, over [`REPS`] rounds that
+//!    interleave the legs pass by pass, of the two legs' time ratio
+//!    within a round.
 //! 3. **Enabled recorder**: first the same corpus again, recorder on,
-//!    min-of-N like the other legs — the apples-to-apples *enabled*
+//!    timed in the same rounds — the apples-to-apples *enabled*
 //!    overhead, gated `< 15%` (occupancy popcounts are sampled every
 //!    [`lip_sim::OCC_SAMPLE_EVERY`] settles; retirement counters stay
 //!    exact). Then a full self-profiled run — ambient recorder
@@ -33,17 +35,20 @@
 //! enabled-leg artefacts.
 //!
 //! A full run then records how the `lip_lint` path scales with design
-//! size: parse, validate and lint times and parse MB/s on binary trees
-//! of depth 8–16 and four-relay chains, 10³ to 1.3·10⁵ relay stations.
-//! Those timings are reported, not gated; the gate is that each parsed
-//! design writes back to its generator's text.
+//! size: parse, validate, lint, compile and proof times, parse MB/s and
+//! the minor page faults one parse takes, on binary trees of depth
+//! 8–16 and four-relay chains, 10³ to 1.3·10⁵ relay stations. Those
+//! numbers are reported, not gated; the gate is that each parsed design
+//! writes back to its generator's text.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use lip_analysis::minimal_equalizing_capacity;
 use lip_bench::{banner, emit_report, mark, report_dir, table, trace_phases, Json, Report};
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{generate, parse_netlist_spanned, write_netlist, Netlist};
+use lip_mc::{check_declared_compiled, McConfig};
 use lip_obs::{
     flight, runtime_chrome_trace, span_coverage, FlightRecorder, KernelCounters, NullProgress,
     PromFileProgress, RuntimeReport,
@@ -64,8 +69,8 @@ const SCALE_REPS: usize = 3;
 /// Gate: runtime-disabled instrumentation must cost `< 3%` wall clock.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 3.0;
 /// Gate: the fully-enabled recorder (spans + counted kernels with
-/// sampled occupancy) over the same corpus, min-of-[`REPS`] like the
-/// other legs. Exact retirement counters are cheap; the popcount
+/// sampled occupancy) over the same corpus, by the same median of
+/// per-round ratios as the disabled leg. Exact retirement counters are cheap; the popcount
 /// occupancy probe is the dominant cost and is sampled
 /// (`lip_sim::OCC_SAMPLE_EVERY`) to keep this small.
 const MAX_ENABLED_OVERHEAD_PCT: f64 = 15.0;
@@ -103,8 +108,7 @@ fn corpus() -> Vec<(String, Netlist)> {
     ]
 }
 
-/// One timed leg (`passes` passes over the corpus) with all hooks
-/// compiled away.
+/// `passes` passes over the corpus with all hooks compiled away.
 fn leg_baseline(items: &[(String, Netlist, LanePatterns)], passes: usize) {
     for (_, netlist, pats) in items.iter().cycle().take(passes * items.len()) {
         std::hint::black_box(
@@ -113,15 +117,11 @@ fn leg_baseline(items: &[(String, Netlist, LanePatterns)], passes: usize) {
     }
 }
 
-/// One timed leg with the recorder present but runtime-disabled;
-/// `false` if any measurement counted kernels.
-fn leg_disabled(
-    items: &[(String, Netlist, LanePatterns)],
-    rec: &FlightRecorder,
-    passes: usize,
-) -> bool {
+/// One pass over the corpus with the recorder present but
+/// runtime-disabled; `false` if any measurement counted kernels.
+fn leg_disabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) -> bool {
     let mut uncounted = true;
-    for (name, netlist, pats) in items.iter().cycle().take(passes * items.len()) {
+    for (name, netlist, pats) in items {
         let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
             netlist,
             pats,
@@ -137,17 +137,13 @@ fn leg_disabled(
     uncounted
 }
 
-/// One timed leg with the recorder fully enabled: spans recorded and
-/// kernel executions counted — the apples-to-apples cost of *running*
-/// the instrumentation over the exact work the other legs time; `false`
-/// if any measurement went uncounted.
-fn leg_enabled(
-    items: &[(String, Netlist, LanePatterns)],
-    rec: &FlightRecorder,
-    passes: usize,
-) -> bool {
+/// One pass over the corpus with the recorder fully enabled: spans
+/// recorded and kernel executions counted — the apples-to-apples cost
+/// of *running* the instrumentation over the exact work the other legs
+/// time; `false` if any measurement went uncounted.
+fn leg_enabled(items: &[(String, Netlist, LanePatterns)], rec: &FlightRecorder) -> bool {
     let mut counted = true;
-    for (name, netlist, pats) in items.iter().cycle().take(passes * items.len()) {
+    for (name, netlist, pats) in items {
         let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
             netlist,
             pats,
@@ -179,20 +175,50 @@ fn passes_per_leg(items: &[(String, Netlist, LanePatterns)]) -> usize {
     }
 }
 
-/// Best time of each leg over [`REPS`] rounds. Every round runs each
-/// leg once, starting one leg later than the round before, so a shift
-/// in host speed lands on every leg rather than on one.
-fn interleaved_best(legs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; legs.len()];
-    for round in 0..REPS {
-        for k in 0..legs.len() {
-            let leg = (round + k) % legs.len();
-            let t0 = Instant::now();
-            legs[leg]();
-            best[leg] = best[leg].min(t0.elapsed().as_secs_f64());
+/// Each leg's seconds in each of [`REPS`] rounds, `[leg][round]`,
+/// where a leg is `passes` calls of its closure (one corpus pass each).
+/// A round interleaves the legs pass by pass, each time starting one
+/// leg later, so a slow spell of the host, shorter than a round, lands
+/// on every leg of it rather than on one.
+fn interleaved_rounds(legs: &mut [&mut dyn FnMut()], passes: usize) -> Vec<Vec<f64>> {
+    let mut secs = vec![Vec::with_capacity(REPS); legs.len()];
+    for _ in 0..REPS {
+        let mut round = vec![0.0; legs.len()];
+        for pass in 0..passes {
+            for k in 0..legs.len() {
+                let leg = (pass + k) % legs.len();
+                let t0 = Instant::now();
+                legs[leg]();
+                round[leg] += t0.elapsed().as_secs_f64();
+            }
+        }
+        for (leg, t) in secs.iter_mut().zip(round) {
+            leg.push(t);
         }
     }
-    best
+    secs
+}
+
+/// The median of `values`.
+fn median(values: impl IntoIterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.into_iter().collect();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// Overhead of `leg` over the baseline (leg 0) in percent: the median
+/// over rounds of the two legs' time ratio within each round. Each
+/// ratio pairs legs timed moments apart, so a slow spell of the host
+/// scales both; and the median lets no single fast or slow round
+/// decide, as a best-of-rounds comparison does.
+fn paired_overhead_pct(rounds: &[Vec<f64>], leg: usize) -> f64 {
+    let ratio = median(rounds[leg].iter().zip(&rounds[0]).map(|(t, base)| t / base));
+    (ratio - 1.0).max(0.0) * 100.0
 }
 
 struct TopoRow {
@@ -235,19 +261,23 @@ fn main() {
     // number.)
     let on = FlightRecorder::new();
     let (mut uncounted, mut counted) = (true, true);
-    let mut base = || leg_baseline(&items, passes);
-    let mut disabled = || uncounted &= leg_disabled(&items, &off, passes);
-    let mut enabled = || counted &= leg_enabled(&items, &on, passes);
-    let times = if overhead_only {
-        interleaved_best(&mut [&mut base, &mut disabled])
+    let mut base = || leg_baseline(&items, 1);
+    let mut disabled = || uncounted &= leg_disabled(&items, &off);
+    let mut enabled = || counted &= leg_enabled(&items, &on);
+    let rounds = if overhead_only {
+        interleaved_rounds(&mut [&mut base, &mut disabled], passes)
     } else {
-        interleaved_best(&mut [&mut base, &mut disabled, &mut enabled])
+        interleaved_rounds(&mut [&mut base, &mut disabled, &mut enabled], passes)
     };
     drop(on.drain());
+    let times: Vec<f64> = rounds
+        .iter()
+        .map(|leg| median(leg.iter().copied()))
+        .collect();
     let (t_base, t_off) = (times[0], times[1]);
-    let overhead_disabled_pct = ((t_off / t_base) - 1.0).max(0.0) * 100.0;
+    let overhead_disabled_pct = paired_overhead_pct(&rounds, 1);
     println!(
-        "overhead: {passes} corpus passes per leg; baseline {:.2} ms, disabled recorder {:.2} ms -> {:.2}% (gate < {MAX_DISABLED_OVERHEAD_PCT}%) {}",
+        "overhead: {passes} corpus passes per leg, medians of {REPS} rounds; baseline {:.2} ms, disabled recorder {:.2} ms -> {:.2}% by paired ratio (gate < {MAX_DISABLED_OVERHEAD_PCT}%) {}",
         t_base * 1e3,
         t_off * 1e3,
         overhead_disabled_pct,
@@ -281,7 +311,7 @@ fn main() {
     }
 
     let t_on_corpus = times[2];
-    let overhead_enabled_pct = ((t_on_corpus / t_base) - 1.0).max(0.0) * 100.0;
+    let overhead_enabled_pct = paired_overhead_pct(&rounds, 2);
     println!(
         "overhead: enabled recorder {:.2} ms -> {:.2}% (gate < {MAX_ENABLED_OVERHEAD_PCT}%) {}",
         t_on_corpus * 1e3,
@@ -492,10 +522,7 @@ fn main() {
         .collect();
     print_provenance(&provenance);
 
-    let scaling: Vec<ScaleRow> = scaling_corpus()
-        .into_iter()
-        .map(|(name, netlist)| scale_row(name, &netlist))
-        .collect();
+    let scaling = scale_rows(scaling_corpus());
     print_scaling(&scaling);
 
     let phases = trace_phases(&trace);
@@ -696,7 +723,8 @@ fn scaling_corpus() -> Vec<(String, Netlist)> {
 }
 
 /// One design of the scaling section: best-of-[`SCALE_REPS`] seconds
-/// per layer of the `lip_lint` path.
+/// per layer of the `lip_lint` path, and of the compile and proof that
+/// lint runs on designs other than live forests.
 struct ScaleRow {
     name: String,
     relays: usize,
@@ -704,11 +732,27 @@ struct ScaleRow {
     parse_s: f64,
     validate_s: f64,
     lint_s: f64,
+    compile_s: f64,
+    /// One [`check_declared_compiled`] run on the compiled program, if
+    /// the design was proved and the proof held.
+    proof_s: Option<f64>,
+    /// Minor page faults of the last parse (a repeated parse, so the
+    /// allocator has seen one of its size), where `/proc` tells.
+    parse_faults: Option<u64>,
     /// The parsed design writes back to its generator's text.
     same: bool,
 }
 
-fn scale_row(name: String, generated: &Netlist) -> ScaleRow {
+/// This process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, read only; `None` where there is no such file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name may hold spaces; fields resume after its `)`.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
+fn scale_row(name: String, generated: &Netlist, prove: bool) -> ScaleRow {
     let text = write_netlist(generated);
     let mut row = ScaleRow {
         name,
@@ -717,26 +761,70 @@ fn scale_row(name: String, generated: &Netlist) -> ScaleRow {
         parse_s: f64::INFINITY,
         validate_s: f64::INFINITY,
         lint_s: f64::INFINITY,
+        compile_s: f64::INFINITY,
+        proof_s: None,
+        parse_faults: None,
         same: false,
     };
     for rep in 0..SCALE_REPS {
+        let faults = minor_faults();
         let t0 = Instant::now();
         let Ok(parsed) = parse_netlist_spanned(&text) else {
             return row;
         };
         let t1 = Instant::now();
+        row.parse_faults = faults.zip(minor_faults()).map(|(a, b)| b - a);
         let valid = parsed.netlist.validate();
         let t2 = Instant::now();
         std::hint::black_box(lip_lint::lint(&parsed.netlist, &parsed.source_map));
         let t3 = Instant::now();
+        let Ok(program) = SettleProgram::compile(&parsed.netlist) else {
+            return row;
+        };
+        let t4 = Instant::now();
         if rep == 0 {
             row.same = valid.is_ok() && write_netlist(&parsed.netlist) == text;
+            if prove {
+                let t = Instant::now();
+                let proof = check_declared_compiled(
+                    &parsed.netlist,
+                    Arc::new(program),
+                    &McConfig::default(),
+                );
+                row.proof_s = proof.is_ok().then(|| t.elapsed().as_secs_f64());
+            }
         }
         row.parse_s = row.parse_s.min((t1 - t0).as_secs_f64());
         row.validate_s = row.validate_s.min((t2 - t1).as_secs_f64());
         row.lint_s = row.lint_s.min((t3 - t2).as_secs_f64());
+        row.compile_s = row.compile_s.min((t4 - t3).as_secs_f64());
     }
     row
+}
+
+/// Proofs the scaling section may take, per design: the proof grows
+/// faster than the design (quadratically on chains), so a rung is proved
+/// only while the last proved rung of its family, scaled by the square
+/// of the size ratio, predicts no more than this.
+const PROOF_BUDGET_SECS: f64 = 1.0;
+
+/// The scaling rows of `corpus`, in order.
+fn scale_rows(corpus: Vec<(String, Netlist)>) -> Vec<ScaleRow> {
+    let mut rows: Vec<ScaleRow> = Vec::with_capacity(corpus.len());
+    for (name, netlist) in corpus {
+        let family = |n: &str| n.split('(').next().unwrap_or_default().to_owned();
+        let relays = netlist.census().relays() as f64;
+        let last = rows
+            .iter()
+            .rev()
+            .find(|r| family(&r.name) == family(&name) && r.proof_s.is_some());
+        let prove = last.is_none_or(|r| {
+            let grown = relays / r.relays as f64;
+            r.proof_s.unwrap_or_default() * grown * grown <= PROOF_BUDGET_SECS
+        });
+        rows.push(scale_row(name, &netlist, prove));
+    }
+    rows
 }
 
 impl ScaleRow {
@@ -757,6 +845,11 @@ fn print_scaling(rows: &[ScaleRow]) {
                 format!("{:.1}", r.parse_mb_per_sec()),
                 format!("{:.2}", r.validate_s * 1e3),
                 format!("{:.2}", r.lint_s * 1e3),
+                format!("{:.2}", r.compile_s * 1e3),
+                r.proof_s
+                    .map_or_else(|| "-".to_owned(), |s| format!("{:.2}", s * 1e3)),
+                r.parse_faults
+                    .map_or_else(|| "-".to_owned(), |f| f.to_string()),
                 mark(r.same).into(),
             ]
         })
@@ -773,6 +866,9 @@ fn print_scaling(rows: &[ScaleRow]) {
                 "parse MB/s",
                 "validate ms",
                 "lint ms",
+                "compile ms",
+                "proof ms",
+                "parse faults",
                 "round trip"
             ],
             &printable,
@@ -791,6 +887,15 @@ fn scaling_json(rows: &[ScaleRow]) -> Json {
                 ("parse_mb_per_sec", Json::fixed(r.parse_mb_per_sec(), 1)),
                 ("validate_ms", Json::fixed(r.validate_s * 1e3, 3)),
                 ("lint_ms", Json::fixed(r.lint_s * 1e3, 3)),
+                ("compile_ms", Json::fixed(r.compile_s * 1e3, 3)),
+                (
+                    "proof_ms",
+                    r.proof_s.map_or(Json::Null, |s| Json::fixed(s * 1e3, 3)),
+                ),
+                (
+                    "parse_minor_faults",
+                    r.parse_faults.map_or(Json::Null, Json::from),
+                ),
                 ("round_trip", r.same.into()),
             ])
         })

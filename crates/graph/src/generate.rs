@@ -48,7 +48,7 @@ pub fn chain(shells: usize, relays_between: usize, kind: RelayKind) -> Chain {
     let mut prev = (source, 0usize);
     let mut shell_ids = Vec::with_capacity(shells);
     for i in 0..shells {
-        let sh = n.add_shell(format!("s{i}"), IdentityPearl::new());
+        let sh = n.add_shell(format_args!("s{i}"), IdentityPearl::new());
         n.connect_via_relays(prev.0, prev.1, sh, 0, relays_between, kind)
             .expect("fresh ports");
         shell_ids.push(sh);
@@ -91,9 +91,12 @@ pub fn tree(depth: usize, fanout: usize, relays_per_edge: usize) -> Tree {
         let mut next = Vec::new();
         for (i, (node, port)) in frontier.into_iter().enumerate() {
             let sh = if fanout == 1 {
-                n.add_shell(format!("l{level}_{i}"), IdentityPearl::new())
+                n.add_shell(format_args!("l{level}_{i}"), IdentityPearl::new())
             } else {
-                n.add_shell(format!("l{level}_{i}"), IdentityPearl::with_fanout(fanout))
+                n.add_shell(
+                    format_args!("l{level}_{i}"),
+                    IdentityPearl::with_fanout(fanout),
+                )
             };
             n.connect_via_relays(node, port, sh, 0, relays_per_edge, RelayKind::Full)
                 .expect("fresh ports");
@@ -104,7 +107,7 @@ pub fn tree(depth: usize, fanout: usize, relays_per_edge: usize) -> Tree {
         frontier = next;
     }
     for (i, (node, port)) in frontier.into_iter().enumerate() {
-        let sink = n.add_sink(format!("out{i}"));
+        let sink = n.add_sink(format_args!("out{i}"));
         n.connect_via_relays(node, port, sink, 0, relays_per_edge, RelayKind::Full)
             .expect("fresh ports");
         sinks.push(sink);
@@ -284,7 +287,7 @@ pub fn ring(shells: usize, relays: usize, kind: RelayKind) -> Ring {
         let sh = if i == 0 {
             n.add_shell("tap", IdentityPearl::with_fanout(2))
         } else {
-            n.add_shell(format!("s{i}"), IdentityPearl::new())
+            n.add_shell(format_args!("s{i}"), IdentityPearl::new())
         };
         shell_ids.push(sh);
     }
@@ -354,7 +357,7 @@ pub fn ring_with_entry(
     let entry = n.add_shell("entry", RouterPearl::new(2, 2));
     let mut shell_ids = vec![entry];
     for i in 1..shells {
-        shell_ids.push(n.add_shell(format!("s{i}"), IdentityPearl::new()));
+        shell_ids.push(n.add_shell(format_args!("s{i}"), IdentityPearl::new()));
     }
     // Loop: entry(out0) -> relays -> s1 ... -> entry(in0).
     let mut relay_ids = Vec::new();
@@ -425,7 +428,7 @@ pub fn composed(
     let entry = n.add_shell("entry", RouterPearl::new(2, 2));
     let mut shell_ids = vec![entry];
     for i in 1..ring_shells {
-        shell_ids.push(n.add_shell(format!("r{i}"), IdentityPearl::new()));
+        shell_ids.push(n.add_shell(format_args!("r{i}"), IdentityPearl::new()));
     }
     let mut prev = (entry, 0usize);
     for _ in 0..ring_relays {
@@ -493,7 +496,7 @@ pub fn composed_coupled(
     let entry = n.add_shell("entry", RouterPearl::new(2, 2));
     let mut shell_ids = vec![entry];
     for i in 1..ring_shells {
-        shell_ids.push(n.add_shell(format!("r{i}"), IdentityPearl::new()));
+        shell_ids.push(n.add_shell(format_args!("r{i}"), IdentityPearl::new()));
     }
     let mut prev = (entry, 0usize);
     for _ in 0..ring_relays {
@@ -549,7 +552,7 @@ pub fn buffered_ring(shells: usize, relays: usize) -> BufferedRing {
         let sh = if i == 0 {
             n.add_buffered_shell("tap", IdentityPearl::with_fanout(2))
         } else {
-            n.add_buffered_shell(format!("s{i}"), IdentityPearl::new())
+            n.add_buffered_shell(format_args!("s{i}"), IdentityPearl::new())
         };
         shell_ids.push(sh);
     }
@@ -586,7 +589,7 @@ pub fn memory_equivalent_chains(shells: usize) -> (Chain, Chain) {
     let mut prev = (source, 0usize);
     let mut shell_ids = Vec::with_capacity(shells);
     for i in 0..shells {
-        let sh = n.add_shell(format!("s{i}"), IdentityPearl::new());
+        let sh = n.add_shell(format_args!("s{i}"), IdentityPearl::new());
         n.connect_via_relays(prev.0, prev.1, sh, 0, 1, RelayKind::Half)
             .expect("fresh ports");
         shell_ids.push(sh);
@@ -607,7 +610,7 @@ pub fn memory_equivalent_chains(shells: usize) -> (Chain, Chain) {
     let mut prev = (source, 0usize);
     let mut shell_ids = Vec::with_capacity(shells);
     for i in 0..shells {
-        let sh = n.add_buffered_shell(format!("s{i}"), IdentityPearl::new());
+        let sh = n.add_buffered_shell(format_args!("s{i}"), IdentityPearl::new());
         n.connect(prev.0, prev.1, sh, 0).expect("fresh ports");
         shell_ids.push(sh);
         prev = (sh, 0);

@@ -37,6 +37,7 @@
 
 mod error;
 pub mod generate;
+mod names;
 mod netlist;
 pub mod span;
 pub mod text;

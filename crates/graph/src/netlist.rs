@@ -14,6 +14,7 @@ use lip_core::pearl::Pearl;
 use lip_core::{Pattern, ProtocolVariant, RelayKind};
 
 use crate::error::NetlistError;
+use crate::names::NameArena;
 
 /// Handle to a node of a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -148,24 +149,25 @@ impl NodeKind {
     }
 }
 
-/// A node: kind plus a display name.
-#[derive(Debug, Clone)]
-pub struct Node {
-    pub(crate) name: String,
-    pub(crate) kind: NodeKind,
+/// A node: its kind and display name, borrowed from the netlist (which
+/// keeps every name in one arena rather than one `String` per node).
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'a> {
+    name: &'a str,
+    kind: &'a NodeKind,
 }
 
-impl Node {
+impl<'a> Node<'a> {
     /// Display name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(self) -> &'a str {
+        self.name
     }
 
     /// The node's kind.
     #[must_use]
-    pub fn kind(&self) -> &NodeKind {
-        &self.kind
+    pub fn kind(self) -> &'a NodeKind {
+        self.kind
     }
 }
 
@@ -187,12 +189,44 @@ pub struct Channel {
     pub consumer: Port,
 }
 
-/// Every node's port slots in one flat array, so a netlist allocates
-/// nothing per node: node `i`'s ports are `slots[first[i]..first[i + 1]]`.
+/// A channel as the netlist stores it: both endpoints in 16 bytes, half
+/// of a [`Channel`] with its `usize` port indices.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    producer: NodeId,
+    producer_port: u32,
+    consumer: NodeId,
+    consumer_port: u32,
+}
+
+impl Link {
+    fn channel(self) -> Channel {
+        Channel {
+            producer: Port {
+                node: self.producer,
+                index: self.producer_port as usize,
+            },
+            consumer: Port {
+                node: self.consumer,
+                index: self.consumer_port as usize,
+            },
+        }
+    }
+}
+
+/// A port slot that no channel fills: channel ids stay below it.
+const UNCONNECTED: u32 = u32::MAX;
+
+/// Every node's port slots, one way, in one flat array, so a netlist
+/// allocates nothing per node: node `i`'s ports are
+/// `slots[first[i]..first[i + 1]]`, each the id of the channel on it or
+/// [`UNCONNECTED`]. A node's arity is the length of its range, so port
+/// checks and validation read it here rather than asking the shell's
+/// boxed pearl.
 #[derive(Debug, Clone)]
 struct PortTable {
     first: Vec<u32>,
-    slots: Vec<Option<ChannelId>>,
+    slots: Vec<u32>,
 }
 
 impl Default for PortTable {
@@ -217,17 +251,44 @@ impl PortTable {
 
     /// Add the next node's `count` unconnected ports.
     fn push(&mut self, count: usize) {
-        self.slots.resize(self.slots.len() + count, None);
+        self.slots.resize(self.slots.len() + count, UNCONNECTED);
         self.first
             .push(u32::try_from(self.slots.len()).expect("too many ports"));
     }
 
-    fn of(&self, node: NodeId) -> &[Option<ChannelId>] {
+    fn of(&self, node: NodeId) -> &[u32] {
         &self.slots[self.first[node.index()] as usize..self.first[node.index() + 1] as usize]
     }
 
-    fn of_mut(&mut self, node: NodeId) -> &mut [Option<ChannelId>] {
+    fn of_mut(&mut self, node: NodeId) -> &mut [u32] {
         &mut self.slots[self.first[node.index()] as usize..self.first[node.index() + 1] as usize]
+    }
+
+    /// Number of ports of `node`.
+    fn arity(&self, node: NodeId) -> usize {
+        (self.first[node.index() + 1] - self.first[node.index()]) as usize
+    }
+
+    /// The channel on port `port` of `node`, if that port exists and is
+    /// connected.
+    fn channel(&self, node: NodeId, port: usize) -> Option<ChannelId> {
+        match self.of(node).get(port) {
+            Some(&UNCONNECTED) | None => None,
+            Some(&c) => Some(ChannelId(c)),
+        }
+    }
+
+    /// The channels on `node`'s connected ports, in port order.
+    fn channels(&self, node: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
+        self.of(node)
+            .iter()
+            .filter(|&&c| c != UNCONNECTED)
+            .map(|&c| ChannelId(c))
+    }
+
+    /// `node`'s first unconnected port, if any.
+    fn first_unconnected(&self, node: NodeId) -> Option<usize> {
+        self.of(node).iter().position(|&c| c == UNCONNECTED)
     }
 }
 
@@ -255,8 +316,10 @@ impl PortTable {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
-    nodes: Vec<Node>,
-    channels: Vec<Channel>,
+    kinds: Vec<NodeKind>,
+    /// Every node's name, in node order.
+    names: NameArena,
+    channels: Vec<Link>,
     /// Per node: channel driven by each output port.
     out_ports: PortTable,
     /// Per node: channel feeding each input port.
@@ -271,13 +334,15 @@ impl Netlist {
         Self::default()
     }
 
-    /// An empty netlist with room for `nodes` nodes and `channels`
-    /// channels, and as many ports each way as channels: building a
-    /// connected netlist of that size grows no table.
+    /// An empty netlist with room for `nodes` nodes named in
+    /// `name_bytes` bytes and `channels` channels, and as many ports
+    /// each way as channels: building a connected netlist of that size
+    /// grows no table.
     #[must_use]
-    pub(crate) fn with_capacity(nodes: usize, channels: usize) -> Self {
+    pub(crate) fn with_capacity(nodes: usize, name_bytes: usize, channels: usize) -> Self {
         Netlist {
-            nodes: Vec::with_capacity(nodes),
+            kinds: Vec::with_capacity(nodes),
+            names: NameArena::with_capacity(nodes, name_bytes),
             channels: Vec::with_capacity(channels),
             out_ports: PortTable::with_capacity(nodes, channels),
             in_ports: PortTable::with_capacity(nodes, channels),
@@ -306,18 +371,41 @@ impl Netlist {
         self.variant = variant;
     }
 
-    pub(crate) fn add_node(&mut self, name: String, kind: NodeKind) -> NodeId {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
+    /// Add a node whose name the caller has just appended to the arena.
+    fn push_node(&mut self, kind: NodeKind) -> NodeId {
+        // `VACANT` in the name table is `u32::MAX`, so ids stay below it.
+        let id = u32::try_from(self.kinds.len())
+            .ok()
+            .filter(|&i| i != u32::MAX)
+            .expect("too many nodes");
         self.out_ports.push(kind.num_outputs());
         self.in_ports.push(kind.num_inputs());
-        self.nodes.push(Node { name, kind });
-        id
+        self.kinds.push(kind);
+        NodeId(id)
+    }
+
+    /// Add a node named `name`.
+    pub(crate) fn add_node(&mut self, name: &str, kind: NodeKind) -> NodeId {
+        self.names.push(name);
+        self.push_node(kind)
+    }
+
+    /// Add a node named as `name` displays, written straight into the
+    /// name arena.
+    fn add_node_display(&mut self, name: impl fmt::Display, kind: NodeKind) -> NodeId {
+        self.names.push_display(name);
+        self.push_node(kind)
+    }
+
+    /// Every node's name, in node order.
+    pub(crate) fn names(&self) -> &NameArena {
+        &self.names
     }
 
     /// Add a free-flowing primary input.
-    pub fn add_source(&mut self, name: impl Into<String>) -> NodeId {
-        self.add_node(
-            name.into(),
+    pub fn add_source(&mut self, name: impl fmt::Display) -> NodeId {
+        self.add_node_display(
+            name,
             NodeKind::Source {
                 void_pattern: Pattern::Never,
             },
@@ -328,16 +416,16 @@ impl Netlist {
     /// asserts.
     pub fn add_source_with_pattern(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         void_pattern: Pattern,
     ) -> NodeId {
-        self.add_node(name.into(), NodeKind::Source { void_pattern })
+        self.add_node_display(name, NodeKind::Source { void_pattern })
     }
 
     /// Add a free-flowing primary output.
-    pub fn add_sink(&mut self, name: impl Into<String>) -> NodeId {
-        self.add_node(
-            name.into(),
+    pub fn add_sink(&mut self, name: impl fmt::Display) -> NodeId {
+        self.add_node_display(
+            name,
             NodeKind::Sink {
                 stop_pattern: Pattern::Never,
             },
@@ -347,10 +435,10 @@ impl Netlist {
     /// Add a primary output that stops where `stop_pattern` asserts.
     pub fn add_sink_with_pattern(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         stop_pattern: Pattern,
     ) -> NodeId {
-        self.add_node(name.into(), NodeKind::Sink { stop_pattern })
+        self.add_node_display(name, NodeKind::Sink { stop_pattern })
     }
 
     /// Replace the void pattern of the source at `node`; returns `false`
@@ -360,7 +448,7 @@ impl Netlist {
     /// invalidates a validated netlist, so parameter sweeps can reuse a
     /// single topology.
     pub fn set_source_pattern(&mut self, node: NodeId, pattern: Pattern) -> bool {
-        match &mut self.nodes[node.index()].kind {
+        match &mut self.kinds[node.index()] {
             NodeKind::Source { void_pattern } => {
                 *void_pattern = pattern;
                 true
@@ -372,7 +460,7 @@ impl Netlist {
     /// Replace the stop pattern of the sink at `node`; returns `false`
     /// (and changes nothing) if `node` is not a sink.
     pub fn set_sink_pattern(&mut self, node: NodeId, pattern: Pattern) -> bool {
-        match &mut self.nodes[node.index()].kind {
+        match &mut self.kinds[node.index()] {
             NodeKind::Sink { stop_pattern } => {
                 *stop_pattern = pattern;
                 true
@@ -382,9 +470,9 @@ impl Netlist {
     }
 
     /// Add a shell wrapping `pearl`.
-    pub fn add_shell(&mut self, name: impl Into<String>, pearl: impl Pearl + 'static) -> NodeId {
-        self.add_node(
-            name.into(),
+    pub fn add_shell(&mut self, name: impl fmt::Display, pearl: impl Pearl + 'static) -> NodeId {
+        self.add_node_display(
+            name,
             NodeKind::Shell {
                 pearl: Box::new(pearl),
                 buffered: false,
@@ -393,9 +481,9 @@ impl Netlist {
     }
 
     /// Add a shell wrapping an already-boxed pearl.
-    pub fn add_shell_boxed(&mut self, name: impl Into<String>, pearl: Box<dyn Pearl>) -> NodeId {
-        self.add_node(
-            name.into(),
+    pub fn add_shell_boxed(&mut self, name: impl fmt::Display, pearl: Box<dyn Pearl>) -> NodeId {
+        self.add_node_display(
+            name,
             NodeKind::Shell {
                 pearl,
                 buffered: false,
@@ -408,11 +496,11 @@ impl Netlist {
     /// channels, at the cost of one register per input.
     pub fn add_buffered_shell(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         pearl: impl Pearl + 'static,
     ) -> NodeId {
-        self.add_node(
-            name.into(),
+        self.add_node_display(
+            name,
             NodeKind::Shell {
                 pearl: Box::new(pearl),
                 buffered: true,
@@ -423,11 +511,11 @@ impl Netlist {
     /// Add a buffered shell wrapping an already-boxed pearl.
     pub fn add_buffered_shell_boxed(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         pearl: Box<dyn Pearl>,
     ) -> NodeId {
-        self.add_node(
-            name.into(),
+        self.add_node_display(
+            name,
             NodeKind::Shell {
                 pearl,
                 buffered: true,
@@ -437,38 +525,41 @@ impl Netlist {
 
     /// Add a relay station with an automatic name.
     pub fn add_relay(&mut self, kind: RelayKind) -> NodeId {
-        let name = format!("{}_rs{}", kind, self.nodes.len());
-        self.add_node(name, NodeKind::Relay { kind })
+        let name = format_args!("{}_rs{}", kind, self.kinds.len());
+        self.add_node_display(name, NodeKind::Relay { kind })
     }
 
     /// Add a named relay station.
-    pub fn add_relay_named(&mut self, name: impl Into<String>, kind: RelayKind) -> NodeId {
-        self.add_node(name.into(), NodeKind::Relay { kind })
+    pub fn add_relay_named(&mut self, name: impl fmt::Display, kind: RelayKind) -> NodeId {
+        self.add_node_display(name, NodeKind::Relay { kind })
     }
 
     fn check_port(&self, node: NodeId, port: usize, output: bool) -> Result<(), NetlistError> {
-        let arity = if output {
-            self.nodes[node.index()].kind.num_outputs()
+        let ports = if output {
+            &self.out_ports
         } else {
-            self.nodes[node.index()].kind.num_inputs()
+            &self.in_ports
         };
-        if port >= arity {
-            return Err(NetlistError::PortOutOfRange {
+        match ports.of(node).get(port) {
+            Some(&UNCONNECTED) => Ok(()),
+            Some(_) => Err(NetlistError::PortAlreadyConnected { node, port, output }),
+            None => Err(NetlistError::PortOutOfRange {
                 node,
                 port,
-                arity,
+                arity: ports.arity(node),
                 output,
-            });
+            }),
         }
-        let busy = if output {
-            self.out_ports.of(node)[port].is_some()
-        } else {
-            self.in_ports.of(node)[port].is_some()
-        };
-        if busy {
-            return Err(NetlistError::PortAlreadyConnected { node, port, output });
-        }
-        Ok(())
+    }
+
+    /// The id of the next channel.
+    fn next_channel(&self) -> ChannelId {
+        // `UNCONNECTED` is `u32::MAX`, so ids stay below it.
+        let id = u32::try_from(self.channels.len())
+            .ok()
+            .filter(|&i| i != UNCONNECTED)
+            .expect("too many channels");
+        ChannelId(id)
     }
 
     /// Connect output port `from_port` of `from` to input port `to_port`
@@ -487,19 +578,16 @@ impl Netlist {
     ) -> Result<ChannelId, NetlistError> {
         self.check_port(from, from_port, true)?;
         self.check_port(to, to_port, false)?;
-        let id = ChannelId(u32::try_from(self.channels.len()).expect("too many channels"));
-        self.channels.push(Channel {
-            producer: Port {
-                node: from,
-                index: from_port,
-            },
-            consumer: Port {
-                node: to,
-                index: to_port,
-            },
+        let id = self.next_channel();
+        // Both ports exist, so both indices fit the `u32` slot offsets.
+        self.channels.push(Link {
+            producer: from,
+            producer_port: from_port as u32,
+            consumer: to,
+            consumer_port: to_port as u32,
         });
-        self.out_ports.of_mut(from)[from_port] = Some(id);
-        self.in_ports.of_mut(to)[to_port] = Some(id);
+        self.out_ports.of_mut(from)[from_port] = id.0;
+        self.in_ports.of_mut(to)[to_port] = id.0;
         Ok(id)
     }
 
@@ -556,15 +644,19 @@ impl Netlist {
         let rs = self.add_relay(kind);
         // Rewire: producer -> rs (reusing the existing channel record),
         // rs -> consumer (new channel).
-        self.channels[channel.index()].consumer = Port { node: rs, index: 0 };
-        self.in_ports.of_mut(rs)[0] = Some(channel);
-        let new_id = ChannelId(u32::try_from(self.channels.len()).expect("too many channels"));
-        self.channels.push(Channel {
-            producer: Port { node: rs, index: 0 },
+        let link = &mut self.channels[channel.index()];
+        link.consumer = rs;
+        link.consumer_port = 0;
+        self.in_ports.of_mut(rs)[0] = channel.0;
+        let new_id = self.next_channel();
+        self.channels.push(Link {
+            producer: rs,
+            producer_port: 0,
             consumer: ch.consumer,
+            consumer_port: ch.consumer_port,
         });
-        self.out_ports.of_mut(rs)[0] = Some(new_id);
-        self.in_ports.of_mut(ch.consumer.node)[ch.consumer.index] = Some(new_id);
+        self.out_ports.of_mut(rs)[0] = new_id.0;
+        self.in_ports.of_mut(ch.consumer)[ch.consumer_port as usize] = new_id.0;
         rs
     }
 
@@ -575,7 +667,7 @@ impl Netlist {
     ///
     /// Panics if `node` is not a relay station.
     pub fn set_relay_kind(&mut self, node: NodeId, kind: RelayKind) {
-        match &mut self.nodes[node.index()].kind {
+        match &mut self.kinds[node.index()] {
             NodeKind::Relay { kind: k } => *k = kind,
             other => panic!("node {node} is not a relay station (found {other:?})"),
         }
@@ -584,7 +676,7 @@ impl Netlist {
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Number of channels.
@@ -599,8 +691,31 @@ impl Netlist {
     ///
     /// Panics if `id` is from another netlist.
     #[must_use]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        Node {
+            name: self.names.get(id.index()),
+            kind: &self.kinds[id.index()],
+        }
+    }
+
+    /// Number of input ports of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is from another netlist.
+    #[must_use]
+    pub fn num_inputs(&self, id: NodeId) -> usize {
+        self.in_ports.arity(id)
+    }
+
+    /// Number of output ports of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is from another netlist.
+    #[must_use]
+    pub fn num_outputs(&self, id: NodeId) -> usize {
+        self.out_ports.arity(id)
     }
 
     /// The channel behind `id`.
@@ -610,35 +725,37 @@ impl Netlist {
     /// Panics if `id` is from another netlist.
     #[must_use]
     pub fn channel(&self, id: ChannelId) -> Channel {
-        self.channels[id.index()]
+        self.channels[id.index()].channel()
     }
 
     /// Iterate `(id, node)` in insertion order.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(u32::try_from(i).expect("node index")), n))
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, Node<'_>)> {
+        (0..self.kinds.len()).map(|i| {
+            let id = NodeId(u32::try_from(i).expect("node index"));
+            (id, self.node(id))
+        })
     }
 
     /// Iterate `(id, channel)` in insertion order.
     pub fn channels(&self) -> impl Iterator<Item = (ChannelId, Channel)> + '_ {
-        self.channels
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (ChannelId(u32::try_from(i).expect("channel index")), *c))
+        self.channels.iter().enumerate().map(|(i, c)| {
+            (
+                ChannelId(u32::try_from(i).expect("channel index")),
+                c.channel(),
+            )
+        })
     }
 
     /// Channel driven by output port `port` of `node`, if connected.
     #[must_use]
     pub fn out_channel(&self, node: NodeId, port: usize) -> Option<ChannelId> {
-        self.out_ports.of(node).get(port).copied().flatten()
+        self.out_ports.channel(node, port)
     }
 
     /// Channel feeding input port `port` of `node`, if connected.
     #[must_use]
     pub fn in_channel(&self, node: NodeId, port: usize) -> Option<ChannelId> {
-        self.in_ports.of(node).get(port).copied().flatten()
+        self.in_ports.channel(node, port)
     }
 
     /// Successor nodes of `node` (one per connected output port).
@@ -657,26 +774,22 @@ impl Netlist {
     /// collected: graph walks take one step without allocating.
     pub fn successors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_ports
-            .of(node)
-            .iter()
-            .flatten()
-            .map(|ch| self.channels[ch.index()].consumer.node)
+            .channels(node)
+            .map(|ch| self.channels[ch.index()].consumer)
     }
 
     /// [`Netlist::predecessors`], borrowed from the netlist instead of
     /// collected.
     pub fn predecessors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.in_ports
-            .of(node)
-            .iter()
-            .flatten()
-            .map(|ch| self.channels[ch.index()].producer.node)
+            .channels(node)
+            .map(|ch| self.channels[ch.index()].producer)
     }
 
     /// All node ids of a kind selected by `pred`.
     fn nodes_where(&self, pred: impl Fn(&NodeKind) -> bool) -> Vec<NodeId> {
         self.nodes()
-            .filter(|(_, n)| pred(&n.kind))
+            .filter(|(_, n)| pred(n.kind))
             .map(|(id, _)| id)
             .collect()
     }
@@ -712,8 +825,8 @@ impl Netlist {
     pub fn shell_to_shell_channels(&self) -> Vec<ChannelId> {
         self.channels()
             .filter(|(_, c)| {
-                self.nodes[c.producer.node.index()].kind.is_shell()
-                    && self.nodes[c.consumer.node.index()].kind.is_simple_shell()
+                self.kinds[c.producer.node.index()].is_shell()
+                    && self.kinds[c.consumer.node.index()].is_simple_shell()
             })
             .map(|(id, _)| id)
             .collect()
@@ -735,26 +848,23 @@ impl Netlist {
     ///   nor a full relay station, so its forward data path is purely
     ///   combinational.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for (id, node) in self.nodes() {
-            for port in 0..node.kind.num_outputs() {
-                if self.out_channel(id, port).is_none() {
-                    return Err(NetlistError::UnconnectedPort {
-                        node: id,
-                        port,
-                        output: true,
-                    });
-                }
+        for (i, kind) in self.kinds.iter().enumerate() {
+            let id = NodeId(u32::try_from(i).expect("node index"));
+            if let Some(port) = self.out_ports.first_unconnected(id) {
+                return Err(NetlistError::UnconnectedPort {
+                    node: id,
+                    port,
+                    output: true,
+                });
             }
-            for port in 0..node.kind.num_inputs() {
-                if self.in_channel(id, port).is_none() {
-                    return Err(NetlistError::UnconnectedPort {
-                        node: id,
-                        port,
-                        output: false,
-                    });
-                }
+            if let Some(port) = self.in_ports.first_unconnected(id) {
+                return Err(NetlistError::UnconnectedPort {
+                    node: id,
+                    port,
+                    output: false,
+                });
             }
-            let pattern = match &node.kind {
+            let pattern = match kind {
                 NodeKind::Source { void_pattern } => Some(void_pattern),
                 NodeKind::Sink { stop_pattern } => Some(stop_pattern),
                 _ => None,
@@ -793,14 +903,14 @@ impl Netlist {
             Grey,
             Black,
         }
-        let n = self.nodes.len();
+        let n = self.kinds.len();
         let mut mark = vec![Mark::White; n];
         let mut stack: Vec<NodeId> = Vec::new();
 
         // Iterative DFS with an explicit path stack.
         for start in 0..n {
             let start_id = NodeId(u32::try_from(start).expect("node index"));
-            if mark[start] != Mark::White || cut(&self.nodes[start].kind) {
+            if mark[start] != Mark::White || cut(&self.kinds[start]) {
                 continue;
             }
             let mut work = vec![(start_id, self.successors_iter(start_id))];
@@ -809,7 +919,7 @@ impl Netlist {
             while let Some((node, succs)) = work.last_mut() {
                 let node = *node;
                 if let Some(s) = succs.next() {
-                    if cut(&self.nodes[s.index()].kind) {
+                    if cut(&self.kinds[s.index()]) {
                         continue;
                     }
                     match mark[s.index()] {
@@ -852,16 +962,16 @@ impl Netlist {
     #[must_use]
     pub fn without_relays(&self) -> (Netlist, Vec<Option<NodeId>>) {
         let mut out = Netlist::with_variant(self.variant);
-        let mut map: Vec<Option<NodeId>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            map.push(match &node.kind {
+        let mut map: Vec<Option<NodeId>> = Vec::with_capacity(self.kinds.len());
+        for (_, node) in self.nodes() {
+            map.push(match node.kind {
                 NodeKind::Relay { .. } => None,
-                kind => Some(out.add_node(node.name.clone(), kind.clone())),
+                kind => Some(out.add_node(node.name, kind.clone())),
             });
         }
         // Re-connect: for every channel leaving a kept node, follow
         // through relay stations to the next kept consumer.
-        for ch in &self.channels {
+        for (_, ch) in self.channels() {
             let Some(new_from) = map[ch.producer.node.index()] else {
                 continue;
             };
@@ -875,9 +985,10 @@ impl Netlist {
                     }
                     None => {
                         // A relay station: follow its single output.
-                        let next =
-                            self.out_ports.of(cursor.node)[0].expect("relay output connected");
-                        cursor = self.channels[next.index()].consumer;
+                        let next = self
+                            .out_channel(cursor.node, 0)
+                            .expect("relay output connected");
+                        cursor = self.channel(next).consumer;
                     }
                 }
             }
@@ -923,8 +1034,8 @@ impl Netlist {
     #[must_use]
     pub fn census(&self) -> NetlistCensus {
         let mut c = NetlistCensus::default();
-        for (_, node) in self.nodes() {
-            match &node.kind {
+        for kind in &self.kinds {
+            match kind {
                 NodeKind::Source { .. } => c.sources += 1,
                 NodeKind::Sink { .. } => c.sinks += 1,
                 NodeKind::Shell { buffered, .. } => {

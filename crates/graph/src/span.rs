@@ -39,11 +39,20 @@ impl fmt::Display for Span {
 ///
 /// Lookups are total: nodes or channels created *after* parsing (for
 /// example by a fix-it that inserts a relay station) have no span and
-/// return `None`.
+/// return `None`. Lines are 1-based, so the map stores a missing span
+/// as [`NO_SPAN`] on line 0, in 8 bytes where an `Option<Span>` takes 12.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceMap {
-    nodes: Vec<Option<Span>>,
-    channels: Vec<Option<Span>>,
+    nodes: Vec<Span>,
+    channels: Vec<Span>,
+}
+
+/// The stored form of "no span".
+const NO_SPAN: Span = Span::new(0, 0);
+
+/// `span`, unless it is [`NO_SPAN`].
+fn present(span: Option<&Span>) -> Option<Span> {
+    span.copied().filter(|s| s.line != 0)
 }
 
 impl SourceMap {
@@ -66,33 +75,35 @@ impl SourceMap {
     /// from text.
     #[must_use]
     pub fn node(&self, node: NodeId) -> Option<Span> {
-        self.nodes.get(node.index()).copied().flatten()
+        present(self.nodes.get(node.index()))
     }
 
     /// Span of the `connect` statement that created `channel`, if it
     /// was parsed from text.
     #[must_use]
     pub fn channel(&self, channel: ChannelId) -> Option<Span> {
-        self.channels.get(channel.index()).copied().flatten()
+        present(self.channels.get(channel.index()))
     }
 
-    /// Record the declaring span of `node`.
+    /// Record the declaring span of `node` (a span on line 0, before
+    /// the 1-based first line, reads back as `None`).
     pub fn record_node(&mut self, node: NodeId, span: Span) {
-        let i = node.index();
-        if self.nodes.len() <= i {
-            self.nodes.resize(i + 1, None);
-        }
-        self.nodes[i] = Some(span);
+        record(&mut self.nodes, node.index(), span);
     }
 
-    /// Record the declaring span of `channel`.
+    /// Record the declaring span of `channel` (a span on line 0 reads
+    /// back as `None`).
     pub fn record_channel(&mut self, channel: ChannelId, span: Span) {
-        let i = channel.index();
-        if self.channels.len() <= i {
-            self.channels.resize(i + 1, None);
-        }
-        self.channels[i] = Some(span);
+        record(&mut self.channels, channel.index(), span);
     }
+}
+
+/// Set `spans[i]`, padding with [`NO_SPAN`] up to it.
+fn record(spans: &mut Vec<Span>, i: usize, span: Span) {
+    if spans.len() <= i {
+        spans.resize(i + 1, NO_SPAN);
+    }
+    spans[i] = span;
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@
 //! into the file. Parse errors carry the same [`Span`] machinery plus a
 //! structured [`ParseErrorKind`].
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -47,6 +46,7 @@ use lip_core::pearl::{
 };
 use lip_core::{Pattern, RelayKind};
 
+use crate::names::NameTable;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 use crate::span::{SourceMap, Span};
 use crate::NetlistError;
@@ -241,17 +241,39 @@ impl<'a> Lexer<'a> {
 }
 
 /// Estimated node and `connect` statements in `text`, from two byte
-/// counts (lines, and occurrences of `connect`): the capacities the
-/// parser sizes its tables at. A name containing `connect` or a blank
-/// line costs a little slack, never a wrong parse; and no estimate
-/// exceeds what the text's length could hold of the shortest statements
-/// (`sink a` and `connect a:0 b:0`, each with its line end), so a file
-/// of blank lines reserves no more than one of real statements.
+/// counts in one pass: lines, and colons, of which every `connect`
+/// holds two (`a:0 b:0`). These are the capacities the parser sizes its
+/// tables at. A blank line or a pattern's colons cost a little slack,
+/// never a wrong parse (an underestimate only grows a table); and no
+/// estimate exceeds what the text's length could hold of the shortest
+/// statements (`sink a` and `connect a:0 b:0`, each with its line end),
+/// so a file of blank lines reserves no more than one of real
+/// statements.
 fn statement_counts(text: &str) -> (usize, usize) {
     let room = text.len() + 1;
-    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
-    let connects = text.matches("connect").count().min(lines).min(room / 16);
+    let (newlines, colons) = count_newlines_and_colons(text.as_bytes());
+    let lines = newlines + 1;
+    let connects = (colons / 2).min(lines).min(room / 16);
     ((lines - connects).min(room / 7), connects)
+}
+
+/// `\n` and `:` bytes in `bytes`, counted a 64-byte block at a time
+/// into byte-wide sums the compiler turns into vector compares.
+fn count_newlines_and_colons(bytes: &[u8]) -> (usize, usize) {
+    let tally = |block: &[u8]| {
+        block.iter().fold((0u8, 0u8), |(n, c), &b| {
+            (n + u8::from(b == b'\n'), c + u8::from(b == b':'))
+        })
+    };
+    let mut blocks = bytes.chunks_exact(64);
+    let (mut newlines, mut colons) = (0, 0);
+    for block in &mut blocks {
+        let (n, c) = tally(block);
+        newlines += usize::from(n);
+        colons += usize::from(c);
+    }
+    let (n, c) = tally(blocks.remainder());
+    (newlines + usize::from(n), colons + usize::from(c))
 }
 
 /// Parse the textual format into a [`Netlist`] plus a name → node map.
@@ -276,7 +298,8 @@ pub fn parse_netlist(text: &str) -> Result<(Netlist, HashMap<String, NodeId>), P
 ///
 /// One scan over the text's bytes, with every table sized beforehand
 /// from an estimate of its statements, so on a typical file nothing
-/// grows or rehashes while parsing. The first error in text order is
+/// grows or rehashes while parsing; names are resolved in batches of
+/// statements (see `Parser`). The first error in text order is
 /// returned; a `connect` may only name nodes declared above it.
 ///
 /// # Errors
@@ -286,10 +309,13 @@ pub fn parse_netlist(text: &str) -> Result<(Netlist, HashMap<String, NodeId>), P
 pub fn parse_netlist_spanned(text: &str) -> Result<ParsedNetlist, ParseNetlistError> {
     let (nodes, connects) = statement_counts(text);
     let mut parser = Parser {
-        netlist: Netlist::with_capacity(nodes, connects),
-        names: HashMap::with_capacity(nodes),
+        netlist: Netlist::with_capacity(nodes, (nodes * NAME_BYTES).min(text.len()), connects),
+        names: NameTable::with_capacity(nodes),
         source_map: SourceMap::with_capacity(nodes, connects),
         budget: text.len(),
+        pending: Vec::with_capacity(SETTLE_EVERY.min(connects)),
+        hashes: Vec::new(),
+        found: Vec::new(),
     };
     let mut lexer = Lexer {
         text,
@@ -298,28 +324,72 @@ pub fn parse_netlist_spanned(text: &str) -> Result<ParsedNetlist, ParseNetlistEr
     };
     let mut toks = Vec::new();
     while lexer.next_line(&mut toks) {
-        parser.statement(&toks)?;
+        if let Err(e) = parser.statement(&toks) {
+            // Whatever waits to be settled sits above this line.
+            return Err(parser.settle().err().unwrap_or(e));
+        }
+        if parser.settle_due() {
+            parser.settle()?;
+        }
     }
+    parser.settle()?;
     Ok(ParsedNetlist {
         netlist: parser.netlist,
         source_map: parser.source_map,
     })
 }
 
+/// Name bytes per node the parser reserves in the netlist's name arena
+/// (which grows past it like any `String`).
+const NAME_BYTES: usize = 8;
+
+/// Declarations or `connect`s the parser reads before it settles their
+/// names in one batch.
+const SETTLE_EVERY: usize = 1024;
+
 /// What one parse builds as it goes.
+///
+/// Names are resolved in batches rather than statement by statement:
+/// node statements add their node (and name) at once, `connect`s wait in
+/// `pending`, and [`Parser::settle`] then checks the new names for
+/// duplicates and resolves the waiting endpoints, each batch hashed
+/// before it is probed. Every error still comes out first in text
+/// order: a batch only holds statements above the line being read.
 struct Parser<'a> {
     netlist: Netlist,
-    /// Declared names, borrowed from the input; the netlist keeps its
-    /// own copy. std's keyed hasher on purpose: the keys come from the
-    /// file, and a fixed hash would let a crafted one flood the table.
-    names: HashMap<&'a str, NodeId>,
+    /// Declared name → node, resolved against the netlist's name arena
+    /// under std's keyed hasher (see [`NameTable`]).
+    names: NameTable,
     source_map: SourceMap,
     /// What the text's counts may still add up to; see [`Parser::count`].
     budget: usize,
+    /// `connect`s read since the last settle, in text order.
+    pending: Vec<Pending<'a>>,
+    /// Scratch: the hashes of a batch of names.
+    hashes: Vec<u64>,
+    /// Scratch: the nodes a batch of endpoint names resolved to.
+    found: Vec<Option<NodeId>>,
+}
+
+/// A `connect` statement read but not yet resolved.
+#[derive(Debug, Clone, Copy)]
+struct Pending<'a> {
+    /// The `connect` keyword's span.
+    head: Span,
+    from: Tok<'a>,
+    from_name: &'a str,
+    from_port: usize,
+    to: Tok<'a>,
+    to_name: &'a str,
+    to_port: usize,
+    /// Nodes declared above the statement: a name declared below it is
+    /// unknown to it.
+    declared: usize,
 }
 
 impl<'a> Parser<'a> {
-    /// Parse one line's tokens (none for a blank or comment line).
+    /// Parse one line's tokens (none for a blank or comment line). Only
+    /// syntax errors come out here; names wait for [`Parser::settle`].
     fn statement(&mut self, toks: &[Tok<'a>]) -> Result<(), ParseNetlistError> {
         let Some(&head) = toks.first() else {
             return Ok(());
@@ -363,27 +433,14 @@ impl<'a> Parser<'a> {
                 ))
             }
         };
-        self.declare(name, kind)
-    }
-
-    /// Add the node a statement declares, unless its name is taken.
-    fn declare(&mut self, name: Tok<'a>, kind: NodeKind) -> Result<(), ParseNetlistError> {
-        match self.names.entry(name.text) {
-            Entry::Occupied(_) => Err(err(
-                name.span,
-                ParseErrorKind::DuplicateName(name.text.to_owned()),
-            )),
-            Entry::Vacant(slot) => {
-                let id = self.netlist.add_node(name.text.to_owned(), kind);
-                slot.insert(id);
-                self.source_map.record_node(id, name.span);
-                Ok(())
-            }
-        }
+        let id = self.netlist.add_node(name.text, kind);
+        self.source_map.record_node(id, name.span);
+        Ok(())
     }
 
     /// `connect a:0 -> b:1`: every `->` is optional, and exactly two
-    /// endpoints must remain.
+    /// endpoints must remain. The endpoints' names wait for the next
+    /// settle.
     fn connect(&mut self, head: Tok<'a>, args: &[Tok<'a>]) -> Result<(), ParseNetlistError> {
         let mut ends = args.iter().copied().filter(|t| t.text != "->");
         let (Some(from), Some(to), None) = (ends.next(), ends.next(), ends.next()) else {
@@ -391,22 +448,100 @@ impl<'a> Parser<'a> {
         };
         let (from_name, from_port) = parse_port(from)?;
         let (to_name, to_port) = parse_port(to)?;
-        let from_node = self.node(from, from_name)?;
-        let to_node = self.node(to, to_name)?;
-        let channel = self
-            .netlist
-            .connect(from_node, from_port, to_node, to_port)
-            .map_err(|e| err(head.span, ParseErrorKind::Connect(e)))?;
-        self.source_map.record_channel(channel, from.span);
+        self.pending.push(Pending {
+            head: head.span,
+            from,
+            from_name,
+            from_port,
+            to,
+            to_name,
+            to_port,
+            declared: self.netlist.node_count(),
+        });
         Ok(())
     }
 
-    /// The node declared as `name`, which `tok` names.
-    fn node(&self, tok: Tok<'_>, name: &str) -> Result<NodeId, ParseNetlistError> {
-        self.names
-            .get(name)
-            .copied()
-            .ok_or_else(|| err(tok.span, ParseErrorKind::UnknownNode(name.to_owned())))
+    /// Whether a full batch of declarations or `connect`s waits.
+    fn settle_due(&self) -> bool {
+        self.pending.len() >= SETTLE_EVERY
+            || self.netlist.node_count() - self.names.named() >= SETTLE_EVERY
+    }
+
+    /// Resolve the names of everything read since the last settle: add
+    /// the new nodes' names, then connect the pending `connect`s in text
+    /// order. Returns the first error in text order among them: a name
+    /// declared twice, an unknown endpoint, or a channel
+    /// [`Netlist::connect`] refuses.
+    fn settle(&mut self) -> Result<(), ParseNetlistError> {
+        let taken = self
+            .names
+            .insert_rest(self.netlist.names(), &mut self.hashes)
+            .map(|id| {
+                let span = self.source_map.node(id).expect("parsed nodes have spans");
+                let name = self.netlist.node(id).name().to_owned();
+                err(span, ParseErrorKind::DuplicateName(name))
+            });
+        let mut pending = std::mem::take(&mut self.pending);
+        let failed = self.connect_all(&pending).err();
+        pending.clear();
+        self.pending = pending;
+        match (taken, failed) {
+            (Some(taken), Some(failed)) => Err(if failed.span < taken.span {
+                failed
+            } else {
+                taken
+            }),
+            (Some(e), None) | (None, Some(e)) => Err(e),
+            (None, None) => Ok(()),
+        }
+    }
+
+    /// Resolve `pending`'s endpoints, hashing every name before probing
+    /// for any, then add their channels in order up to the first error.
+    ///
+    /// A chain of connects (`a -> b`, `b -> c`, …) starts each where the
+    /// last ended: such a `from` is the node the last `to` resolved to,
+    /// since names are unique, and is neither hashed nor probed.
+    fn connect_all(&mut self, pending: &[Pending<'a>]) -> Result<(), ParseNetlistError> {
+        let continues = |k: usize| k > 0 && pending[k].from_name == pending[k - 1].to_name;
+        let lookups = || {
+            pending.iter().enumerate().flat_map(move |(k, p)| {
+                let from = (!continues(k)).then_some(p.from_name);
+                from.into_iter().chain(std::iter::once(p.to_name))
+            })
+        };
+        let (names, arena) = (&self.names, self.netlist.names());
+        self.hashes.clear();
+        self.hashes.extend(lookups().map(|name| names.hash(name)));
+        self.found.clear();
+        self.found.extend(
+            lookups()
+                .zip(&self.hashes)
+                .map(|(name, &hash)| names.find(arena, name, hash)),
+        );
+        let mut found = self.found.iter().copied();
+        let mut last_to = None;
+        for (k, p) in pending.iter().enumerate() {
+            let from = if continues(k) {
+                last_to
+            } else {
+                found.next().flatten()
+            };
+            let to = found.next().flatten();
+            let known = |node: Option<NodeId>, tok: Tok<'_>, name: &str| {
+                node.filter(|id| id.index() < p.declared)
+                    .ok_or_else(|| err(tok.span, ParseErrorKind::UnknownNode(name.to_owned())))
+            };
+            let from = known(from, p.from, p.from_name)?;
+            let to = known(to, p.to, p.to_name)?;
+            last_to = Some(to);
+            let channel = self
+                .netlist
+                .connect(from, p.from_port, to, p.to_port)
+                .map_err(|e| err(p.head, ParseErrorKind::Connect(e)))?;
+            self.source_map.record_channel(channel, p.from.span);
+        }
+        Ok(())
     }
 
     fn pearl(
@@ -696,8 +831,8 @@ mod tests {
         );
         let blank = "\n".repeat(7_000);
         assert!(statement_counts(&blank).0 <= 1_000);
-        let connects = "connect".repeat(1_000);
-        assert_eq!(statement_counts(&connects), (0, 1));
+        let colons = ":".repeat(1_000);
+        assert_eq!(statement_counts(&colons), (0, 1));
     }
 
     #[test]

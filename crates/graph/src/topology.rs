@@ -59,8 +59,8 @@ pub fn classify(netlist: &Netlist) -> TopologyClass {
 pub fn join_nodes(netlist: &Netlist) -> Vec<NodeId> {
     netlist
         .nodes()
-        .filter(|(_, n)| n.kind().num_inputs() >= 2)
         .map(|(id, _)| id)
+        .filter(|&id| netlist.num_inputs(id) >= 2)
         .collect()
 }
 

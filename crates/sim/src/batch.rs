@@ -368,6 +368,11 @@ pub struct BatchEngine<W: LaneWord> {
     /// stepping never allocates per cycle.
     src_scratch: Vec<W>,
     snk_scratch: Vec<W>,
+    /// Unsampled settles run by
+    /// [`step_compiled_counted`](Self::step_compiled_counted) whose
+    /// retirement is not yet in the caller's counters; see
+    /// [`retire_counted`](Self::retire_counted).
+    unretired: u64,
 }
 
 /// The 64-lane batch engine: [`BatchEngine`] over `u64` lane words.
@@ -442,6 +447,7 @@ impl<W: LaneWord> BatchEngine<W> {
             cycle: 0,
             src_scratch: Vec::new(),
             snk_scratch: Vec::new(),
+            unretired: 0,
             prog,
         }
     }
@@ -851,10 +857,13 @@ impl<W: LaneWord> BatchEngine<W> {
     /// [`step_compiled_probed`](Self::step_compiled_probed).
     ///
     /// Destination-occupancy popcounts run on one settle in
-    /// [`OCC_SAMPLE_EVERY`] (keyed off `kc.settles`, so the first
+    /// [`OCC_SAMPLE_EVERY`] (keyed off the settles counted, so the first
     /// counted settle always samples); the sampled `occ_ops`
-    /// denominator keeps the statistic exact while the retirement
-    /// counters stay exact on every settle.
+    /// denominator keeps the statistic exact. The other settles run the
+    /// plain kernel and only count themselves: their retirement, the
+    /// same on every settle, reaches `kc` in one multiply at the next
+    /// sampled settle or at [`retire_counted`](Self::retire_counted),
+    /// which the caller runs before it reads `kc`.
     pub(crate) fn step_compiled_counted(
         &mut self,
         pats: &CompiledPatterns<W>,
@@ -872,14 +881,25 @@ impl<W: LaneWord> BatchEngine<W> {
         for (j, &s) in snk.iter().enumerate() {
             self.arena[k.snk_stop as usize + j] = s;
         }
-        k.execute_counted(
-            &mut self.arena,
-            kc,
-            kc.settles.is_multiple_of(OCC_SAMPLE_EVERY),
-        );
+        if (kc.settles + self.unretired).is_multiple_of(OCC_SAMPLE_EVERY) {
+            k.retire::<W>(kc, std::mem::take(&mut self.unretired));
+            k.execute_counted(&mut self.arena, kc, true);
+        } else {
+            k.execute(&mut self.arena);
+            self.unretired += 1;
+        }
         self.clock_probed(&src, &snk, &mut NullProbe);
         self.src_scratch = src;
         self.snk_scratch = snk;
+    }
+
+    /// Add the retirement of the settles
+    /// [`step_compiled_counted`](Self::step_compiled_counted) has run
+    /// but not yet counted to `kc`, so `kc` reconciles.
+    pub(crate) fn retire_counted(&mut self, kc: &mut KernelCounters) {
+        self.prog
+            .kernel
+            .retire::<W>(kc, std::mem::take(&mut self.unretired));
     }
 
     /// Run `n` cycles under `pats`, accumulating kernel execution
@@ -898,6 +918,7 @@ impl<W: LaneWord> BatchEngine<W> {
         for _ in 0..n {
             self.step_compiled_counted(&compiled, kc);
         }
+        self.retire_counted(kc);
     }
 
     /// A zeroed [`KernelCounters`] laid out for this engine:

@@ -534,7 +534,11 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// With [`NullRecorder`] and [`NullProgress`] this monomorphizes to
 /// exactly the unobserved sweep — [`measure_batch_periodic_wide`] is
 /// this function under the null instantiation — and measured results
-/// are bit-identical under every recorder configuration.
+/// are bit-identical under every recorder configuration. A recorder
+/// that is runtime-disabled records nothing, so the call hands over to
+/// the [`NullRecorder`] instantiation at once: a disabled recorder
+/// costs one check per call, and runs the very machine code of the
+/// unobserved sweep rather than a second copy of it.
 ///
 /// # Errors
 ///
@@ -552,6 +556,16 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     rec: &R,
     progress: &mut S,
 ) -> Result<(BatchPeriodicMeasurement, Option<KernelCounters>), NetlistError> {
+    if R::ENABLED && !rec.active() {
+        return measure_batch_periodic_obs::<W, NullRecorder, S>(
+            netlist,
+            pats,
+            budget,
+            label,
+            &NullRecorder,
+            progress,
+        );
+    }
     let _whole = rec_span(rec, "measure", label);
     let lanes = W::LANES;
     let prog = {
@@ -616,6 +630,9 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
         if S::ENABLED && executed.is_multiple_of(OBS_PROGRESS_EVERY) {
             progress.publish(&obs_snapshot(label, lanes, found.len(), executed, started));
         }
+    }
+    if let Some(kc) = kc.as_mut() {
+        batch.retire_counted(kc);
     }
     // Lanes the budget cut off before Brent's checkpoints caught their
     // recurrence still get the lasso's verdict on the cycles observed.

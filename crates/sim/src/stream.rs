@@ -652,6 +652,23 @@ impl StreamKernel {
     /// denominator keeps the occupancy statistic exact over the
     /// sampled ops. Retirement counters are exact on every settle
     /// either way.
+    /// Add `settles` unsampled settles' retirement to `kc`: per opcode
+    /// ops retired and lane-words, per stratum ops, `expected_ops` and
+    /// the settle count, without occupancy.
+    pub(crate) fn retire<W: LaneWord>(&self, kc: &mut KernelCounters, settles: u64) {
+        for seg in &self.segments {
+            let ops = (seg.end as u64 - seg.start as u64) * settles;
+            let row = &mut kc.by_op[seg.op.index()];
+            row.ops_retired += ops;
+            row.lane_words += ops * W::WORDS as u64;
+        }
+        for (slot, &n) in kc.by_stratum.iter_mut().zip(&self.stratum_ops) {
+            slot.1 += u64::from(n) * settles;
+        }
+        kc.expected_ops += self.ops.len() as u64 * settles;
+        kc.settles += settles;
+    }
+
     pub(crate) fn execute_counted<W: LaneWord>(
         &self,
         arena: &mut [W],
@@ -660,17 +677,7 @@ impl StreamKernel {
     ) {
         if !sample_occupancy {
             self.execute(arena);
-            for seg in &self.segments {
-                let ops = seg.end as u64 - seg.start as u64;
-                let row = &mut kc.by_op[seg.op.index()];
-                row.ops_retired += ops;
-                row.lane_words += ops * W::WORDS as u64;
-            }
-            for (slot, &n) in kc.by_stratum.iter_mut().zip(&self.stratum_ops) {
-                slot.1 += u64::from(n);
-            }
-            kc.expected_ops += self.ops.len() as u64;
-            kc.settles += 1;
+            self.retire::<W>(kc, 1);
             return;
         }
         for seg in &self.segments {

@@ -19,11 +19,11 @@
 //!    [`lip_sim::OCC_SAMPLE_EVERY`] settles; retirement counters stay
 //!    exact). Then a full self-profiled run — ambient recorder
 //!    installed, root `sweep` span over per-topology `measure` spans,
-//!    counted kernel execution, a memoized capacity search (cache +
-//!    analysis telemetry) and a `lip-par` fan-out (worker spans). The
-//!    drained dump must explain `>= 95%` of the root span's wall time,
-//!    and the per-opcode counters must reconcile *exactly*: ops retired
-//!    equals op-tape length × settles, per topology and merged.
+//!    counted kernel execution and a memoized capacity search (cache +
+//!    analysis telemetry). The drained dump must explain `>= 95%` of
+//!    the root span's wall time, and the per-opcode counters must
+//!    reconcile *exactly*: ops retired equals op-tape length × settles,
+//!    per topology and merged.
 //!
 //! Artefacts: `BENCH_runtime.json` (versioned [`RuntimeReport`]),
 //! `TRACE_runtime.json` (Chrome trace of the enabled leg) and
@@ -256,9 +256,8 @@ fn main() {
     let off = FlightRecorder::disabled();
     // Leg 3a, timed in the same rounds: the *fair* enabled-overhead
     // measurement — identical corpus work, recorder on. (The
-    // self-profiled sweep below does strictly more work — searches,
-    // lint fixes, fan-out — so its wall time is not an overhead
-    // number.)
+    // self-profiled sweep below does strictly more work — searches
+    // and lint fixes — so its wall time is not an overhead number.)
     let on = FlightRecorder::new();
     let (mut uncounted, mut counted) = (true, true);
     let mut base = || leg_baseline(&items, 1);
@@ -329,7 +328,7 @@ fn main() {
     let mut rows: Vec<TopoRow> = Vec::new();
     let mut merged: Option<KernelCounters> = None;
     let t0 = Instant::now();
-    let (cache_ok, fix_ok, fanout_ok) = {
+    let (cache_ok, fix_ok) = {
         let _root = rec.span("sweep", "exp_runtime_obs");
         for (name, netlist, pats) in &items {
             let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
@@ -401,17 +400,7 @@ fn main() {
             fix.total_inserted() > 0
                 && SettleProgram::compile(&netlist).is_ok_and(|fresh| fresh == program)
         };
-
-        // Worker telemetry: a small fan-out so `par` spans land in the
-        // dump (worker spans live on their own threads; the wrapper
-        // span keeps the main thread's time accounted).
-        let fanout_ok = {
-            let _fanout = rec.span("par", "fanout");
-            let names: Vec<String> = items.iter().map(|(n, _, _)| n.clone()).collect();
-            let lens = lip_par::par_map_jobs(2, &names, String::len);
-            lens.len() == items.len()
-        };
-        (cache_ok, fix_ok, fanout_ok)
+        (cache_ok, fix_ok)
     };
     let t_on = t0.elapsed().as_secs_f64();
     flight::uninstall();
@@ -476,7 +465,6 @@ fn main() {
         "cache.hits",
         "cache.misses",
         "analysis.capacity_probes",
-        "par.items",
         "compile.full",
         "compile.patch",
     ]
@@ -488,11 +476,10 @@ fn main() {
     let patched = counter("compile.patch") >= counter("analysis.capacity_probes");
     let shown = |key| counter(key).unwrap_or(0);
     println!(
-        "counters: cache {}h/{}m, {} capacity probes, {} par items, compiles {} full / {} patched",
+        "counters: cache {}h/{}m, {} capacity probes, compiles {} full / {} patched",
         shown("cache.hits"),
         shown("cache.misses"),
         shown("analysis.capacity_probes"),
-        shown("par.items"),
         shown("compile.full"),
         shown("compile.patch"),
     );
@@ -535,7 +522,6 @@ fn main() {
         ),
         ("capacity search repeats from the cache", cache_ok),
         ("lint fixes patch the program exactly", fix_ok),
-        ("par fan-out maps every item", fanout_ok),
         (
             "every converged lane has one verdict path",
             provenance.iter().all(ProvenanceRow::sums),
@@ -544,7 +530,7 @@ fn main() {
             "each parsed design equals its generator's",
             scaling.iter().all(|r| r.same),
         ),
-        ("all six counters surfaced", surfaced),
+        ("all five counters surfaced", surfaced),
         ("every capacity probe is a patch", patched),
         (
             "6 opcodes, 5 strata",

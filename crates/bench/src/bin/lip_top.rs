@@ -1,7 +1,7 @@
 //! `lip-top` — live text dashboard over the sweep progress exposition.
 //!
 //! The long-running experiment bins (`exp_runtime_obs`,
-//! `exp_batch_sweep`, `exp_parallel_sweep`) publish
+//! `exp_batch_sweep`) publish
 //! [`ProgressSnapshot`](lip_obs::ProgressSnapshot)s to a
 //! Prometheus-style text file (`progress.prom` in the report
 //! directory, atomically rewritten on every publish). This bin renders

@@ -152,8 +152,8 @@ mod tests {
         failed.push_bool("ok", false);
         assert!(report_failed(&failed));
         let mut nested = Report::new("outer");
-        nested.absorb(&failed);
-        assert!(!report_failed(&nested), "absorbed `t.ok` is not `ok`");
+        nested.push_bool("t.ok", false);
+        assert!(!report_failed(&nested), "a dotted `t.ok` is not `ok`");
         let mut malformed = Report::new("t");
         malformed.push_bool("ok", true).push_raw("broken", "{");
         assert!(report_failed(&malformed), "an unparsable report fails");
@@ -189,7 +189,7 @@ mod tests {
             assert!(src.contains(&format!("Report::new(\"{bin}\")")), "{bin}");
             bins += 1;
         }
-        assert!(bins >= 23, "only {bins} experiment bins");
+        assert!(bins >= 22, "only {bins} experiment bins");
     }
 
     #[test]

@@ -64,7 +64,9 @@ pub struct Manifest {
     pub created_ns: i64,
     /// `git rev-parse HEAD` at capture time, or `unknown`.
     pub git_sha: String,
-    /// `LIP_LANE_WORDS` at capture time, or `default`.
+    /// The lane-word shape the cross-width tests were pinned to. No
+    /// knob pins it any more (the suites sweep every width), so new
+    /// captures record `default`; the field stays for stored runs.
     pub lane_words: String,
     /// `LIP_JOBS` at capture time, or `default`.
     pub lip_jobs: String,
@@ -449,7 +451,7 @@ impl RunBuilder {
             label: self.label.clone(),
             created_ns: now_ns(),
             git_sha: git_sha(),
-            lane_words: env_or("LIP_LANE_WORDS", "default"),
+            lane_words: "default".to_owned(),
             lip_jobs: env_or("LIP_JOBS", "default"),
             host: host_fingerprint(),
             schemas: lip_obs::schema::ALL

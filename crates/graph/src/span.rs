@@ -40,7 +40,7 @@ impl fmt::Display for Span {
 /// Lookups are total: nodes or channels created *after* parsing (for
 /// example by a fix-it that inserts a relay station) have no span and
 /// return `None`. Lines are 1-based, so the map stores a missing span
-/// as [`NO_SPAN`] on line 0, in 8 bytes where an `Option<Span>` takes 12.
+/// as a span on line 0, in 8 bytes where an `Option<Span>` takes 12.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceMap {
     nodes: Vec<Span>,

@@ -4,7 +4,7 @@
 //! Every observability layer so far watches the *simulated protocol*
 //! (probes, events, blame). This module watches the *engine*: where
 //! wall time goes between netlist compilation, settle passes,
-//! periodicity hashing, throughput-cache lookups and pool workers.
+//! periodicity hashing and throughput-cache lookups.
 //!
 //! The design mirrors [`Probe`](crate::Probe)/[`NullProbe`](crate::NullProbe):
 //!
@@ -14,8 +14,8 @@
 //!   loop compiles to exactly what it was before this module existed.
 //! * [`FlightRecorder`] is the live implementation: a cloneable handle
 //!   around shared per-thread span logs and named counters. Spans are
-//!   timestamped against one common origin, so logs from pool workers
-//!   and the driving thread merge into a single coherent timeline.
+//!   timestamped against one common origin, so logs from every thread
+//!   that records merge into a single coherent timeline.
 //!   A recorder can also be constructed *runtime-disabled*
 //!   ([`FlightRecorder::disabled`]) — same monomorphization, one
 //!   predictable branch per instrumentation site — which is what the
@@ -23,9 +23,9 @@
 //! * A process-global **ambient** recorder ([`install`] /
 //!   [`uninstall`] / [`global_span`] / [`global_add`]) lets cold paths
 //!   that cannot thread a recorder parameter (settle-program
-//!   compilation, throughput-cache lookups, `lip-par` workers) publish
-//!   spans and counters. When nothing is installed the cost is one
-//!   relaxed atomic load.
+//!   compilation, throughput-cache lookups) publish spans and
+//!   counters. When nothing is installed the cost is one relaxed
+//!   atomic load.
 //!
 //! The recorded data drains into a [`FlightDump`], which
 //! [`RuntimeReport`](crate::RuntimeReport) rolls up into the versioned
@@ -119,10 +119,10 @@ impl Recorder for NullRecorder {
 /// One closed span in the flight log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static category (`"measure"`, `"compile"`, `"cache"`, `"par"`,
-    /// `"sweep"`, ...).
+    /// Static category (`"measure"`, `"compile"`, `"cache"`, `"sweep"`,
+    /// ...).
     pub cat: &'static str,
-    /// Instance name (topology, width, worker index, ...).
+    /// Instance name (topology, width, ...).
     pub name: String,
     /// Dense thread index (0 = first thread that recorded).
     pub tid: u32,
@@ -446,8 +446,8 @@ fn global() -> Option<FlightRecorder> {
 
 /// Install `rec` as the process-global ambient recorder, so cold
 /// paths that cannot take a recorder parameter (settle-program
-/// compilation, `ThroughputCache` lookups, `lip-par` workers) publish
-/// into it. Replaces any previously installed recorder.
+/// compilation, `ThroughputCache` lookups) publish into it. Replaces
+/// any previously installed recorder.
 pub fn install(rec: &FlightRecorder) {
     let mut g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     *g = Some(rec.clone());
@@ -552,20 +552,20 @@ mod tests {
     #[test]
     fn cross_thread_spans_merge_with_dense_tids() {
         let rec = FlightRecorder::new();
-        let _root = rec.span("sweep", "parallel");
+        let _root = rec.span("sweep", "threads");
         std::thread::scope(|scope| {
             for w in 0..3 {
                 let rec = rec.clone();
                 scope.spawn(move || {
-                    let _s = rec.span("par", &format!("worker{w}"));
-                    rec.add("par.items", 1);
+                    let _s = rec.span("thread", &format!("worker{w}"));
+                    rec.add("thread.items", 1);
                 });
             }
         });
         drop(_root);
         let dump = rec.drain();
-        assert_eq!(dump.counters["par.items"], 3);
-        let workers: Vec<&SpanRecord> = dump.spans.iter().filter(|s| s.cat == "par").collect();
+        assert_eq!(dump.counters["thread.items"], 3);
+        let workers: Vec<&SpanRecord> = dump.spans.iter().filter(|s| s.cat == "thread").collect();
         assert_eq!(workers.len(), 3);
         // 4 distinct threads recorded: the driver and three workers.
         assert_eq!(dump.threads, 4);

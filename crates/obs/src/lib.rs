@@ -34,7 +34,7 @@
 //!   `chrome://tracing` / Perfetto.
 //! * [`Recorder`] / [`FlightRecorder`] — the engine flight recorder:
 //!   wall-clock self-profiling of the *simulator* (compile, settle,
-//!   periodicity detection, cache lookups, pool workers) with the same
+//!   periodicity detection, cache lookups) with the same
 //!   compile-away [`NullRecorder`] idiom, rolled up with
 //!   [`KernelCounters`] into the versioned [`RuntimeReport`]
 //!   (`BENCH_runtime.json`) and rendered by [`runtime_chrome_trace`].

@@ -227,44 +227,6 @@ impl MetricsRegistry {
         .to_compact()
     }
 
-    /// Fold another registry's counters into this one — the reduction
-    /// step when a sweep fans out one registry per worker and the
-    /// aggregate must look as if a single registry observed every run.
-    /// Commutative and associative over counters, but callers should
-    /// merge in a fixed (input) order anyway so any order-sensitive
-    /// consumer of the combined report stays deterministic.
-    ///
-    /// Cycles and histogram lane-cycles sum; the transient `cur_occ`
-    /// tracking is deliberately *not* merged (it is per-run state, and a
-    /// merged registry represents finished runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two registries observe different topologies.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        assert_eq!(
-            self.topo, other.topo,
-            "cannot merge metrics from different topologies"
-        );
-        let add = |dst: &mut Vec<u64>, src: &[u64]| {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        };
-        self.cycles += other.cycles;
-        add(&mut self.stalls, &other.stalls);
-        add(&mut self.stall_discards, &other.stall_discards);
-        add(&mut self.voids, &other.voids);
-        add(&mut self.void_ins, &other.void_ins);
-        add(&mut self.consumed, &other.consumed);
-        add(&mut self.fires, &other.fires);
-        add(&mut self.relay_fills, &other.relay_fills);
-        add(&mut self.relay_drains, &other.relay_drains);
-        for (dst, src) in self.occupancy.iter_mut().zip(&other.occupancy) {
-            add(dst, src);
-        }
-    }
-
     #[inline]
     fn occ_slot(&mut self, relay: u32, lane: u16) -> &mut u32 {
         &mut self.cur_occ[relay as usize * self.lanes as usize + lane as usize]
@@ -437,48 +399,6 @@ mod tests {
         assert_eq!(m.relay_traffic(0), (2, 1));
         // Relay 1 never touched: all cycles at occupancy 0.
         assert_eq!(m.occupancy_histogram(1), &[3, 0]);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_histograms() {
-        let mut a = MetricsRegistry::new(topo());
-        a.fire(0, 0, 0);
-        a.stall(0, 1, 0);
-        a.relay_fill(0, 0, 0);
-        a.end_cycle(0);
-        let mut b = MetricsRegistry::new(topo());
-        b.fire(0, 0, 0);
-        b.fire(0, 1, 0);
-        b.consume(0, 2, 0);
-        b.end_cycle(0);
-        b.end_cycle(1);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.cycles(), 3);
-        assert_eq!(merged.fires(0), 2);
-        assert_eq!(merged.fires(1), 1);
-        assert_eq!(merged.stalls(1), 1);
-        assert_eq!(merged.consumed(2), 1);
-        assert_eq!(merged.relay_traffic(0), (1, 0));
-        // Histogram lane-cycles sum: a spent 1 cycle at occ 1, b spent
-        // 2 cycles at occ 0.
-        assert_eq!(merged.occupancy_histogram(0), &[2, 1, 0]);
-        // Merge order does not change the totals.
-        let mut other_way = b.clone();
-        other_way.merge(&a);
-        assert_eq!(other_way.to_json(), merged.to_json());
-    }
-
-    #[test]
-    #[should_panic(expected = "different topologies")]
-    fn merge_rejects_mismatched_topologies() {
-        let mut a = MetricsRegistry::new(topo());
-        let b = MetricsRegistry::new(Topology {
-            channels: 1,
-            shells: 1,
-            relay_capacities: vec![],
-        });
-        a.merge(&b);
     }
 
     #[test]

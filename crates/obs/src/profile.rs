@@ -318,23 +318,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Fold another histogram into this one, bucket-wise. After the
-    /// merge this histogram reports exactly the statistics it would
-    /// have had if every sample of `other` had been [`record`]ed here
-    /// directly — the differ uses this to combine per-run latency
-    /// histograms before comparing percentiles.
-    ///
-    /// [`record`]: Histogram::record
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-        self.total += other.total;
-    }
-
     /// `{"samples":…,"p50":…,"p95":…,"max":…}` (nulls when empty).
     #[must_use]
     pub fn summary_json(&self) -> Json {
@@ -1162,40 +1145,6 @@ mod tests {
         assert_eq!(h.percentile(95), Some(7));
         assert_eq!(h.percentile(0), Some(7));
         assert_eq!(h.max(), Some(7));
-    }
-
-    #[test]
-    fn merge_of_disjoint_ranges_equals_recording_both() {
-        let mut low = Histogram::new();
-        for v in [0u64, 1, 1, 2] {
-            low.record(v);
-        }
-        let mut high = Histogram::new();
-        for v in [50u64, 60, 70] {
-            high.record(v);
-        }
-        // Merge the wider histogram into the narrower one (exercises
-        // the resize path) and compare against recording all samples
-        // into a single histogram.
-        let mut merged = low.clone();
-        merged.merge(&high);
-        let mut direct = Histogram::new();
-        for v in [0u64, 1, 1, 2, 50, 60, 70] {
-            direct.record(v);
-        }
-        assert_eq!(merged.total(), direct.total());
-        assert_eq!(merged.max(), direct.max());
-        for p in [0u8, 25, 50, 75, 95, 100] {
-            assert_eq!(merged.percentile(p), direct.percentile(p), "p{p}");
-        }
-        // Merging in the other direction gives the same statistics.
-        let mut merged_rev = high;
-        merged_rev.merge(&low);
-        assert_eq!(merged_rev.summary_json(), merged.summary_json());
-        // Merging an empty histogram is a no-op.
-        let before = merged.summary_json();
-        merged.merge(&Histogram::new());
-        assert_eq!(merged.summary_json(), before);
     }
 
     #[test]

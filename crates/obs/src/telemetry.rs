@@ -89,20 +89,6 @@ impl Report {
         self.push_raw(key, json)
     }
 
-    /// Fold another report's fields into this one, each key prefixed
-    /// with the other report's experiment name (`<name>.<key>`) so
-    /// per-worker reports merge without colliding. Fields keep their
-    /// order, so absorbing worker reports in input order produces the
-    /// same document for every worker count — the determinism contract
-    /// the parallel sweep executor relies on.
-    pub fn absorb(&mut self, other: &Report) -> &mut Self {
-        for (key, json) in &other.fields {
-            self.fields
-                .push((format!("{}.{key}", other.experiment), json.clone()));
-        }
-        self
-    }
-
     /// Serialise the report (pretty-printed, one field per line).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -352,24 +338,6 @@ mod tests {
         assert_eq!(full.get("num"), Some(&Json::Int(1)));
         assert_eq!(full.get("value"), Some(&Json::Float(1.0)));
         assert_eq!(doc.get("empty").unwrap().get("value"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn absorb_prefixes_and_preserves_order() {
-        let mut main = Report::new("sweep");
-        main.push_int("threads", 4);
-        let mut w0 = Report::new("worker0");
-        w0.push_int("cycles", 10).push_bool("ok", true);
-        let mut w1 = Report::new("worker1");
-        w1.push_int("cycles", 20);
-        main.absorb(&w0).absorb(&w1);
-        let j = main.to_json();
-        assert!(j.contains("\"worker0.cycles\": 10"));
-        assert!(j.contains("\"worker0.ok\": true"));
-        assert!(j.contains("\"worker1.cycles\": 20"));
-        let a = j.find("worker0.cycles").unwrap();
-        let b = j.find("worker1.cycles").unwrap();
-        assert!(a < b, "absorb order preserved");
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn read_committed() -> Vec<Vec<u8>> {
         }
     }
     assert!(
-        files.len() >= 8,
+        files.len() >= 7,
         "expected the committed artefacts, found {}",
         files.len()
     );

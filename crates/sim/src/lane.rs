@@ -3,7 +3,7 @@
 //!
 //! A [`LaneWord`] packs one bit per simulated scenario (lane). The
 //! original engine hard-coded `u64` (64 lanes); this trait generalises
-//! the layout to `u128` and `[u64; W]` word shapes up to
+//! the layout to `[u64; W]` word shapes up to
 //! [`Lanes1024`] (1024 lanes per settle pass) while keeping every
 //! operation a wrapper-free inlined bitwise op — the `u64`
 //! instantiation monomorphizes to exactly the code the 64-lane engine
@@ -163,66 +163,6 @@ impl LaneWord for u64 {
     }
 }
 
-impl LaneWord for u128 {
-    const LANES: usize = 128;
-    const WORDS: usize = 2;
-    const ZERO: Self = 0;
-    const ONES: Self = !0;
-
-    #[inline]
-    fn and(self, o: Self) -> Self {
-        self & o
-    }
-
-    #[inline]
-    fn or(self, o: Self) -> Self {
-        self | o
-    }
-
-    #[inline]
-    fn xor(self, o: Self) -> Self {
-        self ^ o
-    }
-
-    #[inline]
-    fn not(self) -> Self {
-        !self
-    }
-
-    #[inline]
-    fn any(self) -> bool {
-        self != 0
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        u128::count_ones(self)
-    }
-
-    #[inline]
-    fn lane(self, l: usize) -> bool {
-        (self >> l) & 1 == 1
-    }
-
-    #[inline]
-    fn with_lane(self, l: usize) -> Self {
-        self | (1 << l)
-    }
-
-    #[inline]
-    #[allow(clippy::cast_possible_truncation)]
-    fn word(self, w: usize) -> u64 {
-        (self >> (64 * w)) as u64
-    }
-
-    #[inline]
-    #[allow(clippy::cast_possible_truncation)]
-    fn write_words(self, out: &mut [u64]) {
-        out[0] = self as u64;
-        out[1] = (self >> 64) as u64;
-    }
-}
-
 impl<const W: usize> LaneWord for [u64; W] {
     const LANES: usize = 64 * W;
     const WORDS: usize = W;
@@ -325,10 +265,6 @@ pub trait LaneWidthVisitor {
 
 /// Run `v` at the word shape carrying exactly `lanes` lanes.
 ///
-/// Width 128 dispatches to the `[u64; 2]` shape (the `u128` impl
-/// exists for callers that prefer it and is equivalence-tested, but the
-/// array shapes keep the kernel loops uniform).
-///
 /// # Panics
 ///
 /// Panics if `lanes` is not one of [`LANE_WIDTHS`].
@@ -341,24 +277,6 @@ pub fn dispatch_lane_width<V: LaneWidthVisitor>(lanes: usize, v: &mut V) -> V::O
         1024 => v.visit::<Lanes1024>(),
         _ => panic!("unsupported lane width {lanes}; supported widths: {LANE_WIDTHS:?}"),
     }
-}
-
-/// Lane widths the test/CI matrix asks for: if `LIP_LANE_WORDS` is set
-/// to a word count `N` with `64·N` a supported width, only that width;
-/// otherwise every width in [`LANE_WIDTHS`]. This is the CI lever that
-/// runs the cross-width equivalence suite once per matrix leg instead
-/// of five times per job.
-#[must_use]
-pub fn lane_words_under_test() -> Vec<usize> {
-    if let Ok(s) = std::env::var("LIP_LANE_WORDS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            let width = n.saturating_mul(64);
-            if LANE_WIDTHS.contains(&width) {
-                return vec![width];
-            }
-        }
-    }
-    LANE_WIDTHS.to_vec()
 }
 
 #[cfg(test)]
@@ -397,21 +315,10 @@ mod tests {
     #[test]
     fn all_word_shapes_behave_identically() {
         exercise::<u64>();
-        exercise::<u128>();
         exercise::<Lanes128>();
         exercise::<Lanes256>();
         exercise::<Lanes512>();
         exercise::<Lanes1024>();
-    }
-
-    #[test]
-    fn u128_matches_two_word_array() {
-        let f = |l: usize| l % 7 == 2;
-        let a = <u128 as LaneWord>::from_fn(f);
-        let b = <Lanes128 as LaneWord>::from_fn(f);
-        for w in 0..2 {
-            assert_eq!(a.word(w), b.word(w));
-        }
     }
 
     #[test]

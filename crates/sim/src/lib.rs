@@ -58,11 +58,11 @@ pub use batch::{BatchEngine, BatchSkeleton, LanePatterns, LANES, OCC_SAMPLE_EVER
 pub use cache::ThroughputCache;
 pub use evolution::Evolution;
 pub use lane::{
-    dispatch_lane_width, lane_words_under_test, LaneWidthVisitor, LaneWord, Lanes1024, Lanes128,
-    Lanes256, Lanes512, LANE_WIDTHS,
+    dispatch_lane_width, LaneWidthVisitor, LaneWord, Lanes1024, Lanes128, Lanes256, Lanes512,
+    LANE_WIDTHS,
 };
 pub use measure::{
-    measure, measure_activity, measure_batch, measure_batch_periodic, measure_batch_periodic_obs,
+    measure, measure_activity, measure_batch_periodic, measure_batch_periodic_obs,
     measure_batch_periodic_wide, measure_batch_wide, BatchMeasurement, BatchPeriodicMeasurement,
     LivenessReport, Measurement, Periodicity, Ratio, ShellActivity,
 };

@@ -272,8 +272,7 @@ pub fn measure_activity(netlist: &Netlist) -> Result<Vec<ShellActivity>, Netlist
     Ok(shell_rates(netlist, MeasureOptions::default())?.1)
 }
 
-/// Result of a batched throughput sweep ([`measure_batch`] /
-/// [`measure_batch_wide`]).
+/// Result of a batched throughput sweep ([`measure_batch_wide`]).
 ///
 /// Lane `l` holds the outcome of simulating the netlist under lane `l`'s
 /// environment patterns for the full cycle window.
@@ -307,33 +306,18 @@ impl BatchMeasurement {
     }
 }
 
-/// Measure 64 environment scenarios of `netlist` in one pass: lane `l`
-/// simulates the netlist under `pats`' lane-`l` patterns for `cycles`
-/// cycles on the bit-parallel [`BatchSkeleton`](crate::BatchSkeleton),
-/// and every sink's token counts are read back per lane.
+/// Measure `W::LANES` environment scenarios of `netlist` in one pass:
+/// lane `l` simulates the netlist under `pats`' lane-`l` patterns for
+/// `cycles` cycles on the bit-parallel [`BatchEngine<W>`], and every
+/// sink's token counts are read back per lane.
 ///
 /// This is the batched replacement for running [`measure`] (or a scalar
-/// skeleton) 64 times in a throughput sweep; counts are bit-identical
-/// to 64 scalar runs. Unlike [`measure`] there is no periodicity
+/// skeleton) once per lane in a throughput sweep; counts are
+/// bit-identical to the scalar runs at every width — the wider word
+/// only buys wall-clock. Unlike [`measure`] there is no periodicity
 /// detection — pick `cycles` comfortably past the transient (e.g. via
 /// [`lip_graph::topology::longest_latency`]) so the window average
 /// converges on the steady-state rate.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-pub fn measure_batch(
-    netlist: &Netlist,
-    pats: &LanePatterns,
-    cycles: u64,
-) -> Result<BatchMeasurement, NetlistError> {
-    measure_batch_wide::<u64>(netlist, pats, cycles)
-}
-
-/// [`measure_batch`] at any supported lane width: `pats` must carry
-/// `W::LANES` lanes and the sweep runs on [`BatchEngine<W>`]. Results
-/// are bit-identical, lane for lane, to the 64-lane path (and to
-/// `W::LANES` scalar runs) — the wider word only buys wall-clock.
 ///
 /// # Errors
 ///
@@ -431,7 +415,7 @@ impl BatchPeriodicMeasurement {
     }
 }
 
-/// Periodicity-aware replacement for [`measure_batch`]: sweep 64
+/// Periodicity-aware replacement for [`measure_batch_wide`]: sweep 64
 /// environment scenarios at once, but track each lane's control-state
 /// recurrence — its environment phase plus its component state — and
 /// *retire* a lane the moment it proves periodic: its exact throughput
@@ -462,7 +446,7 @@ impl BatchPeriodicMeasurement {
 /// checkpoint are settled by one backward sweep over the kept planes.
 /// Lanes with aperiodic (random) environments never converge;
 /// they run to the full budget and report the whole-window estimate,
-/// exactly like [`measure_batch`].
+/// exactly like [`measure_batch_wide`].
 ///
 /// # Errors
 ///
@@ -907,7 +891,7 @@ mod tests {
                 Pattern::Cyclic((0..64).map(|c| c < lane).collect()),
             );
         }
-        let m = measure_batch(&f.netlist, &pats, 6400).unwrap();
+        let m = measure_batch_wide::<u64>(&f.netlist, &pats, 6400).unwrap();
         // Lane 0 is the plain fig1 environment: identical counts to a
         // scalar skeleton run, and within one transient token of 4/5.
         let mut sk = crate::SkeletonSystem::new(&f.netlist).unwrap();
@@ -954,30 +938,47 @@ mod tests {
     }
 
     #[test]
-    fn batch_periodic_early_exit_keeps_exact_fig1_throughput() {
-        let f = generate::fig1();
-        let prog = SettleProgram::compile(&f.netlist).unwrap();
-        let pats = LanePatterns::broadcast(&prog);
-        let budget = 10_000;
-        let m = measure_batch_periodic(&f.netlist, &pats, budget).unwrap();
-        assert!(m.all_converged(), "fig1 lanes are all periodic");
-        // Early exit must save the bulk of the budget…
-        assert!(
-            m.cycles_saved() * 100 >= budget * 40,
-            "saved only {} of {budget}",
-            m.cycles_saved()
-        );
-        // …at unchanged exact throughputs and periodicity.
-        let scalar = measure(&f.netlist).unwrap();
-        let sp = scalar.periodicity.expect("fig1 periodic");
-        for lane in 0..LANES {
-            assert_eq!(
-                m.system_throughput(lane),
-                Some(Ratio::new(4, 5)),
-                "lane {lane}"
-            );
-            assert_eq!(m.periodicity[lane].expect("converged").period, sp.period);
+    fn batch_periodic_early_exit_keeps_exact_throughputs() {
+        // Fig. 1, a tree and two full-relay feedback rings under their
+        // own environments: every lane converges well inside the budget
+        // at the scalar path's exact throughput and period.
+        let budget = 4096;
+        let designs = [
+            ("fig1", generate::fig1().netlist),
+            ("tree(2,2,1)", generate::tree(2, 2, 1).netlist),
+            (
+                "ring(2,1,Full)",
+                generate::ring(2, 1, RelayKind::Full).netlist,
+            ),
+            (
+                "ring(3,2,Full)",
+                generate::ring(3, 2, RelayKind::Full).netlist,
+            ),
+        ];
+        let mut saved = 0;
+        for (name, netlist) in &designs {
+            let prog = SettleProgram::compile(netlist).unwrap();
+            let pats = LanePatterns::broadcast(&prog);
+            let m = measure_batch_periodic(netlist, &pats, budget).unwrap();
+            assert!(m.all_converged(), "{name}: every lane converges");
+            saved += m.cycles_saved();
+            let scalar = measure(netlist).unwrap();
+            let sp = scalar.periodicity.expect("scalar periodic");
+            for lane in 0..LANES {
+                assert_eq!(
+                    m.system_throughput(lane),
+                    scalar.system_throughput(),
+                    "{name} lane {lane}"
+                );
+                assert_eq!(m.periodicity[lane].expect("converged").period, sp.period);
+            }
+            if *name == "fig1" {
+                assert_eq!(m.system_throughput(0), Some(Ratio::new(4, 5)));
+            }
         }
+        // Early exit must save the bulk of the summed budget.
+        let total = budget * designs.len() as u64;
+        assert!(saved * 100 >= total * 40, "saved only {saved} of {total}");
     }
 
     #[test]

@@ -1120,7 +1120,7 @@ pub(crate) fn kahn(n: usize, deps: impl Fn(usize) -> Vec<usize>) -> Option<Vec<u
             }
         }
     }
-    (out.len() == n).then(|| out.into_iter().collect())
+    (out.len() == n).then_some(out)
 }
 
 /// Per-entry mix for section hashes: a splitmix64 finalizer over the

@@ -17,13 +17,11 @@
 //! directed cycle contains a relay station (stop cut) and a shell or full
 //! relay station (data cut).
 
-use std::collections::VecDeque;
-
 use lip_core::{BufferedShell, RelayStation, Shell, Sink, Source, Token};
 use lip_graph::{ChannelId, Netlist, NetlistError, NodeId, NodeKind};
 
 use crate::lasso::KeyWriter;
-use crate::program::env_period;
+use crate::program::{env_period, kahn};
 
 /// One elaborated component.
 #[derive(Debug, Clone)]
@@ -138,7 +136,7 @@ impl System {
                 }
             )
         };
-        let fwd_order = kahn_order(n_ch, |ch| {
+        let fwd_order = kahn(n_ch, |ch| {
             let (p, _) = producer[ch];
             if is_half(p) {
                 vec![in_chs[p.index()][0].index()]
@@ -150,7 +148,7 @@ impl System {
 
         // Backward order: stop of a shell's input channel depends on the
         // stops of all that shell's output channels.
-        let bwd_order = kahn_order(n_ch, |ch| {
+        let bwd_order = kahn(n_ch, |ch| {
             let (c, _) = consumer[ch];
             // Only *simplified* shells propagate stops combinationally;
             // buffered shells (like relay stations) emit registered
@@ -419,31 +417,6 @@ impl System {
             })
             .sum()
     }
-}
-
-/// Kahn topological sort over channel indices with `deps(ch)` returning
-/// the channels `ch`'s value depends on. Returns `None` on a cycle.
-fn kahn_order(n: usize, deps: impl Fn(usize) -> Vec<usize>) -> Option<Vec<usize>> {
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indegree = vec![0usize; n];
-    for (ch, slot) in indegree.iter_mut().enumerate() {
-        for d in deps(ch) {
-            dependents[d].push(ch);
-            *slot += 1;
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&c| indegree[c] == 0).collect();
-    let mut out = Vec::with_capacity(n);
-    while let Some(c) = queue.pop_front() {
-        out.push(c);
-        for &d in &dependents[c] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                queue.push_back(d);
-            }
-        }
-    }
-    (out.len() == n).then_some(out)
 }
 
 #[cfg(test)]

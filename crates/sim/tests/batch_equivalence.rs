@@ -5,9 +5,8 @@
 //! scenario — over the topology corpus (fig1 fork/join, fig2 feedback
 //! rings of every relay kind, random netlists), under both protocol
 //! variants, driven both by external stall schedules and by per-lane
-//! environment patterns. The cross-width half of the suite honours
-//! `LIP_LANE_WORDS` (see [`lane_words_under_test`]) so CI can matrix
-//! over widths.
+//! environment patterns. The cross-width half of the suite runs every
+//! width in [`LANE_WIDTHS`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,9 +15,9 @@ use lip_core::{Pattern, ProtocolVariant, RelayKind};
 use lip_graph::{generate, Netlist};
 use lip_obs::{Event, MetricsRegistry, NullProbe, Probe};
 use lip_sim::{
-    dispatch_lane_width, lane_words_under_test, measure_batch, measure_batch_periodic,
-    measure_batch_periodic_wide, BatchEngine, BatchSkeleton, LanePatterns, LaneWidthVisitor,
-    LaneWord, Periodicity, SettleProgram, SkeletonSystem, LANES,
+    dispatch_lane_width, measure_batch_periodic, measure_batch_periodic_wide, measure_batch_wide,
+    BatchEngine, BatchSkeleton, LanePatterns, LaneWidthVisitor, LaneWord, Periodicity,
+    SettleProgram, SkeletonSystem, LANES, LANE_WIDTHS,
 };
 use proptest::prelude::*;
 
@@ -132,7 +131,7 @@ fn assert_pattern_lanes_match_scalar(netlist: &Netlist, cycles: u64, seed: u64) 
             }
         }
     }
-    let m = measure_batch(netlist, &pats, cycles).unwrap();
+    let m = measure_batch_wide::<u64>(netlist, &pats, cycles).unwrap();
     for lane in [0usize, 3, 17, 63] {
         let mut reference = netlist.clone();
         for (i, &s) in sources.iter().enumerate() {
@@ -178,21 +177,16 @@ fn corpus() -> Vec<Netlist> {
 
 #[test]
 fn lanes_match_scalar_over_corpus_both_variants() {
-    // The corpus items are independent, so they fan out over the
-    // deterministic executor (per-item seeds derive from the corpus
-    // index, never from scheduling).
-    lip_par::par_map_indexed(&corpus(), |i, netlist| {
+    for (i, netlist) in corpus().iter().enumerate() {
         assert_lanes_match_scalar(netlist, 60, 0xC0FFEE ^ (i as u64) << 8);
-    });
+    }
 }
 
 #[test]
 fn probed_lanes_still_match_scalar_over_corpus() {
     // A live MetricsRegistry on the batch engine must not perturb any
     // lane, and its popcount totals must agree with the per-lane reads.
-    // Each corpus item owns its registry, so the fan-out needs no
-    // shared mutable state.
-    lip_par::par_map_indexed(&corpus(), |i, netlist| {
+    for (i, netlist) in corpus().iter().enumerate() {
         let prog = SettleProgram::compile(netlist).unwrap();
         let mut metrics = MetricsRegistry::with_lanes(prog.topology(), LANES as u32);
         assert_lanes_match_scalar_probed(netlist, 60, 0xC0FFEE ^ (i as u64) << 8, &mut metrics);
@@ -208,7 +202,7 @@ fn probed_lanes_still_match_scalar_over_corpus() {
         }
         let all_lanes: u64 = (0..LANES).map(|l| batch.total_fires_lane(l)).sum();
         assert_eq!(metrics.total_fires(), all_lanes, "netlist {i} fire totals");
-    });
+    }
 }
 
 #[test]
@@ -216,8 +210,7 @@ fn early_exit_matches_full_budget_over_random_corpus() {
     // The periodicity early-exit must be invisible in the *numbers*: a
     // converged sweep reports the same exact rational throughputs as
     // burning the whole (here, doubled) budget, and the same exact
-    // rationals as the scalar measurement path, over a random topology
-    // corpus. Items fan out over the deterministic executor.
+    // rationals as the scalar measurement path, over a random corpus.
     let mut items: Vec<Netlist> = Vec::new();
     let mut seed = 0u64;
     while items.len() < 12 {
@@ -227,7 +220,7 @@ fn early_exit_matches_full_budget_over_random_corpus() {
         }
         seed += 1;
     }
-    lip_par::par_map_indexed(&items, |i, netlist| {
+    for (i, netlist) in items.iter().enumerate() {
         let prog = SettleProgram::compile(netlist).unwrap();
         let pats = LanePatterns::broadcast(&prog);
         let short = lip_sim::measure_batch_periodic(netlist, &pats, 4096).unwrap();
@@ -244,7 +237,7 @@ fn early_exit_matches_full_budget_over_random_corpus() {
             assert_eq!(t, long.system_throughput(lane), "netlist {i} lane {lane}");
             assert_eq!(t, Some(scalar_t), "netlist {i} lane {lane} vs scalar");
         }
-    });
+    }
 }
 
 #[test]
@@ -424,9 +417,8 @@ fn wide_event_streams_match_scalar_over_corpus() {
             assert_wide_event_streams_match_scalar::<W>(self.netlist, 80, self.seed);
         }
     }
-    let widths = lane_words_under_test();
-    lip_par::par_map_indexed(&corpus(), |i, netlist| {
-        for &lanes in &widths {
+    for (i, netlist) in corpus().iter().enumerate() {
+        for lanes in LANE_WIDTHS {
             dispatch_lane_width(
                 lanes,
                 &mut Check {
@@ -435,7 +427,7 @@ fn wide_event_streams_match_scalar_over_corpus() {
                 },
             );
         }
-    });
+    }
 }
 
 #[test]
@@ -450,9 +442,8 @@ fn wide_masked_lanes_match_scalar_over_corpus() {
             assert_wide_masked_lanes_match_scalar::<W>(self.netlist, 50, self.seed);
         }
     }
-    let widths = lane_words_under_test();
-    lip_par::par_map_indexed(&corpus(), |i, netlist| {
-        for &lanes in &widths {
+    for (i, netlist) in corpus().iter().enumerate() {
+        for lanes in LANE_WIDTHS {
             dispatch_lane_width(
                 lanes,
                 &mut Check {
@@ -461,7 +452,7 @@ fn wide_masked_lanes_match_scalar_over_corpus() {
                 },
             );
         }
-    });
+    }
 }
 
 #[test]
@@ -513,13 +504,12 @@ fn wide_periodic_measurement_matches_scalar_exact_rationals() {
         generate::ring(2, 2, RelayKind::Half).netlist,
         generate::ring(2, 2, RelayKind::Fifo(3)).netlist,
     ];
-    let widths = lane_words_under_test();
-    lip_par::par_map_indexed(&items, |_, netlist| {
+    for netlist in &items {
         let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
         let pats64 = wide_patterns(&prog, LANES, 5);
         let base = measure_batch_periodic_wide::<u64>(netlist, &pats64, 4096).unwrap();
         assert!(base.all_converged(), "64-lane base did not converge");
-        for &lanes in &widths {
+        for lanes in LANE_WIDTHS {
             dispatch_lane_width(
                 lanes,
                 &mut Measure {
@@ -528,7 +518,7 @@ fn wide_periodic_measurement_matches_scalar_exact_rationals() {
                 },
             );
         }
-    });
+    }
 }
 
 /// Scenarios [`mixed_patterns`] deals out; the last one is aperiodic.
@@ -690,7 +680,7 @@ proptest! {
         }
         let (_, netlist) = generate::random_family(family_seed);
         if netlist.validate().is_ok() {
-            for lanes in lane_words_under_test() {
+            for lanes in LANE_WIDTHS {
                 dispatch_lane_width(lanes, &mut Check { netlist: &netlist, seed, short });
             }
         }

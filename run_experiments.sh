@@ -23,7 +23,6 @@ cd "$(dirname "$0")" || exit 1
 # would widen (or bust) the bands it is asserting against.
 TIMED_BINS=(
   exp_batch_sweep
-  exp_parallel_sweep
   exp_runtime_obs
   exp_incremental
   exp_delta
@@ -101,9 +100,8 @@ done
 # after code changes), and gate on the committed exact-domain
 # baselines (divergence means either a bug or a deliberate change that
 # must be re-accepted and committed).
-SWEEP_ARTIFACTS=(BENCH_skeleton.json BENCH_parallel.json BENCH_runtime.json
-                 BENCH_incremental.json BENCH_check.json BENCH_delta.json
-                 "$REPORT_DIR/BLAME_fig1.json")
+SWEEP_ARTIFACTS=(BENCH_skeleton.json BENCH_runtime.json BENCH_incremental.json
+                 BENCH_check.json BENCH_delta.json "$REPORT_DIR/BLAME_fig1.json")
 if RUN_ID=$("$DIFF_BIN" capture --label "run_experiments" "${SWEEP_ARTIFACTS[@]}"); then
   echo ">> run store: captured ${#SWEEP_ARTIFACTS[@]} artefact(s) as run $RUN_ID"
   mapfile -t RUN_IDS < <("$DIFF_BIN" list | awk '{print $1}')

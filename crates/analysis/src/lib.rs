@@ -3,7 +3,8 @@
 //!
 //! * [`model`] — the marked-graph minimum-cycle-ratio model: exact
 //!   steady-state throughput of any legal netlist, generalising every
-//!   closed form in the paper;
+//!   closed form in the paper (it lives in `lip-sim`, whose batch
+//!   measurement reads its binding cycle, and is re-exported here);
 //! * [`forest`](mod@crate::forest) — the declared-environment facts
 //!   `lip_mc::check_declared` would prove (liveness, throughput, relay
 //!   occupancy bounds, lasso shape), in closed form on forests whose
@@ -43,7 +44,6 @@ pub mod cure;
 pub mod equalize;
 pub mod forest;
 pub mod formulas;
-pub mod model;
 pub mod pipeline;
 pub mod search;
 pub mod transient;
@@ -55,6 +55,7 @@ pub use formulas::{
     closed_form, loop_throughput, predict_throughput, reconvergent_throughput, tree_throughput,
     ClosedForm,
 };
+pub use lip_sim::model;
 pub use model::MarkedGraph;
 pub use pipeline::{pipeline_wires, PipelineReport, WireLatency};
 pub use search::{minimal_equalizing_capacity, size_each_relay, CapacityChoice};

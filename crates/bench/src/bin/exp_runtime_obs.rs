@@ -606,6 +606,7 @@ struct ProvenanceRow {
     /// per-lane lasso would need.
     lasso_cycles: u64,
     env_lag: u64,
+    hint: u64,
     checkpoint: u64,
     replay: u64,
     converged: u64,
@@ -614,7 +615,7 @@ struct ProvenanceRow {
 impl ProvenanceRow {
     /// Every converged lane counted on exactly one path.
     fn sums(&self) -> bool {
-        self.env_lag + self.checkpoint + self.replay == self.converged
+        self.env_lag + self.hint + self.checkpoint + self.replay == self.converged
     }
 }
 
@@ -637,6 +638,7 @@ fn provenance_row(name: &str, netlist: &Netlist, pats: &LanePatterns) -> Provena
         cycles: m.cycles,
         lasso_cycles: periods.map(|p| p.transient + p.period).max().unwrap_or(0),
         env_lag: count("measure.close.env_lag"),
+        hint: count("measure.close.hint"),
         checkpoint: count("measure.close.checkpoint"),
         replay: count("measure.close.replay"),
         converged: (0..m.lanes).filter(|&l| m.lane_converged(l)).count() as u64,
@@ -652,6 +654,7 @@ fn print_provenance(rows: &[ProvenanceRow]) {
                 r.cycles.to_string(),
                 r.lasso_cycles.to_string(),
                 r.env_lag.to_string(),
+                r.hint.to_string(),
                 r.checkpoint.to_string(),
                 r.replay.to_string(),
                 r.converged.to_string(),
@@ -668,6 +671,7 @@ fn print_provenance(rows: &[ProvenanceRow]) {
                 "cycles",
                 "max mu+lambda",
                 "env lag",
+                "hint",
                 "checkpoint",
                 "replay",
                 "converged",
@@ -687,6 +691,7 @@ fn provenance_json(rows: &[ProvenanceRow]) -> Json {
                 ("cycles", r.cycles.into()),
                 ("max_lasso_cycles", r.lasso_cycles.into()),
                 ("env_lag", r.env_lag.into()),
+                ("hint", r.hint.into()),
                 ("checkpoint", r.checkpoint.into()),
                 ("replay", r.replay.into()),
                 ("converged", r.converged.into()),

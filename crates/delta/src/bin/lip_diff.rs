@@ -140,12 +140,10 @@ fn list(args: &[String]) -> Result<bool, String> {
     }
     for m in runs {
         println!(
-            "{}  {:>4} artifact(s)  git {}  lanes {}  jobs {}  {}",
+            "{}  {:>4} artifact(s)  git {}  {}",
             m.run_id,
             m.artifacts.len(),
             m.git_sha.get(..12).unwrap_or(&m.git_sha),
-            m.lane_words,
-            m.lip_jobs,
             m.label
         );
     }

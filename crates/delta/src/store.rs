@@ -3,8 +3,8 @@
 //! A *run* is one sweep's worth of artifacts — `BENCH_*.json` reports,
 //! `BLAME_*.json` profiles, the `BENCH_check.json` proof matrix —
 //! captured together under `target/runs/<run_id>/` with a manifest
-//! recording where they came from (git SHA, lane width, `LIP_JOBS`,
-//! host fingerprint) and which schema versions were current. The run
+//! recording where they came from (git SHA and host fingerprint) and
+//! which schema versions were current. The run
 //! id is a digest of the artifact contents, so committing the same
 //! sweep twice is idempotent and two runs with the same id are
 //! byte-identical by construction.
@@ -64,12 +64,6 @@ pub struct Manifest {
     pub created_ns: i64,
     /// `git rev-parse HEAD` at capture time, or `unknown`.
     pub git_sha: String,
-    /// The lane-word shape the cross-width tests were pinned to. No
-    /// knob pins it any more (the suites sweep every width), so new
-    /// captures record `default`; the field stays for stored runs.
-    pub lane_words: String,
-    /// `LIP_JOBS` at capture time, or `default`.
-    pub lip_jobs: String,
     /// Host fingerprint (`os-arch-hostname`).
     pub host: String,
     /// Every artifact schema version current at capture time.
@@ -98,8 +92,6 @@ impl Manifest {
             ("label", self.label.as_str().into()),
             ("created_ns", self.created_ns.into()),
             ("git_sha", self.git_sha.as_str().into()),
-            ("lane_words", self.lane_words.as_str().into()),
-            ("lip_jobs", self.lip_jobs.as_str().into()),
             ("host", self.host.as_str().into()),
             ("schemas", Json::obj(schemas)),
             ("artifacts", artifacts.collect()),
@@ -159,8 +151,6 @@ impl Manifest {
             label: str_field("label")?,
             created_ns: int_field("created_ns")?,
             git_sha: str_field("git_sha")?,
-            lane_words: str_field("lane_words")?,
-            lip_jobs: str_field("lip_jobs")?,
             host: str_field("host")?,
             schemas,
             artifacts,
@@ -451,8 +441,6 @@ impl RunBuilder {
             label: self.label.clone(),
             created_ns: now_ns(),
             git_sha: git_sha(),
-            lane_words: "default".to_owned(),
-            lip_jobs: env_or("LIP_JOBS", "default"),
             host: host_fingerprint(),
             schemas: lip_obs::schema::ALL
                 .iter()
@@ -483,10 +471,6 @@ fn now_ns() -> i64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| i64::try_from(d.as_nanos()).unwrap_or(i64::MAX))
-}
-
-fn env_or(key: &str, fallback: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| fallback.to_owned())
 }
 
 fn git_sha() -> String {
@@ -569,6 +553,34 @@ mod tests {
             .schemas
             .iter()
             .any(|(k, v)| k == "manifest" && *v == i64::from(lip_obs::schema::MANIFEST)));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn manifests_with_retired_fields_still_load() {
+        // Manifests once recorded the lane-word shape and `LIP_JOBS`,
+        // both constant by then; a stored run still carrying them loads.
+        let root = tmp_root("retired");
+        let store = RunStore::open(&root);
+        let mut b = RunBuilder::new("old");
+        b.add_artifact("a.json", "1");
+        let id = b.commit(&store).unwrap();
+        let path = root.join(&id).join("manifest.json");
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("lane_words") && !text.contains("lip_jobs"));
+        let old = text.replacen(
+            "\"host\":",
+            "\"lane_words\":\"default\",\"lip_jobs\":\"default\",\"host\":",
+            1,
+        );
+        assert_ne!(old, text, "the retired fields went in");
+        fs::write(&path, old).unwrap();
+        let run = store.load(&id).unwrap();
+        assert_eq!(
+            (run.manifest.run_id.as_str(), run.manifest.label.as_str()),
+            (id.as_str(), "old")
+        );
+        assert_eq!(store.list().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&root);
     }
 

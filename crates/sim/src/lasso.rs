@@ -293,6 +293,8 @@ pub(crate) enum Close {
     Checkpoint = 1,
     /// The backward sweep after the budget ran out.
     Replay = 2,
+    /// The binding-cycle lag check, at μ + lcm(e, D).
+    Hint = 3,
 }
 
 /// State words XOR-reduced between two early-exit checks of
@@ -304,30 +306,51 @@ const MISMATCH_CHUNK: usize = 16;
 /// instead of un-slicing each lane into a key.
 ///
 /// A lane's verdict is the one a [`Lasso`] keyed on
-/// `(t % env period, lane state)` gives. Its period λ is a multiple of
-/// its environment period `e`, and in the common case (the paper's §3:
-/// a tree runs at T = 1, and most lanes settle into their
-/// environment's own period) λ = e. So each cycle `t`, for every
-/// distinct `e` among the pending lanes, the planes of cycles `t` and
-/// `t − e` are XORed and OR-reduced to one mismatch word: a lane of
-/// that group matches iff `t − e ≥ μ` and λ divides `e`, so its first
-/// match is exactly the lasso's close point `t = μ + λ`, with stem
-/// `t − e` and no search.
+/// `(t % env period, lane state)` gives: stem μ and period λ, where λ
+/// is a multiple of the lane's environment period `e`. Every check
+/// XORs the planes of two cycles and OR-reduces them to one mismatch
+/// word for a group of lanes at once. A lane closes along one of four
+/// paths ([`Close`]):
 ///
-/// Lanes whose period exceeds their environment's stay for Brent's
-/// checkpoints at cycles 0, 1, 2, 4, 8, …: each cycle's planes are
-/// compared with the checkpoint's the same way. A matching lane whose
-/// environment phase also agrees has period `λ = t − c` exactly: its
-/// first match comes in the window `(c, 2c]` of the first checkpoint
-/// `c ≥ max(μ, λ)`, at `c + λ`, up to about 2·max(μ, λ) + λ cycles
-/// instead of μ + λ. The stem `μ ≤ c` is then the least cycle whose
-/// lane bits equal those `λ` cycles later (a predicate monotone in
-/// `μ`). Every lane that closes on the same pair of cycles is
-/// binary-searched together: each probe costs one word-wide comparison
-/// of two kept cycles, and its mismatch word splits the group into the
-/// lanes whose stem lies at or below the probe and those above it.
-/// [`replay`](Self::replay) settles the lanes a cycle budget cut off
-/// before their checkpoint.
+/// 1. **Environment lag.** In the common case (the paper's §3: a tree
+///    runs at T = 1, and most lanes settle into their environment's
+///    own period) λ = e. So each cycle `t`, for every distinct `e`
+///    among the pending lanes, cycles `t` and `t − e` are compared: a
+///    lane of that group matches iff `t − e ≥ μ` and λ divides `e`, so
+///    its first match is exactly the lasso's close point `t = μ + λ`,
+///    with stem `t − e` and no search.
+/// 2. **Binding-cycle lag** ([`with_lag`](Self::with_lag)). A loop's
+///    lanes run at its own period: by the paper's loop formula a loop
+///    of `S` shells and `R` relays repeats every `S + R` cycles, the
+///    delay `D` of the design's binding cycle. Each group is also
+///    compared at the lag `c = lcm(e, D)`. A lane matches iff
+///    `t − c ≥ μ` and λ divides `c`, so its first match at `t` gives
+///    the stem `t − c`, and λ is the least divisor of `c` that is a
+///    multiple of `e` and whose planes at the stem and that many cycles
+///    later agree, searched word-wide over the lanes that matched
+///    together. A lag that is no multiple of a lane's period never
+///    matches it and changes no verdict.
+/// 3. **Brent checkpoint.** The other lanes are compared with the
+///    checkpoints at cycles 0, 1, 2, 4, 8, …. A matching lane whose
+///    environment phase also agrees has period `λ = t − c` exactly: its
+///    first match comes in the window `(c, 2c]` of the first checkpoint
+///    `c ≥ max(μ, λ)`, at `c + λ`, up to about 2·max(μ, λ) + λ cycles
+///    instead of μ + λ. The stem `μ ≤ c` is then the least cycle whose
+///    lane bits equal those `λ` cycles later (a predicate monotone in
+///    `μ`). Every lane that closes on the same pair of cycles is
+///    binary-searched together: each probe costs one word-wide
+///    comparison of two kept cycles, and its mismatch word splits the
+///    group into the lanes whose stem lies at or below the probe and
+///    those above it.
+/// 4. **Replay.** [`replay`](Self::replay) settles the lanes a cycle
+///    budget cut off before their checkpoint.
+///
+/// A lane closes at μ + λ when λ = e or λ = lcm(e, D), and no later
+/// than its checkpoint otherwise. When every lane closes at μ + λ, a
+/// sweep that stops at the last close runs max μ + λ cycles: so it is
+/// on rings, fork-joins and compositions under their declared
+/// environment, whose lanes run at the binding cycle's period D.
+/// Lanes with aperiodic environments are never candidates.
 ///
 /// Each cycle may also carry a row of counter increments (one plane per
 /// counter), so a verdict yields exact per-period counts, like a
@@ -345,10 +368,15 @@ pub(crate) struct PlaneLasso<W> {
     /// Step `t`'s counter increments, `row_len` words from `t * row_len`.
     rows: Vec<W>,
     row_len: usize,
+    /// The lags each group's pending lanes are compared at: a group
+    /// (index into `groups`) and a lag `c`, shortest first. Every group
+    /// has its own period `e`; [`with_lag`](Self::with_lag) adds
+    /// `lcm(e, D)`.
+    lags: Vec<(usize, usize)>,
     /// The current Brent checkpoint.
     checkpoint: usize,
     /// Lanes settled so far, by [`Close`] path.
-    closed: [u64; 3],
+    closed: [u64; 4],
 }
 
 impl<W: LaneWord> PlaneLasso<W> {
@@ -366,15 +394,36 @@ impl<W: LaneWord> PlaneLasso<W> {
             }
         }
         groups.sort_unstable_by_key(|&(e, _)| e);
+        let lags = (groups.iter().enumerate())
+            .filter_map(|(g, &(e, _))| Some((g, usize::try_from(e).ok()?)))
+            .collect();
         PlaneLasso {
             pending: groups.iter().fold(W::ZERO, |m, &(_, lanes)| m.or(lanes)),
             groups,
             states: Pool::new(0),
             rows: Vec::new(),
             row_len,
+            lags,
             checkpoint: 0,
-            closed: [0; 3],
+            closed: [0; 4],
         }
+    }
+
+    /// Also compare each group of environment period `e` at the lag
+    /// `c = lcm(e, delay)`, where `delay` is the total delay `D` of the
+    /// design's binding cycle. A group gets no second lag when `c == e`
+    /// (as when `delay` is 0 or divides `e`): its own period already
+    /// covers it. Exact for any `delay`: a lane matches at lag `c` only
+    /// if its period divides `c`.
+    pub(crate) fn with_lag(mut self, delay: u64) -> Self {
+        for (g, &(e, _)) in self.groups.iter().enumerate() {
+            let c = crate::program::lcm(e, delay);
+            if let Some(c) = usize::try_from(c).ok().filter(|_| c > e) {
+                self.lags.push((g, c));
+            }
+        }
+        self.lags.sort_unstable_by_key(|&(_, c)| c);
+        self
     }
 
     /// `true` while some candidate lane has no verdict. Once it is
@@ -402,19 +451,16 @@ impl<W: LaneWord> PlaneLasso<W> {
             self.states.width = planes.iter().map(|p| p.len()).sum();
         }
         self.states.push(&planes);
-        for g in 0..self.groups.len() {
-            let (e, lanes) = self.groups[g];
-            let Some(back) = usize::try_from(e).ok().and_then(|e| t.checked_sub(e)) else {
+        for i in 0..self.lags.len() {
+            let (g, c) = self.lags[i];
+            let Some(back) = t.checked_sub(c) else {
                 break;
             };
+            let (e, lanes) = self.groups[g];
             let live = lanes.and(self.pending);
             if live.any() {
                 let same = live.andnot(self.mismatch(back, t, live));
-                let p = Periodicity {
-                    transient: back as u64,
-                    period: e,
-                };
-                self.settle(same, p, Close::EnvLag, found);
+                self.split_lag(same, back, e as usize, c, found);
             }
         }
         if t > self.checkpoint {
@@ -505,6 +551,39 @@ impl<W: LaneWord> PlaneLasso<W> {
             if earlier.any() {
                 work.push((earlier, lo, mid));
             }
+        }
+    }
+
+    /// Settle `lanes`, whose states at `stem` first recur at `stem + c`
+    /// on the lag `c` of environment period `e`. Their stem is `stem`
+    /// exactly, and each lane's period λ divides `c` and is a multiple
+    /// of `e`: it is the least such `d` whose planes at `stem` and
+    /// `stem + d` agree, searched word-wide over the group. At `c == e`
+    /// that is `e` itself, with no search: the environment lag.
+    fn split_lag(
+        &mut self,
+        mut lanes: W,
+        stem: usize,
+        e: usize,
+        c: usize,
+        found: &mut Vec<(usize, Periodicity)>,
+    ) {
+        for d in (e..=c).step_by(e).filter(|&d| c.is_multiple_of(d)) {
+            if !lanes.any() {
+                return;
+            }
+            let agree = if d == c {
+                lanes
+            } else {
+                lanes.andnot(self.mismatch(stem, stem + d, lanes))
+            };
+            let p = Periodicity {
+                transient: stem as u64,
+                period: d as u64,
+            };
+            let by = if c == e { Close::EnvLag } else { Close::Hint };
+            self.settle(agree, p, by, found);
+            lanes = lanes.andnot(agree);
         }
     }
 
@@ -963,16 +1042,31 @@ mod tests {
         type Verdict = (usize, usize, Periodicity);
 
         /// Run `pats` on `netlist` for at most `budget` cycles exactly as
-        /// `measure_batch_periodic` does, replay included.
+        /// `measure_batch_periodic` does, binding-cycle lag and replay
+        /// included.
         fn drive<W: LaneWord>(
             netlist: &Netlist,
             pats: &LanePatterns,
             budget: usize,
         ) -> (PlaneLasso<W>, Vec<Verdict>) {
+            drive_lag(netlist, pats, budget, crate::model::binding_delay(netlist))
+        }
+
+        /// [`drive`] with the binding-cycle delay `lag` in place of the
+        /// design's own; `None` runs without the binding-cycle lag.
+        fn drive_lag<W: LaneWord>(
+            netlist: &Netlist,
+            pats: &LanePatterns,
+            budget: usize,
+            lag: Option<u64>,
+        ) -> (PlaneLasso<W>, Vec<Verdict>) {
             let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
             let mut batch = BatchEngine::<W>::from_patterns(Arc::clone(&prog), pats);
             let compiled = CompiledPatterns::<W>::compile(pats);
             let mut lasso = PlaneLasso::<W>::new(pats.lane_env_periods(), prog.sink_count());
+            if let Some(lag) = lag {
+                lasso = lasso.with_lag(lag);
+            }
             let (mut found, mut verdicts) = (Vec::new(), Vec::new());
             for t in 0..budget {
                 lasso.observe(batch.state_planes(), &mut found);
@@ -1084,7 +1178,7 @@ mod tests {
                 }
                 groups.entry((t, lambda)).or_insert_with(Vec::new).push(mu);
             }
-            let settled = [Close::EnvLag, Close::Checkpoint, Close::Replay]
+            let settled = [Close::EnvLag, Close::Hint, Close::Checkpoint, Close::Replay]
                 .map(|by| lasso.closed(by))
                 .iter()
                 .sum::<u64>();
@@ -1192,6 +1286,163 @@ mod tests {
                     "{} not in {lasso}..={bound}",
                     m.cycles
                 );
+            }
+        }
+
+        /// The verdicts of `verdicts` by lane, without their close cycles.
+        fn by_lane(verdicts: &[Verdict]) -> Vec<(usize, Periodicity)> {
+            let mut v: Vec<_> = verdicts.iter().map(|&(_, lane, p)| (lane, p)).collect();
+            v.sort_unstable_by_key(|&(lane, _)| lane);
+            v
+        }
+
+        /// The 12 cyclic rungs of the `ladder` benchmark workload: rings,
+        /// fork-joins and fork-joins feeding a ring.
+        fn cyclic_ladder() -> Vec<(String, Netlist)> {
+            let mut designs = Vec::new();
+            for k in [4, 16, 64, 128] {
+                let ring = generate::ring(k, k, RelayKind::Full).netlist;
+                designs.push((format!("ring({k},{k})"), ring));
+                let fj = generate::fork_join(k, k, k / 2).netlist;
+                designs.push((format!("fork_join({k},{k},{})", k / 2), fj));
+            }
+            for k in [2, 8, 32, 64] {
+                let c = generate::composed_coupled(k, k, k / 2, k, k).netlist;
+                designs.push((format!("composed_coupled({k},{k},{},{k},{k})", k / 2), c));
+            }
+            designs
+        }
+
+        /// On a cyclic `ladder` design under its declared environment,
+        /// as the workload measures it, every lane closes on the
+        /// binding-cycle lag with the verdict the detector gives without
+        /// the lag and the stem the per-lane oracle finds, and the
+        /// measurement stops at μ + λ.
+        fn check_ladder<W: LaneWord>(name: &str, netlist: &Netlist) {
+            let prog = SettleProgram::compile(netlist).unwrap();
+            let pats = LanePatterns::broadcast_wide(&prog, W::LANES);
+            let bound = crate::model::binding_delay(netlist).is_some();
+            assert!(bound, "{name} has a binding cycle");
+            let budget = 1 << 16;
+            let (lasso, verdicts) = drive::<W>(netlist, &pats, budget);
+            let (_, plain) = drive_lag::<W>(netlist, &pats, budget, None);
+            assert_eq!(by_lane(&verdicts), by_lane(&plain), "{name} verdicts");
+            assert_eq!(verdicts.len(), W::LANES, "{name}: every lane closes");
+            let hi = lasso.observed() - 1;
+            for &(_, lane, p) in &verdicts {
+                let oracle = lasso.stem(lane, p.period as usize, hi - p.period as usize);
+                assert_eq!(p.transient, oracle, "{name} lane {lane} stem");
+            }
+            let lagged = lasso.closed(Close::EnvLag) + lasso.closed(Close::Hint);
+            assert_eq!(
+                lagged,
+                W::LANES as u64,
+                "{name}: every lane closes by a lag"
+            );
+            let m = crate::measure_batch_periodic_wide::<W>(netlist, &pats, budget as u64).unwrap();
+            let widest = verdicts
+                .iter()
+                .map(|&(_, _, p)| p.transient + p.period)
+                .max();
+            assert_eq!(Some(m.cycles), widest, "{name} at {} lanes", W::LANES);
+            let measured: Vec<_> = m
+                .periodicity
+                .iter()
+                .map(|p| p.unwrap())
+                .enumerate()
+                .collect();
+            assert_eq!(measured, by_lane(&verdicts), "{name} measured");
+        }
+
+        #[test]
+        fn cyclic_ladder_lanes_close_at_mu_plus_lambda() {
+            for (name, netlist) in cyclic_ladder() {
+                check_ladder::<u64>(&name, &netlist);
+                check_ladder::<Lanes1024>(&name, &netlist);
+            }
+        }
+
+        /// Sink stops `every:2..8` and source voids `every:1|3|5`, each
+        /// lane a different mix and phase.
+        fn stress(prog: &SettleProgram, lanes: usize) -> LanePatterns {
+            let mut pats = LanePatterns::broadcast_wide(prog, lanes);
+            for lane in 0..lanes {
+                for j in 0..prog.sink_count() {
+                    let period = 2 + ((lane + 3 * j) % 7) as u32;
+                    let phase = (lane / 7) as u32 % period;
+                    pats.set_sink(j, lane, Pattern::EveryNth { period, phase });
+                }
+                for i in 0..prog.source_count() {
+                    let period = [1, 3, 5][(lane + i) % 3];
+                    let phase = (lane / 3) as u32 % period;
+                    pats.set_source(i, lane, Pattern::EveryNth { period, phase });
+                }
+            }
+            pats
+        }
+
+        #[test]
+        fn stressed_lanes_keep_their_verdicts_under_the_lag() {
+            let mut designs = cyclic_ladder();
+            designs.retain(|(name, _)| !name.contains("128") && !name.contains("64"));
+            designs.push((
+                "chain(4,4)".into(),
+                generate::chain(4, 4, RelayKind::Full).netlist,
+            ));
+            designs.push((
+                "chain(16,4)".into(),
+                generate::chain(16, 4, RelayKind::Full).netlist,
+            ));
+            for (name, netlist) in designs {
+                let prog = SettleProgram::compile(&netlist).unwrap();
+                let pats = stress(&prog, 64);
+                let bound = crate::model::binding_delay(&netlist).is_some();
+                assert_eq!(bound, !name.starts_with("chain"), "{name}");
+                for budget in [4096, 200, 37] {
+                    let (lasso, lagged) = drive::<u64>(&netlist, &pats, budget);
+                    let (plain_lasso, plain) = drive_lag::<u64>(&netlist, &pats, budget, None);
+                    assert_eq!(by_lane(&lagged), by_lane(&plain), "{name} at {budget}");
+                    for (lane, p) in by_lane(&lagged) {
+                        for j in 0..prog.sink_count() {
+                            assert_eq!(
+                                lasso.period_count(lane, j, p),
+                                plain_lasso.period_count(lane, j, p),
+                                "{name} lane {lane} sink {j}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+            /// Any lag, a multiple of the lanes' periods or not, leaves
+            /// every verdict and every per-period count as it is without
+            /// one, also when a short budget leaves lanes to the replay.
+            /// Half the lags are below 64, so the lag often closes lanes
+            /// before their checkpoint does.
+            #[test]
+            fn any_lag_keeps_every_verdict(
+                design in 0usize..8,
+                lag in proptest::prop_oneof![1u64..64, 1u64..4096],
+                budget in proptest::prop_oneof![proptest::Just(4096usize), 1usize..300],
+            ) {
+                let netlist = &corpus()[design];
+                let prog = SettleProgram::compile(netlist).unwrap();
+                let pats = mixed(&prog, 64);
+                let (lasso, lagged) = drive_lag::<u64>(netlist, &pats, budget, Some(lag));
+                let (plain_lasso, plain) = drive_lag::<u64>(netlist, &pats, budget, None);
+                proptest::prop_assert_eq!(by_lane(&lagged), by_lane(&plain));
+                for (lane, p) in by_lane(&lagged) {
+                    for j in 0..prog.sink_count() {
+                        proptest::prop_assert_eq!(
+                            lasso.period_count(lane, j, p),
+                            plain_lasso.period_count(lane, j, p)
+                        );
+                    }
+                }
             }
         }
     }

@@ -11,6 +11,9 @@
 //!   control-equivalent to the full system but "absolutely negligible"
 //!   in cost: the engine every measurement runs on;
 //! * [`lasso`] — the one recurrence (transient + period) detector;
+//! * [`model`] — the marked-graph minimum-cycle-ratio model: exact
+//!   steady-state throughput of any legal netlist, and the binding
+//!   cycle whose delay the batch measurement uses as a lasso lag;
 //! * [`measure`](mod@crate::measure) — exact rational steady-state
 //!   throughput, shell activity and the liveness check, all views of
 //!   one skeleton lasso pass over the compiled [`SettleProgram`];
@@ -46,6 +49,7 @@ pub mod evolution;
 pub mod lane;
 pub mod lasso;
 pub mod measure;
+pub mod model;
 pub mod patch;
 pub mod profiling;
 pub mod program;

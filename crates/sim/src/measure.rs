@@ -366,9 +366,11 @@ pub struct BatchPeriodicMeasurement {
     /// environment is aperiodic or no recurrence fit the budget.
     pub periodicity: Vec<Option<Periodicity>>,
     /// Cycles actually simulated (`<= budget` — the early exit). A lane
-    /// whose period λ equals its environment's closes at its own μ + λ
-    /// (the environment-lag check); any other lane waits for a Brent
-    /// checkpoint, up to about 2·max(μ, λ) + λ cycles, so this can
+    /// whose period λ equals its environment's `e`, or lcm(e, D) for the
+    /// delay D of the binding cycle, closes at its own μ + λ (the two
+    /// lag checks); any other lane closes at μ + lcm(e, D) when λ
+    /// divides it or at a Brent checkpoint (up to about
+    /// 2·max(μ, λ) + λ cycles), whichever comes first, so this can
     /// exceed the largest μ + λ among the lanes. It never affects a
     /// reading.
     pub cycles: u64,
@@ -422,8 +424,10 @@ impl BatchPeriodicMeasurement {
 /// is already decided, so it needs no further bookkeeping.
 /// Recurrence is detected word-wide on the engine's bit-planes, for
 /// every lane at once: each cycle compares the planes one environment
-/// period back, once per distinct period among the pending lanes, and
-/// those of a Brent-style power-of-two checkpoint, so a cycle costs
+/// period back, once per distinct period among the pending lanes,
+/// those lcm(period, D) back where D is the delay of the design's
+/// binding cycle ([`model::binding_delay`](crate::model::binding_delay)),
+/// and those of a Brent-style power-of-two checkpoint, so a cycle costs
 /// O(state words × periods), not O(lanes × state).
 /// Once the converged-lane mask is full the sweep returns early instead
 /// of burning the rest of `budget`; the paper's bounded-transient
@@ -434,16 +438,32 @@ impl BatchPeriodicMeasurement {
 /// scalar path does** (tokens over one whole period, e.g. Fig. 1 is
 /// exactly `4/5`), with the same (stem, period) pair a per-lane
 /// [`Lasso`] finds: a lane counts as converged iff that lasso closes
-/// within the observations `0..budget`. A lane locked to its
-/// environment (period λ equal to the environment period `e`, as the
-/// paper's trees and most stopped sinks are) matches the planes `e`
-/// cycles back first at exactly μ + λ, and its stem is read off the
-/// match. Other lanes close at a Brent checkpoint, which sees the
-/// recurrence later (after up to about 2·max(μ, λ) + λ cycles), so
-/// [`cycles`](BatchPeriodicMeasurement::cycles) can exceed the largest
-/// μ + λ; the lanes that close at one checkpoint binary-search their
-/// stems together, word-wide. Lanes the budget cuts off before their
-/// checkpoint are settled by one backward sweep over the kept planes.
+/// within the observations `0..budget`. A lane closes along one of four
+/// paths, counted by the `measure.close.*` counters of
+/// [`measure_batch_periodic_obs`]:
+///
+/// * **environment lag** — a lane locked to its environment (period λ
+///   equal to the environment period `e`, as the paper's trees and most
+///   stopped sinks are) matches the planes `e` cycles back first at
+///   exactly μ + λ, and its stem is read off the match;
+/// * **binding-cycle lag** (`hint`) — a lane whose period divides
+///   `c = lcm(e, D)` matches the planes `c` cycles back first at
+///   μ + c; its stem is read off the match and its period is the least
+///   divisor of `c` whose planes recur, searched word-wide. A loop's
+///   lanes run at period D under the declared environment (the paper's
+///   loop formula: `S` shells and `R` relays repeat every `S + R`
+///   cycles), so they close at exactly μ + λ;
+/// * **Brent checkpoint** — other lanes close at a checkpoint, which
+///   sees the recurrence later (after up to about 2·max(μ, λ) + λ
+///   cycles); the lanes that close at one checkpoint binary-search
+///   their stems together, word-wide;
+/// * **replay** — lanes the budget cuts off before their checkpoint are
+///   settled by one backward sweep over the kept planes.
+///
+/// [`cycles`](BatchPeriodicMeasurement::cycles) equals the largest
+/// μ + λ when every lane closes on a lag with λ = e or λ = lcm(e, D),
+/// as on rings, fork-joins and compositions under their declared
+/// environment; a checkpoint close can make it exceed that.
 /// Lanes with aperiodic (random) environments never converge;
 /// they run to the full budget and report the whole-window estimate,
 /// exactly like [`measure_batch_wide`].
@@ -507,8 +527,8 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// per-phase timing counters (`measure.sampled_detector_ns`,
 /// `measure.sampled_step_ns`, `measure.sampled_cycles`), the lanes
 /// settled by each detector path (`measure.close.env_lag`,
-/// `measure.close.checkpoint`, `measure.close.replay`, which sum to
-/// the converged lanes), and the
+/// `measure.close.hint`, `measure.close.checkpoint`,
+/// `measure.close.replay`, which sum to the converged lanes), and the
 /// settle tape runs *counted* — the returned [`KernelCounters`] hold
 /// per-opcode/per-stratum retirement for every executed cycle
 /// (`None` under a disabled or [`NullRecorder`]). A [`ProgressSink`]
@@ -577,8 +597,12 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     let aperiodic = lane_env_period.iter().filter(|p| p.is_none()).count();
     // One word-wide lasso over every candidate lane; each step's row
     // holds the sinks' informative-token planes, so a recurrence yields
-    // tokens per period.
+    // tokens per period. A design with a binding cycle also lags each
+    // environment group by lcm(e, D), D the cycle's delay.
     let mut lasso = PlaneLasso::<W>::new(lane_env_period, n_snk);
+    if let Some(delay) = crate::model::binding_delay(netlist) {
+        lasso = lasso.with_lag(delay);
+    }
     let mut found = Vec::new();
     let mut executed = 0u64;
 
@@ -664,13 +688,14 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
 }
 
 /// Add the lanes `lasso` settled by each path to `rec`'s
-/// `measure.close.*` counters. Kept out of line: three inlined
+/// `measure.close.*` counters. Kept out of line: inlined
 /// `Recorder::add` calls grew the observed sweep's function and cost
 /// its enabled and disabled instantiations a few percent in
 /// `exp_runtime_obs`'s overhead legs.
 #[inline(never)]
 fn record_closes<W: LaneWord, R: Recorder>(rec: &R, lasso: &PlaneLasso<W>) {
     rec.add("measure.close.env_lag", lasso.closed(Close::EnvLag));
+    rec.add("measure.close.hint", lasso.closed(Close::Hint));
     rec.add("measure.close.checkpoint", lasso.closed(Close::Checkpoint));
     rec.add("measure.close.replay", lasso.closed(Close::Replay));
 }

@@ -25,8 +25,12 @@
 //!
 //! [`MarkedGraph::binding_cycle`] finds the minimum exactly by Howard's
 //! policy iteration (Cochet-Terrasson et al. 1998; Dasdan, TODAES 2004).
-//! Lint, [`predict_throughput`](crate::predict_throughput) and
-//! [`closed_form`](crate::closed_form) all go through it.
+//! Lint, `lip_analysis::predict_throughput` and
+//! `lip_analysis::closed_form` all go through it (`lip-analysis`
+//! re-exports this module as `lip_analysis::model`), and so does the
+//! batch measurement: [`binding_delay`] gives
+//! [`measure_batch_periodic`](crate::measure_batch_periodic) the lag at
+//! which a loop's lanes recur.
 //!
 //! * [`MarkedGraph::new`] builds the adjacency once, in compressed form.
 //!   Every edge has a reverse edge, so the solver first peels off the
@@ -53,13 +57,14 @@
 //!   holding the lowest node, rotated to start at that node.
 //!
 //! The Bellman-Ford search this replaced survives as the test oracle in
-//! `tests/model_properties.rs`.
+//! `lip-analysis`'s `tests/model_properties.rs`.
 
 use std::collections::VecDeque;
 
 use lip_core::{Pattern, RelayKind};
 use lip_graph::{Netlist, NodeId, NodeKind};
-use lip_sim::Ratio;
+
+use crate::measure::Ratio;
 
 /// One constraint edge of the marked-graph model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,36 +153,14 @@ impl MarkedGraph {
     ///
     /// Sources and sinks contribute no constraints here (they neither
     /// run out of tokens nor of spaces); their rate limits from void and
-    /// stop patterns are handled by
-    /// [`predict_throughput`](crate::predict_throughput).
+    /// stop patterns are handled by `lip_analysis::predict_throughput`.
     #[must_use]
     pub fn new(netlist: &Netlist) -> Self {
         let (ids, elems): (Vec<NodeId>, Vec<Option<Element>>) = netlist
             .nodes()
             .map(|(id, node)| (id, Element::of(node.kind())))
             .unzip();
-        // Each channel `u → v` between storage elements yields a forward
-        // edge `u → v` and a backward edge `v → u`. Sinks apply no
-        // sustained back-pressure in free flow, so a channel into a sink
-        // lies on no cycle and yields no edge at all.
-        let pairs = || {
-            netlist.channels().filter_map(|(_, ch)| {
-                let (u, v) = (ch.producer.node.index(), ch.consumer.node.index());
-                let (producer, consumer) = (elems[u]?, elems[v]?);
-                let skid = u16::from(consumer.buffered);
-                let forward = Arc {
-                    to: v as u32,
-                    tokens: producer.tokens.into(),
-                    delay: producer.delay.into(),
-                };
-                let backward = Arc {
-                    to: u as u32,
-                    tokens: u16::from(producer.spaces) + skid,
-                    delay: u16::from(producer.back_delay) + skid,
-                };
-                Some((u, v, forward, backward))
-            })
-        };
+        let pairs = || channel_arcs(netlist, &elems);
         // Counting sort by origin: `first[u]` counts up to the end of
         // `u`'s run, then counts back down to its start while filling.
         let mut first = vec![0u32; ids.len() + 1];
@@ -197,7 +180,7 @@ impl MarkedGraph {
             arcs[first[u] as usize] = forward;
             first[v] -= 1;
             arcs[first[v] as usize] = backward;
-            if forward.tokens + backward.tokens < forward.delay + backward.delay {
+            if pins(forward, backward) {
                 pinned.extend([u as u32, v as u32]);
             }
         }
@@ -268,6 +251,82 @@ impl MarkedGraph {
             delay: u64::from(a.delay),
         }
     }
+}
+
+/// Each channel `u → v` between storage elements as its forward edge
+/// `u → v` and its backward edge `v → u`. Sinks apply no sustained
+/// back-pressure in free flow, so a channel into a sink lies on no
+/// cycle and yields no edge at all; neither does one out of a source.
+fn channel_arcs<'a>(
+    netlist: &'a Netlist,
+    elems: &'a [Option<Element>],
+) -> impl Iterator<Item = (usize, usize, Arc, Arc)> + 'a {
+    netlist.channels().filter_map(|(_, ch)| {
+        let (u, v) = (ch.producer.node.index(), ch.consumer.node.index());
+        let (producer, consumer) = (elems[u]?, elems[v]?);
+        let skid = u16::from(consumer.buffered);
+        let forward = Arc {
+            to: v as u32,
+            tokens: producer.tokens.into(),
+            delay: producer.delay.into(),
+        };
+        let backward = Arc {
+            to: u as u32,
+            tokens: u16::from(producer.spaces) + skid,
+            delay: u16::from(producer.back_delay) + skid,
+        };
+        Some((u, v, forward, backward))
+    })
+}
+
+/// `true` when a channel's own two-edge cycle is below 1 (only a FIFO
+/// of fewer than two places makes one).
+fn pins(forward: Arc, backward: Arc) -> bool {
+    forward.tokens + backward.tokens < forward.delay + backward.delay
+}
+
+/// Total delay of `netlist`'s binding cycle ([`MarkedGraph::binding_cycle`]),
+/// or `None` when nothing binds below `T = 1`.
+///
+/// By the paper's loop formula, a loop of `S` shells and `R` relays
+/// repeats every `S + R` cycles, its delay; the batch measurement uses
+/// this delay as a lasso lag. Whether anything can bind (`can_bind`)
+/// is decided on the netlist's channels first, so trees and chains
+/// skip building the model and running the solver.
+#[must_use]
+pub fn binding_delay(netlist: &Netlist) -> Option<u64> {
+    let elems: Vec<Option<Element>> = netlist
+        .nodes()
+        .map(|(_, node)| Element::of(node.kind()))
+        .collect();
+    let channels = channel_arcs(netlist, &elems).map(|(u, v, f, b)| (u, v, pins(f, b)));
+    if !can_bind(elems.len(), channels) {
+        return None;
+    }
+    let (cycle, _) = MarkedGraph::new(netlist).binding_cycle()?;
+    Some(cycle.iter().map(|e| e.delay).sum())
+}
+
+/// `true` unless the channels between storage elements, each given once
+/// as its two ends and whether it is pinned ([`pins`]), form a forest
+/// and pin nothing. Only then can nothing bind below 1: every cycle of
+/// such a model is a channel's own two-edge cycle. One union-find pass
+/// with path halving: a channel whose ends already share a root closes
+/// a loop.
+fn can_bind(nodes: usize, channels: impl IntoIterator<Item = (usize, usize, bool)>) -> bool {
+    let mut parent: Vec<u32> = (0..nodes as u32).collect();
+    let root = |parent: &mut [u32], mut x: usize| {
+        while parent[x] as usize != x {
+            parent[x] = parent[parent[x] as usize];
+            x = parent[x] as usize;
+        }
+        x
+    };
+    channels.into_iter().any(|(u, v, pinned)| {
+        let (ru, rv) = (root(&mut parent, u), root(&mut parent, v));
+        parent[ru] = rv as u32;
+        ru == rv || pinned
+    })
 }
 
 /// A cycle ratio `num/den` in lowest terms. `den == 0` stands for +∞,
@@ -354,7 +413,8 @@ struct Howard<'g> {
 
 impl<'g> Howard<'g> {
     /// Prune the graph to its cycles longer than two, then start every
-    /// remaining node on its lowest-ratio out-edge.
+    /// remaining node on its lowest-ratio out-edge. A graph in which
+    /// nothing can bind ([`can_bind`]) gets no states at all.
     ///
     /// Every edge has a reverse edge, so the graph is an undirected
     /// multigraph of channels; a simple cycle through three or more
@@ -364,6 +424,24 @@ impl<'g> Howard<'g> {
     /// never below 1 unless the channel is pinned.
     fn new(g: &'g MarkedGraph) -> Self {
         const GONE: u32 = u32::MAX;
+        let mut howard = Howard {
+            g,
+            state: Vec::new(),
+            cycles: Vec::new(),
+            epoch: 0,
+            path: Vec::new(),
+            queue: VecDeque::new(),
+            queued: Vec::new(),
+        };
+        // Each channel once, as its edge up the node order (a self-loop
+        // twice, which closes the same loop).
+        let channels = (0..g.ids.len()).flat_map(|u| {
+            let up = g.out(u).iter().filter(move |a| a.to as usize >= u);
+            up.map(move |a| (u, a.to as usize, false))
+        });
+        if g.pinned.is_empty() && !can_bind(g.ids.len(), channels) {
+            return howard;
+        }
         let mut degree: Vec<u32> = g.first.windows(2).map(|w| w[1] - w[0]).collect();
         for &u in &g.pinned {
             degree[u as usize] += 2;
@@ -391,11 +469,8 @@ impl<'g> Howard<'g> {
                 }
             }
         }
-        // With nothing left, no node gets a state and nothing binds.
         let in_core = |v: u32| degree[v as usize] != GONE;
-        let empty = degree.iter().all(|&d| d == GONE || d == 0);
-        let nodes = if empty { 0 } else { g.ids.len() };
-        let state = (0..nodes)
+        howard.state = (0..g.ids.len())
             .map(|u| {
                 let mut next = Arc {
                     to: NONE,
@@ -416,15 +491,7 @@ impl<'g> Howard<'g> {
                 }
             })
             .collect();
-        Howard {
-            g,
-            state,
-            cycles: Vec::new(),
-            epoch: 0,
-            path: Vec::new(),
-            queue: VecDeque::new(),
-            queued: Vec::new(),
-        }
+        howard
     }
 
     fn solve(&mut self) {
@@ -737,7 +804,7 @@ mod tests {
                 continue;
             }
             let predicted = min_ratio(&netlist);
-            let measured = lip_sim::measure(&netlist).unwrap();
+            let measured = crate::measure(&netlist).unwrap();
             if measured.periodicity.is_none() {
                 continue;
             }

@@ -618,12 +618,26 @@ fn assert_periodic_lanes_match_scalar<W: LaneWord>(netlist: &Netlist, seed: u64,
 
 #[test]
 fn budget_edge_matches_the_lasso_verdict() {
-    // fig1's lasso closes at t = 7 (stem 2, period 5), but Brent's
-    // checkpoints first see the recurrence at t = 13, so budgets 8..=13
-    // are settled by the replay. A one-shell chain recurs at once
-    // (stem 0, period 1), which Brent sees at t = 1 too.
+    // fig1's lasso closes at t = 7 (stem 2, period 5). Its binding
+    // cycle has delay 5, so the binding-cycle lag sees the recurrence at
+    // t = 7 too, where Brent's checkpoints alone would wait until 13.
+    // Under sink stops every 6 cycles its lasso closes at t = 14 (stem
+    // 2, period 12), which neither lag (6, lcm(6, 5) = 30) matches, so
+    // Brent's checkpoints first see it at t = 28 and budgets 15..=28
+    // are settled by the replay. A one-shell chain recurs at once (stem
+    // 0, period 1), which the environment lag sees at t = 1.
+    let mut stopped = generate::fig1().netlist;
+    let sink = stopped.sinks()[0];
+    stopped.set_sink_pattern(
+        sink,
+        Pattern::EveryNth {
+            period: 6,
+            phase: 3,
+        },
+    );
     let cases = [
-        (generate::fig1().netlist, 6..=16, (2, 5), 13),
+        (generate::fig1().netlist, 6..=16, (2, 5), 7),
+        (stopped, 12..=32, (2, 12), 28),
         (
             generate::chain(1, 0, RelayKind::Full).netlist,
             0..=4,
@@ -631,7 +645,7 @@ fn budget_edge_matches_the_lasso_verdict() {
             1,
         ),
     ];
-    for (netlist, budgets, (transient, period), brent) in cases {
+    for (netlist, budgets, (transient, period), close) in cases {
         let lasso = |budget| {
             SkeletonSystem::new(&netlist)
                 .unwrap()
@@ -643,7 +657,7 @@ fn budget_edge_matches_the_lasso_verdict() {
         for budget in budgets {
             let m = measure_batch_periodic(&netlist, &pats, budget).unwrap();
             let verdict = lasso(budget);
-            assert_eq!(m.cycles, budget.min(brent), "budget {budget} cycles");
+            assert_eq!(m.cycles, budget.min(close), "budget {budget} cycles");
             for lane in 0..LANES {
                 assert_eq!(m.periodicity[lane], verdict, "budget {budget} lane {lane}");
                 assert_eq!(m.lane_converged(lane), verdict.is_some(), "budget {budget}");

@@ -20,7 +20,8 @@
 //! Since the incremental-compilation layer landed, probes run on the
 //! **patch path**: a search compiles the input netlist once
 //! (`compile.full`), then every candidate capacity is a
-//! [`patch_relay_kind`](lip_sim::SettleProgram::patch_relay_kind) /
+//! [`recompile_delta`](lip_sim::SettleProgram::recompile_delta) kind
+//! edit or a
 //! [`patch_fifo_capacity`](lip_sim::SettleProgram::patch_fifo_capacity)
 //! on that one program (`compile.patch`) and a program-keyed cache
 //! lookup — a cache hit never clones, compiles or simulates anything.

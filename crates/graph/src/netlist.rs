@@ -26,6 +26,18 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id of the node at dense index `index`, the inverse of
+    /// [`index`](Self::index): for tables indexed by node, such as a
+    /// compiled program's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit a `u32`.
+    #[must_use]
+    pub fn from_index(index: usize) -> Self {
+        NodeId(u32::try_from(index).expect("node index fits u32"))
+    }
 }
 
 impl fmt::Display for NodeId {

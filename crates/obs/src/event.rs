@@ -1,6 +1,6 @@
 //! Structured cycle events: the one vocabulary every engine speaks.
 //!
-//! The scalar skeleton, the many-lane batch engine and the
+//! The scalar skeleton, the 64-lane batch engine and the
 //! RTL-on-kernel path all describe protocol activity with the same
 //! eight [`EventKind`]s.
 //! An [`Event`] stamps a kind with the cycle it happened in, the entity
@@ -83,8 +83,8 @@ pub struct Event {
     pub kind: EventKind,
     /// Which channel / shell / relay it happened to (see [`EventKind`]).
     pub entity: u32,
-    /// Which batch lane it happened in (0 for scalar engines; `u16`
-    /// because the widest batch engine runs 1024 lanes).
+    /// Which batch lane it happened in (0 for scalar engines, `0..64`
+    /// for the batch engine).
     pub lane: u16,
 }
 

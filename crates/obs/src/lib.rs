@@ -7,15 +7,14 @@
 //! *seeing* protocol activity: where stop bits originate, where void
 //! tokens enter and get discarded, how relay-station occupancy evolves.
 //! This crate is the one observability seam shared by every engine in
-//! the workspace (the scalar skeleton interpreter, the many-lane batch
+//! the workspace (the scalar skeleton interpreter, the 64-lane batch
 //! engine, and the RTL-on-kernel path):
 //!
 //! * [`Probe`] — the instrumentation trait engines call from their
 //!   settle/clock loops. [`NullProbe`] has `ENABLED = false` and
 //!   monomorphizes to nothing: unprobed simulation compiles to exactly
-//!   the code it was before this crate existed. Mask hooks carry lane
-//!   words as `&[u64]` slices, so probes observe any lane width (64 up
-//!   to 1024 lanes) through one signature.
+//!   the code it was before this crate existed. Mask hooks carry the
+//!   batch engine's 64-lane word as one `u64` (bit `l` = lane `l`).
 //! * [`Event`] / [`EventKind`] — the eight-kind structured event
 //!   vocabulary (`fire`, `stall`, `void_in`, `void_discard`,
 //!   `relay_fill`, `relay_drain`, `channel_void`, `consume`),
@@ -77,7 +76,7 @@ pub use flight::{
 };
 pub use json::Json;
 pub use metrics::{MetricsRegistry, Topology};
-pub use probe::{for_each_lane, for_each_lane_word, mask_count, mask_lane, NullProbe, Probe, Tee};
+pub use probe::{for_each_lane, NullProbe, Probe, Tee};
 pub use profile::{
     BlameEdge, BlameEntry, BlameReport, CausalProfiler, ChannelGraph, Entity, Histogram,
     PairLatency, StallCause, BLAME_SCHEMA_VERSION,

@@ -12,12 +12,12 @@
 //!
 //! The registry aggregates over lanes: counters sum events from all
 //! lanes (a scalar run only ever reports lane 0). The `*_mask` hooks are
-//! overridden with popcounts, so counting a lane word costs one word op
-//! per 64 lanes regardless of width.
+//! overridden with popcounts, so counting a 64-lane word costs one word
+//! op.
 
 use crate::event::Event;
 use crate::json::Json;
-use crate::probe::{for_each_lane_word, mask_count, Probe};
+use crate::probe::{for_each_lane, Probe};
 
 /// The shape of the observed system: how many channels, shells and
 /// relays there are, and each relay's capacity (histogram range).
@@ -282,45 +282,45 @@ impl Probe for MetricsRegistry {
     // hooks still need per-lane decomposition for the occupancy model.
 
     #[inline]
-    fn fire_mask(&mut self, _cycle: u64, shell: u32, masks: &[u64]) {
-        self.fires[shell as usize] += mask_count(masks);
+    fn fire_mask(&mut self, _cycle: u64, shell: u32, mask: u64) {
+        self.fires[shell as usize] += u64::from(mask.count_ones());
     }
 
     #[inline]
-    fn stall_mask(&mut self, _cycle: u64, ch: u32, masks: &[u64]) {
-        self.stalls[ch as usize] += mask_count(masks);
+    fn stall_mask(&mut self, _cycle: u64, ch: u32, mask: u64) {
+        self.stalls[ch as usize] += u64::from(mask.count_ones());
     }
 
     #[inline]
-    fn channel_void_mask(&mut self, _cycle: u64, ch: u32, masks: &[u64]) {
-        self.voids[ch as usize] += mask_count(masks);
+    fn channel_void_mask(&mut self, _cycle: u64, ch: u32, mask: u64) {
+        self.voids[ch as usize] += u64::from(mask.count_ones());
     }
 
     #[inline]
-    fn consume_mask(&mut self, _cycle: u64, ch: u32, masks: &[u64]) {
-        self.consumed[ch as usize] += mask_count(masks);
+    fn consume_mask(&mut self, _cycle: u64, ch: u32, mask: u64) {
+        self.consumed[ch as usize] += u64::from(mask.count_ones());
     }
 
     #[inline]
-    fn void_in_mask(&mut self, _cycle: u64, ch: u32, masks: &[u64]) {
-        self.void_ins[ch as usize] += mask_count(masks);
+    fn void_in_mask(&mut self, _cycle: u64, ch: u32, mask: u64) {
+        self.void_ins[ch as usize] += u64::from(mask.count_ones());
     }
 
     #[inline]
-    fn void_discard_mask(&mut self, _cycle: u64, ch: u32, masks: &[u64]) {
-        self.stall_discards[ch as usize] += mask_count(masks);
+    fn void_discard_mask(&mut self, _cycle: u64, ch: u32, mask: u64) {
+        self.stall_discards[ch as usize] += u64::from(mask.count_ones());
     }
 
     #[inline]
-    fn relay_fill_mask(&mut self, _cycle: u64, relay: u32, masks: &[u64]) {
-        self.relay_fills[relay as usize] += mask_count(masks);
-        for_each_lane_word(masks, |lane| *self.occ_slot(relay, lane) += 1);
+    fn relay_fill_mask(&mut self, _cycle: u64, relay: u32, mask: u64) {
+        self.relay_fills[relay as usize] += u64::from(mask.count_ones());
+        for_each_lane(mask, |lane| *self.occ_slot(relay, lane) += 1);
     }
 
     #[inline]
-    fn relay_drain_mask(&mut self, _cycle: u64, relay: u32, masks: &[u64]) {
-        self.relay_drains[relay as usize] += mask_count(masks);
-        for_each_lane_word(masks, |lane| {
+    fn relay_drain_mask(&mut self, _cycle: u64, relay: u32, mask: u64) {
+        self.relay_drains[relay as usize] += u64::from(mask.count_ones());
+        for_each_lane(mask, |lane| {
             let slot = self.occ_slot(relay, lane);
             *slot = slot.saturating_sub(1);
         });
@@ -364,25 +364,56 @@ mod tests {
     #[test]
     fn mask_hooks_count_lanes() {
         let mut m = MetricsRegistry::with_lanes(topo(), 64);
-        m.fire_mask(0, 0, &[0xFF]);
-        m.stall_mask(0, 2, &[!0]);
-        m.consume_mask(0, 1, &[0b111]);
+        m.fire_mask(0, 0, 0xFF);
+        m.stall_mask(0, 2, !0);
+        m.consume_mask(0, 1, 0b111);
         assert_eq!(m.fires(0), 8);
         assert_eq!(m.stalls(2), 64);
         assert_eq!(m.consumed(1), 3);
     }
 
     #[test]
-    fn multi_word_mask_hooks_count_all_words() {
-        let mut m = MetricsRegistry::with_lanes(topo(), 256);
-        m.fire_mask(0, 1, &[!0, 0, 0b11, 1 << 63]);
-        m.relay_fill_mask(0, 1, &[0, 0, 0, 1 << 10]);
+    fn mask_hooks_reach_the_top_lane() {
+        let mut m = MetricsRegistry::with_lanes(topo(), 64);
+        m.fire_mask(0, 1, 1 << 63 | 0b11);
+        m.relay_fill_mask(0, 1, 1 << 63);
         m.end_cycle(0);
-        assert_eq!(m.fires(1), 64 + 2 + 1);
+        assert_eq!(m.fires(1), 3);
         assert_eq!(m.relay_traffic(1), (1, 0));
-        // Lane 202 (word 3, bit 10) is at occupancy 1; the other 255
-        // lanes are empty.
-        assert_eq!(m.occupancy_histogram(1), &[255, 1]);
+        // Lane 63 is at occupancy 1; the other 63 lanes are empty.
+        assert_eq!(m.occupancy_histogram(1), &[63, 1]);
+    }
+
+    #[test]
+    fn popcount_overrides_match_the_default_decomposition() {
+        // The registry overrides `*_mask` with popcounts; the default
+        // path decomposes into per-lane scalar calls. Both must agree,
+        // occupancy histogram included.
+        let topo = Topology {
+            channels: 2,
+            shells: 1,
+            relay_capacities: vec![3],
+        };
+        let mask = (0..64).step_by(5).fold(0u64, |m, l| m | 1 << l);
+        let mut fast = MetricsRegistry::with_lanes(topo.clone(), 64);
+        fast.fire_mask(0, 0, mask);
+        fast.stall_mask(0, 1, mask);
+        fast.relay_fill_mask(0, 0, mask);
+        fast.relay_drain_mask(0, 0, mask & 0xFF);
+        fast.end_cycle(0);
+        let mut slow = MetricsRegistry::with_lanes(topo, 64);
+        for_each_lane(mask, |l| {
+            slow.fire(0, 0, l);
+            slow.stall(0, 1, l);
+            slow.relay_fill(0, 0, l);
+        });
+        for_each_lane(mask & 0xFF, |l| slow.relay_drain(0, 0, l));
+        slow.end_cycle(0);
+        let set = u64::from(mask.count_ones());
+        assert_eq!(fast.fires(0), set);
+        assert_eq!(fast.to_json(), slow.to_json());
+        // Lanes 0 and 5 filled and drained; the other set lanes hold one.
+        assert_eq!(fast.occupancy_histogram(0), &[64 - set + 2, set - 2, 0, 0]);
     }
 
     #[test]

@@ -10,18 +10,15 @@
 //! existed. That is the layer's zero-overhead guarantee; the
 //! lane-equivalence and batch-sweep suites run both ways to hold it.
 //!
-//! The `*_mask` hooks carry one full lane word as a slice of `u64`
-//! sub-words: bit `l` of `masks[w]` means "this happened in lane
-//! `64·w + l`". A 64-lane engine passes a single-element slice; the
-//! widest (1024-lane) engine passes sixteen words. Probes that only
-//! count override them with popcounts, so counting any width costs
-//! O(words) word ops.
+//! The `*_mask` hooks carry the batch engine's lane word, one `u64`:
+//! bit `l` of `mask` means "this happened in lane `l`". Probes that
+//! only count override them with popcounts, so counting 64 lanes costs
+//! one word op.
 //!
 //! Probes shipped in this crate:
 //!
 //! * [`MetricsRegistry`](crate::metrics::MetricsRegistry) — counters and
-//!   occupancy histograms, overriding the `*_mask` hooks with popcounts
-//!   so lane-word counting costs O(words);
+//!   occupancy histograms, overriding the `*_mask` hooks with popcounts;
 //! * [`JsonlSink`](crate::sink::JsonlSink) and
 //!   [`TraceSink`](crate::sink::TraceSink) — record every event as JSON
 //!   lines or as a VCD waveform.
@@ -30,8 +27,8 @@
 
 use crate::event::{Event, EventKind};
 
-/// Call `f(lane)` for every set bit of the single word `mask` (bit `l`
-/// = lane `l`).
+/// Call `f(lane)` for every set bit of the lane mask `mask` (bit `l`
+/// = lane `l`), lowest lane first.
 #[inline]
 pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(u16)) {
     while mask != 0 {
@@ -41,39 +38,13 @@ pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(u16)) {
     }
 }
 
-/// Call `f(lane)` for every set bit of a multi-word lane mask: bit `l`
-/// of `masks[w]` is lane `64·w + l`.
-#[inline]
-pub fn for_each_lane_word(masks: &[u64], mut f: impl FnMut(u16)) {
-    for (w, &mask) in masks.iter().enumerate() {
-        let base = (w * 64) as u16;
-        for_each_lane(mask, |l| f(base + l));
-    }
-}
-
-/// Total set lanes of a multi-word lane mask.
-#[inline]
-#[must_use]
-pub fn mask_count(masks: &[u64]) -> u64 {
-    masks.iter().map(|m| u64::from(m.count_ones())).sum()
-}
-
-/// `true` if `lane` is set in a multi-word lane mask.
-#[inline]
-#[must_use]
-pub fn mask_lane(masks: &[u64], lane: u16) -> bool {
-    let w = usize::from(lane) / 64;
-    w < masks.len() && masks[w] >> (usize::from(lane) % 64) & 1 == 1
-}
-
 /// Observation hooks invoked by the engines' probed settle/clock loops.
 ///
 /// Every hook has a default implementation, so a probe only overrides
 /// what it cares about. The scalar hooks take a `lane` (0 for scalar
 /// engines); the `*_mask` variants are the batch engine's word-wide
-/// form — bit `l` of `masks[w]` means "this happened in lane
-/// `64·w + l`" — and default to decomposing the words into per-lane
-/// scalar calls.
+/// form — bit `l` of `mask` means "this happened in lane `l`" — and
+/// default to decomposing the word into per-lane scalar calls.
 ///
 /// `cycle` is always the cycle being settled/clocked (the value the
 /// engine's `cycle()` returned before the step).
@@ -153,50 +124,50 @@ pub trait Probe {
 
     /// Word-wide [`Probe::fire`].
     #[inline]
-    fn fire_mask(&mut self, cycle: u64, shell: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.fire(cycle, shell, l));
+    fn fire_mask(&mut self, cycle: u64, shell: u32, mask: u64) {
+        for_each_lane(mask, |l| self.fire(cycle, shell, l));
     }
 
     /// Word-wide [`Probe::stall`].
     #[inline]
-    fn stall_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.stall(cycle, ch, l));
+    fn stall_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        for_each_lane(mask, |l| self.stall(cycle, ch, l));
     }
 
     /// Word-wide [`Probe::channel_void`].
     #[inline]
-    fn channel_void_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.channel_void(cycle, ch, l));
+    fn channel_void_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        for_each_lane(mask, |l| self.channel_void(cycle, ch, l));
     }
 
     /// Word-wide [`Probe::consume`].
     #[inline]
-    fn consume_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.consume(cycle, ch, l));
+    fn consume_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        for_each_lane(mask, |l| self.consume(cycle, ch, l));
     }
 
     /// Word-wide [`Probe::void_in`].
     #[inline]
-    fn void_in_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.void_in(cycle, ch, l));
+    fn void_in_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        for_each_lane(mask, |l| self.void_in(cycle, ch, l));
     }
 
     /// Word-wide [`Probe::void_discard`].
     #[inline]
-    fn void_discard_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.void_discard(cycle, ch, l));
+    fn void_discard_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        for_each_lane(mask, |l| self.void_discard(cycle, ch, l));
     }
 
     /// Word-wide [`Probe::relay_fill`].
     #[inline]
-    fn relay_fill_mask(&mut self, cycle: u64, relay: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.relay_fill(cycle, relay, l));
+    fn relay_fill_mask(&mut self, cycle: u64, relay: u32, mask: u64) {
+        for_each_lane(mask, |l| self.relay_fill(cycle, relay, l));
     }
 
     /// Word-wide [`Probe::relay_drain`].
     #[inline]
-    fn relay_drain_mask(&mut self, cycle: u64, relay: u32, masks: &[u64]) {
-        for_each_lane_word(masks, |l| self.relay_drain(cycle, relay, l));
+    fn relay_drain_mask(&mut self, cycle: u64, relay: u32, mask: u64) {
+        for_each_lane(mask, |l| self.relay_drain(cycle, relay, l));
     }
 }
 
@@ -229,43 +200,43 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     }
 
     #[inline]
-    fn fire_mask(&mut self, cycle: u64, shell: u32, masks: &[u64]) {
-        (**self).fire_mask(cycle, shell, masks);
+    fn fire_mask(&mut self, cycle: u64, shell: u32, mask: u64) {
+        (**self).fire_mask(cycle, shell, mask);
     }
 
     #[inline]
-    fn stall_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        (**self).stall_mask(cycle, ch, masks);
+    fn stall_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        (**self).stall_mask(cycle, ch, mask);
     }
 
     #[inline]
-    fn channel_void_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        (**self).channel_void_mask(cycle, ch, masks);
+    fn channel_void_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        (**self).channel_void_mask(cycle, ch, mask);
     }
 
     #[inline]
-    fn consume_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        (**self).consume_mask(cycle, ch, masks);
+    fn consume_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        (**self).consume_mask(cycle, ch, mask);
     }
 
     #[inline]
-    fn void_in_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        (**self).void_in_mask(cycle, ch, masks);
+    fn void_in_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        (**self).void_in_mask(cycle, ch, mask);
     }
 
     #[inline]
-    fn void_discard_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        (**self).void_discard_mask(cycle, ch, masks);
+    fn void_discard_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        (**self).void_discard_mask(cycle, ch, mask);
     }
 
     #[inline]
-    fn relay_fill_mask(&mut self, cycle: u64, relay: u32, masks: &[u64]) {
-        (**self).relay_fill_mask(cycle, relay, masks);
+    fn relay_fill_mask(&mut self, cycle: u64, relay: u32, mask: u64) {
+        (**self).relay_fill_mask(cycle, relay, mask);
     }
 
     #[inline]
-    fn relay_drain_mask(&mut self, cycle: u64, relay: u32, masks: &[u64]) {
-        (**self).relay_drain_mask(cycle, relay, masks);
+    fn relay_drain_mask(&mut self, cycle: u64, relay: u32, mask: u64) {
+        (**self).relay_drain_mask(cycle, relay, mask);
     }
 
     #[inline]
@@ -343,14 +314,14 @@ impl<A: Probe, B: Probe> Probe for Tee<A, B> {
     tee_scalar!(void_discard, cycle: u64, ch: u32, lane: u16);
     tee_scalar!(relay_fill, cycle: u64, relay: u32, lane: u16);
     tee_scalar!(relay_drain, cycle: u64, relay: u32, lane: u16);
-    tee_scalar!(fire_mask, cycle: u64, shell: u32, masks: &[u64]);
-    tee_scalar!(stall_mask, cycle: u64, ch: u32, masks: &[u64]);
-    tee_scalar!(channel_void_mask, cycle: u64, ch: u32, masks: &[u64]);
-    tee_scalar!(consume_mask, cycle: u64, ch: u32, masks: &[u64]);
-    tee_scalar!(void_in_mask, cycle: u64, ch: u32, masks: &[u64]);
-    tee_scalar!(void_discard_mask, cycle: u64, ch: u32, masks: &[u64]);
-    tee_scalar!(relay_fill_mask, cycle: u64, relay: u32, masks: &[u64]);
-    tee_scalar!(relay_drain_mask, cycle: u64, relay: u32, masks: &[u64]);
+    tee_scalar!(fire_mask, cycle: u64, shell: u32, mask: u64);
+    tee_scalar!(stall_mask, cycle: u64, ch: u32, mask: u64);
+    tee_scalar!(channel_void_mask, cycle: u64, ch: u32, mask: u64);
+    tee_scalar!(consume_mask, cycle: u64, ch: u32, mask: u64);
+    tee_scalar!(void_in_mask, cycle: u64, ch: u32, mask: u64);
+    tee_scalar!(void_discard_mask, cycle: u64, ch: u32, mask: u64);
+    tee_scalar!(relay_fill_mask, cycle: u64, relay: u32, mask: u64);
+    tee_scalar!(relay_drain_mask, cycle: u64, relay: u32, mask: u64);
 }
 
 #[cfg(test)]
@@ -376,7 +347,7 @@ mod tests {
     #[test]
     fn mask_hooks_decompose_into_lanes() {
         let mut p = CountingProbe::default();
-        p.fire_mask(9, 2, &[0b1010_0001]);
+        p.fire_mask(9, 2, 0b1010_0001);
         let lanes: Vec<u16> = p.events.iter().map(|e| e.lane).collect();
         assert_eq!(lanes, vec![0, 5, 7]);
         assert!(p
@@ -386,15 +357,20 @@ mod tests {
     }
 
     #[test]
-    fn multi_word_masks_offset_lanes_by_word() {
+    fn mask_hooks_reach_every_lane_of_the_word() {
+        // The top lane (bit 63) and the bottom one both decompose, in
+        // ascending order, with nothing in between invented.
         let mut p = CountingProbe::default();
-        p.stall_mask(3, 7, &[0b1, 0b100, 0, 1 << 63]);
+        p.stall_mask(3, 7, 1 << 63 | 0b100 | 1);
         let lanes: Vec<u16> = p.events.iter().map(|e| e.lane).collect();
-        assert_eq!(lanes, vec![0, 66, 255]);
-        assert_eq!(mask_count(&[0b1, 0b100, 0, 1 << 63]), 3);
-        assert!(mask_lane(&[0b1, 0b100], 66));
-        assert!(!mask_lane(&[0b1, 0b100], 67));
-        assert!(!mask_lane(&[0b1], 1000), "out of range is unset");
+        assert_eq!(lanes, vec![0, 2, 63]);
+        assert!(p
+            .events
+            .iter()
+            .all(|e| e.kind == EventKind::Stall && e.entity == 7 && e.cycle == 3));
+        p.events.clear();
+        p.relay_drain_mask(4, 1, 0);
+        assert!(p.events.is_empty(), "an empty mask makes no call");
     }
 
     #[test]
@@ -405,7 +381,7 @@ mod tests {
         let mut p = CountingProbe::default();
         p.channel_void(4, 2, 1);
         p.consume(4, 3, 0);
-        p.consume_mask(5, 3, &[0b10]);
+        p.consume_mask(5, 3, 0b10);
         assert_eq!(
             p.events,
             vec![

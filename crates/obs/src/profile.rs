@@ -51,7 +51,7 @@ use std::collections::VecDeque;
 
 use crate::event::{Event, EventKind};
 use crate::json::Json;
-use crate::probe::{mask_lane, Probe};
+use crate::probe::Probe;
 
 /// Version of the [`BlameReport`] JSON layout. Re-exported from the
 /// central [`crate::schema`] registry; bump it there.
@@ -582,7 +582,7 @@ pub struct StallSpan {
 /// Observes exactly one lane: lane 0 by default (the scalar engines),
 /// or any batch lane via [`CausalProfiler::for_lane`] — the `*_mask`
 /// hooks filter the configured lane's bit, so attaching the profiler to
-/// a many-lane run profiles that lane alone.
+/// a 64-lane run profiles that lane alone.
 #[derive(Debug, Clone)]
 pub struct CausalProfiler {
     graph: ChannelGraph,
@@ -625,10 +625,10 @@ impl CausalProfiler {
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= 1024` (the widest lane word).
+    /// Panics if `lane >= 64` (the lanes of the batch engine's word).
     #[must_use]
     pub fn for_lane(graph: ChannelGraph, lane: u16) -> Self {
-        assert!(lane < 1024, "lane must be in 0..1024");
+        assert!(lane < 64, "lane must be in 0..64");
         let nch = graph.channel_count();
         let nsh = graph.shell_count();
         let nre = graph.relay_count();
@@ -881,6 +881,14 @@ impl CausalProfiler {
     }
 }
 
+impl CausalProfiler {
+    /// `true` if the observed lane's bit is set in the lane mask `mask`.
+    #[inline]
+    fn observes(&self, mask: u64) -> bool {
+        (mask >> self.lane) & 1 == 1
+    }
+}
+
 impl Probe for CausalProfiler {
     /// Replayed event streams route to the same handlers as direct
     /// hooks. Since schema version 2 the stream carries
@@ -1024,53 +1032,53 @@ impl Probe for CausalProfiler {
     }
 
     #[inline]
-    fn fire_mask(&mut self, cycle: u64, shell: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn fire_mask(&mut self, cycle: u64, shell: u32, mask: u64) {
+        if self.observes(mask) {
             self.fire(cycle, shell, self.lane);
         }
     }
 
     #[inline]
-    fn stall_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn stall_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        if self.observes(mask) {
             self.stall(cycle, ch, self.lane);
         }
     }
 
     #[inline]
-    fn channel_void_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn channel_void_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        if self.observes(mask) {
             self.channel_void(cycle, ch, self.lane);
         }
     }
 
     #[inline]
-    fn consume_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn consume_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        if self.observes(mask) {
             self.consume(cycle, ch, self.lane);
         }
     }
 
     #[inline]
-    fn void_in_mask(&mut self, cycle: u64, ch: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn void_in_mask(&mut self, cycle: u64, ch: u32, mask: u64) {
+        if self.observes(mask) {
             self.void_in(cycle, ch, self.lane);
         }
     }
 
     #[inline]
-    fn void_discard_mask(&mut self, _cycle: u64, _ch: u32, _masks: &[u64]) {}
+    fn void_discard_mask(&mut self, _cycle: u64, _ch: u32, _mask: u64) {}
 
     #[inline]
-    fn relay_fill_mask(&mut self, cycle: u64, relay: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn relay_fill_mask(&mut self, cycle: u64, relay: u32, mask: u64) {
+        if self.observes(mask) {
             self.relay_fill(cycle, relay, self.lane);
         }
     }
 
     #[inline]
-    fn relay_drain_mask(&mut self, cycle: u64, relay: u32, masks: &[u64]) {
-        if mask_lane(masks, self.lane) {
+    fn relay_drain_mask(&mut self, cycle: u64, relay: u32, mask: u64) {
+        if self.observes(mask) {
             self.relay_drain(cycle, relay, self.lane);
         }
     }
@@ -1182,8 +1190,8 @@ mod tests {
     fn other_lanes_are_filtered() {
         let g = pipeline_graph();
         let mut p = CausalProfiler::for_lane(g, 3);
-        p.stall_mask(0, 1, &[0b0001]); // lane 0 only: ignored
-        p.stall_mask(0, 0, &[0b1000]); // lane 3: observed
+        p.stall_mask(0, 1, 0b0001); // lane 0 only: ignored
+        p.stall_mask(0, 0, 0b1000); // lane 3: observed
         p.end_cycle(0);
         let r = p.report();
         assert_eq!(r.channel_stalls, vec![1, 0]);
@@ -1191,16 +1199,19 @@ mod tests {
     }
 
     #[test]
-    fn high_lanes_filter_across_words() {
-        let g = pipeline_graph();
-        // Lane 130 lives in word 2, bit 2 of a multi-word mask.
-        let mut p = CausalProfiler::for_lane(g, 130);
-        p.stall_mask(0, 0, &[!0, !0, 0b001, 0]); // bit 0 of word 2: lane 128
-        p.stall_mask(0, 1, &[0, 0, 0b100, 0]); // bit 2 of word 2: lane 130
+    fn the_top_lane_filters() {
+        let mut p = CausalProfiler::for_lane(pipeline_graph(), 63);
+        p.stall_mask(0, 0, !0 >> 1); // lanes 0..=62: ignored
+        p.stall_mask(0, 1, 1 << 63); // lane 63: observed
         p.end_cycle(0);
-        let r = p.report();
-        assert_eq!(r.channel_stalls, vec![0, 1]);
-        assert_eq!(r.lane, 130);
+        assert_eq!(p.report().channel_stalls, vec![0, 1]);
+        assert_eq!(p.report().lane, 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane must be in 0..64")]
+    fn lanes_past_the_word_are_rejected() {
+        let _ = CausalProfiler::for_lane(pipeline_graph(), 64);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 /// `Report` JSON layout (`BENCH_*.json` bench reports).
 ///
 /// Version 2: the JSONL cycle-event stream gained `channel_void` and
-/// `consume` records (post-hoc replay blame now equals live blame) and
-/// batch reports may carry per-width `lane_widths` arrays.
+/// `consume` records (post-hoc replay blame now equals live blame).
+/// Batch reports written while several lane widths existed also carry
+/// per-width `lane_widths` arrays; readers must not require them.
 pub const REPORT: u32 = 2;
 
 /// `BlameReport` JSON layout (`BLAME_*.json` causal stall profiles).

@@ -1,18 +1,15 @@
-//! Bit-parallel batched skeleton simulation: up to 1024 independent
-//! scenarios per step.
+//! Bit-parallel batched skeleton simulation: 64 independent scenarios
+//! per step.
 //!
 //! The skeleton carries one bit of state per signal (validities,
 //! occupancies) plus small counters — which makes it a perfect fit for
-//! SWAR evaluation: a [`BatchEngine`] packs the valid/stop state of
-//! `W::LANES` *independent* scenarios (lanes) into [`LaneWord`]s, one
-//! bit per lane, and settles all of them per pass using pure bitwise
-//! transfer functions. [`BatchSkeleton`] is the 64-lane `u64`
-//! instantiation — exactly the engine this module always had — and the
-//! wider shapes (`[u64; 2]` … `[u64; 16]`, 128–1024 lanes) run the same
-//! code over multi-word lane words. Every lane of every width is
-//! bit-identical to a scalar [`SkeletonSystem`](crate::SkeletonSystem)
-//! run of the same scenario (property tests assert this over the
-//! topology corpus and across widths).
+//! SWAR evaluation: a [`BatchEngine`] packs the valid/stop state of 64
+//! *independent* scenarios (lanes) into `u64` [`LaneWord`]s, one bit
+//! per lane, and settles all of them per pass using pure bitwise
+//! transfer functions. [`BatchSkeleton`] names that `u64`
+//! instantiation. Every lane is bit-identical to a scalar
+//! [`SkeletonSystem`](crate::SkeletonSystem) run of the same scenario
+//! (property tests assert this over the topology corpus).
 //!
 //! Lanes may differ only in their *environment* — source void patterns,
 //! sink stop patterns, or externally driven stall schedules — the
@@ -24,8 +21,8 @@
 //! The settle phase runs on the program's streaming kernel (see
 //! `crate::stream`): the engine's entire bit-state lives in one flat
 //! cell arena and each settle is a branch-free pass over a precompiled
-//! op tape — no per-component dispatch, and the homogeneous inner loops
-//! auto-vectorize across the `u64` sub-words of wide lane words.
+//! op tape — no per-component dispatch, one word op per settle
+//! assignment for all 64 lanes.
 //!
 //! Non-boolean state is bit-sliced: FIFO occupancies live as little-
 //! endian bit-planes with masked ripple-carry increment/decrement, and
@@ -44,8 +41,8 @@ use crate::lasso::pack_bits;
 use crate::program::{env_period, lcm, CompSlot, SettleProgram};
 use crate::stream::CELL_ONES;
 
-/// Number of scenarios the default-width [`BatchSkeleton`] advances per
-/// step (wider engines advance [`LaneWord::LANES`]).
+/// Number of scenarios a [`BatchEngine`] advances per step: the lanes
+/// of one `u64` [`LaneWord`].
 pub const LANES: usize = 64;
 
 /// Environment tables longer than this fall back to per-lane pattern
@@ -115,11 +112,11 @@ enum PatternRow {
 }
 
 impl PatternRow {
-    /// Give `lane` (of `width`) the pattern `p`, splitting a uniform row.
-    fn set(&mut self, lane: usize, p: Pattern, width: usize) {
+    /// Give `lane` the pattern `p`, splitting a uniform row.
+    fn set(&mut self, lane: usize, p: Pattern) {
         if let PatternRow::Uniform(shared) = self {
-            assert!(lane < width, "lane {lane} out of range for {width} lanes");
-            *self = PatternRow::Split(vec![shared.clone(); width]);
+            assert!(lane < LANES, "lane {lane} out of range for {LANES} lanes");
+            *self = PatternRow::Split(vec![shared.clone(); LANES]);
         }
         if let PatternRow::Split(lanes) = self {
             lanes[lane] = p;
@@ -137,10 +134,9 @@ impl PatternRow {
 /// Per-lane environment for a [`BatchEngine`]: one void pattern per
 /// source per lane, one stop pattern per sink per lane.
 ///
-/// Start from [`LanePatterns::broadcast`] (64 lanes, every lane running
-/// the netlist's own patterns) or
-/// [`broadcast_wide`](LanePatterns::broadcast_wide) for another width,
-/// then specialise individual lanes with
+/// Start from [`LanePatterns::broadcast`] (every one of the
+/// [`LANES`] lanes running the netlist's own patterns), then specialise
+/// individual lanes with
 /// [`set_source`](LanePatterns::set_source) /
 /// [`set_sink`](LanePatterns::set_sink) — the natural shape for a
 /// many-point parameter sweep.
@@ -148,34 +144,18 @@ impl PatternRow {
 pub struct LanePatterns {
     src: Vec<PatternRow>,
     snk: Vec<PatternRow>,
-    width: usize,
 }
 
 impl LanePatterns {
-    /// Every one of 64 lanes runs the environment compiled into `prog`
-    /// (the netlist's own patterns).
+    /// Every one of the [`LANES`] lanes runs the environment compiled
+    /// into `prog` (the netlist's own patterns).
     #[must_use]
     pub fn broadcast(prog: &SettleProgram) -> Self {
-        Self::broadcast_wide(prog, LANES)
-    }
-
-    /// Every one of `width` lanes runs the environment compiled into
-    /// `prog`. `width` must match the engine's [`LaneWord::LANES`] when
-    /// the patterns are used.
-    #[must_use]
-    pub fn broadcast_wide(prog: &SettleProgram, width: usize) -> Self {
         let rows = |ps: &[Pattern]| ps.iter().cloned().map(PatternRow::Uniform).collect();
         LanePatterns {
             src: rows(&prog.src_pattern),
             snk: rows(&prog.snk_pattern),
-            width,
         }
-    }
-
-    /// Number of lanes these patterns drive.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Number of sources per lane.
@@ -198,7 +178,7 @@ impl LanePatterns {
     ///
     /// Panics if `source` or `lane` is out of range.
     pub fn set_source(&mut self, source: usize, lane: usize, p: Pattern) {
-        self.src[source].set(lane, p, self.width);
+        self.src[source].set(lane, p);
     }
 
     /// Give `lane`'s `sink`-th sink (in
@@ -209,20 +189,20 @@ impl LanePatterns {
     ///
     /// Panics if `sink` or `lane` is out of range.
     pub fn set_sink(&mut self, sink: usize, lane: usize, p: Pattern) {
-        self.snk[sink].set(lane, p, self.width);
+        self.snk[sink].set(lane, p);
     }
 
     /// The void pattern of `lane`'s `source`-th source.
     #[must_use]
     pub fn source_pattern(&self, source: usize, lane: usize) -> &Pattern {
-        assert!(lane < self.width, "lane {lane} out of range");
+        assert!(lane < LANES, "lane {lane} out of range");
         self.src[source].get(lane)
     }
 
     /// The stop pattern of `lane`'s `sink`-th sink.
     #[must_use]
     pub fn sink_pattern(&self, sink: usize, lane: usize) -> &Pattern {
-        assert!(lane < self.width, "lane {lane} out of range");
+        assert!(lane < LANES, "lane {lane} out of range");
         self.snk[sink].get(lane)
     }
 
@@ -236,7 +216,7 @@ impl LanePatterns {
             PatternRow::Uniform(p) => Some(p),
             PatternRow::Split(_) => None,
         }));
-        let mut periods = vec![shared; self.width];
+        let mut periods = vec![shared; LANES];
         for row in rows() {
             if let PatternRow::Split(lanes) = row {
                 for (period, p) in periods.iter_mut().zip(lanes) {
@@ -304,27 +284,20 @@ impl<W: LaneWord> CompiledRow<W> {
 pub(crate) struct CompiledPatterns<W> {
     src: Vec<CompiledRow<W>>,
     snk: Vec<CompiledRow<W>>,
-    width: usize,
 }
 
 impl<W: LaneWord> CompiledPatterns<W> {
     pub(crate) fn compile(pats: &LanePatterns) -> Self {
-        assert_eq!(
-            pats.width(),
-            W::LANES,
-            "pattern width must match the engine's lane count"
-        );
         CompiledPatterns {
             src: pats.src.iter().map(CompiledRow::compile).collect(),
             snk: pats.snk.iter().map(CompiledRow::compile).collect(),
-            width: pats.width,
         }
     }
 }
 
-/// `W::LANES` independent skeleton simulations advancing in lock-step,
-/// one bit per lane per signal. See the [module docs](self); the
-/// 64-lane `u64` instantiation is [`BatchSkeleton`].
+/// [`LANES`] independent skeleton simulations advancing in lock-step,
+/// one bit per lane per signal. See the [module docs](self); the `u64`
+/// instantiation is [`BatchSkeleton`].
 ///
 /// # Example
 ///
@@ -376,8 +349,6 @@ pub struct BatchEngine<W: LaneWord> {
 }
 
 /// The 64-lane batch engine: [`BatchEngine`] over `u64` lane words.
-/// Compiles to exactly the code the dedicated 64-lane engine had before
-/// the width generalisation.
 pub type BatchSkeleton = BatchEngine<u64>;
 
 impl<W: LaneWord> BatchEngine<W> {
@@ -407,19 +378,10 @@ impl<W: LaneWord> BatchEngine<W> {
 
     /// Lanes reset under *per-lane* environments: each source initially
     /// offers `!pats.source_pattern(i, lane).at(0)` in its lane — the
-    /// batched equivalent of building `W::LANES` netlists with different
+    /// batched equivalent of building [`LANES`] netlists with different
     /// patterns and constructing a scalar skeleton for each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pats` was built for a different lane width.
     #[must_use]
     pub fn from_patterns(prog: Arc<SettleProgram>, pats: &LanePatterns) -> Self {
-        assert_eq!(
-            pats.width(),
-            W::LANES,
-            "pattern width must match the engine's lane count"
-        );
         let src_valid = (0..prog.src_pattern.len())
             .map(|i| W::from_fn(|lane| !pats.source_pattern(i, lane).at(0)))
             .collect();
@@ -578,7 +540,7 @@ impl<W: LaneWord> BatchEngine<W> {
     /// stop words (`sink_stop[j]` lane `l` = lane `l`'s stop on sink
     /// `j`): stage the sink stops into the arena and run the streaming
     /// op tape. Probe hooks receive the word-wide `*_mask` form — one
-    /// call covers all lanes — and are guarded by [`Probe::ENABLED`].
+    /// call covers all 64 lanes — and are guarded by [`Probe::ENABLED`].
     fn settle_probed<P: Probe>(&mut self, sink_stop: &[W], probe: &mut P) {
         let k = &self.prog.kernel;
         for (j, &s) in sink_stop.iter().enumerate() {
@@ -590,7 +552,6 @@ impl<W: LaneWord> BatchEngine<W> {
             let p = &*self.prog;
             let arena = &self.arena;
             let cycle = self.cycle;
-            let mut buf = [0u64; 16];
             if p.discards {
                 for &s in &p.bwd_shell_order {
                     let s = s as usize;
@@ -602,8 +563,7 @@ impl<W: LaneWord> BatchEngine<W> {
                         // `!fire & !fwd`.
                         let discarded = f.or(arena[k.fwd as usize + ch]).not();
                         if discarded.any() {
-                            discarded.write_words(&mut buf[..W::WORDS]);
-                            probe.void_discard_mask(cycle, ch as u32, &buf[..W::WORDS]);
+                            probe.void_discard_mask(cycle, ch as u32, discarded.bits());
                         }
                     }
                 }
@@ -611,13 +571,11 @@ impl<W: LaneWord> BatchEngine<W> {
             for ch in 0..p.n_channels {
                 let stop = arena[k.stop as usize + ch];
                 if stop.any() {
-                    stop.write_words(&mut buf[..W::WORDS]);
-                    probe.stall_mask(cycle, ch as u32, &buf[..W::WORDS]);
+                    probe.stall_mask(cycle, ch as u32, stop.bits());
                 }
                 let fwd = arena[k.fwd as usize + ch];
                 if fwd != W::ONES {
-                    fwd.not().write_words(&mut buf[..W::WORDS]);
-                    probe.channel_void_mask(cycle, ch as u32, &buf[..W::WORDS]);
+                    probe.channel_void_mask(cycle, ch as u32, fwd.not().bits());
                 }
             }
         }
@@ -645,8 +603,8 @@ impl<W: LaneWord> BatchEngine<W> {
     /// [`step_with_masks`](Self::step_with_masks) with observation: the
     /// word-wide analogue of
     /// [`SkeletonSystem::step_probed`](crate::SkeletonSystem::step_probed),
-    /// delivering `*_mask` hooks (`&[u64]` sub-word slices, bit `l` of
-    /// word `w` = lane `64·w + l`) for stalls, voids, discards, sink
+    /// delivering `*_mask` hooks (one `u64`, bit `l` = lane `l`) for
+    /// stalls, voids, discards, sink
     /// consumption, shell firings and relay traffic, then
     /// [`end_cycle`](Probe::end_cycle). With [`NullProbe`] this
     /// monomorphizes to the unobserved step.
@@ -688,7 +646,6 @@ impl<W: LaneWord> BatchEngine<W> {
         } = self;
         let p: &SettleProgram = prog;
         let k = &p.kernel;
-        let mut buf = [0u64; 16];
 
         // Sources: a stopped valid offer is held; everyone else loads
         // the next offer.
@@ -706,13 +663,11 @@ impl<W: LaneWord> BatchEngine<W> {
             if P::ENABLED {
                 let informative = consumed.and(v);
                 if informative.any() {
-                    informative.write_words(&mut buf[..W::WORDS]);
-                    probe.consume_mask(*cycle, p.snk_in_ch[j], &buf[..W::WORDS]);
+                    probe.consume_mask(*cycle, p.snk_in_ch[j], informative.bits());
                 }
                 let void = consumed.andnot(v);
                 if void.any() {
-                    void.write_words(&mut buf[..W::WORDS]);
-                    probe.void_in_mask(*cycle, p.snk_in_ch[j], &buf[..W::WORDS]);
+                    probe.void_in_mask(*cycle, p.snk_in_ch[j], void.bits());
                 }
             }
         }
@@ -724,8 +679,7 @@ impl<W: LaneWord> BatchEngine<W> {
             *fired = fired.or(f);
             fires[s].add(f);
             if P::ENABLED && f.any() {
-                f.write_words(&mut buf[..W::WORDS]);
-                probe.fire_mask(*cycle, s as u32, &buf[..W::WORDS]);
+                probe.fire_mask(*cycle, s as u32, f.bits());
             }
             if p.shell_buffered[s] {
                 for kk in p.shell_in_range(s) {
@@ -753,12 +707,10 @@ impl<W: LaneWord> BatchEngine<W> {
                 // releases.
                 let fill = input.andnot(aux);
                 if fill.any() {
-                    fill.write_words(&mut buf[..W::WORDS]);
-                    probe.relay_fill_mask(*cycle, p.full_relay_row(i), &buf[..W::WORDS]);
+                    probe.relay_fill_mask(*cycle, p.full_relay_row(i), fill.bits());
                 }
                 if released.any() {
-                    released.write_words(&mut buf[..W::WORDS]);
-                    probe.relay_drain_mask(*cycle, p.full_relay_row(i), &buf[..W::WORDS]);
+                    probe.relay_drain_mask(*cycle, p.full_relay_row(i), released.bits());
                 }
             }
             arena[k.full_main as usize + i] = aux
@@ -775,12 +727,10 @@ impl<W: LaneWord> BatchEngine<W> {
                 let fill = stopped.and(input).andnot(occ);
                 let drain = occ.andnot(stopped);
                 if fill.any() {
-                    fill.write_words(&mut buf[..W::WORDS]);
-                    probe.relay_fill_mask(*cycle, p.half_relay_row(h), &buf[..W::WORDS]);
+                    probe.relay_fill_mask(*cycle, p.half_relay_row(h), fill.bits());
                 }
                 if drain.any() {
-                    drain.write_words(&mut buf[..W::WORDS]);
-                    probe.relay_drain_mask(*cycle, p.half_relay_row(h), &buf[..W::WORDS]);
+                    probe.relay_drain_mask(*cycle, p.half_relay_row(h), drain.bits());
                 }
             }
             arena[k.half_occ as usize + h] = stopped.and(occ.or(input));
@@ -798,12 +748,10 @@ impl<W: LaneWord> BatchEngine<W> {
             let fill = input.andnot(was_full);
             if P::ENABLED {
                 if fill.any() {
-                    fill.write_words(&mut buf[..W::WORDS]);
-                    probe.relay_fill_mask(*cycle, p.fifo_relay_row(i), &buf[..W::WORDS]);
+                    probe.relay_fill_mask(*cycle, p.fifo_relay_row(i), fill.bits());
                 }
                 if drain.any() {
-                    drain.write_words(&mut buf[..W::WORDS]);
-                    probe.relay_drain_mask(*cycle, p.fifo_relay_row(i), &buf[..W::WORDS]);
+                    probe.relay_drain_mask(*cycle, p.fifo_relay_row(i), drain.bits());
                 }
             }
             let planes = (k.fifo + k.fifo_off[i]) as usize..(k.fifo + k.fifo_off[i + 1]) as usize;
@@ -835,7 +783,6 @@ impl<W: LaneWord> BatchEngine<W> {
         pats: &CompiledPatterns<W>,
         probe: &mut P,
     ) {
-        debug_assert_eq!(pats.width, W::LANES);
         let cycle = self.cycle;
         let mut src = std::mem::take(&mut self.src_scratch);
         let mut snk = std::mem::take(&mut self.snk_scratch);
@@ -869,7 +816,6 @@ impl<W: LaneWord> BatchEngine<W> {
         pats: &CompiledPatterns<W>,
         kc: &mut KernelCounters,
     ) {
-        debug_assert_eq!(pats.width, W::LANES);
         let cycle = self.cycle;
         let mut src = std::mem::take(&mut self.src_scratch);
         let mut snk = std::mem::take(&mut self.snk_scratch);
@@ -882,7 +828,7 @@ impl<W: LaneWord> BatchEngine<W> {
             self.arena[k.snk_stop as usize + j] = s;
         }
         if (kc.settles + self.unretired).is_multiple_of(OCC_SAMPLE_EVERY) {
-            k.retire::<W>(kc, std::mem::take(&mut self.unretired));
+            k.retire(kc, std::mem::take(&mut self.unretired));
             k.execute_counted(&mut self.arena, kc, true);
         } else {
             k.execute(&mut self.arena);
@@ -899,7 +845,7 @@ impl<W: LaneWord> BatchEngine<W> {
     pub(crate) fn retire_counted(&mut self, kc: &mut KernelCounters) {
         self.prog
             .kernel
-            .retire::<W>(kc, std::mem::take(&mut self.unretired));
+            .retire(kc, std::mem::take(&mut self.unretired));
     }
 
     /// Run `n` cycles under `pats`, accumulating kernel execution
@@ -912,7 +858,7 @@ impl<W: LaneWord> BatchEngine<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `pats` arity or width does not match.
+    /// Panics if `pats` arity does not match.
     pub fn run_patterns_counted(&mut self, pats: &LanePatterns, n: u64, kc: &mut KernelCounters) {
         let compiled = CompiledPatterns::compile(pats);
         for _ in 0..n {
@@ -922,9 +868,9 @@ impl<W: LaneWord> BatchEngine<W> {
     }
 
     /// A zeroed [`KernelCounters`] laid out for this engine:
-    /// `W::LANES` lanes, the streaming kernel's six opcodes and five
-    /// settle strata. Counters from engines of the same width merge
-    /// even across different netlists.
+    /// [`LANES`] lanes, the streaming kernel's six opcodes and five
+    /// settle strata. Counters from any two engines merge, even across
+    /// different netlists.
     #[must_use]
     pub fn kernel_counters(&self) -> KernelCounters {
         KernelCounters::new(
@@ -938,19 +884,18 @@ impl<W: LaneWord> BatchEngine<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `pats` arity or width does not match.
+    /// Panics if `pats` arity does not match.
     pub fn run_patterns(&mut self, pats: &LanePatterns, n: u64) {
         self.run_patterns_probed(pats, n, &mut NullProbe);
     }
 
     /// Run `n` cycles under `pats` with observation. The environment is
     /// compiled once up front (uniform rows splat, periodic rows become
-    /// word tables), so the per-cycle cost is a handful of word ops even
-    /// at 1024 lanes.
+    /// word tables), so the per-cycle cost is a handful of word ops.
     ///
     /// # Panics
     ///
-    /// Panics if `pats` arity or width does not match.
+    /// Panics if `pats` arity does not match.
     pub fn run_patterns_probed<P: Probe>(&mut self, pats: &LanePatterns, n: u64, probe: &mut P) {
         let compiled = CompiledPatterns::compile(pats);
         for _ in 0..n {
@@ -1079,7 +1024,6 @@ impl<W: LaneWord> BatchEngine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::{Lanes1024, Lanes256};
     use crate::SkeletonSystem;
     use lip_core::RelayKind;
     use lip_graph::generate;
@@ -1095,22 +1039,6 @@ mod tests {
         assert_eq!(c.get(0), 137);
         assert_eq!(c.get(3), 69);
         assert_eq!(c.get(63), 0);
-    }
-
-    #[test]
-    fn wide_lane_counters_count_past_word_boundaries() {
-        let mut c = LaneCounters::<Lanes256>::default();
-        for i in 0..200u64 {
-            let mut m = Lanes256::ZERO.with_lane(0).with_lane(200);
-            if i % 2 == 0 {
-                m = m.with_lane(70);
-            }
-            c.add(m);
-        }
-        assert_eq!(c.get(0), 200);
-        assert_eq!(c.get(70), 100);
-        assert_eq!(c.get(200), 200);
-        assert_eq!(c.get(255), 0);
     }
 
     #[test]
@@ -1134,29 +1062,6 @@ mod tests {
                 "lane {lane}"
             );
             assert_eq!(batch.total_fires_lane(lane), scalar.total_fires());
-        }
-    }
-
-    #[test]
-    fn wide_engine_lanes_match_scalar_run_on_fig1() {
-        let f = generate::fig1();
-        let mut batch = BatchEngine::<Lanes1024>::new(&f.netlist).unwrap();
-        let pats = LanePatterns::broadcast_wide(batch.program(), 1024);
-        let mut scalar = SkeletonSystem::new(&f.netlist).unwrap();
-        batch.run_patterns(&pats, 200);
-        scalar.run(200);
-        let scalar_state = scalar.component_state();
-        for lane in [0, 63, 64, 511, 1023] {
-            assert_eq!(
-                batch.lane_component_state(lane),
-                scalar_state,
-                "lane {lane}"
-            );
-            assert_eq!(
-                batch.sink_counts_lane(f.sink, lane),
-                scalar.sink_counts(f.sink),
-                "lane {lane}"
-            );
         }
     }
 
@@ -1216,13 +1121,13 @@ mod tests {
     #[test]
     fn counted_run_matches_plain_run_and_reconciles() {
         let f = generate::fig1();
-        let mut plain = BatchEngine::<Lanes256>::new(&f.netlist).unwrap();
+        let mut plain = BatchSkeleton::new(&f.netlist).unwrap();
         let mut counted = plain.clone();
-        let pats = LanePatterns::broadcast_wide(plain.program(), 256);
+        let pats = LanePatterns::broadcast(plain.program());
         let mut kc = counted.kernel_counters();
         plain.run_patterns(&pats, 300);
         counted.run_patterns_counted(&pats, 300, &mut kc);
-        for lane in [0usize, 63, 64, 200, 255] {
+        for lane in [0usize, 17, 63] {
             assert_eq!(
                 plain.lane_component_state(lane),
                 counted.lane_component_state(lane),
@@ -1235,26 +1140,25 @@ mod tests {
             );
         }
         // One settle per cycle, the whole tape retired each time.
-        assert_eq!(kc.lanes, 256);
+        assert_eq!(kc.lanes, 64);
         assert_eq!(kc.settles, 300);
         assert_eq!(
             kc.expected_ops,
             300 * plain.program().kernel_op_count() as u64
         );
         assert!(kc.reconciles());
-        // Wide words: 4 u64 words per lane value.
-        assert_eq!(kc.total_lane_words(), kc.total_ops() * 4);
+        // One u64 lane word per op.
+        assert_eq!(kc.total_lane_words(), kc.total_ops());
         let occ = kc.occupancy();
         assert!(occ > 0.0 && occ <= 1.0, "occupancy {occ}");
     }
 
     #[test]
     fn compiled_patterns_match_direct_evaluation() {
-        use crate::lane::Lanes128;
         use lip_core::Pattern;
         let f = generate::fig1();
         let prog = Arc::new(SettleProgram::compile(&f.netlist).unwrap());
-        let mut pats = LanePatterns::broadcast_wide(&prog, 128);
+        let mut pats = LanePatterns::broadcast(&prog);
         // A mixed row: periodic lanes of different periods plus a
         // random (aperiodic-classified) lane.
         pats.set_sink(
@@ -1267,7 +1171,7 @@ mod tests {
         );
         pats.set_sink(
             0,
-            100,
+            50,
             Pattern::EveryNth {
                 period: 5,
                 phase: 0,
@@ -1275,19 +1179,19 @@ mod tests {
         );
         pats.set_source(
             0,
-            64,
+            40,
             Pattern::Random {
                 num: 1,
                 denom: 3,
                 seed: 7,
             },
         );
-        let mut direct = BatchEngine::<Lanes128>::from_patterns(prog.clone(), &pats);
-        let mut compiled = BatchEngine::<Lanes128>::from_patterns(prog, &pats);
+        let mut direct = BatchSkeleton::from_patterns(prog.clone(), &pats);
+        let mut compiled = BatchSkeleton::from_patterns(prog, &pats);
         let cp = CompiledPatterns::compile(&pats);
         // Per-lane pattern evaluation, the reference the word tables
         // must reproduce.
-        let word = |row: &PatternRow, c: u64| Lanes128::from_fn(|l| row.get(l).at(c));
+        let word = |row: &PatternRow, c: u64| u64::from_fn(|l| row.get(l).at(c));
         for cycle in 0..300 {
             let snk: Vec<_> = pats.snk.iter().map(|row| word(row, cycle)).collect();
             let src: Vec<_> = pats
@@ -1298,7 +1202,7 @@ mod tests {
             direct.step_with_masks_probed(&src, &snk, &mut NullProbe);
             compiled.step_compiled_probed(&cp, &mut NullProbe);
         }
-        for lane in [0, 3, 64, 100, 127] {
+        for lane in [0, 3, 40, 50, 63] {
             assert_eq!(
                 direct.lane_component_state(lane),
                 compiled.lane_component_state(lane),
@@ -1317,25 +1221,25 @@ mod tests {
         use lip_core::Pattern;
         let f = generate::fig1();
         let prog = SettleProgram::compile(&f.netlist).unwrap();
-        let mut pats = LanePatterns::broadcast_wide(&prog, 128);
+        let mut pats = LanePatterns::broadcast(&prog);
         let declared = prog.snk_pattern[0].clone();
         let nth = |period, phase| Pattern::EveryNth { period, phase };
         // Uniform rows answer every lane with the declared pattern.
         assert!(matches!(pats.snk[0], PatternRow::Uniform(_)));
-        assert_eq!(pats.sink_pattern(0, 127), &declared);
-        assert_eq!(pats.lane_env_periods(), vec![prog.env_period(); 128]);
+        assert_eq!(pats.sink_pattern(0, 63), &declared);
+        assert_eq!(pats.lane_env_periods(), vec![prog.env_period(); LANES]);
         // A set splits only its own row; the other lanes keep theirs.
-        pats.set_sink(0, 100, nth(3, 1));
+        pats.set_sink(0, 50, nth(3, 1));
         pats.set_sink(0, 7, nth(4, 0));
         assert!(matches!(pats.snk[0], PatternRow::Split(_)));
         assert!(matches!(pats.src[0], PatternRow::Uniform(_)));
-        assert_eq!(pats.sink_pattern(0, 100), &nth(3, 1));
+        assert_eq!(pats.sink_pattern(0, 50), &nth(3, 1));
         assert_eq!(pats.sink_pattern(0, 7), &nth(4, 0));
         assert_eq!(pats.sink_pattern(0, 8), &declared);
         pats.set_source(0, 7, nth(5, 2));
         pats.set_source(
             0,
-            64,
+            40,
             Pattern::Random {
                 num: 1,
                 denom: 2,
@@ -1345,7 +1249,7 @@ mod tests {
         assert_eq!(pats.source_pattern(0, 7), &nth(5, 2));
         assert_eq!(pats.source_pattern(0, 6), &prog.src_pattern[0]);
         // Environment periods per row equal the per-lane fold.
-        let per_lane: Vec<_> = (0..128)
+        let per_lane: Vec<_> = (0..LANES)
             .map(|lane| {
                 crate::program::env_period(
                     (0..pats.source_count())
@@ -1356,7 +1260,7 @@ mod tests {
             .collect();
         assert_eq!(pats.lane_env_periods(), per_lane);
         assert_eq!(per_lane[7], Some(20));
-        assert_eq!(per_lane[64], None);
+        assert_eq!(per_lane[40], None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! same (stem, period) pair a [`Lasso`] would for every lane at once,
 //! on the engine's bit-planes.
 
-use lip_obs::for_each_lane_word;
+use lip_obs::for_each_lane;
 
 use crate::lane::LaneWord;
 
@@ -600,10 +600,7 @@ impl<W: LaneWord> PlaneLasso<W> {
         }
         self.pending = self.pending.andnot(lanes);
         self.closed[by as usize] += u64::from(lanes.count_ones());
-        let mut words = [0u64; 16];
-        let words = &mut words[..W::WORDS];
-        lanes.write_words(words);
-        for_each_lane_word(words, |lane| found.push((usize::from(lane), p)));
+        for_each_lane(lanes.bits(), |lane| found.push((usize::from(lane), p)));
     }
 
     /// A word whose bit is set for each lane of `live` whose state at
@@ -1032,8 +1029,7 @@ mod tests {
         use lip_graph::{generate, Netlist};
         use lip_obs::NullProbe;
 
-        use crate::batch::{BatchEngine, CompiledPatterns, LanePatterns};
-        use crate::lane::{LaneWord, Lanes1024};
+        use crate::batch::{BatchSkeleton, CompiledPatterns, LanePatterns, LANES};
         use crate::lasso::{Close, Periodicity, PlaneLasso};
         use crate::program::SettleProgram;
 
@@ -1044,26 +1040,26 @@ mod tests {
         /// Run `pats` on `netlist` for at most `budget` cycles exactly as
         /// `measure_batch_periodic` does, binding-cycle lag and replay
         /// included.
-        fn drive<W: LaneWord>(
+        fn drive(
             netlist: &Netlist,
             pats: &LanePatterns,
             budget: usize,
-        ) -> (PlaneLasso<W>, Vec<Verdict>) {
+        ) -> (PlaneLasso<u64>, Vec<Verdict>) {
             drive_lag(netlist, pats, budget, crate::model::binding_delay(netlist))
         }
 
         /// [`drive`] with the binding-cycle delay `lag` in place of the
         /// design's own; `None` runs without the binding-cycle lag.
-        fn drive_lag<W: LaneWord>(
+        fn drive_lag(
             netlist: &Netlist,
             pats: &LanePatterns,
             budget: usize,
             lag: Option<u64>,
-        ) -> (PlaneLasso<W>, Vec<Verdict>) {
+        ) -> (PlaneLasso<u64>, Vec<Verdict>) {
             let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
-            let mut batch = BatchEngine::<W>::from_patterns(Arc::clone(&prog), pats);
-            let compiled = CompiledPatterns::<W>::compile(pats);
-            let mut lasso = PlaneLasso::<W>::new(pats.lane_env_periods(), prog.sink_count());
+            let mut batch = BatchSkeleton::from_patterns(Arc::clone(&prog), pats);
+            let compiled = CompiledPatterns::compile(pats);
+            let mut lasso = PlaneLasso::new(pats.lane_env_periods(), prog.sink_count());
             if let Some(lag) = lag {
                 lasso = lasso.with_lag(lag);
             }
@@ -1109,10 +1105,10 @@ mod tests {
         }
 
         /// Mixed stop periods 1–6 with every phase, a few periodic
-        /// sources and one aperiodic lane in 97; lanes 64 apart differ.
-        fn mixed(prog: &SettleProgram, lanes: usize) -> LanePatterns {
-            let mut pats = LanePatterns::broadcast_wide(prog, lanes);
-            for lane in 0..lanes {
+        /// sources and one aperiodic lane (lane 50).
+        fn mixed(prog: &SettleProgram) -> LanePatterns {
+            let mut pats = LanePatterns::broadcast(prog);
+            for lane in 0..LANES {
                 let s = (lane as u32).wrapping_mul(2_654_435_761) >> 7;
                 for j in 0..prog.sink_count() {
                     let period = 1 + (s + j as u32) % 6;
@@ -1135,7 +1131,7 @@ mod tests {
                         },
                     );
                 }
-                if lane % 97 == 50 {
+                if lane == 50 {
                     pats.set_sink(
                         0,
                         lane,
@@ -1154,17 +1150,17 @@ mod tests {
         /// the lasso and no later than Brent; environment-locked lanes
         /// close exactly at μ + λ. Returns how many (close cycle,
         /// period) groups held more than one stem.
-        fn check<W: LaneWord>(netlist: &Netlist, budget: usize) -> usize {
+        fn check(netlist: &Netlist, budget: usize) -> usize {
             let prog = SettleProgram::compile(netlist).unwrap();
-            let pats = mixed(&prog, W::LANES);
+            let pats = mixed(&prog);
             let env = pats.lane_env_periods();
-            let (lasso, verdicts) = drive::<W>(netlist, &pats, budget);
+            let (lasso, verdicts) = drive(netlist, &pats, budget);
             let hi = lasso.observed() - 1;
             let mut groups = std::collections::BTreeMap::new();
             for &(t, lane, p) in &verdicts {
                 let (mu, lambda) = (p.transient, p.period);
                 let oracle = lasso.stem(lane, lambda as usize, hi - lambda as usize);
-                assert_eq!(mu, oracle, "lane {lane} of {} stem", W::LANES);
+                assert_eq!(mu, oracle, "lane {lane} stem");
                 let close = (mu + lambda) as usize;
                 assert!(
                     t >= close,
@@ -1188,7 +1184,7 @@ mod tests {
                 "provenance covers every verdict"
             );
             let aperiodic = env.iter().filter(|e| e.is_none()).count();
-            assert!(verdicts.len() <= W::LANES - aperiodic);
+            assert!(verdicts.len() <= LANES - aperiodic);
             groups
                 .into_values()
                 .filter(|stems| stems.iter().any(|&mu| mu != stems[0]))
@@ -1200,11 +1196,9 @@ mod tests {
             // Long budgets let every periodic lane close; short ones cut
             // the sweep off so the replay settles lanes too.
             for budget in [4096, 24, 9] {
-                let split: usize = corpus().iter().map(|n| check::<u64>(n, budget)).sum();
-                let wide: usize = corpus().iter().map(|n| check::<Lanes1024>(n, budget)).sum();
+                let split: usize = corpus().iter().map(|n| check(n, budget)).sum();
                 if budget == 4096 {
-                    assert!(split > 0, "no 64-lane group held two stems");
-                    assert!(wide > 0, "no 1024-lane group held two stems");
+                    assert!(split > 0, "no group held two stems");
                 }
             }
         }
@@ -1221,7 +1215,7 @@ mod tests {
                 let p = m.periodicity[0].expect("chains are periodic");
                 assert_eq!(p.period, 1, "chain({k},4)");
                 assert_eq!(m.cycles, p.transient + 1, "chain({k},4)");
-                let (lasso, _) = drive::<u64>(&netlist, &pats, 10_000);
+                let (lasso, _) = drive(&netlist, &pats, 10_000);
                 assert_eq!(lasso.closed(Close::EnvLag), 64, "chain({k},4)");
             }
         }
@@ -1245,7 +1239,7 @@ mod tests {
                     },
                 );
             }
-            let (lasso, verdicts) = drive::<u64>(&f.netlist, &pats, 10_000);
+            let (lasso, verdicts) = drive(&f.netlist, &pats, 10_000);
             assert_eq!(verdicts.len(), 64, "every lane converges");
             for &(t, lane, p) in &verdicts {
                 let e = (lane % 8 + 2) as u64;
@@ -1266,7 +1260,7 @@ mod tests {
         fn cycles_never_exceed_brents_bound() {
             for netlist in corpus() {
                 let prog = SettleProgram::compile(&netlist).unwrap();
-                let mut pats = mixed(&prog, 64);
+                let mut pats = mixed(&prog);
                 // Drop the aperiodic lane so the early exit can fire.
                 pats.set_sink(0, 50, Pattern::Never);
                 let m = crate::measure_batch_periodic(&netlist, &pats, 4096).unwrap();
@@ -1318,33 +1312,29 @@ mod tests {
         /// binding-cycle lag with the verdict the detector gives without
         /// the lag and the stem the per-lane oracle finds, and the
         /// measurement stops at μ + λ.
-        fn check_ladder<W: LaneWord>(name: &str, netlist: &Netlist) {
+        fn check_ladder(name: &str, netlist: &Netlist) {
             let prog = SettleProgram::compile(netlist).unwrap();
-            let pats = LanePatterns::broadcast_wide(&prog, W::LANES);
+            let pats = LanePatterns::broadcast(&prog);
             let bound = crate::model::binding_delay(netlist).is_some();
             assert!(bound, "{name} has a binding cycle");
             let budget = 1 << 16;
-            let (lasso, verdicts) = drive::<W>(netlist, &pats, budget);
-            let (_, plain) = drive_lag::<W>(netlist, &pats, budget, None);
+            let (lasso, verdicts) = drive(netlist, &pats, budget);
+            let (_, plain) = drive_lag(netlist, &pats, budget, None);
             assert_eq!(by_lane(&verdicts), by_lane(&plain), "{name} verdicts");
-            assert_eq!(verdicts.len(), W::LANES, "{name}: every lane closes");
+            assert_eq!(verdicts.len(), LANES, "{name}: every lane closes");
             let hi = lasso.observed() - 1;
             for &(_, lane, p) in &verdicts {
                 let oracle = lasso.stem(lane, p.period as usize, hi - p.period as usize);
                 assert_eq!(p.transient, oracle, "{name} lane {lane} stem");
             }
             let lagged = lasso.closed(Close::EnvLag) + lasso.closed(Close::Hint);
-            assert_eq!(
-                lagged,
-                W::LANES as u64,
-                "{name}: every lane closes by a lag"
-            );
-            let m = crate::measure_batch_periodic_wide::<W>(netlist, &pats, budget as u64).unwrap();
-            let widest = verdicts
+            assert_eq!(lagged, LANES as u64, "{name}: every lane closes by a lag");
+            let m = crate::measure_batch_periodic(netlist, &pats, budget as u64).unwrap();
+            let longest = verdicts
                 .iter()
                 .map(|&(_, _, p)| p.transient + p.period)
                 .max();
-            assert_eq!(Some(m.cycles), widest, "{name} at {} lanes", W::LANES);
+            assert_eq!(Some(m.cycles), longest, "{name}");
             let measured: Vec<_> = m
                 .periodicity
                 .iter()
@@ -1357,16 +1347,15 @@ mod tests {
         #[test]
         fn cyclic_ladder_lanes_close_at_mu_plus_lambda() {
             for (name, netlist) in cyclic_ladder() {
-                check_ladder::<u64>(&name, &netlist);
-                check_ladder::<Lanes1024>(&name, &netlist);
+                check_ladder(&name, &netlist);
             }
         }
 
         /// Sink stops `every:2..8` and source voids `every:1|3|5`, each
         /// lane a different mix and phase.
-        fn stress(prog: &SettleProgram, lanes: usize) -> LanePatterns {
-            let mut pats = LanePatterns::broadcast_wide(prog, lanes);
-            for lane in 0..lanes {
+        fn stress(prog: &SettleProgram) -> LanePatterns {
+            let mut pats = LanePatterns::broadcast(prog);
+            for lane in 0..LANES {
                 for j in 0..prog.sink_count() {
                     let period = 2 + ((lane + 3 * j) % 7) as u32;
                     let phase = (lane / 7) as u32 % period;
@@ -1395,12 +1384,12 @@ mod tests {
             ));
             for (name, netlist) in designs {
                 let prog = SettleProgram::compile(&netlist).unwrap();
-                let pats = stress(&prog, 64);
+                let pats = stress(&prog);
                 let bound = crate::model::binding_delay(&netlist).is_some();
                 assert_eq!(bound, !name.starts_with("chain"), "{name}");
                 for budget in [4096, 200, 37] {
-                    let (lasso, lagged) = drive::<u64>(&netlist, &pats, budget);
-                    let (plain_lasso, plain) = drive_lag::<u64>(&netlist, &pats, budget, None);
+                    let (lasso, lagged) = drive(&netlist, &pats, budget);
+                    let (plain_lasso, plain) = drive_lag(&netlist, &pats, budget, None);
                     assert_eq!(by_lane(&lagged), by_lane(&plain), "{name} at {budget}");
                     for (lane, p) in by_lane(&lagged) {
                         for j in 0..prog.sink_count() {
@@ -1431,9 +1420,9 @@ mod tests {
             ) {
                 let netlist = &corpus()[design];
                 let prog = SettleProgram::compile(netlist).unwrap();
-                let pats = mixed(&prog, 64);
-                let (lasso, lagged) = drive_lag::<u64>(netlist, &pats, budget, Some(lag));
-                let (plain_lasso, plain) = drive_lag::<u64>(netlist, &pats, budget, None);
+                let pats = mixed(&prog);
+                let (lasso, lagged) = drive_lag(netlist, &pats, budget, Some(lag));
+                let (plain_lasso, plain) = drive_lag(netlist, &pats, budget, None);
                 proptest::prop_assert_eq!(by_lane(&lagged), by_lane(&plain));
                 for (lane, p) in by_lane(&lagged) {
                     for j in 0..prog.sink_count() {

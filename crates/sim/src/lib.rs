@@ -61,14 +61,11 @@ mod system;
 pub use batch::{BatchEngine, BatchSkeleton, LanePatterns, LANES, OCC_SAMPLE_EVERY};
 pub use cache::ThroughputCache;
 pub use evolution::Evolution;
-pub use lane::{
-    dispatch_lane_width, LaneWidthVisitor, LaneWord, Lanes1024, Lanes128, Lanes256, Lanes512,
-    LANE_WIDTHS,
-};
+pub use lane::LaneWord;
 pub use measure::{
-    measure, measure_activity, measure_batch_periodic, measure_batch_periodic_obs,
-    measure_batch_periodic_wide, measure_batch_wide, BatchMeasurement, BatchPeriodicMeasurement,
-    LivenessReport, Measurement, Periodicity, Ratio, ShellActivity,
+    measure, measure_activity, measure_batch, measure_batch_periodic, measure_batch_periodic_obs,
+    BatchMeasurement, BatchPeriodicMeasurement, LivenessReport, Measurement, Periodicity, Ratio,
+    ShellActivity,
 };
 pub use patch::{NetlistDelta, PatchError, ProgramPatch};
 pub use profiling::{profile_netlist, ProfileOptions, ProfiledRun};

@@ -19,7 +19,7 @@ use lip_obs::{
     rec_span, KernelCounters, NullProgress, NullRecorder, ProgressSink, ProgressSnapshot, Recorder,
 };
 
-use crate::batch::{BatchEngine, LanePatterns};
+use crate::batch::{BatchEngine, BatchSkeleton, LanePatterns, LANES};
 use crate::lane::LaneWord;
 use crate::lasso::{Close, Lasso, PlaneLasso};
 use crate::program::{gcd, SettleProgram};
@@ -272,7 +272,7 @@ pub fn measure_activity(netlist: &Netlist) -> Result<Vec<ShellActivity>, Netlist
     Ok(shell_rates(netlist, MeasureOptions::default())?.1)
 }
 
-/// Result of a batched throughput sweep ([`measure_batch_wide`]).
+/// Result of a batched throughput sweep ([`measure_batch`]).
 ///
 /// Lane `l` holds the outcome of simulating the netlist under lane `l`'s
 /// environment patterns for the full cycle window.
@@ -284,7 +284,7 @@ pub struct BatchMeasurement {
     pub counts: Vec<Vec<(u64, u64)>>,
     /// Cycles simulated (identical across lanes).
     pub cycles: u64,
-    /// Lanes swept (64 on the default engine, up to 1024 wide).
+    /// Lanes swept ([`LANES`]).
     pub lanes: usize,
 }
 
@@ -306,38 +306,33 @@ impl BatchMeasurement {
     }
 }
 
-/// Measure `W::LANES` environment scenarios of `netlist` in one pass:
-/// lane `l` simulates the netlist under `pats`' lane-`l` patterns for
-/// `cycles` cycles on the bit-parallel [`BatchEngine<W>`], and every
-/// sink's token counts are read back per lane.
+/// Measure the [`LANES`] environment scenarios of `pats` on `netlist`
+/// in one pass: lane `l` simulates the netlist under `pats`' lane-`l`
+/// patterns for `cycles` cycles on the bit-parallel [`BatchSkeleton`],
+/// and every sink's token counts are read back per lane.
 ///
 /// This is the batched replacement for running [`measure`] (or a scalar
 /// skeleton) once per lane in a throughput sweep; counts are
-/// bit-identical to the scalar runs at every width — the wider word
-/// only buys wall-clock. Unlike [`measure`] there is no periodicity
-/// detection — pick `cycles` comfortably past the transient (e.g. via
-/// [`lip_graph::topology::longest_latency`]) so the window average
-/// converges on the steady-state rate.
+/// bit-identical to the scalar runs. Unlike [`measure`] there is no
+/// periodicity detection — pick `cycles` comfortably past the transient
+/// (e.g. via [`lip_graph::topology::longest_latency`]) so the window
+/// average converges on the steady-state rate.
 ///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from elaboration.
-///
-/// # Panics
-///
-/// Panics if `pats` was built for a width other than `W::LANES`.
-pub fn measure_batch_wide<W: LaneWord>(
+pub fn measure_batch(
     netlist: &Netlist,
     pats: &LanePatterns,
     cycles: u64,
 ) -> Result<BatchMeasurement, NetlistError> {
     let prog = Arc::new(SettleProgram::compile(netlist)?);
     let sinks = prog.snk_node.clone();
-    let mut batch = BatchEngine::<W>::from_patterns(prog, pats);
+    let mut batch = BatchSkeleton::from_patterns(prog, pats);
     batch.run_patterns(pats, cycles);
     let counts = (0..sinks.len())
         .map(|j| {
-            (0..W::LANES)
+            (0..LANES)
                 .map(|lane| batch.sink_row_counts_lane(j, lane))
                 .collect()
         })
@@ -346,12 +341,12 @@ pub fn measure_batch_wide<W: LaneWord>(
         sinks,
         counts,
         cycles,
-        lanes: W::LANES,
+        lanes: LANES,
     })
 }
 
 /// Result of a periodicity-aware batched sweep
-/// ([`measure_batch_periodic`] / [`measure_batch_periodic_wide`]):
+/// ([`measure_batch_periodic`] / [`measure_batch_periodic_obs`]):
 /// exact per-lane steady-state throughputs with the cycle budget
 /// actually spent.
 #[derive(Debug, Clone)]
@@ -376,12 +371,12 @@ pub struct BatchPeriodicMeasurement {
     pub cycles: u64,
     /// The full cycle budget a fixed-window sweep would have spent.
     pub budget: u64,
-    /// Lanes swept (64 on the default engine, up to 1024 wide).
+    /// Lanes swept ([`LANES`]).
     pub lanes: usize,
-    /// Converged-lane mask words: bit `l % 64` of word `l / 64` is set
-    /// iff lane `l` converged (got an exact reading). Use
-    /// [`lane_converged`](Self::lane_converged) for single-lane reads.
-    pub converged: Vec<u64>,
+    /// Converged-lane mask: bit `l` is set iff lane `l` converged (got
+    /// an exact reading). Use [`lane_converged`](Self::lane_converged)
+    /// for single-lane reads.
+    pub converged: u64,
 }
 
 impl BatchPeriodicMeasurement {
@@ -396,18 +391,13 @@ impl BatchPeriodicMeasurement {
     /// `true` iff `lane` converged to an exact periodic reading.
     #[must_use]
     pub fn lane_converged(&self, lane: usize) -> bool {
-        lane < self.lanes && (self.converged[lane / 64] >> (lane % 64)) & 1 == 1
+        lane < self.lanes && self.converged.lane(lane)
     }
 
     /// `true` when every lane converged to an exact periodic reading.
     #[must_use]
     pub fn all_converged(&self) -> bool {
-        let set: u64 = self
-            .converged
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        set == self.lanes as u64
+        self.converged.count_ones() as usize == self.lanes
     }
 
     /// Cycles the periodicity early-exit saved against the full budget.
@@ -417,7 +407,7 @@ impl BatchPeriodicMeasurement {
     }
 }
 
-/// Periodicity-aware replacement for [`measure_batch_wide`]: sweep 64
+/// Periodicity-aware replacement for [`measure_batch`]: sweep 64
 /// environment scenarios at once, but track each lane's control-state
 /// recurrence — its environment phase plus its component state — and
 /// *retire* a lane the moment it proves periodic: its exact throughput
@@ -466,7 +456,7 @@ impl BatchPeriodicMeasurement {
 /// environment; a checkpoint close can make it exceed that.
 /// Lanes with aperiodic (random) environments never converge;
 /// they run to the full budget and report the whole-window estimate,
-/// exactly like [`measure_batch_wide`].
+/// exactly like [`measure_batch`].
 ///
 /// # Errors
 ///
@@ -476,30 +466,10 @@ pub fn measure_batch_periodic(
     pats: &LanePatterns,
     budget: u64,
 ) -> Result<BatchPeriodicMeasurement, NetlistError> {
-    measure_batch_periodic_wide::<u64>(netlist, pats, budget)
-}
-
-/// [`measure_batch_periodic`] at any supported lane width: `pats` must
-/// carry `W::LANES` lanes. Per-lane periodicities, exact throughputs
-/// and the early-exit behaviour are identical to running the 64-lane
-/// path over the same lanes in chunks.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from elaboration.
-///
-/// # Panics
-///
-/// Panics if `pats` was built for a width other than `W::LANES`.
-pub fn measure_batch_periodic_wide<W: LaneWord>(
-    netlist: &Netlist,
-    pats: &LanePatterns,
-    budget: u64,
-) -> Result<BatchPeriodicMeasurement, NetlistError> {
     // The unobserved path is the observable core monomorphized over the
     // null recorder and sink — every recording branch compiles away, so
     // this stays the honest baseline the overhead gate compares against.
-    measure_batch_periodic_obs::<W, _, _>(
+    measure_batch_periodic_obs::<u64, NullRecorder, NullProgress>(
         netlist,
         pats,
         budget,
@@ -521,7 +491,7 @@ const OBS_SAMPLE_EVERY: u64 = 64;
 /// How often an observed sweep publishes a [`ProgressSnapshot`].
 const OBS_PROGRESS_EVERY: u64 = 1024;
 
-/// [`measure_batch_periodic_wide`] with runtime self-observability: a
+/// [`measure_batch_periodic`] with runtime self-observability: a
 /// [`Recorder`] receives a `measure`-category span covering the whole
 /// call (child span `compile` for program compilation), sampled
 /// per-phase timing counters (`measure.sampled_detector_ns`,
@@ -536,8 +506,8 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// `OBS_PROGRESS_EVERY` (internal) cycles and at completion.
 ///
 /// With [`NullRecorder`] and [`NullProgress`] this monomorphizes to
-/// exactly the unobserved sweep — [`measure_batch_periodic_wide`] is
-/// this function under the null instantiation — and measured results
+/// exactly the unobserved sweep — [`measure_batch_periodic`] is this
+/// function under the null instantiation — and measured results
 /// are bit-identical under every recorder configuration. A recorder
 /// that is runtime-disabled records nothing, so the call hands over to
 /// the [`NullRecorder`] instantiation at once: a disabled recorder
@@ -547,10 +517,6 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from elaboration.
-///
-/// # Panics
-///
-/// Panics if `pats` was built for a width other than `W::LANES`.
 #[allow(clippy::too_many_lines)]
 pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     netlist: &Netlist,
@@ -650,10 +616,10 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     }
 
     let mut periodicity: Vec<Option<Periodicity>> = vec![None; lanes];
-    let mut converged = vec![0u64; W::WORDS];
+    let mut converged = 0u64;
     for &(lane, p) in &found {
         periodicity[lane] = Some(p);
-        converged[lane / 64] |= 1 << (lane % 64);
+        converged = converged.with_lane(lane);
     }
     // Sink by sink: a converged lane counts its tokens over one period
     // (lanes sharing a verdict read the same token planes in turn), an
@@ -783,7 +749,6 @@ pub fn check_liveness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::LANES;
     use lip_core::{Pattern, RelayKind};
     use lip_graph::generate;
 
@@ -916,7 +881,7 @@ mod tests {
                 Pattern::Cyclic((0..64).map(|c| c < lane).collect()),
             );
         }
-        let m = measure_batch_wide::<u64>(&f.netlist, &pats, 6400).unwrap();
+        let m = measure_batch(&f.netlist, &pats, 6400).unwrap();
         // Lane 0 is the plain fig1 environment: identical counts to a
         // scalar skeleton run, and within one transient token of 4/5.
         let mut sk = crate::SkeletonSystem::new(&f.netlist).unwrap();

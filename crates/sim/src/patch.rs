@@ -13,17 +13,18 @@
 //!   (or rebuild the tape allocation-free when the bit-plane count
 //!   changes) and rehash only the capacity section of the structural
 //!   fingerprint.
-//! * [`SettleProgram::patch_relay_kind`] — move one relay between the
-//!   per-kind tables (rows stay in node-id order, so the result is
-//!   byte-identical to a fresh compile), re-stratifying the half-relay
-//!   Kahn order only when a half relay is involved.
 //! * [`NetlistDelta`] + [`SettleProgram::recompile_delta`] — the
 //!   structural edits the netlist mutation API can express (relay
 //!   insertion, kind changes, environment pattern swaps), re-running
 //!   only the Kahn stratification a delta can actually affect: a relay
 //!   inserted between two unbuffered shells re-sorts the backward stop
 //!   stratum, one spliced into a half chain re-sorts the forward valid
-//!   stratum, and anything else keeps both orders untouched.
+//!   stratum, and anything else keeps both orders untouched. A kind
+//!   change moves one relay between the per-kind tables (rows stay in
+//!   node-id order, so the result is byte-identical to a fresh
+//!   compile), re-stratifying the half-relay Kahn order only when a
+//!   half relay is involved. A delta the edited netlist would fail
+//!   [`Netlist::validate`] on is refused before anything changes.
 //!
 //! The contract, enforced by the property suite and the `EXP-I1` gates:
 //! after any patch sequence the program compares **equal** (tables, op
@@ -172,7 +173,9 @@ pub enum ProgramPatch {
 pub enum PatchError {
     /// The edited netlist would fail [`Netlist::validate`]: a source or
     /// sink pattern that is undefined on some cycle
-    /// ([`NetlistError::MalformedPattern`]).
+    /// ([`NetlistError::MalformedPattern`]), or a kind change to half
+    /// that closes a loop of half relays
+    /// ([`NetlistError::DataLoop`]).
     Invalid(NetlistError),
     /// The delta names a node that is not of the kind it edits.
     WrongKind {
@@ -211,8 +214,8 @@ impl SettleProgram {
     /// # Panics
     ///
     /// Panics if `node` is not a FIFO relay station in this program
-    /// (change the kind first via
-    /// [`patch_relay_kind`](Self::patch_relay_kind)).
+    /// (change the kind first with
+    /// [`recompile_delta`](Self::recompile_delta)).
     pub fn patch_fifo_capacity(&mut self, node: NodeId, cap: u8) -> ProgramPatch {
         let CompSlot::Fifo(row) = self.comp_slots[node.index()] else {
             panic!("node {node} is not a FIFO relay station in this program");
@@ -255,14 +258,10 @@ impl SettleProgram {
     ///
     /// `Fifo → Fifo` delegates to
     /// [`patch_fifo_capacity`](Self::patch_fifo_capacity); a same-kind
-    /// edit is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a relay station, or if the edit creates
-    /// a combinational loop (the edited netlist would fail validation —
-    /// e.g. rewriting every relay of a feedback loop to half).
-    pub fn patch_relay_kind(&mut self, node: NodeId, kind: RelayKind) -> ProgramPatch {
+    /// edit is a no-op. [`recompile_delta`](Self::recompile_delta), the
+    /// one entry point, has checked that `node` is a relay station and
+    /// that the edit closes no data loop.
+    fn patch_relay_kind(&mut self, node: NodeId, kind: RelayKind) -> ProgramPatch {
         let old = self.comp_slots[node.index()];
         match (old, kind) {
             (CompSlot::Fifo(_), RelayKind::Fifo(k)) => return self.patch_fifo_capacity(node, k),
@@ -384,15 +383,13 @@ impl SettleProgram {
     ///
     /// [`PatchError::WrongKind`] when the delta's node is not a relay
     /// station, source or sink as the delta requires, and
-    /// [`PatchError::Invalid`] when a pattern delta carries a malformed
-    /// pattern (the check [`Netlist::validate`] makes). The program is
-    /// unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the edit would make the netlist fail validation
-    /// otherwise: a combinational loop from a kind change or an
-    /// insertion (see [`patch_relay_kind`](Self::patch_relay_kind)).
+    /// [`PatchError::Invalid`] when the edited netlist would fail
+    /// [`Netlist::validate`]: a pattern delta carrying a malformed
+    /// pattern, or a kind change to half that closes a loop of half
+    /// relays (a combinational data loop). Kind changes cannot close a
+    /// stop loop, since every relay kind registers the stop, and an
+    /// insertion closes no loop at all. The program is unchanged on
+    /// error.
     pub fn recompile_delta(&mut self, delta: &NetlistDelta) -> Result<ProgramPatch, PatchError> {
         match delta {
             NetlistDelta::SetRelayKind { node, kind } => {
@@ -404,6 +401,9 @@ impl SettleProgram {
                         node: *node,
                         expected: "relay station",
                     });
+                }
+                if let Some(cycle) = self.half_loop(*node, *kind) {
+                    return Err(PatchError::Invalid(NetlistError::DataLoop { cycle }));
                 }
                 Ok(self.patch_relay_kind(*node, *kind))
             }
@@ -417,6 +417,38 @@ impl SettleProgram {
                 self.patch_endpoint_pattern(*node, pattern, false)
             }
         }
+    }
+
+    /// The loop of half relays that making relay `node` a `kind` relay
+    /// would close, starting at `node`: `None` unless `kind` is half,
+    /// `node` is not, and the chain of half relays its output feeds
+    /// leads back to its input. Each channel has one reader, so this
+    /// walks one chain, no longer than the half relays.
+    fn half_loop(&self, node: NodeId, kind: RelayKind) -> Option<Vec<NodeId>> {
+        let slot = self.comp_slots[node.index()];
+        let mut ch = match (slot, kind) {
+            (CompSlot::Full(r), RelayKind::Half) => self.full_out_ch[r as usize],
+            (CompSlot::Fifo(r), RelayKind::Half) => self.fifo_out_ch[r as usize],
+            _ => return None,
+        };
+        let mut rows = Vec::new();
+        loop {
+            match self.readers.fwd_reader[ch as usize] {
+                reader if reader == slot => break,
+                CompSlot::Half(h) if rows.len() < self.half_in_ch.len() => {
+                    rows.push(CompSlot::Half(h));
+                    ch = self.half_out_ch[h as usize];
+                }
+                _ => return None,
+            }
+        }
+        let node_of = |row| {
+            let index = self.comp_slots.iter().position(|&s| s == row);
+            NodeId::from_index(index.expect("every half row has a node"))
+        };
+        let mut cycle = vec![node];
+        cycle.extend(rows.into_iter().map(node_of));
+        Some(cycle)
     }
 
     /// Insert a relay of `kind` on `channel`, mirroring

@@ -8,10 +8,9 @@
 //! that holds the engine's entire bit-state, and consecutive ops of the
 //! same opcode are grouped into **segments**. Execution then matches on
 //! the opcode once per segment and runs a tight homogeneous loop over
-//! the ops inside — no per-op dispatch in the hot path, so the compiler
-//! auto-vectorizes the inner loop across the `u64` sub-words of wide
-//! [`LaneWord`] shapes. This is the stream-processor shape (simple ops
-//! over a scheduled op stream) that makes the many-lane engine scale.
+//! the ops inside — no per-op dispatch in the hot path: each op is one
+//! `u64` [`LaneWord`] operation settling 64 lanes. This is the
+//! stream-processor shape (simple ops over a scheduled op stream).
 //!
 //! The tape is *data*: it is compiled from (and owned by) the
 //! [`SettleProgram`], shared via `Arc` with every engine clone, and is
@@ -655,12 +654,13 @@ impl StreamKernel {
     /// Add `settles` unsampled settles' retirement to `kc`: per opcode
     /// ops retired and lane-words, per stratum ops, `expected_ops` and
     /// the settle count, without occupancy.
-    pub(crate) fn retire<W: LaneWord>(&self, kc: &mut KernelCounters, settles: u64) {
+    pub(crate) fn retire(&self, kc: &mut KernelCounters, settles: u64) {
         for seg in &self.segments {
             let ops = (seg.end as u64 - seg.start as u64) * settles;
             let row = &mut kc.by_op[seg.op.index()];
             row.ops_retired += ops;
-            row.lane_words += ops * W::WORDS as u64;
+            // One `u64` lane word per op.
+            row.lane_words += ops;
         }
         for (slot, &n) in kc.by_stratum.iter_mut().zip(&self.stratum_ops) {
             slot.1 += u64::from(n) * settles;
@@ -677,7 +677,7 @@ impl StreamKernel {
     ) {
         if !sample_occupancy {
             self.execute(arena);
-            self.retire::<W>(kc, 1);
+            self.retire(kc, 1);
             return;
         }
         for seg in &self.segments {
@@ -731,7 +731,7 @@ impl StreamKernel {
             }
             let row = &mut kc.by_op[seg.op.index()];
             row.ops_retired += ops.len() as u64;
-            row.lane_words += (ops.len() * W::WORDS) as u64;
+            row.lane_words += ops.len() as u64;
             row.active_lanes += active;
             row.occ_ops += ops.len() as u64;
         }

@@ -1,12 +1,10 @@
-//! Lane-equivalence property tests: every lane of the many-lane
-//! [`BatchEngine`] — at every supported word shape from `u64` (64
-//! lanes) to `[u64; 16]` (1024 lanes) — must be cycle-for-cycle
-//! bit-identical to a scalar [`SkeletonSystem`] run of the same
-//! scenario — over the topology corpus (fig1 fork/join, fig2 feedback
-//! rings of every relay kind, random netlists), under both protocol
-//! variants, driven both by external stall schedules and by per-lane
-//! environment patterns. The cross-width half of the suite runs every
-//! width in [`LANE_WIDTHS`].
+//! Lane-equivalence property tests: every lane of the 64-lane
+//! [`BatchSkeleton`] must be cycle-for-cycle bit-identical to a scalar
+//! [`SkeletonSystem`] run of the same scenario — over the topology
+//! corpus (fig1 fork/join, fig2 feedback rings of every relay kind,
+//! random netlists), under both protocol variants, driven both by
+//! external stall schedules and by per-lane environment patterns — and
+//! the periodic sweep must report the scalar lasso's exact verdicts.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,9 +13,8 @@ use lip_core::{Pattern, ProtocolVariant, RelayKind};
 use lip_graph::{generate, Netlist};
 use lip_obs::{Event, MetricsRegistry, NullProbe, Probe};
 use lip_sim::{
-    dispatch_lane_width, measure_batch_periodic, measure_batch_periodic_wide, measure_batch_wide,
-    BatchEngine, BatchSkeleton, LanePatterns, LaneWidthVisitor, LaneWord, Periodicity,
-    SettleProgram, SkeletonSystem, LANES, LANE_WIDTHS,
+    measure_batch, measure_batch_periodic, BatchSkeleton, LanePatterns, Periodicity, SettleProgram,
+    SkeletonSystem, LANES,
 };
 use proptest::prelude::*;
 
@@ -131,7 +128,7 @@ fn assert_pattern_lanes_match_scalar(netlist: &Netlist, cycles: u64, seed: u64) 
             }
         }
     }
-    let m = measure_batch_wide::<u64>(netlist, &pats, cycles).unwrap();
+    let m = measure_batch(netlist, &pats, cycles).unwrap();
     for lane in [0usize, 3, 17, 63] {
         let mut reference = netlist.clone();
         for (i, &s) in sources.iter().enumerate() {
@@ -252,7 +249,7 @@ fn pattern_lanes_match_scalar_on_fig1_and_ring() {
 }
 
 // ---------------------------------------------------------------------
-// Cross-width half of the suite: every lane of every word shape.
+// Event streams and periodic verdicts, lane by lane.
 // ---------------------------------------------------------------------
 
 /// Probe that records every event it sees.
@@ -272,13 +269,12 @@ fn fingerprint(ev: &Event) -> (u64, u8, u32) {
     (ev.cycle, ev.kind as u8, ev.entity)
 }
 
-/// Per-lane periodic environments at `lanes` lanes: lane `l` replicates
-/// base scenario `l % 64`, so a lane of any width has an exact 64-wide
-/// and scalar counterpart.
-fn wide_patterns(prog: &SettleProgram, lanes: usize, seed: u64) -> LanePatterns {
-    let mut pats = LanePatterns::broadcast_wide(prog, lanes);
-    for lane in 0..lanes {
-        let base = (lane % LANES) as u32;
+/// Per-lane periodic environments: stop periods 2–8 and periodic
+/// sources on every third lane.
+fn periodic_patterns(prog: &SettleProgram, seed: u64) -> LanePatterns {
+    let mut pats = LanePatterns::broadcast(prog);
+    for lane in 0..LANES {
+        let base = lane as u32;
         for j in 0..prog.sink_count() {
             let period = 2 + (base + seed as u32 % 5) % 7;
             pats.set_sink(
@@ -318,26 +314,20 @@ fn rebuild_for_lane(netlist: &Netlist, pats: &LanePatterns, lane: usize) -> Netl
     reference
 }
 
-/// Lanes to spot-check at width `lanes`: both word boundaries, the
-/// middle, and the extremes.
-fn sample_lanes(lanes: usize) -> Vec<usize> {
-    let mut out = vec![0, 1, 63 % lanes, lanes / 2, lanes - 2, lanes - 1];
-    out.sort_unstable();
-    out.dedup();
-    out
-}
+/// Lanes to spot-check: both ends of the word and the middle.
+const SAMPLE_LANES: [usize; 5] = [0, 1, 32, 62, 63];
 
-/// Width-generic check: the full fire/stall/void event stream of every
-/// sampled lane is identical to a scalar probed run of that lane's
-/// scenario, and the final counters agree.
-fn assert_wide_event_streams_match_scalar<W: LaneWord>(netlist: &Netlist, cycles: u64, seed: u64) {
+/// The full fire/stall/void event stream of every sampled lane is
+/// identical to a scalar probed run of that lane's scenario, and the
+/// final counters agree.
+fn assert_event_streams_match_scalar(netlist: &Netlist, cycles: u64, seed: u64) {
     let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
-    let pats = wide_patterns(&prog, W::LANES, seed);
-    let mut batch = BatchEngine::<W>::from_patterns(Arc::clone(&prog), &pats);
+    let pats = periodic_patterns(&prog, seed);
+    let mut batch = BatchSkeleton::from_patterns(Arc::clone(&prog), &pats);
     let mut log = EventLog::default();
     batch.run_patterns_probed(&pats, cycles, &mut log);
 
-    for lane in sample_lanes(W::LANES) {
+    for lane in SAMPLE_LANES {
         let reference = rebuild_for_lane(netlist, &pats, lane);
         let mut scalar = SkeletonSystem::new(&reference).unwrap();
         let mut slog = EventLog::default();
@@ -352,152 +342,35 @@ fn assert_wide_event_streams_match_scalar<W: LaneWord>(netlist: &Netlist, cycles
         let mut want: Vec<_> = slog.0.iter().map(fingerprint).collect();
         got.sort_unstable();
         want.sort_unstable();
-        assert_eq!(got, want, "lane {lane} of {} event stream", W::LANES);
+        assert_eq!(got, want, "lane {lane} event stream");
         assert_eq!(
             batch.total_fires_lane(lane),
             scalar.total_fires(),
-            "lane {lane} of {} fires",
-            W::LANES
+            "lane {lane} fires"
         );
         for s in netlist.sinks() {
             assert_eq!(
                 batch.sink_counts_lane(s, lane),
                 scalar.sink_counts(s),
-                "lane {lane} of {} sink {s}",
-                W::LANES
-            );
-        }
-    }
-}
-
-/// Width-generic check under external random stall schedules: sampled
-/// lanes track scalar replicas' full component state every cycle.
-fn assert_wide_masked_lanes_match_scalar<W: LaneWord>(netlist: &Netlist, cycles: u64, seed: u64) {
-    let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
-    let n_src = prog.source_count();
-    let n_snk = prog.sink_count();
-    let mut batch = BatchEngine::<W>::from_program(Arc::clone(&prog));
-    let check_lanes = sample_lanes(W::LANES);
-    let mut scalars: Vec<SkeletonSystem> = check_lanes
-        .iter()
-        .map(|_| SkeletonSystem::from_program(Arc::clone(&prog)))
-        .collect();
-
-    let word = |salt: u64, idx: usize| -> W {
-        let words = schedule_words(salt ^ ((idx as u64) << 32), W::WORDS);
-        W::from_fn(|l| (words[l / 64] >> (l % 64)) & 1 == 1)
-    };
-    for t in 0..cycles {
-        let srcs: Vec<W> = (0..n_src).map(|i| word(seed ^ (t << 1), i)).collect();
-        let snks: Vec<W> = (0..n_snk).map(|j| word(seed ^ (t << 1) ^ 1, j)).collect();
-        batch.step_with_masks(&srcs, &snks);
-        for (scalar, &lane) in scalars.iter_mut().zip(&check_lanes) {
-            let valids: Vec<bool> = srcs.iter().map(|w| w.lane(lane)).collect();
-            let stops: Vec<bool> = snks.iter().map(|w| w.lane(lane)).collect();
-            scalar.step_with(&valids, &stops);
-            assert_eq!(
-                batch.lane_component_state(lane),
-                scalar.component_state(),
-                "lane {lane} of {} diverged at cycle {t}",
-                W::LANES
+                "lane {lane} sink {s}"
             );
         }
     }
 }
 
 #[test]
-fn wide_event_streams_match_scalar_over_corpus() {
-    struct Check<'a> {
-        netlist: &'a Netlist,
-        seed: u64,
-    }
-    impl LaneWidthVisitor for Check<'_> {
-        type Out = ();
-        fn visit<W: LaneWord>(&mut self) {
-            assert_wide_event_streams_match_scalar::<W>(self.netlist, 80, self.seed);
-        }
-    }
+fn event_streams_match_scalar_over_corpus() {
     for (i, netlist) in corpus().iter().enumerate() {
-        for lanes in LANE_WIDTHS {
-            dispatch_lane_width(
-                lanes,
-                &mut Check {
-                    netlist,
-                    seed: 0xABCD ^ (i as u64) << 4,
-                },
-            );
-        }
+        assert_event_streams_match_scalar(netlist, 80, 0xABCD ^ (i as u64) << 4);
     }
 }
 
 #[test]
-fn wide_masked_lanes_match_scalar_over_corpus() {
-    struct Check<'a> {
-        netlist: &'a Netlist,
-        seed: u64,
-    }
-    impl LaneWidthVisitor for Check<'_> {
-        type Out = ();
-        fn visit<W: LaneWord>(&mut self) {
-            assert_wide_masked_lanes_match_scalar::<W>(self.netlist, 50, self.seed);
-        }
-    }
-    for (i, netlist) in corpus().iter().enumerate() {
-        for lanes in LANE_WIDTHS {
-            dispatch_lane_width(
-                lanes,
-                &mut Check {
-                    netlist,
-                    seed: 0xFACE ^ (i as u64) << 6,
-                },
-            );
-        }
-    }
-}
-
-#[test]
-fn wide_periodic_measurement_matches_scalar_exact_rationals() {
-    // Exact Periodicity and Ratio at every width: lane `l` of width `w`
-    // must report the same detected (transient, period) pair as lane
-    // `l % 64` of the 64-lane engine, and the same exact steady-state
-    // throughput as the scalar measurement of its rebuilt netlist —
-    // covering every relay kind around the feedback rings.
-    struct Measure<'a> {
-        netlist: &'a Netlist,
-        base: &'a lip_sim::BatchPeriodicMeasurement,
-    }
-    impl LaneWidthVisitor for Measure<'_> {
-        type Out = ();
-        fn visit<W: LaneWord>(&mut self) {
-            let prog = Arc::new(SettleProgram::compile(self.netlist).unwrap());
-            let pats = wide_patterns(&prog, W::LANES, 5);
-            let m = measure_batch_periodic_wide::<W>(self.netlist, &pats, 4096).unwrap();
-            assert!(m.all_converged(), "width {} did not converge", W::LANES);
-            for lane in sample_lanes(W::LANES) {
-                assert_eq!(
-                    m.periodicity[lane],
-                    self.base.periodicity[lane % LANES],
-                    "lane {lane} of {} periodicity vs 64-lane base",
-                    W::LANES
-                );
-                assert_eq!(
-                    m.system_throughput(lane),
-                    self.base.system_throughput(lane % LANES),
-                    "lane {lane} of {} ratio vs 64-lane base",
-                    W::LANES
-                );
-                let reference = rebuild_for_lane(self.netlist, &pats, lane);
-                let scalar = lip_sim::measure(&reference).unwrap();
-                assert!(scalar.periodicity.is_some(), "scalar lane {lane} periodic");
-                assert_eq!(
-                    m.system_throughput(lane),
-                    scalar.system_throughput(),
-                    "lane {lane} of {} exact ratio vs scalar",
-                    W::LANES
-                );
-            }
-        }
-    }
+fn periodic_measurement_matches_scalar_exact_rationals() {
+    // Exact Periodicity and Ratio per lane: each sampled lane reports
+    // the same exact steady-state throughput as the scalar measurement
+    // of its rebuilt netlist — covering every relay kind around the
+    // feedback rings.
     let items: Vec<Netlist> = vec![
         generate::fig1().netlist,
         generate::ring(2, 1, RelayKind::Full).netlist,
@@ -505,17 +378,21 @@ fn wide_periodic_measurement_matches_scalar_exact_rationals() {
         generate::ring(2, 2, RelayKind::Fifo(3)).netlist,
     ];
     for netlist in &items {
-        let prog = Arc::new(SettleProgram::compile(netlist).unwrap());
-        let pats64 = wide_patterns(&prog, LANES, 5);
-        let base = measure_batch_periodic_wide::<u64>(netlist, &pats64, 4096).unwrap();
-        assert!(base.all_converged(), "64-lane base did not converge");
-        for lanes in LANE_WIDTHS {
-            dispatch_lane_width(
-                lanes,
-                &mut Measure {
-                    netlist,
-                    base: &base,
-                },
+        let prog = SettleProgram::compile(netlist).unwrap();
+        let pats = periodic_patterns(&prog, 5);
+        let m = measure_batch_periodic(netlist, &pats, 4096).unwrap();
+        assert!(m.all_converged(), "the sweep did not converge");
+        for lane in SAMPLE_LANES {
+            let reference = rebuild_for_lane(netlist, &pats, lane);
+            let scalar = lip_sim::measure(&reference).unwrap();
+            assert_eq!(
+                m.periodicity[lane], scalar.periodicity,
+                "lane {lane} periodicity"
+            );
+            assert_eq!(
+                m.system_throughput(lane),
+                scalar.system_throughput(),
+                "lane {lane} exact ratio vs scalar"
             );
         }
     }
@@ -524,17 +401,17 @@ fn wide_periodic_measurement_matches_scalar_exact_rationals() {
 /// Scenarios [`mixed_patterns`] deals out; the last one is aperiodic.
 const SCENARIOS: u64 = 24;
 
-/// The scenario of `lane`: a hash of its index, so neighbouring lanes,
-/// and lanes `64` apart, run different environments.
+/// The scenario of `lane`: a hash of its index, so neighbouring lanes
+/// run different environments.
 fn scenario(lane: usize, seed: u64) -> u32 {
     (schedule_words(seed ^ lane as u64, 1)[0] % SCENARIOS) as u32
 }
 
 /// Per-lane environments mixing env periods 1–60 and phases in one
 /// sweep, plus an aperiodic scenario: lane `l` runs [`scenario`]`(l)`.
-fn mixed_patterns(prog: &SettleProgram, lanes: usize, seed: u64) -> LanePatterns {
-    let mut pats = LanePatterns::broadcast_wide(prog, lanes);
-    for lane in 0..lanes {
+fn mixed_patterns(prog: &SettleProgram, seed: u64) -> LanePatterns {
+    let mut pats = LanePatterns::broadcast(prog);
+    for lane in 0..LANES {
         let s = scenario(lane, seed);
         for j in 0..prog.sink_count() {
             let period = 1 + (s + j as u32) % 5;
@@ -569,18 +446,18 @@ fn mixed_patterns(prog: &SettleProgram, lanes: usize, seed: u64) -> LanePatterns
     pats
 }
 
-/// Every lane of a `W`-wide periodic sweep under [`mixed_patterns`]
-/// against the scalar lasso on its rebuilt netlist: with room to
-/// converge, each lane's `Periodicity` and every sink's exact `Ratio`
-/// equal `measure`'s; at a `short` budget, each lane's verdict is
+/// Every lane of a periodic sweep under [`mixed_patterns`] against the
+/// scalar lasso on its rebuilt netlist: with room to converge, each
+/// lane's `Periodicity` and every sink's exact `Ratio` equal
+/// `measure`'s; at a `short` budget, each lane's verdict is
 /// `find_periodicity`'s on the same cycles.
-fn assert_periodic_lanes_match_scalar<W: LaneWord>(netlist: &Netlist, seed: u64, short: u64) {
+fn assert_periodic_lanes_match_scalar(netlist: &Netlist, seed: u64, short: u64) {
     let prog = SettleProgram::compile(netlist).unwrap();
-    let pats = mixed_patterns(&prog, W::LANES, seed);
-    let long = measure_batch_periodic_wide::<W>(netlist, &pats, 4096).unwrap();
-    let cut = measure_batch_periodic_wide::<W>(netlist, &pats, short).unwrap();
+    let pats = mixed_patterns(&prog, seed);
+    let long = measure_batch_periodic(netlist, &pats, 4096).unwrap();
+    let cut = measure_batch_periodic(netlist, &pats, short).unwrap();
     let mut oracle = HashMap::new();
-    for lane in 0..W::LANES {
+    for lane in 0..LANES {
         let (full, at_cut) = oracle.entry(scenario(lane, seed)).or_insert_with(|| {
             let reference = rebuild_for_lane(netlist, &pats, lane);
             let at_cut = SkeletonSystem::new(&reference)
@@ -588,7 +465,7 @@ fn assert_periodic_lanes_match_scalar<W: LaneWord>(netlist: &Netlist, seed: u64,
                 .find_periodicity(short);
             (lip_sim::measure(&reference).unwrap(), at_cut)
         });
-        let at = format!("lane {lane} of {}", W::LANES);
+        let at = format!("lane {lane}");
         assert_eq!(long.periodicity[lane], full.periodicity, "{at} periodicity");
         assert_eq!(
             long.lane_converged(lane),
@@ -672,31 +549,18 @@ fn budget_edge_matches_the_lasso_verdict() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random netlists under mixed per-lane environments, at every
-    /// width: the word-wide lasso reports exactly the scalar lasso's
-    /// stems, periods and ratios, also when a short budget cuts it off.
+    /// Random netlists under mixed per-lane environments: the
+    /// word-wide lasso reports exactly the scalar lasso's stems, periods
+    /// and ratios, also when a short budget cuts it off.
     #[test]
-    fn periodic_lanes_match_scalar_lasso_at_every_width(
+    fn periodic_lanes_match_scalar_lasso(
         family_seed in 0u64..200,
         seed in any::<u64>(),
         short in 1u64..40,
     ) {
-        struct Check<'a> {
-            netlist: &'a Netlist,
-            seed: u64,
-            short: u64,
-        }
-        impl LaneWidthVisitor for Check<'_> {
-            type Out = ();
-            fn visit<W: LaneWord>(&mut self) {
-                assert_periodic_lanes_match_scalar::<W>(self.netlist, self.seed, self.short);
-            }
-        }
         let (_, netlist) = generate::random_family(family_seed);
         if netlist.validate().is_ok() {
-            for lanes in LANE_WIDTHS {
-                dispatch_lane_width(lanes, &mut Check { netlist: &netlist, seed, short });
-            }
+            assert_periodic_lanes_match_scalar(&netlist, seed, short);
         }
     }
 

@@ -3,13 +3,15 @@
 //! panics. Every entry point validates before it elaborates, so the
 //! `expect`s elaboration keeps (in `System::new`: a port's channel, an
 //! acyclic data and stop order) are never reached on these netlists.
+//! The patcher refuses an edit that would make a valid netlist one of
+//! them, with the same typed error and without touching the program.
 
 use lip_core::pearl::IdentityPearl;
 use lip_core::RelayKind;
 use lip_graph::{generate, Netlist, NetlistError};
 use lip_sim::{
     measure, measure_activity, measure_batch_periodic, profile_netlist, Evolution, LanePatterns,
-    ProfileOptions, SettleProgram, SkeletonSystem, System,
+    NetlistDelta, PatchError, ProfileOptions, SettleProgram, SkeletonSystem, System,
 };
 
 /// A ring of two shells and no relay station: its stop path is
@@ -93,4 +95,42 @@ fn hostile_netlists_get_typed_errors_from_every_entry_point() {
             assert!(kind(&err), "{entry} on a {what}: {err}");
         }
     }
+}
+
+#[test]
+fn a_kind_edit_closing_a_data_loop_is_refused_and_changes_nothing() {
+    // One full and one half relay station in a loop: valid, the full
+    // relay registers the data. Making the full one half as well closes
+    // a loop of half relays, which `validate` calls a data loop.
+    let mut n = Netlist::new();
+    let full = n.add_relay(RelayKind::Full);
+    let half = n.add_relay(RelayKind::Half);
+    n.connect(full, 0, half, 0).unwrap();
+    n.connect(half, 0, full, 0).unwrap();
+    n.validate().expect("one full relay cuts the data loop");
+    let delta = NetlistDelta::SetRelayKind {
+        node: full,
+        kind: RelayKind::Half,
+    };
+    let mut edited = n.clone();
+    delta.apply_to(&mut edited);
+    assert!(matches!(
+        edited.validate(),
+        Err(NetlistError::DataLoop { .. })
+    ));
+
+    let mut prog = SettleProgram::compile(&n).unwrap();
+    let refused = prog.recompile_delta(&delta);
+    let Err(PatchError::Invalid(NetlistError::DataLoop { cycle })) = refused else {
+        panic!("want Invalid(DataLoop), got {refused:?}");
+    };
+    let mut on_cycle = cycle.clone();
+    on_cycle.sort_unstable();
+    assert_eq!(on_cycle, vec![full, half], "the loop the edit closes");
+    let fresh = SettleProgram::compile(&n).unwrap();
+    assert!(prog == fresh, "the refused edit changed the program");
+    assert_eq!(
+        prog.stable_structural_hash(),
+        fresh.stable_structural_hash()
+    );
 }

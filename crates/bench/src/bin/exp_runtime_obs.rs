@@ -346,7 +346,7 @@ fn main() {
             };
             // The exact accounting check: every tape op of every settle
             // counted once, and settles match the cycles executed.
-            let tape_len = SettleProgram::compile(netlist)
+            let tape_len = SettleProgram::compile_shared(netlist)
                 .expect("corpus compiles")
                 .kernel_op_count() as u64;
             rows.push(TopoRow {

@@ -8,7 +8,9 @@
 //! because each copy of a datum needs its own valid/stop pair to be
 //! consumable independently.
 
+use std::cell::Cell;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lip_core::pearl::Pearl;
 use lip_core::{Pattern, ProtocolVariant, RelayKind};
@@ -304,7 +306,53 @@ impl PortTable {
     }
 }
 
+/// Netlist stamps come from one process-wide counter in blocks of this
+/// many, so drawing a stamp (every builder call draws one) is a
+/// thread-local increment, not an atomic read-modify-write.
+const STAMP_BLOCK: u64 = 1 << 16;
+
+/// The first stamp of the next unclaimed block. Stamps start at 1, so 0
+/// never names a netlist and an empty memo slot can hold it.
+static NEXT_STAMP_BLOCK: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's next stamp and the end of its block.
+    static STAMPS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The stamp of the netlist this thread last validated.
+    static VALIDATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A netlist's identity stamp: drawn fresh at construction and on
+/// every mutation, copied by `clone`. Two netlists with one stamp have
+/// the same contents, so whatever was derived from one holds for the
+/// other.
+#[derive(Debug, Clone, Copy)]
+struct Stamp(u64);
+
+impl Stamp {
+    fn fresh() -> Self {
+        let (mut next, mut end) = STAMPS.get();
+        if next == end {
+            next = NEXT_STAMP_BLOCK.fetch_add(STAMP_BLOCK, Ordering::Relaxed);
+            end = next + STAMP_BLOCK;
+        }
+        STAMPS.set((next + 1, end));
+        Stamp(next)
+    }
+}
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Stamp::fresh()
+    }
+}
+
 /// A latency-insensitive netlist.
+///
+/// Every netlist carries an identity [`stamp`](Netlist::stamp). It
+/// takes no part in what the netlist means: it only lets the crates
+/// that elaborate a netlist reuse what they derived from the same,
+/// unchanged netlist.
 ///
 /// # Example
 ///
@@ -337,6 +385,7 @@ pub struct Netlist {
     /// Per node: channel feeding each input port.
     in_ports: PortTable,
     variant: ProtocolVariant,
+    stamp: Stamp,
 }
 
 impl Netlist {
@@ -359,6 +408,7 @@ impl Netlist {
             out_ports: PortTable::with_capacity(nodes, channels),
             in_ports: PortTable::with_capacity(nodes, channels),
             variant: ProtocolVariant::default(),
+            stamp: Stamp::fresh(),
         }
     }
 
@@ -380,11 +430,30 @@ impl Netlist {
     /// Switch the protocol variant (used by the variant-comparison
     /// experiment to re-elaborate the same topology both ways).
     pub fn set_variant(&mut self, variant: ProtocolVariant) {
+        self.renew();
         self.variant = variant;
+    }
+
+    /// The identity stamp: unique to this netlist's contents since it
+    /// was built or last changed. Construction and parsing draw a fresh
+    /// stamp from a process-wide counter, every `&mut` method draws
+    /// another, and `clone` keeps it, so equal stamps mean equal
+    /// contents. Validation, compilation, the binding-cycle solve and
+    /// the declared-environment proof key their per-thread reuse on it.
+    #[must_use]
+    pub fn stamp(&self) -> u64 {
+        self.stamp.0
+    }
+
+    /// Draw a fresh stamp: everything derived from the old contents is
+    /// stale.
+    fn renew(&mut self) {
+        self.stamp = Stamp::fresh();
     }
 
     /// Add a node whose name the caller has just appended to the arena.
     fn push_node(&mut self, kind: NodeKind) -> NodeId {
+        self.renew();
         // `VACANT` in the name table is `u32::MAX`, so ids stay below it.
         let id = u32::try_from(self.kinds.len())
             .ok()
@@ -460,6 +529,7 @@ impl Netlist {
     /// invalidates a validated netlist, so parameter sweeps can reuse a
     /// single topology.
     pub fn set_source_pattern(&mut self, node: NodeId, pattern: Pattern) -> bool {
+        self.renew();
         match &mut self.kinds[node.index()] {
             NodeKind::Source { void_pattern } => {
                 *void_pattern = pattern;
@@ -472,6 +542,7 @@ impl Netlist {
     /// Replace the stop pattern of the sink at `node`; returns `false`
     /// (and changes nothing) if `node` is not a sink.
     pub fn set_sink_pattern(&mut self, node: NodeId, pattern: Pattern) -> bool {
+        self.renew();
         match &mut self.kinds[node.index()] {
             NodeKind::Sink { stop_pattern } => {
                 *stop_pattern = pattern;
@@ -588,6 +659,7 @@ impl Netlist {
         to: NodeId,
         to_port: usize,
     ) -> Result<ChannelId, NetlistError> {
+        self.renew();
         self.check_port(from, from_port, true)?;
         self.check_port(to, to_port, false)?;
         let id = self.next_channel();
@@ -679,6 +751,7 @@ impl Netlist {
     ///
     /// Panics if `node` is not a relay station.
     pub fn set_relay_kind(&mut self, node: NodeId, kind: RelayKind) {
+        self.renew();
         match &mut self.kinds[node.index()] {
             NodeKind::Relay { kind: k } => *k = kind,
             other => panic!("node {node} is not a relay station (found {other:?})"),
@@ -847,6 +920,10 @@ impl Netlist {
     /// Validate connectivity, endpoint patterns and the
     /// combinational-loop rules.
     ///
+    /// The last stamp that validated is kept per thread: validating the
+    /// same unchanged netlist (or a clone of it) again returns `Ok` at
+    /// once.
+    ///
     /// # Errors
     ///
     /// * [`NetlistError::UnconnectedPort`] — some port is dangling.
@@ -860,6 +937,18 @@ impl Netlist {
     ///   nor a full relay station, so its forward data path is purely
     ///   combinational.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        let stamp = self.stamp();
+        if VALIDATED.get() == stamp {
+            return Ok(());
+        }
+        self.check()?;
+        VALIDATED.set(stamp);
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate)'s walk over ports, patterns and
+    /// loops.
+    fn check(&self) -> Result<(), NetlistError> {
         for (i, kind) in self.kinds.iter().enumerate() {
             let id = NodeId(u32::try_from(i).expect("node index"));
             if let Some(port) = self.out_ports.first_unconnected(id) {

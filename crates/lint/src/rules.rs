@@ -17,28 +17,38 @@
 //! LIP006–LIP008 read the declared-environment facts: per-shell
 //! liveness, system throughput and relay occupancy bounds. Lint tries
 //! the closed form first: on a live forest whose sinks never stop,
-//! [`forest_facts`] derives them from the topology with
-//! [`Netlist::validate`] as the validity guard, and no proof runs.
+//! [`forest_facts`] derives them from the topology and no proof runs.
 //! Everything else — a join or a loop, a sink that ever stops, or a
 //! shell that would be dead (LIP006 reports the proof's state count) —
-//! compiles the netlist (which validates) and runs one exhaustive
-//! [`lip_mc::check_declared_compiled`] pass on that program. The
-//! flight-recorder counters `lint.facts.formula` and
-//! `lint.facts.proof` record which path decided. The proof stays
-//! silent when the environment is aperiodic or the reachable space
-//! exceeds the default budget; the closed form has no budget. Neither
-//! contradicts the structural rules — related findings are
-//! cross-referenced through [`Diagnostic::related`].
+//! runs one exhaustive declared-environment proof through
+//! [`lip_mc::check_declared_and_hand_off`]. The flight-recorder
+//! counters `lint.facts.formula` and `lint.facts.proof` record which
+//! path decided. The proof stays silent when the environment is
+//! aperiodic or the reachable space exceeds the default budget; the
+//! closed form has no budget. Neither contradicts the structural rules
+//! — related findings are cross-referenced through
+//! [`Diagnostic::related`].
+//!
+//! Lint elaborates once for the whole pass. Both paths validate first,
+//! which is free when the caller has just validated the same netlist
+//! ([`Netlist::validate`] keeps its last stamp). The proof compiles
+//! through [`SettleProgram::compile_shared`](lip_sim::SettleProgram::compile_shared),
+//! which keeps the program for the pass's later compiles, and hands
+//! the proof off: the caller's next `check_declared` of this netlist
+//! under the default budget takes it instead of proving again. The
+//! marked-graph rules read [`netlist_binding_cycle`], the solve the
+//! batch measurement's binding-cycle lag reuses.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use lip_analysis::model::{pattern_accept_rate, pattern_data_rate, MarkedGraph, ModelEdge};
+use lip_analysis::model::{
+    netlist_binding_cycle, pattern_accept_rate, pattern_data_rate, ModelEdge,
+};
 use lip_analysis::{forest_facts, ForestFacts};
 use lip_core::RelayKind;
 use lip_graph::{topology, ChannelId, Netlist, NodeId, NodeKind, SourceMap};
-use lip_mc::{check_declared_compiled, DeclaredProof, McConfig};
-use lip_sim::{Ratio, SettleProgram};
+use lip_mc::{check_declared_and_hand_off, DeclaredProof, McConfig};
+use lip_sim::Ratio;
 
 use crate::diag::{DiagChannel, DiagNode, Diagnostic, RuleId};
 use crate::fix::FixIt;
@@ -48,16 +58,6 @@ use crate::fix::FixIt;
 #[must_use]
 pub fn lint(netlist: &Netlist, map: &SourceMap) -> Vec<Diagnostic> {
     lint_decided(netlist, map).0
-}
-
-/// What decides LIP006–LIP008 on one lint run.
-enum Evidence {
-    /// The closed form [`forest_facts`] on a live forest.
-    Formula(ForestFacts),
-    /// The compiled program the exhaustive [`check_declared_compiled`]
-    /// proof runs on (which may still decline: aperiodic environment
-    /// or state budget).
-    Proof(Arc<SettleProgram>),
 }
 
 /// [`lint`], plus the flight-recorder counter naming which evidence
@@ -86,13 +86,13 @@ fn lint_decided(netlist: &Netlist, map: &SourceMap) -> (Vec<Diagnostic>, Option<
 /// The rules that need a valid netlist: the marked-graph pair
 /// LIP004/LIP005 and the declared-environment trio LIP006–LIP008.
 ///
-/// A live forest whose sinks never stop takes the closed form: the
-/// validity guard is [`Netlist::validate`] and no proof runs. Anything
-/// else — the formula declines, or some shell would be dead, whose
-/// LIP006 message reports the proof's state count — compiles (which
-/// validates) and runs the exhaustive proof on that program. The proof
-/// goes silent (never wrong) when the declared environment is
-/// aperiodic or the space exceeds the default budget.
+/// A live forest whose sinks never stop takes the closed form and no
+/// proof runs. Anything else — the formula declines, or some shell
+/// would be dead, whose LIP006 message reports the proof's state count
+/// — runs the exhaustive proof and hands it off to the caller's next
+/// `check_declared`. The proof goes silent (never wrong) when the
+/// declared environment is aperiodic or the space exceeds the default
+/// budget.
 fn declared_rules(
     netlist: &Netlist,
     map: &SourceMap,
@@ -103,19 +103,13 @@ fn declared_rules(
     } else {
         None
     };
-    let evidence = match facts {
-        Some(facts) => {
-            netlist.validate().ok()?;
-            Evidence::Formula(facts)
-        }
-        None => Evidence::Proof(Arc::new(SettleProgram::compile(netlist).ok()?)),
-    };
+    netlist.validate().ok()?;
     // One minimum-cycle-ratio pass serves both marked-graph rules.
-    let bottleneck = MarkedGraph::new(netlist).binding_cycle();
+    let bottleneck = netlist_binding_cycle(netlist);
     lip004(netlist, map, bottleneck.as_ref(), diags);
     lip005(netlist, map, bottleneck.as_ref(), diags);
-    let counter = match evidence {
-        Evidence::Formula(facts) => {
+    let counter = match facts {
+        Some(facts) => {
             lip007(netlist, map, &facts.relay_bounds, diags);
             lip008(
                 FORMULA_PROVES,
@@ -125,10 +119,11 @@ fn declared_rules(
             );
             "lint.facts.formula"
         }
-        Evidence::Proof(program) => {
-            let cfg = McConfig::default();
-            if let Ok(proof) = check_declared_compiled(netlist, program, &cfg) {
-                lip006(netlist, map, &proof, diags);
+        None => {
+            // A declined proof (aperiodic, over budget) leaves the
+            // rules silent.
+            let _ = check_declared_and_hand_off(netlist, &McConfig::default(), |proof| {
+                lip006(netlist, map, proof, diags);
                 lip007(netlist, map, &proof.relay_bounds, diags);
                 lip008(
                     CHECKER_PROVES,
@@ -136,7 +131,7 @@ fn declared_rules(
                     proof.is_live(),
                     diags,
                 );
-            }
+            });
             "lint.facts.proof"
         }
     };
@@ -428,7 +423,7 @@ fn reachable_shells(netlist: &Netlist, from: NodeId, forward: bool) -> Vec<NodeI
     shells
 }
 
-/// The marked-graph bottleneck ([`MarkedGraph::binding_cycle`]): the
+/// The marked-graph bottleneck ([`netlist_binding_cycle`]): the
 /// binding cycle and its ratio, the minimum cycle ratio.
 type Bottleneck = (Vec<ModelEdge>, Ratio);
 

@@ -27,7 +27,18 @@
 //!
 //! The whole trajectory is recorded as a replayable [`Schedule`], so a
 //! deadlock verdict ships with a cycle-by-cycle counterexample.
+//!
+//! A pass proves once. [`check_declared`] compiles through the thread's
+//! kept program ([`SettleProgram::compile_shared`]), and
+//! [`check_declared_and_hand_off`] lets its caller read a proof and
+//! then *moves* it into a one-entry, per-thread slot keyed by the
+//! netlist's [`stamp`](Netlist::stamp) and `max_states`. The next
+//! [`check_declared`] of that netlist and budget takes the proof out
+//! (counter `mc.proof.reused`); any other call proves again. Lint hands
+//! its proof off this way, so the pipeline's own `check_declared` after
+//! lint costs nothing.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use lip_core::Pattern;
@@ -116,6 +127,10 @@ impl DeclaredProof {
 
 /// Model-check `netlist` under its declared environment.
 ///
+/// When [`check_declared_and_hand_off`] has just proved this netlist
+/// under the same `max_states`, this takes that proof instead of
+/// proving again.
+///
 /// # Errors
 ///
 /// [`McError::Aperiodic`] when any endpoint pattern is aperiodic (the
@@ -123,8 +138,43 @@ impl DeclaredProof {
 /// checker), [`McError::StateCap`] when the reachable space exceeds
 /// `cfg.max_states`, and [`McError::Netlist`] from elaboration.
 pub fn check_declared(netlist: &Netlist, cfg: &McConfig) -> Result<DeclaredProof, McError> {
-    let program = Arc::new(SettleProgram::compile(netlist)?);
+    let key = (netlist.stamp(), cfg.max_states);
+    // Whatever the slot held is taken out here: handed over on a match,
+    // dropped (stale) otherwise.
+    if let Some((held, proof)) = HANDED_OFF.take() {
+        if held == key {
+            lip_obs::flight::global_add("mc.proof.reused", 1);
+            return Ok(proof);
+        }
+    }
+    let program = SettleProgram::compile_shared(netlist)?;
     check_declared_compiled(netlist, program, cfg)
+}
+
+thread_local! {
+    /// The proof [`check_declared_and_hand_off`] last read on this
+    /// thread, by (netlist stamp, `max_states`), until the next
+    /// [`check_declared`] takes it.
+    static HANDED_OFF: RefCell<Option<((u64, usize), DeclaredProof)>> = const { RefCell::new(None) };
+}
+
+/// [`check_declared`], with the proof lent to `read` and then handed
+/// off: it moves (no clone) into this thread's one-entry slot, where the
+/// next [`check_declared`] of the same netlist and `max_states` takes
+/// it. Returns what `read` returned.
+///
+/// # Errors
+///
+/// As [`check_declared`]; nothing is handed off then.
+pub fn check_declared_and_hand_off<T>(
+    netlist: &Netlist,
+    cfg: &McConfig,
+    read: impl FnOnce(&DeclaredProof) -> T,
+) -> Result<T, McError> {
+    let proof = check_declared(netlist, cfg)?;
+    let out = read(&proof);
+    HANDED_OFF.set(Some(((netlist.stamp(), cfg.max_states), proof)));
+    Ok(out)
 }
 
 /// [`check_declared`] on a program already compiled from `netlist` (or

@@ -53,7 +53,9 @@ use std::fmt;
 use lip_graph::NetlistError;
 
 pub use adversarial::{check_adversarial, AdversarialProof};
-pub use declared::{check_declared, check_declared_compiled, DeclaredProof};
+pub use declared::{
+    check_declared, check_declared_and_hand_off, check_declared_compiled, DeclaredProof,
+};
 pub use lip_sim::lasso::StateArena;
 pub use schedule::{confirm_stuck, replay, schedule_tracks, Counterexample, EnvChoice, Schedule};
 

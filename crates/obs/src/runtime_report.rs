@@ -4,8 +4,8 @@
 //!
 //! Two data sources meet here:
 //!
-//! * [`KernelCounters`] — per-opcode / per-stratum ops retired,
-//!   lane-words processed and active-lane occupancy, filled by the
+//! * [`KernelCounters`] — per-opcode / per-stratum ops retired and
+//!   active-lane occupancy, filled by the
 //!   stream kernel's counted execution path in `lip-sim`. The layout
 //!   (opcode names, stratum labels) is declared by the kernel side so
 //!   this crate stays ignorant of `lip-sim` internals; the counters
@@ -16,7 +16,7 @@
 //!   counters (see [`flight`](crate::flight)).
 //!
 //! [`RuntimeReport`] rolls both into one JSON document carrying the
-//! workspace-wide [`SCHEMA_VERSION`](crate::SCHEMA_VERSION).
+//! runtime-report schema version [`schema::RUNTIME`](crate::schema::RUNTIME).
 
 use crate::flight::{FlightDump, SpanRecord};
 use crate::json::Json;
@@ -28,8 +28,6 @@ pub struct KernelOpRow {
     pub name: &'static str,
     /// Tape ops of this opcode retired across all counted settles.
     pub ops_retired: u64,
-    /// Lane words processed (`ops_retired × words-per-lane-value`).
-    pub lane_words: u64,
     /// Total set destination lanes after each occupancy-sampled op:
     /// the occupancy numerator (how much of the SWAR width carried
     /// live data).
@@ -60,7 +58,7 @@ impl KernelOpRow {
 }
 
 /// Kernel execution counters: per-opcode and per-stratum ops retired,
-/// lane-words processed, active-lane occupancy.
+/// active-lane occupancy.
 ///
 /// Constructed with a fixed layout ([`KernelCounters::new`]) by the
 /// engine that owns the op tape; the counted execution path indexes
@@ -100,7 +98,6 @@ impl KernelCounters {
                 .map(|&name| KernelOpRow {
                     name,
                     ops_retired: 0,
-                    lane_words: 0,
                     active_lanes: 0,
                     occ_ops: 0,
                 })
@@ -113,12 +110,6 @@ impl KernelCounters {
     #[must_use]
     pub fn total_ops(&self) -> u64 {
         self.by_op.iter().map(|r| r.ops_retired).sum()
-    }
-
-    /// Total lane words processed, summed over opcodes.
-    #[must_use]
-    pub fn total_lane_words(&self) -> u64 {
-        self.by_op.iter().map(|r| r.lane_words).sum()
     }
 
     /// Exact accounting check: every tape op of every counted settle
@@ -170,7 +161,6 @@ impl KernelCounters {
         for (a, b) in self.by_op.iter_mut().zip(&other.by_op) {
             assert_eq!(a.name, b.name, "merging across opcode layouts");
             a.ops_retired += b.ops_retired;
-            a.lane_words += b.lane_words;
             a.active_lanes += b.active_lanes;
             a.occ_ops += b.occ_ops;
         }
@@ -185,7 +175,6 @@ impl KernelCounters {
             Json::obj([
                 ("name", r.name.into()),
                 ("ops_retired", r.ops_retired.into()),
-                ("lane_words", r.lane_words.into()),
                 ("active_lanes", r.active_lanes.into()),
                 ("occ_ops", r.occ_ops.into()),
                 ("occupancy", Json::fixed(r.occupancy(self.lanes), 6)),
@@ -200,7 +189,6 @@ impl KernelCounters {
             ("settles", self.settles.into()),
             ("expected_ops", self.expected_ops.into()),
             ("ops_total", self.total_ops().into()),
-            ("lane_words_total", self.total_lane_words().into()),
             ("occupancy", Json::fixed(self.occupancy(), 6)),
             ("reconciled", self.reconciles().into()),
             ("by_opcode", by_op.collect()),
@@ -338,11 +326,11 @@ impl RuntimeReport {
     }
 
     /// Serialize as the `BENCH_runtime.json` document, carrying the
-    /// workspace [`SCHEMA_VERSION`](crate::SCHEMA_VERSION).
+    /// runtime-report schema version ([`schema::RUNTIME`](crate::schema::RUNTIME)).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut doc = vec![
-            ("schema_version", crate::SCHEMA_VERSION.into()),
+            ("schema_version", crate::schema::RUNTIME.into()),
             ("experiment", self.experiment.as_str().into()),
             ("wall_ns", self.dump.wall_ns.into()),
             ("threads", self.dump.threads.into()),
@@ -385,11 +373,9 @@ mod tests {
         k.settles = 2;
         k.expected_ops = 10;
         k.by_op[0].ops_retired = 6;
-        k.by_op[0].lane_words = 6;
         k.by_op[0].active_lanes = 6 * 32;
         k.by_op[0].occ_ops = 6;
         k.by_op[1].ops_retired = 4;
-        k.by_op[1].lane_words = 4;
         k.by_op[1].active_lanes = 4 * 64;
         k.by_op[1].occ_ops = 4;
         k.by_stratum[0].1 = 7;
@@ -484,7 +470,7 @@ mod tests {
         let int = |v: u32| Some(Json::from(v));
         assert_eq!(
             doc.get("schema_version").cloned(),
-            int(crate::SCHEMA_VERSION)
+            int(crate::schema::RUNTIME)
         );
         assert_eq!(doc.get("overhead_pct"), Some(&Json::Float(0.8)));
         assert_eq!(doc.get("overhead_enabled_pct"), Some(&Json::Float(12.0)));

@@ -18,6 +18,14 @@
 /// per-width `lane_widths` arrays; readers must not require them.
 pub const REPORT: u32 = 2;
 
+/// `RuntimeReport` JSON layout (`BENCH_runtime.json`).
+///
+/// Version 3: the kernel counters dropped `lane_words` and
+/// `lane_words_total`, which with one `u64` lane word per op always
+/// equalled `ops_retired` and `ops_total`. Versions up to 2 followed
+/// [`REPORT`].
+pub const RUNTIME: u32 = 3;
+
 /// `BlameReport` JSON layout (`BLAME_*.json` causal stall profiles).
 pub const BLAME: u32 = 1;
 
@@ -37,6 +45,7 @@ pub const DELTA: u32 = 1;
 /// run-store manifest.
 pub const ALL: &[(&str, u32)] = &[
     ("report", REPORT),
+    ("runtime", RUNTIME),
     ("blame", BLAME),
     ("lint", LINT),
     ("mc", MC),

@@ -118,7 +118,7 @@ impl ThroughputCache {
         netlist: &Netlist,
         opts: MeasureOptions,
     ) -> Result<Measurement, NetlistError> {
-        let program = SettleProgram::compile(netlist)?;
+        let program = SettleProgram::compile_shared(netlist)?;
         self.measure_program_with(&program, opts, Netlist::new)
     }
 

@@ -150,7 +150,7 @@ fn shell_rates(
     netlist: &Netlist,
     opts: MeasureOptions,
 ) -> Result<(Option<Periodicity>, Vec<ShellActivity>), NetlistError> {
-    let prog = Arc::new(SettleProgram::compile(netlist)?);
+    let prog = SettleProgram::compile_shared(netlist)?;
     let (periodicity, rates, _) = steady_state(&prog, opts);
     let rates = rates.into_iter().skip(prog.sink_count());
     let shells = netlist.shells().into_iter().zip(rates);
@@ -227,7 +227,7 @@ pub fn measure(netlist: &Netlist) -> Result<Measurement, NetlistError> {
 /// Propagates [`NetlistError`] from compilation.
 pub fn measure_with(netlist: &Netlist, opts: MeasureOptions) -> Result<Measurement, NetlistError> {
     Ok(measure_program(
-        &Arc::new(SettleProgram::compile(netlist)?),
+        &SettleProgram::compile_shared(netlist)?,
         opts,
     ))
 }
@@ -326,7 +326,7 @@ pub fn measure_batch(
     pats: &LanePatterns,
     cycles: u64,
 ) -> Result<BatchMeasurement, NetlistError> {
-    let prog = Arc::new(SettleProgram::compile(netlist)?);
+    let prog = SettleProgram::compile_shared(netlist)?;
     let sinks = prog.snk_node.clone();
     let mut batch = BatchSkeleton::from_patterns(prog, pats);
     batch.run_patterns(pats, cycles);
@@ -493,7 +493,8 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 
 /// [`measure_batch_periodic`] with runtime self-observability: a
 /// [`Recorder`] receives a `measure`-category span covering the whole
-/// call (child span `compile` for program compilation), sampled
+/// call (child span `compile` when the program is compiled rather
+/// than reused from the thread's last compile), sampled
 /// per-phase timing counters (`measure.sampled_detector_ns`,
 /// `measure.sampled_step_ns`, `measure.sampled_cycles`), the lanes
 /// settled by each detector path (`measure.close.env_lag`,
@@ -538,9 +539,14 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     }
     let _whole = rec_span(rec, "measure", label);
     let lanes = W::LANES;
-    let prog = {
-        let _compile = rec_span(rec, "compile", label);
-        Arc::new(SettleProgram::compile(netlist)?)
+    // The `compile` child span opens only around a compile that runs,
+    // not around the reuse of this thread's last compile.
+    let prog = match SettleProgram::reuse(netlist) {
+        Some(prog) => prog,
+        None => {
+            let _compile = rec_span(rec, "compile", label);
+            SettleProgram::compile_fresh(netlist)?
+        }
     };
     let mut batch = BatchEngine::<W>::from_patterns(Arc::clone(&prog), pats);
     let compiled = crate::batch::CompiledPatterns::<W>::compile(pats);
@@ -1046,16 +1052,32 @@ mod tests {
         );
         assert!(kc.reconciles());
 
-        // Spans: the whole-measure span with its compile child, plus
-        // sampled phase counters.
+        // Spans: the whole-measure span, with no compile child (the
+        // baseline's compile of this netlist is reused), plus sampled
+        // phase counters.
         let dump = rec.drain();
         assert!(dump.total_ns("measure", 0) > 0);
-        assert!(dump
+        assert!(!dump.spans.iter().any(|s| s.cat == "compile"));
+        assert!(dump.counters.contains_key("measure.sampled_cycles"));
+        assert!(dump.counters["measure.sampled_step_ns"] > 0);
+
+        // An edited netlist compiles afresh, under a `compile` child.
+        let mut edited = f.netlist.clone();
+        edited.set_variant(edited.variant());
+        measure_batch_periodic_obs::<u64, _, _>(
+            &edited,
+            &pats,
+            budget,
+            "fig1",
+            &rec,
+            &mut NullProgress,
+        )
+        .unwrap();
+        assert!(rec
+            .drain()
             .spans
             .iter()
             .any(|s| s.cat == "compile" && s.name == "fig1"));
-        assert!(dump.counters.contains_key("measure.sampled_cycles"));
-        assert!(dump.counters["measure.sampled_step_ns"] > 0);
 
         // Progress: periodic snapshots plus the final one.
         let last = progress.latest("fig1").expect("published");

@@ -30,7 +30,9 @@
 //! re-exports this module as `lip_analysis::model`), and so does the
 //! batch measurement: [`binding_delay`] gives
 //! [`measure_batch_periodic`](crate::measure_batch_periodic) the lag at
-//! which a loop's lanes recur.
+//! which a loop's lanes recur. Lint and the measurement share one solve
+//! per netlist through [`netlist_binding_cycle`], which keeps the last
+//! result per thread by the netlist's stamp.
 //!
 //! * [`MarkedGraph::new`] builds the adjacency once, in compressed form.
 //!   Every edge has a reverse edge, so the solver first peels off the
@@ -59,6 +61,7 @@
 //! The Bellman-Ford search this replaced survives as the test oracle in
 //! `lip-analysis`'s `tests/model_properties.rs`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use lip_core::{Pattern, RelayKind};
@@ -285,7 +288,29 @@ fn pins(forward: Arc, backward: Arc) -> bool {
     forward.tokens + backward.tokens < forward.delay + backward.delay
 }
 
-/// Total delay of `netlist`'s binding cycle ([`MarkedGraph::binding_cycle`]),
+/// A binding cycle and its ratio, as [`MarkedGraph::binding_cycle`]
+/// returns it.
+type Binding = Option<(Vec<ModelEdge>, Ratio)>;
+
+thread_local! {
+    /// The binding cycle this thread last solved, by the stamp of its
+    /// netlist.
+    static LAST_BINDING: RefCell<Option<(u64, Binding)>> = const { RefCell::new(None) };
+}
+
+/// `netlist`'s binding cycle: [`MarkedGraph::binding_cycle`] of
+/// [`MarkedGraph::new`]`(netlist)`, solved once per netlist. The last
+/// result is kept per thread by the netlist's
+/// [`stamp`](Netlist::stamp), so lint's bottleneck rules and
+/// [`binding_delay`] in the batch measurement that follows share one
+/// solve. Trees and chains skip the model and the solver (see
+/// [`binding_delay`]).
+#[must_use]
+pub fn netlist_binding_cycle(netlist: &Netlist) -> Option<(Vec<ModelEdge>, Ratio)> {
+    with_binding(netlist, Clone::clone)
+}
+
+/// Total delay of `netlist`'s binding cycle ([`netlist_binding_cycle`]),
 /// or `None` when nothing binds below `T = 1`.
 ///
 /// By the paper's loop formula, a loop of `S` shells and `R` relays
@@ -295,6 +320,27 @@ fn pins(forward: Arc, backward: Arc) -> bool {
 /// skip building the model and running the solver.
 #[must_use]
 pub fn binding_delay(netlist: &Netlist) -> Option<u64> {
+    with_binding(netlist, |binding| {
+        binding
+            .as_ref()
+            .map(|(cycle, _)| cycle.iter().map(|e| e.delay).sum())
+    })
+}
+
+/// `read` the binding cycle of `netlist`, solving it unless this thread
+/// last solved the same stamp.
+fn with_binding<T>(netlist: &Netlist, read: impl FnOnce(&Binding) -> T) -> T {
+    let stamp = netlist.stamp();
+    LAST_BINDING.with_borrow_mut(|last| match last {
+        Some((s, binding)) if *s == stamp => read(binding),
+        _ => read(&last.insert((stamp, solve_binding(netlist))).1),
+    })
+}
+
+/// The binding cycle of `netlist`, with nothing kept. Only a channel
+/// graph that `can_bind` needs the model and the solver: otherwise
+/// every cycle is a channel's own two-edge cycle, never below 1.
+fn solve_binding(netlist: &Netlist) -> Binding {
     let elems: Vec<Option<Element>> = netlist
         .nodes()
         .map(|(_, node)| Element::of(node.kind()))
@@ -303,8 +349,7 @@ pub fn binding_delay(netlist: &Netlist) -> Option<u64> {
     if !can_bind(elems.len(), channels) {
         return None;
     }
-    let (cycle, _) = MarkedGraph::new(netlist).binding_cycle()?;
-    Some(cycle.iter().map(|e| e.delay).sum())
+    MarkedGraph::new(netlist).binding_cycle()
 }
 
 /// `true` unless the channels between storage elements, each given once

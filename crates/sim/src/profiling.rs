@@ -74,7 +74,7 @@ pub fn profile_netlist(
     netlist: &Netlist,
     opts: ProfileOptions,
 ) -> Result<ProfiledRun, NetlistError> {
-    let prog = Arc::new(SettleProgram::compile(netlist)?);
+    let prog = SettleProgram::compile_shared(netlist)?;
     let graph = prog.channel_graph(netlist);
 
     // Detect the steady state on a scratch system.

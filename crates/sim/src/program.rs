@@ -18,7 +18,9 @@
 //! `Arc`, so cloning a simulator (the explorer does this per transition)
 //! copies only the mutable state vectors.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use lip_core::{Pattern, ProtocolVariant, RelayKind};
 use lip_graph::{Netlist, NetlistError, NodeId, NodeKind};
@@ -150,17 +152,76 @@ pub struct SettleProgram {
     pub(crate) section_hashes: [u64; N_SECTIONS],
 }
 
+thread_local! {
+    /// The program this thread last compiled in full, by the stamp of
+    /// the netlist it was compiled from. Patched programs never enter.
+    static LAST_COMPILE: RefCell<Option<(u64, Arc<SettleProgram>)>> = const { RefCell::new(None) };
+}
+
 impl SettleProgram {
     /// Validate `netlist` and compile it.
+    ///
+    /// Compiles once per netlist: the last full compile on this thread
+    /// is kept by the netlist's [`stamp`](Netlist::stamp), and when the
+    /// stamp matches this returns a clone of that program instead of
+    /// compiling again (see [`compile_shared`](Self::compile_shared)).
     ///
     /// # Errors
     ///
     /// Propagates any [`NetlistError`] from [`Netlist::validate`].
     pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
+        Self::compile_shared(netlist).map(|prog| SettleProgram::clone(&prog))
+    }
+
+    /// [`compile`](Self::compile), shared: the program this thread last
+    /// compiled from `netlist`'s stamp when there is one (counter
+    /// `compile.reused`), else a full compile (span `compile`, counter
+    /// `compile.full`) that becomes the thread's kept program. Only
+    /// full compiles from netlist contents are kept; a
+    /// [`recompile_delta`](Self::recompile_delta) result never is, so a
+    /// patched program still compares against a fresh compile.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`NetlistError`] from [`Netlist::validate`].
+    pub fn compile_shared(netlist: &Netlist) -> Result<Arc<Self>, NetlistError> {
+        match Self::reuse(netlist) {
+            Some(prog) => Ok(prog),
+            None => Self::compile_fresh(netlist),
+        }
+    }
+
+    /// The program this thread last compiled in full from `netlist`'s
+    /// stamp, if any; bumps `compile.reused` when there is one.
+    pub(crate) fn reuse(netlist: &Netlist) -> Option<Arc<Self>> {
+        let stamp = netlist.stamp();
+        let prog = LAST_COMPILE.with_borrow(|last| {
+            last.as_ref()
+                .filter(|(s, _)| *s == stamp)
+                .map(|(_, prog)| Arc::clone(prog))
+        })?;
+        lip_obs::flight::global_add("compile.reused", 1);
+        Some(prog)
+    }
+
+    /// Compile `netlist` in full and keep the result as this thread's
+    /// last compile.
+    pub(crate) fn compile_fresh(netlist: &Netlist) -> Result<Arc<Self>, NetlistError> {
+        // The kept program is stale now; free it before building the
+        // next one, so two programs never coexist for it.
+        drop(LAST_COMPILE.take());
+        let prog = Arc::new(Self::elaborate(netlist)?);
+        LAST_COMPILE.set(Some((netlist.stamp(), Arc::clone(&prog))));
+        Ok(prog)
+    }
+
+    /// The full compile behind [`compile_fresh`](Self::compile_fresh).
+    fn elaborate(netlist: &Netlist) -> Result<Self, NetlistError> {
         // Ambient flight-recorder span + counter: full compiles show up
         // in `BENCH_runtime.json` (against `compile.patch`, the
-        // incremental path's counter) when a recorder is installed, and
-        // cost one relaxed atomic load when none is.
+        // incremental path's counter, and `compile.reused`) when a
+        // recorder is installed, and cost one relaxed atomic load when
+        // none is.
         let _compile_span = lip_obs::flight::global_span("compile", "settle_program");
         lip_obs::flight::global_add("compile.full", 1);
         netlist.validate()?;

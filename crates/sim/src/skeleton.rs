@@ -426,9 +426,7 @@ impl SkeletonSystem {
     ///
     /// Propagates any [`NetlistError`] from [`Netlist::validate`].
     pub fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
-        Ok(Self::from_program(Arc::new(SettleProgram::compile(
-            netlist,
-        )?)))
+        Ok(Self::from_program(SettleProgram::compile_shared(netlist)?))
     }
 
     /// Build a skeleton over an already compiled (possibly shared)

@@ -638,8 +638,8 @@ impl StreamKernel {
     }
 
     /// [`execute`](Self::execute) with kernel execution counters:
-    /// bit-identical arena effect, plus per-opcode ops retired /
-    /// lane-words processed, per-stratum retirement, and the
+    /// bit-identical arena effect, plus per-opcode and per-stratum ops
+    /// retired, and the
     /// `expected_ops` accumulator the reconciliation invariant checks
     /// against. Kept separate from the hot path so the uncounted
     /// settle pays nothing.
@@ -652,15 +652,13 @@ impl StreamKernel {
     /// sampled ops. Retirement counters are exact on every settle
     /// either way.
     /// Add `settles` unsampled settles' retirement to `kc`: per opcode
-    /// ops retired and lane-words, per stratum ops, `expected_ops` and
+    /// ops retired, per stratum ops, `expected_ops` and
     /// the settle count, without occupancy.
     pub(crate) fn retire(&self, kc: &mut KernelCounters, settles: u64) {
         for seg in &self.segments {
             let ops = (seg.end as u64 - seg.start as u64) * settles;
             let row = &mut kc.by_op[seg.op.index()];
             row.ops_retired += ops;
-            // One `u64` lane word per op.
-            row.lane_words += ops;
         }
         for (slot, &n) in kc.by_stratum.iter_mut().zip(&self.stratum_ops) {
             slot.1 += u64::from(n) * settles;
@@ -731,7 +729,6 @@ impl StreamKernel {
             }
             let row = &mut kc.by_op[seg.op.index()];
             row.ops_retired += ops.len() as u64;
-            row.lane_words += ops.len() as u64;
             row.active_lanes += active;
             row.occ_ops += ops.len() as u64;
         }
@@ -821,8 +818,6 @@ mod tests {
         assert_eq!(kc.settles, 4);
         assert_eq!(kc.expected_ops, 4 * k.op_count() as u64);
         assert!(kc.reconciles(), "opcode and stratum totals must tile");
-        // Lane-words: every op touched exactly one u64 word here.
-        assert_eq!(kc.total_lane_words(), kc.total_ops());
         // The all-ones constant feeds real work: some lanes are active.
         assert!(kc.occupancy() > 0.0);
         // Exactly half the settles sampled occupancy.

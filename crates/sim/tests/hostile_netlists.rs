@@ -134,3 +134,42 @@ fn a_kind_edit_closing_a_data_loop_is_refused_and_changes_nothing() {
         fresh.stable_structural_hash()
     );
 }
+
+/// Validation and compilation are kept per netlist stamp, so a netlist
+/// that validated and compiled, then was edited into an invalid one,
+/// must be judged afresh: every entry point returns the typed error of
+/// the edited netlist, never the kept `Ok`, and elaboration's `kahn`
+/// orders, which trust validation, are never reached.
+#[test]
+fn a_validated_netlist_edited_invalid_gets_a_typed_error_not_a_stale_ok() {
+    let mut open = generate::fig1().netlist;
+    open.validate().unwrap();
+    SettleProgram::compile(&open).unwrap();
+    open.add_source("late");
+    let mut looped = generate::fig1().netlist;
+    looped.validate().unwrap();
+    SettleProgram::compile(&looped).unwrap();
+    let a = looped.add_relay(RelayKind::Half);
+    let b = looped.add_relay(RelayKind::Half);
+    looped.connect(a, 0, b, 0).unwrap();
+    looped.connect(b, 0, a, 0).unwrap();
+    type Kind = fn(&NetlistError) -> bool;
+    let cases: [(&str, Netlist, Kind); 2] = [
+        ("open source output", open, |e| {
+            matches!(e, NetlistError::UnconnectedPort { output: true, .. })
+        }),
+        ("half-relay loop", looped, |e| {
+            matches!(e, NetlistError::DataLoop { .. })
+        }),
+    ];
+    for (what, netlist, kind) in cases {
+        assert!(
+            netlist.validate().is_err_and(|e| kind(&e)),
+            "validate, {what}"
+        );
+        for (entry, err) in entry_points(&netlist) {
+            let err = err.unwrap_or_else(|| panic!("{entry} accepted the {what}"));
+            assert!(kind(&err), "{entry} on the {what}: {err}");
+        }
+    }
+}

@@ -368,6 +368,7 @@ fn main() {
         // Cache + analysis telemetry: a memoized capacity search run
         // twice — the second run is pure cache hits.
         let cache_ok = {
+            let _search = rec.span("analysis", "capacity_search");
             let f = generate::fig1();
             let mut cache = ThroughputCache::new();
             let first = minimal_equalizing_capacity(&f.netlist, f.short_relays[0], 6, &mut cache)
@@ -382,6 +383,7 @@ fn main() {
         // incremental patch (`compile.patch`), never a per-fix
         // recompile.
         let fix_ok = {
+            let _fix = rec.span("lint", "fix");
             let src = "source in\n\
                        shell a identity\n\
                        shell b identity\n\
@@ -503,9 +505,18 @@ fn main() {
     let prom_path = report_dir().join("progress.prom");
     println!("wrote {} (lip-top input)", prom_path.display());
 
+    // The stalled corpus, then the same designs under their declared
+    // environment, which one scalar lasso settles.
+    let declared = corpus().into_iter().map(|(name, netlist)| {
+        let prog = SettleProgram::compile(&netlist).expect("corpus compiles");
+        let pats = LanePatterns::broadcast(&prog);
+        (format!("{name} declared"), netlist, pats)
+    });
     let provenance: Vec<ProvenanceRow> = items
         .iter()
-        .map(|(name, netlist, pats)| provenance_row(name, netlist, pats))
+        .cloned()
+        .chain(declared)
+        .map(|(name, netlist, pats)| provenance_row(&name, &netlist, &pats))
         .collect();
     print_provenance(&provenance);
 
@@ -525,6 +536,12 @@ fn main() {
         (
             "every converged lane has one verdict path",
             provenance.iter().all(ProvenanceRow::sums),
+        ),
+        (
+            "a declared environment settles on one scalar lasso",
+            provenance[items.len()..]
+                .iter()
+                .all(|r| r.declared == LANES as u64 && r.converged == LANES as u64),
         ),
         (
             "each parsed design equals its generator's",
@@ -609,13 +626,15 @@ struct ProvenanceRow {
     hint: u64,
     checkpoint: u64,
     replay: u64,
+    /// Lanes of a declared environment, settled by one scalar lasso.
+    declared: u64,
     converged: u64,
 }
 
 impl ProvenanceRow {
     /// Every converged lane counted on exactly one path.
     fn sums(&self) -> bool {
-        self.env_lag + self.hint + self.checkpoint + self.replay == self.converged
+        self.env_lag + self.hint + self.checkpoint + self.replay + self.declared == self.converged
     }
 }
 
@@ -641,6 +660,7 @@ fn provenance_row(name: &str, netlist: &Netlist, pats: &LanePatterns) -> Provena
         hint: count("measure.close.hint"),
         checkpoint: count("measure.close.checkpoint"),
         replay: count("measure.close.replay"),
+        declared: count("measure.close.declared"),
         converged: (0..m.lanes).filter(|&l| m.lane_converged(l)).count() as u64,
     }
 }
@@ -657,6 +677,7 @@ fn print_provenance(rows: &[ProvenanceRow]) {
                 r.hint.to_string(),
                 r.checkpoint.to_string(),
                 r.replay.to_string(),
+                r.declared.to_string(),
                 r.converged.to_string(),
                 mark(r.sums()).into(),
             ]
@@ -674,6 +695,7 @@ fn print_provenance(rows: &[ProvenanceRow]) {
                 "hint",
                 "checkpoint",
                 "replay",
+                "declared",
                 "converged",
                 "sums"
             ],
@@ -694,6 +716,7 @@ fn provenance_json(rows: &[ProvenanceRow]) -> Json {
                 ("hint", r.hint.into()),
                 ("checkpoint", r.checkpoint.into()),
                 ("replay", r.replay.into()),
+                ("declared", r.declared.into()),
                 ("converged", r.converged.into()),
             ])
         })

@@ -41,8 +41,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use lip_core::Pattern;
-use lip_graph::{Netlist, NodeId, NodeKind};
+use lip_graph::{Netlist, NodeId};
 use lip_sim::lasso::Lasso;
 use lip_sim::{measure::Ratio, SettleProgram, SkeletonSystem};
 
@@ -180,7 +179,8 @@ pub fn check_declared_and_hand_off<T>(
 /// [`check_declared`] on a program already compiled from `netlist` (or
 /// patched to match it), for callers that compiled it anyway: the proof
 /// neither validates nor compiles again. `netlist` supplies only node
-/// ids and the declared sink patterns of the recorded schedule.
+/// ids; the recorded schedule reads the offers and sink stops the
+/// skeleton applied.
 ///
 /// # Errors
 ///
@@ -206,8 +206,10 @@ pub fn check_declared_compiled(
     // the peaks the skeleton raises on fills.
     let mut lasso = Lasso::new(0, sinks.len());
     let mut key = Vec::new();
-    // Source offers after each step, `n_src` per cycle.
+    // Source offers after each step, `n_src` per cycle, and the stops
+    // each step applied at the sinks, `sinks.len()` per cycle.
     let mut offers: Vec<bool> = Vec::new();
+    let mut stops: Vec<bool> = Vec::new();
 
     // The key and row read registers only; `step` settles.
     let (lasso_shape, deltas) = loop {
@@ -229,6 +231,7 @@ pub fn check_declared_compiled(
         }
         sys.step();
         offers.extend_from_slice(sys.source_offers());
+        stops.extend(sys.sink_stops());
     };
     let (stem, period) = (lasso_shape.transient, lasso_shape.period);
     let throughput = sinks
@@ -254,22 +257,15 @@ pub fn check_declared_compiled(
 
     // Post-step offers are the offers for cycle t+1 — recording the
     // held value makes `step_with` replay exact (see `schedule`); sink
-    // stops are the declared patterns at t.
-    let stop_pats: Vec<&Pattern> = sinks
-        .iter()
-        .map(|&id| match netlist.node(id).kind() {
-            NodeKind::Sink { stop_pattern } => stop_pattern,
-            _ => unreachable!("sink row"),
-        })
-        .collect();
+    // stops are the ones the step of cycle t applied, the declared
+    // patterns at t.
+    let n_snk = sinks.len();
     debug_assert_eq!(offers.len() as u64, (stem + period) * n_src as u64);
-    let choices = (0..stem + period)
-        .map(|t| {
-            let at = t as usize * n_src;
-            EnvChoice {
-                source_valid: offers[at..at + n_src].to_vec(),
-                sink_stop: stop_pats.iter().map(|p| p.at(t)).collect(),
-            }
+    debug_assert_eq!(stops.len() as u64, (stem + period) * n_snk as u64);
+    let choices = (0..(stem + period) as usize)
+        .map(|t| EnvChoice {
+            source_valid: offers[t * n_src..][..n_src].to_vec(),
+            sink_stop: stops[t * n_snk..][..n_snk].to_vec(),
         })
         .collect();
 

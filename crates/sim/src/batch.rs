@@ -158,6 +158,35 @@ impl LanePatterns {
         }
     }
 
+    /// [`broadcast`](Self::broadcast)'s patterns, set lane by lane:
+    /// every lane runs `prog`'s own environment, but no row is shared,
+    /// so the measurement steps all [`LANES`] lanes rather than one
+    /// scalar lasso (see [`measure_batch_periodic`](crate::measure_batch_periodic)).
+    #[must_use]
+    pub fn per_lane(prog: &SettleProgram) -> Self {
+        let rows = |ps: &[Pattern]| {
+            let split = |p: &Pattern| PatternRow::Split(vec![p.clone(); LANES]);
+            ps.iter().map(split).collect()
+        };
+        LanePatterns {
+            src: rows(&prog.src_pattern),
+            snk: rows(&prog.snk_pattern),
+        }
+    }
+
+    /// `true` iff every row is shared by all lanes and is `prog`'s own
+    /// pattern: every lane then runs the environment `prog` declares.
+    pub(crate) fn is_declared(&self, prog: &SettleProgram) -> bool {
+        let own = |rows: &[PatternRow], declared: &[Pattern]| {
+            rows.len() == declared.len()
+                && rows.iter().zip(declared).all(|(row, d)| match row {
+                    PatternRow::Uniform(p) => p == d,
+                    PatternRow::Split(_) => false,
+                })
+        };
+        own(&self.src, &prog.src_pattern) && own(&self.snk, &prog.snk_pattern)
+    }
+
     /// Number of sources per lane.
     #[must_use]
     pub fn source_count(&self) -> usize {

@@ -9,8 +9,9 @@
 //! can be asserted without floating-point tolerance.
 //! [`measure_with`], [`measure_activity`] and [`check_liveness`] are
 //! views of one [`SkeletonSystem`] pass over the compiled
-//! [`SettleProgram`]; [`System`] serves only [`find_periodicity`], the
-//! tests' oracle.
+//! [`SettleProgram`], as is [`measure_batch_periodic`] under the
+//! declared environment; [`System`] serves only [`find_periodicity`],
+//! the tests' oracle.
 
 use std::sync::Arc;
 
@@ -106,43 +107,34 @@ pub fn find_periodicity(sys: &mut System, max_cycles: u64) -> Option<Periodicity
 }
 
 /// The one scalar steady-state pass: a [`SkeletonSystem`] over `prog`
-/// steps through the [`Lasso`], each visit's row holding the cumulative
-/// sink tokens then shell fires, so a recurrence yields per-period
-/// counts; with none in `max_transient` cycles a `fallback_cycles`
-/// window is counted. Returns the periodicity, every sink's then every
-/// shell's rate (row order), and the cycles simulated.
+/// closes its lasso ([`SkeletonSystem::close_lasso`]), each visit's row
+/// holding the cumulative sink tokens then shell fires, so a recurrence
+/// yields per-period counts; with none in `max_transient` cycles a
+/// `fallback_cycles` window is counted. Returns the periodicity, every
+/// sink's then every shell's rate (row order), and the cycles
+/// simulated.
 fn steady_state(
     prog: &Arc<SettleProgram>,
     opts: MeasureOptions,
 ) -> (Option<Periodicity>, Vec<Ratio>, u64) {
-    let rates = |now: &[u64], then: &[u64], window: u64| -> Vec<Ratio> {
-        let counts = now.iter().zip(then);
-        counts.map(|(n, t)| Ratio::new(n - t, window)).collect()
-    };
-    let mut sk = SkeletonSystem::from_program(Arc::clone(prog));
-    let mut lasso = Lasso::new(0, prog.sink_count() + prog.shell_count());
-    let (mut key, mut row) = (Vec::new(), Vec::new());
-    for _ in 0..opts.max_transient {
-        key.clear();
-        if sk.push_control_state(&mut key).is_none() {
-            break;
-        }
-        row.clear();
+    let counters = |sk: &SkeletonSystem, row: &mut Vec<u64>| {
         row.extend_from_slice(sk.sink_valid_counts());
         row.extend(sk.shell_fire_counts());
-        if let Some((p, first)) = lasso.observe(&key, &row) {
-            return (Some(p), rates(&row, first, p.period), sk.cycle());
-        }
-        sk.step();
-    }
-    let counters = |sk: &SkeletonSystem| -> Vec<u64> {
-        let sinks = sk.sink_valid_counts().iter().copied();
-        sinks.chain(sk.shell_fire_counts()).collect()
     };
-    let before = counters(&sk);
+    let row_len = prog.sink_count() + prog.shell_count();
+    let mut sk = SkeletonSystem::from_program(Arc::clone(prog));
+    if let Some((p, deltas)) = sk.close_lasso(opts.max_transient, row_len, counters) {
+        let rates = deltas.iter().map(|&d| Ratio::new(d, p.period)).collect();
+        return (Some(p), rates, sk.cycle());
+    }
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    counters(&sk, &mut before);
     sk.run(opts.fallback_cycles);
+    counters(&sk, &mut after);
     let window = opts.fallback_cycles.max(1);
-    (None, rates(&counters(&sk), &before, window), sk.cycle())
+    let counts = after.iter().zip(&before);
+    let rates = counts.map(|(n, t)| Ratio::new(n - t, window)).collect();
+    (None, rates, sk.cycle())
 }
 
 /// Every shell's firing rate (node order) from the steady-state pass.
@@ -360,7 +352,10 @@ pub struct BatchPeriodicMeasurement {
     /// Per lane: the detected periodic regime, `None` when the lane's
     /// environment is aperiodic or no recurrence fit the budget.
     pub periodicity: Vec<Option<Periodicity>>,
-    /// Cycles actually simulated (`<= budget` — the early exit). A lane
+    /// Cycles actually simulated (`<= budget` — the early exit). A
+    /// declared environment (every lane running the netlist's own
+    /// patterns, as [`LanePatterns::broadcast`] builds them) is one
+    /// scalar lasso and closes at exactly μ + λ. Lane by lane, a lane
     /// whose period λ equals its environment's `e`, or lcm(e, D) for the
     /// delay D of the binding cycle, closes at its own μ + λ (the two
     /// lag checks); any other lane closes at μ + lcm(e, D) when λ
@@ -458,6 +453,19 @@ impl BatchPeriodicMeasurement {
 /// they run to the full budget and report the whole-window estimate,
 /// exactly like [`measure_batch`].
 ///
+/// **The declared environment is one trajectory.** When every source
+/// and sink row of `pats` is shared by all lanes and is the netlist's
+/// own pattern (as [`LanePatterns::broadcast`] builds it), the 64 lanes
+/// would step the same states, so one scalar [`SkeletonSystem`] runs
+/// to its [`Lasso`] instead, as [`measure`] does, and its (μ, λ) and
+/// per-period counts are every lane's reading; the sweep then closes
+/// at exactly μ + λ. Neither the bit-plane engine nor the binding
+/// cycle runs. If that environment is aperiodic, or the scalar lasso
+/// does not close within the `budget` observations, the 64-lane sweep
+/// runs as above, so every periodicity, throughput and converged mask
+/// is the one the 64-lane sweep gives
+/// ([`LanePatterns::per_lane`] sets the same environment lane by lane).
+///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from elaboration.
@@ -494,7 +502,12 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// [`measure_batch_periodic`] with runtime self-observability: a
 /// [`Recorder`] receives a `measure`-category span covering the whole
 /// call (child span `compile` when the program is compiled rather
-/// than reused from the thread's last compile), sampled
+/// than reused from the thread's last compile). A declared
+/// environment that the scalar lasso closes records only the counter
+/// `measure.close.declared` (the lanes it settled, all of them),
+/// returns [`KernelCounters`] `None` (no 64-lane kernel ran) and
+/// publishes the final [`ProgressSnapshot`]. The 64-lane sweep records
+/// sampled
 /// per-phase timing counters (`measure.sampled_detector_ns`,
 /// `measure.sampled_step_ns`, `measure.sampled_cycles`), the lanes
 /// settled by each detector path (`measure.close.env_lag`,
@@ -512,8 +525,10 @@ const OBS_PROGRESS_EVERY: u64 = 1024;
 /// are bit-identical under every recorder configuration. A recorder
 /// that is runtime-disabled records nothing, so the call hands over to
 /// the [`NullRecorder`] instantiation at once: a disabled recorder
-/// costs one check per call, and runs the very machine code of the
-/// unobserved sweep rather than a second copy of it.
+/// costs one check per call. With no progress sink to feed, it runs
+/// [`measure_batch_periodic`] itself, the very machine code of the
+/// unobserved sweep, not a copy instantiated (and laid out anew) in the
+/// caller's crate.
 ///
 /// # Errors
 ///
@@ -528,6 +543,9 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
     progress: &mut S,
 ) -> Result<(BatchPeriodicMeasurement, Option<KernelCounters>), NetlistError> {
     if R::ENABLED && !rec.active() {
+        if !S::ENABLED && std::any::TypeId::of::<W>() == std::any::TypeId::of::<u64>() {
+            return measure_batch_periodic(netlist, pats, budget).map(|m| (m, None));
+        }
         return measure_batch_periodic_obs::<W, NullRecorder, S>(
             netlist,
             pats,
@@ -548,6 +566,9 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
             SettleProgram::compile_fresh(netlist)?
         }
     };
+    if let Some(m) = measure_declared(&prog, pats, budget, label, rec, progress) {
+        return Ok((m, None));
+    }
     let mut batch = BatchEngine::<W>::from_patterns(Arc::clone(&prog), pats);
     let compiled = crate::batch::CompiledPatterns::<W>::compile(pats);
     let mut kc = if R::ENABLED && rec.active() {
@@ -657,6 +678,55 @@ pub fn measure_batch_periodic_obs<W: LaneWord, R: Recorder, S: ProgressSink>(
         },
         kc,
     ))
+}
+
+/// The declared-environment path of [`measure_batch_periodic_obs`]:
+/// when every lane of `pats` runs `prog`'s own environment
+/// ([`LanePatterns::broadcast`]), the 64 lanes are one trajectory, so
+/// one scalar lasso ([`SkeletonSystem::close_lasso`]) decides them all
+/// and closes at exactly μ + λ. Returns `None` when `pats` is not that
+/// environment, when it is aperiodic, or when the lasso does not close
+/// within the `budget` observations the batch path would make; the
+/// batch path then measures as before. Records
+/// `measure.close.declared` (the lanes settled) and publishes the final
+/// progress snapshot. Out of line, with its check, so the
+/// monomorphized 64-lane sweep that every split environment runs keeps
+/// the code layout it had without this path.
+#[inline(never)]
+fn measure_declared<R: Recorder, S: ProgressSink>(
+    prog: &Arc<SettleProgram>,
+    pats: &LanePatterns,
+    budget: u64,
+    label: &str,
+    rec: &R,
+    progress: &mut S,
+) -> Option<BatchPeriodicMeasurement> {
+    if !pats.is_declared(prog) {
+        return None;
+    }
+    let started = (R::ENABLED || S::ENABLED).then(std::time::Instant::now);
+    let sinks = |sk: &SkeletonSystem, row: &mut Vec<u64>| {
+        row.extend_from_slice(sk.sink_valid_counts());
+    };
+    let mut sk = SkeletonSystem::from_program(Arc::clone(prog));
+    let (p, counts) = sk.close_lasso(budget, prog.sink_count(), sinks)?;
+    let cycles = sk.cycle();
+    if R::ENABLED && rec.active() {
+        rec.add("measure.close.declared", LANES as u64);
+    }
+    if S::ENABLED {
+        progress.publish(&obs_snapshot(label, LANES, LANES, cycles, started));
+    }
+    let rate = |&n: &u64| vec![Ratio::new(n, p.period); LANES];
+    Some(BatchPeriodicMeasurement {
+        sinks: prog.snk_node.clone(),
+        throughput: counts.iter().map(rate).collect(),
+        periodicity: vec![Some(p); LANES],
+        cycles,
+        budget,
+        lanes: LANES,
+        converged: u64::MAX,
+    })
 }
 
 /// Add the lanes `lasso` settled by each path to `rec`'s
@@ -1085,6 +1155,46 @@ mod tests {
         assert_eq!(last.lanes, 64);
         assert!(last.lanes_converged >= 63, "only the random lane is open");
         assert!(progress.snaps.len() >= 2, "periodic + final snapshots");
+    }
+
+    #[test]
+    fn observed_declared_measurement_is_one_scalar_lasso() {
+        use lip_obs::{FlightRecorder, MemoryProgress};
+        let f = generate::fig1();
+        let mut edited = f.netlist.clone();
+        edited.set_variant(edited.variant());
+        let prog = SettleProgram::compile(&f.netlist).unwrap();
+        let pats = LanePatterns::broadcast(&prog);
+        let rec = FlightRecorder::new();
+        let mut progress = MemoryProgress::new();
+        // A fresh stamp: the measurement compiles, under its `compile`
+        // child span.
+        let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
+            &edited,
+            &pats,
+            4096,
+            "fig1",
+            &rec,
+            &mut progress,
+        )
+        .unwrap();
+        assert!(kc.is_none(), "no 64-lane kernel ran");
+        assert_eq!(
+            m.periodicity,
+            vec![measure(&f.netlist).unwrap().periodicity; LANES]
+        );
+        assert_eq!((m.cycles, m.converged), (7, u64::MAX), "closed at μ + λ");
+        assert_eq!(m.system_throughput(63), Some(Ratio::new(4, 5)));
+        let dump = rec.drain();
+        assert!(dump.total_ns("measure", 0) > 0);
+        assert!(dump
+            .spans
+            .iter()
+            .any(|s| s.cat == "compile" && s.name == "fig1"));
+        assert_eq!(dump.counters["measure.close.declared"], 64);
+        assert!(!dump.counters.contains_key("measure.close.env_lag"));
+        let last = progress.latest("fig1").expect("final snapshot");
+        assert_eq!((last.cycles_executed, last.lanes_converged), (7, 64));
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //! Lint, `lip_analysis::predict_throughput` and
 //! `lip_analysis::closed_form` all go through it (`lip-analysis`
 //! re-exports this module as `lip_analysis::model`), and so does the
-//! batch measurement: [`binding_delay`] gives
+//! 64-lane batch measurement: [`binding_delay`] gives
 //! [`measure_batch_periodic`](crate::measure_batch_periodic) the lag at
-//! which a loop's lanes recur. Lint and the measurement share one solve
-//! per netlist through [`netlist_binding_cycle`], which keeps the last
-//! result per thread by the netlist's stamp.
+//! which a loop's lanes recur (its declared-environment path, one
+//! scalar lasso, needs no lag). Lint and the measurement share one
+//! solve per netlist through [`netlist_binding_cycle`], which keeps the
+//! last result per thread by the netlist's stamp.
 //!
 //! * [`MarkedGraph::new`] builds the adjacency once, in compressed form.
 //!   Every edge has a reverse edge, so the solver first peels off the

@@ -1221,6 +1221,14 @@ impl SkeletonSystem {
         &self.snk_valid
     }
 
+    /// The stop each sink applied on its input channel at the last
+    /// settle, in sink-row order: after a [`step`](Self::step) of cycle
+    /// `t`, the declared stops of cycle `t`. A recorded schedule reads
+    /// them here rather than evaluating every sink's pattern again.
+    pub fn sink_stops(&self) -> impl Iterator<Item = bool> + '_ {
+        self.prog.snk_in_ch.iter().map(|&ch| self.stop[ch as usize])
+    }
+
     /// Firings of each shell so far, in shell-row order (the order of
     /// [`Netlist::shells`]).
     ///
@@ -1356,13 +1364,32 @@ impl SkeletonSystem {
     /// [`find_periodicity`](crate::measure::find_periodicity)) with the
     /// shared [`Lasso`] detector.
     pub fn find_periodicity(&mut self, max_cycles: u64) -> Option<Periodicity> {
-        let mut lasso = Lasso::new(self.cycle, 0);
-        let mut key = Vec::new();
+        self.close_lasso(max_cycles, 0, |_, _| {}).map(|(p, _)| p)
+    }
+
+    /// The one scalar lasso loop: from this cycle on, observe the
+    /// control state in a [`Lasso`] *before* each step, at most
+    /// `max_cycles` times, each visit's row of `row_len` counters
+    /// written by `row`. On the first recurrence returns the
+    /// periodicity and each counter's delta across one period, leaving
+    /// the system at the recurrence; `None` for an aperiodic
+    /// environment (at once) or when no state recurs in time.
+    pub(crate) fn close_lasso(
+        &mut self,
+        max_cycles: u64,
+        row_len: usize,
+        mut row: impl FnMut(&Self, &mut Vec<u64>),
+    ) -> Option<(Periodicity, Vec<u64>)> {
+        let mut lasso = Lasso::new(self.cycle, row_len);
+        let (mut key, mut counts) = (Vec::new(), Vec::with_capacity(row_len));
         for _ in 0..max_cycles {
             key.clear();
             self.push_control_state(&mut key)?;
-            if let Some((p, _)) = lasso.observe(&key, &[]) {
-                return Some(p);
+            counts.clear();
+            row(self, &mut counts);
+            if let Some((p, first)) = lasso.observe(&key, &counts) {
+                let deltas = counts.iter().zip(first).map(|(n, f)| n - f).collect();
+                return Some((p, deltas));
             }
             self.step();
         }

@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use lip_core::{Pattern, ProtocolVariant, RelayKind};
 use lip_graph::{generate, Netlist};
-use lip_obs::{Event, MetricsRegistry, NullProbe, Probe};
+use lip_obs::{Event, FlightRecorder, MetricsRegistry, NullProbe, NullProgress, Probe};
 use lip_sim::{
-    measure_batch, measure_batch_periodic, BatchSkeleton, LanePatterns, Periodicity, SettleProgram,
-    SkeletonSystem, LANES,
+    measure_batch, measure_batch_periodic, measure_batch_periodic_obs, BatchPeriodicMeasurement,
+    BatchSkeleton, LanePatterns, Periodicity, SettleProgram, SkeletonSystem, LANES,
 };
 use proptest::prelude::*;
 
@@ -502,7 +502,9 @@ fn budget_edge_matches_the_lasso_verdict() {
     // 2, period 12), which neither lag (6, lcm(6, 5) = 30) matches, so
     // Brent's checkpoints first see it at t = 28 and budgets 15..=28
     // are settled by the replay. A one-shell chain recurs at once (stem
-    // 0, period 1), which the environment lag sees at t = 1.
+    // 0, period 1), which the environment lag sees at t = 1. Those
+    // closes are the 64-lane path's, so the environment is set lane by
+    // lane; broadcast, one scalar lasso closes every case at μ + λ.
     let mut stopped = generate::fig1().netlist;
     let sink = stopped.sinks()[0];
     stopped.set_sink_pattern(
@@ -530,20 +532,169 @@ fn budget_edge_matches_the_lasso_verdict() {
         };
         assert_eq!(lasso(64), Some(Periodicity { transient, period }));
         let scalar = lip_sim::measure(&netlist).unwrap().system_throughput();
-        let pats = LanePatterns::broadcast(&SettleProgram::compile(&netlist).unwrap());
+        let prog = SettleProgram::compile(&netlist).unwrap();
+        let split = LanePatterns::per_lane(&prog);
+        let declared = LanePatterns::broadcast(&prog);
         for budget in budgets {
-            let m = measure_batch_periodic(&netlist, &pats, budget).unwrap();
             let verdict = lasso(budget);
-            assert_eq!(m.cycles, budget.min(close), "budget {budget} cycles");
-            for lane in 0..LANES {
-                assert_eq!(m.periodicity[lane], verdict, "budget {budget} lane {lane}");
-                assert_eq!(m.lane_converged(lane), verdict.is_some(), "budget {budget}");
-                if verdict.is_some() {
-                    assert_eq!(m.system_throughput(lane), scalar, "budget {budget}");
+            for (pats, close) in [(&split, close), (&declared, transient + period)] {
+                let m = measure_batch_periodic(&netlist, pats, budget).unwrap();
+                assert_eq!(m.cycles, budget.min(close), "budget {budget} cycles");
+                for lane in 0..LANES {
+                    assert_eq!(m.periodicity[lane], verdict, "budget {budget} lane {lane}");
+                    assert_eq!(m.lane_converged(lane), verdict.is_some(), "budget {budget}");
+                    if verdict.is_some() {
+                        assert_eq!(m.system_throughput(lane), scalar, "budget {budget}");
+                    }
                 }
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The declared environment: one scalar lasso for all 64 lanes.
+// ---------------------------------------------------------------------
+
+/// The measurement of `pats` on `netlist` and whether it took the
+/// declared path: an enabled recorder gets kernel counters only from
+/// the 64-lane path, and `measure.close.declared` only from the scalar
+/// one.
+fn measure_path(
+    netlist: &Netlist,
+    pats: &LanePatterns,
+    budget: u64,
+) -> (BatchPeriodicMeasurement, bool) {
+    let rec = FlightRecorder::new();
+    let (m, kc) = measure_batch_periodic_obs::<u64, _, _>(
+        netlist,
+        pats,
+        budget,
+        "d",
+        &rec,
+        &mut NullProgress,
+    )
+    .unwrap();
+    let settled = rec.drain().counters.get("measure.close.declared").copied();
+    assert_eq!(kc.is_none(), settled.is_some(), "one path per call");
+    if let Some(lanes) = settled {
+        assert_eq!(lanes, LANES as u64, "the declared path settles every lane");
+    }
+    (m, settled.is_some())
+}
+
+/// The declared environment measured both ways: broadcast (one scalar
+/// lasso) and lane by lane (the 64-lane path). Verdicts and readings
+/// agree; the scalar path never runs longer. Returns both cycle counts.
+fn assert_declared_matches_lanes(name: &str, netlist: &Netlist, budget: u64) -> (u64, u64) {
+    let prog = SettleProgram::compile(netlist).unwrap();
+    let (declared, scalar) = measure_path(netlist, &LanePatterns::broadcast(&prog), budget);
+    let (lanes, batch) = measure_path(netlist, &LanePatterns::per_lane(&prog), budget);
+    assert!(!batch, "{name}: per-lane rows take the 64-lane path");
+    assert_eq!(scalar, declared.all_converged(), "{name}: declared path");
+    assert_eq!(declared.sinks, lanes.sinks, "{name}");
+    assert_eq!(declared.periodicity, lanes.periodicity, "{name}");
+    assert_eq!(declared.throughput, lanes.throughput, "{name}");
+    assert_eq!(declared.converged, lanes.converged, "{name}");
+    assert!(declared.cycles <= lanes.cycles, "{name}: cycles");
+    (declared.cycles, lanes.cycles)
+}
+
+/// The 20 designs of the `ladder` benchmark workload.
+fn ladder() -> Vec<(String, Netlist)> {
+    let full = RelayKind::Full;
+    let mut designs = Vec::new();
+    for k in [4, 16, 32, 64] {
+        designs.push((format!("chain({k},4)"), generate::chain(k, 4, full).netlist));
+    }
+    for k in [4, 16, 64, 128] {
+        designs.push((format!("ring({k},{k})"), generate::ring(k, k, full).netlist));
+    }
+    for k in [4, 16, 64, 128] {
+        let fj = generate::fork_join(k, k, k / 2).netlist;
+        designs.push((format!("fork_join({k},{k},{})", k / 2), fj));
+    }
+    for k in [2, 8, 32, 64] {
+        let c = generate::composed_coupled(k, k, k / 2, k, k).netlist;
+        designs.push((format!("composed_coupled({k},{k},{},{k},{k})", k / 2), c));
+    }
+    for d in [2, 6, 8, 10] {
+        designs.push((format!("tree({d},2,1)"), generate::tree(d, 2, 1).netlist));
+    }
+    designs
+}
+
+#[test]
+fn declared_path_equals_the_64_lane_path() {
+    for (i, netlist) in corpus().iter().enumerate() {
+        assert_declared_matches_lanes(&format!("corpus {i}"), netlist, 4096);
+    }
+    // The shipped designs.
+    for text in [
+        include_str!("../../../designs/fig1.lid"),
+        include_str!("../../../designs/soc.lid"),
+        include_str!("../../../designs/buffered_loop.lid"),
+    ] {
+        let netlist = lip_graph::parse_netlist_spanned(text).unwrap().netlist;
+        assert_declared_matches_lanes("designs/*.lid", &netlist, 4096);
+    }
+    // Every ladder design closes every lane at μ + λ both ways.
+    for (name, netlist) in ladder() {
+        let (scalar, lanes) = assert_declared_matches_lanes(&name, &netlist, 1 << 16);
+        assert_eq!(scalar, lanes, "{name}: cycles");
+    }
+}
+
+#[test]
+fn declared_path_edges_fall_back_to_the_64_lane_path() {
+    // fig1's lasso closes at μ + λ = 7: a budget that does not reach
+    // that observation returns exactly the 64-lane result.
+    let f = generate::fig1().netlist;
+    let prog = SettleProgram::compile(&f).unwrap();
+    for budget in 0..=8 {
+        let (declared, scalar) = measure_path(&f, &LanePatterns::broadcast(&prog), budget);
+        let (lanes, _) = measure_path(&f, &LanePatterns::per_lane(&prog), budget);
+        assert_eq!(scalar, budget > 7, "budget {budget}");
+        assert_eq!(declared.cycles, lanes.cycles.min(7), "budget {budget}");
+        assert_eq!(declared.periodicity, lanes.periodicity, "budget {budget}");
+        assert_eq!(declared.throughput, lanes.throughput, "budget {budget}");
+        assert_eq!(declared.converged, lanes.converged, "budget {budget}");
+    }
+
+    // An aperiodic declared environment is measured lane by lane, to
+    // the whole-window estimate.
+    let mut random = f.clone();
+    let sink = random.sinks()[0];
+    let coin = Pattern::Random {
+        num: 1,
+        denom: 3,
+        seed: 9,
+    };
+    assert!(random.set_sink_pattern(sink, coin));
+    let prog = SettleProgram::compile(&random).unwrap();
+    let (declared, scalar) = measure_path(&random, &LanePatterns::broadcast(&prog), 500);
+    let (lanes, _) = measure_path(&random, &LanePatterns::per_lane(&prog), 500);
+    assert!(!scalar, "aperiodic: the 64-lane path");
+    assert_eq!((declared.cycles, declared.converged), (500, 0));
+    assert_eq!(declared.throughput, lanes.throughput);
+
+    // `broadcast` of another program's patterns is not the measured
+    // netlist's declared environment.
+    let mut stopped = f.clone();
+    let stop = Pattern::EveryNth {
+        period: 6,
+        phase: 3,
+    };
+    assert!(stopped.set_sink_pattern(sink, stop));
+    let own = SettleProgram::compile(&f).unwrap();
+    let (m, scalar) = measure_path(&stopped, &LanePatterns::broadcast(&own), 4096);
+    assert!(!scalar, "another program's environment: the 64-lane path");
+    let fig1 = SkeletonSystem::new(&f).unwrap().find_periodicity(64);
+    assert_eq!(
+        m.periodicity,
+        vec![fig1; LANES],
+        "lanes run fig1's own stops"
+    );
 }
 
 proptest! {
